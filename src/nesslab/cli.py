@@ -167,6 +167,8 @@ def cmd_simulate(args) -> int:
     if args.out:
         cfg = ExperimentConfig(**{**cfg.__dict__, "output_dir": args.out})
     spec, family = _load_spec_and_family(cfg)
+    for sites in cfg.exhaustion:
+        _check_dim_cap(spec, sites, args.dim_cap)
     digest = config_hash(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,7 +180,6 @@ def cmd_simulate(args) -> int:
               + [f"avg_{n}" for n in obs_names] + ["config_hash"])
     rows = []
     for vol_idx, sites in enumerate(cfg.exhaustion):
-        _check_dim_cap(spec, sites, args.dim_cap)
         vols = volume.build(spec, sites, family)
         plan = dynamics.make_plan(vols.H_B)
         sigma = thermo.initial_state(vols)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import opalg, volume as volume_mod
-from .model import ModelSpec, PerturbationFamily, ZERO_FAMILY, lambda_norm
+from .model import ModelSpec, PerturbationFamily, lambda_norm
 from .opalg import DenseOperator, SpectralData
 
 
@@ -27,86 +27,62 @@ class EvolutionPlan:
 
     generator: DenseOperator
     spectral: SpectralData
-    times: tuple[float, ...] = ()
 
 
-def make_plan(generator: DenseOperator, times: Sequence[float] = ()) -> EvolutionPlan:
+def make_plan(generator: DenseOperator) -> EvolutionPlan:
     if not generator.is_hermitian():
         raise ValueError("evolution generator must be Hermitian")
-    return EvolutionPlan(generator, opalg.spectral(generator), tuple(times))
+    return EvolutionPlan(generator, opalg.spectral(generator))
 
 
 def exact_evolve(plan: EvolutionPlan, a: DenseOperator, t: float) -> DenseOperator:
-    """Conjugate by exp(i t generator): the exact Heisenberg evolution."""
+    """Conjugate by exp(i t generator): the exact Heisenberg evolution.
+
+    The result's support is the whole volume, since the evolution spreads
+    ``a`` over every site the generator couples.
+    """
     if not plan.generator.same_volume(a):
         raise ValueError("operator volume does not match the plan's generator")
     sd = plan.spectral
     phases = np.exp(1j * t * sd.raw_eigenvalues)
     rotated = (sd.basis.conj().T @ a.matrix) @ sd.basis
     rotated = (phases[:, None] * rotated) * phases.conj()[None, :]
-    return a.with_matrix(sd.basis @ rotated @ sd.basis.conj().T)
+    return DenseOperator(a.sites, a.dims, sd.basis @ rotated @ sd.basis.conj().T)
 
 
-class _EmbeddedInteraction:
-    """In-volume interaction (plus optional perturbation) with cached embeddings."""
-
-    def __init__(self, spec: ModelSpec, sites: Sequence[int],
-                 perturbation: PerturbationFamily | None = None):
-        self.sites = tuple(sorted(set(sites)))
-        self.dims = spec.dims_for(self.sites)
-        family = ZERO_FAMILY if perturbation is None else perturbation
-        inside = set(self.sites)
-        self.terms: list[tuple[frozenset[int], np.ndarray]] = []
-        for term in spec.terms:
-            if set(term.support) <= inside:
-                emb = opalg.embed(spec.term_operator(term), self.sites, self.dims)
-                self.terms.append((frozenset(term.support), emb.matrix))
-        for term in family.terms_for(self.sites):
-            if set(term.support) <= inside:
-                emb = opalg.embed(spec.term_operator(term), self.sites, self.dims)
-                self.terms.append((frozenset(term.support), emb.matrix))
-
-    def derivation(self, a: DenseOperator) -> DenseOperator:
-        """i [sum of terms meeting the support of a, a]."""
-        meeting = [(supp, mat) for supp, mat in self.terms if supp & a.support]
-        if not meeting:
-            return opalg.zero(self.sites, self.dims)
-        h_part = np.zeros_like(a.matrix)
-        grown = set(a.support)
-        for supp, mat in meeting:
-            h_part += mat
-            grown |= supp
-        out = 1j * (h_part @ a.matrix - a.matrix @ h_part)
-        return DenseOperator(self.sites, self.dims, out, frozenset(grown))
+def derivation_powers(h_b: DenseOperator, a: DenseOperator, order: int) -> list[DenseOperator]:
+    """[delta(a), ..., delta^order(a)] for the derivation delta = i[h_b, .]."""
+    powers = []
+    for _ in range(order):
+        a = 1j * opalg.commutator(h_b, a)
+        powers.append(a)
+    return powers
 
 
 def derivation(spec: ModelSpec, volume: Iterable[int], a: DenseOperator,
                perturbation: PerturbationFamily | None = None) -> DenseOperator:
-    """The finite-volume derivation of the dynamics applied to ``a``.
+    """The finite-volume derivation i[H_B, a] applied to ``a``.
 
-    Sums i[term, a] over in-volume terms whose support meets the support of
-    ``a``; terms disjoint from it commute with ``a``, so this equals the
-    commutator with the full volume Hamiltonian.
+    ``H_B`` is the generator that :func:`nesslab.volume.build` assembles for
+    ``volume``, so this has build's preconditions: the volume contains the
+    small system and each perturbation term lies in one reservoir. ``a`` is
+    embedded into the volume first.
     """
-    sites = tuple(sorted(set(volume)))
-    if not set(a.sites) <= set(sites):
-        raise ValueError("operator support must lie inside the volume")
-    emb = _EmbeddedInteraction(spec, sites, perturbation)
-    return emb.derivation(opalg.embed(a, sites, emb.dims))
+    h_b = volume_mod.build(spec, volume, perturbation).H_B
+    (out,) = derivation_powers(h_b, opalg.embed(a, h_b.sites, h_b.dims), 1)
+    return out
 
 
 @dataclass(frozen=True)
 class DysonConfig:
-    """Truncation order, target tolerance and norm parameters for the series."""
+    """Truncation order and weight parameter for the series."""
 
     lam: float
-    mu: float = 0.0
     max_order: int = 12
-    target_tol: float = 0.0
 
     def __post_init__(self):
-        if not self.lam > self.mu >= 0:
-            raise ValueError("need lam > mu >= 0")
+        if not self.lam > 0:
+            raise ValueError("need lam > 0")
         if self.max_order < 1:
             raise ValueError("max_order must be >= 1")
 
@@ -120,46 +96,44 @@ def series_radius(spec: ModelSpec, perturbation: PerturbationFamily | None = Non
     return spec.lam / (2.0 * denom)
 
 
+def _truncated_series(a: DenseOperator, powers: Sequence[DenseOperator], t: float,
+                      lam: float, ratio: float) -> tuple[DenseOperator, float]:
+    """Partial sum of t^m delta^m(a) / m! over ``powers`` and its tail bound.
+
+    The bound is ||a|| e^{lam card X} r^{M+1} / (1 - r), with X the support
+    of ``a`` and M the number of powers.
+    """
+    partial = a
+    for m, power in enumerate(powers, start=1):
+        partial = partial + (t**m / math.factorial(m)) * power
+    envelope = opalg.op_norm(a) * math.exp(lam * len(a.support))
+    return partial, float(envelope * ratio ** (len(powers) + 1) / (1.0 - ratio))
+
+
 def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: float,
                  cfg: DysonConfig | None = None,
                  perturbation: PerturbationFamily | None = None,
                  ) -> tuple[DenseOperator, float]:
     """Truncated power-series evolution with a rigorous tail bound.
 
-    Returns the partial sum over orders m <= M of t^m delta^m(a) / m! and
-    the geometric tail majorant ||a|| e^{lam card X} r^{M+1} / (1 - r) with
-    r = 2 |t| (||Phi||_lam + K) / lam. Times at or beyond the convergence
-    radius are refused since the majorant diverges there.
+    Returns the partial sum over orders m <= M of t^m delta^m(a) / m!, with
+    delta = i[H_B, .] as in :func:`derivation` (and build's preconditions),
+    and the geometric tail majorant ||a|| e^{lam card X} r^{M+1} / (1 - r)
+    with r = 2 |t| (||Phi||_lam + K) / lam. Times at or beyond the
+    convergence radius are refused since the majorant diverges there.
     """
     if cfg is None:
         cfg = DysonConfig(lam=spec.lam)
     k = 0.0 if perturbation is None else perturbation.bound_K
-    norm_phi = lambda_norm(spec)
-    ratio = 2.0 * abs(t) * (norm_phi + k) / cfg.lam
+    ratio = 2.0 * abs(t) * (lambda_norm(spec) + k) / cfg.lam
     if ratio >= 1.0:
         raise ValueError(
             f"|t|={abs(t):.6g} is outside the series radius "
             f"{series_radius(spec, perturbation):.6g}; the error bound diverges")
-
-    sites = tuple(sorted(set(volume)))
-    emb = _EmbeddedInteraction(spec, sites, perturbation)
-    a_vol = opalg.embed(a, sites, emb.dims)
-    if t == 0.0:
-        return a_vol, 0.0
-    envelope = opalg.op_norm(a_vol) * math.exp(cfg.lam * len(a_vol.support))
-
-    partial = a_vol
-    current = a_vol
-    order = cfg.max_order
-    for m in range(1, cfg.max_order + 1):
-        current = emb.derivation(current)
-        partial = partial + (t**m / math.factorial(m)) * current
-        tail = envelope * ratio ** (m + 1) / (1.0 - ratio)
-        if cfg.target_tol > 0 and tail <= cfg.target_tol:
-            order = m
-            break
-    bound = envelope * ratio ** (order + 1) / (1.0 - ratio)
-    return partial, float(bound)
+    h_b = volume_mod.build(spec, volume, perturbation).H_B
+    a_vol = opalg.embed(a, h_b.sites, h_b.dims)
+    powers = derivation_powers(h_b, a_vol, cfg.max_order)
+    return _truncated_series(a_vol, powers, t, cfg.lam, ratio)
 
 
 def derivation_growth_bound(spec: ModelSpec, a: DenseOperator, m: int,
@@ -230,10 +204,8 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     if not set(a.sites) <= set(vols[0]):
         raise ValueError("observable must be supported in the smallest volume")
 
-    embeddings = [_EmbeddedInteraction(spec, v, perturbation) for v in vols]
-    built = [volume_mod.build(spec, v, perturbation) for v in vols]
-    plans = [make_plan(b.H_B) for b in built]
-    a_in = [opalg.embed(a, e.sites, e.dims) for e in embeddings]
+    plans = [make_plan(volume_mod.build(spec, v, perturbation).H_B) for v in vols]
+    a_in = [opalg.embed(a, p.generator.sites, p.generator.dims) for p in plans]
 
     evolved = []
     for plan, a_v in zip(plans, a_in):
@@ -246,14 +218,21 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
             evo_rows.append(SweepRow(i, float(t),
                                      opalg.op_norm(lifted - evolved[i + 1][j])))
 
+    cfg = DysonConfig(lam=spec.lam)
+    radius = series_radius(spec, perturbation)
+    inside = [j for j, t in enumerate(t_grid) if abs(t) < radius]
+    order = max(max_order, cfg.max_order) if inside else max_order
     powers = []
-    for emb, a_v in zip(embeddings, a_in):
-        cur = a_v
-        per_volume = []
-        for _ in range(max_order):
-            cur = emb.derivation(cur)
-            per_volume.append(cur)
-        powers.append(per_volume)
+    dyson_rows = []
+    for i, (plan, a_v) in enumerate(zip(plans, a_in)):
+        per_volume = derivation_powers(plan.generator, a_v, order)
+        powers.append(per_volume[:max_order])
+        for j in inside:
+            t = float(t_grid[j])
+            approx, bound = _truncated_series(a_v, per_volume[:cfg.max_order], t,
+                                              cfg.lam, abs(t) / radius)
+            dyson_rows.append(DysonRow(i, t,
+                                       opalg.op_norm(approx - evolved[i][j]), bound))
 
     order_rows = []
     for i in range(len(vols) - 1):
@@ -261,17 +240,5 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
             lifted = opalg.embed(powers[i][m], a_in[i + 1].sites, a_in[i + 1].dims)
             order_rows.append(OrderRow(i, m + 1,
                                        opalg.op_norm(lifted - powers[i + 1][m])))
-
-    radius = series_radius(spec, perturbation)
-    dyson_rows = []
-    for i, (emb, plan, a_v) in enumerate(zip(embeddings, plans, a_in)):
-        for t in t_grid:
-            if abs(t) >= radius:
-                continue
-            approx, bound = dyson_evolve(spec, emb.sites, a_v, float(t),
-                                         perturbation=perturbation)
-            exact = exact_evolve(plan, a_v, float(t))
-            dyson_rows.append(DysonRow(i, float(t),
-                                       opalg.op_norm(approx - exact), bound))
 
     return ConvergenceSweepReport(tuple(evo_rows), tuple(order_rows), tuple(dyson_rows))

@@ -28,8 +28,9 @@ class DenseOperator:
     ``sites`` and ``dims`` are parallel tuples in canonical ascending-id
     order; the matrix dimension is the product of the local dimensions.
     ``support`` tracks the (sub)set of sites on which the operator may act
-    nontrivially; it is preserved by embedding and grows under sums and
-    commutators.
+    nontrivially; it is preserved by embedding, grows under sums and
+    commutators, and is reset to the whole volume by time evolution and
+    unitary conjugation.
     """
 
     sites: tuple[int, ...]
@@ -213,18 +214,19 @@ def check_unitary(u, tol: float = UNITARITY_TOL):
 
 
 def unitary_conj(u, a):
-    """U A U^{-1} for unitary U; preserves spectrum and trace."""
+    """U A U^{-1} for unitary U; preserves spectrum and trace.
+
+    An operator result has the whole volume as its support.
+    """
     check_unitary(u)
-    if isinstance(a, DenseOperator):
-        um = _as_matrix(u)
-        if um.shape[0] != a.dim:
-            raise ValueError("dimension mismatch in unitary conjugation")
-        return a.with_matrix(um @ a.matrix @ um.conj().T)
     um = _as_matrix(u)
-    am = np.asarray(a, dtype=complex)
+    am = _as_matrix(a)
     if um.shape[0] != am.shape[0]:
         raise ValueError("dimension mismatch in unitary conjugation")
-    return um @ am @ um.conj().T
+    out = um @ am @ um.conj().T
+    if isinstance(a, DenseOperator):
+        return DenseOperator(a.sites, a.dims, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -250,9 +252,6 @@ class SpectralData:
             v = self.basis[:, lo:hi]
             out.append(v @ v.conj().T)
         return tuple(out)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.basis * self.raw_eigenvalues) @ self.basis.conj().T
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(i t A) for the decomposed operator A."""

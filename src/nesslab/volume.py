@@ -12,6 +12,7 @@ energy-current operators. Terms straddling the volume boundary are dropped
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -54,20 +55,13 @@ class VolumeOperators:
     def reservoirs(self) -> tuple[int, ...]:
         return tuple(sorted(self.H_a))
 
-    def _cached_norm(self, key: str, op: DenseOperator) -> float:
-        value = self.__dict__.get(key)
-        if value is None:
-            value = opalg.op_norm(op)
-            object.__setattr__(self, key, value)
-        return value
-
-    @property
+    @cached_property
     def w_norm(self) -> float:
-        return self._cached_norm("_w_norm", self.W)
+        return opalg.op_norm(self.W)
 
-    @property
+    @cached_property
     def g_norm(self) -> float:
-        return self._cached_norm("_g_norm", self.G)
+        return opalg.op_norm(self.G)
 
 
 def build(spec: ModelSpec, volume: Iterable[int],

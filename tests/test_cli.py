@@ -114,6 +114,16 @@ class TestSimulateCommand:
             main(["simulate", "--config", str(config_path), "--dim-cap", "4"])
         assert "exceeds cap" in str(err.value)
 
+    def test_dim_cap_refuses_before_any_build(self, chain_files, monkeypatch):
+        # volumes have D = 4, 8, 16: only the last exceeds the cap
+        _, _, config_path, _ = chain_files
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--config", str(config_path), "--dim-cap", "8"])
+        assert "exceeds cap" in str(err.value)
+        assert built == []
+
     def test_observable_columns(self, tmp_path):
         spec = make_chain(3, {0: 1, 1: 0, 2: 2}, {1: 2.0, 2: 1.0})
         model_path = write_model(tmp_path, spec)

@@ -20,12 +20,13 @@ from nesslab import (
     op_norm,
     series_radius,
     spectral,
+    unitary_conj,
 )
 from nesslab.dynamics import derivation_growth_bound
 from nesslab.model import PerturbationEntry, PerturbationFamily
 from nesslab.opalg import identity
 
-from conftest import SX, SY, SZ, make_chain, random_hermitian
+from conftest import SX, SY, SZ, make_chain, random_hermitian, random_unitary
 
 OMEGA = 1.3
 
@@ -61,6 +62,26 @@ class TestDerivation:
         a = embed(DenseOperator((2,), (2,), SX), vols.sites, vols.dims)
         out = derivation(chain5, range(5), a)
         expected = 1j * (vols.H.matrix @ a.matrix - a.matrix @ vols.H.matrix)
+        assert np.max(np.abs(out.matrix - expected)) <= 1e-12
+
+    def test_evolved_operator_uses_full_generator(self, chain5):
+        # tau_t(a) spreads over the whole volume; its derivation must too
+        vols = build(chain5, range(5))
+        a = embed(DenseOperator((2,), (2,), SX), vols.sites, vols.dims)
+        evolved = exact_evolve(make_plan(vols.H_B), a, 1.3)
+        out = derivation(chain5, range(5), evolved)
+        h = vols.H_B.matrix
+        expected = 1j * (h @ evolved.matrix - evolved.matrix @ h)
+        assert np.max(np.abs(out.matrix - expected)) <= 1e-12
+
+    def test_conjugated_operator_uses_full_generator(self, chain5):
+        vols = build(chain5, range(5))
+        a = embed(DenseOperator((2,), (2,), SX), vols.sites, vols.dims)
+        u = random_unitary(np.random.default_rng(5), vols.dim)
+        conj = unitary_conj(u, a)
+        out = derivation(chain5, range(5), conj)
+        h = vols.H_B.matrix
+        expected = 1j * (h @ conj.matrix - conj.matrix @ h)
         assert np.max(np.abs(out.matrix - expected)) <= 1e-12
 
     def test_support_outside_volume_rejected(self, chain5):
@@ -193,7 +214,7 @@ class TestDysonEvolve:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            DysonConfig(lam=0.5, mu=0.5)
+            DysonConfig(lam=0.0)
         with pytest.raises(ValueError):
             DysonConfig(lam=0.5, max_order=0)
 
@@ -248,6 +269,54 @@ class TestConvergenceSweep:
         with_far = derivation(chain5, full, a, perturbation=family)
         without_far = derivation(chain5, full, a)
         assert op_norm(with_far - without_far) <= 1e-14
+
+    def test_rows_match_standalone_routes(self, chain5):
+        a = DenseOperator((2,), (2,), SX)
+        exhaustion = [(1, 2, 3), (1, 2, 3, 4), tuple(range(5))]
+        radius = series_radius(chain5)
+        t_grid = [0.3 * radius, 0.7 * radius, 1.5 * radius]
+        report = convergence_sweep(chain5, exhaustion, a, t_grid, max_order=3)
+        inside = [t for t in t_grid if t < radius]
+        assert [(r.volume_index, r.t) for r in report.dyson_rows] == [
+            (i, t) for i in range(len(exhaustion)) for t in inside]
+        for row in report.dyson_rows:
+            vols = build(chain5, exhaustion[row.volume_index])
+            a_v = embed(a, vols.sites, vols.dims)
+            approx, bound = dyson_evolve(chain5, vols.sites, a, row.t)
+            exact = exact_evolve(make_plan(vols.H_B), a_v, row.t)
+            assert abs(row.error - op_norm(approx - exact)) <= 1e-12
+            assert abs(row.bound - bound) <= 1e-12
+        powers = []
+        for sites in exhaustion:
+            cur = embed(a, sites, chain5.dims_for(sites))
+            per_volume = []
+            for _ in range(3):
+                cur = derivation(chain5, sites, cur)
+                per_volume.append(cur)
+            powers.append(per_volume)
+        for row in report.order_rows:
+            large = powers[row.pair_index + 1][row.order - 1]
+            lifted = embed(powers[row.pair_index][row.order - 1], large.sites, large.dims)
+            assert abs(row.discrepancy - op_norm(lifted - large)) <= 1e-12
+
+    def test_outside_radius_grid_computes_only_order_powers(self, chain5, monkeypatch):
+        from nesslab import dynamics
+        orders = []
+        real = dynamics.derivation_powers
+
+        def counting(h_b, a, order):
+            orders.append(order)
+            return real(h_b, a, order)
+
+        monkeypatch.setattr(dynamics, "derivation_powers", counting)
+        a = DenseOperator((2,), (2,), SX)
+        exhaustion = [(1, 2, 3), (1, 2, 3, 4)]
+        radius = series_radius(chain5)
+        report = convergence_sweep(chain5, exhaustion, a, [2.0 * radius, 5.0 * radius],
+                                   max_order=4)
+        assert report.dyson_rows == ()
+        assert orders == [4, 4]
+        assert len(report.order_rows) == 4
 
     def test_non_nested_exhaustion_rejected(self, chain5):
         a = DenseOperator((2,), (2,), SX)
