@@ -58,6 +58,7 @@ from .thermo import (
     entropy_production,
     gibbs,
     heat_direction_check,
+    horizon_reports,
     initial_state,
     klein_check,
     kms_check,

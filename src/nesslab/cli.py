@@ -181,17 +181,14 @@ def cmd_simulate(args) -> int:
     rows = []
     for vol_idx, sites in enumerate(cfg.exhaustion):
         vols = volume.build(spec, sites, family)
-        plan = dynamics.make_plan(vols.H_B)
-        sigma = thermo.initial_state(vols)
         observables = _observable_operators(spec, cfg, vols.sites)
-        for t_horizon in cfg.horizons:
-            rep = thermo.entropy_production(vols, t_horizon, plan=plan, state=sigma)
+        for t_horizon, (rep, averaged) in zip(
+                cfg.horizons, thermo.horizon_reports(vols, cfg.horizons,
+                                                     observables=observables)):
             row = [str(vol_idx), t_horizon]
             row += [rep.fluxes[a] for a in reservoirs]
             row += [rep.e, rep.e_telescoped, rep.sum_rule_residual, rep.tol_sum_rule]
-            if obs_names:
-                averaged = thermo.time_averaged_state(plan, sigma, t_horizon)
-                row += [averaged.expectation(observables[n]) for n in obs_names]
+            row += [averaged[n] for n in obs_names]
             row.append(digest)
             rows.append(row)
     _write_csv(out_dir / "entropy.csv", header, rows)
@@ -304,10 +301,9 @@ def cmd_redraw_check(args) -> int:
     sites = cfg.exhaustion[-1]
     _check_dim_cap(spec, sites, args.dim_cap)
     ok = True
-    for t_horizon in cfg.horizons:
-        rep = thermo.boundary_redraw_check(spec, cfg.redraw_new_s, sites, t_horizon)
+    for rep in thermo.boundary_redraw_check(spec, cfg.redraw_new_s, sites, cfg.horizons):
         ok = ok and rep.ok
-        print(f"T={_fmt(t_horizon)} e={_fmt(rep.e_original)} e'={_fmt(rep.e_redrawn)} "
+        print(f"T={_fmt(rep.horizon)} e={_fmt(rep.e_original)} e'={_fmt(rep.e_redrawn)} "
               f"|e-e'|={_fmt(rep.difference)} bound={_fmt(rep.bound)} "
               f"{'ok' if rep.ok else 'VIOLATED'}")
     return 0 if ok else 1

@@ -2,10 +2,10 @@
 
 Operators live on an ordered list of lattice sites (ascending site id, one
 finite-dimensional factor per site) and are stored as full complex matrices.
-The module provides tensor embedding into larger volumes, commutators, the
-operator norm, spectral decomposition of Hermitian matrices with degeneracy
-grouping, functional calculus, and the exponentially weighted observable norm
-in its upper-bound form.
+The module provides tensor products and embedding into larger volumes,
+commutators, the operator norm, spectral decomposition of Hermitian matrices
+with degeneracy grouping, functional calculus, and the exponentially
+weighted observable norm in its upper-bound form.
 """
 
 from __future__ import annotations
@@ -132,47 +132,58 @@ def zero(sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
                          np.zeros((dim, dim), dtype=complex), frozenset())
 
 
+def kron_embed(factors: Sequence[DenseOperator], sites: Sequence[int],
+               dims: Sequence[int]) -> DenseOperator:
+    """Tensor product of operators on disjoint volumes, placed into a volume.
+
+    The result acts as each factor on that factor's sites and as the
+    identity on the target sites no factor covers, under canonical
+    ascending-site ordering; its support is the union of the factors'
+    supports. Implemented as one Kronecker product in factor order followed
+    by one axis permutation of the reshaped tensor; no permutation matrices
+    are materialized.
+    """
+    sites = tuple(sites)
+    dims = tuple(dims)
+    pos = {s: i for i, s in enumerate(sites)}
+    order = [s for f in factors for s in f.sites]
+    if len(set(order)) != len(order):
+        raise ValueError("tensor factors must act on disjoint volumes")
+    if not set(order) <= pos.keys():
+        raise ValueError(f"operator volume {tuple(order)} not contained in {sites}")
+    for f in factors:
+        for s, d in zip(f.sites, f.dims):
+            if dims[pos[s]] != d:
+                raise ValueError(f"local dimension mismatch at site {s}")
+
+    covered = set(order)
+    rest = [s for s in sites if s not in covered]
+    mats = [f.matrix for f in factors]
+    if rest:
+        mats.append(np.eye(math.prod(dims[pos[s]] for s in rest), dtype=complex))
+    order += rest
+    full = mats[0] if mats else np.ones((1, 1), dtype=complex)
+    for mat in mats[1:]:
+        full = np.kron(full, mat)
+
+    n = len(order)
+    axis = {s: i for i, s in enumerate(order)}
+    perm = [axis[s] for s in sites] + [n + axis[s] for s in sites]
+    order_dims = tuple(dims[pos[s]] for s in order)
+    dim = math.prod(dims)
+    full = full.reshape(order_dims + order_dims).transpose(perm).reshape(dim, dim)
+    return DenseOperator(sites, dims, full,
+                         frozenset().union(*(f.support for f in factors)))
+
+
 def embed(op: DenseOperator, sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
     """Embed ``op`` into a larger volume as ``op`` tensor identity.
 
     The target volume must contain the operator's volume; the result acts
     as ``op`` on the original factors and as the identity elsewhere, under
-    canonical ascending-site ordering. Implemented by axis arithmetic on the
-    reshaped tensor; no permutation matrices are materialized.
+    canonical ascending-site ordering (see :func:`kron_embed`).
     """
-    sites = tuple(sites)
-    dims = tuple(dims)
-    if sites == op.sites:
-        if dims != op.dims:
-            raise ValueError("local dimension mismatch in embedding target")
-        return op
-    pos = {s: i for i, s in enumerate(sites)}
-    if not set(op.sites) <= set(sites):
-        raise ValueError(f"operator volume {op.sites} not contained in {sites}")
-    for s, d in zip(op.sites, op.dims):
-        if dims[pos[s]] != d:
-            raise ValueError(f"local dimension mismatch at site {s}")
-
-    y = op.sites
-    m = len(y)
-    z = tuple(s for s in sites if s not in set(y))
-    k = len(z)
-    dz = tuple(dims[pos[s]] for s in z)
-    dim_z = int(np.prod(dz)) if k else 1
-
-    a = op.matrix.reshape(op.dims + op.dims)
-    eye = np.eye(dim_z, dtype=complex).reshape(dz + dz)
-    t = np.tensordot(a, eye, axes=0)  # axes: y-rows, y-cols, z-rows, z-cols
-
-    row_axis = {s: i for i, s in enumerate(y)}
-    row_axis.update({s: 2 * m + j for j, s in enumerate(z)})
-    col_axis = {s: m + i for i, s in enumerate(y)}
-    col_axis.update({s: 2 * m + k + j for j, s in enumerate(z)})
-    perm = [row_axis[s] for s in sites] + [col_axis[s] for s in sites]
-
-    dim = int(np.prod(dims)) if dims else 1
-    full = t.transpose(perm).reshape(dim, dim)
-    return DenseOperator(sites, dims, full, op.support)
+    return kron_embed((op,), sites, dims)
 
 
 def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:

@@ -9,8 +9,9 @@ with its doubly stochastic witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -19,9 +20,6 @@ from .dynamics import EvolutionPlan, exact_evolve, make_plan
 from .model import ModelSpec, PerturbationFamily, redraw
 from .opalg import DenseOperator
 from .volume import VolumeOperators, build
-
-DEGENERATE_FREQ_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class StateRep:
@@ -72,21 +70,26 @@ def gibbs(h: DenseOperator, beta: float) -> StateRep:
 
 def initial_state(vols: VolumeOperators, betas: Mapping[int, float] | None = None) -> StateRep:
     """The product state exp(-G): reservoirs at their own temperatures,
-    normalized trace on the small system."""
+    normalized trace on the small system.
+
+    Formed as the tensor product of the Gibbs states of the reservoir blocks
+    ``vols.G_blocks`` and the normalized identity on the remaining sites, so
+    nothing of the volume's dimension is diagonalized.
+    """
     if betas is not None:
         for a, beta in betas.items():
             if a in vols.betas and abs(vols.betas[a] - beta) > 0:
                 raise ValueError(
                     f"reservoir {a}: beta {beta} differs from the built volume's "
                     f"{vols.betas[a]}")
-    sd = opalg.spectral(vols.G)
-    # G's normalization already puts exp(-G) on unit trace (its eigenvalues
-    # are nonnegative); renormalize only the roundoff
-    density = (sd.basis * np.exp(-sd.raw_eigenvalues)) @ sd.basis.conj().T
-    tr = float(np.real(np.trace(density)))
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"exp(-G) trace {tr:.12g} deviates from 1")
-    density /= tr
+    factors = [DenseOperator(blk.sites, blk.dims, gibbs(blk, 1.0).density)
+               for blk in vols.G_blocks.values()]
+    covered = {s for f in factors for s in f.sites}
+    rest = tuple(s for s in vols.sites if s not in covered)
+    rest_dims = tuple(d for s, d in zip(vols.sites, vols.dims) if s not in covered)
+    rest_dim = math.prod(rest_dims)
+    factors.append(DenseOperator(rest, rest_dims, np.eye(rest_dim) / rest_dim))
+    density = opalg.kron_embed(factors, vols.sites, vols.dims).matrix
     return StateRep(vols.sites, vols.dims, density)
 
 
@@ -145,33 +148,37 @@ def kms_check(state: StateRep, h: DenseOperator, beta: float,
     return float(abs(lhs - rhs))
 
 
-def _averaging_kernel(w: np.ndarray, horizon: float) -> np.ndarray:
-    """(1/T) integral of e^{i t (w_k - w_j)} over [0, T], entry (j, k).
+def _averaging_kernel(phase: np.ndarray) -> np.ndarray:
+    """(1/T) integral of e^{i t d} over [0, T], as a function of x = T d.
 
-    Bohr frequencies below the degeneracy tolerance take the limiting
-    value 1 (the kernel's removable singularity).
+    Evaluated as e^{ix/2} sinc(x/2), which equals (e^{ix} - 1)/(ix) with no
+    cancellation at small x: exact to roundoff for every Bohr frequency,
+    with the removable singularity K(0) = 1.
     """
-    delta = w[None, :] - w[:, None]
-    out = np.ones_like(delta, dtype=complex)
-    mask = np.abs(delta) >= DEGENERATE_FREQ_TOL
-    d = delta[mask] * horizon
-    out[mask] = (np.exp(1j * d) - 1.0) / (1j * d)
-    return out
+    return np.exp(0.5j * phase) * np.sinc(phase / (2.0 * np.pi))
+
+
+def _rotate(v: np.ndarray, vh: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """V^dagger M V for the eigenvector matrix V (``vh`` is V^dagger)."""
+    return (vh @ mat) @ v
 
 
 def time_averaged_state(plan: EvolutionPlan, state: StateRep, horizon: float) -> StateRep:
     """The horizon average of the evolved state, exact in the horizon.
 
     Averaging the dual evolution over [0, T] multiplies the density matrix
-    entrywise, in the generator eigenbasis, by the averaging kernel. The
-    result is again a state (a convex average of states).
+    entrywise, in the generator eigenbasis, by the averaging kernel of the
+    Bohr frequencies w_k - w_j. The result is again a state (a convex
+    average of states).
     """
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
     sd = plan.spectral
     v = sd.basis
-    rho_t = v.conj().T @ state.density @ v
-    averaged = v @ (rho_t * _averaging_kernel(sd.raw_eigenvalues, horizon)) @ v.conj().T
+    w = sd.raw_eigenvalues
+    rho_t = _rotate(v, v.conj().T, state.density)
+    kernel = _averaging_kernel(horizon * (w[None, :] - w[:, None]))
+    averaged = v @ (rho_t * kernel) @ v.conj().T
     averaged = 0.5 * (averaged + averaged.conj().T)
     return StateRep(state.sites, state.dims, averaged)
 
@@ -243,6 +250,85 @@ class EntropyReport:
                    self.tol_sum_rule])
 
 
+def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
+                    plan: EvolutionPlan | None = None,
+                    state: StateRep | None = None,
+                    observables: Mapping[Hashable, DenseOperator] | None = None,
+                    ) -> list[tuple[EntropyReport, dict[Hashable, float]]]:
+    """Entropy reports and averaged observables for every horizon.
+
+    The state (``initial_state(vols)`` unless given), the reservoir
+    currents, ``G`` and the observables (operators on the whole volume) are
+    rotated once into the eigenbasis of the plan's generator (``H_B``
+    unless given); every horizon is then an O(D^2) contraction. With
+    P_jk = s_jk x_kj for the rotated state s and operator x, and Bohr
+    frequencies d_jk = w_k - w_j, the horizon average of <x> is
+    sum_jk P_jk K(T d_jk) with the averaging kernel K, and the endpoint form
+    of the entropy production is
+    e_telescoped = (1/T) Re sum_jk P^G_jk expm1(i T d_jk), the relative
+    entropy of the evolved state to the initial one divided by T. P is
+    conjugate-symmetric, K(0) = 1 and expm1(0) = 0, so each weight is kept
+    as its diagonal sum plus its packed strict upper triangle.
+
+    Returns one (report, {key: average}) pair per horizon, in order.
+    """
+    if any(t <= 0 for t in horizons):
+        raise ValueError("horizon must be > 0")
+    if plan is None:
+        plan = make_plan(vols.H_B)
+    observables = {} if observables is None else observables
+    for x in observables.values():
+        if x.sites != vols.sites:
+            raise ValueError("observable volume does not match the built volume")
+    v = plan.spectral.basis
+    vh = v.conj().T
+    w = plan.spectral.raw_eigenvalues
+    upper = np.triu_indices(vols.dim, k=1)
+    freq = w[upper[1]] - w[upper[0]]
+
+    sigma_t = _rotate(v, vh, (initial_state(vols) if state is None else state).density)
+    sigma_diag = np.diagonal(sigma_t).copy()
+    sigma_upper = sigma_t[upper]
+    del sigma_t
+
+    def weight(x: DenseOperator) -> tuple[float, np.ndarray]:
+        x_t = _rotate(v, vh, x.matrix)
+        return (float(np.real(np.dot(sigma_diag, np.diagonal(x_t)))),
+                sigma_upper * x_t.T[upper])
+
+    def contract(wt: tuple[float, np.ndarray], kernel: np.ndarray) -> float:
+        diag, off = wt
+        return diag + 2.0 * float(np.real(np.dot(off, kernel)))
+
+    # only the packed weights outlive this point, not the rotated matrices
+    flux_weights = {a: weight(cur) for a, cur in sorted(vols.currents.items())}
+    obs_weights = {key: weight(x) for key, x in observables.items()}
+    _, g_upper = weight(vols.G)
+    del sigma_upper, vh
+
+    perturbed = any(np.any(b.matrix) for b in vols.B_a.values())
+    out = []
+    for horizon in horizons:
+        phase = horizon * freq
+        kernel = _averaging_kernel(phase)
+        fluxes = {a: contract(wt, kernel) for a, wt in flux_weights.items()}
+        e = sum(vols.betas[a] * f for a, f in fluxes.items())
+        e_tel = 2.0 * float(np.real(np.dot(g_upper, np.expm1(1j * phase)))) / horizon
+        report = EntropyReport(
+            horizon=float(horizon),
+            fluxes=fluxes,
+            e=float(e),
+            e_telescoped=e_tel,
+            sum_rule_residual=float(sum(fluxes.values())),
+            tol_sum_rule=float(2.0 * vols.w_norm / horizon),
+            g_norm=float(vols.g_norm),
+            w_norm=float(vols.w_norm),
+            perturbed=perturbed,
+        )
+        out.append((report, {key: contract(wt, kernel) for key, wt in obs_weights.items()}))
+    return out
+
+
 def entropy_production(vols: VolumeOperators, horizon: float,
                        plan: EvolutionPlan | None = None,
                        state: StateRep | None = None) -> EntropyReport:
@@ -252,33 +338,10 @@ def entropy_production(vols: VolumeOperators, horizon: float,
     time-averaged initial product state and weights them by the inverse
     temperatures. Route two evaluates the weighted exponent at the horizon
     endpoints. The endpoint route is nonnegative exactly (up to roundoff
-    in units of the exponent's norm), for every volume and horizon.
+    in units of the exponent's norm), for every volume and horizon. A
+    one-horizon call of :func:`horizon_reports`.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    if plan is None:
-        plan = make_plan(vols.H_B)
-    sigma = initial_state(vols) if state is None else state
-
-    averaged = time_averaged_state(plan, sigma, horizon)
-    fluxes = {a: averaged.expectation(cur) for a, cur in sorted(vols.currents.items())}
-    e = sum(vols.betas[a] * f for a, f in fluxes.items())
-
-    g_end = exact_evolve(plan, vols.G, horizon)
-    e_tel = (sigma.expectation(g_end) - sigma.expectation(vols.G)) / horizon
-
-    perturbed = any(np.any(b.matrix) for b in vols.B_a.values())
-    return EntropyReport(
-        horizon=float(horizon),
-        fluxes=fluxes,
-        e=float(e),
-        e_telescoped=float(e_tel),
-        sum_rule_residual=float(sum(fluxes.values())),
-        tol_sum_rule=float(2.0 * vols.w_norm / horizon),
-        g_norm=float(vols.g_norm),
-        w_norm=float(vols.w_norm),
-        perturbed=perturbed,
-    )
+    return horizon_reports(vols, (horizon,), plan=plan, state=state)[0][0]
 
 
 @dataclass(frozen=True)
@@ -329,38 +392,37 @@ class RedrawReport:
 
 
 def boundary_redraw_check(spec: ModelSpec, new_small_system: Iterable[int],
-                          volume: Iterable[int], horizon: float) -> RedrawReport:
+                          volume: Iterable[int],
+                          horizons: Sequence[float]) -> tuple[RedrawReport, ...]:
     """Move the system/reservoir boundary and re-account the fluxes.
 
     The initial state, the dynamics and the averaging all come from the
     original decomposition; only the bookkeeping of which terms belong to
     which reservoir changes. The difference of the two entropy production
     values is bounded by (2/T) times the norm of the weighted reservoir
-    Hamiltonian difference.
+    Hamiltonian difference. Both decompositions are built once, and both
+    current sets are contracted against the same rotated state, for every
+    horizon; one report per horizon, in order.
     """
     vols = build(spec, volume)
-    redrawn_spec = redraw(spec, new_small_system)
-    redrawn = build(redrawn_spec, volume)
-
-    plan = make_plan(vols.H_B)
-    sigma = initial_state(vols)
-    averaged = time_averaged_state(plan, sigma, horizon)
-
-    e_orig = sum(vols.betas[a] * averaged.expectation(cur)
-                 for a, cur in vols.currents.items())
-    e_new = sum(redrawn.betas[a] * averaged.expectation(cur)
-                for a, cur in redrawn.currents.items())
+    redrawn = build(redraw(spec, new_small_system), volume)
 
     shift = opalg.zero(vols.sites, vols.dims)
     for a in vols.reservoirs:
         shift = shift + vols.betas[a] * (vols.H_a[a] - redrawn.H_a.get(
             a, opalg.zero(vols.sites, vols.dims)))
-    bound = 2.0 * opalg.op_norm(shift) / horizon + 1e-9
-    diff = abs(e_orig - e_new)
-    return RedrawReport(
-        horizon=float(horizon), e_original=float(e_orig), e_redrawn=float(e_new),
-        difference=float(diff), bound=float(bound), ok=bool(diff <= bound),
-    )
+    shift_norm = opalg.op_norm(shift)
+
+    reports = []
+    for report, averaged in horizon_reports(vols, horizons, observables=redrawn.currents):
+        e_new = sum(redrawn.betas[a] * averaged[a] for a in redrawn.currents)
+        bound = 2.0 * shift_norm / report.horizon + 1e-9
+        diff = abs(report.e - e_new)
+        reports.append(RedrawReport(
+            horizon=report.horizon, e_original=float(report.e), e_redrawn=float(e_new),
+            difference=float(diff), bound=float(bound), ok=bool(diff <= bound),
+        ))
+    return tuple(reports)
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,15 @@ energy-current operators. Terms straddling the volume boundary are dropped
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.special import logsumexp
 
 from . import opalg
-from .model import ModelSpec, PerturbationFamily, ZERO_FAMILY, lambda_norm
+from .model import InteractionTerm, ModelSpec, PerturbationFamily, ZERO_FAMILY, lambda_norm
 from .opalg import DenseOperator
 
 
@@ -33,6 +33,14 @@ class VolumeOperators:
     exponent (so exp(-G) has unit trace), ``W = H - sum_a H_a`` the
     interface part, and ``currents[a] = i[H, H_a]`` the rate-of-energy
     operator of reservoir ``a``. All fields are Hermitian.
+
+    ``G_blocks[a] = beta_a (H_a + B_a)`` is kept on reservoir ``a``'s
+    in-volume sites only (no sites, a 1x1 zero, when none is in the
+    volume): ``G`` is the sum of the embedded blocks plus log Z, so exp(-G)
+    is the tensor product of the blocks' Gibbs states and the normalized
+    trace on the remaining sites. ``g_norm`` and ``w_norm`` are the operator
+    norms of ``G`` and ``W``, computed from the blocks and from the
+    interface terms on their own support.
     """
 
     sites: tuple[int, ...]
@@ -45,6 +53,9 @@ class VolumeOperators:
     W: DenseOperator
     currents: Mapping[int, DenseOperator]
     betas: Mapping[int, float]
+    G_blocks: Mapping[int, DenseOperator]
+    g_norm: float
+    w_norm: float
     log: tuple[str, ...]
 
     @property
@@ -55,13 +66,16 @@ class VolumeOperators:
     def reservoirs(self) -> tuple[int, ...]:
         return tuple(sorted(self.H_a))
 
-    @cached_property
-    def w_norm(self) -> float:
-        return opalg.op_norm(self.W)
 
-    @cached_property
-    def g_norm(self) -> float:
-        return opalg.op_norm(self.G)
+def _term_sum(spec: ModelSpec, terms: Iterable[InteractionTerm],
+              sites: Iterable[int]) -> DenseOperator:
+    """The sum of ``terms``, each embedded into the ordered volume ``sites``."""
+    sites = tuple(sorted(sites))
+    dims = spec.dims_for(sites)
+    acc = opalg.zero(sites, dims)
+    for term in terms:
+        acc = acc + opalg.embed(spec.term_operator(term), sites, dims)
+    return acc
 
 
 def build(spec: ModelSpec, volume: Iterable[int],
@@ -72,6 +86,12 @@ def build(spec: ModelSpec, volume: Iterable[int],
     support is not fully inside the volume are silently excluded and
     reported in the build log; perturbation terms must each sit inside a
     single reservoir or the build fails.
+
+    Nothing here diagonalizes a volume-sized matrix: log Z and ``g_norm``
+    come from the spectra of the per-reservoir blocks, ``w_norm`` from the
+    interface terms on their joint support, and each current i[W, H_a]
+    (equal to i[H, H_a], since the reservoir blocks commute) is formed on
+    the union of the interface and reservoir supports before embedding.
     """
     family = ZERO_FAMILY if perturbation is None else perturbation
     sites = tuple(sorted(set(volume)))
@@ -83,25 +103,12 @@ def build(spec: ModelSpec, volume: Iterable[int],
     dims = spec.dims_for(sites)
     log: list[str] = [f"volume sites={list(sites)} dim={int(np.prod(dims))}"]
 
-    h = opalg.zero(sites, dims)
-    dropped = 0
-    for term in spec.terms:
-        if set(term.support) <= set(sites):
-            h = h + opalg.embed(spec.term_operator(term), sites, dims)
-        else:
-            dropped += 1
-    log.append(f"interaction terms dropped at the boundary: {dropped}")
+    in_volume = [t for t in spec.terms if set(t.support) <= set(sites)]
+    h = _term_sum(spec, in_volume, sites)
+    log.append(f"interaction terms dropped at the boundary: {len(spec.terms) - len(in_volume)}")
 
-    h_res: dict[int, DenseOperator] = {}
-    for a in spec.reservoirs:
-        inside = spec.regions.sites_in(a) & set(sites)
-        acc = opalg.zero(sites, dims)
-        for term in spec.terms:
-            if term.support and set(term.support) <= inside:
-                acc = acc + opalg.embed(spec.term_operator(term), sites, dims)
-        h_res[a] = acc
-
-    b_res: dict[int, DenseOperator] = {a: opalg.zero(sites, dims) for a in spec.reservoirs}
+    inside = {a: spec.regions.sites_in(a) & set(sites) for a in spec.reservoirs}
+    pert_terms: dict[int, list[InteractionTerm]] = {a: [] for a in spec.reservoirs}
     dropped_pert = 0
     for term in family.terms_for(sites):
         regions = {spec.regions.region_of(x) for x in term.support}
@@ -110,24 +117,55 @@ def build(spec: ModelSpec, volume: Iterable[int],
                 f"perturbation term on {term.support} is not inside a single reservoir")
         (a,) = regions
         if set(term.support) <= set(sites):
-            b_res[a] = b_res[a] + opalg.embed(spec.term_operator(term), sites, dims)
+            pert_terms[a].append(term)
         else:
             dropped_pert += 1
     log.append(f"perturbation terms dropped at the boundary: {dropped_pert}")
+
+    interface = [t for t in in_volume
+                 if not any(set(t.support) <= inside[a] for a in spec.reservoirs)]
+    w_local = _term_sum(spec, interface, set().union(*(t.support for t in interface)))
+
+    h_res: dict[int, DenseOperator] = {}
+    b_res: dict[int, DenseOperator] = {}
+    blocks: dict[int, DenseOperator] = {}
+    currents: dict[int, DenseOperator] = {}
+    log_z = 0.0
+    g_norm = 0.0
+    for a in spec.reservoirs:
+        beta = spec.betas.get(a)
+        if beta is None:
+            raise ValueError(f"reservoir {a} has no inverse temperature")
+        h_blk = _term_sum(spec, [t for t in in_volume if set(t.support) <= inside[a]],
+                          inside[a])
+        b_blk = _term_sum(spec, pert_terms[a], inside[a])
+        h_res[a] = opalg.embed(h_blk, sites, dims)
+        # an unperturbed reservoir keeps an untouched zero matrix, which
+        # takes no resident memory until written
+        b_res[a] = (opalg.embed(b_blk, sites, dims) if pert_terms[a]
+                    else opalg.zero(sites, dims))
+        blocks[a] = beta * (h_blk + b_blk)
+        eigs = np.linalg.eigvalsh(blocks[a].matrix)
+        log_z += float(logsumexp(-eigs))
+        g_norm += float(eigs[-1])
+        joint = tuple(sorted(set(w_local.sites) | inside[a]))
+        joint_dims = spec.dims_for(joint)
+        local = 1j * opalg.commutator(opalg.embed(w_local, joint, joint_dims),
+                                      opalg.embed(h_blk, joint, joint_dims))
+        currents[a] = opalg.embed(local, sites, dims)
 
     h_b = h
     for a in spec.reservoirs:
         h_b = h_b + b_res[a]
 
+    covered = set().union(*inside.values())
+    # normalization constant folded into G so that exp(-G) has unit trace;
+    # G's eigenvalues are nonnegative, so its norm is its largest eigenvalue
+    log_z += math.log(math.prod(d for s, d in zip(sites, dims) if s not in covered))
+    g_norm += log_z
     weighted = opalg.zero(sites, dims)
     for a in spec.reservoirs:
-        beta = spec.betas.get(a)
-        if beta is None:
-            raise ValueError(f"reservoir {a} has no inverse temperature")
-        weighted = weighted + beta * (h_res[a] + b_res[a])
-    # normalization constant folded into G so that exp(-G) has unit trace
-    eigs = np.linalg.eigvalsh(0.5 * (weighted.matrix + weighted.matrix.conj().T))
-    log_z = float(logsumexp(-eigs))
+        weighted = weighted + opalg.embed(blocks[a], sites, dims)
     g = weighted.with_matrix(weighted.matrix + log_z * np.eye(weighted.dim),
                              support=weighted.support)
 
@@ -135,13 +173,12 @@ def build(spec: ModelSpec, volume: Iterable[int],
     for a in spec.reservoirs:
         w_op = w_op - h_res[a]
 
-    currents = {a: 1j * opalg.commutator(h, h_res[a]) for a in spec.reservoirs}
-
     log.append(f"frobenius_norm(H)={np.linalg.norm(h.matrix):.6g} "
                f"frobenius_norm(W)={np.linalg.norm(w_op.matrix):.6g}")
     return VolumeOperators(
         sites=sites, dims=dims, H=h, H_a=h_res, B_a=b_res, H_B=h_b, G=g,
-        W=w_op, currents=currents, betas=dict(spec.betas), log=tuple(log),
+        W=w_op, currents=currents, betas=dict(spec.betas), G_blocks=blocks,
+        g_norm=g_norm, w_norm=opalg.op_norm(w_local), log=tuple(log),
     )
 
 

@@ -314,8 +314,8 @@ def test_criterion_09_boundary_redraw():
     spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0},
                       coup=0.5493, field=0.2908, anis=0.3793)
     horizon = 25.0
-    first = boundary_redraw_check(spec, {1, 2, 3}, range(5), horizon)
-    second = boundary_redraw_check(spec, {1, 2, 3}, range(5), 2 * horizon)
+    first, second = boundary_redraw_check(spec, {1, 2, 3}, range(5),
+                                          (horizon, 2 * horizon))
     assert first.ok and second.ok
     factor = first.difference / second.difference
     assert 1.5 <= factor <= 3.0

@@ -142,6 +142,72 @@ class TestSimulateCommand:
         assert "avg_mid_z" in lines[0].split(",")
 
 
+class TestEigensolveCount:
+    """``simulate`` diagonalizes one volume-sized matrix per volume: H_B.
+
+    The initial state, log Z and ||G|| come from the reservoir blocks and
+    ||W|| from the interface terms on their own support, which is the whole
+    volume only when every site is in S or next to it; then ||W|| costs a
+    second eigensolve at the volume's dimension.
+    """
+
+    @staticmethod
+    def _interface_spans_volume(spec, sites):
+        inside = [spec.regions.sites_in(a) for a in spec.reservoirs]
+        touched = set()
+        for t in spec.terms:
+            if set(t.support) <= set(sites) and not any(set(t.support) <= r for r in inside):
+                touched |= set(t.support)
+        return touched == set(sites)
+
+    def _count(self, monkeypatch, config_path):
+        import numpy.linalg
+        import scipy.linalg
+        from nesslab import volume
+
+        current = []
+        counts = {}
+        real_build = volume.build
+
+        def build(spec, sites, *args, **kwargs):
+            current[:] = [tuple(sorted(sites)), spec.volume_dim(tuple(sites))]
+            counts.setdefault(current[0], 0)
+            return real_build(spec, sites, *args, **kwargs)
+
+        def counted(fn):
+            def solve(a, *args, **kwargs):
+                if current and np.shape(a)[-1] == current[1]:
+                    counts[current[0]] += 1
+                return fn(a, *args, **kwargs)
+            return solve
+
+        monkeypatch.setattr(volume, "build", build)
+        for mod in (numpy.linalg, scipy.linalg):
+            for name in ("eigh", "eigvalsh"):
+                monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+        assert main(["simulate", "--config", str(config_path)]) == 0
+        return counts
+
+    def test_chain_files_config(self, chain_files, monkeypatch):
+        spec, _, config_path, _ = chain_files
+        counts = self._count(monkeypatch, config_path)
+        assert len(counts) == 3
+        for sites, count in counts.items():
+            assert count == 1 + self._interface_spans_volume(spec, sites), sites
+
+    def test_interface_inside_every_volume(self, tmp_path, monkeypatch):
+        spec = make_chain(6, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2, 5: 2}, {1: 2.0, 2: 1.0})
+        model_path = write_model(tmp_path, spec)
+        config_path = write_config(tmp_path, {
+            "model": model_path.name,
+            "exhaustion": [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5]],
+            "horizons": [5.0, 50.0],
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert self._count(monkeypatch, config_path) == {(0, 1, 2, 3, 4): 1,
+                                                          (0, 1, 2, 3, 4, 5): 1}
+
+
 class TestKleinFuzzCommand:
     def test_report_contents(self):
         report = run_klein_fuzz(trials=64, max_dim=8, seed=123)
@@ -232,6 +298,29 @@ class TestRedrawCheckCommand:
         assert main(["redraw-check", "--config", str(config_path)]) == 0
         out = capsys.readouterr().out
         assert "|e-e'|" in out and "ok" in out
+
+    def test_builds_each_decomposition_once(self, tmp_path, monkeypatch):
+        from nesslab import thermo, volume
+
+        spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0})
+        model_path = write_model(tmp_path, spec)
+        config_path = write_config(tmp_path, {
+            "model": model_path.name,
+            "exhaustion": [[0, 1, 2, 3, 4]],
+            "horizons": [10.0, 20.0],
+            "redraw_new_s": [1, 2, 3],
+        })
+        built = []
+        real_build = volume.build
+
+        def build(*args, **kwargs):
+            built.append(args[1])
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(volume, "build", build)
+        monkeypatch.setattr(thermo, "build", build)
+        assert main(["redraw-check", "--config", str(config_path)]) == 0
+        assert len(built) == 2
 
     def test_requires_redraw_sites(self, chain_files):
         _, _, config_path, _ = chain_files

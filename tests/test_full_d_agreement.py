@@ -1,0 +1,80 @@
+"""Production values against the full-dimension routes of ``oracles``.
+
+The cases cover both reservoirs inside the volume (with and without
+reservoir perturbations), a model whose terms never meet the small system,
+a volume missing one reservoir, the small system alone, and two adjacent
+reservoirs joined by a bond that does not touch the small system (so that
+bond belongs to the interface part W).
+"""
+
+import numpy as np
+import pytest
+
+from nesslab import InteractionTerm, build, horizon_reports, initial_state, make_plan
+from nesslab.model import PerturbationEntry, PerturbationFamily
+
+import oracles
+from conftest import SX, SZ, make_chain
+
+HORIZONS = (0.5, 3.0, 40.0)
+TOL = 1e-12
+
+
+def _perturbation():
+    entry = PerturbationEntry(frozenset(range(5)),
+                              (InteractionTerm((0, 1), 0.3 * np.kron(SX, SX)),
+                               InteractionTerm((4,), 0.25 * SZ)))
+    return PerturbationFamily((entry,), bound_K=1.0)
+
+
+def _adjacent_reservoirs():
+    # sites 0 | 1 are reservoirs 1 | 2; the bond (0, 1) misses S = {2}
+    return make_chain(4, {0: 1, 1: 2, 2: 0, 3: 2}, {1: 2.0, 2: 1.0}, anis=0.3)
+
+
+# (case id, spec fixture or None for the adjacent-reservoir chain, volume, perturbed)
+CASES = (
+    ("chain5", "chain5", (0, 1, 2, 3, 4), False),
+    ("chain5-perturbed", "chain5", (0, 1, 2, 3, 4), True),
+    ("decoupled", "decoupled_model", (0, 1, 2), False),
+    ("reservoir-2-outside", "chain5", (1, 2), False),
+    ("small-system-only", "chain5", (2,), False),
+    ("adjacent-reservoirs", None, (0, 1, 2, 3), False),
+)
+
+
+@pytest.fixture(params=CASES, ids=[case[0] for case in CASES])
+def vols(request):
+    _, fixture, volume, perturbed = request.param
+    spec = request.getfixturevalue(fixture) if fixture else _adjacent_reservoirs()
+    return build(spec, volume, _perturbation() if perturbed else None)
+
+
+def test_initial_state_matches_full_exponential(vols):
+    density = initial_state(vols).density
+    assert np.max(np.abs(density - oracles.initial_density(vols))) <= TOL
+
+
+def test_exponent_matches_full_spectrum(vols):
+    assert np.max(np.abs(vols.G.matrix - oracles.exponent(vols))) <= TOL
+
+
+def test_norms_match_full_operators(vols):
+    assert abs(vols.g_norm - oracles.g_norm(vols)) <= TOL
+    assert abs(vols.w_norm - oracles.w_norm(vols)) <= TOL
+
+
+def test_currents_match_full_commutators(vols):
+    for a, cur in oracles.currents(vols).items():
+        assert np.max(np.abs(vols.currents[a].matrix - cur)) <= TOL
+
+
+def test_horizon_contraction_matches_evolution(vols):
+    plan = make_plan(vols.H_B)
+    sigma = initial_state(vols)
+    reports = horizon_reports(vols, HORIZONS, plan=plan, state=sigma)
+    for horizon, (report, _) in zip(HORIZONS, reports):
+        fluxes, e_tel = oracles.horizon_values(vols, plan, sigma, horizon)
+        for a, flux in fluxes.items():
+            assert abs(report.fluxes[a] - flux) <= TOL * (1.0 + abs(flux))
+        assert abs(report.e_telescoped - e_tel) <= TOL * (1.0 + abs(e_tel))

@@ -16,7 +16,7 @@ from nesslab import (
     trace,
     unitary_conj,
 )
-from nesslab.opalg import identity, zero
+from nesslab.opalg import identity, kron_embed, zero
 
 from conftest import ID2, SX, SY, SZ, random_hermitian, random_unitary
 
@@ -98,6 +98,25 @@ class TestEmbed:
     def test_support_is_preserved(self):
         a = DenseOperator((1,), (2,), SX)
         assert embed(a, (0, 1, 2), (2, 2, 2)).support == frozenset({1})
+
+
+class TestKronEmbed:
+    def test_product_of_interleaved_factors(self):
+        # factor sites interleave with each other and with an uncovered site
+        rng = np.random.default_rng(17)
+        sites, dims = (0, 1, 2, 3), (2, 3, 2, 2)
+        a = DenseOperator((0, 2), (2, 2), random_hermitian(rng, 4))
+        b = DenseOperator((1,), (3,), random_hermitian(rng, 3))
+        out = kron_embed((a, b), sites, dims)
+        expected = embed(a, sites, dims) @ embed(b, sites, dims)
+        np.testing.assert_allclose(out.matrix, expected.matrix, atol=1e-14)
+        assert out.support == frozenset({0, 1, 2})
+
+    def test_overlapping_factors_rejected(self):
+        a = DenseOperator((0, 1), (2, 2), np.eye(4))
+        b = DenseOperator((1,), (2,), SX)
+        with pytest.raises(ValueError):
+            kron_embed((a, b), (0, 1), (2, 2))
 
 
 class TestCommutator:

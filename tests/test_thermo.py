@@ -172,6 +172,21 @@ class TestTimeAverage:
             avg = time_averaged_state(plan, state, horizon).expectation(a)
             assert abs(avg) <= 1e-12
 
+    def test_kernel_exact_at_every_bohr_frequency(self):
+        # a qubit with splitting x averaged over T = 1 keeps K(x)/2 as its
+        # coherence, K(x) = (e^{ix} - 1)/(ix): compared with the Taylor
+        # series where the closed form cancels, and with the closed form
+        # where it does not
+        state = StateRep((0,), (2,), np.full((2, 2), 0.5, dtype=complex))
+        for x in (1e-14, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1.0, 2.5, 10.0, 1e3):
+            plan = make_plan(DenseOperator((0,), (2,), np.diag([0.0, x])))
+            got = 2.0 * time_averaged_state(plan, state, 1.0).density[0, 1]
+            if x <= 1e-3:
+                want = sum((1j * x) ** n / math.factorial(n + 1) for n in range(5))
+            else:
+                want = (np.exp(1j * x) - 1.0) / (1j * x)
+            assert abs(got - want) <= 1e-15, x
+
     def test_matches_simpson_quadrature(self, chain5):
         vols = build(chain5, range(5))
         plan = make_plan(vols.H_B)
@@ -317,12 +332,12 @@ class TestHeatDirection:
 
 class TestBoundaryRedraw:
     def test_unchanged_small_system_is_exact(self, chain5):
-        report = boundary_redraw_check(chain5, {2}, range(5), 9.0)
+        (report,) = boundary_redraw_check(chain5, {2}, range(5), (9.0,))
         assert report.difference == 0.0
         assert report.ok
 
     def test_decoupled_both_zero(self, decoupled_model):
-        report = boundary_redraw_check(decoupled_model, {0, 1}, (0, 1, 2), 5.0)
+        (report,) = boundary_redraw_check(decoupled_model, {0, 1}, (0, 1, 2), (5.0,))
         assert abs(report.e_original) <= 1e-13
         assert abs(report.e_redrawn) <= 1e-13
         assert report.ok
@@ -331,8 +346,8 @@ class TestBoundaryRedraw:
         spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0},
                           coup=0.5493, field=0.2908, anis=0.3793)
         horizon = 25.0
-        first = boundary_redraw_check(spec, {1, 2, 3}, range(5), horizon)
-        second = boundary_redraw_check(spec, {1, 2, 3}, range(5), 2 * horizon)
+        first, second = boundary_redraw_check(spec, {1, 2, 3}, range(5),
+                                              (horizon, 2 * horizon))
         assert first.ok and second.ok
         factor = first.difference / second.difference
         assert 1.5 <= factor <= 3.0
