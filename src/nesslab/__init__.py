@@ -15,7 +15,6 @@ from .model import (
     RegionMap,
     SiteSpec,
     ValidationReport,
-    convergence_radius,
     lambda_norm,
     load_model,
     model_from_dict,

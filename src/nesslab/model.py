@@ -20,8 +20,6 @@ import numpy as np
 
 from . import opalg
 
-TERM_HERMITICITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SiteSpec:
@@ -214,7 +212,7 @@ def validate(spec: ModelSpec) -> ValidationReport:
         found.append(Violation("no-reservoir", "no reservoir region declared"))
     for t in spec.terms:
         defect = t.hermiticity_defect()
-        if defect > TERM_HERMITICITY_TOL:
+        if defect > opalg.TERM_HERMITICITY_TOL:
             found.append(Violation(
                 "hermiticity",
                 f"term on {t.support} is not selfadjoint (defect {defect:.3e})"))
@@ -254,17 +252,6 @@ def lambda_norm(spec: ModelSpec) -> float:
     lattice).
     """
     return interaction_lambda_norm(spec.terms, spec.lam, spec.site_ids)
-
-
-def convergence_radius(spec: ModelSpec) -> float:
-    """Radius of the power series defining the dynamics: lam / (2 ||Phi||_lam).
-
-    A model with zero interaction has an infinite radius.
-    """
-    norm = lambda_norm(spec)
-    if norm == 0.0:
-        return math.inf
-    return spec.lam / (2.0 * norm)
 
 
 def tail_norm(spec: ModelSpec, region: Iterable[int]) -> float:

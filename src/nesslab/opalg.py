@@ -16,9 +16,28 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+# Tolerances of the validity checks; relative ones scale with max(1, max|M|).
+# relative Hermiticity of operators, states and Klein inputs: far above sum/product roundoff
 HERMITICITY_TOL = 1e-10
+# absolute max|U^dagger U - I| of a supplied unitary, whose entries are O(1)
 UNITARITY_TOL = 1e-10
+# op_norm uses eigvalsh of the symmetrized matrix below this defect, which bounds its error
+OP_NORM_HERMITIAN_TOL = 1e-12
+# absolute |tr rho - 1| of a density matrix, whose trace is O(1)
+STATE_TRACE_TOL = 1e-10
+# absolute entrywise defect of raw user terms: text rounding is ~1e-16
+TERM_HERMITICITY_TOL = 1e-12
+# eigenvalues closer than this times the norm share one spectral projection
 DEGENERACY_REL_GAP = 1e-9
+
+
+def is_hermitian_matrix(mat, tol: float = HERMITICITY_TOL) -> bool:
+    """max|M - M^dagger| <= tol * max(1, max|M|); an empty matrix passes."""
+    mat = np.asarray(mat)
+    if mat.size == 0:
+        return True
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    return bool(np.max(np.abs(mat - mat.conj().T)) <= tol * scale)
 
 
 @dataclass(frozen=True)
@@ -85,13 +104,8 @@ class DenseOperator:
     def dagger(self) -> "DenseOperator":
         return self.with_matrix(self.matrix.conj().T)
 
-    def hermiticity_defect(self) -> float:
-        """Largest entrywise deviation from selfadjointness."""
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) if self.dim else 0.0
-
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.matrix))) if self.dim else 0.0)
-        return self.hermiticity_defect() <= tol * scale
+        return is_hermitian_matrix(self.matrix, tol)
 
     def symmetrized(self) -> "DenseOperator":
         return self.with_matrix(0.5 * (self.matrix + self.matrix.conj().T))
@@ -202,7 +216,7 @@ def op_norm(a) -> float:
     mat = a.matrix if isinstance(a, DenseOperator) else np.asarray(a)
     if mat.size == 0:
         return 0.0
-    if np.max(np.abs(mat - mat.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(mat))):
+    if is_hermitian_matrix(mat, OP_NORM_HERMITIAN_TOL):
         w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
         return float(np.max(np.abs(w)))
     return float(np.linalg.norm(mat, 2))
@@ -277,8 +291,7 @@ def spectral(a) -> SpectralData:
     (consecutive gap at most 1e-9 times the norm) share one projection.
     """
     mat = _as_matrix(a)
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    if mat.size and np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL * max(1.0, scale):
+    if not is_hermitian_matrix(mat):
         raise ValueError("spectral decomposition requires a Hermitian matrix")
     sym = 0.5 * (mat + mat.conj().T)
     w, v = np.linalg.eigh(sym)

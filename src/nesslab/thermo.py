@@ -34,9 +34,9 @@ class StateRep:
         object.__setattr__(self, "density", mat)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
-        if abs(np.trace(mat) - 1.0) > 1e-10:
+        if abs(np.trace(mat) - 1.0) > opalg.STATE_TRACE_TOL:
             raise ValueError(f"density trace {np.trace(mat):.12g} != 1")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
+        if not opalg.is_hermitian_matrix(mat):
             raise ValueError("density matrix must be Hermitian")
 
     @property
@@ -73,8 +73,9 @@ def initial_state(vols: VolumeOperators, betas: Mapping[int, float] | None = Non
     normalized trace on the small system.
 
     Formed as the tensor product of the Gibbs states of the reservoir blocks
-    ``vols.G_blocks`` and the normalized identity on the remaining sites, so
-    nothing of the volume's dimension is diagonalized.
+    beta_a (H_a + B_a), each on its reservoir's in-volume sites, and the
+    normalized identity on the remaining sites, so nothing of the volume's
+    dimension is diagonalized.
     """
     if betas is not None:
         for a, beta in betas.items():
@@ -82,8 +83,8 @@ def initial_state(vols: VolumeOperators, betas: Mapping[int, float] | None = Non
                 raise ValueError(
                     f"reservoir {a}: beta {beta} differs from the built volume's "
                     f"{vols.betas[a]}")
-    factors = [DenseOperator(blk.sites, blk.dims, gibbs(blk, 1.0).density)
-               for blk in vols.G_blocks.values()]
+    blocks = [vols.betas[a] * (vols.H_a[a] + vols.B_a[a]) for a in vols.H_a]
+    factors = [DenseOperator(b.sites, b.dims, gibbs(b, 1.0).density) for b in blocks]
     covered = {s for f in factors for s in f.sites}
     rest = tuple(s for s in vols.sites if s not in covered)
     rest_dims = tuple(d for s, d in zip(vols.sites, vols.dims) if s not in covered)
@@ -400,17 +401,23 @@ def boundary_redraw_check(spec: ModelSpec, new_small_system: Iterable[int],
     original decomposition; only the bookkeeping of which terms belong to
     which reservoir changes. The difference of the two entropy production
     values is bounded by (2/T) times the norm of the weighted reservoir
-    Hamiltonian difference. Both decompositions are built once, and both
+    Hamiltonian difference sum_a beta_a (H_a - H'_a): the in-volume terms
+    that leave reservoir ``a``, weighted by beta_a, whose norm is taken on
+    their joint support. Both decompositions are built once, and both
     current sets are contracted against the same rotated state, for every
     horizon; one report per horizon, in order.
     """
     vols = build(spec, volume)
-    redrawn = build(redraw(spec, new_small_system), volume)
+    new_spec = redraw(spec, new_small_system)
+    redrawn = build(new_spec, volume)
 
-    shift = opalg.zero(vols.sites, vols.dims)
-    for a in vols.reservoirs:
-        shift = shift + vols.betas[a] * (vols.H_a[a] - redrawn.H_a.get(
-            a, opalg.zero(vols.sites, vols.dims)))
+    moved = [(vols.betas[a], t) for a in vols.reservoirs for t in spec.terms
+             if set(t.support) <= spec.regions.sites_in(a) & set(vols.sites)
+             and not set(t.support) <= new_spec.regions.sites_in(a)]
+    support = tuple(sorted(set().union(*(t.support for _, t in moved))))
+    dims = spec.dims_for(support)
+    shift = sum((beta * opalg.embed(spec.term_operator(t), support, dims) for beta, t in moved),
+                opalg.zero(support, dims))
     shift_norm = opalg.op_norm(shift)
 
     reports = []
@@ -482,7 +489,7 @@ def klein_check(a: np.ndarray, u: np.ndarray, phi: Callable[[float], float],
     Refuses phi that decreases somewhere on the sampled eigenvalues.
     """
     a = np.asarray(a, dtype=complex)
-    if np.max(np.abs(a - a.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(a)))):
+    if not opalg.is_hermitian_matrix(a):
         raise ValueError("A must be Hermitian")
     opalg.check_unitary(u)
     a = 0.5 * (a + a.conj().T)

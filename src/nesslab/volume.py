@@ -1,12 +1,12 @@
 """Assembly of the finite-volume operators for one chosen volume.
 
 Given a model and a volume (a subset of sites containing the small system),
-this builds the volume Hamiltonian, the per-reservoir Hamiltonians and
-perturbations, their sum with the volume Hamiltonian, the normalized
-exponent whose exponential is the initial product state, the interface
-operator made of the terms meeting the small system, and the reservoir
-energy-current operators. Terms straddling the volume boundary are dropped
-(strict containment) and counted in the build log.
+this builds the generator of the dynamics (the volume Hamiltonian plus the
+reservoir perturbations), the per-reservoir Hamiltonians and perturbations,
+the normalized exponent whose exponential is the initial product state, the
+interface operator made of the terms inside no single reservoir, and the
+reservoir energy-current operators. Terms straddling the volume boundary
+are dropped (strict containment) and counted in the build log.
 """
 
 from __future__ import annotations
@@ -27,25 +27,26 @@ from .opalg import DenseOperator
 class VolumeOperators:
     """All assembled operators for one finite volume.
 
-    ``H`` is the volume Hamiltonian, ``H_a`` the reservoir Hamiltonians,
-    ``B_a`` the reservoir perturbations, ``H_B = H + sum_a B_a`` the
-    generator of the finite-volume dynamics, ``G`` the normalized weighted
-    exponent (so exp(-G) has unit trace), ``W = H - sum_a H_a`` the
-    interface part, and ``currents[a] = i[H, H_a]`` the rate-of-energy
-    operator of reservoir ``a``. All fields are Hermitian.
+    ``H_B`` is the generator of the finite-volume dynamics (the volume
+    Hamiltonian plus the reservoir perturbations), ``G`` the normalized
+    weighted exponent (so exp(-G) has unit trace) and ``currents[a]`` the
+    rate-of-energy operator i[H, H_a] of reservoir ``a``. These are the only
+    volume-sized fields.
 
-    ``G_blocks[a] = beta_a (H_a + B_a)`` is kept on reservoir ``a``'s
-    in-volume sites only (no sites, a 1x1 zero, when none is in the
-    volume): ``G`` is the sum of the embedded blocks plus log Z, so exp(-G)
-    is the tensor product of the blocks' Gibbs states and the normalized
-    trace on the remaining sites. ``g_norm`` and ``w_norm`` are the operator
-    norms of ``G`` and ``W``, computed from the blocks and from the
-    interface terms on their own support.
+    Every other operator lives on its own sites: ``H_a[a]`` and ``B_a[a]``,
+    the Hamiltonian and perturbation of reservoir ``a``, on that reservoir's
+    in-volume sites, and ``W``, the interface part H - sum_a H_a, on the
+    joint support of the in-volume terms that lie inside no single
+    reservoir; an operator with no such site is a 1x1 zero on no sites.
+    ``opalg.embed(op, vols.sites, vols.dims)`` lifts any of them to the
+    volume. ``G`` is sum_a beta_a (H_a + B_a) plus log Z, so exp(-G) is the
+    tensor product of the reservoirs' Gibbs states and the normalized trace
+    on the remaining sites. ``g_norm`` and ``w_norm`` are the operator norms
+    of ``G`` and ``W``. All fields are Hermitian.
     """
 
     sites: tuple[int, ...]
     dims: tuple[int, ...]
-    H: DenseOperator
     H_a: Mapping[int, DenseOperator]
     B_a: Mapping[int, DenseOperator]
     H_B: DenseOperator
@@ -53,14 +54,13 @@ class VolumeOperators:
     W: DenseOperator
     currents: Mapping[int, DenseOperator]
     betas: Mapping[int, float]
-    G_blocks: Mapping[int, DenseOperator]
     g_norm: float
     w_norm: float
     log: tuple[str, ...]
 
     @property
     def dim(self) -> int:
-        return self.H.dim
+        return self.H_B.dim
 
     @property
     def reservoirs(self) -> tuple[int, ...]:
@@ -104,7 +104,7 @@ def build(spec: ModelSpec, volume: Iterable[int],
     log: list[str] = [f"volume sites={list(sites)} dim={int(np.prod(dims))}"]
 
     in_volume = [t for t in spec.terms if set(t.support) <= set(sites)]
-    h = _term_sum(spec, in_volume, sites)
+    h_b = _term_sum(spec, in_volume, sites)
     log.append(f"interaction terms dropped at the boundary: {len(spec.terms) - len(in_volume)}")
 
     inside = {a: spec.regions.sites_in(a) & set(sites) for a in spec.reservoirs}
@@ -124,7 +124,7 @@ def build(spec: ModelSpec, volume: Iterable[int],
 
     interface = [t for t in in_volume
                  if not any(set(t.support) <= inside[a] for a in spec.reservoirs)]
-    w_local = _term_sum(spec, interface, set().union(*(t.support for t in interface)))
+    w_op = _term_sum(spec, interface, set().union(*(t.support for t in interface)))
 
     h_res: dict[int, DenseOperator] = {}
     b_res: dict[int, DenseOperator] = {}
@@ -136,27 +136,20 @@ def build(spec: ModelSpec, volume: Iterable[int],
         beta = spec.betas.get(a)
         if beta is None:
             raise ValueError(f"reservoir {a} has no inverse temperature")
-        h_blk = _term_sum(spec, [t for t in in_volume if set(t.support) <= inside[a]],
-                          inside[a])
-        b_blk = _term_sum(spec, pert_terms[a], inside[a])
-        h_res[a] = opalg.embed(h_blk, sites, dims)
-        # an unperturbed reservoir keeps an untouched zero matrix, which
-        # takes no resident memory until written
-        b_res[a] = (opalg.embed(b_blk, sites, dims) if pert_terms[a]
-                    else opalg.zero(sites, dims))
-        blocks[a] = beta * (h_blk + b_blk)
+        h_res[a] = _term_sum(spec, [t for t in in_volume if set(t.support) <= inside[a]],
+                             inside[a])
+        b_res[a] = _term_sum(spec, pert_terms[a], inside[a])
+        if pert_terms[a]:
+            h_b = h_b + opalg.embed(b_res[a], sites, dims)
+        blocks[a] = beta * (h_res[a] + b_res[a])
         eigs = np.linalg.eigvalsh(blocks[a].matrix)
         log_z += float(logsumexp(-eigs))
         g_norm += float(eigs[-1])
-        joint = tuple(sorted(set(w_local.sites) | inside[a]))
+        joint = tuple(sorted(set(w_op.sites) | inside[a]))
         joint_dims = spec.dims_for(joint)
-        local = 1j * opalg.commutator(opalg.embed(w_local, joint, joint_dims),
-                                      opalg.embed(h_blk, joint, joint_dims))
+        local = 1j * opalg.commutator(opalg.embed(w_op, joint, joint_dims),
+                                      opalg.embed(h_res[a], joint, joint_dims))
         currents[a] = opalg.embed(local, sites, dims)
-
-    h_b = h
-    for a in spec.reservoirs:
-        h_b = h_b + b_res[a]
 
     covered = set().union(*inside.values())
     # normalization constant folded into G so that exp(-G) has unit trace;
@@ -169,16 +162,10 @@ def build(spec: ModelSpec, volume: Iterable[int],
     g = weighted.with_matrix(weighted.matrix + log_z * np.eye(weighted.dim),
                              support=weighted.support)
 
-    w_op = h
-    for a in spec.reservoirs:
-        w_op = w_op - h_res[a]
-
-    log.append(f"frobenius_norm(H)={np.linalg.norm(h.matrix):.6g} "
-               f"frobenius_norm(W)={np.linalg.norm(w_op.matrix):.6g}")
     return VolumeOperators(
-        sites=sites, dims=dims, H=h, H_a=h_res, B_a=b_res, H_B=h_b, G=g,
-        W=w_op, currents=currents, betas=dict(spec.betas), G_blocks=blocks,
-        g_norm=g_norm, w_norm=opalg.op_norm(w_local), log=tuple(log),
+        sites=sites, dims=dims, H_a=h_res, B_a=b_res, H_B=h_b, G=g, W=w_op,
+        currents=currents, betas=dict(spec.betas), g_norm=g_norm,
+        w_norm=opalg.op_norm(w_op), log=tuple(log),
     )
 
 
@@ -188,7 +175,7 @@ def interface_operator(spec: ModelSpec, volume: Iterable[int]) -> DenseOperator:
     Sums, over small-system sites x and in-volume terms containing x, the
     term weighted by one over the number of small-system sites it touches;
     the weights telescope so each term meeting the small system is counted
-    exactly once. Must agree with the direct subtraction in :func:`build`.
+    exactly once. Must agree with :func:`build`'s ``W`` lifted to the volume.
     """
     sites = tuple(sorted(set(volume)))
     if not spec.small_system <= set(sites):

@@ -4,22 +4,30 @@ The library gets the initial state, log Z and the norms of G and W from the
 per-reservoir blocks and the interface terms, forms the currents on the
 interface and reservoir supports, and contracts every horizon in the
 eigenbasis of H_B. The routes here work on the whole volume instead: they
-diagonalize the D x D weighted reservoir sum, G and W, commute H with H_a,
-and evolve G to the horizon endpoint, so each production value has an
-independent check.
+lift H_a, B_a and W to the volume, diagonalize the D x D weighted reservoir
+sum, G and W, commute H with H_a, and evolve G to the horizon endpoint, so
+each production value has an independent check.
 """
 
 import numpy as np
 from scipy.special import logsumexp
 
-from nesslab import exact_evolve, op_norm, time_averaged_state
+from nesslab import embed, exact_evolve, op_norm, time_averaged_state
+
+
+def hamiltonian(vols):
+    """The volume Hamiltonian H = H_B - sum_a B_a; exactly H_B when unperturbed."""
+    h = vols.H_B
+    for a in vols.reservoirs:
+        h = h - embed(vols.B_a[a], vols.sites, vols.dims)
+    return h
 
 
 def weighted_reservoir_sum(vols) -> np.ndarray:
     """sum_a beta_a (H_a + B_a) on the whole volume."""
     total = np.zeros((vols.dim, vols.dim), dtype=complex)
     for a in vols.reservoirs:
-        total += vols.betas[a] * (vols.H_a[a].matrix + vols.B_a[a].matrix)
+        total += vols.betas[a] * embed(vols.H_a[a] + vols.B_a[a], vols.sites, vols.dims).matrix
     return total
 
 
@@ -46,15 +54,20 @@ def g_norm(vols) -> float:
 
 def w_norm(vols) -> float:
     """||H - sum_a H_a|| on the whole volume."""
-    w_op = vols.H.matrix - sum(vols.H_a[a].matrix for a in vols.reservoirs)
+    w_op = hamiltonian(vols)
+    for a in vols.reservoirs:
+        w_op = w_op - embed(vols.H_a[a], vols.sites, vols.dims)
     return op_norm(w_op)
 
 
 def currents(vols) -> dict:
     """i[H, H_a] on the whole volume, for each reservoir."""
-    h = vols.H.matrix
-    return {a: 1j * (h @ vols.H_a[a].matrix - vols.H_a[a].matrix @ h)
-            for a in vols.reservoirs}
+    h = hamiltonian(vols).matrix
+    out = {}
+    for a in vols.reservoirs:
+        h_a = embed(vols.H_a[a], vols.sites, vols.dims).matrix
+        out[a] = 1j * (h @ h_a - h_a @ h)
+    return out
 
 
 def horizon_values(vols, plan, sigma, horizon: float) -> tuple[dict, float]:

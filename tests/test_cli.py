@@ -322,6 +322,49 @@ class TestRedrawCheckCommand:
         assert main(["redraw-check", "--config", str(config_path)]) == 0
         assert len(built) == 2
 
+    def test_shift_norm_on_moved_terms_support(self, tmp_path, monkeypatch):
+        # moving site 2 into S takes the field on 2 and the bond (1, 2) out
+        # of reservoir 1: the bound's norm lives on sites {1, 2}, so the
+        # only eigensolve at the volume's dimension is the one of H_B
+        import numpy.linalg
+        import scipy.linalg
+        from nesslab import boundary_redraw_check, build, embed, op_norm, redraw
+
+        spec = make_chain(7, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2}, {1: 2.0, 2: 1.0})
+        dim = spec.volume_dim(tuple(range(7)))
+        model_path = write_model(tmp_path, spec)
+        config_path = write_config(tmp_path, {
+            "model": model_path.name,
+            "exhaustion": [list(range(7))],
+            "horizons": [10.0, 20.0],
+            "redraw_new_s": [2, 3],
+        })
+        solves = []
+
+        def counted(fn):
+            def solve(a, *args, **kwargs):
+                if np.shape(a)[-1] == dim:
+                    solves.append(fn.__name__)
+                return fn(a, *args, **kwargs)
+            return solve
+
+        for mod in (numpy.linalg, scipy.linalg):
+            for name in ("eigh", "eigvalsh"):
+                monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+        assert main(["redraw-check", "--config", str(config_path)]) == 0
+        assert solves == ["eigh"]
+        monkeypatch.undo()
+
+        vols = build(spec, range(7))
+        redrawn = build(redraw(spec, {2, 3}), range(7))
+        shift = sum(vols.betas[a] * (embed(vols.H_a[a], vols.sites, vols.dims).matrix
+                                     - embed(redrawn.H_a[a], vols.sites, vols.dims).matrix)
+                    for a in vols.reservoirs)
+        full = op_norm(shift)
+        assert full > 0.0
+        for report in boundary_redraw_check(spec, {2, 3}, range(7), (10.0, 20.0)):
+            assert abs(report.bound - (2.0 * full / report.horizon + 1e-9)) <= 1e-12
+
     def test_requires_redraw_sites(self, chain_files):
         _, _, config_path, _ = chain_files
         with pytest.raises(SystemExit):

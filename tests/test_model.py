@@ -11,12 +11,12 @@ from nesslab import (
     ModelSpec,
     RegionMap,
     SiteSpec,
-    convergence_radius,
     lambda_norm,
     model_from_dict,
     model_to_dict,
     redraw,
     restrict,
+    series_radius,
     tail_norm,
     validate,
 )
@@ -113,20 +113,20 @@ class TestLambdaNorm:
 class TestConvergenceRadius:
     def test_chain_value(self, standard_chain):
         expected = 0.5 / (2.0 * (0.5 + 2.0 * math.exp(0.5)))
-        assert convergence_radius(standard_chain) == pytest.approx(expected, rel=1e-12)
+        assert series_radius(standard_chain) == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_terms_halves_radius(self, standard_chain):
         doubled = ModelSpec(
             standard_chain.sites, standard_chain.regions,
             tuple(InteractionTerm(t.support, 2.0 * t.matrix) for t in standard_chain.terms),
             standard_chain.lam, standard_chain.betas)
-        assert convergence_radius(doubled) == pytest.approx(
-            convergence_radius(standard_chain) / 2.0, rel=1e-12)
+        assert series_radius(doubled) == pytest.approx(
+            series_radius(standard_chain) / 2.0, rel=1e-12)
 
     def test_empty_interaction_is_infinite(self):
         spec = ModelSpec((SiteSpec(0, 2), SiteSpec(1, 2)), RegionMap({0: 0, 1: 1}),
                          (), 0.5, {1: 1.0})
-        assert convergence_radius(spec) == math.inf
+        assert series_radius(spec) == math.inf
 
 
 class TestTailNorm:

@@ -209,8 +209,9 @@ class TestTimeAverage:
 
     def test_nonpositive_horizon_rejected(self, chain5):
         vols = build(chain5, range(5))
+        w_op = embed(vols.W, vols.sites, vols.dims)
         with pytest.raises(ValueError):
-            time_avg_expectation(vols, initial_state(vols), vols.W, 0.0)
+            time_avg_expectation(vols, initial_state(vols), w_op, 0.0)
 
 
 class TestEntropyProduction:
@@ -271,8 +272,9 @@ class TestEntropyProduction:
         sigma = initial_state(vols)
         for horizon in (1.0, 7.0, 30.0):
             report = entropy_production(vols, horizon, plan=plan, state=sigma)
-            w_end = exact_evolve(plan, vols.W, horizon)
-            endpoint = -(sigma.expectation(w_end) - sigma.expectation(vols.W)) / horizon
+            w_op = embed(vols.W, vols.sites, vols.dims)
+            w_end = exact_evolve(plan, w_op, horizon)
+            endpoint = -(sigma.expectation(w_end) - sigma.expectation(w_op)) / horizon
             assert abs(report.sum_rule_residual - endpoint) <= 1e-10
             assert abs(report.sum_rule_residual) <= report.tol_sum_rule + 1e-10
 

@@ -1,3 +1,6 @@
+from collections.abc import Mapping
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -15,8 +18,9 @@ from nesslab import (
     op_norm,
 )
 from nesslab.model import PerturbationEntry, PerturbationFamily
-from nesslab.opalg import zero
+from nesslab.opalg import DenseOperator, zero
 
+import oracles
 from conftest import SX, SZ, make_chain, random_hermitian
 
 
@@ -32,7 +36,7 @@ class TestBuild:
         vols = build(spec, (0, 1, 2))
         total = zero(vols.sites, vols.dims)
         for a in vols.reservoirs:
-            total = total + vols.H_a[a]
+            total = total + embed(vols.H_a[a], vols.sites, vols.dims)
         shift = vols.G.matrix - 1.3 * total.matrix
         # the remainder must be a multiple of the identity
         off = shift - shift[0, 0] * np.eye(vols.dim)
@@ -40,18 +44,19 @@ class TestBuild:
 
     def test_exact_field_identities(self, chain5):
         vols = build(chain5, range(5))
-        recon = vols.H
+        h = oracles.hamiltonian(vols)
+        recon = h
         for a in vols.reservoirs:
-            recon = recon + vols.B_a[a]
+            recon = recon + embed(vols.B_a[a], vols.sites, vols.dims)
         np.testing.assert_array_equal(vols.H_B.matrix, recon.matrix)
-        sub = vols.H
+        sub = h
         for a in vols.reservoirs:
-            sub = sub - vols.H_a[a]
-        np.testing.assert_array_equal(vols.W.matrix, sub.matrix)
+            sub = sub - embed(vols.H_a[a], vols.sites, vols.dims)
+        np.testing.assert_array_equal(embed(vols.W, vols.sites, vols.dims).matrix, sub.matrix)
 
     def test_all_fields_hermitian(self, chain5):
         vols = build(chain5, range(5))
-        for op in [vols.H, vols.H_B, vols.G, vols.W, *vols.H_a.values(),
+        for op in [oracles.hamiltonian(vols), vols.H_B, vols.G, vols.W, *vols.H_a.values(),
                    *vols.B_a.values(), *vols.currents.values()]:
             assert op.is_hermitian(1e-12)
 
@@ -69,7 +74,7 @@ class TestBuild:
         for term in chain5.terms:
             if set(term.support) <= {1, 2, 3}:
                 manual = manual + embed(chain5.term_operator(term), vols.sites, vols.dims)
-        np.testing.assert_allclose(vols.H.matrix, manual.matrix, atol=1e-14)
+        np.testing.assert_allclose(oracles.hamiltonian(vols).matrix, manual.matrix, atol=1e-14)
 
     def test_volume_must_contain_small_system(self, chain5):
         with pytest.raises(ValueError):
@@ -87,9 +92,9 @@ class TestBuild:
         vols = build(chain5, range(5), family)
         total = zero(vols.sites, vols.dims)
         for a in vols.reservoirs:
-            total = total + (vols.H_a[a] + vols.B_a[a])
+            total = total + embed(vols.H_a[a] + vols.B_a[a], vols.sites, vols.dims)
         for a in vols.reservoirs:
-            block = vols.H_a[a] + vols.B_a[a]
+            block = embed(vols.H_a[a] + vols.B_a[a], vols.sites, vols.dims)
             assert op_norm(commutator(block, total)) <= 1e-10
 
     def test_current_sum_equals_interface_commutator(self, chain5):
@@ -97,7 +102,8 @@ class TestBuild:
         total = zero(vols.sites, vols.dims)
         for cur in vols.currents.values():
             total = total + cur
-        expected = -1j * commutator(vols.H, vols.W).matrix
+        expected = -1j * commutator(oracles.hamiltonian(vols),
+                                    embed(vols.W, vols.sites, vols.dims)).matrix
         assert np.max(np.abs(total.matrix - expected)) <= 1e-12
 
     def test_perturbation_for_other_volume_is_inert(self, chain5):
@@ -135,6 +141,34 @@ class TestBuild:
         assert diffs[-1] <= 1e-12
 
 
+class TestFootprint:
+    """Only H_B, G and the currents are volume-sized; H_a, B_a and W stay on
+    their own sites."""
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["bare", "perturbed"])
+    def test_volume_sized_fields(self, chain5, perturbed):
+        entry = PerturbationEntry(frozenset(range(5)),
+                                  (InteractionTerm((0, 1), 0.4 * np.kron(SX, SX)),
+                                   InteractionTerm((4,), 0.2 * SZ)))
+        family = PerturbationFamily((entry,), bound_K=2.0) if perturbed else None
+        vols = build(chain5, range(5), family)
+        operators = []
+        for f in fields(vols):
+            value = getattr(vols, f.name)
+            if isinstance(value, DenseOperator):
+                operators.append(value)
+            elif isinstance(value, Mapping):
+                operators += [v for v in value.values() if isinstance(v, DenseOperator)]
+        assert sum(op.dim == vols.dim for op in operators) == 2 + len(vols.reservoirs)
+        assert vols.H_B.dim == vols.G.dim == vols.dim
+        assert all(cur.dim == vols.dim for cur in vols.currents.values())
+        own_sites = [(vols.H_a[1], (0, 1)), (vols.B_a[1], (0, 1)),
+                     (vols.H_a[2], (3, 4)), (vols.B_a[2], (3, 4)), (vols.W, (1, 2, 3))]
+        for op, sites in own_sites:
+            assert op.sites == sites
+            assert op.dim == chain5.volume_dim(sites)
+
+
 class TestInterfaceOperator:
     def test_no_terms_meeting_small_system(self, decoupled_model):
         reservoir_only = ModelSpec(
@@ -148,7 +182,8 @@ class TestInterfaceOperator:
         # one bond with both endpoints inside S: counted 2 * (1/2) = once
         spec = make_chain(3, {0: 0, 1: 0, 2: 1}, {1: 1.0}, field=0.0)
         w = interface_operator(spec, (0, 1, 2))
-        direct = build(spec, (0, 1, 2)).W
+        vols = build(spec, (0, 1, 2))
+        direct = embed(vols.W, vols.sites, vols.dims)
         assert np.max(np.abs(w.matrix - direct.matrix)) <= 1e-12
 
     def test_matches_direct_subtraction_on_random_model(self):
@@ -161,12 +196,14 @@ class TestInterfaceOperator:
                          RegionMap({0: 1, 1: 1, 2: 0, 3: 2, 4: 2}),
                          tuple(terms), 0.5, {1: 2.0, 2: 1.0})
         w = interface_operator(spec, sites)
-        direct = build(spec, sites).W
+        vols = build(spec, sites)
+        direct = embed(vols.W, vols.sites, vols.dims)
         assert np.max(np.abs(w.matrix - direct.matrix)) <= 1e-12
 
     def test_standard_chain_agreement(self, standard_chain):
         w = interface_operator(standard_chain, (0, 1, 2))
-        direct = build(standard_chain, (0, 1, 2)).W
+        vols = build(standard_chain, (0, 1, 2))
+        direct = embed(vols.W, vols.sites, vols.dims)
         assert np.max(np.abs(w.matrix - direct.matrix)) <= 1e-12
 
 
