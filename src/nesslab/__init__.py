@@ -27,7 +27,6 @@ from .model import (
 )
 from .opalg import (
     DenseOperator,
-    SpectralData,
     apply_function,
     commutator,
     embed,
@@ -37,7 +36,7 @@ from .opalg import (
     trace,
     unitary_conj,
 )
-from .volume import VolumeOperators, build, current_bound_check, interface_operator
+from .volume import VolumeOperators, build, current_bound_check
 from .dynamics import (
     ConvergenceSweepReport,
     DysonConfig,
@@ -61,7 +60,6 @@ from .thermo import (
     initial_state,
     klein_check,
     kms_check,
-    time_avg_expectation,
     time_averaged_state,
 )
 

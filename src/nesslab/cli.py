@@ -219,15 +219,15 @@ def run_klein_fuzz(trials: int, max_dim: int, seed: int) -> dict:
         u = q * (np.diag(r) / np.abs(np.diag(r)))
         name, phi, anti = _PHI_FAMILIES[trial % len(_PHI_FAMILIES)]
         witness = thermo.klein_check(a, u, phi, anti)
-        tol = 1e-10 * witness.scale
+        tol = opalg.KLEIN_VIOLATION_REL_TOL * witness.scale
         violation = witness.violation
         max_violation = max(max_violation, violation)
         max_row_dev = max(max_row_dev, witness.row_sum_deviation)
         max_col_dev = max(max_col_dev, witness.col_sum_deviation)
         ok = (violation <= tol
-              and witness.row_sum_deviation <= 1e-10
-              and witness.col_sum_deviation <= 1e-10
-              and witness.min_entry >= -1e-12)
+              and witness.row_sum_deviation <= opalg.KLEIN_STOCHASTIC_TOL
+              and witness.col_sum_deviation <= opalg.KLEIN_STOCHASTIC_TOL
+              and witness.min_entry >= -opalg.KLEIN_MIN_ENTRY_TOL)
         if ok:
             passes += 1
         else:

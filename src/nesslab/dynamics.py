@@ -18,21 +18,23 @@ import numpy as np
 
 from . import opalg, volume as volume_mod
 from .model import ModelSpec, PerturbationFamily, lambda_norm
-from .opalg import DenseOperator, SpectralData
+from .opalg import DenseOperator
 
 
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """A generator with its spectral factorization, reusable across times."""
+    """A generator with its eigenvalues (ascending) and unitary eigenvector
+    matrix, reusable across times."""
 
     generator: DenseOperator
-    spectral: SpectralData
+    eigenvalues: np.ndarray
+    basis: np.ndarray
 
 
 def make_plan(generator: DenseOperator) -> EvolutionPlan:
     if not generator.is_hermitian():
         raise ValueError("evolution generator must be Hermitian")
-    return EvolutionPlan(generator, opalg.spectral(generator))
+    return EvolutionPlan(generator, *opalg.spectral(generator))
 
 
 def exact_evolve(plan: EvolutionPlan, a: DenseOperator, t: float) -> DenseOperator:
@@ -43,11 +45,11 @@ def exact_evolve(plan: EvolutionPlan, a: DenseOperator, t: float) -> DenseOperat
     """
     if not plan.generator.same_volume(a):
         raise ValueError("operator volume does not match the plan's generator")
-    sd = plan.spectral
-    phases = np.exp(1j * t * sd.raw_eigenvalues)
-    rotated = (sd.basis.conj().T @ a.matrix) @ sd.basis
+    v = plan.basis
+    phases = np.exp(1j * t * plan.eigenvalues)
+    rotated = (v.conj().T @ a.matrix) @ v
     rotated = (phases[:, None] * rotated) * phases.conj()[None, :]
-    return DenseOperator(a.sites, a.dims, sd.basis @ rotated @ sd.basis.conj().T)
+    return DenseOperator(a.sites, a.dims, v @ rotated @ v.conj().T)
 
 
 def derivation_powers(h_b: DenseOperator, a: DenseOperator, order: int) -> list[DenseOperator]:

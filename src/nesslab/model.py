@@ -94,7 +94,7 @@ class InteractionTerm:
 
     def norm(self) -> float:
         """Operator norm of the symmetrized matrix (largest |eigenvalue|)."""
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.symmetrized()))))
+        return opalg.op_norm(self.symmetrized())
 
 
 def _merge_terms(terms: Iterable[InteractionTerm]) -> tuple[InteractionTerm, ...]:
@@ -233,15 +233,15 @@ def validate(spec: ModelSpec) -> ValidationReport:
     return ValidationReport(tuple(found))
 
 
-def _per_site_weighted_norm(terms: Sequence[InteractionTerm], lam: float, site: int) -> float:
-    return sum(math.exp(lam * (len(t.support) - 1)) * t.norm()
-               for t in terms if site in t.support)
-
-
 def interaction_lambda_norm(terms: Sequence[InteractionTerm], lam: float,
                             sites: Iterable[int]) -> float:
-    """sup over sites of the exponentially weighted sum of term norms."""
-    return max((_per_site_weighted_norm(terms, lam, x) for x in sites), default=0.0)
+    """sup over sites of the exponentially weighted sum of term norms.
+
+    Each term's norm is computed once; the per-site sums keep term order.
+    """
+    weighted = [(t.support, math.exp(lam * (len(t.support) - 1)) * t.norm()) for t in terms]
+    return max((sum((w for support, w in weighted if x in support), 0.0) for x in sites),
+               default=0.0)
 
 
 def lambda_norm(spec: ModelSpec) -> float:
@@ -262,13 +262,8 @@ def tail_norm(spec: ModelSpec, region: Iterable[int]) -> float:
     empty X (empty sup convention). Nonincreasing along nested exhaustions.
     """
     region = set(region)
-    best = 0.0
-    for x in region:
-        tot = sum(math.exp(spec.lam * (len(t.support) - 1)) * t.norm()
-                  for t in spec.terms
-                  if x in t.support and not set(t.support) <= region)
-        best = max(best, tot)
-    return best
+    escaping = [t for t in spec.terms if not set(t.support) <= region]
+    return interaction_lambda_norm(escaping, spec.lam, region)
 
 
 def restrict(spec: ModelSpec, reservoir: int) -> tuple[InteractionTerm, ...]:
@@ -350,7 +345,7 @@ class PerturbationFamily:
                     problems.append(
                         f"entry {idx}: term on {t.support} is not inside a single reservoir")
             norm = interaction_lambda_norm(entry.terms, spec.lam, spec.site_ids)
-            if norm > self.bound_K + 1e-12:
+            if norm > self.bound_K + opalg.BOUND_K_SLACK:
                 problems.append(
                     f"entry {idx}: weighted norm {norm:.6g} exceeds bound_K {self.bound_K:.6g}")
         for x, threshold in self.protected:

@@ -3,9 +3,10 @@
 Operators live on an ordered list of lattice sites (ascending site id, one
 finite-dimensional factor per site) and are stored as full complex matrices.
 The module provides tensor products and embedding into larger volumes,
-commutators, the operator norm, spectral decomposition of Hermitian matrices
-with degeneracy grouping, functional calculus, and the exponentially
-weighted observable norm in its upper-bound form.
+commutators, the operator norm, the spectral decomposition of Hermitian
+matrices, functional calculus, and the exponentially weighted observable
+norm in its upper-bound form. Every Hermitian eigensolve of the package goes
+through :func:`spectral` or :func:`eigenvalues`.
 """
 
 from __future__ import annotations
@@ -27,8 +28,25 @@ OP_NORM_HERMITIAN_TOL = 1e-12
 STATE_TRACE_TOL = 1e-10
 # absolute entrywise defect of raw user terms: text rounding is ~1e-16
 TERM_HERMITICITY_TOL = 1e-12
-# eigenvalues closer than this times the norm share one spectral projection
-DEGENERACY_REL_GAP = 1e-9
+
+# Slacks of the reported checks, added to (or scaling) the rigorous bound
+# each check compares against so that roundoff alone never fails it.
+# kms_check: max entry of state - Gibbs(H, beta) for "same state"; both are O(1)
+KMS_STATE_TOL = 1e-8
+# heat_direction_check: absolute, on top of beta_2 * 2||W||/T
+HEAT_DIRECTION_SLACK = 1e-10
+# boundary_redraw_check: absolute, on top of (2/T) ||sum_a beta_a (H_a - H'_a)||
+REDRAW_BOUND_SLACK = 1e-9
+# current_bound_check: absolute, on top of 2 card(S) e^lam ||Phi||_lam^2 / lam
+CURRENT_BOUND_SLACK = 1e-12
+# PerturbationFamily.check: absolute, on top of bound_K for each entry's weighted norm
+BOUND_K_SLACK = 1e-12
+# klein-fuzz: violation relative to card * ||A|| * max|phi| (the trace's scale)
+KLEIN_VIOLATION_REL_TOL = 1e-10
+# klein-fuzz: absolute defect of the witness's unit row and column sums
+KLEIN_STOCHASTIC_TOL = 1e-10
+# klein-fuzz: most negative witness entry allowed (entries are |overlap|^2 >= 0)
+KLEIN_MIN_ENTRY_TOL = 1e-12
 
 
 def is_hermitian_matrix(mat, tol: float = HERMITICITY_TOL) -> bool:
@@ -83,9 +101,6 @@ class DenseOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dim_of(self, site: int) -> int:
-        return self.dims[self.sites.index(site)]
-
     def same_volume(self, other: "DenseOperator") -> bool:
         return self.sites == other.sites and self.dims == other.dims
 
@@ -101,14 +116,8 @@ class DenseOperator:
             self.support if support is None else frozenset(support),
         )
 
-    def dagger(self) -> "DenseOperator":
-        return self.with_matrix(self.matrix.conj().T)
-
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return is_hermitian_matrix(self.matrix, tol)
-
-    def symmetrized(self) -> "DenseOperator":
-        return self.with_matrix(0.5 * (self.matrix + self.matrix.conj().T))
 
     def __add__(self, other: "DenseOperator") -> "DenseOperator":
         self._require_same_volume(other)
@@ -217,8 +226,7 @@ def op_norm(a) -> float:
     if mat.size == 0:
         return 0.0
     if is_hermitian_matrix(mat, OP_NORM_HERMITIAN_TOL):
-        w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-        return float(np.max(np.abs(w)))
+        return float(np.max(np.abs(eigenvalues(mat))))
     return float(np.linalg.norm(mat, 2))
 
 
@@ -254,58 +262,27 @@ def unitary_conj(u, a):
     return out
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Ascending eigenvalues with orthogonal spectral projections.
-
-    Eigenvalues closer than ``DEGENERACY_REL_GAP`` times the operator norm
-    are grouped into a single projection. ``basis`` is the unitary of raw
-    eigenvectors and ``raw_eigenvalues`` the ungrouped eigh output; the
-    grouped projections are materialized lazily since they are quadratic in
-    the dimension each.
-    """
-
-    eigenvalues: np.ndarray                 # one entry per group, ascending
-    blocks: tuple[tuple[int, int], ...]     # half-open column ranges into basis
-    basis: np.ndarray                       # unitary eigenvector matrix
-    raw_eigenvalues: np.ndarray             # ungrouped, ascending
-
-    @property
-    def projections(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for lo, hi in self.blocks:
-            v = self.basis[:, lo:hi]
-            out.append(v @ v.conj().T)
-        return tuple(out)
-
-    def unitary(self, t: float) -> np.ndarray:
-        """exp(i t A) for the decomposed operator A."""
-        phases = np.exp(1j * t * self.raw_eigenvalues)
-        return (self.basis * phases) @ self.basis.conj().T
-
-
-def spectral(a) -> SpectralData:
-    """Spectral decomposition of a Hermitian operator.
-
-    Raises ValueError for non-Hermitian input. Degenerate eigenvalues
-    (consecutive gap at most 1e-9 times the norm) share one projection.
-    """
+def _hermitian_part(a) -> np.ndarray:
+    """(A + A^dagger) / 2 of a matrix that must be Hermitian within HERMITICITY_TOL."""
     mat = _as_matrix(a)
     if not is_hermitian_matrix(mat):
         raise ValueError("spectral decomposition requires a Hermitian matrix")
-    sym = 0.5 * (mat + mat.conj().T)
-    w, v = np.linalg.eigh(sym)
-    norm = float(np.max(np.abs(w))) if w.size else 0.0
-    thr = DEGENERACY_REL_GAP * norm
-    blocks = []
-    values = []
-    lo = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > thr:
-            blocks.append((lo, i))
-            values.append(float(np.mean(w[lo:i])))
-            lo = i
-    return SpectralData(np.asarray(values), tuple(blocks), v, w)
+    return 0.5 * (mat + mat.conj().T)
+
+
+def spectral(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and unitary eigenvector matrix of a Hermitian A.
+
+    ``(w, v)`` with A = v diag(w) v^dagger, as ``np.linalg.eigh`` returns
+    them for the symmetrized matrix. Raises ValueError for non-Hermitian
+    input.
+    """
+    return np.linalg.eigh(_hermitian_part(a))
+
+
+def eigenvalues(a) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian A; see :func:`spectral`."""
+    return np.linalg.eigvalsh(_hermitian_part(a))
 
 
 def apply_function(a, phi: Callable[[float], float]):
@@ -313,9 +290,9 @@ def apply_function(a, phi: Callable[[float], float]):
 
     Exceptions raised by ``phi`` at an eigenvalue propagate to the caller.
     """
-    sd = spectral(a)
-    vals = np.array([phi(float(x)) for x in sd.raw_eigenvalues], dtype=complex)
-    mat = (sd.basis * vals) @ sd.basis.conj().T
+    w, v = spectral(a)
+    vals = np.array([phi(float(x)) for x in w], dtype=complex)
+    mat = (v * vals) @ v.conj().T
     if isinstance(a, DenseOperator):
         return a.with_matrix(mat)
     return mat

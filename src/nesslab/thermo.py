@@ -16,8 +16,8 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import opalg
-from .dynamics import EvolutionPlan, exact_evolve, make_plan
-from .model import ModelSpec, PerturbationFamily, redraw
+from .dynamics import EvolutionPlan, make_plan
+from .model import ModelSpec, redraw
 from .opalg import DenseOperator
 from .volume import VolumeOperators, build
 
@@ -44,7 +44,7 @@ class StateRep:
         return self.density.shape[0]
 
     def min_eigenvalue(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(0.5 * (self.density + self.density.conj().T))))
+        return float(np.min(opalg.eigenvalues(self.density)))
 
     def expectation(self, a: DenseOperator) -> float:
         """Real expectation value of a Hermitian observable."""
@@ -60,15 +60,19 @@ def gibbs(h: DenseOperator, beta: float) -> StateRep:
     The exponent is shifted by its largest value before exponentiation so
     the weights stay in (0, 1]; any real beta yields a valid state.
     """
-    sd = opalg.spectral(h)
-    x = beta * sd.raw_eigenvalues
+    return StateRep(h.sites, h.dims, _gibbs_density(*opalg.spectral(h), beta))
+
+
+def _gibbs_density(w: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-beta H) / tr exp(-beta H) for H = v diag(w) v^dagger."""
+    x = beta * w
     weights = np.exp(-(x - np.min(x)))
-    density = (sd.basis * weights) @ sd.basis.conj().T
+    density = (v * weights) @ v.conj().T
     density /= np.real(np.trace(density))
-    return StateRep(h.sites, h.dims, density)
+    return density
 
 
-def initial_state(vols: VolumeOperators, betas: Mapping[int, float] | None = None) -> StateRep:
+def initial_state(vols: VolumeOperators) -> StateRep:
     """The product state exp(-G): reservoirs at their own temperatures,
     normalized trace on the small system.
 
@@ -77,12 +81,6 @@ def initial_state(vols: VolumeOperators, betas: Mapping[int, float] | None = Non
     normalized identity on the remaining sites, so nothing of the volume's
     dimension is diagonalized.
     """
-    if betas is not None:
-        for a, beta in betas.items():
-            if a in vols.betas and abs(vols.betas[a] - beta) > 0:
-                raise ValueError(
-                    f"reservoir {a}: beta {beta} differs from the built volume's "
-                    f"{vols.betas[a]}")
     blocks = [vols.betas[a] * (vols.H_a[a] + vols.B_a[a]) for a in vols.H_a]
     factors = [DenseOperator(b.sites, b.dims, gibbs(b, 1.0).density) for b in blocks]
     covered = {s for f in factors for s in f.sites}
@@ -94,36 +92,6 @@ def initial_state(vols: VolumeOperators, betas: Mapping[int, float] | None = Non
     return StateRep(vols.sites, vols.dims, density)
 
 
-def product_initial_state(spec: ModelSpec, volume: Iterable[int],
-                          perturbation: PerturbationFamily | None = None) -> StateRep:
-    """Independent construction of the initial state as an explicit tensor
-    product of per-reservoir Gibbs blocks and the normalized trace on the
-    small system; used to cross-check :func:`initial_state`."""
-    sites = tuple(sorted(set(volume)))
-    dims = spec.dims_for(sites)
-    density = np.eye(int(np.prod(dims)), dtype=complex)
-    for a in spec.reservoirs:
-        block_sites = tuple(sorted(spec.regions.sites_in(a) & set(sites)))
-        if not block_sites:
-            continue
-        block_dims = spec.dims_for(block_sites)
-        block = opalg.zero(block_sites, block_dims)
-        for term in spec.terms:
-            if set(term.support) <= set(block_sites):
-                block = block + opalg.embed(spec.term_operator(term), block_sites, block_dims)
-        for term in (perturbation.terms_for(sites) if perturbation else ()):
-            if set(term.support) <= set(block_sites):
-                block = block + opalg.embed(spec.term_operator(term), block_sites, block_dims)
-        rho_a = gibbs(block, spec.betas[a])
-        lifted = opalg.embed(DenseOperator(block_sites, block_dims, rho_a.density),
-                             sites, dims)
-        density = density @ lifted.matrix
-    covered = frozenset().union(*(spec.regions.sites_in(a) for a in spec.reservoirs)) & set(sites)
-    rest_dim = int(np.prod([d for s, d in zip(sites, dims) if s not in covered])) or 1
-    density /= rest_dim
-    return StateRep(sites, dims, density)
-
-
 def kms_check(state: StateRep, h: DenseOperator, beta: float,
               a: DenseOperator, b: DenseOperator) -> float:
     """Residual of the equilibrium boundary condition for a Gibbs state.
@@ -131,14 +99,13 @@ def kms_check(state: StateRep, h: DenseOperator, beta: float,
     Computes |omega(A alpha^{i beta} B) - omega(B A)| with
     alpha^{i beta} B = e^{-beta H} B e^{beta H} evaluated through the
     spectral decomposition. The state must be the Gibbs state of (H, beta);
-    anything else makes the residual meaningless and is refused.
+    anything else makes the residual meaningless and is refused. One
+    eigendecomposition of H serves both the reference Gibbs state and the
+    continuation.
     """
-    reference = gibbs(h, beta)
-    if np.max(np.abs(reference.density - state.density)) > 1e-8:
+    w, v = opalg.spectral(h)
+    if np.max(np.abs(_gibbs_density(w, v, beta) - state.density)) > opalg.KMS_STATE_TOL:
         raise ValueError("state was not generated from (H, beta); residual is meaningless")
-    sd = opalg.spectral(h)
-    w = sd.raw_eigenvalues
-    v = sd.basis
     a_t = v.conj().T @ a.matrix @ v
     b_t = v.conj().T @ b.matrix @ v
     rho_t = v.conj().T @ state.density @ v
@@ -174,44 +141,13 @@ def time_averaged_state(plan: EvolutionPlan, state: StateRep, horizon: float) ->
     """
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
-    sd = plan.spectral
-    v = sd.basis
-    w = sd.raw_eigenvalues
+    v = plan.basis
+    w = plan.eigenvalues
     rho_t = _rotate(v, v.conj().T, state.density)
     kernel = _averaging_kernel(horizon * (w[None, :] - w[:, None]))
     averaged = v @ (rho_t * kernel) @ v.conj().T
     averaged = 0.5 * (averaged + averaged.conj().T)
     return StateRep(state.sites, state.dims, averaged)
-
-
-def time_avg_expectation(vols: VolumeOperators, state: StateRep, a: DenseOperator,
-                         horizon: float, plan: EvolutionPlan | None = None) -> float:
-    """(1/T) integral over [0, T] of the evolved expectation of ``a``.
-
-    The evolution is generated by the volume Hamiltonian plus reservoir
-    perturbations; the average is computed by the exact spectral kernel,
-    not by quadrature.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    if plan is None:
-        plan = make_plan(vols.H_B)
-    return time_averaged_state(plan, state, horizon).expectation(a)
-
-
-def time_avg_expectation_quadrature(vols: VolumeOperators, state: StateRep,
-                                    a: DenseOperator, horizon: float,
-                                    panels: int = 128,
-                                    plan: EvolutionPlan | None = None) -> float:
-    """Composite-Simpson cross-check of :func:`time_avg_expectation`."""
-    if plan is None:
-        plan = make_plan(vols.H_B)
-    ts = np.linspace(0.0, horizon, 2 * panels + 1)
-    vals = np.array([state.expectation(exact_evolve(plan, a, float(t))) for t in ts])
-    h = horizon / (2 * panels)
-    integral = (h / 3.0) * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
-                            + 2.0 * vals[2:-2:2].sum())
-    return float(integral / horizon)
 
 
 @dataclass(frozen=True)
@@ -281,9 +217,9 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     for x in observables.values():
         if x.sites != vols.sites:
             raise ValueError("observable volume does not match the built volume")
-    v = plan.spectral.basis
+    v = plan.basis
     vh = v.conj().T
-    w = plan.spectral.raw_eigenvalues
+    w = plan.eigenvalues
     upper = np.triu_indices(vols.dim, k=1)
     freq = w[upper[1]] - w[upper[0]]
 
@@ -359,7 +295,7 @@ class HeatDirectionReport:
 
 def heat_direction_check(vols: VolumeOperators, horizon: float,
                          plan: EvolutionPlan | None = None) -> HeatDirectionReport:
-    """Check (beta_1 - beta_2) * flux_1 >= -beta_2 * 2||W||/T - 1e-10.
+    """Check (beta_1 - beta_2) * flux_1 >= -beta_2 * 2||W||/T - HEAT_DIRECTION_SLACK.
 
     The inequality combines the nonnegativity of the entropy production
     with the sum-rule slack; it forces energy into the colder reservoir up
@@ -372,7 +308,7 @@ def heat_direction_check(vols: VolumeOperators, horizon: float,
     a1, a2 = reservoirs
     b1, b2 = vols.betas[a1], vols.betas[a2]
     lhs = (b1 - b2) * report.fluxes[a1]
-    slack = b2 * report.tol_sum_rule + 1e-10
+    slack = b2 * report.tol_sum_rule + opalg.HEAT_DIRECTION_SLACK
     return HeatDirectionReport(
         horizon=float(horizon), beta_pair=(b1, b2),
         flux_into_first=report.fluxes[a1], lhs=float(lhs), slack=float(slack),
@@ -423,7 +359,7 @@ def boundary_redraw_check(spec: ModelSpec, new_small_system: Iterable[int],
     reports = []
     for report, averaged in horizon_reports(vols, horizons, observables=redrawn.currents):
         e_new = sum(redrawn.betas[a] * averaged[a] for a in redrawn.currents)
-        bound = 2.0 * shift_norm / report.horizon + 1e-9
+        bound = 2.0 * shift_norm / report.horizon + opalg.REDRAW_BOUND_SLACK
         diff = abs(report.e - e_new)
         reports.append(RedrawReport(
             horizon=report.horizon, e_original=float(report.e), e_redrawn=float(e_new),
@@ -489,13 +425,11 @@ def klein_check(a: np.ndarray, u: np.ndarray, phi: Callable[[float], float],
     Refuses phi that decreases somewhere on the sampled eigenvalues.
     """
     a = np.asarray(a, dtype=complex)
-    if not opalg.is_hermitian_matrix(a):
-        raise ValueError("A must be Hermitian")
+    w, v = opalg.spectral(a)  # refuses non-Hermitian A
     opalg.check_unitary(u)
     a = 0.5 * (a + a.conj().T)
     u = np.asarray(u, dtype=complex)
 
-    w, v = np.linalg.eigh(a)
     phi_vals = np.array([phi(float(x)) for x in w], dtype=float)
     if np.any(np.diff(phi_vals) < 0):
         raise ValueError("phi is not nondecreasing on the spectrum of A")
@@ -513,7 +447,7 @@ def klein_check(a: np.ndarray, u: np.ndarray, phi: Callable[[float], float],
 
     footnote = None
     if antiderivative is not None:
-        w_conj = np.linalg.eigvalsh(0.5 * (conj + conj.conj().T))
+        w_conj = opalg.eigenvalues(conj)
         f_b = sum(antiderivative(float(x)) for x in w_conj)
         f_a = sum(antiderivative(float(x)) for x in w)
         cross = float(np.real(np.trace((conj - a) @ phi_a)))

@@ -142,7 +142,7 @@ def build(spec: ModelSpec, volume: Iterable[int],
         if pert_terms[a]:
             h_b = h_b + opalg.embed(b_res[a], sites, dims)
         blocks[a] = beta * (h_res[a] + b_res[a])
-        eigs = np.linalg.eigvalsh(blocks[a].matrix)
+        eigs = opalg.eigenvalues(blocks[a])
         log_z += float(logsumexp(-eigs))
         g_norm += float(eigs[-1])
         joint = tuple(sorted(set(w_op.sites) | inside[a]))
@@ -169,27 +169,6 @@ def build(spec: ModelSpec, volume: Iterable[int],
     )
 
 
-def interface_operator(spec: ModelSpec, volume: Iterable[int]) -> DenseOperator:
-    """The interface part via the weighted per-site formula.
-
-    Sums, over small-system sites x and in-volume terms containing x, the
-    term weighted by one over the number of small-system sites it touches;
-    the weights telescope so each term meeting the small system is counted
-    exactly once. Must agree with :func:`build`'s ``W`` lifted to the volume.
-    """
-    sites = tuple(sorted(set(volume)))
-    if not spec.small_system <= set(sites):
-        raise ValueError("volume must contain the small system")
-    dims = spec.dims_for(sites)
-    acc = opalg.zero(sites, dims)
-    for x in sorted(spec.small_system):
-        for term in spec.terms:
-            if x in term.support and set(term.support) <= set(sites):
-                weight = 1.0 / len(set(term.support) & spec.small_system)
-                acc = acc + weight * opalg.embed(spec.term_operator(term), sites, dims)
-    return acc
-
-
 @dataclass(frozen=True)
 class CurrentBoundReport:
     """Per-reservoir current norms against the interaction-norm bound."""
@@ -206,4 +185,5 @@ def current_bound_check(spec: ModelSpec, volume: Iterable[int]) -> CurrentBoundR
     bound = 2.0 * len(spec.small_system) * np.exp(spec.lam) * norm_phi**2 / spec.lam
     norms = {a: opalg.op_norm(c) for a, c in vols.currents.items()}
     return CurrentBoundReport(norms=norms, bound=float(bound),
-                              ok=all(v <= bound + 1e-12 for v in norms.values()))
+                              ok=all(v <= bound + opalg.CURRENT_BOUND_SLACK
+                                     for v in norms.values()))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,23 @@ def decoupled_model():
 def chain5():
     """5-site chain with a one-site small system in the middle."""
     return make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0})
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Every numpy/scipy eigh/eigvalsh call as (matrix dimension, calling file)."""
+    import numpy.linalg
+    import scipy.linalg
+
+    calls = []
+
+    def counted(fn):
+        def solve(a, *args, **kwargs):
+            calls.append((np.shape(a)[-1], sys._getframe(1).f_code.co_filename))
+            return fn(a, *args, **kwargs)
+        return solve
+
+    for mod in (numpy.linalg, scipy.linalg):
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    return calls

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,37 @@ class TestEigensolveCount:
         })
         assert self._count(monkeypatch, config_path) == {(0, 1, 2, 3, 4): 1,
                                                           (0, 1, 2, 3, 4, 5): 1}
+
+
+    def test_every_solve_in_opalg(self, tmp_path, eigensolves):
+        spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0}, coup=0.6)
+        model_path = write_model(tmp_path, spec)
+        bond = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"bound_K": 1.0, "volumes": [{
+            "sites": [0, 1, 2, 3, 4],
+            "terms": [{"support": [0, 1],
+                       "matrix": [[[0.2 * float(z), 0.0] for z in row] for row in bond]}],
+        }]}), encoding="utf-8")
+        config_path = write_config(tmp_path, {
+            "model": model_path.name,
+            "exhaustion": [[1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3, 4]],
+            "horizons": [0.01, 0.5, 5.0],
+            "observables": {"mid_x": [{"support": [2],
+                                       "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}]},
+            "perturbation": family.name,
+            "redraw_new_s": [1, 2, 3],
+            "output_dir": str(tmp_path / "out"),
+        })
+        for argv in (["simulate", "--config", str(config_path)],
+                     ["sweep-convergence", "--config", str(config_path)],
+                     ["redraw-check", "--config", str(config_path)],
+                     ["klein-fuzz", "--trials", "8", "--max-dim", "4"]):
+            eigensolves.clear()
+            assert main(argv) == 0, argv
+            assert eigensolves, argv
+            callers = {Path(f).parent.name + "/" + Path(f).name for _, f in eigensolves}
+            assert callers == {"nesslab/opalg.py"}, argv
 
 
 class TestKleinFuzzCommand:

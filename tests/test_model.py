@@ -92,6 +92,12 @@ class TestLambdaNorm:
     def test_matches_bruteforce_on_random_models(self, chain5):
         assert lambda_norm(chain5) == pytest.approx(brute_lambda_norm(chain5), abs=1e-12)
 
+    def test_one_eigensolve_per_term(self, eigensolves):
+        spec = make_chain(7, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2}, {1: 2.0, 2: 1.0})
+        lambda_norm(spec)
+        assert len(spec.terms) == 13
+        assert len(eigensolves) == 13
+
     @given(scale=st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=25, deadline=None)
     def test_homogeneous_under_term_scaling(self, scale):

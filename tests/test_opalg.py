@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from nesslab import (
     trace,
     unitary_conj,
 )
-from nesslab.opalg import identity, kron_embed, zero
+from nesslab.opalg import eigenvalues, identity, kron_embed, zero
 
 from conftest import ID2, SX, SY, SZ, random_hermitian, random_unitary
 
@@ -147,42 +148,38 @@ class TestCommutator:
 
 class TestSpectral:
     def test_diagonal_sorting(self):
-        sd = spectral(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        np.testing.assert_allclose(sd.eigenvalues, [1.0, 2.0, 3.0])
-        for value, proj in zip(sd.eigenvalues, sd.projections):
+        w, v = spectral(np.diag([3.0, 1.0, 2.0]).astype(complex))
+        np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
+        for value, vec in zip(w, v.T):
             idx = [3.0, 1.0, 2.0].index(value)
             expected = np.zeros((3, 3))
             expected[idx, idx] = 1.0
-            np.testing.assert_allclose(proj, expected, atol=1e-12)
+            np.testing.assert_allclose(np.outer(vec, vec.conj()), expected, atol=1e-12)
 
     def test_pauli_x_projections(self):
-        sd = spectral(SX)
-        np.testing.assert_allclose(sd.eigenvalues, [-1.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(sd.projections[0], 0.5 * (ID2 - SX), atol=1e-12)
-        np.testing.assert_allclose(sd.projections[1], 0.5 * (ID2 + SX), atol=1e-12)
-
-    def test_scalar_matrix_groups_to_single_projection(self):
-        sd = spectral(2.5 * np.eye(4, dtype=complex))
-        assert len(sd.projections) == 1
-        np.testing.assert_allclose(sd.eigenvalues, [2.5])
-        np.testing.assert_allclose(sd.projections[0], np.eye(4), atol=1e-12)
+        w, v = spectral(SX)
+        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(np.outer(v[:, 0], v[:, 0].conj()), 0.5 * (ID2 - SX),
+                                   atol=1e-12)
+        np.testing.assert_allclose(np.outer(v[:, 1], v[:, 1].conj()), 0.5 * (ID2 + SX),
+                                   atol=1e-12)
 
     def test_invariants_on_random_hermitian(self):
         rng = np.random.default_rng(21)
         mat = random_hermitian(rng, 6)
-        sd = spectral(mat)
-        total = sum(sd.projections)
-        np.testing.assert_allclose(total, np.eye(6), atol=1e-10)
-        for j, pj in enumerate(sd.projections):
-            for k, pk in enumerate(sd.projections):
-                expected = pj if j == k else np.zeros((6, 6))
-                np.testing.assert_allclose(pj @ pk, expected, atol=1e-10)
-        recon = sum(a * p for a, p in zip(sd.eigenvalues, sd.projections))
+        w, v = spectral(mat)
+        assert np.all(np.diff(w) >= 0.0)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-10)
+        np.testing.assert_allclose(v @ v.conj().T, np.eye(6), atol=1e-10)
+        recon = (v * w) @ v.conj().T
         assert np.max(np.abs(recon - mat)) <= 1e-10 * max(1.0, op_norm(mat))
+        np.testing.assert_allclose(eigenvalues(mat), w, atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             spectral(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(ValueError):
+            eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 class TestApplyFunction:
@@ -217,8 +214,7 @@ class TestApplyFunction:
     def test_exp_i_h_is_unitary(self):
         rng = np.random.default_rng(13)
         mat = random_hermitian(rng, 6)
-        sd = spectral(mat)
-        u = sd.unitary(1.0)
+        u = apply_function(mat, lambda s: cmath.exp(1j * s))
         np.testing.assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-10)
 
     def test_propagates_evaluation_errors(self):

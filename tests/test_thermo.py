@@ -18,18 +18,14 @@ from nesslab import (
     kms_check,
     make_plan,
     op_norm,
-    time_avg_expectation,
     time_averaged_state,
 )
 from nesslab import exact_evolve
 from nesslab.model import PerturbationEntry, PerturbationFamily
 from nesslab.opalg import apply_function
-from nesslab.thermo import (
-    StateRep,
-    product_initial_state,
-    time_avg_expectation_quadrature,
-)
+from nesslab.thermo import StateRep
 
+import oracles
 from conftest import SX, SY, SZ, make_chain, random_hermitian, random_unitary
 
 
@@ -80,7 +76,7 @@ class TestInitialState:
     def test_matches_explicit_tensor_product(self, chain5):
         vols = build(chain5, range(5))
         direct = initial_state(vols)
-        product = product_initial_state(chain5, range(5))
+        product = oracles.product_initial_state(chain5, range(5))
         assert np.max(np.abs(direct.density - product.density)) <= 1e-10
 
     def test_matches_product_with_perturbation(self, chain5):
@@ -90,7 +86,7 @@ class TestInitialState:
         family = PerturbationFamily((entry,), bound_K=1.0)
         vols = build(chain5, range(5), family)
         direct = initial_state(vols)
-        product = product_initial_state(chain5, range(5), family)
+        product = oracles.product_initial_state(chain5, range(5), family)
         assert np.max(np.abs(direct.density - product.density)) <= 1e-10
 
     def test_small_system_factor_is_normalized_trace(self, chain5):
@@ -100,11 +96,6 @@ class TestInitialState:
         rho = state.density.reshape((2,) * 10)
         reduced = np.einsum("abcdeabfde->cf", rho)
         np.testing.assert_allclose(reduced, np.eye(2) / 2.0, atol=1e-12)
-
-    def test_inconsistent_betas_rejected(self, chain5):
-        vols = build(chain5, range(5))
-        with pytest.raises(ValueError):
-            initial_state(vols, {1: 3.0, 2: 1.0})
 
 
 class TestKms:
@@ -135,6 +126,18 @@ class TestKms:
                               + 1j * rng.standard_normal((n, n)))
             assert kms_check(state, h, beta, a, b) <= 1e-8 * op_norm(a) * op_norm(b)
 
+    def test_one_eigensolve(self, chain5, eigensolves):
+        vols = build(chain5, range(5))
+        beta = 0.7
+        state = gibbs(vols.H_B, beta)
+        a = embed(DenseOperator((1,), (2,), SX), vols.sites, vols.dims)
+        b = embed(DenseOperator((3,), (2,), SY), vols.sites, vols.dims)
+        tol = 1e-8 * op_norm(a) * op_norm(b)
+        eigensolves.clear()
+        residual = kms_check(state, vols.H_B, beta, a, b)
+        assert [dim for dim, _ in eigensolves] == [vols.dim]
+        assert residual <= tol
+
     def test_foreign_state_is_refused(self):
         h = DenseOperator((0,), (2,), SZ)
         state = gibbs(h, 2.0)
@@ -151,7 +154,7 @@ class TestTimeAverage:
         conserved = apply_function(vols.H_B, lambda s: s * s)
         base = state.expectation(conserved)
         for horizon in (0.5, 3.0, 17.0):
-            avg = time_avg_expectation(vols, state, conserved, horizon, plan=plan)
+            avg = time_averaged_state(plan, state, horizon).expectation(conserved)
             assert avg == pytest.approx(base, abs=1e-10)
 
     def test_short_horizon_continuity(self, chain5):
@@ -160,7 +163,7 @@ class TestTimeAverage:
         state = initial_state(vols)
         a = vols.currents[1]
         scale = op_norm(a) * (1.0 + op_norm(vols.H_B))
-        avg = time_avg_expectation(vols, state, a, 1e-6, plan=plan)
+        avg = time_averaged_state(plan, state, 1e-6).expectation(a)
         assert abs(avg - state.expectation(a)) <= 1e-6 * scale
 
     def test_qubit_pauli_average_vanishes(self):
@@ -192,9 +195,9 @@ class TestTimeAverage:
         plan = make_plan(vols.H_B)
         state = initial_state(vols)
         a = vols.currents[1]
-        spectral_avg = time_avg_expectation(vols, state, a, 2.5, plan=plan)
-        quad_avg = time_avg_expectation_quadrature(vols, state, a, 2.5,
-                                                   panels=160, plan=plan)
+        spectral_avg = time_averaged_state(plan, state, 2.5).expectation(a)
+        quad_avg = oracles.time_avg_expectation_quadrature(vols, state, a, 2.5,
+                                                           panels=160, plan=plan)
         # composite Simpson error ~ (T/panels)^4 * ||d^4/dt^4|| / 180
         step = 2.5 / 160
         quad_err = step**4 * 2.5 * (op_norm(vols.H_B) ** 4) * op_norm(a)
@@ -211,7 +214,7 @@ class TestTimeAverage:
         vols = build(chain5, range(5))
         w_op = embed(vols.W, vols.sites, vols.dims)
         with pytest.raises(ValueError):
-            time_avg_expectation(vols, initial_state(vols), w_op, 0.0)
+            time_averaged_state(make_plan(vols.H_B), initial_state(vols), 0.0).expectation(w_op)
 
 
 class TestEntropyProduction:

@@ -14,7 +14,6 @@ from nesslab import (
     commutator,
     current_bound_check,
     embed,
-    interface_operator,
     op_norm,
 )
 from nesslab.model import PerturbationEntry, PerturbationFamily
@@ -175,13 +174,13 @@ class TestInterfaceOperator:
             decoupled_model.sites, decoupled_model.regions,
             tuple(t for t in decoupled_model.terms if 1 not in t.support),
             decoupled_model.lam, decoupled_model.betas)
-        w = interface_operator(reservoir_only, (0, 1, 2))
+        w = oracles.interface_operator(reservoir_only, (0, 1, 2))
         assert op_norm(w) == 0.0
 
     def test_weights_telescope_for_two_site_overlap(self):
         # one bond with both endpoints inside S: counted 2 * (1/2) = once
         spec = make_chain(3, {0: 0, 1: 0, 2: 1}, {1: 1.0}, field=0.0)
-        w = interface_operator(spec, (0, 1, 2))
+        w = oracles.interface_operator(spec, (0, 1, 2))
         vols = build(spec, (0, 1, 2))
         direct = embed(vols.W, vols.sites, vols.dims)
         assert np.max(np.abs(w.matrix - direct.matrix)) <= 1e-12
@@ -195,13 +194,13 @@ class TestInterfaceOperator:
         spec = ModelSpec(tuple(SiteSpec(i, 2) for i in sites),
                          RegionMap({0: 1, 1: 1, 2: 0, 3: 2, 4: 2}),
                          tuple(terms), 0.5, {1: 2.0, 2: 1.0})
-        w = interface_operator(spec, sites)
+        w = oracles.interface_operator(spec, sites)
         vols = build(spec, sites)
         direct = embed(vols.W, vols.sites, vols.dims)
         assert np.max(np.abs(w.matrix - direct.matrix)) <= 1e-12
 
     def test_standard_chain_agreement(self, standard_chain):
-        w = interface_operator(standard_chain, (0, 1, 2))
+        w = oracles.interface_operator(standard_chain, (0, 1, 2))
         vols = build(standard_chain, (0, 1, 2))
         direct = embed(vols.W, vols.sites, vols.dims)
         assert np.max(np.abs(w.matrix - direct.matrix)) <= 1e-12
