@@ -21,7 +21,6 @@ from .model import (
     model_to_dict,
     redraw,
     restrict,
-    save_model,
     tail_norm,
     validate,
 )
@@ -33,7 +32,6 @@ from .opalg import (
     observable_lambda_norm_upper,
     op_norm,
     spectral,
-    trace,
     unitary_conj,
 )
 from .volume import VolumeOperators, build, current_bound_check

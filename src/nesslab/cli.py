@@ -110,20 +110,12 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _observable_operators(spec: model.ModelSpec, cfg: ExperimentConfig,
-                          sites: Sequence[int]) -> dict[str, opalg.DenseOperator]:
-    dims = spec.dims_for(sites)
-    out: dict[str, opalg.DenseOperator] = {}
-    for name in sorted(cfg.observables):
-        acc = opalg.zero(sites, dims)
-        for i, term_doc in enumerate(cfg.observables[name]):
-            term = model.term_from_dict(term_doc, f"observables[{name}][{i}]")
-            if not set(term.support) <= set(sites):
-                raise ValueError(f"observable {name}: support {term.support} "
-                                 f"not inside volume {sites}")
-            acc = acc + opalg.embed(spec.term_operator(term), tuple(sites), dims)
-        out[name] = acc
-    return out
+def _observable_operators(spec: model.ModelSpec,
+                          cfg: ExperimentConfig) -> dict[str, opalg.DenseOperator]:
+    """Each named observable on the union of its terms' supports."""
+    return {name: spec.term_sum(model.term_from_dict(doc, f"observables[{name}][{i}]")
+                                for i, doc in enumerate(cfg.observables[name]))
+            for name in sorted(cfg.observables)}
 
 
 def _check_dim_cap(spec: model.ModelSpec, sites: Sequence[int], cap: int) -> None:
@@ -169,6 +161,11 @@ def cmd_simulate(args) -> int:
     spec, family = _load_spec_and_family(cfg)
     for sites in cfg.exhaustion:
         _check_dim_cap(spec, sites, args.dim_cap)
+    observables = _observable_operators(spec, cfg)
+    for name, x in observables.items():
+        if not set(x.sites) <= set(cfg.exhaustion[0]):
+            raise SystemExit(f"refusing observable {name}: sites {list(x.sites)} "
+                             f"not inside the first volume {list(cfg.exhaustion[0])}")
     digest = config_hash(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -181,10 +178,11 @@ def cmd_simulate(args) -> int:
     rows = []
     for vol_idx, sites in enumerate(cfg.exhaustion):
         vols = volume.build(spec, sites, family)
-        observables = _observable_operators(spec, cfg, vols.sites)
+        lifted = {name: opalg.embed(x, vols.sites, vols.dims)
+                  for name, x in observables.items()}
         for t_horizon, (rep, averaged) in zip(
                 cfg.horizons, thermo.horizon_reports(vols, cfg.horizons,
-                                                     observables=observables)):
+                                                     observables=lifted)):
             row = [str(vol_idx), t_horizon]
             row += [rep.fluxes[a] for a in reservoirs]
             row += [rep.e, rep.e_telescoped, rep.sum_rule_residual, rep.tol_sum_rule]
@@ -273,8 +271,7 @@ def cmd_sweep_convergence(args) -> int:
         raise SystemExit("sweep-convergence needs at least one named observable")
     digest = config_hash(cfg)
     name = sorted(cfg.observables)[0]
-    smallest = cfg.exhaustion[0]
-    a = _observable_operators(spec, cfg, smallest)[name]
+    a = _observable_operators(spec, cfg)[name]
 
     report = dynamics.convergence_sweep(spec, cfg.exhaustion, a, cfg.horizons,
                                         perturbation=family)

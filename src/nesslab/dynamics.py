@@ -38,11 +38,7 @@ def make_plan(generator: DenseOperator) -> EvolutionPlan:
 
 
 def exact_evolve(plan: EvolutionPlan, a: DenseOperator, t: float) -> DenseOperator:
-    """Conjugate by exp(i t generator): the exact Heisenberg evolution.
-
-    The result's support is the whole volume, since the evolution spreads
-    ``a`` over every site the generator couples.
-    """
+    """Conjugate by exp(i t generator): the exact Heisenberg evolution."""
     if not plan.generator.same_volume(a):
         raise ValueError("operator volume does not match the plan's generator")
     v = plan.basis
@@ -98,17 +94,22 @@ def series_radius(spec: ModelSpec, perturbation: PerturbationFamily | None = Non
     return spec.lam / (2.0 * denom)
 
 
+def _envelope(a: DenseOperator, lam: float) -> float:
+    """||a|| e^{lam card X}, with X the sites ``a`` is given on."""
+    return opalg.op_norm(a) * math.exp(lam * len(a.sites))
+
+
 def _truncated_series(a: DenseOperator, powers: Sequence[DenseOperator], t: float,
-                      lam: float, ratio: float) -> tuple[DenseOperator, float]:
+                      envelope: float, ratio: float) -> tuple[DenseOperator, float]:
     """Partial sum of t^m delta^m(a) / m! over ``powers`` and its tail bound.
 
-    The bound is ||a|| e^{lam card X} r^{M+1} / (1 - r), with X the support
-    of ``a`` and M the number of powers.
+    The bound is envelope * r^{M+1} / (1 - r), with M the number of powers
+    and ``envelope`` the :func:`_envelope` of the observable before it was
+    embedded into the volume of ``a``.
     """
     partial = a
     for m, power in enumerate(powers, start=1):
         partial = partial + (t**m / math.factorial(m)) * power
-    envelope = opalg.op_norm(a) * math.exp(lam * len(a.support))
     return partial, float(envelope * ratio ** (len(powers) + 1) / (1.0 - ratio))
 
 
@@ -121,8 +122,10 @@ def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: fl
     Returns the partial sum over orders m <= M of t^m delta^m(a) / m!, with
     delta = i[H_B, .] as in :func:`derivation` (and build's preconditions),
     and the geometric tail majorant ||a|| e^{lam card X} r^{M+1} / (1 - r)
-    with r = 2 |t| (||Phi||_lam + K) / lam. Times at or beyond the
-    convergence radius are refused since the majorant diverges there.
+    with r = 2 |t| (||Phi||_lam + K) / lam. X is ``a.sites``: pass the
+    observable on its own sites, not embedded, for the tightest bound.
+    Times at or beyond the convergence radius are refused since the
+    majorant diverges there.
     """
     if cfg is None:
         cfg = DysonConfig(lam=spec.lam)
@@ -132,10 +135,11 @@ def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: fl
         raise ValueError(
             f"|t|={abs(t):.6g} is outside the series radius "
             f"{series_radius(spec, perturbation):.6g}; the error bound diverges")
+    envelope = _envelope(a, cfg.lam)
     h_b = volume_mod.build(spec, volume, perturbation).H_B
     a_vol = opalg.embed(a, h_b.sites, h_b.dims)
     powers = derivation_powers(h_b, a_vol, cfg.max_order)
-    return _truncated_series(a_vol, powers, t, cfg.lam, ratio)
+    return _truncated_series(a_vol, powers, t, envelope, ratio)
 
 
 def derivation_growth_bound(spec: ModelSpec, a: DenseOperator, m: int,
@@ -144,12 +148,13 @@ def derivation_growth_bound(spec: ModelSpec, a: DenseOperator, m: int,
 
     Returns ||a|| e^{lam card X} m! (2 ||Phi||_lam / (lam - mu))^m, valid in
     the mu-weighted norm (hence in the operator norm) for 0 <= mu < lam;
-    mu = 0 gives the plain growth bound of the series.
+    mu = 0 gives the plain growth bound of the series. X is ``a.sites``, so
+    pass the observable on its own sites for the tightest bound.
     """
     if not spec.lam > mu >= 0:
         raise ValueError("need lam > mu >= 0")
     norm_phi = lambda_norm(spec)
-    return (opalg.op_norm(a) * math.exp(spec.lam * len(a.support))
+    return (_envelope(a, spec.lam)
             * math.factorial(m) * (2.0 * norm_phi / (spec.lam - mu)) ** m)
 
 
@@ -197,7 +202,9 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     the derivation powers, computed in the larger volume (embedding is
     isometric). Each volume also gets truncated-series error rows against
     the exact evolution, with the reported tail bound, for times inside the
-    series radius.
+    series radius. The bound's envelope ||a|| e^{lam card X} is taken once,
+    with X = ``a.sites``: pass the observable on its own sites, not
+    embedded, for the tightest bound.
     """
     vols = [tuple(sorted(set(v))) for v in exhaustion]
     for small, large in zip(vols, vols[1:]):
@@ -224,6 +231,7 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     radius = series_radius(spec, perturbation)
     inside = [j for j, t in enumerate(t_grid) if abs(t) < radius]
     order = max(max_order, cfg.max_order) if inside else max_order
+    envelope = _envelope(a, cfg.lam)
     powers = []
     dyson_rows = []
     for i, (plan, a_v) in enumerate(zip(plans, a_in)):
@@ -232,7 +240,7 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
         for j in inside:
             t = float(t_grid[j])
             approx, bound = _truncated_series(a_v, per_volume[:cfg.max_order], t,
-                                              cfg.lam, abs(t) / radius)
+                                              envelope, abs(t) / radius)
             dyson_rows.append(DysonRow(i, t,
                                        opalg.op_norm(approx - evolved[i][j]), bound))
 

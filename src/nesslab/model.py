@@ -174,6 +174,24 @@ class ModelSpec:
         return opalg.DenseOperator(term.support, self.dims_for(term.support),
                                    term.symmetrized())
 
+    def term_sum(self, terms: Iterable[InteractionTerm],
+                 sites: Iterable[int] | None = None) -> opalg.DenseOperator:
+        """The sum of ``terms``, each embedded into the ordered volume ``sites``.
+
+        ``sites`` defaults to the union of the terms' supports, so no terms
+        give a 1x1 zero on no sites.
+        """
+        terms = tuple(terms)
+        if sites is None:
+            sites = set().union(*(t.support for t in terms))
+        sites = tuple(sorted(sites))
+        dims = self.dims_for(sites)
+        dim = self.volume_dim(sites)
+        acc = np.zeros((dim, dim), dtype=complex)
+        for term in terms:
+            acc += opalg.embed(self.term_operator(term), sites, dims).matrix
+        return opalg.DenseOperator(sites, dims, acc)
+
     def volume_dim(self, sites: Sequence[int]) -> int:
         return int(np.prod(self.dims_for(sites))) if len(sites) else 1
 
@@ -413,11 +431,6 @@ def load_model(path) -> ModelSpec:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return model_from_dict(doc)
-
-
-def save_model(spec: ModelSpec, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(spec), fh, indent=1)
 
 
 def family_from_dict(doc: Mapping) -> PerturbationFamily:

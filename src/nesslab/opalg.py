@@ -6,13 +6,14 @@ The module provides tensor products and embedding into larger volumes,
 commutators, the operator norm, the spectral decomposition of Hermitian
 matrices, functional calculus, and the exponentially weighted observable
 norm in its upper-bound form. Every Hermitian eigensolve of the package goes
-through :func:`spectral` or :func:`eigenvalues`.
+through :func:`spectral` or the solver of :func:`eigenvalues`, which
+:func:`op_norm` shares.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -64,16 +65,11 @@ class DenseOperator:
 
     ``sites`` and ``dims`` are parallel tuples in canonical ascending-id
     order; the matrix dimension is the product of the local dimensions.
-    ``support`` tracks the (sub)set of sites on which the operator may act
-    nontrivially; it is preserved by embedding, grows under sums and
-    commutators, and is reset to the whole volume by time evolution and
-    unitary conjugation.
     """
 
     sites: tuple[int, ...]
     dims: tuple[int, ...]
     matrix: np.ndarray
-    support: frozenset[int] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if len(self.sites) != len(self.dims):
@@ -89,13 +85,6 @@ class DenseOperator:
                 f"matrix shape {mat.shape} does not match volume dimension {dim}"
             )
         object.__setattr__(self, "matrix", mat)
-        if self.support is None:
-            object.__setattr__(self, "support", frozenset(self.sites))
-        else:
-            supp = frozenset(self.support)
-            if not supp <= set(self.sites):
-                raise ValueError("support must be a subset of the volume")
-            object.__setattr__(self, "support", supp)
 
     @property
     def dim(self) -> int:
@@ -110,24 +99,19 @@ class DenseOperator:
                 f"volume mismatch: {self.sites} vs {other.sites}"
             )
 
-    def with_matrix(self, matrix: np.ndarray, support=None) -> "DenseOperator":
-        return DenseOperator(
-            self.sites, self.dims, matrix,
-            self.support if support is None else frozenset(support),
-        )
+    def with_matrix(self, matrix: np.ndarray) -> "DenseOperator":
+        return DenseOperator(self.sites, self.dims, matrix)
 
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return is_hermitian_matrix(self.matrix, tol)
 
     def __add__(self, other: "DenseOperator") -> "DenseOperator":
         self._require_same_volume(other)
-        return DenseOperator(self.sites, self.dims, self.matrix + other.matrix,
-                             self.support | other.support)
+        return self.with_matrix(self.matrix + other.matrix)
 
     def __sub__(self, other: "DenseOperator") -> "DenseOperator":
         self._require_same_volume(other)
-        return DenseOperator(self.sites, self.dims, self.matrix - other.matrix,
-                             self.support | other.support)
+        return self.with_matrix(self.matrix - other.matrix)
 
     def __neg__(self) -> "DenseOperator":
         return self.with_matrix(-self.matrix)
@@ -139,20 +123,17 @@ class DenseOperator:
 
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
         self._require_same_volume(other)
-        return DenseOperator(self.sites, self.dims, self.matrix @ other.matrix,
-                             self.support | other.support)
+        return self.with_matrix(self.matrix @ other.matrix)
 
 
 def identity(sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
     dim = int(np.prod(tuple(dims))) if len(dims) else 1
-    return DenseOperator(tuple(sites), tuple(dims), np.eye(dim, dtype=complex),
-                         frozenset())
+    return DenseOperator(tuple(sites), tuple(dims), np.eye(dim, dtype=complex))
 
 
 def zero(sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
     dim = int(np.prod(tuple(dims))) if len(dims) else 1
-    return DenseOperator(tuple(sites), tuple(dims),
-                         np.zeros((dim, dim), dtype=complex), frozenset())
+    return DenseOperator(tuple(sites), tuple(dims), np.zeros((dim, dim), dtype=complex))
 
 
 def kron_embed(factors: Sequence[DenseOperator], sites: Sequence[int],
@@ -161,10 +142,9 @@ def kron_embed(factors: Sequence[DenseOperator], sites: Sequence[int],
 
     The result acts as each factor on that factor's sites and as the
     identity on the target sites no factor covers, under canonical
-    ascending-site ordering; its support is the union of the factors'
-    supports. Implemented as one Kronecker product in factor order followed
-    by one axis permutation of the reshaped tensor; no permutation matrices
-    are materialized.
+    ascending-site ordering. Implemented as one Kronecker product in factor
+    order followed by one axis permutation of the reshaped tensor; no
+    permutation matrices are materialized.
     """
     sites = tuple(sites)
     dims = tuple(dims)
@@ -195,8 +175,7 @@ def kron_embed(factors: Sequence[DenseOperator], sites: Sequence[int],
     order_dims = tuple(dims[pos[s]] for s in order)
     dim = math.prod(dims)
     full = full.reshape(order_dims + order_dims).transpose(perm).reshape(dim, dim)
-    return DenseOperator(sites, dims, full,
-                         frozenset().union(*(f.support for f in factors)))
+    return DenseOperator(sites, dims, full)
 
 
 def embed(op: DenseOperator, sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
@@ -212,8 +191,7 @@ def embed(op: DenseOperator, sites: Sequence[int], dims: Sequence[int]) -> Dense
 def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     """AB - BA on a shared volume."""
     a._require_same_volume(b)
-    return DenseOperator(a.sites, a.dims, a.matrix @ b.matrix - b.matrix @ a.matrix,
-                         a.support | b.support)
+    return a.with_matrix(a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
 def op_norm(a) -> float:
@@ -221,18 +199,15 @@ def op_norm(a) -> float:
 
     Hermitian inputs take the spectral route (largest absolute eigenvalue,
     exact for selfadjoint matrices); anything else falls back to the SVD.
+    The Hermiticity test is made once, with the stricter
+    OP_NORM_HERMITIAN_TOL, so the solver does not repeat it.
     """
-    mat = a.matrix if isinstance(a, DenseOperator) else np.asarray(a)
+    mat = _as_matrix(a)
     if mat.size == 0:
         return 0.0
     if is_hermitian_matrix(mat, OP_NORM_HERMITIAN_TOL):
-        return float(np.max(np.abs(eigenvalues(mat))))
+        return float(np.max(np.abs(_eigvalsh(mat))))
     return float(np.linalg.norm(mat, 2))
-
-
-def trace(a) -> complex:
-    mat = a.matrix if isinstance(a, DenseOperator) else np.asarray(a)
-    return complex(np.trace(mat))
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -247,10 +222,7 @@ def check_unitary(u, tol: float = UNITARITY_TOL):
 
 
 def unitary_conj(u, a):
-    """U A U^{-1} for unitary U; preserves spectrum and trace.
-
-    An operator result has the whole volume as its support.
-    """
+    """U A U^{-1} for unitary U; preserves spectrum and trace."""
     check_unitary(u)
     um = _as_matrix(u)
     am = _as_matrix(a)
@@ -262,12 +234,21 @@ def unitary_conj(u, a):
     return out
 
 
-def _hermitian_part(a) -> np.ndarray:
-    """(A + A^dagger) / 2 of a matrix that must be Hermitian within HERMITICITY_TOL."""
+def _require_hermitian(a) -> np.ndarray:
+    """The matrix of A, which must be Hermitian within HERMITICITY_TOL."""
     mat = _as_matrix(a)
     if not is_hermitian_matrix(mat):
         raise ValueError("spectral decomposition requires a Hermitian matrix")
+    return mat
+
+
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
+
+
+def _eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of (M + M^dagger) / 2 for an already checked M."""
+    return np.linalg.eigvalsh(_hermitian_part(mat))
 
 
 def spectral(a) -> tuple[np.ndarray, np.ndarray]:
@@ -277,12 +258,12 @@ def spectral(a) -> tuple[np.ndarray, np.ndarray]:
     them for the symmetrized matrix. Raises ValueError for non-Hermitian
     input.
     """
-    return np.linalg.eigh(_hermitian_part(a))
+    return np.linalg.eigh(_hermitian_part(_require_hermitian(a)))
 
 
 def eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian A; see :func:`spectral`."""
-    return np.linalg.eigvalsh(_hermitian_part(a))
+    return _eigvalsh(_require_hermitian(a))
 
 
 def apply_function(a, phi: Callable[[float], float]):
@@ -309,5 +290,5 @@ def observable_lambda_norm_upper(
     """
     total = 0.0
     for support, mat in decomposition:
-        total += op_norm(np.asarray(mat, dtype=complex)) * math.exp(lam * len(tuple(support)))
+        total += op_norm(mat) * math.exp(lam * len(tuple(support)))
     return total

@@ -67,17 +67,6 @@ class VolumeOperators:
         return tuple(sorted(self.H_a))
 
 
-def _term_sum(spec: ModelSpec, terms: Iterable[InteractionTerm],
-              sites: Iterable[int]) -> DenseOperator:
-    """The sum of ``terms``, each embedded into the ordered volume ``sites``."""
-    sites = tuple(sorted(sites))
-    dims = spec.dims_for(sites)
-    acc = opalg.zero(sites, dims)
-    for term in terms:
-        acc = acc + opalg.embed(spec.term_operator(term), sites, dims)
-    return acc
-
-
 def build(spec: ModelSpec, volume: Iterable[int],
           perturbation: PerturbationFamily | None = None) -> VolumeOperators:
     """Assemble every finite-volume operator for ``volume``.
@@ -104,7 +93,7 @@ def build(spec: ModelSpec, volume: Iterable[int],
     log: list[str] = [f"volume sites={list(sites)} dim={int(np.prod(dims))}"]
 
     in_volume = [t for t in spec.terms if set(t.support) <= set(sites)]
-    h_b = _term_sum(spec, in_volume, sites)
+    h_b = spec.term_sum(in_volume, sites)
     log.append(f"interaction terms dropped at the boundary: {len(spec.terms) - len(in_volume)}")
 
     inside = {a: spec.regions.sites_in(a) & set(sites) for a in spec.reservoirs}
@@ -124,27 +113,29 @@ def build(spec: ModelSpec, volume: Iterable[int],
 
     interface = [t for t in in_volume
                  if not any(set(t.support) <= inside[a] for a in spec.reservoirs)]
-    w_op = _term_sum(spec, interface, set().union(*(t.support for t in interface)))
+    w_op = spec.term_sum(interface)
 
     h_res: dict[int, DenseOperator] = {}
     b_res: dict[int, DenseOperator] = {}
-    blocks: dict[int, DenseOperator] = {}
     currents: dict[int, DenseOperator] = {}
+    # G accumulates in place, before the currents exist, to keep the peak low
+    g = np.zeros_like(h_b.matrix)
     log_z = 0.0
     g_norm = 0.0
     for a in spec.reservoirs:
         beta = spec.betas.get(a)
         if beta is None:
             raise ValueError(f"reservoir {a} has no inverse temperature")
-        h_res[a] = _term_sum(spec, [t for t in in_volume if set(t.support) <= inside[a]],
-                             inside[a])
-        b_res[a] = _term_sum(spec, pert_terms[a], inside[a])
+        h_res[a] = spec.term_sum([t for t in in_volume if set(t.support) <= inside[a]],
+                                 inside[a])
+        b_res[a] = spec.term_sum(pert_terms[a], inside[a])
         if pert_terms[a]:
             h_b = h_b + opalg.embed(b_res[a], sites, dims)
-        blocks[a] = beta * (h_res[a] + b_res[a])
-        eigs = opalg.eigenvalues(blocks[a])
+        block = beta * (h_res[a] + b_res[a])
+        eigs = opalg.eigenvalues(block)
         log_z += float(logsumexp(-eigs))
         g_norm += float(eigs[-1])
+        g += opalg.embed(block, sites, dims).matrix
         joint = tuple(sorted(set(w_op.sites) | inside[a]))
         joint_dims = spec.dims_for(joint)
         local = 1j * opalg.commutator(opalg.embed(w_op, joint, joint_dims),
@@ -156,14 +147,10 @@ def build(spec: ModelSpec, volume: Iterable[int],
     # G's eigenvalues are nonnegative, so its norm is its largest eigenvalue
     log_z += math.log(math.prod(d for s, d in zip(sites, dims) if s not in covered))
     g_norm += log_z
-    weighted = opalg.zero(sites, dims)
-    for a in spec.reservoirs:
-        weighted = weighted + opalg.embed(blocks[a], sites, dims)
-    g = weighted.with_matrix(weighted.matrix + log_z * np.eye(weighted.dim),
-                             support=weighted.support)
+    g[np.diag_indices_from(g)] += log_z
 
     return VolumeOperators(
-        sites=sites, dims=dims, H_a=h_res, B_a=b_res, H_B=h_b, G=g, W=w_op,
+        sites=sites, dims=dims, H_a=h_res, B_a=b_res, H_B=h_b, G=h_b.with_matrix(g), W=w_op,
         currents=currents, betas=dict(spec.betas), g_norm=g_norm,
         w_norm=opalg.op_norm(w_op), log=tuple(log),
     )

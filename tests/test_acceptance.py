@@ -270,17 +270,17 @@ def test_criterion_07_dyson_validity(standard_chain):
         radius = series_radius(standard_chain, fam)
         vols = build(standard_chain, (0, 1, 2), fam)
         plan = make_plan(vols.H_B)
-        a = embed(DenseOperator((1,), (2,), np.array([[0, 1], [1, 0]], dtype=complex)),
-                  vols.sites, vols.dims)
+        # a on its own site, so card X = 1 in the bound
+        a = DenseOperator((1,), (2,), np.array([[0, 1], [1, 0]], dtype=complex))
+        a_vol = embed(a, vols.sites, vols.dims)
         for frac in (-0.5, -0.25, 0.1, 0.25, 0.5):
             t = frac * radius
             approx, bound = dyson_evolve(standard_chain, vols.sites, a, t, cfg=cfg,
                                          perturbation=fam)
-            exact = exact_evolve(plan, a, t)
+            exact = exact_evolve(plan, a_vol, t)
             assert op_norm(approx - exact) <= bound
 
-    a = embed(DenseOperator((1,), (2,), np.array([[0, 1], [1, 0]], dtype=complex)),
-              (0, 1, 2), (2, 2, 2))
+    a = DenseOperator((1,), (2,), np.array([[0, 1], [1, 0]], dtype=complex))
     current = a
     for m in range(1, 7):
         current = derivation(standard_chain, (0, 1, 2), current)

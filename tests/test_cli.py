@@ -125,6 +125,25 @@ class TestSimulateCommand:
         assert "exceeds cap" in str(err.value)
         assert built == []
 
+    def test_observable_outside_first_volume_refused_before_any_build(
+            self, chain_files, monkeypatch):
+        # site 3 lies in the last volume only
+        _, model_path, _, tmp_path = chain_files
+        config_path = write_config(tmp_path, {
+            "model": model_path.name,
+            "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
+            "horizons": [5.0],
+            "observables": {"far_z": [{"support": [3],
+                                       "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}]},
+            "output_dir": str(tmp_path / "out"),
+        }, name="far.json")
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--config", str(config_path)])
+        assert "far_z" in str(err.value)
+        assert built == []
+
     def test_observable_columns(self, tmp_path):
         spec = make_chain(3, {0: 1, 1: 0, 2: 2}, {1: 2.0, 2: 1.0})
         model_path = write_model(tmp_path, spec)

@@ -178,7 +178,8 @@ class TestDysonEvolve:
         assert bound < 1.0  # the majorant is meaningful at this time
 
     def test_growth_bound_holds_through_order_six(self, standard_chain):
-        a = embed(DenseOperator((1,), (2,), SX), (0, 1, 2), (2, 2, 2))
+        # a on its own site, so card X = 1 in the bound
+        a = DenseOperator((1,), (2,), SX)
         current = a
         for m in range(1, 7):
             current = derivation(standard_chain, (0, 1, 2), current)
@@ -195,8 +196,8 @@ class TestDysonEvolve:
         t = 0.5 * radius
         from nesslab.model import lambda_norm
         ratio = 2.0 * t * lambda_norm(standard_chain) / standard_chain.lam
-        a = embed(DenseOperator((1,), (2,), SX), (0, 1, 2), (2, 2, 2))
-        envelope = op_norm(a) * math.exp(standard_chain.lam * len(a.support))
+        a = DenseOperator((1,), (2,), SX)
+        envelope = op_norm(a) * math.exp(standard_chain.lam * len(a.sites))
         current = a
         for m in range(1, 9):
             current = derivation(standard_chain, (0, 1, 2), current)
@@ -300,6 +301,35 @@ class TestConvergenceSweep:
             large = powers[row.pair_index + 1][row.order - 1]
             lifted = embed(powers[row.pair_index][row.order - 1], large.sites, large.dims)
             assert abs(row.discrepancy - op_norm(lifted - large)) <= 1e-12
+
+    def test_dyson_bound_on_observable_sites(self, chain5):
+        # card X in the bound is that of the sites a is passed on, not the volume's
+        a = DenseOperator((2, 3), (2, 2), np.kron(SX, SZ))
+        radius = series_radius(chain5)
+        report = convergence_sweep(chain5, [(1, 2, 3), (1, 2, 3, 4), tuple(range(5))], a,
+                                   [0.2 * radius, 0.6 * radius, 1.5 * radius], max_order=3)
+        order = DysonConfig(lam=chain5.lam).max_order
+        envelope = op_norm(a) * math.exp(chain5.lam * len(a.sites))
+        assert len(report.dyson_rows) == 6
+        for row in report.dyson_rows:
+            r = abs(row.t) / radius
+            assert row.bound == pytest.approx(envelope * r ** (order + 1) / (1.0 - r),
+                                              rel=1e-12)
+            assert row.error <= row.bound
+
+    def test_envelope_takes_no_volume_sized_solve(self, eigensolves):
+        # at each volume's D: H_B's eigh, then one norm per Dyson row and, past
+        # the first volume, one per evolution row and per order row
+        spec = make_chain(7, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2}, {1: 2.0, 2: 1.0})
+        a = DenseOperator((3,), (2,), SX)
+        exhaustion = [tuple(range(1, 6)), tuple(range(6)), tuple(range(7))]
+        radius = series_radius(spec)
+        t_grid = [0.2 * radius, 0.5 * radius, 2.0 * radius]
+        convergence_sweep(spec, exhaustion, a, t_grid, max_order=3)
+        for i, sites in enumerate(exhaustion):
+            dim = spec.volume_dim(sites)
+            expected = 1 + 2 + (len(t_grid) + 3 if i else 0)
+            assert sum(d == dim for d, _ in eigensolves) == expected, sites
 
     def test_outside_radius_grid_computes_only_order_powers(self, chain5, monkeypatch):
         from nesslab import dynamics
