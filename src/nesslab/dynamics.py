@@ -41,19 +41,32 @@ def exact_evolve(plan: EvolutionPlan, a: DenseOperator, t: float) -> DenseOperat
     """Conjugate by exp(i t generator): the exact Heisenberg evolution."""
     if not plan.generator.same_volume(a):
         raise ValueError("operator volume does not match the plan's generator")
-    v = plan.basis
+    return _evolve_rotated(plan, opalg.rotate(plan.basis, a.matrix), t)
+
+
+def _evolve_rotated(plan: EvolutionPlan, rotated: np.ndarray, t: float) -> DenseOperator:
+    """The exact evolution of an operator given as V^dagger a V in the plan's
+    eigenbasis: only the phases and the rotation back depend on ``t``."""
     phases = np.exp(1j * t * plan.eigenvalues)
-    rotated = (v.conj().T @ a.matrix) @ v
     rotated = (phases[:, None] * rotated) * phases.conj()[None, :]
-    return DenseOperator(a.sites, a.dims, v @ rotated @ v.conj().T)
+    return plan.generator.with_matrix(opalg.rotate(plan.basis.conj().T, rotated))
+
+
+# i^m, exact, so that i^m r stays real for even m
+_I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
 def derivation_powers(h_b: DenseOperator, a: DenseOperator, order: int) -> list[DenseOperator]:
-    """[delta(a), ..., delta^order(a)] for the derivation delta = i[h_b, .]."""
+    """[delta(a), ..., delta^order(a)] for the derivation delta = i[h_b, .].
+
+    Iterates r <- [h_b, r], which stays real for a real generator and
+    observable, and returns each delta^m(a) as i^m r.
+    """
     powers = []
-    for _ in range(order):
-        a = 1j * opalg.commutator(h_b, a)
-        powers.append(a)
+    r = a
+    for m in range(1, order + 1):
+        r = opalg.commutator(h_b, r)
+        powers.append(_I_POWERS[m % 4] * r)
     return powers
 
 
@@ -218,7 +231,8 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
 
     evolved = []
     for plan, a_v in zip(plans, a_in):
-        evolved.append([exact_evolve(plan, a_v, t) for t in t_grid])
+        rotated = opalg.rotate(plan.basis, a_v.matrix)
+        evolved.append([_evolve_rotated(plan, rotated, t) for t in t_grid])
 
     evo_rows = []
     for i in range(len(vols) - 1):

@@ -187,9 +187,10 @@ class ModelSpec:
         sites = tuple(sorted(sites))
         dims = self.dims_for(sites)
         dim = self.volume_dim(sites)
-        acc = np.zeros((dim, dim), dtype=complex)
-        for term in terms:
-            acc += opalg.embed(self.term_operator(term), sites, dims).matrix
+        ops = [self.term_operator(term) for term in terms]
+        acc = np.zeros((dim, dim), dtype=np.result_type(float, *(op.matrix for op in ops)))
+        for op in ops:
+            acc += opalg.embed(op, sites, dims).matrix
         return opalg.DenseOperator(sites, dims, acc)
 
     def volume_dim(self, sites: Sequence[int]) -> int:

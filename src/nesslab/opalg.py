@@ -1,7 +1,8 @@
 """Dense operator algebra on finite volumes.
 
 Operators live on an ordered list of lattice sites (ascending site id, one
-finite-dimensional factor per site) and are stored as full complex matrices.
+finite-dimensional factor per site) and are stored as full dense matrices:
+float64 when every entry is real, complex128 otherwise (:func:`as_matrix`).
 The module provides tensor products and embedding into larger volumes,
 commutators, the operator norm, the spectral decomposition of Hermitian
 matrices, functional calculus, and the exponentially weighted observable
@@ -59,12 +60,26 @@ def is_hermitian_matrix(mat, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(mat - mat.conj().T)) <= tol * scale)
 
 
+def as_matrix(a) -> np.ndarray:
+    """The matrix of an operator or array: float64 when every entry is real,
+    complex128 otherwise, so real models run in real arithmetic."""
+    if isinstance(a, DenseOperator):
+        return a.matrix
+    mat = np.asarray(a)
+    if not np.iscomplexobj(mat):
+        return mat.astype(float, copy=False)
+    if np.any(mat.imag):
+        return mat.astype(complex, copy=False)
+    return mat.real.copy()
+
+
 @dataclass(frozen=True)
 class DenseOperator:
-    """A complex matrix attached to an ordered finite volume of sites.
+    """A dense matrix attached to an ordered finite volume of sites.
 
     ``sites`` and ``dims`` are parallel tuples in canonical ascending-id
-    order; the matrix dimension is the product of the local dimensions.
+    order; the matrix dimension is the product of the local dimensions. The
+    matrix is float64 when every entry is real and complex128 otherwise.
     """
 
     sites: tuple[int, ...]
@@ -79,7 +94,7 @@ class DenseOperator:
         if len(set(self.sites)) != len(self.sites):
             raise ValueError("duplicate site id in volume")
         dim = int(np.prod(self.dims)) if self.dims else 1
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = as_matrix(self.matrix)
         if mat.shape != (dim, dim):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match volume dimension {dim}"
@@ -123,17 +138,17 @@ class DenseOperator:
 
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
         self._require_same_volume(other)
-        return self.with_matrix(self.matrix @ other.matrix)
+        return self.with_matrix(matmul(self.matrix, other.matrix))
 
 
 def identity(sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
     dim = int(np.prod(tuple(dims))) if len(dims) else 1
-    return DenseOperator(tuple(sites), tuple(dims), np.eye(dim, dtype=complex))
+    return DenseOperator(tuple(sites), tuple(dims), np.eye(dim))
 
 
 def zero(sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
     dim = int(np.prod(tuple(dims))) if len(dims) else 1
-    return DenseOperator(tuple(sites), tuple(dims), np.zeros((dim, dim), dtype=complex))
+    return DenseOperator(tuple(sites), tuple(dims), np.zeros((dim, dim)))
 
 
 def kron_embed(factors: Sequence[DenseOperator], sites: Sequence[int],
@@ -163,9 +178,10 @@ def kron_embed(factors: Sequence[DenseOperator], sites: Sequence[int],
     rest = [s for s in sites if s not in covered]
     mats = [f.matrix for f in factors]
     if rest:
-        mats.append(np.eye(math.prod(dims[pos[s]] for s in rest), dtype=complex))
+        mats.append(np.eye(math.prod(dims[pos[s]] for s in rest),
+                           dtype=np.result_type(float, *mats)))
     order += rest
-    full = mats[0] if mats else np.ones((1, 1), dtype=complex)
+    full = mats[0] if mats else np.ones((1, 1))
     for mat in mats[1:]:
         full = np.kron(full, mat)
 
@@ -191,7 +207,31 @@ def embed(op: DenseOperator, sites: Sequence[int], dims: Sequence[int]) -> Dense
 def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     """AB - BA on a shared volume."""
     a._require_same_volume(b)
-    return a.with_matrix(a.matrix @ b.matrix - b.matrix @ a.matrix)
+    return a.with_matrix(matmul(a.matrix, b.matrix) - matmul(b.matrix, a.matrix))
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product a @ b of two matrices.
+
+    When exactly one factor is complex, the real and imaginary parts of the
+    result are each one real BLAS product: numpy would upcast the real
+    factor and run a complex product, twice the arithmetic.
+    """
+    if np.iscomplexobj(a) == np.iscomplexobj(b):
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]), dtype=complex)
+    if np.iscomplexobj(a):
+        np.matmul(a.real, b, out=out.real)
+        np.matmul(a.imag, b, out=out.imag)
+    else:
+        np.matmul(a, b.real, out=out.real)
+        np.matmul(a, b.imag, out=out.imag)
+    return out
+
+
+def rotate(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """V^dagger X V through :func:`matmul`; ``rotate(v.conj().T, x)`` is V X V^dagger."""
+    return matmul(matmul(v.conj().T, x), v)
 
 
 def op_norm(a) -> float:
@@ -202,7 +242,7 @@ def op_norm(a) -> float:
     The Hermiticity test is made once, with the stricter
     OP_NORM_HERMITIAN_TOL, so the solver does not repeat it.
     """
-    mat = _as_matrix(a)
+    mat = as_matrix(a)
     if mat.size == 0:
         return 0.0
     if is_hermitian_matrix(mat, OP_NORM_HERMITIAN_TOL):
@@ -210,12 +250,8 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
-def _as_matrix(a) -> np.ndarray:
-    return a.matrix if isinstance(a, DenseOperator) else np.asarray(a, dtype=complex)
-
-
 def check_unitary(u, tol: float = UNITARITY_TOL):
-    mat = _as_matrix(u)
+    mat = as_matrix(u)
     defect = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
     if defect > tol:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
@@ -224,11 +260,11 @@ def check_unitary(u, tol: float = UNITARITY_TOL):
 def unitary_conj(u, a):
     """U A U^{-1} for unitary U; preserves spectrum and trace."""
     check_unitary(u)
-    um = _as_matrix(u)
-    am = _as_matrix(a)
+    um = as_matrix(u)
+    am = as_matrix(a)
     if um.shape[0] != am.shape[0]:
         raise ValueError("dimension mismatch in unitary conjugation")
-    out = um @ am @ um.conj().T
+    out = rotate(um.conj().T, am)
     if isinstance(a, DenseOperator):
         return DenseOperator(a.sites, a.dims, out)
     return out
@@ -236,7 +272,7 @@ def unitary_conj(u, a):
 
 def _require_hermitian(a) -> np.ndarray:
     """The matrix of A, which must be Hermitian within HERMITICITY_TOL."""
-    mat = _as_matrix(a)
+    mat = as_matrix(a)
     if not is_hermitian_matrix(mat):
         raise ValueError("spectral decomposition requires a Hermitian matrix")
     return mat
@@ -272,8 +308,8 @@ def apply_function(a, phi: Callable[[float], float]):
     Exceptions raised by ``phi`` at an eigenvalue propagate to the caller.
     """
     w, v = spectral(a)
-    vals = np.array([phi(float(x)) for x in w], dtype=complex)
-    mat = (v * vals) @ v.conj().T
+    vals = np.array([phi(float(x)) for x in w])
+    mat = matmul(v * vals, v.conj().T)
     if isinstance(a, DenseOperator):
         return a.with_matrix(mat)
     return mat

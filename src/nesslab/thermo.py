@@ -30,7 +30,7 @@ class StateRep:
     density: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.density, dtype=complex)
+        mat = opalg.as_matrix(self.density)
         object.__setattr__(self, "density", mat)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
@@ -67,7 +67,7 @@ def _gibbs_density(w: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
     """exp(-beta H) / tr exp(-beta H) for H = v diag(w) v^dagger."""
     x = beta * w
     weights = np.exp(-(x - np.min(x)))
-    density = (v * weights) @ v.conj().T
+    density = opalg.matmul(v * weights, v.conj().T)
     density /= np.real(np.trace(density))
     return density
 
@@ -106,9 +106,9 @@ def kms_check(state: StateRep, h: DenseOperator, beta: float,
     w, v = opalg.spectral(h)
     if np.max(np.abs(_gibbs_density(w, v, beta) - state.density)) > opalg.KMS_STATE_TOL:
         raise ValueError("state was not generated from (H, beta); residual is meaningless")
-    a_t = v.conj().T @ a.matrix @ v
-    b_t = v.conj().T @ b.matrix @ v
-    rho_t = v.conj().T @ state.density @ v
+    a_t = opalg.rotate(v, a.matrix)
+    b_t = opalg.rotate(v, b.matrix)
+    rho_t = opalg.rotate(v, state.density)
     # analytically continued evolution of B in the eigenbasis
     b_shift = b_t * np.exp(-beta * (w[:, None] - w[None, :]))
     lhs = complex(np.trace(rho_t @ a_t @ b_shift))
@@ -126,11 +126,6 @@ def _averaging_kernel(phase: np.ndarray) -> np.ndarray:
     return np.exp(0.5j * phase) * np.sinc(phase / (2.0 * np.pi))
 
 
-def _rotate(v: np.ndarray, vh: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """V^dagger M V for the eigenvector matrix V (``vh`` is V^dagger)."""
-    return (vh @ mat) @ v
-
-
 def time_averaged_state(plan: EvolutionPlan, state: StateRep, horizon: float) -> StateRep:
     """The horizon average of the evolved state, exact in the horizon.
 
@@ -143,9 +138,9 @@ def time_averaged_state(plan: EvolutionPlan, state: StateRep, horizon: float) ->
         raise ValueError("horizon must be > 0")
     v = plan.basis
     w = plan.eigenvalues
-    rho_t = _rotate(v, v.conj().T, state.density)
+    rho_t = opalg.rotate(v, state.density)
     kernel = _averaging_kernel(horizon * (w[None, :] - w[:, None]))
-    averaged = v @ (rho_t * kernel) @ v.conj().T
+    averaged = opalg.rotate(v.conj().T, rho_t * kernel)
     averaged = 0.5 * (averaged + averaged.conj().T)
     return StateRep(state.sites, state.dims, averaged)
 
@@ -197,7 +192,9 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     The state (``initial_state(vols)`` unless given), the reservoir
     currents, ``G`` and the observables (operators on the whole volume) are
     rotated once into the eigenbasis of the plan's generator (``H_B``
-    unless given); every horizon is then an O(D^2) contraction. With
+    unless given) by :func:`opalg.rotate`, with real products wherever
+    the basis or the operator is real; every horizon is then an O(D^2)
+    contraction. With
     P_jk = s_jk x_kj for the rotated state s and operator x, and Bohr
     frequencies d_jk = w_k - w_j, the horizon average of <x> is
     sum_jk P_jk K(T d_jk) with the averaging kernel K, and the endpoint form
@@ -218,18 +215,17 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
         if x.sites != vols.sites:
             raise ValueError("observable volume does not match the built volume")
     v = plan.basis
-    vh = v.conj().T
     w = plan.eigenvalues
     upper = np.triu_indices(vols.dim, k=1)
     freq = w[upper[1]] - w[upper[0]]
 
-    sigma_t = _rotate(v, vh, (initial_state(vols) if state is None else state).density)
+    sigma_t = opalg.rotate(v, (initial_state(vols) if state is None else state).density)
     sigma_diag = np.diagonal(sigma_t).copy()
     sigma_upper = sigma_t[upper]
     del sigma_t
 
     def weight(x: DenseOperator) -> tuple[float, np.ndarray]:
-        x_t = _rotate(v, vh, x.matrix)
+        x_t = opalg.rotate(v, x.matrix)
         return (float(np.real(np.dot(sigma_diag, np.diagonal(x_t)))),
                 sigma_upper * x_t.T[upper])
 
@@ -241,7 +237,7 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     flux_weights = {a: weight(cur) for a, cur in sorted(vols.currents.items())}
     obs_weights = {key: weight(x) for key, x in observables.items()}
     _, g_upper = weight(vols.G)
-    del sigma_upper, vh
+    del sigma_upper
 
     perturbed = any(np.any(b.matrix) for b in vols.B_a.values())
     out = []

@@ -117,11 +117,7 @@ def build(spec: ModelSpec, volume: Iterable[int],
 
     h_res: dict[int, DenseOperator] = {}
     b_res: dict[int, DenseOperator] = {}
-    currents: dict[int, DenseOperator] = {}
-    # G accumulates in place, before the currents exist, to keep the peak low
-    g = np.zeros_like(h_b.matrix)
-    log_z = 0.0
-    g_norm = 0.0
+    blocks: dict[int, DenseOperator] = {}
     for a in spec.reservoirs:
         beta = spec.betas.get(a)
         if beta is None:
@@ -131,7 +127,16 @@ def build(spec: ModelSpec, volume: Iterable[int],
         b_res[a] = spec.term_sum(pert_terms[a], inside[a])
         if pert_terms[a]:
             h_b = h_b + opalg.embed(b_res[a], sites, dims)
-        block = beta * (h_res[a] + b_res[a])
+        blocks[a] = beta * (h_res[a] + b_res[a])
+
+    currents: dict[int, DenseOperator] = {}
+    # G accumulates in place, before the currents exist, to keep the peak low;
+    # it is complex only when some block is
+    g = np.zeros(h_b.matrix.shape,
+                 dtype=np.result_type(float, *(b.matrix for b in blocks.values())))
+    log_z = 0.0
+    g_norm = 0.0
+    for a, block in blocks.items():
         eigs = opalg.eigenvalues(block)
         log_z += float(logsumexp(-eigs))
         g_norm += float(eigs[-1])

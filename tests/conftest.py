@@ -65,7 +65,8 @@ def chain5():
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Every numpy/scipy eigh/eigvalsh call as (matrix dimension, calling file)."""
+    """Every numpy/scipy eigh/eigvalsh call as (matrix dimension, calling file,
+    matrix dtype)."""
     import numpy.linalg
     import scipy.linalg
 
@@ -73,7 +74,8 @@ def eigensolves(monkeypatch):
 
     def counted(fn):
         def solve(a, *args, **kwargs):
-            calls.append((np.shape(a)[-1], sys._getframe(1).f_code.co_filename))
+            calls.append((np.shape(a)[-1], sys._getframe(1).f_code.co_filename,
+                          np.asarray(a).dtype))
             return fn(a, *args, **kwargs)
         return solve
 

@@ -8,6 +8,10 @@ lift H_a, B_a and W to the volume, diagonalize the D x D weighted reservoir
 sum, G and W, commute H with H_a, and evolve G to the horizon endpoint, so
 each production value has an independent check.
 
+For the dynamics it holds the Heisenberg evolution through the matrix
+exponential and the derivation powers iterated in complex arithmetic, so the
+real-arithmetic routes of the library have a reference that never takes them.
+
 It also holds the independent constructions the library no longer carries:
 the initial state as an explicit product of per-reservoir Gibbs blocks, the
 interface part by the weighted per-site formula, and the horizon average by
@@ -15,6 +19,7 @@ composite Simpson quadrature of the exact evolution.
 """
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.special import logsumexp
 
 from nesslab import embed, exact_evolve, gibbs, make_plan, op_norm, time_averaged_state
@@ -150,3 +155,20 @@ def time_avg_expectation_quadrature(vols, state, a, horizon: float, panels: int 
     integral = (h / 3.0) * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
                             + 2.0 * vals[2:-2:2].sum())
     return float(integral / horizon)
+
+
+def heisenberg(h: DenseOperator, a: DenseOperator, t: float) -> np.ndarray:
+    """exp(i t H) a exp(-i t H) through the matrix exponential, in complex arithmetic."""
+    u = expm(1j * t * h.matrix.astype(complex))
+    return u @ a.matrix.astype(complex) @ u.conj().T
+
+
+def derivation_powers(h: DenseOperator, a: DenseOperator, order: int) -> list:
+    """[delta(a), ..., delta^order(a)] for delta = i[H, .], iterated in complex arithmetic."""
+    hm = h.matrix.astype(complex)
+    x = a.matrix.astype(complex)
+    out = []
+    for _ in range(order):
+        x = 1j * (hm @ x - x @ hm)
+        out.append(x)
+    return out

@@ -255,7 +255,7 @@ class TestEigensolveCount:
             eigensolves.clear()
             assert main(argv) == 0, argv
             assert eigensolves, argv
-            callers = {Path(f).parent.name + "/" + Path(f).name for _, f in eigensolves}
+            callers = {Path(f).parent.name + "/" + Path(f).name for _, f, _ in eigensolves}
             assert callers == {"nesslab/opalg.py"}, argv
 
 

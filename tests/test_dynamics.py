@@ -329,7 +329,7 @@ class TestConvergenceSweep:
         for i, sites in enumerate(exhaustion):
             dim = spec.volume_dim(sites)
             expected = 1 + 2 + (len(t_grid) + 3 if i else 0)
-            assert sum(d == dim for d, _ in eigensolves) == expected, sites
+            assert sum(d == dim for d, _, _ in eigensolves) == expected, sites
 
     def test_outside_radius_grid_computes_only_order_powers(self, chain5, monkeypatch):
         from nesslab import dynamics

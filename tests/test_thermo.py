@@ -135,7 +135,7 @@ class TestKms:
         tol = 1e-8 * op_norm(a) * op_norm(b)
         eigensolves.clear()
         residual = kms_check(state, vols.H_B, beta, a, b)
-        assert [dim for dim, _ in eigensolves] == [vols.dim]
+        assert [dim for dim, _, _ in eigensolves] == [vols.dim]
         assert residual <= tol
 
     def test_foreign_state_is_refused(self):
