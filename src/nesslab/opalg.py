@@ -215,17 +215,19 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     When exactly one factor is complex, the real and imaginary parts of the
     result are each one real BLAS product: numpy would upcast the real
-    factor and run a complex product, twice the arithmetic.
+    factor and run a complex product, twice the arithmetic. The parts of the
+    complex factor are copied to contiguous arrays first, because numpy
+    hands only unit-stride operands to BLAS.
     """
     if np.iscomplexobj(a) == np.iscomplexobj(b):
         return a @ b
     out = np.empty((a.shape[0], b.shape[1]), dtype=complex)
     if np.iscomplexobj(a):
-        np.matmul(a.real, b, out=out.real)
-        np.matmul(a.imag, b, out=out.imag)
+        out.real = np.ascontiguousarray(a.real) @ b
+        out.imag = np.ascontiguousarray(a.imag) @ b
     else:
-        np.matmul(a, b.real, out=out.real)
-        np.matmul(a, b.imag, out=out.imag)
+        out.real = a @ np.ascontiguousarray(b.real)
+        out.imag = a @ np.ascontiguousarray(b.imag)
     return out
 
 

@@ -420,21 +420,18 @@ def klein_check(a: np.ndarray, u: np.ndarray, phi: Callable[[float], float],
     tr(f(UAU^{-1}) - f(A) - (UAU^{-1} - A) phi(A)) >= 0 is evaluated too.
     Refuses phi that decreases somewhere on the sampled eigenvalues.
     """
-    a = np.asarray(a, dtype=complex)
+    a = opalg.as_matrix(a)
     w, v = opalg.spectral(a)  # refuses non-Hermitian A
-    opalg.check_unitary(u)
     a = 0.5 * (a + a.conj().T)
-    u = np.asarray(u, dtype=complex)
+    conj = opalg.unitary_conj(u, a)  # refuses non-unitary U
+    u = opalg.as_matrix(u)
 
     phi_vals = np.array([phi(float(x)) for x in w], dtype=float)
     if np.any(np.diff(phi_vals) < 0):
         raise ValueError("phi is not nondecreasing on the spectrum of A")
 
-    overlap = v.conj().T @ u @ v
-    c = np.abs(overlap) ** 2  # tr(E_k U E_l U^{-1}) for rank-one projections
-
-    conj = u @ a @ u.conj().T
-    phi_a = (v * phi_vals) @ v.conj().T
+    c = np.abs(opalg.rotate(v, u)) ** 2  # tr(E_k U E_l U^{-1}) for rank-one projections
+    phi_a = opalg.matmul(v * phi_vals, v.conj().T)
     lhs = float(np.real(np.trace(phi_a @ conj)))
     rhs = float(np.dot(phi_vals, w))
     n = a.shape[0]

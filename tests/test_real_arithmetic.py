@@ -106,6 +106,8 @@ def test_matmul_matches_the_upcast_product(a_complex, b_complex):
     assert out.dtype == (np.complex128 if a_complex or b_complex else np.float64)
     assert out.shape == (6, 5)
     assert _gap(out, a @ b) <= TOL
+    # transposed views are not C-contiguous, as in rotate's V^dagger factor
+    assert _gap(matmul(b.T, a.T), b.T @ a.T) <= TOL
 
 
 class TestRouteAgreement:
