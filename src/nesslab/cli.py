@@ -178,11 +178,9 @@ def cmd_simulate(args) -> int:
     rows = []
     for vol_idx, sites in enumerate(cfg.exhaustion):
         vols = volume.build(spec, sites, family)
-        lifted = {name: opalg.embed(x, vols.sites, vols.dims)
-                  for name, x in observables.items()}
         for t_horizon, (rep, averaged) in zip(
                 cfg.horizons, thermo.horizon_reports(vols, cfg.horizons,
-                                                     observables=lifted)):
+                                                     observables=observables)):
             row = [str(vol_idx), t_horizon]
             row += [rep.fluxes[a] for a in reservoirs]
             row += [rep.e, rep.e_telescoped, rep.sum_rule_residual, rep.tol_sum_rule]

@@ -32,8 +32,8 @@ class EvolutionPlan:
 
 
 def make_plan(generator: DenseOperator) -> EvolutionPlan:
-    if not generator.is_hermitian():
-        raise ValueError("evolution generator must be Hermitian")
+    """The eigendecomposition of ``generator``; :func:`opalg.spectral` raises
+    ValueError for a non-Hermitian one."""
     return EvolutionPlan(generator, *opalg.spectral(generator))
 
 

@@ -179,7 +179,10 @@ class ModelSpec:
         """The sum of ``terms``, each embedded into the ordered volume ``sites``.
 
         ``sites`` defaults to the union of the terms' supports, so no terms
-        give a 1x1 zero on no sites.
+        give a 1x1 zero on no sites. The sum is accumulated in place, term by
+        term through :func:`opalg.embed_add`, so the only volume-sized array
+        is the result; it equals the sum of the :func:`opalg.embed` of each
+        term, in term order, bitwise.
         """
         terms = tuple(terms)
         if sites is None:
@@ -190,7 +193,7 @@ class ModelSpec:
         ops = [self.term_operator(term) for term in terms]
         acc = np.zeros((dim, dim), dtype=np.result_type(float, *(op.matrix for op in ops)))
         for op in ops:
-            acc += opalg.embed(op, sites, dims).matrix
+            opalg.embed_add(acc, op, sites, dims)
         return opalg.DenseOperator(sites, dims, acc)
 
     def volume_dim(self, sites: Sequence[int]) -> int:

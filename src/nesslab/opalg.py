@@ -151,18 +151,10 @@ def zero(sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
     return DenseOperator(tuple(sites), tuple(dims), np.zeros((dim, dim)))
 
 
-def kron_embed(factors: Sequence[DenseOperator], sites: Sequence[int],
-               dims: Sequence[int]) -> DenseOperator:
-    """Tensor product of operators on disjoint volumes, placed into a volume.
-
-    The result acts as each factor on that factor's sites and as the
-    identity on the target sites no factor covers, under canonical
-    ascending-site ordering. Implemented as one Kronecker product in factor
-    order followed by one axis permutation of the reshaped tensor; no
-    permutation matrices are materialized.
-    """
-    sites = tuple(sites)
-    dims = tuple(dims)
+def _positions(factors: Sequence[DenseOperator], sites: tuple[int, ...],
+               dims: tuple[int, ...]) -> list[list[int]]:
+    """Each factor's site positions in the volume; the factors must act on
+    disjoint sites of the volume with matching local dimensions."""
     pos = {s: i for i, s in enumerate(sites)}
     order = [s for f in factors for s in f.sites]
     if len(set(order)) != len(order):
@@ -173,25 +165,21 @@ def kron_embed(factors: Sequence[DenseOperator], sites: Sequence[int],
         for s, d in zip(f.sites, f.dims):
             if dims[pos[s]] != d:
                 raise ValueError(f"local dimension mismatch at site {s}")
+    return [[pos[s] for s in f.sites] for f in factors]
 
-    covered = set(order)
-    rest = [s for s in sites if s not in covered]
-    mats = [f.matrix for f in factors]
-    if rest:
-        mats.append(np.eye(math.prod(dims[pos[s]] for s in rest),
-                           dtype=np.result_type(float, *mats)))
-    order += rest
-    full = mats[0] if mats else np.ones((1, 1))
-    for mat in mats[1:]:
-        full = np.kron(full, mat)
 
-    n = len(order)
-    axis = {s: i for i, s in enumerate(order)}
-    perm = [axis[s] for s in sites] + [n + axis[s] for s in sites]
-    order_dims = tuple(dims[pos[s]] for s in order)
+def kron_embed(factors: Sequence[DenseOperator], sites: Sequence[int],
+               dims: Sequence[int]) -> DenseOperator:
+    """Tensor product of operators on disjoint volumes, placed into a volume.
+
+    The result acts as each factor on that factor's sites and as the
+    identity on the target sites no factor covers, under canonical
+    ascending-site ordering: :func:`kron_apply` of the factors to the
+    identity of the volume.
+    """
     dim = math.prod(dims)
-    full = full.reshape(order_dims + order_dims).transpose(perm).reshape(dim, dim)
-    return DenseOperator(sites, dims, full)
+    return DenseOperator(tuple(sites), tuple(dims),
+                         kron_apply(factors, sites, dims, np.eye(dim)))
 
 
 def embed(op: DenseOperator, sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
@@ -199,9 +187,63 @@ def embed(op: DenseOperator, sites: Sequence[int], dims: Sequence[int]) -> Dense
 
     The target volume must contain the operator's volume; the result acts
     as ``op`` on the original factors and as the identity elsewhere, under
-    canonical ascending-site ordering (see :func:`kron_embed`).
+    canonical ascending-site ordering: :func:`embed_add` into a zero matrix.
     """
-    return kron_embed((op,), sites, dims)
+    dim = math.prod(dims)
+    acc = np.zeros((dim, dim), dtype=np.result_type(float, op.matrix))
+    embed_add(acc, op, sites, dims)
+    return DenseOperator(tuple(sites), tuple(dims), acc)
+
+
+def embed_add(acc: np.ndarray, op: DenseOperator, sites: Sequence[int],
+              dims: Sequence[int]) -> None:
+    """acc += embed(op, sites, dims).matrix, in place, without forming the embedding.
+
+    ``acc`` is a C-contiguous matrix on the volume. Reshaped to
+    ``dims + dims``, its entries that act as the identity on the sites
+    outside ``op`` form one writable strided view, indexed by those sites
+    and by the row and column indices of ``op``; ``op`` is added to it,
+    broadcast over the outside sites. Only the D d entries the embedding
+    does not leave zero are touched (d the dimension of ``op``).
+    """
+    sites = tuple(sites)
+    dims = tuple(dims)
+    if not acc.flags.c_contiguous:
+        raise ValueError("accumulator must be C-contiguous")
+    (axes,) = _positions((op,), sites, dims)
+    n = len(sites)
+    strides = acc.reshape(dims + dims).strides
+    rest = [i for i in range(n) if i not in axes]
+    view = np.lib.stride_tricks.as_strided(
+        acc,
+        shape=[dims[i] for i in rest] + [dims[i] for i in axes] * 2,
+        strides=([strides[i] + strides[n + i] for i in rest]
+                 + [strides[i] for i in axes] + [strides[n + i] for i in axes]),
+        writeable=True)
+    view += op.matrix.reshape(op.dims + op.dims)
+
+
+def kron_apply(factors: Sequence[DenseOperator], sites: Sequence[int],
+               dims: Sequence[int], v: np.ndarray) -> np.ndarray:
+    """kron_embed(factors, sites, dims).matrix @ v without forming the embedding.
+
+    Each factor is contracted with the row index of ``v`` along its own
+    site axes, moved to the front, at the cost of D d products per column
+    for a factor of dimension d, instead of the D^2 of a volume-sized
+    operator. Products go through :func:`matmul`, so a real ``v`` is never
+    upcast: a complex factor is split into its real and imaginary parts.
+    """
+    sites = tuple(sites)
+    dims = tuple(dims)
+    out = v
+    cols = v.shape[1]
+    for f, axes in zip(factors, _positions(factors, sites, dims)):
+        front = range(len(axes))
+        tensor = np.moveaxis(out.reshape(dims + (cols,)), axes, front)
+        moved = tensor.shape
+        out = matmul(f.matrix, tensor.reshape(f.dim, -1)).reshape(moved)
+        out = np.moveaxis(out, front, axes).reshape(-1, cols)
+    return out
 
 
 def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
@@ -211,23 +253,32 @@ def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The product a @ b of two matrices.
+    """The product a @ b of two matrices, or of stacks of them as ``@`` takes.
 
     When exactly one factor is complex, the real and imaginary parts of the
     result are each one real BLAS product: numpy would upcast the real
-    factor and run a complex product, twice the arithmetic. The parts of the
-    complex factor are copied to contiguous arrays first, because numpy
-    hands only unit-stride operands to BLAS.
+    factor and run a complex product, twice the arithmetic. A part that is
+    identically zero, as the real part of i times a real matrix, costs no
+    product at all. The parts of the complex factor are copied to contiguous
+    arrays first, because numpy hands only unit-stride operands to BLAS.
     """
     if np.iscomplexobj(a) == np.iscomplexobj(b):
         return a @ b
-    out = np.empty((a.shape[0], b.shape[1]), dtype=complex)
-    if np.iscomplexobj(a):
-        out.real = np.ascontiguousarray(a.real) @ b
-        out.imag = np.ascontiguousarray(a.imag) @ b
+    cplx = a if np.iscomplexobj(a) else b
+
+    def product(part: np.ndarray) -> np.ndarray:
+        part = np.ascontiguousarray(part)
+        return part @ b if cplx is a else a @ part
+
+    if not np.any(cplx.imag):
+        return product(cplx.real).astype(complex)
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    if np.any(cplx.real):
+        out = np.empty(shape, dtype=complex)
+        out.real = product(cplx.real)
     else:
-        out.real = a @ np.ascontiguousarray(b.real)
-        out.imag = a @ np.ascontiguousarray(b.imag)
+        out = np.zeros(shape, dtype=complex)
+    out.imag = product(cplx.imag)
     return out
 
 

@@ -9,6 +9,7 @@ with its doubly stochastic witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -72,6 +73,19 @@ def _gibbs_density(w: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
     return density
 
 
+def _gibbs_factors(vols: VolumeOperators) -> list[DenseOperator]:
+    """The tensor factors of exp(-G): the Gibbs state of each reservoir block
+    beta_a (H_a + B_a) on its reservoir's in-volume sites, and the normalized
+    identity on the remaining sites."""
+    factors = [b.with_matrix(gibbs(b, 1.0).density) for b in vols.blocks.values()]
+    covered = {s for f in factors for s in f.sites}
+    rest = tuple(s for s in vols.sites if s not in covered)
+    rest_dims = tuple(d for s, d in zip(vols.sites, vols.dims) if s not in covered)
+    rest_dim = math.prod(rest_dims)
+    factors.append(DenseOperator(rest, rest_dims, np.eye(rest_dim) / rest_dim))
+    return factors
+
+
 def initial_state(vols: VolumeOperators) -> StateRep:
     """The product state exp(-G): reservoirs at their own temperatures,
     normalized trace on the small system.
@@ -81,14 +95,7 @@ def initial_state(vols: VolumeOperators) -> StateRep:
     normalized identity on the remaining sites, so nothing of the volume's
     dimension is diagonalized.
     """
-    blocks = [vols.betas[a] * (vols.H_a[a] + vols.B_a[a]) for a in vols.H_a]
-    factors = [DenseOperator(b.sites, b.dims, gibbs(b, 1.0).density) for b in blocks]
-    covered = {s for f in factors for s in f.sites}
-    rest = tuple(s for s in vols.sites if s not in covered)
-    rest_dims = tuple(d for s, d in zip(vols.sites, vols.dims) if s not in covered)
-    rest_dim = math.prod(rest_dims)
-    factors.append(DenseOperator(rest, rest_dims, np.eye(rest_dim) / rest_dim))
-    density = opalg.kron_embed(factors, vols.sites, vols.dims).matrix
+    density = opalg.kron_embed(_gibbs_factors(vols), vols.sites, vols.dims).matrix
     return StateRep(vols.sites, vols.dims, density)
 
 
@@ -116,14 +123,27 @@ def kms_check(state: StateRep, h: DenseOperator, beta: float,
     return float(abs(lhs - rhs))
 
 
-def _averaging_kernel(phase: np.ndarray) -> np.ndarray:
-    """(1/T) integral of e^{i t d} over [0, T], as a function of x = T d.
+def _horizon_kernels(half: np.ndarray, endpoint: bool = True) -> np.ndarray:
+    """Re K and Im K at x = 2 half, then Re expm1(ix) and Im expm1(ix) if
+    ``endpoint``, stacked.
 
-    Evaluated as e^{ix/2} sinc(x/2), which equals (e^{ix} - 1)/(ix) with no
-    cancellation at small x: exact to roundoff for every Bohr frequency,
-    with the removable singularity K(0) = 1.
+    K(x) = (e^{ix} - 1)/(ix) is (1/T) times the integral of e^{i t d} over
+    [0, T] at x = T d, the averaging kernel, and expm1(ix) = e^{ix} - 1 the
+    endpoint factor. With s = sin(x/2) and c = cos(x/2), K = e^{ix/2}
+    sinc(x/2) is c sinc + i s sinc and expm1(ix) is -2 s^2 + 2i s c: one
+    sine and one cosine per frequency, with no cancellation at small x, so
+    every Bohr frequency is exact to roundoff; K(0) = 1 and expm1(0) = 0.
     """
-    return np.exp(0.5j * phase) * np.sinc(phase / (2.0 * np.pi))
+    s = np.sin(half)
+    c = np.cos(half)
+    sinc = np.divide(s, half, out=np.ones_like(half), where=half != 0)
+    out = np.empty((4 if endpoint else 2,) + half.shape)
+    np.multiply(c, sinc, out=out[0])
+    np.multiply(s, sinc, out=out[1])
+    if endpoint:
+        np.multiply(-2.0 * s, s, out=out[2])
+        np.multiply(2.0 * s, c, out=out[3])
+    return out
 
 
 def time_averaged_state(plan: EvolutionPlan, state: StateRep, horizon: float) -> StateRep:
@@ -139,7 +159,9 @@ def time_averaged_state(plan: EvolutionPlan, state: StateRep, horizon: float) ->
     v = plan.basis
     w = plan.eigenvalues
     rho_t = opalg.rotate(v, state.density)
-    kernel = _averaging_kernel(horizon * (w[None, :] - w[:, None]))
+    kernel = np.empty(rho_t.shape, dtype=complex)
+    kernel.real, kernel.imag = _horizon_kernels(0.5 * horizon * (w[None, :] - w[:, None]),
+                                                endpoint=False)
     averaged = opalg.rotate(v.conj().T, rho_t * kernel)
     averaged = 0.5 * (averaged + averaged.conj().T)
     return StateRep(state.sites, state.dims, averaged)
@@ -184,25 +206,29 @@ class EntropyReport:
 
 def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
                     plan: EvolutionPlan | None = None,
-                    state: StateRep | None = None,
                     observables: Mapping[Hashable, DenseOperator] | None = None,
                     ) -> list[tuple[EntropyReport, dict[Hashable, float]]]:
     """Entropy reports and averaged observables for every horizon.
 
-    The state (``initial_state(vols)`` unless given), the reservoir
-    currents, ``G`` and the observables (operators on the whole volume) are
-    rotated once into the eigenbasis of the plan's generator (``H_B``
-    unless given) by :func:`opalg.rotate`, with real products wherever
-    the basis or the operator is real; every horizon is then an O(D^2)
-    contraction. With
-    P_jk = s_jk x_kj for the rotated state s and operator x, and Bohr
-    frequencies d_jk = w_k - w_j, the horizon average of <x> is
-    sum_jk P_jk K(T d_jk) with the averaging kernel K, and the endpoint form
-    of the entropy production is
-    e_telescoped = (1/T) Re sum_jk P^G_jk expm1(i T d_jk), the relative
-    entropy of the evolved state to the initial one divided by T. P is
-    conjugate-symmetric, K(0) = 1 and expm1(0) = 0, so each weight is kept
-    as its diagonal sum plus its packed strict upper triangle.
+    Every quantity is an expectation in the initial state exp(-G) of an
+    operator X that is local or a sum or product of local blocks: the
+    state itself (the reservoir Gibbs factors and the normalized identity),
+    G (the blocks beta_a (H_a + B_a) plus log Z), the reservoir currents
+    and the observables, each given on its own sites or on the whole
+    volume. Each is rotated once into the eigenbasis V of the plan's
+    generator (``H_B`` unless given): X V is contracted from the local
+    factors along V's site axes (:func:`opalg.kron_apply`), so the rotation
+    V^dagger (X V) is one volume-sized product. With P_jk = s_jk x_kj for
+    the rotated state s and operator x, and Bohr frequencies
+    d_jk = w_k - w_j, the horizon average of <x> is sum_jk P_jk K(T d_jk)
+    with the averaging kernel K, and the endpoint form of the entropy
+    production is e_telescoped = (1/T) Re sum_jk P^G_jk expm1(i T d_jk),
+    the relative entropy of the evolved state to the initial one divided
+    by T. P is conjugate-symmetric, K(0) = 1 and expm1(0) = 0, so each
+    weight is kept as its diagonal sum plus the real and imaginary parts of
+    its packed strict upper triangle, and each horizon is one sine and one
+    cosine per frequency (:func:`_horizon_kernels`) and two matrix-vector
+    products.
 
     Returns one (report, {key: average}) pair per horizon, in order.
     """
@@ -211,42 +237,54 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     if plan is None:
         plan = make_plan(vols.H_B)
     observables = {} if observables is None else observables
-    for x in observables.values():
-        if x.sites != vols.sites:
-            raise ValueError("observable volume does not match the built volume")
     v = plan.basis
+    v_dagger = v.conj().T
     w = plan.eigenvalues
-    upper = np.triu_indices(vols.dim, k=1)
-    freq = w[upper[1]] - w[upper[0]]
+    upper = np.triu(np.ones((vols.dim, vols.dim), dtype=bool), k=1)
+    half_freq = 0.5 * (w[None, :] - w[:, None])[upper]
 
-    sigma_t = opalg.rotate(v, (initial_state(vols) if state is None else state).density)
+    def rotated(factors: Sequence[DenseOperator]) -> np.ndarray:
+        return opalg.matmul(v_dagger, opalg.kron_apply(factors, vols.sites, vols.dims, v))
+
+    sigma_t = rotated(_gibbs_factors(vols))
     sigma_diag = np.diagonal(sigma_t).copy()
     sigma_upper = sigma_t[upper]
     del sigma_t
 
-    def weight(x: DenseOperator) -> tuple[float, np.ndarray]:
-        x_t = opalg.rotate(v, x.matrix)
-        return (float(np.real(np.dot(sigma_diag, np.diagonal(x_t)))),
-                sigma_upper * x_t.T[upper])
+    def weight(x_t: np.ndarray, out: np.ndarray) -> float:
+        """Rows Re, -Im of the packed P into ``out``; returns the diagonal sum."""
+        p = sigma_upper * x_t.T[upper]
+        out[0] = p.real
+        out[1] = -p.imag if np.iscomplexobj(p) else 0.0
+        return float(np.real(np.dot(sigma_diag, np.diagonal(x_t))))
 
-    def contract(wt: tuple[float, np.ndarray], kernel: np.ndarray) -> float:
-        diag, off = wt
-        return diag + 2.0 * float(np.real(np.dot(off, kernel)))
-
-    # only the packed weights outlive this point, not the rotated matrices
-    flux_weights = {a: weight(cur) for a, cur in sorted(vols.currents.items())}
-    obs_weights = {key: weight(x) for key, x in observables.items()}
-    _, g_upper = weight(vols.G)
-    del sigma_upper
+    # one rotated matrix at a time; only the packed weights outlive it
+    reservoirs = sorted(vols.currents)
+    operators = [vols.currents[a] for a in reservoirs] + list(observables.values())
+    rows = np.empty((len(operators), 2, half_freq.size))
+    diag = np.empty(len(operators))
+    for k, x in enumerate(operators):
+        diag[k] = weight(rotated([x]), rows[k])
+    # G V without the constant log Z, which drops out of the strict upper
+    # triangle the endpoint form reads
+    g_v = functools.reduce(np.add, (opalg.kron_apply([b], vols.sites, vols.dims, v)
+                                    for b in vols.blocks.values()))
+    g_rows = np.empty((2, half_freq.size))
+    weight(opalg.matmul(v_dagger, g_v), g_rows)
+    del g_v, sigma_upper
+    rows = rows.reshape(len(operators), -1)
+    g_rows = g_rows.reshape(-1)
 
     perturbed = any(np.any(b.matrix) for b in vols.B_a.values())
     out = []
     for horizon in horizons:
-        phase = horizon * freq
-        kernel = _averaging_kernel(phase)
-        fluxes = {a: contract(wt, kernel) for a, wt in flux_weights.items()}
+        kernels = _horizon_kernels(horizon * half_freq)
+        values = diag + 2.0 * (rows @ kernels[:2].reshape(-1))
+        fluxes = {a: float(values[i]) for i, a in enumerate(reservoirs)}
+        averages = {key: float(values[len(reservoirs) + i])
+                    for i, key in enumerate(observables)}
         e = sum(vols.betas[a] * f for a, f in fluxes.items())
-        e_tel = 2.0 * float(np.real(np.dot(g_upper, np.expm1(1j * phase)))) / horizon
+        e_tel = 2.0 * float(g_rows @ kernels[2:].reshape(-1)) / horizon
         report = EntropyReport(
             horizon=float(horizon),
             fluxes=fluxes,
@@ -258,23 +296,22 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
             w_norm=float(vols.w_norm),
             perturbed=perturbed,
         )
-        out.append((report, {key: contract(wt, kernel) for key, wt in obs_weights.items()}))
+        out.append((report, averages))
     return out
 
 
 def entropy_production(vols: VolumeOperators, horizon: float,
-                       plan: EvolutionPlan | None = None,
-                       state: StateRep | None = None) -> EntropyReport:
+                       plan: EvolutionPlan | None = None) -> EntropyReport:
     """Entropy production by two routes over one averaging horizon.
 
     Route one averages the reservoir current operators against the
-    time-averaged initial product state and weights them by the inverse
-    temperatures. Route two evaluates the weighted exponent at the horizon
-    endpoints. The endpoint route is nonnegative exactly (up to roundoff
-    in units of the exponent's norm), for every volume and horizon. A
-    one-horizon call of :func:`horizon_reports`.
+    time-averaged initial product state exp(-G) and weights them by the
+    inverse temperatures. Route two evaluates the weighted exponent G at the
+    horizon endpoints. The endpoint route is nonnegative exactly (up to
+    roundoff in units of the exponent's norm), for every volume and
+    horizon. A one-horizon call of :func:`horizon_reports`.
     """
-    return horizon_reports(vols, (horizon,), plan=plan, state=state)[0][0]
+    return horizon_reports(vols, (horizon,), plan=plan)[0][0]
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 Given a model and a volume (a subset of sites containing the small system),
 this builds the generator of the dynamics (the volume Hamiltonian plus the
 reservoir perturbations), the per-reservoir Hamiltonians and perturbations,
-the normalized exponent whose exponential is the initial product state, the
-interface operator made of the terms inside no single reservoir, and the
-reservoir energy-current operators. Terms straddling the volume boundary
-are dropped (strict containment) and counted in the build log.
+the normalization of the weighted exponent whose exponential is the initial
+product state, the interface operator made of the terms inside no single
+reservoir, and the reservoir energy-current operators. Only the generator is
+volume-sized; every other operator stays on its own sites. Terms straddling
+the volume boundary are dropped (strict containment) and counted in the
+build log.
 """
 
 from __future__ import annotations
@@ -27,22 +29,24 @@ from .opalg import DenseOperator
 class VolumeOperators:
     """All assembled operators for one finite volume.
 
-    ``H_B`` is the generator of the finite-volume dynamics (the volume
-    Hamiltonian plus the reservoir perturbations), ``G`` the normalized
-    weighted exponent (so exp(-G) has unit trace) and ``currents[a]`` the
-    rate-of-energy operator i[H, H_a] of reservoir ``a``. These are the only
-    volume-sized fields.
+    ``H_B``, the generator of the finite-volume dynamics (the volume
+    Hamiltonian plus the reservoir perturbations), is the only volume-sized
+    field. Every other operator lives on its own sites: ``H_a[a]`` and
+    ``B_a[a]``, the Hamiltonian and perturbation of reservoir ``a``, on that
+    reservoir's in-volume sites; ``W``, the interface part H - sum_a H_a, on
+    the joint support of the in-volume terms that lie inside no single
+    reservoir; and ``currents[a]``, the rate-of-energy operator
+    i[H, H_a] = i[W, H_a] of reservoir ``a``, on the union of the sites of
+    ``W`` and of reservoir ``a``. An operator with no such site is a 1x1
+    zero on no sites. ``opalg.embed(op, vols.sites, vols.dims)`` lifts any
+    of them to the volume.
 
-    Every other operator lives on its own sites: ``H_a[a]`` and ``B_a[a]``,
-    the Hamiltonian and perturbation of reservoir ``a``, on that reservoir's
-    in-volume sites, and ``W``, the interface part H - sum_a H_a, on the
-    joint support of the in-volume terms that lie inside no single
-    reservoir; an operator with no such site is a 1x1 zero on no sites.
-    ``opalg.embed(op, vols.sites, vols.dims)`` lifts any of them to the
-    volume. ``G`` is sum_a beta_a (H_a + B_a) plus log Z, so exp(-G) is the
-    tensor product of the reservoirs' Gibbs states and the normalized trace
-    on the remaining sites. ``g_norm`` and ``w_norm`` are the operator norms
-    of ``G`` and ``W``. All fields are Hermitian.
+    The normalized weighted exponent is G = sum_a beta_a (H_a + B_a) +
+    ``log_z``, with the commuting ``blocks`` beta_a (H_a + B_a) on disjoint
+    sites, so exp(-G) is the tensor product of the reservoirs' Gibbs states
+    and the normalized trace on the remaining sites. ``g_norm`` and
+    ``w_norm`` are the operator norms of G and ``W``. All operators are
+    Hermitian.
     """
 
     sites: tuple[int, ...]
@@ -50,7 +54,7 @@ class VolumeOperators:
     H_a: Mapping[int, DenseOperator]
     B_a: Mapping[int, DenseOperator]
     H_B: DenseOperator
-    G: DenseOperator
+    log_z: float
     W: DenseOperator
     currents: Mapping[int, DenseOperator]
     betas: Mapping[int, float]
@@ -66,6 +70,11 @@ class VolumeOperators:
     def reservoirs(self) -> tuple[int, ...]:
         return tuple(sorted(self.H_a))
 
+    @property
+    def blocks(self) -> dict[int, DenseOperator]:
+        """beta_a (H_a + B_a) for each reservoir, on its in-volume sites."""
+        return {a: self.betas[a] * (self.H_a[a] + self.B_a[a]) for a in self.reservoirs}
+
 
 def build(spec: ModelSpec, volume: Iterable[int],
           perturbation: PerturbationFamily | None = None) -> VolumeOperators:
@@ -76,11 +85,14 @@ def build(spec: ModelSpec, volume: Iterable[int],
     reported in the build log; perturbation terms must each sit inside a
     single reservoir or the build fails.
 
-    Nothing here diagonalizes a volume-sized matrix: log Z and ``g_norm``
-    come from the spectra of the per-reservoir blocks, ``w_norm`` from the
-    interface terms on their joint support, and each current i[W, H_a]
-    (equal to i[H, H_a], since the reservoir blocks commute) is formed on
-    the union of the interface and reservoir supports before embedding.
+    ``H_B`` is the one volume-sized array: :meth:`ModelSpec.term_sum` adds
+    the in-volume terms and then the perturbation terms into it in place.
+    Nothing here diagonalizes or multiplies a volume-sized matrix: log Z and
+    ``g_norm`` come from the spectra of the per-reservoir blocks,
+    ``w_norm`` from the interface terms on their joint support, and each
+    current i[W, H_a] (equal to i[H, H_a], since the reservoir blocks
+    commute) is formed and kept on the union of the interface and reservoir
+    supports.
     """
     family = ZERO_FAMILY if perturbation is None else perturbation
     sites = tuple(sorted(set(volume)))
@@ -93,7 +105,6 @@ def build(spec: ModelSpec, volume: Iterable[int],
     log: list[str] = [f"volume sites={list(sites)} dim={int(np.prod(dims))}"]
 
     in_volume = [t for t in spec.terms if set(t.support) <= set(sites)]
-    h_b = spec.term_sum(in_volume, sites)
     log.append(f"interaction terms dropped at the boundary: {len(spec.terms) - len(in_volume)}")
 
     inside = {a: spec.regions.sites_in(a) & set(sites) for a in spec.reservoirs}
@@ -110,6 +121,8 @@ def build(spec: ModelSpec, volume: Iterable[int],
         else:
             dropped_pert += 1
     log.append(f"perturbation terms dropped at the boundary: {dropped_pert}")
+    h_b = spec.term_sum(in_volume + [t for a in spec.reservoirs for t in pert_terms[a]],
+                        sites)
 
     interface = [t for t in in_volume
                  if not any(set(t.support) <= inside[a] for a in spec.reservoirs)]
@@ -117,7 +130,9 @@ def build(spec: ModelSpec, volume: Iterable[int],
 
     h_res: dict[int, DenseOperator] = {}
     b_res: dict[int, DenseOperator] = {}
-    blocks: dict[int, DenseOperator] = {}
+    currents: dict[int, DenseOperator] = {}
+    log_z = 0.0
+    g_norm = 0.0
     for a in spec.reservoirs:
         beta = spec.betas.get(a)
         if beta is None:
@@ -125,37 +140,22 @@ def build(spec: ModelSpec, volume: Iterable[int],
         h_res[a] = spec.term_sum([t for t in in_volume if set(t.support) <= inside[a]],
                                  inside[a])
         b_res[a] = spec.term_sum(pert_terms[a], inside[a])
-        if pert_terms[a]:
-            h_b = h_b + opalg.embed(b_res[a], sites, dims)
-        blocks[a] = beta * (h_res[a] + b_res[a])
-
-    currents: dict[int, DenseOperator] = {}
-    # G accumulates in place, before the currents exist, to keep the peak low;
-    # it is complex only when some block is
-    g = np.zeros(h_b.matrix.shape,
-                 dtype=np.result_type(float, *(b.matrix for b in blocks.values())))
-    log_z = 0.0
-    g_norm = 0.0
-    for a, block in blocks.items():
-        eigs = opalg.eigenvalues(block)
+        eigs = opalg.eigenvalues(beta * (h_res[a] + b_res[a]))
         log_z += float(logsumexp(-eigs))
         g_norm += float(eigs[-1])
-        g += opalg.embed(block, sites, dims).matrix
         joint = tuple(sorted(set(w_op.sites) | inside[a]))
         joint_dims = spec.dims_for(joint)
-        local = 1j * opalg.commutator(opalg.embed(w_op, joint, joint_dims),
-                                      opalg.embed(h_res[a], joint, joint_dims))
-        currents[a] = opalg.embed(local, sites, dims)
+        currents[a] = 1j * opalg.commutator(opalg.embed(w_op, joint, joint_dims),
+                                            opalg.embed(h_res[a], joint, joint_dims))
 
     covered = set().union(*inside.values())
-    # normalization constant folded into G so that exp(-G) has unit trace;
-    # G's eigenvalues are nonnegative, so its norm is its largest eigenvalue
+    # normalization constant of G, so that exp(-G) has unit trace; G's
+    # eigenvalues are nonnegative, so its norm is its largest eigenvalue
     log_z += math.log(math.prod(d for s, d in zip(sites, dims) if s not in covered))
     g_norm += log_z
-    g[np.diag_indices_from(g)] += log_z
 
     return VolumeOperators(
-        sites=sites, dims=dims, H_a=h_res, B_a=b_res, H_B=h_b, G=h_b.with_matrix(g), W=w_op,
+        sites=sites, dims=dims, H_a=h_res, B_a=b_res, H_B=h_b, log_z=log_z, W=w_op,
         currents=currents, betas=dict(spec.betas), g_norm=g_norm,
         w_norm=opalg.op_norm(w_op), log=tuple(log),
     )
@@ -175,6 +175,7 @@ def current_bound_check(spec: ModelSpec, volume: Iterable[int]) -> CurrentBoundR
     vols = build(spec, volume)
     norm_phi = lambda_norm(spec)
     bound = 2.0 * len(spec.small_system) * np.exp(spec.lam) * norm_phi**2 / spec.lam
+    # each current on its own sites: embedding is isometric
     norms = {a: opalg.op_norm(c) for a, c in vols.currents.items()}
     return CurrentBoundReport(norms=norms, bound=float(bound),
                               ok=all(v <= bound + opalg.CURRENT_BOUND_SLACK

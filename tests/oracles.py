@@ -1,12 +1,14 @@
 """Full-dimension reference routes for values the library takes shortcuts to.
 
 The library gets the initial state, log Z and the norms of G and W from the
-per-reservoir blocks and the interface terms, forms the currents on the
+per-reservoir blocks and the interface terms, keeps the currents on the
 interface and reservoir supports, and contracts every horizon in the
-eigenbasis of H_B. The routes here work on the whole volume instead: they
-lift H_a, B_a and W to the volume, diagonalize the D x D weighted reservoir
-sum, G and W, commute H with H_a, and evolve G to the horizon endpoint, so
-each production value has an independent check.
+eigenbasis of H_B with a sine/cosine kernel. The routes here work on the
+whole volume instead: they lift H_a, B_a, W and the currents to the volume,
+diagonalize the D x D weighted reservoir sum, G and W, commute H with H_a,
+and evolve G to the horizon endpoint, so each production value has an
+independent check. The averaging kernel and the endpoint factor are also
+kept in the complex form the library used before, as references.
 
 For the dynamics it holds the Heisenberg evolution through the matrix
 exponential and the derivation powers iterated in complex arithmetic, so the
@@ -82,18 +84,36 @@ def currents(vols) -> dict:
     return out
 
 
+def exponent_operator(vols) -> DenseOperator:
+    """:func:`exponent` as an operator on the volume."""
+    return DenseOperator(vols.sites, vols.dims, exponent(vols))
+
+
 def horizon_values(vols, plan, sigma, horizon: float) -> tuple[dict, float]:
     """Fluxes from the averaged state and e_telescoped from the evolved G.
 
-    The fluxes are expectations of the currents in the D x D time-averaged
-    state; e_telescoped is (<G(T)> - <G>) / T with G(T) the exact
-    Heisenberg evolution of G.
+    The fluxes are expectations of the currents, lifted to the volume, in
+    the D x D time-averaged state; e_telescoped is (<G(T)> - <G>) / T with
+    G the full-D :func:`exponent` and G(T) its exact Heisenberg evolution.
     """
     averaged = time_averaged_state(plan, sigma, horizon)
-    fluxes = {a: averaged.expectation(cur) for a, cur in sorted(vols.currents.items())}
-    g_end = exact_evolve(plan, vols.G, horizon)
-    e_tel = (sigma.expectation(g_end) - sigma.expectation(vols.G)) / horizon
+    fluxes = {a: averaged.expectation(embed(cur, vols.sites, vols.dims))
+              for a, cur in sorted(vols.currents.items())}
+    g = exponent_operator(vols)
+    g_end = exact_evolve(plan, g, horizon)
+    e_tel = (sigma.expectation(g_end) - sigma.expectation(g)) / horizon
     return fluxes, e_tel
+
+
+def averaging_kernel(x):
+    """K(x) = (e^{ix} - 1)/(ix) as e^{ix/2} sinc(x/2), in complex arithmetic."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
+
+
+def endpoint_factor(x):
+    """e^{ix} - 1 through the complex expm1."""
+    return np.expm1(1j * np.asarray(x, dtype=float))
 
 
 def product_initial_state(spec, volume, perturbation=None) -> StateRep:

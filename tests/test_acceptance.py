@@ -26,7 +26,6 @@ from nesslab import (
     exact_evolve,
     gibbs,
     heat_direction_check,
-    initial_state,
     kms_check,
     lambda_norm,
     make_plan,
@@ -134,9 +133,7 @@ class ModelRun:
         self.family = family
         self.vols = build(spec, spec.site_ids, family)
         self.plan = make_plan(self.vols.H_B)
-        self.sigma = initial_state(self.vols)
-        self.reports = {t: entropy_production(self.vols, t, plan=self.plan,
-                                               state=self.sigma)
+        self.reports = {t: entropy_production(self.vols, t, plan=self.plan)
                         for t in HORIZONS}
 
 
@@ -213,8 +210,8 @@ def test_criterion_04_sum_rule(batch):
     for run in batch["runs"][:4]:
         if run.family is not None:
             continue
-        shorter = entropy_production(run.vols, 10.0, plan=run.plan, state=run.sigma)
-        longer = entropy_production(run.vols, 20.0, plan=run.plan, state=run.sigma)
+        shorter = entropy_production(run.vols, 10.0, plan=run.plan)
+        longer = entropy_production(run.vols, 20.0, plan=run.plan)
         assert longer.tol_sum_rule == pytest.approx(shorter.tol_sum_rule / 2.0, rel=1e-12)
         assert abs(shorter.sum_rule_residual) <= shorter.tol_sum_rule + 1e-10
         assert abs(longer.sum_rule_residual) <= longer.tol_sum_rule + 1e-10
@@ -248,8 +245,7 @@ def test_criterion_06_equal_temperature_decay():
                       coup=0.8075, field=0.2753, anis=0.2166)
     vols = build(spec, range(4))
     plan = make_plan(vols.H_B)
-    sigma = initial_state(vols)
-    values = {t: entropy_production(vols, t, plan=plan, state=sigma).e_telescoped
+    values = {t: entropy_production(vols, t, plan=plan).e_telescoped
               for t in (5.0, 10.0, 20.0, 40.0, 80.0)}
     for t in (5.0, 10.0, 20.0, 40.0):
         decayed = abs(values[2 * t]) <= 0.67 * abs(values[t])

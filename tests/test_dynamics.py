@@ -24,6 +24,7 @@ from nesslab import (
 )
 from nesslab.dynamics import derivation_growth_bound
 from nesslab.model import PerturbationEntry, PerturbationFamily
+from nesslab import opalg
 from nesslab.opalg import identity
 
 import oracles
@@ -148,6 +149,26 @@ class TestExactEvolve:
         plan = qubit_plan()
         with pytest.raises(ValueError):
             exact_evolve(plan, DenseOperator((1,), (2,), SX), 0.1)
+
+
+class TestMakePlan:
+    def test_checks_hermiticity_once(self, chain5, monkeypatch):
+        calls = []
+        check = opalg.is_hermitian_matrix
+
+        def counted(mat, *args, **kwargs):
+            calls.append(np.shape(mat))
+            return check(mat, *args, **kwargs)
+
+        monkeypatch.setattr(opalg, "is_hermitian_matrix", counted)
+        h_b = build(chain5, range(5)).H_B
+        calls.clear()
+        make_plan(h_b)
+        assert calls == [(32, 32)]
+
+    def test_non_hermitian_generator_refused(self):
+        with pytest.raises(ValueError):
+            make_plan(DenseOperator((0,), (2,), np.array([[0.0, 1.0], [0.0, 0.0]])))
 
 
 class TestDysonEvolve:

@@ -20,9 +20,10 @@ from nesslab import (
     tail_norm,
     validate,
 )
+from nesslab import opalg
 from nesslab.model import PerturbationEntry, PerturbationFamily, interaction_lambda_norm
 
-from conftest import SX, SZ, make_chain
+from conftest import SX, SZ, make_chain, random_hermitian
 
 
 def brute_lambda_norm(spec):
@@ -201,6 +202,30 @@ class TestRedraw:
     def test_unknown_sites_rejected(self, chain5):
         with pytest.raises(ValueError):
             redraw(chain5, {2, 9})
+
+
+class TestTermSum:
+    def test_equals_the_sum_of_embeds_bitwise(self):
+        # non-adjacent supports, local dimensions 2 and 3, complex terms
+        rng = np.random.default_rng(23)
+        dims = {0: 2, 1: 3, 2: 2, 3: 3, 4: 2}
+        terms = (InteractionTerm((0, 2), random_hermitian(rng, 4)),
+                 InteractionTerm((1, 4), random_hermitian(rng, 6)),
+                 InteractionTerm((3,), random_hermitian(rng, 3).real + 0j),
+                 InteractionTerm((0, 1, 3), random_hermitian(rng, 18)),
+                 InteractionTerm((2, 3), random_hermitian(rng, 6)))
+        spec = ModelSpec(tuple(SiteSpec(i, d) for i, d in dims.items()),
+                         RegionMap({0: 1, 1: 1, 2: 0, 3: 2, 4: 2}), terms, 0.5,
+                         {1: 1.0, 2: 2.0})
+        for sites in [(0, 1, 2, 3, 4), (0, 1, 2, 3)]:
+            inside = [t for t in spec.terms if set(t.support) <= set(sites)]
+            dense = np.zeros((spec.volume_dim(sites),) * 2, dtype=complex)
+            for term in inside:
+                dense = dense + opalg.embed(spec.term_operator(term), sites,
+                                            spec.dims_for(sites)).matrix
+            got = spec.term_sum(inside, sites)
+            assert got.matrix.dtype == np.complex128
+            np.testing.assert_array_equal(got.matrix, dense)
 
 
 class TestModelStructure:

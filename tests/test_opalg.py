@@ -115,6 +115,64 @@ class TestKronEmbed:
             kron_embed((a, b), (0, 1), (2, 2))
 
 
+class TestKronApply:
+    """kron_apply(factors, ...) against the product of the factors' dense
+    embeddings, applied to v."""
+
+    SITES, DIMS = (0, 1, 2, 3), (2, 3, 2, 2)
+
+    def _factors(self, rng, cplx):
+        def mat(n):
+            return random_hermitian(rng, n) if cplx else random_hermitian(rng, n).real
+        return {"leading": (DenseOperator((0, 1), (2, 3), mat(6)),),
+                "trailing": (DenseOperator((3,), (2,), mat(2)),),
+                "interleaved": (DenseOperator((0, 2), (2, 2), mat(4)),
+                                DenseOperator((1,), (3,), mat(3))),
+                "whole-volume": (DenseOperator(self.SITES, self.DIMS, mat(24)),),
+                "no-sites": (DenseOperator((), (), np.full((1, 1), 0.5)),)}
+
+    @pytest.mark.parametrize("factor_complex", [False, True], ids=["real-op", "complex-op"])
+    @pytest.mark.parametrize("v_complex", [False, True], ids=["real-v", "complex-v"])
+    def test_matches_the_dense_product(self, factor_complex, v_complex):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((24, 24))
+        if v_complex:
+            v = v + 1j * rng.standard_normal((24, 24))
+        for name, factors in self._factors(rng, factor_complex).items():
+            out = opalg.kron_apply(factors, self.SITES, self.DIMS, v)
+            dense = np.eye(24)
+            for f in factors:
+                dense = dense @ embed(f, self.SITES, self.DIMS).matrix
+            expected = dense @ v
+            assert out.dtype == expected.dtype, name
+            np.testing.assert_allclose(out, expected, atol=1e-13, err_msg=name)
+
+    def test_rejects_what_kron_embed_rejects(self):
+        v = np.eye(4)
+        with pytest.raises(ValueError):
+            opalg.kron_apply((DenseOperator((1,), (2,), SX),), (0, 2), (2, 2), v)
+        with pytest.raises(ValueError):
+            opalg.kron_apply((DenseOperator((0, 1), (2, 2), np.eye(4)),
+                              DenseOperator((1,), (2,), SX)), (0, 1), (2, 2), v)
+
+
+class TestEmbedAdd:
+    def test_adds_the_embedding_in_place(self):
+        rng = np.random.default_rng(8)
+        sites, dims = (0, 1, 2, 3), (2, 3, 2, 3)
+        acc = random_hermitian(rng, 36)
+        start = acc.copy()
+        op = DenseOperator((1, 3), (3, 3), random_hermitian(rng, 9))
+        opalg.embed_add(acc, op, sites, dims)
+        lifted = embed_via_permutation(op.matrix, op.sites, sites, dict(zip(sites, dims)))
+        np.testing.assert_array_equal(acc, start + lifted)
+
+    def test_real_accumulator_refuses_a_complex_term(self):
+        acc = np.zeros((4, 4))
+        with pytest.raises(TypeError):
+            opalg.embed_add(acc, DenseOperator((0,), (2,), SY), (0, 1), (2, 2))
+
+
 class TestCommutator:
     def test_pauli_algebra(self):
         a = DenseOperator((0,), (2,), SZ)

@@ -66,7 +66,8 @@ class TestDtypeRule:
         assert as_matrix(SZ + 0j * SX).dtype == np.float64
 
     def test_real_chain_is_real_except_the_currents(self, vols):
-        operators = [vols.H_B, vols.G, vols.W, *vols.H_a.values(), *vols.B_a.values()]
+        operators = [vols.H_B, vols.W, *vols.H_a.values(), *vols.B_a.values(),
+                     *vols.blocks.values()]
         assert all(op.matrix.dtype == np.float64 for op in operators)
         assert make_plan(vols.H_B).basis.dtype == np.float64
         assert initial_state(vols).density.dtype == np.float64
@@ -76,13 +77,13 @@ class TestDtypeRule:
             assert not np.any(current.matrix.real)
 
     def test_real_chain_with_a_complex_perturbation(self):
-        # sigma_y on reservoir 1 makes H_B and G complex while H_a and
-        # reservoir 2's block stay real; G is allocated complex up front
+        # sigma_y on reservoir 1 makes H_B and reservoir 1's block complex
+        # while H_a and reservoir 2's block stay real
         vols = build(_chain(), range(5), _family(InteractionTerm((0,), 0.2 * SY)))
-        assert vols.H_B.matrix.dtype == vols.G.matrix.dtype == np.complex128
+        assert vols.H_B.matrix.dtype == vols.blocks[1].matrix.dtype == np.complex128
         assert vols.B_a[1].matrix.dtype == np.complex128
-        assert vols.H_a[1].matrix.dtype == vols.B_a[2].matrix.dtype == np.float64
-        assert _gap(vols.G.matrix, oracles.exponent(vols)) <= TOL
+        assert vols.H_a[1].matrix.dtype == vols.blocks[2].matrix.dtype == np.float64
+        assert abs(vols.log_z - oracles.log_partition(vols)) <= TOL
         plan = make_plan(vols.H_B)
         (report, _), = horizon_reports(vols, (10.0,), plan=plan)
         fluxes, e_tel = oracles.horizon_values(vols, plan, initial_state(vols), 10.0)
@@ -108,6 +109,39 @@ def test_matmul_matches_the_upcast_product(a_complex, b_complex):
     assert _gap(out, a @ b) <= TOL
     # transposed views are not C-contiguous, as in rotate's V^dagger factor
     assert _gap(matmul(b.T, a.T), b.T @ a.T) <= TOL
+
+
+@pytest.mark.parametrize("zero_part", ["real", "imag"])
+@pytest.mark.parametrize("a_complex,b_complex", [(False, False), (False, True),
+                                                 (True, False), (True, True)])
+def test_matmul_with_a_vanishing_part(a_complex, b_complex, zero_part):
+    # a complex factor whose real or imaginary part is identically zero, as
+    # a current i[W, H_a] of a real chain, against numpy's upcast product
+    rng = np.random.default_rng(1)
+
+    def sample(shape, cplx):
+        m = rng.standard_normal(shape)
+        if not cplx:
+            return m
+        return 1j * m if zero_part == "real" else m + 0j
+
+    a, b = sample((6, 4), a_complex), sample((4, 5), b_complex)
+    out = matmul(a, b)
+    expected = a.astype(complex) @ b.astype(complex)
+    assert out.dtype == (np.complex128 if a_complex or b_complex else np.float64)
+    assert _gap(out, expected) <= TOL
+    if a_complex != b_complex:
+        # one real product: the other part of the result is exactly zero
+        cplx, real = (a, b) if a_complex else (b, a)
+        part = cplx.imag if zero_part == "real" else cplx.real
+        product = part @ real if a_complex else real @ part
+        kept, dropped = ((out.imag, out.real) if zero_part == "real"
+                         else (out.real, out.imag))
+        np.testing.assert_array_equal(kept, product)
+        assert not np.any(dropped)
+    # stacked operands, as kron_apply contracts them
+    stacked = b.reshape(2, 2, 5)
+    assert _gap(matmul(a[:, :2], stacked), a[:, :2].astype(complex) @ stacked) <= TOL
 
 
 class TestRouteAgreement:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from nesslab import (
     entropy_production,
     gibbs,
     heat_direction_check,
+    horizon_reports,
     initial_state,
     klein_check,
     kms_check,
@@ -23,7 +25,7 @@ from nesslab import (
 from nesslab import exact_evolve
 from nesslab.model import PerturbationEntry, PerturbationFamily
 from nesslab.opalg import apply_function
-from nesslab.thermo import StateRep
+from nesslab.thermo import StateRep, _horizon_kernels
 
 import oracles
 from conftest import SX, SY, SZ, make_chain, random_hermitian, random_unitary
@@ -161,7 +163,7 @@ class TestTimeAverage:
         vols = build(chain5, range(5))
         plan = make_plan(vols.H_B)
         state = initial_state(vols)
-        a = vols.currents[1]
+        a = embed(vols.currents[1], vols.sites, vols.dims)
         scale = op_norm(a) * (1.0 + op_norm(vols.H_B))
         avg = time_averaged_state(plan, state, 1e-6).expectation(a)
         assert abs(avg - state.expectation(a)) <= 1e-6 * scale
@@ -194,7 +196,7 @@ class TestTimeAverage:
         vols = build(chain5, range(5))
         plan = make_plan(vols.H_B)
         state = initial_state(vols)
-        a = vols.currents[1]
+        a = embed(vols.currents[1], vols.sites, vols.dims)
         spectral_avg = time_averaged_state(plan, state, 2.5).expectation(a)
         quad_avg = oracles.time_avg_expectation_quadrature(vols, state, a, 2.5,
                                                            panels=160, plan=plan)
@@ -215,6 +217,93 @@ class TestTimeAverage:
         w_op = embed(vols.W, vols.sites, vols.dims)
         with pytest.raises(ValueError):
             time_averaged_state(make_plan(vols.H_B), initial_state(vols), 0.0).expectation(w_op)
+
+
+EPS = np.finfo(float).eps
+KERNEL_POINTS = (0.0, 1e-300, -1e-300, 1e-12, -1e-12, 1e-6, -1e-6, 1.0, -1.0, math.pi,
+                 1e3, -1e3, 1e6, -1e6)
+
+
+class TestHorizonKernels:
+    """The sine/cosine form of K(x) = (e^{ix} - 1)/(ix) and expm1(ix)."""
+
+    @staticmethod
+    def _exact(x: float) -> tuple:
+        with mpmath.workdps(50):
+            if x == 0.0:
+                return mpmath.mpc(1), mpmath.mpc(0)
+            endpoint = mpmath.expm1(1j * mpmath.mpf(x))
+            return endpoint / (1j * mpmath.mpf(x)), endpoint
+
+    @pytest.mark.parametrize("x", KERNEL_POINTS)
+    def test_matches_50_digits(self, x):
+        # at the same double x, each component within 4 eps of |K| or |expm1|
+        re_k, im_k, re_e, im_e = _horizon_kernels(np.array([0.5 * x]))[:, 0]
+        kernel, endpoint = self._exact(x)
+        with mpmath.workdps(50):
+            assert abs(re_k - kernel.real) <= 4 * EPS * abs(kernel)
+            assert abs(im_k - kernel.imag) <= 4 * EPS * abs(kernel)
+            assert abs(re_e - endpoint.real) <= 4 * EPS * abs(endpoint)
+            assert abs(im_e - endpoint.imag) <= 4 * EPS * abs(endpoint)
+
+    def test_relative_accuracy_on_a_grid(self):
+        # the complex form's np.sinc rounds x / (2 pi) before taking the sine,
+        # so near the zeros of sin(x/2) at large x it keeps only its absolute
+        # accuracy; the sine/cosine form keeps a relative one
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.logspace(-8.0, 4.0, 100), -np.logspace(-8.0, 4.0, 100),
+                            rng.uniform(-1e6, 1e6, 200)])
+        kernels = _horizon_kernels(0.5 * x)
+        for xi, (re_k, im_k, re_e, im_e) in zip(x, kernels.T):
+            kernel, endpoint = self._exact(float(xi))
+            with mpmath.workdps(50):
+                assert abs(re_k + 1j * im_k - kernel) <= 4 * EPS * abs(kernel)
+                assert abs(re_e + 1j * im_e - endpoint) <= 4 * EPS * abs(endpoint)
+        # |K| <= 1 and |expm1| <= 2: both forms agree to a few eps absolute
+        kernel_gap = kernels[0] + 1j * kernels[1] - oracles.averaging_kernel(x)
+        endpoint_gap = kernels[2] + 1j * kernels[3] - oracles.endpoint_factor(x)
+        assert np.max(np.abs(kernel_gap)) <= 4 * EPS
+        assert np.max(np.abs(endpoint_gap)) <= 8 * EPS
+
+    def test_degenerate_spectrum(self, decoupled_model):
+        # field terms only: H_B is diagonal with exactly repeated eigenvalues,
+        # so many Bohr frequencies are exactly zero
+        vols = build(decoupled_model, (0, 1, 2))
+        plan = make_plan(vols.H_B)
+        w = plan.eigenvalues
+        half = 0.5 * 7.0 * (w[None, :] - w[:, None])
+        assert np.count_nonzero(half == 0.0) > vols.dim
+        kernels = _horizon_kernels(half)
+        assert np.all(np.isfinite(kernels))
+        np.testing.assert_array_equal(kernels[:, half == 0.0].T,
+                                      np.tile([1.0, 0.0, 0.0, 0.0], (np.sum(half == 0.0), 1)))
+        for report, _ in horizon_reports(vols, (1e-3, 7.0, 1e6), plan=plan):
+            values = [*report.fluxes.values(), report.e, report.e_telescoped]
+            assert all(np.isfinite(values)) and max(map(abs, values)) <= 1e-12
+
+
+class TestLocalObservables:
+    @pytest.mark.parametrize("chain", ["real", "complex"])
+    def test_own_sites_match_the_lifted_route(self, chain):
+        spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0}, anis=0.3)
+        if chain == "complex":
+            dm = InteractionTerm((1, 2), 0.4 * (np.kron(SX, SY) - np.kron(SY, SX)))
+            spec = ModelSpec(spec.sites, spec.regions, spec.terms + (dm,), spec.lam,
+                             spec.betas)
+        vols = build(spec, range(5))
+        rng = np.random.default_rng(11)
+        local = {"mid": DenseOperator((2,), (2,), SX),
+                 "pair": DenseOperator((0, 3), (2, 2), random_hermitian(rng, 4)),
+                 "left": DenseOperator((0, 1), (2, 2), np.kron(SZ, SY) + np.kron(SY, SZ))}
+        lifted = {k: embed(x, vols.sites, vols.dims) for k, x in local.items()}
+        plan = make_plan(vols.H_B)
+        horizons = (0.5, 3.0, 40.0)
+        for (rep, avg), (rep_l, avg_l) in zip(
+                horizon_reports(vols, horizons, plan=plan, observables=local),
+                horizon_reports(vols, horizons, plan=plan, observables=lifted)):
+            assert rep == rep_l
+            for key in local:
+                assert abs(avg[key] - avg_l[key]) <= 1e-12 * (1.0 + abs(avg_l[key]))
 
 
 class TestEntropyProduction:
@@ -274,7 +363,7 @@ class TestEntropyProduction:
         plan = make_plan(vols.H_B)
         sigma = initial_state(vols)
         for horizon in (1.0, 7.0, 30.0):
-            report = entropy_production(vols, horizon, plan=plan, state=sigma)
+            report = entropy_production(vols, horizon, plan=plan)
             w_op = embed(vols.W, vols.sites, vols.dims)
             w_end = exact_evolve(plan, w_op, horizon)
             endpoint = -(sigma.expectation(w_end) - sigma.expectation(w_op)) / horizon
@@ -287,11 +376,12 @@ class TestEntropyProduction:
         sigma = initial_state(vols)
         horizon = 4.0
         averaged = time_averaged_state(plan, sigma, horizon)
-        comm = 1j * (vols.H_B.matrix @ vols.G.matrix - vols.G.matrix @ vols.H_B.matrix)
+        g = oracles.exponent_operator(vols)
+        comm = 1j * (vols.H_B.matrix @ g.matrix - g.matrix @ vols.H_B.matrix)
         lhs = float(np.real(np.trace(averaged.density @ comm)))
-        g_end = exact_evolve(plan, vols.G, horizon)
-        rhs = (sigma.expectation(g_end) - sigma.expectation(vols.G)) / horizon
-        scale = max(1.0, op_norm(vols.G))
+        g_end = exact_evolve(plan, g, horizon)
+        rhs = (sigma.expectation(g_end) - sigma.expectation(g)) / horizon
+        scale = max(1.0, op_norm(g))
         assert abs(lhs - rhs) <= 1e-8 * scale
 
     def test_perturbed_volume_still_nonnegative(self, chain5):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections.abc import Mapping
 from dataclasses import fields
 
@@ -36,7 +37,7 @@ class TestBuild:
         total = zero(vols.sites, vols.dims)
         for a in vols.reservoirs:
             total = total + embed(vols.H_a[a], vols.sites, vols.dims)
-        shift = vols.G.matrix - 1.3 * total.matrix
+        shift = oracles.exponent(vols) - 1.3 * total.matrix
         # the remainder must be a multiple of the identity
         off = shift - shift[0, 0] * np.eye(vols.dim)
         assert np.max(np.abs(off)) <= 1e-12
@@ -55,13 +56,15 @@ class TestBuild:
 
     def test_all_fields_hermitian(self, chain5):
         vols = build(chain5, range(5))
-        for op in [oracles.hamiltonian(vols), vols.H_B, vols.G, vols.W, *vols.H_a.values(),
-                   *vols.B_a.values(), *vols.currents.values()]:
+        for op in [oracles.hamiltonian(vols), vols.H_B, vols.W, *vols.H_a.values(),
+                   *vols.B_a.values(), *vols.blocks.values(), *vols.currents.values()]:
             assert op.is_hermitian(1e-12)
 
     def test_exp_minus_g_is_normalized_positive(self, chain5):
         vols = build(chain5, range(5))
-        rho = expm(-vols.G.matrix)
+        # G as the record holds it: the lifted blocks plus log_z
+        g = oracles.weighted_reservoir_sum(vols) + vols.log_z * np.eye(vols.dim)
+        rho = expm(-g)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(rho)) > 0.0
 
@@ -100,7 +103,7 @@ class TestBuild:
         vols = build(chain5, range(5))
         total = zero(vols.sites, vols.dims)
         for cur in vols.currents.values():
-            total = total + cur
+            total = total + embed(cur, vols.sites, vols.dims)
         expected = -1j * commutator(oracles.hamiltonian(vols),
                                     embed(vols.W, vols.sites, vols.dims)).matrix
         assert np.max(np.abs(total.matrix - expected)) <= 1e-12
@@ -129,7 +132,7 @@ class TestBuild:
         diffs = []
         for volume in [(2, 3, 4), (1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5, 6)]:
             vols = build(spec, volume)
-            cur = vols.currents[1]
+            cur = embed(vols.currents[1], vols.sites, vols.dims)
             if prev is not None:
                 lifted = embed(prev, vols.sites, vols.dims)
                 diffs.append(op_norm(lifted - cur))
@@ -141,8 +144,8 @@ class TestBuild:
 
 
 class TestFootprint:
-    """Only H_B, G and the currents are volume-sized; H_a, B_a and W stay on
-    their own sites."""
+    """Only H_B is volume-sized; H_a, B_a, W and the currents stay on their
+    own sites."""
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["bare", "perturbed"])
     def test_volume_sized_fields(self, chain5, perturbed):
@@ -158,14 +161,29 @@ class TestFootprint:
                 operators.append(value)
             elif isinstance(value, Mapping):
                 operators += [v for v in value.values() if isinstance(v, DenseOperator)]
-        assert sum(op.dim == vols.dim for op in operators) == 2 + len(vols.reservoirs)
-        assert vols.H_B.dim == vols.G.dim == vols.dim
-        assert all(cur.dim == vols.dim for cur in vols.currents.values())
+        volume_sized = [op for op in operators if op.dim == vols.dim]
+        assert len(volume_sized) == 1 and volume_sized[0] is vols.H_B
+        assert isinstance(vols.log_z, float)
         own_sites = [(vols.H_a[1], (0, 1)), (vols.B_a[1], (0, 1)),
-                     (vols.H_a[2], (3, 4)), (vols.B_a[2], (3, 4)), (vols.W, (1, 2, 3))]
+                     (vols.H_a[2], (3, 4)), (vols.B_a[2], (3, 4)), (vols.W, (1, 2, 3)),
+                     (vols.currents[1], (0, 1, 2, 3)), (vols.currents[2], (1, 2, 3, 4))]
         for op, sites in own_sites:
             assert op.sites == sites
             assert op.dim == chain5.volume_dim(sites)
+
+
+    def test_build_holds_one_volume_sized_array_at_a_time(self):
+        # D = 256: every other operator lives on at most 6 of the 8 sites
+        spec = make_chain(8, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2, 7: 2},
+                          {1: 2.0, 2: 1.0}, anis=0.3)
+        tracemalloc.start()
+        try:
+            vols = build(spec, range(8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vols.dim == 256
+        assert peak <= 1.5 * vols.H_B.matrix.nbytes
 
 
 class TestInterfaceOperator:
@@ -216,6 +234,13 @@ class TestCurrentBound:
         report = current_bound_check(standard_chain, (0, 1, 2))
         assert report.ok
         assert all(v <= report.bound for v in report.norms.values())
+
+    def test_no_volume_sized_eigensolve(self, chain5, eigensolves):
+        # each current lives on W's sites (1, 2, 3) plus its reservoir's two
+        report = current_bound_check(chain5, range(5))
+        assert report.ok
+        assert eigensolves
+        assert max(dim for dim, _, _ in eigensolves) == 16
 
     def test_scaling_is_quartic_in_bound_quadratic_in_interaction(self, standard_chain):
         doubled = ModelSpec(
