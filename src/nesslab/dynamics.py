@@ -49,7 +49,7 @@ def _evolve_rotated(plan: EvolutionPlan, rotated: np.ndarray, t: float) -> Dense
     eigenbasis: only the phases and the rotation back depend on ``t``."""
     phases = np.exp(1j * t * plan.eigenvalues)
     rotated = (phases[:, None] * rotated) * phases.conj()[None, :]
-    return plan.generator.with_matrix(opalg.rotate(plan.basis.conj().T, rotated))
+    return plan.generator.with_matrix(opalg.rotate_back(plan.basis, rotated))
 
 
 # i^m, exact, so that i^m r stays real for even m

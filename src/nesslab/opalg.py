@@ -282,9 +282,50 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _conjugate_in_place(a: np.ndarray) -> np.ndarray:
+    return np.conjugate(a, out=a) if np.iscomplexobj(a) else a
+
+
+def adjoint_matmul(v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """V^dagger Y through :func:`matmul`, without a conjugated copy of V.
+
+    numpy hands the transposed view V^T to BLAS as it is but has no
+    conjugate-transpose product, and ``v.conj()`` of a complex V is a copy
+    of 16 D^2 bytes. For a complex V this forms conj(V^T conj(Y)) instead,
+    conjugating in place, so ``y`` must be a temporary of the caller: its
+    contents are lost. Conjugation is exact, and so is its effect on each
+    complex product, so the result equals ``v.conj().T @ y`` to the last
+    bit when BLAS sums in the same order for both. A real V is used as V^T.
+    """
+    if not np.iscomplexobj(v):
+        return matmul(v.T, y)
+    return _conjugate_in_place(matmul(v.T, _conjugate_in_place(y)))
+
+
 def rotate(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """V^dagger X V through :func:`matmul`; ``rotate(v.conj().T, x)`` is V X V^dagger."""
-    return matmul(matmul(v.conj().T, x), v)
+    """V^dagger X V through :func:`matmul`.
+
+    A real V^T is a free view, so the product is (V^T X) V; a complex one
+    is formed as V^dagger (X V) by :func:`adjoint_matmul` on the temporary
+    X V, without copying V.
+    """
+    if np.iscomplexobj(v):
+        return adjoint_matmul(v, matmul(x, v))
+    return matmul(matmul(v.T, x), v)
+
+
+def rotate_back(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """V X V^dagger through :func:`matmul`, the inverse of :func:`rotate`
+    for a unitary V.
+
+    Formed as (V X) V^dagger; for a complex V as conj(conj(V X) V^T),
+    conjugating the temporary V X and the product in place, without
+    copying V.
+    """
+    vx = matmul(v, x)
+    if not np.iscomplexobj(v):
+        return matmul(vx, v.T)
+    return _conjugate_in_place(matmul(_conjugate_in_place(vx), v.T))
 
 
 def op_norm(a) -> float:
@@ -317,7 +358,7 @@ def unitary_conj(u, a):
     am = as_matrix(a)
     if um.shape[0] != am.shape[0]:
         raise ValueError("dimension mismatch in unitary conjugation")
-    out = rotate(um.conj().T, am)
+    out = rotate_back(um, am)
     if isinstance(a, DenseOperator):
         return DenseOperator(a.sites, a.dims, out)
     return out

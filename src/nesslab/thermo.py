@@ -162,7 +162,7 @@ def time_averaged_state(plan: EvolutionPlan, state: StateRep, horizon: float) ->
     kernel = np.empty(rho_t.shape, dtype=complex)
     kernel.real, kernel.imag = _horizon_kernels(0.5 * horizon * (w[None, :] - w[:, None]),
                                                 endpoint=False)
-    averaged = opalg.rotate(v.conj().T, rho_t * kernel)
+    averaged = opalg.rotate_back(v, rho_t * kernel)
     averaged = 0.5 * (averaged + averaged.conj().T)
     return StateRep(state.sites, state.dims, averaged)
 
@@ -238,13 +238,12 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
         plan = make_plan(vols.H_B)
     observables = {} if observables is None else observables
     v = plan.basis
-    v_dagger = v.conj().T
     w = plan.eigenvalues
     upper = np.triu(np.ones((vols.dim, vols.dim), dtype=bool), k=1)
     half_freq = 0.5 * (w[None, :] - w[:, None])[upper]
 
     def rotated(factors: Sequence[DenseOperator]) -> np.ndarray:
-        return opalg.matmul(v_dagger, opalg.kron_apply(factors, vols.sites, vols.dims, v))
+        return opalg.adjoint_matmul(v, opalg.kron_apply(factors, vols.sites, vols.dims, v))
 
     sigma_t = rotated(_gibbs_factors(vols))
     sigma_diag = np.diagonal(sigma_t).copy()
@@ -270,7 +269,7 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     g_v = functools.reduce(np.add, (opalg.kron_apply([b], vols.sites, vols.dims, v)
                                     for b in vols.blocks.values()))
     g_rows = np.empty((2, half_freq.size))
-    weight(opalg.matmul(v_dagger, g_v), g_rows)
+    weight(opalg.adjoint_matmul(v, g_v), g_rows)
     del g_v, sigma_upper
     rows = rows.reshape(len(operators), -1)
     g_rows = g_rows.reshape(-1)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import opalg
 from .model import InteractionTerm, ModelSpec, PerturbationFamily, ZERO_FAMILY, lambda_norm
@@ -141,7 +140,9 @@ def build(spec: ModelSpec, volume: Iterable[int],
                                  inside[a])
         b_res[a] = spec.term_sum(pert_terms[a], inside[a])
         eigs = opalg.eigenvalues(beta * (h_res[a] + b_res[a]))
-        log_z += float(logsumexp(-eigs))
+        # log sum_k exp(-e_k) around the smallest (first) eigenvalue: every
+        # exponent is <= 0, so nothing overflows
+        log_z += float(np.log1p(np.sum(np.exp(eigs[0] - eigs[1:]))) - eigs[0])
         g_norm += float(eigs[-1])
         joint = tuple(sorted(set(w_op.sites) | inside[a]))
         joint_dims = spec.dims_for(joint)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,18 @@ def chain_files(tmp_path):
         "output_dir": str(tmp_path / "out"),
     })
     return spec, model_path, config_path, tmp_path
+
+
+def test_import_brings_in_no_scipy():
+    # scipy's import alone costs about as much as a small command's work
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    code = ("import sys, nesslab, nesslab.cli; "
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == []
 
 
 class TestValidateCommand:

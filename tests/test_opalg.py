@@ -156,6 +156,33 @@ class TestKronApply:
                               DenseOperator((1,), (2,), SX)), (0, 1), (2, 2), v)
 
 
+class TestAdjointProducts:
+    """adjoint_matmul, rotate and rotate_back against products with the
+    explicit V^dagger = v.conj().T."""
+
+    @staticmethod
+    def _gap(got, expected):
+        return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("y_complex", [False, True], ids=["real-y", "complex-y"])
+    @pytest.mark.parametrize("v_complex", [False, True], ids=["real-v", "complex-v"])
+    def test_match_the_explicit_adjoint(self, v_complex, y_complex):
+        rng = np.random.default_rng(23)
+        v = random_unitary(rng, 24) if v_complex else np.linalg.qr(
+            rng.standard_normal((24, 24)))[0]
+        y = rng.standard_normal((24, 24))
+        if y_complex:
+            y = y + 1j * rng.standard_normal((24, 24))
+        v_dagger = v.conj().T
+        expected = v_dagger @ y
+        got = opalg.adjoint_matmul(v, y.copy())
+        assert got.dtype == expected.dtype
+        assert self._gap(got, expected) <= 1e-14
+        assert self._gap(opalg.rotate(v, y), v_dagger @ y @ v) <= 1e-14
+        assert self._gap(opalg.rotate_back(v, y), v @ y @ v_dagger) <= 1e-14
+        np.testing.assert_allclose(opalg.rotate_back(v, opalg.rotate(v, y)), y, atol=1e-13)
+
+
 class TestEmbedAdd:
     def test_adds_the_embedding_in_place(self):
         rng = np.random.default_rng(8)

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 from collections.abc import Mapping
 from dataclasses import fields
 
@@ -22,6 +24,8 @@ from nesslab.opalg import DenseOperator, zero
 
 import oracles
 from conftest import SX, SZ, make_chain, random_hermitian
+
+EPS = np.finfo(float).eps
 
 
 class TestBuild:
@@ -184,6 +188,40 @@ class TestFootprint:
             tracemalloc.stop()
         assert vols.dim == 256
         assert peak <= 1.5 * vols.H_B.matrix.nbytes
+
+
+class TestLogPartition:
+    """log_z from the reservoir blocks against scipy's logsumexp over the
+    D x D spectrum (``oracles.log_partition``)."""
+
+    ASSIGNMENT = {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}
+
+    # (case id, spec or fixture name, volume)
+    CASES = (
+        # the minimum of the volume spectrum is tied (S contributes a factor 2)
+        ("decoupled", "decoupled_model", (0, 1, 2)),
+        # no fields: each reservoir block sx sx has a doubly degenerate minimum
+        ("tied-block-minimum", make_chain(5, ASSIGNMENT, {1: 2.0, 2: 1.0}, field=0.0),
+         range(5)),
+        # beta ||H_a|| about 1e3: exp of the unshifted spectrum overflows
+        ("wide-spread", make_chain(5, ASSIGNMENT, {1: 2.0, 2: 1.0}, field=250.0), range(5)),
+        # reservoir 2 has no in-volume site: a 1x1 zero block
+        ("one-dimensional-block", "chain5", (1, 2)),
+    )
+
+    @pytest.mark.parametrize("spec,volume", [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_matches_logsumexp_of_full_spectrum(self, request, spec, volume):
+        if isinstance(spec, str):
+            spec = request.getfixturevalue(spec)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            vols = build(spec, volume)
+        ref = oracles.log_partition(vols)
+        assert math.isfinite(vols.log_z)
+        assert abs(vols.log_z - ref) <= 4 * EPS * max(1.0, abs(ref))
+        g_ref = oracles.g_norm(vols)
+        assert abs(vols.g_norm - g_ref) <= 1e-12 * max(1.0, abs(g_ref))
 
 
 class TestInterfaceOperator:
