@@ -112,10 +112,24 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def _observable_operators(spec: model.ModelSpec,
                           cfg: ExperimentConfig) -> dict[str, opalg.DenseOperator]:
-    """Each named observable on the union of its terms' supports."""
-    return {name: spec.term_sum(model.term_from_dict(doc, f"observables[{name}][{i}]")
-                                for i, doc in enumerate(cfg.observables[name]))
-            for name in sorted(cfg.observables)}
+    """Each named observable on the union of its terms' supports.
+
+    Every term must be selfadjoint within TERM_HERMITICITY_TOL, as model
+    validation asks of the interaction terms; the averages and the series
+    are only defined for selfadjoint observables, so any other is refused.
+    """
+    out = {}
+    for name in sorted(cfg.observables):
+        terms = [model.term_from_dict(doc, f"observables[{name}][{i}]")
+                 for i, doc in enumerate(cfg.observables[name])]
+        for i, term in enumerate(terms):
+            defect = term.hermiticity_defect()
+            if defect > opalg.TERM_HERMITICITY_TOL:
+                raise SystemExit(f"refusing observable {name}: term {i} on "
+                                 f"{list(term.support)} is not selfadjoint "
+                                 f"(defect {defect:.3e})")
+        out[name] = spec.term_sum(terms)
+    return out
 
 
 def _check_dim_cap(spec: model.ModelSpec, sites: Sequence[int], cap: int) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,23 +56,36 @@ def _evolve_rotated(plan: EvolutionPlan, rotated: np.ndarray, t: float) -> Dense
 _I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
-def derivation_powers(h_b: DenseOperator, a: DenseOperator, order: int) -> list[DenseOperator]:
-    """[delta(a), ..., delta^order(a)] for the derivation delta = i[h_b, .].
+def _commutators(h_b: DenseOperator, a: DenseOperator, order: int) -> Iterator[np.ndarray]:
+    """r_1, ..., r_order with r_0 = a and r_m = [h_b, r_{m-1}] = i^-m delta^m(a).
 
-    Iterates r <- [h_b, r], which stays real for a real generator and
-    observable, and returns each delta^m(a) as i^m r.
+    ``a`` must be selfadjoint (ValueError otherwise); its Hermitian part is
+    used. r_m is then Hermitian for even m and anti-Hermitian for odd m, so
+    r H = -(-1)^m (H r)^dagger and each order is one product: H r minus
+    (odd m) or plus (even m) its adjoint, exactly (anti-)Hermitian by
+    construction, and real for a real generator and observable.
     """
-    powers = []
-    r = a
+    if not h_b.same_volume(a):
+        raise ValueError("operator volume does not match the generator")
+    r = opalg.hermitian_matrix(a, "the derivation series")
     for m in range(1, order + 1):
-        r = opalg.commutator(h_b, r)
-        powers.append(_I_POWERS[m % 4] * r)
-    return powers
+        hr = opalg.matmul(h_b.matrix, r)
+        r = np.conjugate(hr.T, out=np.empty_like(hr))
+        (np.subtract if m % 2 else np.add)(hr, r, out=r)
+        del hr
+        yield r
+
+
+def derivation_powers(h_b: DenseOperator, a: DenseOperator, order: int) -> list[DenseOperator]:
+    """[delta(a), ..., delta^order(a)] for the derivation delta = i[h_b, .]
+    and a selfadjoint ``a``: i^m r_m for the r_m of :func:`_commutators`."""
+    return [h_b.with_matrix(r * _I_POWERS[m % 4])
+            for m, r in enumerate(_commutators(h_b, a, order), start=1)]
 
 
 def derivation(spec: ModelSpec, volume: Iterable[int], a: DenseOperator,
                perturbation: PerturbationFamily | None = None) -> DenseOperator:
-    """The finite-volume derivation i[H_B, a] applied to ``a``.
+    """The finite-volume derivation i[H_B, a] applied to a selfadjoint ``a``.
 
     ``H_B`` is the generator that :func:`nesslab.volume.build` assembles for
     ``volume``, so this has build's preconditions: the volume contains the
@@ -112,18 +125,24 @@ def _envelope(a: DenseOperator, lam: float) -> float:
     return opalg.op_norm(a) * math.exp(lam * len(a.sites))
 
 
-def _truncated_series(a: DenseOperator, powers: Sequence[DenseOperator], t: float,
-                      envelope: float, ratio: float) -> tuple[DenseOperator, float]:
-    """Partial sum of t^m delta^m(a) / m! over ``powers`` and its tail bound.
+def _add_series_term(acc: np.ndarray, t: float, m: int, r: np.ndarray) -> None:
+    """acc += t^m delta^m(a) / m! = (i t)^m / m! r_m, in place in the complex
+    ``acc``. For a real r_m the coefficient is real or imaginary, so only one
+    part of ``acc`` changes."""
+    coef = t**m / math.factorial(m) * _I_POWERS[m % 4]
+    if np.iscomplexobj(r):
+        acc += coef * r
+    elif m % 2:
+        acc.imag += coef.imag * r
+    else:
+        acc.real += coef.real * r
 
-    The bound is envelope * r^{M+1} / (1 - r), with M the number of powers
-    and ``envelope`` the :func:`_envelope` of the observable before it was
-    embedded into the volume of ``a``.
-    """
-    partial = a
-    for m, power in enumerate(powers, start=1):
-        partial = partial + (t**m / math.factorial(m)) * power
-    return partial, float(envelope * ratio ** (len(powers) + 1) / (1.0 - ratio))
+
+def _tail_bound(envelope: float, ratio: float, order: int) -> float:
+    """envelope * r^{M+1} / (1 - r) for a series truncated after M orders,
+    with ``envelope`` the :func:`_envelope` of the observable before it was
+    embedded into the volume."""
+    return float(envelope * ratio ** (order + 1) / (1.0 - ratio))
 
 
 def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: float,
@@ -135,10 +154,10 @@ def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: fl
     Returns the partial sum over orders m <= M of t^m delta^m(a) / m!, with
     delta = i[H_B, .] as in :func:`derivation` (and build's preconditions),
     and the geometric tail majorant ||a|| e^{lam card X} r^{M+1} / (1 - r)
-    with r = 2 |t| (||Phi||_lam + K) / lam. X is ``a.sites``: pass the
-    observable on its own sites, not embedded, for the tightest bound.
-    Times at or beyond the convergence radius are refused since the
-    majorant diverges there.
+    with r = 2 |t| (||Phi||_lam + K) / lam. ``a`` must be selfadjoint. X is
+    ``a.sites``: pass the observable on its own sites, not embedded, for
+    the tightest bound. Times at or beyond the convergence radius are
+    refused since the majorant diverges there.
     """
     if cfg is None:
         cfg = DysonConfig(lam=spec.lam)
@@ -148,11 +167,14 @@ def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: fl
         raise ValueError(
             f"|t|={abs(t):.6g} is outside the series radius "
             f"{series_radius(spec, perturbation):.6g}; the error bound diverges")
+    a = a.with_matrix(opalg.hermitian_matrix(a, "the derivation series"))
     envelope = _envelope(a, cfg.lam)
     h_b = volume_mod.build(spec, volume, perturbation).H_B
     a_vol = opalg.embed(a, h_b.sites, h_b.dims)
-    powers = derivation_powers(h_b, a_vol, cfg.max_order)
-    return _truncated_series(a_vol, powers, t, envelope, ratio)
+    partial = a_vol.matrix.astype(complex)
+    for m, r in enumerate(_commutators(h_b, a_vol, cfg.max_order), start=1):
+        _add_series_term(partial, t, m, r)
+    return a_vol.with_matrix(partial), _tail_bound(envelope, ratio, cfg.max_order)
 
 
 def derivation_growth_bound(spec: ModelSpec, a: DenseOperator, m: int,
@@ -204,6 +226,16 @@ class ConvergenceSweepReport:
                     if r.pair_index == pair_index), default=0.0)
 
 
+def _lifted_gap(small: DenseOperator, large: DenseOperator) -> float:
+    """||embed(small) - large|| in the volume of ``large``, formed in one
+    volume-sized array (embedding is isometric)."""
+    diff = np.zeros(large.matrix.shape,
+                    dtype=np.result_type(float, small.matrix, large.matrix))
+    opalg.embed_add(diff, small, large.sites, large.dims)
+    diff -= large.matrix
+    return opalg.op_norm(diff)
+
+
 def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
                       a: DenseOperator, t_grid: Sequence[float],
                       perturbation: PerturbationFamily | None = None,
@@ -213,11 +245,15 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     For each consecutive volume pair the report carries the norm difference
     of the evolved observable at each time and the per-order differences of
     the derivation powers, computed in the larger volume (embedding is
-    isometric). Each volume also gets truncated-series error rows against
-    the exact evolution, with the reported tail bound, for times inside the
-    series radius. The bound's envelope ||a|| e^{lam card X} is taken once,
-    with X = ``a.sites``: pass the observable on its own sites, not
-    embedded, for the tightest bound.
+    isometric; the order rows take the norm of the commutators r_m of
+    :func:`_commutators`, as ||i^m x|| = ||x||). Each volume also gets
+    truncated-series error rows against the exact evolution, with the
+    reported tail bound, for times inside the series radius. The observable
+    must be selfadjoint. The bound's envelope ||a|| e^{lam card X} is taken
+    once, with X = ``a.sites``: pass the observable on its own sites, not
+    embedded, for the tightest bound. Volumes are visited in ascending order,
+    keeping only the previous one's evolved observables and commutators; each
+    commutator is added into every series error as it is produced.
     """
     vols = [tuple(sorted(set(v))) for v in exhaustion]
     for small, large in zip(vols, vols[1:]):
@@ -225,44 +261,44 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
             raise ValueError("exhaustion must be strictly nested ascending")
     if not set(a.sites) <= set(vols[0]):
         raise ValueError("observable must be supported in the smallest volume")
-
-    plans = [make_plan(volume_mod.build(spec, v, perturbation).H_B) for v in vols]
-    a_in = [opalg.embed(a, p.generator.sites, p.generator.dims) for p in plans]
-
-    evolved = []
-    for plan, a_v in zip(plans, a_in):
-        rotated = opalg.rotate(plan.basis, a_v.matrix)
-        evolved.append([_evolve_rotated(plan, rotated, t) for t in t_grid])
-
-    evo_rows = []
-    for i in range(len(vols) - 1):
-        for j, t in enumerate(t_grid):
-            lifted = opalg.embed(evolved[i][j], a_in[i + 1].sites, a_in[i + 1].dims)
-            evo_rows.append(SweepRow(i, float(t),
-                                     opalg.op_norm(lifted - evolved[i + 1][j])))
+    a = a.with_matrix(opalg.hermitian_matrix(a, "the convergence sweep"))
 
     cfg = DysonConfig(lam=spec.lam)
     radius = series_radius(spec, perturbation)
     inside = [j for j, t in enumerate(t_grid) if abs(t) < radius]
     order = max(max_order, cfg.max_order) if inside else max_order
     envelope = _envelope(a, cfg.lam)
-    powers = []
-    dyson_rows = []
-    for i, (plan, a_v) in enumerate(zip(plans, a_in)):
-        per_volume = derivation_powers(plan.generator, a_v, order)
-        powers.append(per_volume[:max_order])
-        for j in inside:
-            t = float(t_grid[j])
-            approx, bound = _truncated_series(a_v, per_volume[:cfg.max_order], t,
-                                              envelope, abs(t) / radius)
-            dyson_rows.append(DysonRow(i, t,
-                                       opalg.op_norm(approx - evolved[i][j]), bound))
 
-    order_rows = []
-    for i in range(len(vols) - 1):
-        for m in range(max_order):
-            lifted = opalg.embed(powers[i][m], a_in[i + 1].sites, a_in[i + 1].dims)
-            order_rows.append(OrderRow(i, m + 1,
-                                       opalg.op_norm(lifted - powers[i + 1][m])))
+    evo_rows, order_rows, dyson_rows = [], [], []
+    prev_evolved: list[DenseOperator] = []
+    prev_powers: list[DenseOperator] = []
+    for i, sites in enumerate(vols):
+        plan = make_plan(volume_mod.build(spec, sites, perturbation).H_B)
+        h_b = plan.generator
+        a_v = opalg.embed(a, h_b.sites, h_b.dims)
+        rotated = opalg.rotate(plan.basis, a_v.matrix)
+        evolved = [_evolve_rotated(plan, rotated, t) for t in t_grid]
+        del rotated
+        if i:
+            evo_rows += [SweepRow(i - 1, float(t), _lifted_gap(small, large))
+                         for t, small, large in zip(t_grid, prev_evolved, evolved)]
+        prev_evolved = evolved
+
+        # a - tau_t(a) for each inside time, to which each order's term is added
+        errors = [(float(t_grid[j]), a_v.matrix - evolved[j].matrix) for j in inside]
+        powers = []
+        for m, r in enumerate(_commutators(h_b, a_v, order), start=1):
+            if m <= cfg.max_order:
+                for t, err in errors:
+                    _add_series_term(err, t, m, r)
+            if m <= max_order:
+                powers.append(h_b.with_matrix(r))
+                if i:
+                    order_rows.append(OrderRow(i - 1, m, _lifted_gap(prev_powers[m - 1],
+                                                                     powers[-1])))
+        prev_powers = powers
+        dyson_rows += [DysonRow(i, t, opalg.op_norm(err),
+                                _tail_bound(envelope, abs(t) / radius, cfg.max_order))
+                       for t, err in errors]
 
     return ConvergenceSweepReport(tuple(evo_rows), tuple(order_rows), tuple(dyson_rows))

@@ -332,8 +332,12 @@ def op_norm(a) -> float:
     """Operator norm (largest singular value).
 
     Hermitian inputs take the spectral route (largest absolute eigenvalue,
-    exact for selfadjoint matrices); anything else falls back to the SVD.
-    The Hermiticity test is made once, with the stricter
+    exact for selfadjoint matrices). Anything else is the square root of
+    the largest eigenvalue of the Gram matrix M^dagger M, formed from
+    M / max|M| so that squaring neither overflows nor underflows: one
+    product and a Hermitian eigensolve instead of an SVD, and a real one
+    for a real M, such as an anti-Hermitian derivation power of a real
+    model. The Hermiticity test is made once, with the stricter
     OP_NORM_HERMITIAN_TOL, so the solver does not repeat it.
     """
     mat = as_matrix(a)
@@ -341,7 +345,16 @@ def op_norm(a) -> float:
         return 0.0
     if is_hermitian_matrix(mat, OP_NORM_HERMITIAN_TOL):
         return float(np.max(np.abs(_eigvalsh(mat))))
-    return float(np.linalg.norm(mat, 2))
+    return _gram_norm(mat)
+
+
+def _gram_norm(mat: np.ndarray) -> float:
+    """The largest singular value of a nonzero M as max|M| times the root of
+    the largest eigenvalue of U^dagger U, U = M / max|M|."""
+    scale = float(np.max(np.abs(mat)))
+    unit = mat / scale
+    largest = float(_eigvalsh(matmul(unit.conj().T, unit))[-1])
+    return scale * math.sqrt(max(largest, 0.0))
 
 
 def check_unitary(u, tol: float = UNITARITY_TOL):
@@ -364,16 +377,24 @@ def unitary_conj(u, a):
     return out
 
 
-def _require_hermitian(a) -> np.ndarray:
-    """The matrix of A, which must be Hermitian within HERMITICITY_TOL."""
+def _require_hermitian(a, what: str = "spectral decomposition") -> np.ndarray:
+    """The matrix of A, which must be Hermitian within HERMITICITY_TOL;
+    the ValueError otherwise says that ``what`` requires one."""
     mat = as_matrix(a)
     if not is_hermitian_matrix(mat):
-        raise ValueError("spectral decomposition requires a Hermitian matrix")
+        raise ValueError(f"{what} requires a Hermitian matrix")
     return mat
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
+
+
+def hermitian_matrix(a, what: str = "spectral decomposition") -> np.ndarray:
+    """The Hermitian part (M + M^dagger) / 2 of the matrix M of A, which
+    must be Hermitian within HERMITICITY_TOL (ValueError naming ``what``
+    otherwise). A bitwise Hermitian M comes back equal to itself."""
+    return _hermitian_part(_require_hermitian(a, what))
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
@@ -388,7 +409,7 @@ def spectral(a) -> tuple[np.ndarray, np.ndarray]:
     them for the symmetrized matrix. Raises ValueError for non-Hermitian
     input.
     """
-    return np.linalg.eigh(_hermitian_part(_require_hermitian(a)))
+    return np.linalg.eigh(hermitian_matrix(a))
 
 
 def eigenvalues(a) -> np.ndarray:

@@ -214,7 +214,8 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     operator X that is local or a sum or product of local blocks: the
     state itself (the reservoir Gibbs factors and the normalized identity),
     G (the blocks beta_a (H_a + B_a) plus log Z), the reservoir currents
-    and the observables, each given on its own sites or on the whole
+    and the observables, each selfadjoint (ValueError otherwise; its
+    Hermitian part is used) and given on its own sites or on the whole
     volume. Each is rotated once into the eigenbasis V of the plan's
     generator (``H_B`` unless given): X V is contracted from the local
     factors along V's site axes (:func:`opalg.kron_apply`), so the rotation
@@ -234,9 +235,10 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     """
     if any(t <= 0 for t in horizons):
         raise ValueError("horizon must be > 0")
+    observables = {key: x.with_matrix(opalg.hermitian_matrix(x, f"observable {key!r}"))
+                   for key, x in ({} if observables is None else observables).items()}
     if plan is None:
         plan = make_plan(vols.H_B)
-    observables = {} if observables is None else observables
     v = plan.basis
     w = plan.eigenvalues
     upper = np.triu(np.ones((vols.dim, vols.dim), dtype=bool), k=1)

@@ -159,6 +159,30 @@ class TestSimulateCommand:
         assert "far_z" in str(err.value)
         assert built == []
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
+    def test_non_selfadjoint_observable_refused_before_any_build(
+            self, chain_files, monkeypatch, command):
+        # averages and series of a non-selfadjoint observable are undefined:
+        # the run must stop and name it rather than report its Hermitian part
+        skew = np.kron([[1.0, 0.7], [0.1, -0.3]], [[0.2, 1.0], [0.4, 0.5]])
+        _, model_path, _, tmp_path = chain_files
+        config_path = write_config(tmp_path, {
+            "model": model_path.name,
+            "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
+            "horizons": [0.01, 5.0],
+            "observables": {
+                "mid_z": [{"support": [1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}],
+                "skew": [{"support": [1, 2],
+                          "matrix": [[[float(x), 0.0] for x in row] for row in skew]}]},
+            "output_dir": str(tmp_path / "out"),
+        }, name="skew.json")
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        with pytest.raises(SystemExit) as err:
+            main([command, "--config", str(config_path)])
+        assert "skew" in str(err.value) and "selfadjoint" in str(err.value)
+        assert built == []
+
     def test_observable_columns(self, tmp_path):
         spec = make_chain(3, {0: 1, 1: 0, 2: 2}, {1: 2.0, 2: 1.0})
         model_path = write_model(tmp_path, spec)

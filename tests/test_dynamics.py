@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from nesslab import (
     spectral,
     unitary_conj,
 )
-from nesslab.dynamics import derivation_growth_bound
+from nesslab import dynamics
+from nesslab.dynamics import derivation_growth_bound, derivation_powers
 from nesslab.model import PerturbationEntry, PerturbationFamily
 from nesslab import opalg
 from nesslab.opalg import identity
@@ -91,6 +93,90 @@ class TestDerivation:
         a = DenseOperator((4,), (2,), SX)
         with pytest.raises(ValueError):
             derivation(chain5, (1, 2, 3), a)
+
+
+def _dm_chain():
+    """chain5 with anisotropy plus a Dzyaloshinskii-Moriya bond, which is imaginary."""
+    spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0}, anis=0.3)
+    dm = InteractionTerm((1, 2), 0.4 * (np.kron(SX, SY) - np.kron(SY, SX)))
+    return ModelSpec(spec.sites, spec.regions, spec.terms + (dm,), spec.lam, spec.betas)
+
+
+class TestDerivationStructure:
+    """r_m = [H_B, r_{m-1}] alternates between Hermitian and anti-Hermitian, so
+    each order is one product H_B r and its adjoint."""
+
+    ORDER = 6
+
+    @pytest.fixture(params=["real", "complex"])
+    def case(self, request):
+        if request.param == "real":
+            spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0}, anis=0.3)
+            local = np.kron(SZ, SX) + 0.5 * np.kron(SX, SX)
+        else:
+            spec = _dm_chain()
+            local = np.kron(SZ, SY) + 0.5 * np.kron(SY, SX)
+        h_b = build(spec, range(5)).H_B
+        return request.param, h_b, embed(DenseOperator((1, 2), (2, 2), local),
+                                         h_b.sites, h_b.dims)
+
+    def test_commutators_are_exactly_hermitian_or_anti_hermitian(self, case):
+        kind, h_b, a = case
+        commutators = list(dynamics._commutators(h_b, a, self.ORDER))
+        assert len(commutators) == self.ORDER
+        for m, r in enumerate(commutators, start=1):
+            sign = -1.0 if m % 2 else 1.0
+            assert np.array_equal(r.conj().T, sign * r), m
+            assert np.any(r)
+            if kind == "real":
+                assert r.dtype == np.float64
+
+    def test_one_volume_sized_product_per_order(self, case, monkeypatch):
+        _, h_b, a = case
+        shapes = []
+        product = opalg.matmul
+
+        def counted(x, y):
+            shapes.append((np.shape(x), np.shape(y)))
+            return product(x, y)
+
+        monkeypatch.setattr(opalg, "matmul", counted)
+        powers = derivation_powers(h_b, a, self.ORDER)
+        square = (h_b.dim, h_b.dim)
+        assert shapes == [(square, square)] * self.ORDER
+        for power in powers:
+            # delta^m(a) = i^m r_m is exactly Hermitian
+            assert np.array_equal(power.matrix.conj().T, power.matrix)
+
+    def test_powers_match_the_complex_oracle(self, case):
+        _, h_b, a = case
+        powers = derivation_powers(h_b, a, self.ORDER)
+        for power, reference in zip(powers, oracles.derivation_powers(h_b, a, self.ORDER)):
+            scale = max(1.0, float(np.max(np.abs(reference))))
+            assert np.max(np.abs(power.matrix - reference)) <= 1e-12 * scale
+
+
+class TestSelfadjointObservable:
+    """The series and the sweep are defined for selfadjoint observables only."""
+
+    SKEW = DenseOperator((1, 2), (2, 2), np.kron([[1.0, 0.7], [0.1, -0.3]],
+                                                 [[0.2, 1.0], [0.4, 0.5]]))
+
+    def test_derivation_powers_refuse_a_non_selfadjoint_observable(self, chain5):
+        vols = build(chain5, range(5))
+        with pytest.raises(ValueError, match="Hermitian"):
+            derivation_powers(vols.H_B, embed(self.SKEW, vols.sites, vols.dims), 2)
+
+    def test_sweep_refuses_before_any_build(self, chain5, monkeypatch):
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        with pytest.raises(ValueError, match="Hermitian"):
+            convergence_sweep(chain5, [(1, 2, 3), (0, 1, 2, 3)], self.SKEW, [0.1])
+        assert built == []
+
+    def test_dyson_evolve_refuses(self, chain5):
+        with pytest.raises(ValueError, match="Hermitian"):
+            dyson_evolve(chain5, range(5), self.SKEW, 0.01)
 
 
 class TestExactEvolve:
@@ -355,13 +441,13 @@ class TestConvergenceSweep:
     def test_outside_radius_grid_computes_only_order_powers(self, chain5, monkeypatch):
         from nesslab import dynamics
         orders = []
-        real = dynamics.derivation_powers
+        real = dynamics._commutators
 
         def counting(h_b, a, order):
             orders.append(order)
             return real(h_b, a, order)
 
-        monkeypatch.setattr(dynamics, "derivation_powers", counting)
+        monkeypatch.setattr(dynamics, "_commutators", counting)
         a = DenseOperator((2,), (2,), SX)
         exhaustion = [(1, 2, 3), (1, 2, 3, 4)]
         radius = series_radius(chain5)
@@ -370,6 +456,45 @@ class TestConvergenceSweep:
         assert report.dyson_rows == ()
         assert orders == [4, 4]
         assert len(report.order_rows) == 4
+
+    def test_real_chain_order_norms_solve_real(self, eigensolves):
+        # outside the radius there are no Dyson rows: past the first volume,
+        # each D sees H_B's eigh and the order-row norms, all real (the odd
+        # orders through the Gram matrix of a real antisymmetric difference),
+        # and one complex norm per evolution row
+        spec = make_chain(6, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2, 5: 2}, {1: 2.0, 2: 1.0}, anis=0.3)
+        a = DenseOperator((2,), (2,), SX)
+        exhaustion = [(1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 3, 4), tuple(range(6))]
+        radius = series_radius(spec)
+        t_grid = [2.0 * radius, 8.0 * radius]
+        convergence_sweep(spec, exhaustion, a, t_grid, max_order=4)
+        for sites in exhaustion[1:]:
+            dim = spec.volume_dim(sites)
+            dtypes = [dtype for d, _, dtype in eigensolves if d == dim]
+            assert dtypes.count(np.float64) == 1 + 4, sites
+            assert dtypes.count(np.complex128) == len(t_grid), sites
+
+    def test_peak_memory_is_a_few_volume_matrices(self):
+        # volumes are processed in ascending order; only the previous one's
+        # evolved observables and commutators are kept, and the twelve
+        # series orders are never held at once. Measured: 14.2 complex DxD
+        # at the largest D = 256 (24.3 when every volume's operators and
+        # powers were kept)
+        spec = make_chain(8, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2, 7: 2},
+                          {1: 2.0, 2: 1.0}, anis=0.3)
+        a = DenseOperator((3,), (2,), SX)
+        radius = series_radius(spec)
+        exhaustion = [tuple(range(1, 6)), tuple(range(1, 7)), tuple(range(1, 8)),
+                      tuple(range(8))]
+        t_grid = [f * radius for f in (0.2, 0.5, 0.8, 2.0, 8.0)]
+        tracemalloc.start()
+        try:
+            report = convergence_sweep(spec, exhaustion, a, t_grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.dyson_rows) == 3 * len(exhaustion)
+        assert peak <= 16 * 16 * spec.volume_dim(exhaustion[-1]) ** 2
 
     def test_non_nested_exhaustion_rejected(self, chain5):
         a = DenseOperator((2,), (2,), SX)

@@ -336,6 +336,51 @@ class TestNormTraceConjugation:
             unitary_conj(np.eye(4, dtype=complex), SX)
 
 
+class TestNonHermitianNorm:
+    """op_norm of a non-Hermitian matrix: the square root of the largest
+    eigenvalue of the Gram matrix of M / max|M|, against numpy's SVD."""
+
+    @staticmethod
+    def _sample(kind):
+        rng = np.random.default_rng(43)
+        g = rng.standard_normal((12, 12))
+        if kind == "real antisymmetric":
+            return g - g.T
+        if kind == "real general":
+            return g
+        return g + 1j * rng.standard_normal((12, 12))
+
+    KINDS = ["real antisymmetric", "real general", "complex general"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_matches_the_svd(self, kind, scale):
+        m = scale * self._sample(kind)
+        assert not opalg.is_hermitian_matrix(m, opalg.OP_NORM_HERMITIAN_TOL)
+        expected = np.linalg.norm(m, 2)
+        assert np.isfinite(expected)
+        assert abs(op_norm(m) - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_tiny_matrices_do_not_underflow(self, kind):
+        # op_norm's Hermiticity test is absolute below max|M| = 1, so a matrix
+        # of entries ~1e-200 is Hermitian within it and takes the spectral
+        # route; the Gram route itself is exercised directly
+        m = 1e-200 * self._sample(kind)
+        expected = np.linalg.norm(m, 2)
+        assert expected > 0.0
+        assert abs(opalg._gram_norm(m) - expected) <= 1e-13 * expected
+
+    def test_zero_matrix(self):
+        assert op_norm(np.zeros((5, 5))) == 0.0
+        assert op_norm(np.zeros((5, 5), dtype=complex)) == 0.0
+
+    def test_real_matrix_takes_a_real_solve(self, eigensolves):
+        g = self._sample("real general")
+        op_norm(g - g.T)
+        assert [dtype for _, _, dtype in eigensolves] == [np.float64]
+
+
 class TestObservableNormUpper:
     def test_single_term(self):
         rng = np.random.default_rng(23)

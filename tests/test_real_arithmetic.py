@@ -15,9 +15,9 @@ import pytest
 
 from nesslab import (DenseOperator, EvolutionPlan, InteractionTerm, ModelSpec, build, embed,
                      exact_evolve, horizon_reports, initial_state, make_plan, model_to_dict)
-from nesslab.cli import main
-from nesslab.dynamics import derivation_powers
-from nesslab.model import PerturbationEntry, PerturbationFamily
+from nesslab.cli import _observable_operators, load_config, main
+from nesslab.dynamics import _commutators, derivation_powers
+from nesslab.model import PerturbationEntry, PerturbationFamily, load_model
 from nesslab.opalg import as_matrix, matmul
 
 import oracles
@@ -234,4 +234,34 @@ class TestVolumeSolveDtypes:
     def test_complex_chain_solves_complex(self, tmp_path, eigensolves, command):
         solves = self._solves_at_volume_dims(tmp_path, eigensolves, _dm_chain(), command)
         assert {dim for dim, _ in solves} == set(self.DIMS)
-        assert all(dtype == np.complex128 for _, dtype in solves)
+        # The sweep forms each order difference embed(r_m) - r_m of exactly
+        # (anti-)Hermitian commutators; where its imaginary part is exactly
+        # zero (on this chain, order 1 of both pairs) it is stored and solved
+        # real. Only those are exempt: H_B's solve and every evolution, Dyson
+        # and other order norm is complex.
+        exempt = (_exactly_real_order_differences(tmp_path / "config.json")
+                  if command == "sweep-convergence" else [])
+        assert sorted(dim for dim, dtype in solves if dtype != np.complex128) == exempt
+        assert all(dtype in (np.complex128, np.float64) for _, dtype in solves)
+        for dim in self.DIMS:
+            assert next(dtype for d, dtype in solves if d == dim) == np.complex128
+
+
+def _exactly_real_order_differences(config_path, max_order=4) -> list[int]:
+    """The larger volume's dimension for each order difference of the sweep
+    whose imaginary part is exactly zero, in ascending order."""
+    cfg = load_config(config_path)
+    spec = load_model(cfg.model_path)
+    (a,) = _observable_operators(spec, cfg).values()
+    commutators = []
+    for sites in cfg.exhaustion:
+        h_b = build(spec, sites).H_B
+        commutators.append([h_b.with_matrix(r) for r in
+                            _commutators(h_b, embed(a, h_b.sites, h_b.dims), max_order)])
+    dims = []
+    for small, large in zip(commutators, commutators[1:]):
+        for r_small, r_large in zip(small, large):
+            diff = embed(r_small, r_large.sites, r_large.dims).matrix - r_large.matrix
+            if not np.any(np.imag(diff)):
+                dims.append(r_large.dim)
+    return sorted(dims)

@@ -306,6 +306,18 @@ class TestLocalObservables:
                 assert abs(avg[key] - avg_l[key]) <= 1e-12 * (1.0 + abs(avg_l[key]))
 
 
+    def test_non_selfadjoint_observable_refused(self):
+        # its horizon average is complex: the packed weights, which assume a
+        # conjugate-symmetric P, would report neither its real nor its
+        # imaginary part
+        spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0}, anis=0.3)
+        vols = build(spec, range(5))
+        skew = DenseOperator((1, 2), (2, 2), np.kron([[1.0, 0.7], [0.1, -0.3]],
+                                                     [[0.2, 1.0], [0.4, 0.5]]))
+        with pytest.raises(ValueError, match="skew"):
+            horizon_reports(vols, (3.0,), observables={"skew": skew})
+
+
 class TestEntropyProduction:
     def test_decoupled_model_produces_nothing(self, decoupled_model):
         vols = build(decoupled_model, (0, 1, 2))
