@@ -26,7 +26,6 @@ from .model import (
 )
 from .opalg import (
     DenseOperator,
-    apply_function,
     commutator,
     embed,
     observable_lambda_norm_upper,

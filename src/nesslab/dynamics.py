@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,34 +22,100 @@ from .opalg import DenseOperator
 
 
 @dataclass(frozen=True)
-class EvolutionPlan:
-    """A generator with its eigenvalues (ascending) and unitary eigenvector
-    matrix, reusable across times."""
+class Sector:
+    """A generator's block on the ascending basis ``indices``, with the
+    block's eigenvalues (ascending) and unitary eigenvector matrix."""
 
-    generator: DenseOperator
+    indices: np.ndarray
     eigenvalues: np.ndarray
     basis: np.ndarray
 
 
-def make_plan(generator: DenseOperator) -> EvolutionPlan:
-    """The eigendecomposition of ``generator``; :func:`opalg.spectral` raises
-    ValueError for a non-Hermitian one."""
-    return EvolutionPlan(generator, *opalg.spectral(generator))
+@dataclass(frozen=True)
+class EvolutionPlan:
+    """A generator with no entry between two sectors and each sector's
+    eigendecomposition, reusable across times."""
+
+    generator: DenseOperator
+    sectors: tuple[Sector, ...]
+
+
+def make_plan(generator: DenseOperator,
+              sectors: Sequence[np.ndarray] | None = None) -> EvolutionPlan:
+    """One :func:`opalg.spectral` per sector (ascending index arrays, one
+    sector unless given, as ``VolumeOperators.sectors``) of ``generator``;
+    ValueError for a non-Hermitian one or one coupling two sectors."""
+    mat = generator.matrix
+    if sectors is None:
+        sectors = (np.arange(generator.dim),)
+    blocks = [_block(mat, rows, rows) for rows in sectors]
+    if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(mat):
+        raise ValueError("the generator couples two sectors")
+    return EvolutionPlan(generator, tuple(Sector(rows, *opalg.spectral(block))
+                                          for rows, block in zip(sectors, blocks)))
+
+
+def _block(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """mat[rows][:, cols], and ``mat`` itself, uncopied, when they cover it."""
+    if rows.size == mat.shape[0] and cols.size == mat.shape[1]:
+        return mat
+    return mat[np.ix_(rows, cols)]
+
+
+def _rotated_blocks(plan: EvolutionPlan, mat: np.ndarray) -> tuple[dict, bool]:
+    """V_p^dagger M_pq V_q for each pair of sectors whose block M_pq is
+    nonzero, and whether M is bitwise Hermitian: then only the pairs
+    p <= q are rotated, as M_qp = M_pq^dagger."""
+    hermitian = bool(np.array_equal(mat, mat.conj().T))
+    sectors = plan.sectors
+    blocks = {}
+    for p, sp in enumerate(sectors):
+        for q in range(p if hermitian else 0, len(sectors)):
+            block = _block(mat, sp.indices, sectors[q].indices)
+            if np.any(block):
+                blocks[p, q] = opalg.rotate(sp.basis, block, sectors[q].basis)
+    return blocks, hermitian
+
+
+def _rotated_back(plan: EvolutionPlan, rotated: tuple[dict, bool],
+                  weight: Callable[[np.ndarray, int, int], np.ndarray]) -> np.ndarray:
+    """The matrix with block pq V_p weight(R_pq, p, q) V_q^dagger for each
+    R_pq of :func:`_rotated_blocks`, zero elsewhere. An entrywise ``weight``
+    that keeps Hermitian matrices Hermitian, as evolution phases do, gives
+    an exactly Hermitian result for a Hermitian M: block qp is pq's adjoint."""
+    blocks, hermitian = rotated
+    sectors = plan.sectors
+    out = np.zeros((plan.generator.dim,) * 2, dtype=complex)
+    for (p, q), r in blocks.items():
+        rows, cols = sectors[p].indices, sectors[q].indices
+        block = opalg.rotate_back(sectors[p].basis, weight(r, p, q), sectors[q].basis)
+        if hermitian and p == q:
+            block = 0.5 * (block + block.conj().T)
+        if len(sectors) == 1:
+            return block
+        out[np.ix_(rows, cols)] = block
+        if hermitian and p != q:
+            out[np.ix_(cols, rows)] = block.conj().T
+    return out
 
 
 def exact_evolve(plan: EvolutionPlan, a: DenseOperator, t: float) -> DenseOperator:
-    """Conjugate by exp(i t generator): the exact Heisenberg evolution."""
+    """Conjugate by exp(i t generator): the exact Heisenberg evolution, one
+    sector block of ``a`` at a time. A zero block stays exactly zero, and a
+    bitwise Hermitian ``a`` evolves to an exactly Hermitian operator."""
     if not plan.generator.same_volume(a):
         raise ValueError("operator volume does not match the plan's generator")
-    return _evolve_rotated(plan, opalg.rotate(plan.basis, a.matrix), t)
+    return _evolve_rotated(plan, _rotated_blocks(plan, a.matrix), t)
 
 
-def _evolve_rotated(plan: EvolutionPlan, rotated: np.ndarray, t: float) -> DenseOperator:
-    """The exact evolution of an operator given as V^dagger a V in the plan's
-    eigenbasis: only the phases and the rotation back depend on ``t``."""
-    phases = np.exp(1j * t * plan.eigenvalues)
-    rotated = (phases[:, None] * rotated) * phases.conj()[None, :]
-    return plan.generator.with_matrix(opalg.rotate_back(plan.basis, rotated))
+def _evolve_rotated(plan: EvolutionPlan, rotated: tuple[dict, bool], t: float) -> DenseOperator:
+    """The exact evolution of an operator given by its :func:`_rotated_blocks`."""
+    phases = [np.exp(1j * t * s.eigenvalues) for s in plan.sectors]
+
+    def evolve(r, p, q):
+        return (phases[p][:, None] * r) * phases[q].conj()[None, :]
+
+    return plan.generator.with_matrix(_rotated_back(plan, rotated, evolve))
 
 
 # i^m, exact, so that i^m r stays real for even m
@@ -226,14 +292,16 @@ class ConvergenceSweepReport:
                     if r.pair_index == pair_index), default=0.0)
 
 
-def _lifted_gap(small: DenseOperator, large: DenseOperator) -> float:
+def _lifted_gap(small: DenseOperator, large: DenseOperator,
+                sectors: Sequence[np.ndarray]) -> float:
     """||embed(small) - large|| in the volume of ``large``, formed in one
-    volume-sized array (embedding is isometric)."""
+    volume-sized array (embedding is isometric) and normed by the sector
+    blocks of that volume."""
     diff = np.zeros(large.matrix.shape,
                     dtype=np.result_type(float, small.matrix, large.matrix))
     opalg.embed_add(diff, small, large.sites, large.dims)
     diff -= large.matrix
-    return opalg.op_norm(diff)
+    return opalg.op_norm(diff, sectors)
 
 
 def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
@@ -246,14 +314,14 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     of the evolved observable at each time and the per-order differences of
     the derivation powers, computed in the larger volume (embedding is
     isometric; the order rows take the norm of the commutators r_m of
-    :func:`_commutators`, as ||i^m x|| = ||x||). Each volume also gets
+    :func:`_commutators`, as ||i^m x|| = ||x||) on its sector blocks, as is
+    the evolution (:func:`exact_evolve`). Each volume also gets
     truncated-series error rows against the exact evolution, with the
-    reported tail bound, for times inside the series radius. The observable
-    must be selfadjoint. The bound's envelope ||a|| e^{lam card X} is taken
-    once, with X = ``a.sites``: pass the observable on its own sites, not
-    embedded, for the tightest bound. Volumes are visited in ascending order,
-    keeping only the previous one's evolved observables and commutators; each
-    commutator is added into every series error as it is produced.
+    reported tail bound, for times inside the radius. The observable must
+    be selfadjoint. The bound's envelope ||a|| e^{lam card X} is taken once,
+    with X = ``a.sites``: pass it on its own sites for the tightest bound. Volumes are visited in ascending order, keeping only the
+    previous one's evolved observables and commutators; each commutator is
+    added into every series error as it is produced.
     """
     vols = [tuple(sorted(set(v))) for v in exhaustion]
     for small, large in zip(vols, vols[1:]):
@@ -273,14 +341,15 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     prev_evolved: list[DenseOperator] = []
     prev_powers: list[DenseOperator] = []
     for i, sites in enumerate(vols):
-        plan = make_plan(volume_mod.build(spec, sites, perturbation).H_B)
+        built = volume_mod.build(spec, sites, perturbation)
+        plan = make_plan(built.H_B, built.sectors)
         h_b = plan.generator
         a_v = opalg.embed(a, h_b.sites, h_b.dims)
-        rotated = opalg.rotate(plan.basis, a_v.matrix)
+        rotated = _rotated_blocks(plan, a_v.matrix)
         evolved = [_evolve_rotated(plan, rotated, t) for t in t_grid]
         del rotated
         if i:
-            evo_rows += [SweepRow(i - 1, float(t), _lifted_gap(small, large))
+            evo_rows += [SweepRow(i - 1, float(t), _lifted_gap(small, large, built.sectors))
                          for t, small, large in zip(t_grid, prev_evolved, evolved)]
         prev_evolved = evolved
 
@@ -294,10 +363,10 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
             if m <= max_order:
                 powers.append(h_b.with_matrix(r))
                 if i:
-                    order_rows.append(OrderRow(i - 1, m, _lifted_gap(prev_powers[m - 1],
-                                                                     powers[-1])))
+                    order_rows.append(OrderRow(i - 1, m, _lifted_gap(
+                        prev_powers[m - 1], powers[-1], built.sectors)))
         prev_powers = powers
-        dyson_rows += [DysonRow(i, t, opalg.op_norm(err),
+        dyson_rows += [DysonRow(i, t, opalg.op_norm(err, built.sectors),
                                 _tail_bound(envelope, abs(t) / radius, cfg.max_order))
                        for t, err in errors]
 

@@ -4,18 +4,18 @@ Operators live on an ordered list of lattice sites (ascending site id, one
 finite-dimensional factor per site) and are stored as full dense matrices:
 float64 when every entry is real, complex128 otherwise (:func:`as_matrix`).
 The module provides tensor products and embedding into larger volumes,
-commutators, the operator norm, the spectral decomposition of Hermitian
-matrices, functional calculus, and the exponentially weighted observable
-norm in its upper-bound form. Every Hermitian eigensolve of the package goes
-through :func:`spectral` or the solver of :func:`eigenvalues`, which
-:func:`op_norm` shares.
+the conserved sectors of a set of operators, commutators, the operator
+norm, the spectral decomposition of Hermitian matrices, and the
+exponentially weighted observable norm in its upper-bound form. Every
+Hermitian eigensolve of the package goes through :func:`spectral` or the
+solver of :func:`eigenvalues`, which :func:`op_norm` shares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,13 +51,16 @@ KLEIN_STOCHASTIC_TOL = 1e-10
 KLEIN_MIN_ENTRY_TOL = 1e-12
 
 
-def is_hermitian_matrix(mat, tol: float = HERMITICITY_TOL) -> bool:
-    """max|M - M^dagger| <= tol * max(1, max|M|); an empty matrix passes."""
+def is_hermitian_matrix(mat, tol: float = HERMITICITY_TOL, adjoint=None,
+                        floor: float = 1.0) -> bool:
+    """max|M - M^dagger| <= tol * max(floor, max|M|), relative for floor 0, with
+    ``adjoint`` the M^dagger a caller has formed; an empty matrix passes."""
     mat = np.asarray(mat)
     if mat.size == 0:
         return True
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= tol * scale)
+    scale = max(floor, float(np.max(np.abs(mat))))
+    defect = mat - (mat.conj().T if adjoint is None else adjoint)
+    return bool(np.max(np.abs(defect)) <= tol * scale)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -246,6 +249,37 @@ def kron_apply(factors: Sequence[DenseOperator], sites: Sequence[int],
     return out
 
 
+def sectors(ops: Sequence[DenseOperator], sites: Sequence[int],
+            dims: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """The connected components (ascending index arrays, by first index) of
+    the union of the nonzero patterns of the embedded ``ops``, whose sums
+    and products map each component's span into itself. Each pass sets the
+    labels of both indices of each nonzero pair of an operator's own matrix
+    to their minimum, for all configurations of the other sites at once;
+    passes with pointer jumping repeat until no label changes, on arrays of
+    length D only."""
+    local = []
+    for op in ops:
+        (axes,) = _positions((op,), sites, dims)
+        pattern = op.matrix != 0
+        local.append((axes, op.dim, np.argwhere(np.triu(pattern | pattern.T, 1))))
+    label = np.arange(math.prod(dims))
+    while True:
+        before = label.copy()
+        for axes, dim, pairs in local:
+            tensor = np.moveaxis(label.reshape(dims), axes, range(len(axes)))
+            flat = tensor.reshape(dim, -1)
+            for pair in pairs:
+                flat[pair] = flat[pair].min(axis=0)
+            label = np.moveaxis(flat.reshape(tensor.shape), range(len(axes)), axes).reshape(-1)
+        while not np.array_equal(label[label], label):
+            label = label[label]
+        if np.array_equal(label, before):
+            break
+    order = np.argsort(label, kind="stable")
+    return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
+
+
 def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     """AB - BA on a shared volume."""
     a._require_same_volume(b)
@@ -302,48 +336,78 @@ def adjoint_matmul(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _conjugate_in_place(matmul(v.T, _conjugate_in_place(y)))
 
 
-def rotate(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """V^dagger X V through :func:`matmul`.
+def rotate(v: np.ndarray, x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """V^dagger X W through :func:`matmul`, with W = V unless given.
 
-    A real V^T is a free view, so the product is (V^T X) V; a complex one
-    is formed as V^dagger (X V) by :func:`adjoint_matmul` on the temporary
-    X V, without copying V.
+    A real V^T is a free view, so the product is (V^T X) W; a complex one
+    is formed as V^dagger (X W) by :func:`adjoint_matmul` on the temporary
+    X W, without copying V.
     """
+    w = v if w is None else w
     if np.iscomplexobj(v):
-        return adjoint_matmul(v, matmul(x, v))
-    return matmul(matmul(v.T, x), v)
+        return adjoint_matmul(v, matmul(x, w))
+    return matmul(matmul(v.T, x), w)
 
 
-def rotate_back(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """V X V^dagger through :func:`matmul`, the inverse of :func:`rotate`
-    for a unitary V.
+def rotate_back(v: np.ndarray, x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """V X W^dagger through :func:`matmul`, with W = V unless given: the
+    inverse of :func:`rotate` for unitary V and W.
 
-    Formed as (V X) V^dagger; for a complex V as conj(conj(V X) V^T),
+    Formed as (V X) W^dagger; for a complex W as conj(conj(V X) W^T),
     conjugating the temporary V X and the product in place, without
-    copying V.
+    copying W.
     """
+    w = v if w is None else w
     vx = matmul(v, x)
-    if not np.iscomplexobj(v):
-        return matmul(vx, v.T)
-    return _conjugate_in_place(matmul(_conjugate_in_place(vx), v.T))
+    if not np.iscomplexobj(w):
+        return matmul(vx, w.T)
+    return _conjugate_in_place(matmul(_conjugate_in_place(vx), w.T))
 
 
-def op_norm(a) -> float:
+def op_norm(a, partition: Sequence[np.ndarray] | None = None) -> float:
     """Operator norm (largest singular value).
 
-    Hermitian inputs take the spectral route (largest absolute eigenvalue,
-    exact for selfadjoint matrices). Anything else is the square root of
-    the largest eigenvalue of the Gram matrix M^dagger M, formed from
-    M / max|M| so that squaring neither overflows nor underflows: one
-    product and a Hermitian eigensolve instead of an SVD, and a real one
-    for a real M, such as an anti-Hermitian derivation power of a real
-    model. The Hermiticity test is made once, with the stricter
-    OP_NORM_HERMITIAN_TOL, so the solver does not repeat it.
+    A Hermitian M, within OP_NORM_HERMITIAN_TOL relative to max|M|, is
+    normed by the largest absolute eigenvalue of its Hermitian part, formed
+    from the conjugate transpose the test used. Else it is the root of the
+    largest eigenvalue of the Gram matrix of M / max|M| (no overflow or
+    underflow), one product and an eigensolve, real for a real M.
+
+    With ``partition``, sectors of the basis indices, the norm is the
+    largest over the connected components of the graph of nonzero sector
+    blocks of M, read from M. A component [[0, B], [C, 0]] of two sectors
+    has norm max(||B||, ||C||), ||B|| for a Hermitian M, each by the Gram
+    route at the sectors' dimension; any other is normed as above.
     """
     mat = as_matrix(a)
     if mat.size == 0:
         return 0.0
-    if is_hermitian_matrix(mat, OP_NORM_HERMITIAN_TOL):
+    adjoint = np.conjugate(mat.T, out=np.empty_like(mat))
+    hermitian = is_hermitian_matrix(mat, OP_NORM_HERMITIAN_TOL, adjoint, 0.0)
+    if hermitian:
+        mat = 0.5 * (mat + adjoint)
+    del adjoint
+    if partition is None or len(partition) == 1:
+        return _dense_norm(mat, hermitian)
+    count = len(partition)
+    nonzero = np.array([[np.any(mat[np.ix_(rows, cols)]) for cols in partition]
+                        for rows in partition])
+    norms = [0.0]
+    for group in sectors([DenseOperator((0,), (count,), nonzero)], (0,), (count,)):
+        if len(group) == 2 and not np.any(nonzero[group, group]):
+            p, q = group
+            blocks = [(p, q)] if hermitian else [(p, q), (q, p)]
+            norms += [_gram_norm(mat[np.ix_(partition[i], partition[j])])
+                      for i, j in blocks if nonzero[i, j]]
+        elif np.any(nonzero[np.ix_(group, group)]):
+            rows = np.concatenate([partition[p] for p in group])
+            norms.append(_dense_norm(mat[np.ix_(rows, rows)], hermitian))
+    return max(norms)
+
+
+def _dense_norm(mat: np.ndarray, hermitian: bool) -> float:
+    """||M||: the spectral route for a bitwise Hermitian M, else the Gram route."""
+    if hermitian:
         return float(np.max(np.abs(_eigvalsh(mat))))
     return _gram_norm(mat)
 
@@ -353,7 +417,7 @@ def _gram_norm(mat: np.ndarray) -> float:
     the largest eigenvalue of U^dagger U, U = M / max|M|."""
     scale = float(np.max(np.abs(mat)))
     unit = mat / scale
-    largest = float(_eigvalsh(matmul(unit.conj().T, unit))[-1])
+    largest = float(_eigvalsh(_hermitian_part(matmul(unit.conj().T, unit)))[-1])
     return scale * math.sqrt(max(largest, 0.0))
 
 
@@ -398,8 +462,8 @@ def hermitian_matrix(a, what: str = "spectral decomposition") -> np.ndarray:
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of (M + M^dagger) / 2 for an already checked M."""
-    return np.linalg.eigvalsh(_hermitian_part(mat))
+    """Ascending eigenvalues of a bitwise Hermitian M."""
+    return np.linalg.eigvalsh(mat)
 
 
 def spectral(a) -> tuple[np.ndarray, np.ndarray]:
@@ -414,20 +478,7 @@ def spectral(a) -> tuple[np.ndarray, np.ndarray]:
 
 def eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian A; see :func:`spectral`."""
-    return _eigvalsh(_require_hermitian(a))
-
-
-def apply_function(a, phi: Callable[[float], float]):
-    """phi(A) for Hermitian A via the spectral decomposition.
-
-    Exceptions raised by ``phi`` at an eigenvalue propagate to the caller.
-    """
-    w, v = spectral(a)
-    vals = np.array([phi(float(x)) for x in w])
-    mat = matmul(v * vals, v.conj().T)
-    if isinstance(a, DenseOperator):
-        return a.with_matrix(mat)
-    return mat
+    return _eigvalsh(hermitian_matrix(a))
 
 
 def observable_lambda_norm_upper(

@@ -17,7 +17,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import opalg
-from .dynamics import EvolutionPlan, make_plan
+from .dynamics import EvolutionPlan, _rotated_back, _rotated_blocks, make_plan
 from .model import ModelSpec, redraw
 from .opalg import DenseOperator
 from .volume import VolumeOperators, build
@@ -149,20 +149,22 @@ def _horizon_kernels(half: np.ndarray, endpoint: bool = True) -> np.ndarray:
 def time_averaged_state(plan: EvolutionPlan, state: StateRep, horizon: float) -> StateRep:
     """The horizon average of the evolved state, exact in the horizon.
 
-    Averaging the dual evolution over [0, T] multiplies the density matrix
-    entrywise, in the generator eigenbasis, by the averaging kernel of the
-    Bohr frequencies w_k - w_j. The result is again a state (a convex
-    average of states).
+    Averaging the dual evolution over [0, T] multiplies each nonzero sector
+    block of the density matrix entrywise, in the generator eigenbasis, by
+    the averaging kernel of the Bohr frequencies w_k - w_j. The result is
+    again a state (a convex average of states).
     """
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
-    v = plan.basis
-    w = plan.eigenvalues
-    rho_t = opalg.rotate(v, state.density)
-    kernel = np.empty(rho_t.shape, dtype=complex)
-    kernel.real, kernel.imag = _horizon_kernels(0.5 * horizon * (w[None, :] - w[:, None]),
-                                                endpoint=False)
-    averaged = opalg.rotate_back(v, rho_t * kernel)
+    w = [s.eigenvalues for s in plan.sectors]
+
+    def average(r: np.ndarray, p: int, q: int) -> np.ndarray:
+        kernel = np.empty(r.shape, dtype=complex)
+        kernel.real, kernel.imag = _horizon_kernels(
+            0.5 * horizon * (w[q][None, :] - w[p][:, None]), endpoint=False)
+        return r * kernel
+
+    averaged = _rotated_back(plan, _rotated_blocks(plan, state.density), average)
     averaged = 0.5 * (averaged + averaged.conj().T)
     return StateRep(state.sites, state.dims, averaged)
 
@@ -217,15 +219,20 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     and the observables, each selfadjoint (ValueError otherwise; its
     Hermitian part is used) and given on its own sites or on the whole
     volume. Each is rotated once into the eigenbasis V of the plan's
-    generator (``H_B`` unless given): X V is contracted from the local
-    factors along V's site axes (:func:`opalg.kron_apply`), so the rotation
-    V^dagger (X V) is one volume-sized product. With P_jk = s_jk x_kj for
-    the rotated state s and operator x, and Bohr frequencies
-    d_jk = w_k - w_j, the horizon average of <x> is sum_jk P_jk K(T d_jk)
-    with the averaging kernel K, and the endpoint form of the entropy
-    production is e_telescoped = (1/T) Re sum_jk P^G_jk expm1(i T d_jk),
-    the relative entropy of the evolved state to the initial one divided
-    by T. P is conjugate-symmetric, K(0) = 1 and expm1(0) = 0, so each
+    generator (``H_B`` with ``vols.sectors`` unless given) one sector p at
+    a time: X V_p is contracted from the local factors along the site axes
+    of the sector's eigenvectors (:func:`opalg.kron_apply`), so V_p^dagger
+    (X V_p) is one product of the sector's dimension. The state, G and the
+    currents, made of the terms, leave each sector invariant (as a given
+    plan's sectors must), so only Bohr frequencies within a sector count,
+    and an observable's blocks between sectors contribute exactly nothing.
+    With P_jk = s_jk x_kj for the rotated state s and operator x, and Bohr
+    frequencies d_jk = w_k - w_j, the horizon average of <x> is
+    sum_jk P_jk K(T d_jk) with the averaging kernel K, and the endpoint form
+    of the entropy production is e_telescoped = (1/T) Re sum_jk P^G_jk
+    expm1(i T d_jk), the relative entropy of the evolved state to the
+    initial one divided by T. P is conjugate-symmetric, K(0) = 1 and
+    expm1(0) = 0, so each
     weight is kept as its diagonal sum plus the real and imaginary parts of
     its packed strict upper triangle, and each horizon is one sine and one
     cosine per frequency (:func:`_horizon_kernels`) and two matrix-vector
@@ -238,43 +245,57 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     observables = {key: x.with_matrix(opalg.hermitian_matrix(x, f"observable {key!r}"))
                    for key, x in ({} if observables is None else observables).items()}
     if plan is None:
-        plan = make_plan(vols.H_B)
-    v = plan.basis
-    w = plan.eigenvalues
-    upper = np.triu(np.ones((vols.dim, vols.dim), dtype=bool), k=1)
-    half_freq = 0.5 * (w[None, :] - w[:, None])[upper]
-
-    def rotated(factors: Sequence[DenseOperator]) -> np.ndarray:
-        return opalg.adjoint_matmul(v, opalg.kron_apply(factors, vols.sites, vols.dims, v))
-
-    sigma_t = rotated(_gibbs_factors(vols))
-    sigma_diag = np.diagonal(sigma_t).copy()
-    sigma_upper = sigma_t[upper]
-    del sigma_t
-
-    def weight(x_t: np.ndarray, out: np.ndarray) -> float:
-        """Rows Re, -Im of the packed P into ``out``; returns the diagonal sum."""
-        p = sigma_upper * x_t.T[upper]
-        out[0] = p.real
-        out[1] = -p.imag if np.iscomplexobj(p) else 0.0
-        return float(np.real(np.dot(sigma_diag, np.diagonal(x_t))))
-
-    # one rotated matrix at a time; only the packed weights outlive it
+        plan = make_plan(vols.H_B, vols.sectors)
     reservoirs = sorted(vols.currents)
     operators = [vols.currents[a] for a in reservoirs] + list(observables.values())
-    rows = np.empty((len(operators), 2, half_freq.size))
-    diag = np.empty(len(operators))
-    for k, x in enumerate(operators):
-        diag[k] = weight(rotated([x]), rows[k])
-    # G V without the constant log Z, which drops out of the strict upper
-    # triangle the endpoint form reads
-    g_v = functools.reduce(np.add, (opalg.kron_apply([b], vols.sites, vols.dims, v)
-                                    for b in vols.blocks.values()))
-    g_rows = np.empty((2, half_freq.size))
-    weight(opalg.adjoint_matmul(v, g_v), g_rows)
-    del g_v, sigma_upper
+    offsets = np.cumsum([0] + [s.indices.size * (s.indices.size - 1) // 2 for s in plan.sectors])
+    sigma_factors = _gibbs_factors(vols)
+    g_blocks = list(vols.blocks.values())
+    rows = None
+    diag = np.zeros(len(operators))
+    half_freq, g_rows = [], []
+    for sector, start, stop in zip(plan.sectors, offsets, offsets[1:]):
+        v, w, size, dim = sector.basis, sector.eigenvalues, sector.indices.size, vols.dim
+        upper = np.triu(np.ones((size, size), dtype=bool), k=1)
+        half_freq.append(0.5 * (w[None, :] - w[:, None])[upper])
+        columns = v
+        if size < dim:   # the sector's eigenvectors as columns of the volume's basis
+            columns = np.zeros((dim, size), dtype=v.dtype)
+            columns[sector.indices] = v
+        apply = functools.partial(opalg.kron_apply, sites=vols.sites, dims=vols.dims, v=columns)
+
+        def rotated(x_v: np.ndarray) -> np.ndarray:
+            """V^dagger (X V) within the sector, from X V on its columns."""
+            return opalg.adjoint_matmul(v, x_v if size == dim else x_v[sector.indices])
+
+        sigma_t = rotated(apply(sigma_factors))
+        sigma_diag = np.diagonal(sigma_t).copy()
+        sigma_upper = sigma_t[upper]
+        del sigma_t
+        # allocated once the first rotated state is gone, which lowers the peak
+        rows = np.empty((len(operators), 2, offsets[-1])) if rows is None else rows
+
+        def weight(x_t: np.ndarray, out: np.ndarray) -> float:
+            """Rows Re, -Im of the packed P into ``out``; returns the diagonal sum."""
+            p = sigma_upper * x_t.T[upper]
+            out[0] = p.real
+            out[1] = -p.imag if np.iscomplexobj(p) else 0.0
+            return float(np.real(np.dot(sigma_diag, np.diagonal(x_t))))
+
+        # one rotated matrix at a time; only the packed weights outlive it.
+        # An observable's blocks between two sectors meet only zero blocks
+        # of the rotated state, so they contribute exactly nothing.
+        for k, x in enumerate(operators):
+            diag[k] += weight(rotated(apply([x])), rows[k, :, start:stop])
+        # G V without the constant log Z, which drops out of the strict upper
+        # triangle the endpoint form reads
+        g_v = functools.reduce(np.add, (apply([b]) for b in g_blocks))
+        g_rows.append(np.empty((2, stop - start)))
+        weight(rotated(g_v), g_rows[-1])
+        del g_v, sigma_upper
+    half_freq = np.concatenate(half_freq)
     rows = rows.reshape(len(operators), -1)
-    g_rows = g_rows.reshape(-1)
+    g_rows = np.concatenate(g_rows, axis=1).reshape(-1)
 
     perturbed = any(np.any(b.matrix) for b in vols.B_a.values())
     out = []

@@ -46,6 +46,11 @@ class VolumeOperators:
     and the normalized trace on the remaining sites. ``g_norm`` and
     ``w_norm`` are the operator norms of G and ``W``. All operators are
     Hermitian.
+
+    ``sectors`` are the :func:`opalg.sectors` of the in-volume and
+    perturbation terms, of whose sums and products every operator above is
+    made, so none has an entry between two sectors; a model with no
+    conserved quantity is one sector.
     """
 
     sites: tuple[int, ...]
@@ -60,6 +65,7 @@ class VolumeOperators:
     g_norm: float
     w_norm: float
     log: tuple[str, ...]
+    sectors: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
@@ -120,8 +126,10 @@ def build(spec: ModelSpec, volume: Iterable[int],
         else:
             dropped_pert += 1
     log.append(f"perturbation terms dropped at the boundary: {dropped_pert}")
-    h_b = spec.term_sum(in_volume + [t for a in spec.reservoirs for t in pert_terms[a]],
-                        sites)
+    generator_terms = in_volume + [t for a in spec.reservoirs for t in pert_terms[a]]
+    h_b = spec.term_sum(generator_terms, sites)
+    # from the terms, not from H_B, in whose sum an entry can cancel
+    sectors = opalg.sectors([spec.term_operator(t) for t in generator_terms], sites, dims)
 
     interface = [t for t in in_volume
                  if not any(set(t.support) <= inside[a] for a in spec.reservoirs)]
@@ -158,7 +166,7 @@ def build(spec: ModelSpec, volume: Iterable[int],
     return VolumeOperators(
         sites=sites, dims=dims, H_a=h_res, B_a=b_res, H_B=h_b, log_z=log_z, W=w_op,
         currents=currents, betas=dict(spec.betas), g_norm=g_norm,
-        w_norm=opalg.op_norm(w_op), log=tuple(log),
+        w_norm=opalg.op_norm(w_op), log=tuple(log), sectors=sectors,
     )
 
 

@@ -63,23 +63,37 @@ def chain5():
     return make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0})
 
 
-@pytest.fixture
-def eigensolves(monkeypatch):
-    """Every numpy/scipy eigh/eigvalsh call as (matrix dimension, calling file,
-    matrix dtype)."""
+def _record_solves(monkeypatch, record):
+    """Route every numpy/scipy eigh/eigvalsh call through ``record(name, a)``."""
     import numpy.linalg
     import scipy.linalg
 
-    calls = []
-
-    def counted(fn):
+    def counted(fn, name):
         def solve(a, *args, **kwargs):
-            calls.append((np.shape(a)[-1], sys._getframe(1).f_code.co_filename,
-                          np.asarray(a).dtype))
+            record(name, a)
             return fn(a, *args, **kwargs)
         return solve
 
     for mod in (numpy.linalg, scipy.linalg):
         for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+            monkeypatch.setattr(mod, name, counted(getattr(mod, name), name))
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Every numpy/scipy eigh/eigvalsh call as (matrix dimension, calling file,
+    matrix dtype)."""
+    calls = []
+    _record_solves(monkeypatch, lambda name, a: calls.append(
+        (np.shape(a)[-1], sys._getframe(2).f_code.co_filename, np.asarray(a).dtype)))
+    return calls
+
+
+@pytest.fixture
+def named_eigensolves(monkeypatch):
+    """Every numpy/scipy eigh/eigvalsh call as (solver name, matrix
+    dimension, matrix dtype)."""
+    calls = []
+    _record_solves(monkeypatch, lambda name, a: calls.append(
+        (name, np.shape(a)[-1], np.asarray(a).dtype)))
     return calls

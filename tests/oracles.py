@@ -14,7 +14,9 @@ For the dynamics it holds the Heisenberg evolution through the matrix
 exponential and the derivation powers iterated in complex arithmetic, so the
 real-arithmetic routes of the library have a reference that never takes them.
 
-It also holds the independent constructions the library no longer carries:
+It also holds the functional calculus phi(A) of a Hermitian matrix, which
+the tests use and the library does not, and the independent constructions
+the library no longer carries:
 the initial state as an explicit product of per-reservoir Gibbs blocks, the
 interface part by the weighted per-site formula, and the horizon average by
 composite Simpson quadrature of the exact evolution.
@@ -24,9 +26,22 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import logsumexp
 
-from nesslab import embed, exact_evolve, gibbs, make_plan, op_norm, time_averaged_state
-from nesslab.opalg import DenseOperator, zero
+from nesslab import embed, exact_evolve, gibbs, make_plan, op_norm, spectral, time_averaged_state
+from nesslab.opalg import DenseOperator, matmul, zero
 from nesslab.thermo import StateRep
+
+
+def apply_function(a, phi):
+    """phi(A) for Hermitian A via the spectral decomposition.
+
+    Exceptions raised by ``phi`` at an eigenvalue propagate to the caller.
+    """
+    w, v = spectral(a)
+    vals = np.array([phi(float(x)) for x in w])
+    mat = matmul(v * vals, v.conj().T)
+    if isinstance(a, DenseOperator):
+        return a.with_matrix(mat)
+    return mat
 
 
 def hamiltonian(vols):

@@ -202,12 +202,14 @@ class TestSimulateCommand:
 
 
 class TestEigensolveCount:
-    """``simulate`` diagonalizes one volume-sized matrix per volume: H_B.
+    """``simulate`` diagonalizes H_B once per conserved sector and takes no
+    other eigensolve at a volume's dimension, apart from ||W||.
 
-    The initial state, log Z and ||G|| come from the reservoir blocks and
-    ||W|| from the interface terms on their own support, which is the whole
-    volume only when every site is in S or next to it; then ||W|| costs a
-    second eigensolve at the volume's dimension.
+    These chains conserve the parity prod sigma_z, so H_B is solved as two
+    sectors of D/2 and never at D. The initial state, log Z and ||G|| come
+    from the reservoir blocks and ||W|| from the interface terms on their own
+    support, which is the whole volume only when every site is in S or next
+    to it; then ||W|| costs an eigensolve at the volume's dimension.
     """
 
     @staticmethod
@@ -220,6 +222,7 @@ class TestEigensolveCount:
         return touched == set(sites)
 
     def _count(self, monkeypatch, config_path):
+        """For each volume, the number of solves at D/2 and at D, by dimension."""
         import numpy.linalg
         import scipy.linalg
         from nesslab import volume
@@ -230,13 +233,14 @@ class TestEigensolveCount:
 
         def build(spec, sites, *args, **kwargs):
             current[:] = [tuple(sorted(sites)), spec.volume_dim(tuple(sites))]
-            counts.setdefault(current[0], 0)
+            counts.setdefault(current[0], {})
             return real_build(spec, sites, *args, **kwargs)
 
         def counted(fn):
             def solve(a, *args, **kwargs):
-                if current and np.shape(a)[-1] == current[1]:
-                    counts[current[0]] += 1
+                dim = np.shape(a)[-1]
+                if current and dim in (current[1], current[1] // 2):
+                    counts[current[0]][dim] = counts[current[0]].get(dim, 0) + 1
                 return fn(a, *args, **kwargs)
             return solve
 
@@ -252,7 +256,9 @@ class TestEigensolveCount:
         counts = self._count(monkeypatch, config_path)
         assert len(counts) == 3
         for sites, count in counts.items():
-            assert count == 1 + self._interface_spans_volume(spec, sites), sites
+            dim = spec.volume_dim(sites)
+            expected = {dim // 2: 2, dim: int(self._interface_spans_volume(spec, sites))}
+            assert count == {d: n for d, n in expected.items() if n}, sites
 
     def test_interface_inside_every_volume(self, tmp_path, monkeypatch):
         spec = make_chain(6, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2, 5: 2}, {1: 2.0, 2: 1.0})
@@ -263,8 +269,8 @@ class TestEigensolveCount:
             "horizons": [5.0, 50.0],
             "output_dir": str(tmp_path / "out"),
         })
-        assert self._count(monkeypatch, config_path) == {(0, 1, 2, 3, 4): 1,
-                                                          (0, 1, 2, 3, 4, 5): 1}
+        assert self._count(monkeypatch, config_path) == {(0, 1, 2, 3, 4): {16: 2},
+                                                          (0, 1, 2, 3, 4, 5): {32: 2}}
 
 
     def test_every_solve_in_opalg(self, tmp_path, eigensolves):
@@ -415,7 +421,8 @@ class TestRedrawCheckCommand:
     def test_shift_norm_on_moved_terms_support(self, tmp_path, monkeypatch):
         # moving site 2 into S takes the field on 2 and the bond (1, 2) out
         # of reservoir 1: the bound's norm lives on sites {1, 2}, so the
-        # only eigensolve at the volume's dimension is the one of H_B
+        # only eigensolves at the volume's dimension D or at D/2 are those of
+        # H_B, one per parity sector at D/2
         import numpy.linalg
         import scipy.linalg
         from nesslab import boundary_redraw_check, build, embed, op_norm, redraw
@@ -433,8 +440,8 @@ class TestRedrawCheckCommand:
 
         def counted(fn):
             def solve(a, *args, **kwargs):
-                if np.shape(a)[-1] == dim:
-                    solves.append(fn.__name__)
+                if np.shape(a)[-1] in (dim, dim // 2):
+                    solves.append((fn.__name__, np.shape(a)[-1]))
                 return fn(a, *args, **kwargs)
             return solve
 
@@ -442,7 +449,7 @@ class TestRedrawCheckCommand:
             for name in ("eigh", "eigvalsh"):
                 monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
         assert main(["redraw-check", "--config", str(config_path)]) == 0
-        assert solves == ["eigh"]
+        assert solves == [("eigh", dim // 2)] * 2
         monkeypatch.undo()
 
         vols = build(spec, range(7))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -424,19 +425,56 @@ class TestConvergenceSweep:
                                               rel=1e-12)
             assert row.error <= row.bound
 
-    def test_envelope_takes_no_volume_sized_solve(self, eigensolves):
-        # at each volume's D: H_B's eigh, then one norm per Dyson row and, past
-        # the first volume, one per evolution row and per order row
+    def test_envelope_takes_no_volume_sized_solve(self, named_eigensolves):
+        # The chain conserves the parity and sigma_x flips it. At each volume:
+        # H_B's real eigh per sector at D/2, then one complex Gram solve at
+        # D/2 per Dyson row and, past the first volume, per evolution row,
+        # each an exactly Hermitian matrix with zero diagonal sector blocks.
+        # The order rows vanish here and a zero matrix takes no solve. Nothing
+        # is solved at the largest D, nor above 8 but at a sector dimension:
+        # the envelope ||a|| is taken on a's own site.
         spec = make_chain(7, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2}, {1: 2.0, 2: 1.0})
         a = DenseOperator((3,), (2,), SX)
         exhaustion = [tuple(range(1, 6)), tuple(range(6)), tuple(range(7))]
         radius = series_radius(spec)
         t_grid = [0.2 * radius, 0.5 * radius, 2.0 * radius]
-        convergence_sweep(spec, exhaustion, a, t_grid, max_order=3)
+        report = convergence_sweep(spec, exhaustion, a, t_grid, max_order=3)
+        assert all(row.discrepancy == 0.0 for row in report.order_rows)
+        expected = Counter()
         for i, sites in enumerate(exhaustion):
-            dim = spec.volume_dim(sites)
-            expected = 1 + 2 + (len(t_grid) + 3 if i else 0)
-            assert sum(d == dim for d, _, _ in eigensolves) == expected, sites
+            half = spec.volume_dim(sites) // 2
+            expected["eigh", half, "float64"] += 2
+            expected["eigvalsh", half, "complex128"] += 2 + (len(t_grid) if i else 0)
+        solves = Counter((name, dim, np.dtype(dtype).name)
+                         for name, dim, dtype in named_eigensolves if dim > 8)
+        assert solves == expected
+
+    def test_real_chain_order_norms_solve_real(self, named_eigensolves):
+        # Outside the radius there are no Dyson rows. Past the first volume,
+        # each sector dimension D/2 sees H_B's two real eigh; the four order
+        # rows, real, through the Gram matrices of the off-diagonal sector
+        # blocks of each difference: both blocks of an antisymmetric odd
+        # order, one of a symmetric even order; and one complex Gram solve per
+        # evolution row, which is exactly Hermitian. At D/2 = 4 of the first
+        # volume only H_B is solved. Dimension 8 adds ||W|| on W's sites
+        # {1, 2, 3} in each volume and log Z of reservoir 2's block {3, 4, 5}
+        # in the last. Nothing is solved at the largest D.
+        spec = make_chain(6, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2, 5: 2}, {1: 2.0, 2: 1.0}, anis=0.3)
+        a = DenseOperator((2,), (2,), SX)
+        exhaustion = [(1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 3, 4), tuple(range(6))]
+        radius = series_radius(spec)
+        t_grid = [2.0 * radius, 8.0 * radius]
+        report = convergence_sweep(spec, exhaustion, a, t_grid, max_order=4)
+        assert all(row.discrepancy > 0.0 for row in report.order_rows)
+        expected = Counter({("eigvalsh", 8, "float64"): len(exhaustion) + 1})
+        for sites in exhaustion[1:]:
+            half = spec.volume_dim(sites) // 2
+            expected["eigh", half, "float64"] += 2
+            expected["eigvalsh", half, "float64"] += 2 + 1 + 2 + 1
+            expected["eigvalsh", half, "complex128"] += len(t_grid)
+        solves = Counter((name, dim, np.dtype(dtype).name)
+                         for name, dim, dtype in named_eigensolves if dim >= 8)
+        assert solves == expected
 
     def test_outside_radius_grid_computes_only_order_powers(self, chain5, monkeypatch):
         from nesslab import dynamics
@@ -456,23 +494,6 @@ class TestConvergenceSweep:
         assert report.dyson_rows == ()
         assert orders == [4, 4]
         assert len(report.order_rows) == 4
-
-    def test_real_chain_order_norms_solve_real(self, eigensolves):
-        # outside the radius there are no Dyson rows: past the first volume,
-        # each D sees H_B's eigh and the order-row norms, all real (the odd
-        # orders through the Gram matrix of a real antisymmetric difference),
-        # and one complex norm per evolution row
-        spec = make_chain(6, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2, 5: 2}, {1: 2.0, 2: 1.0}, anis=0.3)
-        a = DenseOperator((2,), (2,), SX)
-        exhaustion = [(1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 3, 4), tuple(range(6))]
-        radius = series_radius(spec)
-        t_grid = [2.0 * radius, 8.0 * radius]
-        convergence_sweep(spec, exhaustion, a, t_grid, max_order=4)
-        for sites in exhaustion[1:]:
-            dim = spec.volume_dim(sites)
-            dtypes = [dtype for d, _, dtype in eigensolves if d == dim]
-            assert dtypes.count(np.float64) == 1 + 4, sites
-            assert dtypes.count(np.complex128) == len(t_grid), sites
 
     def test_peak_memory_is_a_few_volume_matrices(self):
         # volumes are processed in ascending order; only the previous one's

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from nesslab import (
     DenseOperator,
-    apply_function,
     commutator,
     embed,
     observable_lambda_norm_upper,
@@ -20,6 +19,7 @@ from nesslab import opalg
 from nesslab.opalg import eigenvalues, identity, kron_embed
 
 from conftest import ID2, SX, SY, SZ, random_hermitian, random_unitary
+from oracles import apply_function
 
 
 def embed_via_permutation(mat, op_sites, all_sites, dims_by_site):
@@ -353,23 +353,24 @@ class TestNonHermitianNorm:
     KINDS = ["real antisymmetric", "real general", "complex general"]
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
     def test_matches_the_svd(self, kind, scale):
+        # op_norm's Hermiticity test is relative to max|M| at every scale
         m = scale * self._sample(kind)
-        assert not opalg.is_hermitian_matrix(m, opalg.OP_NORM_HERMITIAN_TOL)
+        assert not opalg.is_hermitian_matrix(m, opalg.OP_NORM_HERMITIAN_TOL, None, 0.0)
         expected = np.linalg.norm(m, 2)
-        assert np.isfinite(expected)
+        assert np.isfinite(expected) and expected > 0.0
         assert abs(op_norm(m) - expected) <= 1e-13 * expected
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_tiny_matrices_do_not_underflow(self, kind):
-        # op_norm's Hermiticity test is absolute below max|M| = 1, so a matrix
-        # of entries ~1e-200 is Hermitian within it and takes the spectral
-        # route; the Gram route itself is exercised directly
+        # entries ~1e-200 square to 0 without the scaling by max|M|; op_norm
+        # routes them by their own scale, so 1e-200 (g - g^T) is not 0
         m = 1e-200 * self._sample(kind)
         expected = np.linalg.norm(m, 2)
         assert expected > 0.0
         assert abs(opalg._gram_norm(m) - expected) <= 1e-13 * expected
+        assert abs(op_norm(m) - expected) <= 1e-13 * expected
 
     def test_zero_matrix(self):
         assert op_norm(np.zeros((5, 5))) == 0.0
@@ -379,6 +380,77 @@ class TestNonHermitianNorm:
         g = self._sample("real general")
         op_norm(g - g.T)
         assert [dtype for _, _, dtype in eigensolves] == [np.float64]
+
+
+def _sector_matrix(rng, pattern, kind, sizes=(5, 5, 4)):
+    """A matrix on sectors of ``sizes`` whose block pq is nonzero where
+    ``pattern`` has a 1 (symmetric), under a scrambled basis order."""
+    sizes = sizes[:len(pattern)]
+    dim = sum(sizes)
+    order = rng.permutation(dim)
+    bounds = np.cumsum((0,) + sizes)
+    sectors = [np.sort(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    m = rng.standard_normal((dim, dim))
+    if kind != "real":
+        m = m + 1j * rng.standard_normal((dim, dim))
+    for p, rows in enumerate(sectors):
+        for q, cols in enumerate(sectors):
+            if not pattern[p][q]:
+                m[np.ix_(rows, cols)] = 0.0
+    if kind == "hermitian":
+        m = m + m.conj().T
+    elif kind == "antihermitian":
+        m = m - m.conj().T
+    return m, sectors
+
+
+class TestSectorNorm:
+    """op_norm with a sector partition equals the dense norm; the nonzero
+    block graph is read from the matrix."""
+
+    PATTERNS = {"off-diagonal": ((0, 1), (1, 0)), "diagonal": ((1, 0), (0, 1)),
+                "full": ((1, 1), (1, 1)), "one zero sector": ((1, 0), (0, 0)),
+                "chain of three": ((0, 1, 0), (1, 0, 1), (0, 1, 0)),
+                "pair and single": ((0, 1, 0), (1, 0, 0), (0, 0, 1))}
+
+    @pytest.mark.parametrize("kind", ["hermitian", "antihermitian", "real", "complex"])
+    @pytest.mark.parametrize("pattern", list(PATTERNS))
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_matches_the_dense_norm(self, kind, pattern, scale):
+        m, sectors = _sector_matrix(np.random.default_rng(7), self.PATTERNS[pattern], kind)
+        m = scale * m
+        expected = np.linalg.norm(m, 2)
+        assert abs(op_norm(m, sectors) - expected) <= 1e-13 * expected
+        assert abs(op_norm(m) - expected) <= 1e-13 * expected
+
+    def test_off_diagonal_component_takes_gram_solves_at_the_sector_dimension(
+            self, eigensolves):
+        rng = np.random.default_rng(8)
+        pattern = self.PATTERNS["off-diagonal"]
+        for kind, solves in (("hermitian", 1), ("antihermitian", 2), ("real", 2)):
+            m, sectors = _sector_matrix(rng, pattern, kind, sizes=(6, 6))
+            eigensolves.clear()
+            op_norm(m, sectors)
+            assert [dim for dim, _, _ in eigensolves] == [6] * solves, kind
+
+    def test_zero_and_one_sector(self, eigensolves):
+        m, sectors = _sector_matrix(np.random.default_rng(9), self.PATTERNS["full"], "complex")
+        assert op_norm(np.zeros_like(m), sectors) == 0.0
+        assert eigensolves == []
+        assert op_norm(m, [np.arange(m.shape[0])]) == op_norm(m)
+
+    def test_hermitian_route_is_bitwise_unchanged(self):
+        # one conjugate transpose serves the test and the Hermitian part
+        for m in (random_hermitian(np.random.default_rng(10), 9),
+                  self._nearly_hermitian()):
+            herm = 0.5 * (m + m.conj().T)
+            assert op_norm(m) == float(np.max(np.abs(np.linalg.eigvalsh(herm))))
+
+    @staticmethod
+    def _nearly_hermitian():
+        m = random_hermitian(np.random.default_rng(11), 9)
+        m[0, 1] += 1e-15
+        return m
 
 
 class TestObservableNormUpper:

@@ -9,14 +9,16 @@ each other and with the full-D oracles to 1e-12.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from nesslab import (DenseOperator, EvolutionPlan, InteractionTerm, ModelSpec, build, embed,
-                     exact_evolve, horizon_reports, initial_state, make_plan, model_to_dict)
+                     exact_evolve, horizon_reports, initial_state, make_plan, model_to_dict,
+                     series_radius)
 from nesslab.cli import _observable_operators, load_config, main
-from nesslab.dynamics import _commutators, derivation_powers
+from nesslab.dynamics import Sector, _commutators, derivation_powers
 from nesslab.model import PerturbationEntry, PerturbationFamily, load_model
 from nesslab.opalg import as_matrix, matmul
 
@@ -39,9 +41,19 @@ def _family(*terms):
 
 
 def _complex_plan(plan: EvolutionPlan) -> EvolutionPlan:
-    """The same generator and spectrum with the eigenbasis V diag(e^{i theta})."""
-    theta = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, plan.eigenvalues.size)
-    return EvolutionPlan(plan.generator, plan.eigenvalues, plan.basis * np.exp(1j * theta))
+    """The same generator, sectors and spectrum with each sector's
+    eigenbasis V diag(e^{i theta})."""
+    rng = np.random.default_rng(3)
+    return EvolutionPlan(plan.generator, tuple(
+        Sector(s.indices, s.eigenvalues,
+               s.basis * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, s.eigenvalues.size)))
+        for s in plan.sectors))
+
+
+def _sector_plan(vols) -> EvolutionPlan:
+    plan = make_plan(vols.H_B, vols.sectors)
+    assert len(plan.sectors) == 2   # the parity of the real chain
+    return plan
 
 
 def _observable(vols) -> DenseOperator:
@@ -69,7 +81,7 @@ class TestDtypeRule:
         operators = [vols.H_B, vols.W, *vols.H_a.values(), *vols.B_a.values(),
                      *vols.blocks.values()]
         assert all(op.matrix.dtype == np.float64 for op in operators)
-        assert make_plan(vols.H_B).basis.dtype == np.float64
+        assert all(s.basis.dtype == np.float64 for s in _sector_plan(vols).sectors)
         assert initial_state(vols).density.dtype == np.float64
         for current in vols.currents.values():
             # i times a real antisymmetric matrix
@@ -146,9 +158,10 @@ def test_matmul_with_a_vanishing_part(a_complex, b_complex, zero_part):
 
 class TestRouteAgreement:
     def test_horizon_reports(self, vols):
-        plan = make_plan(vols.H_B)
+        plan = _sector_plan(vols)
         cplan = _complex_plan(plan)
-        assert plan.basis.dtype == np.float64 and cplan.basis.dtype == np.complex128
+        assert all(s.basis.dtype == np.float64 for s in plan.sectors)
+        assert all(s.basis.dtype == np.complex128 for s in cplan.sectors)
         obs = {"x": _observable(vols)}
         real = horizon_reports(vols, HORIZONS, plan=plan, observables=obs)
         cplx = horizon_reports(vols, HORIZONS, plan=cplan, observables=obs)
@@ -167,7 +180,7 @@ class TestRouteAgreement:
             assert abs(r_avg["x"] - avg) <= 1e-6
 
     def test_exact_evolve(self, vols):
-        plan = make_plan(vols.H_B)
+        plan = _sector_plan(vols)
         cplan = _complex_plan(plan)
         a = _observable(vols)
         for t in TIMES:
@@ -210,58 +223,89 @@ def _dm_chain():
 
 
 class TestVolumeSolveDtypes:
-    DIMS = (8, 16, 32)
+    """Both chains conserve the parity prod sigma_z, so the volumes of D = 8,
+    16 and 32 are each diagonalized as two sectors of D/2 = 4, 8 and 16, and
+    nothing is solved at the largest D. Every solve of dimension 4 or more
+    is pinned by solver, dimension and dtype."""
 
-    def _solves_at_volume_dims(self, tmp_path, eigensolves, spec, command):
-        eigensolves.clear()
+    def _solves(self, tmp_path, named_eigensolves, spec, command) -> Counter:
+        named_eigensolves.clear()
         assert main([command, "--config", str(_cli_files(tmp_path, spec))]) == 0
-        return [(dim, dtype) for dim, _, dtype in eigensolves if dim in self.DIMS]
+        return Counter((name, dim, np.dtype(dtype).name)
+                       for name, dim, dtype in named_eigensolves if dim >= 4)
 
-    def test_simulate_on_a_real_chain_solves_real(self, tmp_path, eigensolves):
-        solves = self._solves_at_volume_dims(tmp_path, eigensolves, _chain(), "simulate")
-        assert {dim for dim, _ in solves} == set(self.DIMS)
-        assert all(dtype == np.float64 for _, dtype in solves)
+    @staticmethod
+    def _simulate(h_b_dtype: str, w_dtype: str) -> Counter:
+        # eigh of H_B's two sectors in each volume; eigh (Gibbs state) and
+        # eigvalsh (log Z) of the three two-site reservoir blocks, {0, 1} in
+        # the last two volumes and {3, 4} in the last, which are real; and
+        # ||W|| on W's sites {1, 2, 3} in each volume
+        return (Counter({("eigh", 4, h_b_dtype): 2, ("eigh", 8, h_b_dtype): 2,
+                         ("eigh", 16, h_b_dtype): 2})
+                + Counter({("eigh", 4, "float64"): 3, ("eigvalsh", 4, "float64"): 3,
+                           ("eigvalsh", 8, w_dtype): 3}))
 
-    def test_sweep_on_a_real_chain_solves_h_b_real(self, tmp_path, eigensolves):
-        # the first solve at each volume's D is the eigendecomposition of H_B;
-        # the evolved observables are complex, so their norms are not real
-        solves = self._solves_at_volume_dims(tmp_path, eigensolves, _chain(),
-                                             "sweep-convergence")
-        for dim in self.DIMS:
-            assert next(dtype for d, dtype in solves if d == dim) == np.float64
+    def test_simulate_on_a_real_chain_solves_real(self, tmp_path, named_eigensolves):
+        solves = self._solves(tmp_path, named_eigensolves, _chain(), "simulate")
+        assert solves == self._simulate("float64", "float64")
+
+    def test_sweep_on_a_real_chain_solves_h_b_real(self, tmp_path, named_eigensolves):
+        solves = self._solves(tmp_path, named_eigensolves, _chain(), "sweep-convergence")
+        # H_B's sectors, log Z of the reservoir blocks (as in simulate) and
+        # ||Phi||_lam, one solve per bond support, all real
+        expected = Counter({("eigh", 4, "float64"): 2, ("eigh", 8, "float64"): 2,
+                            ("eigh", 16, "float64"): 2, ("eigvalsh", 4, "float64"): 3 + 4,
+                            ("eigvalsh", 8, "float64"): 3})
+        assert solves == expected + _sweep_norm_solves(tmp_path / "config.json")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
-    def test_complex_chain_solves_complex(self, tmp_path, eigensolves, command):
-        solves = self._solves_at_volume_dims(tmp_path, eigensolves, _dm_chain(), command)
-        assert {dim for dim, _ in solves} == set(self.DIMS)
-        # The sweep forms each order difference embed(r_m) - r_m of exactly
-        # (anti-)Hermitian commutators; where its imaginary part is exactly
-        # zero (on this chain, order 1 of both pairs) it is stored and solved
-        # real. Only those are exempt: H_B's solve and every evolution, Dyson
-        # and other order norm is complex.
-        exempt = (_exactly_real_order_differences(tmp_path / "config.json")
-                  if command == "sweep-convergence" else [])
-        assert sorted(dim for dim, dtype in solves if dtype != np.complex128) == exempt
-        assert all(dtype in (np.complex128, np.float64) for _, dtype in solves)
-        for dim in self.DIMS:
-            assert next(dtype for d, dtype in solves if d == dim) == np.complex128
+    def test_complex_chain_solves_complex(self, tmp_path, named_eigensolves, command):
+        solves = self._solves(tmp_path, named_eigensolves, _dm_chain(), command)
+        if command == "simulate":
+            assert solves == self._simulate("complex128", "complex128")
+            return
+        # H_B's sectors and ||W|| are complex; log Z of the real reservoir
+        # blocks and ||Phi||_lam of the three real bond supports are real,
+        # that of the bond (1, 2) with the DM term complex
+        expected = Counter({("eigh", 4, "complex128"): 2, ("eigh", 8, "complex128"): 2,
+                            ("eigh", 16, "complex128"): 2, ("eigvalsh", 4, "float64"): 3 + 3,
+                            ("eigvalsh", 4, "complex128"): 1,
+                            ("eigvalsh", 8, "complex128"): 3})
+        assert solves == expected + _sweep_norm_solves(tmp_path / "config.json")
 
 
-def _exactly_real_order_differences(config_path, max_order=4) -> list[int]:
-    """The larger volume's dimension for each order difference of the sweep
-    whose imaginary part is exactly zero, in ascending order."""
+def _sweep_norm_solves(config_path, max_order=4) -> Counter:
+    """The eigvalsh calls of the sweep's norms, derived from the block rule.
+
+    The observable mid_x flips the parity, so every norm is that of a
+    matrix with zero diagonal sector blocks, taken by the Gram route on an
+    off-diagonal block at the sector dimension D/2 of the larger volume.
+    The evolved observables are exactly Hermitian, and so are their
+    differences and the series errors: one complex solve per evolution row
+    and per Dyson row. An order difference embed(r_m) - r_m is exactly
+    Hermitian for even m (one solve) and anti-Hermitian for odd m (both
+    blocks, two solves), none when it is zero, and real when its imaginary
+    part is exactly zero.
+    """
     cfg = load_config(config_path)
     spec = load_model(cfg.model_path)
     (a,) = _observable_operators(spec, cfg).values()
+    inside = sum(abs(t) < series_radius(spec) for t in cfg.horizons)
+    half = [spec.volume_dim(sites) // 2 for sites in cfg.exhaustion]
+    solves = Counter()
+    for dim in half:
+        solves["eigvalsh", dim, "complex128"] += inside
+    for dim in half[1:]:
+        solves["eigvalsh", dim, "complex128"] += len(cfg.horizons)
     commutators = []
     for sites in cfg.exhaustion:
         h_b = build(spec, sites).H_B
         commutators.append([h_b.with_matrix(r) for r in
                             _commutators(h_b, embed(a, h_b.sites, h_b.dims), max_order)])
-    dims = []
-    for small, large in zip(commutators, commutators[1:]):
-        for r_small, r_large in zip(small, large):
+    for dim, small, large in zip(half[1:], commutators, commutators[1:]):
+        for m, (r_small, r_large) in enumerate(zip(small, large), start=1):
             diff = embed(r_small, r_large.sites, r_large.dims).matrix - r_large.matrix
-            if not np.any(np.imag(diff)):
-                dims.append(r_large.dim)
-    return sorted(dims)
+            if np.any(diff):
+                dtype = "complex128" if np.any(np.imag(diff)) else "float64"
+                solves["eigvalsh", dim, dtype] += 2 if m % 2 else 1
+    return +solves

@@ -1,0 +1,241 @@
+"""Conserved sectors: how build finds them, and that the sector route agrees
+with the one-sector (dense) route.
+
+Every chain of the benchmark conserves the parity prod sigma_z, so H_B, the
+initial state, G and the currents have no entry between the parity sectors.
+``build`` finds the sectors from the terms, ``make_plan`` diagonalizes each
+sector block on its own, and the sweep, the horizon contraction and the
+norms work block by block. A one-sector plan runs the dense algorithm, which
+is the reference here.
+"""
+
+import dataclasses
+import math
+import tracemalloc
+from math import comb
+
+import numpy as np
+import pytest
+
+from nesslab import (DenseOperator, InteractionTerm, ModelSpec, build, convergence_sweep,
+                     embed, exact_evolve, horizon_reports, make_plan, opalg, series_radius,
+                     volume)
+from nesslab.model import PerturbationEntry, PerturbationFamily
+
+from conftest import SX, SY, SZ, make_chain, random_hermitian
+
+TOL = 1e-12
+SEVEN = {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2}
+BETAS = {1: 2.0, 2: 1.0}
+
+
+def _with_terms(spec, *terms):
+    return ModelSpec(spec.sites, spec.regions, spec.terms + terms, spec.lam, spec.betas)
+
+
+def _parity(index: int) -> int:
+    return bin(index).count("1") % 2
+
+
+def _close(got: float, ref: float) -> bool:
+    return abs(got - ref) <= TOL * (1.0 + abs(ref))
+
+
+class TestDetection:
+    def test_parity_chain_has_two_sectors(self):
+        spec = make_chain(6, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2, 5: 2}, BETAS, anis=0.3)
+        vols = build(spec, range(6))
+        assert len(vols.sectors) == 2
+        for sector in vols.sectors:
+            assert sector.size == vols.dim // 2
+            assert np.all(np.diff(sector) > 0)
+            assert len({_parity(int(i)) for i in sector}) == 1
+        assert vols.sectors[0][0] == 0
+
+    def test_sigma_y_fields_break_the_parity(self):
+        spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, BETAS)
+        spec = _with_terms(spec, *(InteractionTerm((i,), 0.2 * SY) for i in range(5)))
+        (sector,) = build(spec, range(5)).sectors
+        np.testing.assert_array_equal(sector, np.arange(32))
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_xx_plus_yy_conserves_the_magnetization(self, n):
+        spec = make_chain(n, {i: (0 if i == n // 2 else 1 if i < n // 2 else 2)
+                              for i in range(n)}, BETAS, coup=0.0)
+        hopping = np.kron(SX, SX) + np.kron(SY, SY)
+        spec = _with_terms(spec, *(InteractionTerm((i, i + 1), hopping)
+                                   for i in range(n - 1)))
+        vols = build(spec, range(n))
+        assert len(vols.sectors) == n + 1
+        # sigma_z = +1 on bit 0, so the sector of index i has popcount(i) down spins
+        downs = sorted(bin(int(s[0])).count("1") for s in vols.sectors)
+        assert downs == list(range(n + 1))
+        assert sorted(s.size for s in vols.sectors) == sorted(comb(n, k) for k in range(n + 1))
+
+    def test_sectors_partition_the_basis_and_block_h_b(self):
+        spec = _with_terms(make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, BETAS, anis=0.3),
+                           InteractionTerm((1, 2), 0.4 * (np.kron(SX, SY) - np.kron(SY, SX))))
+        vols = build(spec, range(5))
+        np.testing.assert_array_equal(np.sort(np.concatenate(vols.sectors)), np.arange(32))
+        label = np.empty(32, dtype=int)
+        for k, sector in enumerate(vols.sectors):
+            label[sector] = k
+        rows, cols = np.nonzero(vols.H_B.matrix)
+        assert np.array_equal(label[rows], label[cols])
+
+    def test_found_from_the_terms_not_from_h_b(self):
+        # sigma_x on site 0 and -sigma_x (x) 1 on sites (0, 1) cancel in H_B,
+        # which is then diagonal, but each term flips site 0: the sectors join
+        # its two states
+        spec = make_chain(3, {0: 1, 1: 0, 2: 2}, BETAS, coup=0.0)
+        spec = _with_terms(spec, InteractionTerm((0,), SX),
+                           InteractionTerm((0, 1), -np.kron(SX, np.eye(2))))
+        vols = build(spec, range(3))
+        h_b = vols.H_B.matrix
+        assert not np.any(h_b - np.diag(np.diagonal(h_b)))
+        assert [s.tolist() for s in vols.sectors] == [[0, 4], [1, 5], [2, 6], [3, 7]]
+
+    def test_allocates_no_volume_sized_array(self):
+        spec = make_chain(11, {i: (0 if i == 5 else 1 if i < 5 else 2) for i in range(11)},
+                          BETAS, anis=0.3)
+        sites = tuple(range(11))
+        dims = spec.dims_for(sites)
+        ops = [spec.term_operator(t) for t in spec.terms]
+        dim = math.prod(dims)
+        assert dim == 2048
+        tracemalloc.start()
+        try:
+            found = opalg.sectors(ops, sites, dims)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 2
+        assert peak <= dim * dim * 8 / 16
+
+
+class TestMakePlanPerSector:
+    def test_one_spectral_call_per_sector_at_half_the_dimension(self, monkeypatch,
+                                                                  named_eigensolves):
+        spec = make_chain(9, {i: (0 if i == 4 else 1 if i < 4 else 2) for i in range(9)},
+                          BETAS, anis=0.3)
+        vols = build(spec, range(9))
+        shapes = []
+        spectral = opalg.spectral
+        monkeypatch.setattr(opalg, "spectral",
+                            lambda a: shapes.append(np.shape(a)) or spectral(a))
+        named_eigensolves.clear()
+        plan = make_plan(vols.H_B, vols.sectors)
+        assert shapes == [(256, 256)] * 2
+        assert [(name, dim) for name, dim, _ in named_eigensolves] == [("eigh", 256)] * 2
+        for sector, rows in zip(plan.sectors, vols.sectors):
+            np.testing.assert_array_equal(sector.indices, rows)
+            assert sector.basis.shape == (256, 256) and sector.basis.dtype == np.float64
+
+    def test_refuses_sectors_the_generator_couples(self):
+        vols = build(make_chain(4, {0: 1, 1: 0, 2: 0, 3: 2}, BETAS), range(4))
+        halves = (np.arange(8), np.arange(8, 16))   # site 0 up / down: sigma_x sigma_x flips it
+        with pytest.raises(ValueError):
+            make_plan(vols.H_B, halves)
+
+
+def _spec(kind: str) -> ModelSpec:
+    spec = make_chain(7, SEVEN, BETAS, anis=0.3)
+    if kind == "complex":
+        dm = 0.4 * (np.kron(SX, SY) - np.kron(SY, SX))
+        spec = _with_terms(spec, InteractionTerm((2, 3), dm), InteractionTerm((4, 5), dm))
+    return spec
+
+
+EXHAUSTION = [tuple(range(1, 6)), tuple(range(6)), tuple(range(7))]
+
+
+def _family(kind: str) -> PerturbationFamily:
+    terms = [InteractionTerm((1, 2), 0.3 * np.kron(SX, SX)), InteractionTerm((5,), 0.25 * SZ)]
+    if kind == "complex":
+        terms.append(InteractionTerm((5, 6), 0.2 * (np.kron(SX, SY) - np.kron(SY, SX))))
+    return PerturbationFamily(
+        tuple(PerturbationEntry(frozenset(v), tuple(t for t in terms if set(t.support) <= set(v)))
+              for v in EXHAUSTION), bound_K=1.0)
+
+
+def _observables(seed: int = 5) -> dict:
+    rng = np.random.default_rng(seed)
+    return {"odd": DenseOperator((3,), (2,), SX),
+            "even": DenseOperator((2, 3), (2, 2), np.kron(SZ, SZ) + 0.5 * np.kron(SX, SY)),
+            "mixed": DenseOperator((2, 3), (2, 2), random_hermitian(rng, 4))}
+
+
+@pytest.fixture(params=[("real", False), ("real", True), ("complex", False), ("complex", True)],
+                ids=["real", "real-perturbed", "complex", "complex-perturbed"])
+def case(request):
+    kind, perturbed = request.param
+    spec = _spec(kind)
+    family = _family(kind) if perturbed else None
+    return spec, family, build(spec, range(7), family)
+
+
+def _one_sector(vols):
+    return dataclasses.replace(vols, sectors=(np.arange(vols.dim),))
+
+
+class TestSectorRouteMatchesDense:
+    """The sector route against one-sector plans, within 1e-12 (1 + |ref|)."""
+
+    def test_case_has_parity_sectors(self, case):
+        _, _, vols = case
+        assert len(vols.sectors) == 2
+
+    def test_exact_evolve(self, case):
+        _, _, vols = case
+        plan = make_plan(vols.H_B, vols.sectors)
+        dense = make_plan(vols.H_B)
+        operators = {k: embed(x, vols.sites, vols.dims) for k, x in _observables().items()}
+        # sigma^+ on site 3, not selfadjoint: every block pair on its own
+        operators["raise"] = embed(DenseOperator((3,), (2,), 0.5 * (SX + 1j * SY)),
+                                   vols.sites, vols.dims)
+        for key, a in operators.items():
+            for t in (0.3, 2.0, 7.5):
+                ref = exact_evolve(dense, a, t).matrix
+                got = exact_evolve(plan, a, t).matrix
+                assert np.max(np.abs(got - ref)) <= TOL * (1.0 + np.max(np.abs(ref))), key
+                if key == "odd":
+                    # the diagonal sector blocks of a parity-odd operator stay exactly zero
+                    for sector in plan.sectors:
+                        assert not np.any(got[np.ix_(sector.indices, sector.indices)])
+                if key != "raise":
+                    assert np.array_equal(got, got.conj().T)
+
+    def test_horizon_reports(self, case):
+        _, _, vols = case
+        horizons = (0.5, 3.0, 40.0)
+        obs = _observables()
+        ref = horizon_reports(vols, horizons, plan=make_plan(vols.H_B), observables=obs)
+        got = horizon_reports(vols, horizons, observables=obs)
+        for (r_rep, r_avg), (g_rep, g_avg) in zip(ref, got):
+            for a in r_rep.fluxes:
+                assert _close(g_rep.fluxes[a], r_rep.fluxes[a])
+            for name in ("e", "e_telescoped", "sum_rule_residual", "tol_sum_rule"):
+                assert _close(getattr(g_rep, name), getattr(r_rep, name)), name
+            for key in obs:
+                assert _close(g_avg[key], r_avg[key]), key
+            # its in-sector blocks are exactly zero, so nothing is added
+            assert g_avg["odd"] == 0.0
+
+    def test_convergence_sweep(self, case, monkeypatch):
+        spec, family, _ = case
+        radius = series_radius(spec, family)
+        t_grid = [0.2 * radius, 0.8 * radius, 2.0 * radius, 8.0 * radius]
+        for key, a in _observables().items():
+            got = convergence_sweep(spec, EXHAUSTION, a, t_grid, family, max_order=4)
+            with monkeypatch.context() as m:
+                real_build = volume.build
+                m.setattr(volume, "build", lambda *args: _one_sector(real_build(*args)))
+                ref = convergence_sweep(spec, EXHAUSTION, a, t_grid, family, max_order=4)
+            for rows in ("evolution_rows", "order_rows", "dyson_rows"):
+                assert len(getattr(got, rows)) == len(getattr(ref, rows))
+                for g, r in zip(getattr(got, rows), getattr(ref, rows)):
+                    fields = dataclasses.asdict(r)
+                    value = "error" if rows == "dyson_rows" else "discrepancy"
+                    assert {k: v for k, v in dataclasses.asdict(g).items() if k != value} == {
+                        k: v for k, v in fields.items() if k != value}
+                    assert _close(getattr(g, value), fields[value]), (key, rows, g, r)

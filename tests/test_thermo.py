@@ -24,7 +24,6 @@ from nesslab import (
 )
 from nesslab import exact_evolve
 from nesslab.model import PerturbationEntry, PerturbationFamily
-from nesslab.opalg import apply_function
 from nesslab.thermo import StateRep, _horizon_kernels
 
 import oracles
@@ -153,7 +152,7 @@ class TestTimeAverage:
         vols = build(chain5, range(5))
         plan = make_plan(vols.H_B)
         state = initial_state(vols)
-        conserved = apply_function(vols.H_B, lambda s: s * s)
+        conserved = oracles.apply_function(vols.H_B, lambda s: s * s)
         base = state.expectation(conserved)
         for horizon in (0.5, 3.0, 17.0):
             avg = time_averaged_state(plan, state, horizon).expectation(conserved)
@@ -270,16 +269,21 @@ class TestHorizonKernels:
         # so many Bohr frequencies are exactly zero
         vols = build(decoupled_model, (0, 1, 2))
         plan = make_plan(vols.H_B)
-        w = plan.eigenvalues
+        (sector,) = plan.sectors
+        w = sector.eigenvalues
         half = 0.5 * 7.0 * (w[None, :] - w[:, None])
         assert np.count_nonzero(half == 0.0) > vols.dim
         kernels = _horizon_kernels(half)
         assert np.all(np.isfinite(kernels))
         np.testing.assert_array_equal(kernels[:, half == 0.0].T,
                                       np.tile([1.0, 0.0, 0.0, 0.0], (np.sum(half == 0.0), 1)))
-        for report, _ in horizon_reports(vols, (1e-3, 7.0, 1e6), plan=plan):
-            values = [*report.fluxes.values(), report.e, report.e_telescoped]
-            assert all(np.isfinite(values)) and max(map(abs, values)) <= 1e-12
+        # every basis state is its own sector of the diagonal terms, so the
+        # sector route keeps no Bohr frequency at all
+        assert len(vols.sectors) == vols.dim
+        for p in (plan, None):
+            for report, _ in horizon_reports(vols, (1e-3, 7.0, 1e6), plan=p):
+                values = [*report.fluxes.values(), report.e, report.e_telescoped]
+                assert all(np.isfinite(values)) and max(map(abs, values)) <= 1e-12
 
 
 class TestLocalObservables:
