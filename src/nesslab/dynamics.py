@@ -62,41 +62,46 @@ def _block(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return mat[np.ix_(rows, cols)]
 
 
-def _rotated_blocks(plan: EvolutionPlan, mat: np.ndarray) -> tuple[dict, bool]:
-    """V_p^dagger M_pq V_q for each pair of sectors whose block M_pq is
-    nonzero, and whether M is bitwise Hermitian: then only the pairs
-    p <= q are rotated, as M_qp = M_pq^dagger."""
-    hermitian = bool(np.array_equal(mat, mat.conj().T))
-    sectors = plan.sectors
-    blocks = {}
-    for p, sp in enumerate(sectors):
-        for q in range(p if hermitian else 0, len(sectors)):
-            block = _block(mat, sp.indices, sectors[q].indices)
-            if np.any(block):
-                blocks[p, q] = opalg.rotate(sp.basis, block, sectors[q].basis)
-    return blocks, hermitian
+def _embedded_blocks(plan: EvolutionPlan, op: DenseOperator, upper: bool = True) -> dict:
+    """The nonzero sector blocks of ``op`` embedded into the plan's volume,
+    only the pairs p <= q if ``upper``, as for an (anti-)Hermitian ``op``."""
+    h_b, rows = plan.generator, [s.indices for s in plan.sectors]
+    return {(p, q): block for p in range(len(rows)) for q in range(p if upper else 0, len(rows))
+            if np.any(block := opalg.embedded_block(op, h_b.sites, h_b.dims, rows[p], rows[q]))}
 
 
-def _rotated_back(plan: EvolutionPlan, rotated: tuple[dict, bool],
-                  weight: Callable[[np.ndarray, int, int], np.ndarray]) -> np.ndarray:
-    """The matrix with block pq V_p weight(R_pq, p, q) V_q^dagger for each
-    R_pq of :func:`_rotated_blocks`, zero elsewhere. An entrywise ``weight``
-    that keeps Hermitian matrices Hermitian, as evolution phases do, gives
-    an exactly Hermitian result for a Hermitian M: block qp is pq's adjoint."""
-    blocks, hermitian = rotated
-    sectors = plan.sectors
-    out = np.zeros((plan.generator.dim,) * 2, dtype=complex)
-    for (p, q), r in blocks.items():
-        rows, cols = sectors[p].indices, sectors[q].indices
-        block = opalg.rotate_back(sectors[p].basis, weight(r, p, q), sectors[q].basis)
-        if hermitian and p == q:
-            block = 0.5 * (block + block.conj().T)
-        if len(sectors) == 1:
-            return block
-        out[np.ix_(rows, cols)] = block
-        if hermitian and p != q:
-            out[np.ix_(cols, rows)] = block.conj().T
+def _rotated_blocks(plan: EvolutionPlan, blocks: dict) -> dict:
+    """V_p^dagger M_pq V_q for each sector block M_pq."""
+    bases = [s.basis for s in plan.sectors]
+    return {(p, q): opalg.rotate(bases[p], m, bases[q]) for (p, q), m in blocks.items()}
+
+
+def _rotated_back(plan: EvolutionPlan, rotated: dict, hermitian: bool,
+                  weight: Callable[[np.ndarray, int, int], np.ndarray]) -> dict:
+    """V_p weight(R_pq, p, q) V_q^dagger for each R_pq of :func:`_rotated_blocks`,
+    diagonal blocks made exactly Hermitian if ``hermitian`` (``weight`` keeps it)."""
+    bases = [s.basis for s in plan.sectors]
+    out = {}
+    for (p, q), r in rotated.items():
+        block = opalg.rotate_back(bases[p], weight(r, p, q), bases[q])
+        out[p, q] = 0.5 * (block + block.conj().T) if hermitian and p == q else block
     return out
+
+
+def _conjugated(plan: EvolutionPlan, mat: np.ndarray,
+                weight: Callable[[np.ndarray, int, int], np.ndarray]) -> np.ndarray:
+    """M with its nonzero sector blocks rotated, weighted and rotated back."""
+    hermitian = bool(np.array_equal(mat, mat.conj().T))
+    blocks = _embedded_blocks(plan, plan.generator.with_matrix(mat), hermitian)
+    back = _rotated_back(plan, _rotated_blocks(plan, blocks), hermitian, weight)
+    return opalg.assemble(back, [s.indices for s in plan.sectors], mat.shape[0],
+                          1.0 if hermitian else None)
+
+
+def _evolution(plan: EvolutionPlan, t: float) -> Callable[[np.ndarray, int, int], np.ndarray]:
+    """The weight of :func:`_rotated_back` that evolves by exp(i t generator)."""
+    phases = [np.exp(1j * t * s.eigenvalues) for s in plan.sectors]
+    return lambda r, p, q: (phases[p][:, None] * r) * phases[q].conj()[None, :]
 
 
 def exact_evolve(plan: EvolutionPlan, a: DenseOperator, t: float) -> DenseOperator:
@@ -105,41 +110,41 @@ def exact_evolve(plan: EvolutionPlan, a: DenseOperator, t: float) -> DenseOperat
     bitwise Hermitian ``a`` evolves to an exactly Hermitian operator."""
     if not plan.generator.same_volume(a):
         raise ValueError("operator volume does not match the plan's generator")
-    return _evolve_rotated(plan, _rotated_blocks(plan, a.matrix), t)
-
-
-def _evolve_rotated(plan: EvolutionPlan, rotated: tuple[dict, bool], t: float) -> DenseOperator:
-    """The exact evolution of an operator given by its :func:`_rotated_blocks`."""
-    phases = [np.exp(1j * t * s.eigenvalues) for s in plan.sectors]
-
-    def evolve(r, p, q):
-        return (phases[p][:, None] * r) * phases[q].conj()[None, :]
-
-    return plan.generator.with_matrix(_rotated_back(plan, rotated, evolve))
+    return plan.generator.with_matrix(_conjugated(plan, a.matrix, _evolution(plan, t)))
 
 
 # i^m, exact, so that i^m r stays real for even m
 _I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
-def _commutators(h_b: DenseOperator, a: DenseOperator, order: int) -> Iterator[np.ndarray]:
-    """r_1, ..., r_order with r_0 = a and r_m = [h_b, r_{m-1}] = i^-m delta^m(a).
+def _commutator_blocks(h_blocks: Sequence[np.ndarray], blocks: dict,
+                       order: int) -> Iterator[dict]:
+    """r_m = [H, r_{m-1}] = i^-m delta^m(r_0), m = 1..order, as blocks p <= q
+    on the sectors of H, whose only blocks are ``h_blocks``; r_0 is Hermitian
+    with the blocks ``blocks``. Block pq is H_pp r_pq - r_pq H_qq, a diagonal
+    one H_pp r_pp minus (odd m) or plus (even m) its adjoint: r_m is exactly
+    anti-Hermitian (odd m) or Hermitian (even m), and real for real inputs."""
+    def commutator(x: np.ndarray, p: int, q: int, odd: bool) -> np.ndarray:
+        y = opalg.matmul(h_blocks[p], x)
+        if p != q:
+            y -= opalg.matmul(x, h_blocks[q])
+            return y
+        adjoint = np.conjugate(y.T, out=np.empty_like(y))
+        return (np.subtract if odd else np.add)(y, adjoint, out=adjoint)
 
-    ``a`` must be selfadjoint (ValueError otherwise); its Hermitian part is
-    used. r_m is then Hermitian for even m and anti-Hermitian for odd m, so
-    r H = -(-1)^m (H r)^dagger and each order is one product: H r minus
-    (odd m) or plus (even m) its adjoint, exactly (anti-)Hermitian by
-    construction, and real for a real generator and observable.
-    """
+    for m in range(1, order + 1):
+        blocks = {(p, q): commutator(x, p, q, m % 2) for (p, q), x in blocks.items()}
+        yield blocks
+
+
+def _commutators(h_b: DenseOperator, a: DenseOperator, order: int) -> Iterator[np.ndarray]:
+    """The r_m of :func:`_commutator_blocks` for h_b and r_0 = a as one sector;
+    ``a`` must be selfadjoint (ValueError otherwise), its Hermitian part used."""
     if not h_b.same_volume(a):
         raise ValueError("operator volume does not match the generator")
     r = opalg.hermitian_matrix(a, "the derivation series")
-    for m in range(1, order + 1):
-        hr = opalg.matmul(h_b.matrix, r)
-        r = np.conjugate(hr.T, out=np.empty_like(hr))
-        (np.subtract if m % 2 else np.add)(hr, r, out=r)
-        del hr
-        yield r
+    for blocks in _commutator_blocks([h_b.matrix], {(0, 0): r}, order):
+        yield blocks[0, 0]
 
 
 def derivation_powers(h_b: DenseOperator, a: DenseOperator, order: int) -> list[DenseOperator]:
@@ -292,16 +297,15 @@ class ConvergenceSweepReport:
                     if r.pair_index == pair_index), default=0.0)
 
 
-def _lifted_gap(small: DenseOperator, large: DenseOperator,
-                sectors: Sequence[np.ndarray]) -> float:
-    """||embed(small) - large|| in the volume of ``large``, formed in one
-    volume-sized array (embedding is isometric) and normed by the sector
-    blocks of that volume."""
-    diff = np.zeros(large.matrix.shape,
-                    dtype=np.result_type(float, small.matrix, large.matrix))
-    opalg.embed_add(diff, small, large.sites, large.dims)
-    diff -= large.matrix
-    return opalg.op_norm(diff, sectors)
+def _lifted_gap(small_plan: EvolutionPlan, small: dict, plan: EvolutionPlan,
+                large: dict, sign: float) -> float:
+    """||embed(S) - L|| for (anti-)Hermitian S and L (``sign`` +1, -1) given by
+    their blocks p <= q: S assembled at its own dimension, then gathered."""
+    h_s, rows = small_plan.generator, [s.indices for s in small_plan.sectors]
+    diff = _embedded_blocks(plan, h_s.with_matrix(opalg.assemble(small, rows, h_s.dim, sign)))
+    for key, block in large.items():
+        diff[key] = diff[key] - block if key in diff else -block
+    return opalg.block_norm(diff, [s.indices.size for s in plan.sectors], sign)
 
 
 def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
@@ -311,17 +315,16 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     """Compare the dynamics across a nested family of volumes.
 
     For each consecutive volume pair the report carries the norm difference
-    of the evolved observable at each time and the per-order differences of
-    the derivation powers, computed in the larger volume (embedding is
-    isometric; the order rows take the norm of the commutators r_m of
-    :func:`_commutators`, as ||i^m x|| = ||x||) on its sector blocks, as is
-    the evolution (:func:`exact_evolve`). Each volume also gets
+    of the evolved observable at each time and of each order's commutator
+    r_m of :func:`_commutator_blocks` (||i^m x|| = ||x||), taken in the
+    larger volume, as embedding is isometric. Each volume also gets
     truncated-series error rows against the exact evolution, with the
     reported tail bound, for times inside the radius. The observable must
-    be selfadjoint. The bound's envelope ||a|| e^{lam card X} is taken once,
-    with X = ``a.sites``: pass it on its own sites for the tightest bound. Volumes are visited in ascending order, keeping only the
-    previous one's evolved observables and commutators; each commutator is
-    added into every series error as it is produced.
+    be selfadjoint; the bound's envelope ||a|| e^{lam card X} takes
+    X = ``a.sites``, so pass it on its own sites for the tightest bound.
+    Every volume-sized operator is held as its nonzero sector blocks
+    p <= q. Only the previous volume's evolved observables and commutators
+    are kept; each commutator is added into every series error as made.
     """
     vols = [tuple(sorted(set(v))) for v in exhaustion]
     for small, large in zip(vols, vols[1:]):
@@ -338,35 +341,36 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     envelope = _envelope(a, cfg.lam)
 
     evo_rows, order_rows, dyson_rows = [], [], []
-    prev_evolved: list[DenseOperator] = []
-    prev_powers: list[DenseOperator] = []
+    prev_plan, prev_evolved, prev_powers = None, [], []
     for i, sites in enumerate(vols):
         built = volume_mod.build(spec, sites, perturbation)
         plan = make_plan(built.H_B, built.sectors)
-        h_b = plan.generator
-        a_v = opalg.embed(a, h_b.sites, h_b.dims)
-        rotated = _rotated_blocks(plan, a_v.matrix)
-        evolved = [_evolve_rotated(plan, rotated, t) for t in t_grid]
+        a_v = _embedded_blocks(plan, a)
+        rotated = _rotated_blocks(plan, a_v)
+        evolved = [_rotated_back(plan, rotated, True, _evolution(plan, t)) for t in t_grid]
         del rotated
         if i:
-            evo_rows += [SweepRow(i - 1, float(t), _lifted_gap(small, large, built.sectors))
+            evo_rows += [SweepRow(i - 1, float(t), _lifted_gap(prev_plan, small, plan, large, 1.0))
                          for t, small, large in zip(t_grid, prev_evolved, evolved)]
         prev_evolved = evolved
 
         # a - tau_t(a) for each inside time, to which each order's term is added
-        errors = [(float(t_grid[j]), a_v.matrix - evolved[j].matrix) for j in inside]
+        errors = [(float(t_grid[j]), {key: a_v[key] - evolved[j][key] for key in a_v})
+                  for j in inside]
+        h_blocks = [_block(built.H_B.matrix, s.indices, s.indices) for s in plan.sectors]
         powers = []
-        for m, r in enumerate(_commutators(h_b, a_v, order), start=1):
-            if m <= cfg.max_order:
-                for t, err in errors:
-                    _add_series_term(err, t, m, r)
+        for m, r in enumerate(_commutator_blocks(h_blocks, a_v, order), start=1):
+            for t, err in errors if m <= cfg.max_order else ():
+                for key, block in r.items():
+                    _add_series_term(err[key], t, m, block)
             if m <= max_order:
-                powers.append(h_b.with_matrix(r))
+                powers.append(r)
                 if i:
                     order_rows.append(OrderRow(i - 1, m, _lifted_gap(
-                        prev_powers[m - 1], powers[-1], built.sectors)))
-        prev_powers = powers
-        dyson_rows += [DysonRow(i, t, opalg.op_norm(err, built.sectors),
+                        prev_plan, prev_powers[m - 1], plan, r, (-1.0) ** m)))
+        prev_plan, prev_powers = plan, powers
+        sizes = [s.indices.size for s in plan.sectors]
+        dyson_rows += [DysonRow(i, t, opalg.block_norm(err, sizes, 1.0),
                                 _tail_bound(envelope, abs(t) / radius, cfg.max_order))
                        for t, err in errors]
 

@@ -28,6 +28,8 @@ UNITARITY_TOL = 1e-10
 OP_NORM_HERMITIAN_TOL = 1e-12
 # absolute |tr rho - 1| of a density matrix, whose trace is O(1)
 STATE_TRACE_TOL = 1e-10
+# absolute lower bound -tol on the eigenvalues of a density matrix, whose entries are O(1)
+STATE_POSITIVITY_TOL = 1e-10
 # absolute entrywise defect of raw user terms: text rounding is ~1e-16
 TERM_HERMITICITY_TOL = 1e-12
 
@@ -226,6 +228,33 @@ def embed_add(acc: np.ndarray, op: DenseOperator, sites: Sequence[int],
     view += op.matrix.reshape(op.dims + op.dims)
 
 
+def embedded_block(op: DenseOperator, sites: Sequence[int], dims: Sequence[int],
+                   rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """embed(op, sites, dims).matrix[rows][:, cols] without the embedding:
+    op's entry where the indices on the other sites agree, zero elsewhere."""
+    (axes,) = _positions((op,), sites, dims)
+    inner, outside = (np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), dims).ravel()
+                      for shape in ([d if k in axes else 1 for k, d in enumerate(dims)],
+                                    [1 if k in axes else d for k, d in enumerate(dims)]))
+    block = op.matrix[np.ix_(inner[rows], inner[cols])]
+    block[outside[rows][:, None] != outside[cols][None, :]] = 0.0
+    return block
+
+
+def assemble(blocks: dict, indices: Sequence[np.ndarray], dim: int,
+             sign: float | None = None) -> np.ndarray:
+    """The matrix with block M_pq at (indices[p], indices[q]) and, given ``sign``,
+    M_qp = sign M_pq^dagger, zero elsewhere; for one sector, its block itself."""
+    if len(indices) == 1 and blocks:
+        return blocks[next(iter(blocks))]
+    out = np.zeros((dim, dim), dtype=np.result_type(float, *blocks.values()))
+    for (p, q), block in blocks.items():
+        out[np.ix_(indices[p], indices[q])] = block
+        if sign is not None and p != q:
+            out[np.ix_(indices[q], indices[p])] = sign * block.conj().T
+    return out
+
+
 def kron_apply(factors: Sequence[DenseOperator], sites: Sequence[int],
                dims: Sequence[int], v: np.ndarray) -> np.ndarray:
     """kron_embed(factors, sites, dims).matrix @ v without forming the embedding.
@@ -364,7 +393,7 @@ def rotate_back(v: np.ndarray, x: np.ndarray, w: np.ndarray | None = None) -> np
     return _conjugate_in_place(matmul(_conjugate_in_place(vx), w.T))
 
 
-def op_norm(a, partition: Sequence[np.ndarray] | None = None) -> float:
+def op_norm(a) -> float:
     """Operator norm (largest singular value).
 
     A Hermitian M, within OP_NORM_HERMITIAN_TOL relative to max|M|, is
@@ -372,44 +401,37 @@ def op_norm(a, partition: Sequence[np.ndarray] | None = None) -> float:
     from the conjugate transpose the test used. Else it is the root of the
     largest eigenvalue of the Gram matrix of M / max|M| (no overflow or
     underflow), one product and an eigensolve, real for a real M.
-
-    With ``partition``, sectors of the basis indices, the norm is the
-    largest over the connected components of the graph of nonzero sector
-    blocks of M, read from M. A component [[0, B], [C, 0]] of two sectors
-    has norm max(||B||, ||C||), ||B|| for a Hermitian M, each by the Gram
-    route at the sectors' dimension; any other is normed as above.
     """
     mat = as_matrix(a)
     if mat.size == 0:
         return 0.0
     adjoint = np.conjugate(mat.T, out=np.empty_like(mat))
-    hermitian = is_hermitian_matrix(mat, OP_NORM_HERMITIAN_TOL, adjoint, 0.0)
-    if hermitian:
-        mat = 0.5 * (mat + adjoint)
+    if is_hermitian_matrix(mat, OP_NORM_HERMITIAN_TOL, adjoint, 0.0):
+        return float(np.max(np.abs(_eigvalsh(0.5 * (mat + adjoint)))))
     del adjoint
-    if partition is None or len(partition) == 1:
-        return _dense_norm(mat, hermitian)
-    count = len(partition)
-    nonzero = np.array([[np.any(mat[np.ix_(rows, cols)]) for cols in partition]
-                        for rows in partition])
-    norms = [0.0]
-    for group in sectors([DenseOperator((0,), (count,), nonzero)], (0,), (count,)):
-        if len(group) == 2 and not np.any(nonzero[group, group]):
-            p, q = group
-            blocks = [(p, q)] if hermitian else [(p, q), (q, p)]
-            norms += [_gram_norm(mat[np.ix_(partition[i], partition[j])])
-                      for i, j in blocks if nonzero[i, j]]
-        elif np.any(nonzero[np.ix_(group, group)]):
-            rows = np.concatenate([partition[p] for p in group])
-            norms.append(_dense_norm(mat[np.ix_(rows, rows)], hermitian))
-    return max(norms)
-
-
-def _dense_norm(mat: np.ndarray, hermitian: bool) -> float:
-    """||M||: the spectral route for a bitwise Hermitian M, else the Gram route."""
-    if hermitian:
-        return float(np.max(np.abs(_eigvalsh(mat))))
     return _gram_norm(mat)
+
+
+def block_norm(blocks: dict, sizes: Sequence[int], sign: float | None = None) -> float:
+    """||M|| for M given by its blocks {(p, q): M_pq} on sectors of ``sizes``,
+    p <= q alone if M_qp = sign M_pq^dagger (``sign`` +1 or -1): the largest
+    over the components of the graph of nonzero blocks. Two sectors' [[0, B],
+    [C, 0]] is max(||B||, ||C||), ||B|| given ``sign``, by Gram solves; any
+    other is assembled and normed by :func:`op_norm`, Hermiticity tested."""
+    blocks = {key: as_matrix(block) for key, block in blocks.items() if np.any(block)}
+    graph = np.zeros((len(sizes),) * 2)
+    for p, q in blocks:
+        graph[p, q] = graph[q, p] = 1.0
+    norms = [0.0]
+    for group in sectors([DenseOperator((0,), (len(sizes),), graph)], (0,), (len(sizes),)):
+        part = {(p, q): block for (p, q), block in blocks.items() if p in group}
+        if len(group) == 2 and all(p != q for p, q in part):
+            norms += [_gram_norm(block) for block in part.values()]
+        elif part:
+            bounds = np.cumsum([0] + [sizes[p] for p in group])
+            local = {p: np.arange(lo, hi) for p, lo, hi in zip(group, bounds, bounds[1:])}
+            norms.append(op_norm(assemble(part, local, bounds[-1], sign)))
+    return max(norms)
 
 
 def _gram_norm(mat: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import opalg
-from .dynamics import EvolutionPlan, _rotated_back, _rotated_blocks, make_plan
+from .dynamics import EvolutionPlan, _conjugated, make_plan
 from .model import ModelSpec, redraw
 from .opalg import DenseOperator
 from .volume import VolumeOperators, build
@@ -39,6 +39,10 @@ class StateRep:
             raise ValueError(f"density trace {np.trace(mat):.12g} != 1")
         if not opalg.is_hermitian_matrix(mat):
             raise ValueError("density matrix must be Hermitian")
+        try:  # lambda_min >= -tol iff rho + tol 1 has a Cholesky factor: no eigensolve
+            np.linalg.cholesky(mat + opalg.STATE_POSITIVITY_TOL * np.eye(mat.shape[0]))
+        except np.linalg.LinAlgError:
+            raise ValueError("density matrix must be positive semidefinite") from None
 
     @property
     def dim(self) -> int:
@@ -164,7 +168,7 @@ def time_averaged_state(plan: EvolutionPlan, state: StateRep, horizon: float) ->
             0.5 * horizon * (w[q][None, :] - w[p][:, None]), endpoint=False)
         return r * kernel
 
-    averaged = _rotated_back(plan, _rotated_blocks(plan, state.density), average)
+    averaged = _conjugated(plan, state.density, average)
     averaged = 0.5 * (averaged + averaged.conj().T)
     return StateRep(state.sites, state.dims, averaged)
 

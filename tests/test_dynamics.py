@@ -452,10 +452,10 @@ class TestConvergenceSweep:
     def test_real_chain_order_norms_solve_real(self, named_eigensolves):
         # Outside the radius there are no Dyson rows. Past the first volume,
         # each sector dimension D/2 sees H_B's two real eigh; the four order
-        # rows, real, through the Gram matrices of the off-diagonal sector
-        # blocks of each difference: both blocks of an antisymmetric odd
-        # order, one of a symmetric even order; and one complex Gram solve per
-        # evolution row, which is exactly Hermitian. At D/2 = 4 of the first
+        # rows, real, each through the Gram matrix of the one stored
+        # off-diagonal sector block of its difference, which is exactly
+        # antisymmetric (odd order) or symmetric (even order); and one
+        # complex Gram solve per evolution row, which is exactly Hermitian. At D/2 = 4 of the first
         # volume only H_B is solved. Dimension 8 adds ||W|| on W's sites
         # {1, 2, 3} in each volume and log Z of reservoir 2's block {3, 4, 5}
         # in the last. Nothing is solved at the largest D.
@@ -470,7 +470,7 @@ class TestConvergenceSweep:
         for sites in exhaustion[1:]:
             half = spec.volume_dim(sites) // 2
             expected["eigh", half, "float64"] += 2
-            expected["eigvalsh", half, "float64"] += 2 + 1 + 2 + 1
+            expected["eigvalsh", half, "float64"] += 1 + 1 + 1 + 1
             expected["eigvalsh", half, "complex128"] += len(t_grid)
         solves = Counter((name, dim, np.dtype(dtype).name)
                          for name, dim, dtype in named_eigensolves if dim >= 8)
@@ -479,13 +479,13 @@ class TestConvergenceSweep:
     def test_outside_radius_grid_computes_only_order_powers(self, chain5, monkeypatch):
         from nesslab import dynamics
         orders = []
-        real = dynamics._commutators
+        real = dynamics._commutator_blocks
 
-        def counting(h_b, a, order):
+        def counting(h_blocks, blocks, order):
             orders.append(order)
-            return real(h_b, a, order)
+            return real(h_blocks, blocks, order)
 
-        monkeypatch.setattr(dynamics, "_commutators", counting)
+        monkeypatch.setattr(dynamics, "_commutator_blocks", counting)
         a = DenseOperator((2,), (2,), SX)
         exhaustion = [(1, 2, 3), (1, 2, 3, 4)]
         radius = series_radius(chain5)
@@ -516,6 +516,67 @@ class TestConvergenceSweep:
             tracemalloc.stop()
         assert len(report.dyson_rows) == 3 * len(exhaustion)
         assert peak <= 16 * 16 * spec.volume_dim(exhaustion[-1]) ** 2
+
+    def test_sector_blocks_keep_the_peak_below_eight_volume_matrices(self):
+        # the case above: every volume-sized operator is held as its nonzero
+        # sector blocks, here the one off-diagonal block of the parity-odd
+        # sigma_x, so nothing of the largest D is held but H_B. Measured:
+        # 5.0 complex DxD at D = 256 (14.4 with dense evolved operators,
+        # commutators and series errors)
+        spec = make_chain(8, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2, 7: 2},
+                          {1: 2.0, 2: 1.0}, anis=0.3)
+        a = DenseOperator((3,), (2,), SX)
+        radius = series_radius(spec)
+        exhaustion = [tuple(range(1, 6)), tuple(range(1, 7)), tuple(range(1, 8)),
+                      tuple(range(8))]
+        t_grid = [f * radius for f in (0.2, 0.5, 0.8, 2.0, 8.0)]
+        tracemalloc.start()
+        try:
+            report = convergence_sweep(spec, exhaustion, a, t_grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.dyson_rows) == 3 * len(exhaustion)
+        assert peak <= 8 * 16 * spec.volume_dim(exhaustion[-1]) ** 2
+
+    def test_largest_volume_works_at_the_sector_dimension(self, monkeypatch,
+                                                          named_eigensolves):
+        # On a parity chain the sweep's products and solves at the largest
+        # volume are all at D/2: sigma_x has the one off-diagonal sector block
+        # and H_B two diagonal ones, so each commutator order is two D/2
+        # products (a quarter of the flops of one D product). They are the
+        # rotation of sigma_x (two), two rotations back per time, two per
+        # order of the twelve the Dyson rows need, and one Gram product per
+        # nonzero norm; the solves are H_B's two eigh and one Gram eigvalsh
+        # per nonzero norm. The previous volume, of dimension D/2, works at
+        # D/4, so nothing else reaches D/2.
+        shapes = []
+        product = opalg.matmul
+
+        def counted(x, y):
+            shapes.append((np.shape(x), np.shape(y)))
+            return product(x, y)
+
+        monkeypatch.setattr(opalg, "matmul", counted)
+        spec = make_chain(7, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2}, {1: 2.0, 2: 1.0},
+                          anis=0.3)
+        a = DenseOperator((3,), (2,), SX)
+        exhaustion = [tuple(range(1, 6)), tuple(range(6)), tuple(range(7))]
+        radius = series_radius(spec)
+        t_grid = [0.2 * radius, 0.5 * radius, 2.0 * radius]
+        report = convergence_sweep(spec, exhaustion, a, t_grid, max_order=3)
+        dim = spec.volume_dim(exhaustion[-1])
+        half = dim // 2
+        norms = sum(row.discrepancy > 0.0 for row in report.evolution_rows + report.order_rows
+                    if row.pair_index == 1) + sum(row.error > 0.0 for row in report.dyson_rows
+                                                  if row.volume_index == 2)
+        assert norms == 3 + 3 + 2
+        assert max(max(x + y) for x, y in shapes) == half
+        assert [s for s in shapes if max(s[0] + s[1]) == half] == [
+            ((half, half), (half, half))] * (2 + 2 * len(t_grid) + 2 * 12 + norms)
+        assert max(d for _, d, _ in named_eigensolves) == half
+        assert Counter(name for name, d, _ in named_eigensolves if d == half) == {
+            "eigh": 2, "eigvalsh": norms}
 
     def test_non_nested_exhaustion_rejected(self, chain5):
         a = DenseOperator((2,), (2,), SX)

@@ -404,9 +404,18 @@ def _sector_matrix(rng, pattern, kind, sizes=(5, 5, 4)):
     return m, sectors
 
 
+def _sector_norm(m, sectors):
+    """opalg.block_norm of the sector blocks of m: the blocks p <= q alone
+    for a bitwise Hermitian or anti-Hermitian m, every block otherwise."""
+    sign = next((s for s in (1.0, -1.0) if np.array_equal(m, s * m.conj().T)), None)
+    return opalg.block_norm({(p, q): m[np.ix_(rows, cols)]
+                             for p, rows in enumerate(sectors) for q, cols in enumerate(sectors)
+                             if sign is None or p <= q}, [rows.size for rows in sectors], sign)
+
+
 class TestSectorNorm:
-    """op_norm with a sector partition equals the dense norm; the nonzero
-    block graph is read from the matrix."""
+    """opalg.block_norm of a matrix's sector blocks equals the dense norm;
+    the graph of nonzero blocks is read from the blocks."""
 
     PATTERNS = {"off-diagonal": ((0, 1), (1, 0)), "diagonal": ((1, 0), (0, 1)),
                 "full": ((1, 1), (1, 1)), "one zero sector": ((1, 0), (0, 0)),
@@ -420,24 +429,36 @@ class TestSectorNorm:
         m, sectors = _sector_matrix(np.random.default_rng(7), self.PATTERNS[pattern], kind)
         m = scale * m
         expected = np.linalg.norm(m, 2)
-        assert abs(op_norm(m, sectors) - expected) <= 1e-13 * expected
+        assert abs(_sector_norm(m, sectors) - expected) <= 1e-13 * expected
         assert abs(op_norm(m) - expected) <= 1e-13 * expected
 
     def test_off_diagonal_component_takes_gram_solves_at_the_sector_dimension(
             self, eigensolves):
         rng = np.random.default_rng(8)
         pattern = self.PATTERNS["off-diagonal"]
-        for kind, solves in (("hermitian", 1), ("antihermitian", 2), ("real", 2)):
+        for kind, solves in (("hermitian", 1), ("antihermitian", 1), ("real", 2)):
             m, sectors = _sector_matrix(rng, pattern, kind, sizes=(6, 6))
             eigensolves.clear()
-            op_norm(m, sectors)
+            _sector_norm(m, sectors)
             assert [dim for dim, _, _ in eigensolves] == [6] * solves, kind
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_anti_hermitian_component_takes_one_solve(self, kind, eigensolves):
+        # C = -B^dagger exactly, so ||C|| = ||B||: one Gram solve of B
+        rng = np.random.default_rng(12)
+        m, sectors = _sector_matrix(rng, self.PATTERNS["off-diagonal"], kind, sizes=(6, 5))
+        m = m - m.conj().T
+        assert np.array_equal(m.conj().T, -m)
+        expected = np.linalg.norm(m, 2)
+        eigensolves.clear()
+        assert abs(_sector_norm(m, sectors) - expected) <= 1e-13 * expected
+        assert [dim for dim, _, _ in eigensolves] == [5]
 
     def test_zero_and_one_sector(self, eigensolves):
         m, sectors = _sector_matrix(np.random.default_rng(9), self.PATTERNS["full"], "complex")
-        assert op_norm(np.zeros_like(m), sectors) == 0.0
+        assert _sector_norm(np.zeros_like(m), sectors) == 0.0
         assert eigensolves == []
-        assert op_norm(m, [np.arange(m.shape[0])]) == op_norm(m)
+        assert _sector_norm(m, [np.arange(m.shape[0])]) == op_norm(m)
 
     def test_hermitian_route_is_bitwise_unchanged(self):
         # one conjugate transpose serves the test and the Hermitian part

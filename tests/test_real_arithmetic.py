@@ -283,9 +283,9 @@ def _sweep_norm_solves(config_path, max_order=4) -> Counter:
     The evolved observables are exactly Hermitian, and so are their
     differences and the series errors: one complex solve per evolution row
     and per Dyson row. An order difference embed(r_m) - r_m is exactly
-    Hermitian for even m (one solve) and anti-Hermitian for odd m (both
-    blocks, two solves), none when it is zero, and real when its imaginary
-    part is exactly zero.
+    Hermitian for even m and anti-Hermitian for odd m, so one solve of its
+    stored block either way, none when it is zero, and real when its
+    imaginary part is exactly zero.
     """
     cfg = load_config(config_path)
     spec = load_model(cfg.model_path)
@@ -303,9 +303,9 @@ def _sweep_norm_solves(config_path, max_order=4) -> Counter:
         commutators.append([h_b.with_matrix(r) for r in
                             _commutators(h_b, embed(a, h_b.sites, h_b.dims), max_order)])
     for dim, small, large in zip(half[1:], commutators, commutators[1:]):
-        for m, (r_small, r_large) in enumerate(zip(small, large), start=1):
+        for r_small, r_large in zip(small, large):
             diff = embed(r_small, r_large.sites, r_large.dims).matrix - r_large.matrix
             if np.any(diff):
                 dtype = "complex128" if np.any(np.imag(diff)) else "float64"
-                solves["eigvalsh", dim, dtype] += 2 if m % 2 else 1
+                solves["eigvalsh", dim, dtype] += 1
     return +solves

@@ -22,7 +22,7 @@ from nesslab import (
     op_norm,
     time_averaged_state,
 )
-from nesslab import exact_evolve
+from nesslab import exact_evolve, opalg
 from nesslab.model import PerturbationEntry, PerturbationFamily
 from nesslab.thermo import StateRep, _horizon_kernels
 
@@ -58,6 +58,25 @@ class TestGibbs:
         state = gibbs(DenseOperator((0,), (2,), SZ), -2.0)
         assert np.trace(state.density).real == pytest.approx(1.0, abs=1e-12)
         assert state.min_eigenvalue() >= -1e-12
+
+
+class TestStateRep:
+    def test_refuses_a_non_positive_matrix(self):
+        # unit trace and Hermitian, with eigenvalues 1.5 and -0.5
+        with pytest.raises(ValueError, match="positive"):
+            StateRep((0,), (2,), np.array([[0.5, 1.0], [1.0, 0.5]]))
+
+    @pytest.mark.parametrize("lowest,accepted", [(-1e-8, False), (-1e-12, True), (0.0, True)])
+    def test_positivity_is_checked_to_its_tolerance(self, lowest, accepted):
+        assert opalg.STATE_POSITIVITY_TOL == 1e-10
+        u = random_unitary(np.random.default_rng(2), 3)
+        density = u @ np.diag([lowest, 0.4, 0.6 - lowest]) @ u.conj().T
+        if accepted:
+            assert StateRep((0,), (3,), density).min_eigenvalue() == pytest.approx(
+                lowest, abs=1e-14)
+        else:
+            with pytest.raises(ValueError, match="positive"):
+                StateRep((0,), (3,), density)
 
 
 class TestInitialState:
