@@ -62,12 +62,27 @@ def _block(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return mat[np.ix_(rows, cols)]
 
 
-def _embedded_blocks(plan: EvolutionPlan, op: DenseOperator, upper: bool = True) -> dict:
-    """The nonzero sector blocks of ``op`` embedded into the plan's volume,
-    only the pairs p <= q if ``upper``, as for an (anti-)Hermitian ``op``."""
+def _embedded_blocks(plan: EvolutionPlan, op: DenseOperator, upper: bool = True,
+                     pattern: tuple | None = None) -> dict:
+    """The nonzero sector blocks of ``op`` embedded into the plan's volume (its own by
+    :func:`_block` if on it), only p <= q if ``upper``, as for an (anti-)Hermitian op.
+    ``pattern``, op's sector index arrays and nonzero block pairs, skips zero blocks."""
     h_b, rows = plan.generator, [s.indices for s in plan.sectors]
-    return {(p, q): block for p in range(len(rows)) for q in range(p if upper else 0, len(rows))
-            if np.any(block := opalg.embedded_block(op, h_b.sites, h_b.dims, rows[p], rows[q]))}
+    pairs = [(p, q) for p in range(len(rows)) for q in range(p if upper else 0, len(rows))]
+    if op.same_volume(h_b):
+        return {(p, q): b for p, q in pairs if np.any(b := _block(op.matrix, rows[p], rows[q]))}
+    inner, outside = opalg.embedding_maps(op, h_b.sites, h_b.dims)
+    if pattern is not None:   # seen[p][a][o]: indices of sector p in op's sector a, outside o
+        seen = [[np.bincount(outside[r][np.isin(inner[r], s)], minlength=outside.max() + 1)
+                 for s in pattern[0]] for r in rows]
+        pairs = [(p, q) for p, q in pairs if any(seen[p][a] @ seen[q][b] + seen[p][b] @ seen[q][a]
+                                                 for a, b in pattern[1])]
+
+    def gather(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        block = op.matrix[np.ix_(inner[r], inner[c])]
+        block[outside[r][:, None] != outside[c][None, :]] = 0.0
+        return block
+    return {(p, q): b for p, q in pairs if np.any(b := gather(rows[p], rows[q]))}
 
 
 def _rotated_blocks(plan: EvolutionPlan, blocks: dict) -> dict:
@@ -302,7 +317,8 @@ def _lifted_gap(small_plan: EvolutionPlan, small: dict, plan: EvolutionPlan,
     """||embed(S) - L|| for (anti-)Hermitian S and L (``sign`` +1, -1) given by
     their blocks p <= q: S assembled at its own dimension, then gathered."""
     h_s, rows = small_plan.generator, [s.indices for s in small_plan.sectors]
-    diff = _embedded_blocks(plan, h_s.with_matrix(opalg.assemble(small, rows, h_s.dim, sign)))
+    diff = _embedded_blocks(plan, h_s.with_matrix(opalg.assemble(small, rows, h_s.dim, sign)),
+                            pattern=(rows, small))
     for key, block in large.items():
         diff[key] = diff[key] - block if key in diff else -block
     return opalg.block_norm(diff, [s.indices.size for s in plan.sectors], sign)

@@ -32,6 +32,8 @@ STATE_TRACE_TOL = 1e-10
 STATE_POSITIVITY_TOL = 1e-10
 # absolute entrywise defect of raw user terms: text rounding is ~1e-16
 TERM_HERMITICITY_TOL = 1e-12
+# horizon_reports: Bohr frequencies |d| >= tol / min T are separable (rounding eps |P| / tol)
+SEPARABLE_PHASE_TOL = 0.1
 
 # Slacks of the reported checks, added to (or scaling) the rigorous bound
 # each check compares against so that roundoff alone never fails it.
@@ -228,17 +230,14 @@ def embed_add(acc: np.ndarray, op: DenseOperator, sites: Sequence[int],
     view += op.matrix.reshape(op.dims + op.dims)
 
 
-def embedded_block(op: DenseOperator, sites: Sequence[int], dims: Sequence[int],
-                   rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """embed(op, sites, dims).matrix[rows][:, cols] without the embedding:
-    op's entry where the indices on the other sites agree, zero elsewhere."""
+def embedding_maps(op: DenseOperator, sites: Sequence[int],
+                   dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(inner, outside): each volume index's index on op's sites and on the others;
+    embed(op, sites, dims).matrix[i, j] is op.matrix[inner[i], inner[j]] or 0 by outside."""
     (axes,) = _positions((op,), sites, dims)
-    inner, outside = (np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), dims).ravel()
-                      for shape in ([d if k in axes else 1 for k, d in enumerate(dims)],
-                                    [1 if k in axes else d for k, d in enumerate(dims)]))
-    block = op.matrix[np.ix_(inner[rows], inner[cols])]
-    block[outside[rows][:, None] != outside[cols][None, :]] = 0.0
-    return block
+    return tuple(np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), dims).ravel()
+                 for shape in ([d if k in axes else 1 for k, d in enumerate(dims)],
+                               [1 if k in axes else d for k, d in enumerate(dims)]))
 
 
 def assemble(blocks: dict, indices: Sequence[np.ndarray], dim: int,

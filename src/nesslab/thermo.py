@@ -77,17 +77,11 @@ def _gibbs_density(w: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
     return density
 
 
-def _gibbs_factors(vols: VolumeOperators) -> list[DenseOperator]:
-    """The tensor factors of exp(-G): the Gibbs state of each reservoir block
-    beta_a (H_a + B_a) on its reservoir's in-volume sites, and the normalized
-    identity on the remaining sites."""
+def _gibbs_factors(vols: VolumeOperators) -> tuple[list[DenseOperator], float]:
+    """The tensor factors of exp(-G), the Gibbs states of the reservoir blocks beta_a (H_a + B_a)
+    on their in-volume sites, and the scalar 1/d of its normalized identity on the other sites."""
     factors = [b.with_matrix(gibbs(b, 1.0).density) for b in vols.blocks.values()]
-    covered = {s for f in factors for s in f.sites}
-    rest = tuple(s for s in vols.sites if s not in covered)
-    rest_dims = tuple(d for s, d in zip(vols.sites, vols.dims) if s not in covered)
-    rest_dim = math.prod(rest_dims)
-    factors.append(DenseOperator(rest, rest_dims, np.eye(rest_dim) / rest_dim))
-    return factors
+    return factors, math.prod(f.dim for f in factors) / vols.dim
 
 
 def initial_state(vols: VolumeOperators) -> StateRep:
@@ -99,7 +93,8 @@ def initial_state(vols: VolumeOperators) -> StateRep:
     normalized identity on the remaining sites, so nothing of the volume's
     dimension is diagonalized.
     """
-    density = opalg.kron_embed(_gibbs_factors(vols), vols.sites, vols.dims).matrix
+    factors, scale = _gibbs_factors(vols)
+    density = opalg.kron_embed(factors, vols.sites, vols.dims).matrix * scale
     return StateRep(vols.sites, vols.dims, density)
 
 
@@ -217,30 +212,31 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     """Entropy reports and averaged observables for every horizon.
 
     Every quantity is an expectation in the initial state exp(-G) of an
-    operator X that is local or a sum or product of local blocks: the
-    state itself (the reservoir Gibbs factors and the normalized identity),
-    G (the blocks beta_a (H_a + B_a) plus log Z), the reservoir currents
-    and the observables, each selfadjoint (ValueError otherwise; its
-    Hermitian part is used) and given on its own sites or on the whole
-    volume. Each is rotated once into the eigenbasis V of the plan's
-    generator (``H_B`` with ``vols.sectors`` unless given) one sector p at
-    a time: X V_p is contracted from the local factors along the site axes
-    of the sector's eigenvectors (:func:`opalg.kron_apply`), so V_p^dagger
-    (X V_p) is one product of the sector's dimension. The state, G and the
-    currents, made of the terms, leave each sector invariant (as a given
-    plan's sectors must), so only Bohr frequencies within a sector count,
-    and an observable's blocks between sectors contribute exactly nothing.
-    With P_jk = s_jk x_kj for the rotated state s and operator x, and Bohr
-    frequencies d_jk = w_k - w_j, the horizon average of <x> is
-    sum_jk P_jk K(T d_jk) with the averaging kernel K, and the endpoint form
-    of the entropy production is e_telescoped = (1/T) Re sum_jk P^G_jk
-    expm1(i T d_jk), the relative entropy of the evolved state to the
-    initial one divided by T. P is conjugate-symmetric, K(0) = 1 and
-    expm1(0) = 0, so each
-    weight is kept as its diagonal sum plus the real and imaginary parts of
-    its packed strict upper triangle, and each horizon is one sine and one
-    cosine per frequency (:func:`_horizon_kernels`) and two matrix-vector
-    products.
+    operator that is local or a sum or product of local blocks: the state
+    itself, G (its blocks beta_a (H_a + B_a); log Z drops out), the
+    reservoir currents and the observables, each selfadjoint (ValueError
+    otherwise; its Hermitian part is used) and given on its own sites or on
+    the whole volume. Each is rotated into the eigenbasis of the plan's
+    generator (``H_B`` with ``vols.sectors`` unless given) one sector at a
+    time, from its local factors (:func:`opalg.kron_apply`). The state, G
+    and the currents leave each sector invariant, as a given plan's sectors
+    must, so only Bohr frequencies d_jk = w_k - w_j within a sector count.
+    With P_jk = s_jk x_kj for the rotated state s and operator x, the
+    horizon average of <x> is sum_jk P_jk K(T d_jk), K the averaging
+    kernel, and e_telescoped = (1/T) Re sum_jk P^G_jk expm1(i T d_jk), the
+    relative entropy of the evolved state to the initial one over T.
+
+    The phases separate: with u_j = exp(i T w_j), w shifted by the sector's
+    midpoint, exp(i T d_jk) = conj(u_j) u_k. So the pairs with |d_jk| >= tau /
+    min T (tau = ``opalg.SEPARABLE_PHASE_TOL``) add (1/T) Im sum Q_jk (conj(u_j)
+    u_k - 1), Q = P / d, and (1/T) Re sum P^G_jk (conj(u_j) u_k - 1): one
+    product of each block of 128 rows of Q or P^G with the phases of all
+    horizons. Each such pair adds a rounding error of about eps |P_jk| / tau,
+    and its phase error eps T |w| adds eps |P_jk| |w| / |d_jk|, as the
+    eigenvalues' own error at d_jk does. The other pairs (d = 0 among them;
+    all of them for a small min T) are direct: the diagonal sum plus the
+    packed strict upper triangle, as P is conjugate-symmetric, with
+    :func:`_horizon_kernels` at every horizon.
 
     Returns one (report, {key: average}) pair per horizon, in order.
     """
@@ -252,16 +248,15 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
         plan = make_plan(vols.H_B, vols.sectors)
     reservoirs = sorted(vols.currents)
     operators = [vols.currents[a] for a in reservoirs] + list(observables.values())
-    offsets = np.cumsum([0] + [s.indices.size * (s.indices.size - 1) // 2 for s in plan.sectors])
-    sigma_factors = _gibbs_factors(vols)
-    g_blocks = list(vols.blocks.values())
-    rows = None
-    diag = np.zeros(len(operators))
-    half_freq, g_rows = [], []
-    for sector, start, stop in zip(plan.sectors, offsets, offsets[1:]):
+    factors, scale = _gibbs_factors(vols)
+    cut = opalg.SEPARABLE_PHASE_TOL / min(horizons, default=1.0)  # no horizon: no report
+    # per operator, G last: diagonal sums, separable sums per horizon, direct P
+    diag = np.zeros(len(operators) + 1)
+    separable = np.zeros((len(operators) + 1, len(horizons)))
+    direct, direct_freq = [[] for _ in range(len(operators) + 1)], []
+    for sector in plan.sectors:
         v, w, size, dim = sector.basis, sector.eigenvalues, sector.indices.size, vols.dim
-        upper = np.triu(np.ones((size, size), dtype=bool), k=1)
-        half_freq.append(0.5 * (w[None, :] - w[:, None])[upper])
+        phases = np.exp(1j * np.multiply.outer(w - 0.5 * (w[0] + w[-1]), horizons))
         columns = v
         if size < dim:   # the sector's eigenvectors as columns of the volume's basis
             columns = np.zeros((dim, size), dtype=v.dtype)
@@ -272,50 +267,55 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
             """V^dagger (X V) within the sector, from X V on its columns."""
             return opalg.adjoint_matmul(v, x_v if size == dim else x_v[sector.indices])
 
-        sigma_t = rotated(apply(sigma_factors))
-        sigma_diag = np.diagonal(sigma_t).copy()
-        sigma_upper = sigma_t[upper]
-        del sigma_t
-        # allocated once the first rotated state is gone, which lowers the peak
-        rows = np.empty((len(operators), 2, offsets[-1])) if rows is None else rows
+        # per block of 128 rows, for every operator: 1/d (0 if direct), the direct j < k
+        blocks = []
+        for lo in range(0, size, 128):
+            freq = w[None, :] - w[lo:lo + 128, None]
+            far = np.abs(freq) >= cut
+            upper = np.flatnonzero(np.triu(~far, lo + 1))
+            direct_freq.append(freq.ravel()[upper])
+            blocks.append((slice(lo, lo + 128), np.divide(1.0, freq, out=np.zeros(freq.shape),
+                                                          where=far), upper))
 
-        def weight(x_t: np.ndarray, out: np.ndarray) -> float:
-            """Rows Re, -Im of the packed P into ``out``; returns the diagonal sum."""
-            p = sigma_upper * x_t.T[upper]
-            out[0] = p.real
-            out[1] = -p.imag if np.iscomplexobj(p) else 0.0
-            return float(np.real(np.dot(sigma_diag, np.diagonal(x_t))))
+        def contract(x_t: np.ndarray, k: int, endpoint: bool = False) -> None:
+            """The sums of P = s * conj(x_t) into row k, block by block; x_t is overwritten."""
+            diag[k] += np.real(np.dot(np.diagonal(sigma_t), np.diagonal(x_t)))
+            for rows, inv, upper in blocks:
+                p = x_t[rows].conj()   # x_t's own rows if it is real
+                p *= sigma_t[rows]
+                direct[k].append(p.ravel()[upper])
+                p *= inv != 0 if endpoint else inv
+                z = np.einsum("jt,jt->t", phases[rows].conj(), opalg.matmul(p, phases))
+                z -= p.sum()
+                separable[k] += z.real if endpoint else z.imag
 
-        # one rotated matrix at a time; only the packed weights outlive it.
-        # An observable's blocks between two sectors meet only zero blocks
-        # of the rotated state, so they contribute exactly nothing.
+        sigma_t = rotated(apply(factors) * scale)
+        # one at a time; an observable's blocks between sectors meet zero blocks of sigma_t
         for k, x in enumerate(operators):
-            diag[k] += weight(rotated(apply([x])), rows[k, :, start:stop])
-        # G V without the constant log Z, which drops out of the strict upper
-        # triangle the endpoint form reads
-        g_v = functools.reduce(np.add, (apply([b]) for b in g_blocks))
-        g_rows.append(np.empty((2, stop - start)))
-        weight(rotated(g_v), g_rows[-1])
-        del g_v, sigma_upper
-    half_freq = np.concatenate(half_freq)
-    rows = rows.reshape(len(operators), -1)
-    g_rows = np.concatenate(g_rows, axis=1).reshape(-1)
+            contract(rotated(apply([x])), k)
+        # G V without the constant log Z, which drops out of the endpoint form
+        contract(rotated(functools.reduce(np.add, (apply([b]) for b in vols.blocks.values()))),
+                 -1, True)
+        del sigma_t, blocks
+    freq = np.concatenate(direct_freq)
+    # the rows Re, -Im of each packed direct P, rebound so that the parts are freed
+    direct = [np.concatenate([p.real, -np.imag(p)]) for p in map(np.concatenate, direct)]
 
     perturbed = any(np.any(b.matrix) for b in vols.B_a.values())
     out = []
-    for horizon in horizons:
-        kernels = _horizon_kernels(horizon * half_freq)
-        values = diag + 2.0 * (rows @ kernels[:2].reshape(-1))
-        fluxes = {a: float(values[i]) for i, a in enumerate(reservoirs)}
-        averages = {key: float(values[len(reservoirs) + i])
-                    for i, key in enumerate(observables)}
+    for n, horizon in enumerate(horizons):
+        kernels = _horizon_kernels(0.5 * horizon * freq)
+        values = [diag[k] + 2.0 * (row @ kernels[:2].reshape(-1)) + separable[k, n] / horizon
+                  for k, row in enumerate(direct[:-1])]
+        fluxes = dict(zip(reservoirs, map(float, values)))
+        averages = dict(zip(observables, map(float, values[len(reservoirs):])))
         e = sum(vols.betas[a] * f for a, f in fluxes.items())
-        e_tel = 2.0 * float(g_rows @ kernels[2:].reshape(-1)) / horizon
+        e_tel = 2.0 * float(direct[-1] @ kernels[2:].reshape(-1)) + separable[-1, n]
         report = EntropyReport(
             horizon=float(horizon),
             fluxes=fluxes,
             e=float(e),
-            e_telescoped=e_tel,
+            e_telescoped=float(e_tel / horizon),
             sum_rule_residual=float(sum(fluxes.values())),
             tol_sum_rule=float(2.0 * vols.w_norm / horizon),
             g_norm=float(vols.g_norm),

@@ -3,12 +3,14 @@
 The library gets the initial state, log Z and the norms of G and W from the
 per-reservoir blocks and the interface terms, keeps the currents on the
 interface and reservoir supports, and contracts every horizon in the
-eigenbasis of H_B with a sine/cosine kernel. The routes here work on the
+eigenbasis of H_B by separable phases. The routes here work on the
 whole volume instead: they lift H_a, B_a, W and the currents to the volume,
 diagonalize the D x D weighted reservoir sum, G and W, commute H with H_a,
 and evolve G to the horizon endpoint, so each production value has an
 independent check. The averaging kernel and the endpoint factor are also
-kept in the complex form the library used before, as references.
+kept in the complex form the library used before, as references, and the
+horizon contraction in its packed per-pair form: one sine and one cosine
+per Bohr frequency and horizon, the reference for the separable phases.
 
 For the dynamics it holds the Heisenberg evolution through the matrix
 exponential and the derivation powers iterated in complex arithmetic, so the
@@ -22,13 +24,16 @@ interface part by the weighted per-site formula, and the horizon average by
 composite Simpson quadrature of the exact evolution.
 """
 
+import functools
+
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import logsumexp
 
 from nesslab import embed, exact_evolve, gibbs, make_plan, op_norm, spectral, time_averaged_state
+from nesslab import opalg
 from nesslab.opalg import DenseOperator, matmul, zero
-from nesslab.thermo import StateRep
+from nesslab.thermo import EntropyReport, StateRep, _gibbs_factors, _horizon_kernels
 
 
 def apply_function(a, phi):
@@ -118,6 +123,66 @@ def horizon_values(vols, plan, sigma, horizon: float) -> tuple[dict, float]:
     g_end = exact_evolve(plan, g, horizon)
     e_tel = (sigma.expectation(g_end) - sigma.expectation(g)) / horizon
     return fluxes, e_tel
+
+
+def packed_horizon_reports(vols, horizons, plan, observables=None) -> list:
+    """:func:`nesslab.horizon_reports` by per-pair kernels at every horizon.
+
+    Each operator is rotated into the plan's sector eigenbases as the
+    library does it; its weights P_jk = s_jk x_kj are kept as the diagonal
+    sum plus the real and imaginary parts of the packed strict upper
+    triangle, and every horizon evaluates :func:`_horizon_kernels` at every
+    Bohr frequency of a sector.
+    """
+    observables = {key: x.with_matrix(opalg.hermitian_matrix(x))
+                   for key, x in (observables or {}).items()}
+    reservoirs = sorted(vols.currents)
+    operators = [vols.currents[a] for a in reservoirs] + list(observables.values())
+    factors, scale = _gibbs_factors(vols)
+    diag = np.zeros(len(operators))
+    half_freq, rows, g_rows = [], [[] for _ in operators], []
+    for sector in plan.sectors:
+        v, w, size = sector.basis, sector.eigenvalues, sector.indices.size
+        upper = np.triu(np.ones((size, size), dtype=bool), k=1)
+        half_freq.append(0.5 * (w[None, :] - w[:, None])[upper])
+        columns = np.zeros((vols.dim, size), dtype=v.dtype)
+        columns[sector.indices] = v
+
+        def rotated(factor_list, scale=1.0):
+            x_v = opalg.kron_apply(factor_list, vols.sites, vols.dims, columns) * scale
+            return v.conj().T @ x_v[sector.indices]
+
+        sigma_t = rotated(factors, scale)
+
+        def weight(x_t):
+            p = sigma_t[upper] * x_t.T[upper]
+            return np.real(np.dot(np.diagonal(sigma_t), np.diagonal(x_t))), np.concatenate(
+                [np.real(p), -np.imag(p)])
+
+        for k, x in enumerate(operators):
+            d, row = weight(rotated([x]))
+            diag[k] += d
+            rows[k].append(row.reshape(2, -1))
+        g_t = functools.reduce(np.add, (rotated([b]) for b in vols.blocks.values()))
+        g_rows.append(weight(g_t)[1].reshape(2, -1))
+    half_freq = np.concatenate(half_freq)
+    rows = [np.concatenate(r, axis=1).reshape(-1) for r in rows]
+    g_row = np.concatenate(g_rows, axis=1).reshape(-1)
+    out = []
+    for horizon in horizons:
+        kernels = _horizon_kernels(horizon * half_freq)
+        values = [d + 2.0 * (row @ kernels[:2].reshape(-1)) for d, row in zip(diag, rows)]
+        fluxes = dict(zip(reservoirs, values))
+        report = EntropyReport(
+            horizon=float(horizon), fluxes=fluxes,
+            e=float(sum(vols.betas[a] * f for a, f in fluxes.items())),
+            e_telescoped=2.0 * float(g_row @ kernels[2:].reshape(-1)) / horizon,
+            sum_rule_residual=float(sum(fluxes.values())),
+            tol_sum_rule=float(2.0 * vols.w_norm / horizon),
+            g_norm=float(vols.g_norm), w_norm=float(vols.w_norm),
+            perturbed=any(np.any(b.matrix) for b in vols.B_a.values()))
+        out.append((report, dict(zip(observables, values[len(reservoirs):]))))
+    return out
 
 
 def averaging_kernel(x):

@@ -237,6 +237,16 @@ class TestExactEvolve:
         with pytest.raises(ValueError):
             exact_evolve(plan, DenseOperator((1,), (2,), SX), 0.1)
 
+    def test_one_sector_plan_takes_the_matrix_uncopied(self, chain5):
+        # no gather, copy or mask at D for a volume-sized operator and one sector
+        vols = build(chain5, range(5))
+        a = embed(DenseOperator((2,), (2,), SX), vols.sites, vols.dims)
+        ((key, block),) = dynamics._embedded_blocks(make_plan(vols.H_B), a).items()
+        assert key == (0, 0) and block is a.matrix
+        parity = dynamics._embedded_blocks(make_plan(vols.H_B, vols.sectors), a)
+        assert set(parity) == {(0, 1)}
+        np.testing.assert_array_equal(parity[0, 1], a.matrix[np.ix_(*vols.sectors)])
+
 
 class TestMakePlan:
     def test_checks_hermiticity_once(self, chain5, monkeypatch):

@@ -19,9 +19,10 @@ import pytest
 
 from nesslab import (DenseOperator, InteractionTerm, ModelSpec, build, convergence_sweep,
                      embed, exact_evolve, horizon_reports, make_plan, opalg, series_radius,
-                     volume)
+                     thermo, volume)
 from nesslab.model import PerturbationEntry, PerturbationFamily
 
+import oracles
 from conftest import SX, SY, SZ, make_chain, random_hermitian
 
 TOL = 1e-12
@@ -239,3 +240,111 @@ class TestSectorRouteMatchesDense:
                     assert {k: v for k, v in dataclasses.asdict(g).items() if k != value} == {
                         k: v for k, v in fields.items() if k != value}
                     assert _close(getattr(g, value), fields[value]), (key, rows, g, r)
+
+
+def _kernel_arguments(monkeypatch) -> list:
+    """The number of Bohr frequencies of each :func:`thermo._horizon_kernels` call."""
+    sizes = []
+    kernels = thermo._horizon_kernels
+
+    def record(half, *args, **kwargs):
+        sizes.append(np.size(half))
+        return kernels(half, *args, **kwargs)
+
+    monkeypatch.setattr(thermo, "_horizon_kernels", record)
+    return sizes
+
+
+def _pairs(plan) -> int:
+    """The Bohr frequencies j < k within the sectors of a plan."""
+    return sum(s.indices.size * (s.indices.size - 1) // 2 for s in plan.sectors)
+
+
+def _assert_reports_close(got, ref):
+    assert len(got) == len(ref)
+    for (g_rep, g_avg), (r_rep, r_avg) in zip(got, ref):
+        assert g_rep.horizon == r_rep.horizon
+        for a in r_rep.fluxes:
+            assert _close(g_rep.fluxes[a], r_rep.fluxes[a]), (g_rep.horizon, a)
+        for name in ("e", "e_telescoped", "sum_rule_residual", "tol_sum_rule"):
+            assert _close(getattr(g_rep, name), getattr(r_rep, name)), (g_rep.horizon, name)
+        assert g_avg.keys() == r_avg.keys()
+        for key in r_avg:
+            assert _close(g_avg[key], r_avg[key]), (g_rep.horizon, key)
+
+
+class TestSeparableContraction:
+    """Separable phases against the packed per-pair oracle, within 1e-12 (1 + |ref|)."""
+
+    @pytest.mark.parametrize("horizons, regime", [
+        ((1e-3, 0.37, 1.0, 1e3, 1e6), "all"),
+        ((0.37, 1.0, 1e3, 1e6), "some"),
+    ], ids=["tiny-min-T", "mixed"])
+    def test_matches_the_per_pair_oracle(self, case, horizons, regime, monkeypatch):
+        _, _, vols = case
+        plan = make_plan(vols.H_B, vols.sectors)
+        obs = _observables()
+        sizes = _kernel_arguments(monkeypatch)
+        got = horizon_reports(vols, horizons, plan=plan, observables=obs)
+        monkeypatch.undo()
+        _assert_reports_close(got, oracles.packed_horizon_reports(vols, horizons, plan, obs))
+        total = len(horizons) * _pairs(plan)
+        # tau / 1e-3 exceeds every Bohr frequency of the chain: every pair direct
+        assert sum(sizes) == total if regime == "all" else 0 < sum(sizes) < total
+
+    def test_no_pair_direct(self, case, monkeypatch):
+        _, _, vols = case
+        plan = make_plan(vols.H_B, vols.sectors)
+        gap = min(np.min(np.diff(s.eigenvalues)) for s in plan.sectors)
+        assert gap > 0
+        t_min = 2.0 * opalg.SEPARABLE_PHASE_TOL / gap
+        horizons = (t_min, 7.0 * t_min, 1e3 * t_min)
+        obs = _observables()
+        sizes = _kernel_arguments(monkeypatch)
+        got = horizon_reports(vols, horizons, plan=plan, observables=obs)
+        monkeypatch.undo()
+        assert sum(sizes) == 0
+        _assert_reports_close(got, oracles.packed_horizon_reports(vols, horizons, plan, obs))
+
+    @pytest.mark.parametrize("horizons", [(1e-3, 7.0, 1e6), (7.0, 1e6)])
+    def test_degenerate_spectrum(self, decoupled_model, horizons):
+        # H_B = 0.7 sum sigma_z: levels with exact repeats, so many Bohr
+        # frequencies are exactly zero and always direct
+        vols = build(decoupled_model, (0, 1, 2))
+        obs = {"pair": DenseOperator((0, 1), (2, 2), random_hermitian(np.random.default_rng(3), 4))}
+        for plan in (make_plan(vols.H_B), make_plan(vols.H_B, vols.sectors)):
+            got = horizon_reports(vols, horizons, plan=plan, observables=obs)
+            _assert_reports_close(got, oracles.packed_horizon_reports(vols, horizons, plan, obs))
+
+    def test_few_pairs_take_per_pair_kernels(self, case, monkeypatch):
+        # min T >= 1: only |d| < tau takes sines and cosines at each horizon
+        _, _, vols = case
+        plan = make_plan(vols.H_B, vols.sectors)
+        horizons = tuple(np.logspace(0.0, 3.0, 16))
+        sizes = _kernel_arguments(monkeypatch)
+        horizon_reports(vols, horizons, plan=plan, observables=_observables())
+        assert len(sizes) == len(horizons)
+        half_squares = sum(s.indices.size ** 2 / 2 for s in plan.sectors)
+        assert sum(sizes) < 0.05 * len(horizons) * half_squares
+
+    def test_no_horizon_gives_no_report(self, case):
+        assert horizon_reports(case[2], (), observables=_observables()) == []
+
+    def test_peak_is_below_five_volume_matrices(self):
+        # ROADMAP item 3, with the plan given: measured 3.6 real DxD at
+        # D = 1024 (6.5 with packed per-pair weights for every operator)
+        spec = make_chain(10, {i: 0 if i == 5 else 1 if i < 5 else 2 for i in range(10)},
+                          BETAS, anis=0.3)
+        vols = build(spec, range(10))
+        plan = make_plan(vols.H_B, vols.sectors)
+        obs = {"mid": DenseOperator((5,), (2,), SZ), "left": DenseOperator((4,), (2,), SX)}
+        assert vols.dim == 1024 and len(plan.sectors) == 2
+        tracemalloc.start()
+        try:
+            reports = horizon_reports(vols, tuple(np.logspace(0.0, 3.0, 16)), plan=plan,
+                                      observables=obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 16
+        assert peak <= 5 * 8 * vols.dim ** 2
