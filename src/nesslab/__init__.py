@@ -2,9 +2,9 @@
 
 A small system is connected to finitely truncated reservoirs held at
 different inverse temperatures. The package assembles the finite-volume
-operators, evolves observables exactly, forms time-averaged steady-state
-proxies, and evaluates reservoir energy fluxes and entropy production,
-whose finite-volume nonnegativity is exact.
+operators, evolves observables exactly, averages them over a time horizon
+in the initial product state, and evaluates reservoir energy fluxes and
+entropy production, whose finite-volume nonnegativity is exact.
 """
 
 from .model import (
@@ -20,7 +20,6 @@ from .model import (
     model_from_dict,
     model_to_dict,
     redraw,
-    restrict,
     tail_norm,
     validate,
 )
@@ -39,7 +38,8 @@ from .dynamics import (
     DysonConfig,
     EvolutionPlan,
     convergence_sweep,
-    derivation,
+    derivation_growth_bound,
+    derivation_powers,
     dyson_evolve,
     exact_evolve,
     make_plan,
@@ -50,14 +50,11 @@ from .thermo import (
     KleinWitness,
     StateRep,
     boundary_redraw_check,
-    entropy_production,
     gibbs,
     heat_direction_check,
     horizon_reports,
-    initial_state,
     klein_check,
     kms_check,
-    time_averaged_state,
 )
 
 __version__ = "0.1.0"

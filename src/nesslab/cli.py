@@ -184,23 +184,16 @@ def cmd_simulate(args) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    reservoirs = spec.reservoirs
     obs_names = sorted(cfg.observables)
-    header = (["volume_index", "T"] + [f"flux_{a}" for a in reservoirs]
+    header = (["volume_index", "T"] + [f"flux_{a}" for a in spec.reservoirs]
               + ["e", "e_telescoped", "sum_rule_residual", "tol"]
               + [f"avg_{n}" for n in obs_names] + ["config_hash"])
     rows = []
     for vol_idx, sites in enumerate(cfg.exhaustion):
         vols = volume.build(spec, sites, family)
-        for t_horizon, (rep, averaged) in zip(
-                cfg.horizons, thermo.horizon_reports(vols, cfg.horizons,
-                                                     observables=observables)):
-            row = [str(vol_idx), t_horizon]
-            row += [rep.fluxes[a] for a in reservoirs]
-            row += [rep.e, rep.e_telescoped, rep.sum_rule_residual, rep.tol_sum_rule]
-            row += [averaged[n] for n in obs_names]
-            row.append(digest)
-            rows.append(row)
+        for rep, averaged in thermo.horizon_reports(vols, cfg.horizons, observables=observables):
+            rows.append([str(vol_idx)] + rep.csv_row() + [averaged[n] for n in obs_names]
+                        + [digest])
     _write_csv(out_dir / "entropy.csv", header, rows)
     print(f"wrote {out_dir / 'entropy.csv'} ({len(rows)} rows, config {digest})")
     return 0

@@ -169,20 +169,6 @@ def derivation_powers(h_b: DenseOperator, a: DenseOperator, order: int) -> list[
             for m, r in enumerate(_commutators(h_b, a, order), start=1)]
 
 
-def derivation(spec: ModelSpec, volume: Iterable[int], a: DenseOperator,
-               perturbation: PerturbationFamily | None = None) -> DenseOperator:
-    """The finite-volume derivation i[H_B, a] applied to a selfadjoint ``a``.
-
-    ``H_B`` is the generator that :func:`nesslab.volume.build` assembles for
-    ``volume``, so this has build's preconditions: the volume contains the
-    small system and each perturbation term lies in one reservoir. ``a`` is
-    embedded into the volume first.
-    """
-    h_b = volume_mod.build(spec, volume, perturbation).H_B
-    (out,) = derivation_powers(h_b, opalg.embed(a, h_b.sites, h_b.dims), 1)
-    return out
-
-
 @dataclass(frozen=True)
 class DysonConfig:
     """Truncation order and weight parameter for the series."""
@@ -238,9 +224,10 @@ def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: fl
     """Truncated power-series evolution with a rigorous tail bound.
 
     Returns the partial sum over orders m <= M of t^m delta^m(a) / m!, with
-    delta = i[H_B, .] as in :func:`derivation` (and build's preconditions),
-    and the geometric tail majorant ||a|| e^{lam card X} r^{M+1} / (1 - r)
-    with r = 2 |t| (||Phi||_lam + K) / lam. ``a`` must be selfadjoint. X is
+    delta = i[H_B, .] for the ``H_B`` that :func:`nesslab.volume.build`
+    assembles for ``volume`` (so build's preconditions hold), and the
+    geometric tail majorant ||a|| e^{lam card X} r^{M+1} / (1 - r) with
+    r = 2 |t| (||Phi||_lam + K) / lam. ``a`` must be selfadjoint. X is
     ``a.sites``: pass the observable on its own sites, not embedded, for
     the tightest bound. Times at or beyond the convergence radius are
     refused since the majorant diverges there.
@@ -306,10 +293,6 @@ class ConvergenceSweepReport:
     evolution_rows: tuple[SweepRow, ...]
     order_rows: tuple[OrderRow, ...]
     dyson_rows: tuple[DysonRow, ...]
-
-    def pair_sup(self, pair_index: int) -> float:
-        return max((r.discrepancy for r in self.evolution_rows
-                    if r.pair_index == pair_index), default=0.0)
 
 
 def _lifted_gap(small_plan: EvolutionPlan, small: dict, plan: EvolutionPlan,

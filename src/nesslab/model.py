@@ -59,6 +59,12 @@ class RegionMap:
     def region_of(self, site: int) -> int:
         return self.assignment[site]
 
+    def reservoir_of(self, support: Iterable[int]) -> int | None:
+        """The one reservoir holding every site of ``support``; None if the
+        sites meet the small system or two regions."""
+        regions = {self.assignment[x] for x in support}
+        return None if len(regions) != 1 or 0 in regions else next(iter(regions))
+
 
 @dataclass(frozen=True)
 class InteractionTerm:
@@ -288,14 +294,6 @@ def tail_norm(spec: ModelSpec, region: Iterable[int]) -> float:
     return interaction_lambda_norm(escaping, spec.lam, region)
 
 
-def restrict(spec: ModelSpec, reservoir: int) -> tuple[InteractionTerm, ...]:
-    """The interaction terms supported entirely inside reservoir ``a``."""
-    if reservoir not in spec.reservoirs:
-        raise ValueError(f"unknown reservoir index {reservoir}")
-    inside = spec.regions.sites_in(reservoir)
-    return tuple(t for t in spec.terms if set(t.support) <= inside)
-
-
 def redraw(spec: ModelSpec, new_small_system: Iterable[int]) -> ModelSpec:
     """Enlarge the small system; reservoirs shrink correspondingly.
 
@@ -362,8 +360,7 @@ class PerturbationFamily:
         problems: list[str] = []
         for idx, entry in enumerate(self.entries):
             for t in entry.terms:
-                regions = {spec.regions.region_of(x) for x in t.support}
-                if len(regions) != 1 or 0 in regions:
+                if spec.regions.reservoir_of(t.support) is None:
                     problems.append(
                         f"entry {idx}: term on {t.support} is not inside a single reservoir")
             norm = interaction_lambda_norm(entry.terms, spec.lam, spec.site_ids)

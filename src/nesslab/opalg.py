@@ -124,9 +124,6 @@ class DenseOperator:
     def with_matrix(self, matrix: np.ndarray) -> "DenseOperator":
         return DenseOperator(self.sites, self.dims, matrix)
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return is_hermitian_matrix(self.matrix, tol)
-
     def __add__(self, other: "DenseOperator") -> "DenseOperator":
         self._require_same_volume(other)
         return self.with_matrix(self.matrix + other.matrix)
@@ -142,15 +139,6 @@ class DenseOperator:
         return self.with_matrix(self.matrix * scalar)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        self._require_same_volume(other)
-        return self.with_matrix(matmul(self.matrix, other.matrix))
-
-
-def identity(sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
-    dim = int(np.prod(tuple(dims))) if len(dims) else 1
-    return DenseOperator(tuple(sites), tuple(dims), np.eye(dim))
 
 
 def zero(sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
@@ -173,20 +161,6 @@ def _positions(factors: Sequence[DenseOperator], sites: tuple[int, ...],
             if dims[pos[s]] != d:
                 raise ValueError(f"local dimension mismatch at site {s}")
     return [[pos[s] for s in f.sites] for f in factors]
-
-
-def kron_embed(factors: Sequence[DenseOperator], sites: Sequence[int],
-               dims: Sequence[int]) -> DenseOperator:
-    """Tensor product of operators on disjoint volumes, placed into a volume.
-
-    The result acts as each factor on that factor's sites and as the
-    identity on the target sites no factor covers, under canonical
-    ascending-site ordering: :func:`kron_apply` of the factors to the
-    identity of the volume.
-    """
-    dim = math.prod(dims)
-    return DenseOperator(tuple(sites), tuple(dims),
-                         kron_apply(factors, sites, dims, np.eye(dim)))
 
 
 def embed(op: DenseOperator, sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
@@ -256,7 +230,9 @@ def assemble(blocks: dict, indices: Sequence[np.ndarray], dim: int,
 
 def kron_apply(factors: Sequence[DenseOperator], sites: Sequence[int],
                dims: Sequence[int], v: np.ndarray) -> np.ndarray:
-    """kron_embed(factors, sites, dims).matrix @ v without forming the embedding.
+    """T v for the tensor product T of operators on disjoint sites of the
+    volume, each factor acting on its own sites and the identity on the
+    sites no factor covers, without forming T.
 
     Each factor is contracted with the row index of ``v`` along its own
     site axes, moved to the front, at the cost of D d products per column
@@ -442,17 +418,13 @@ def _gram_norm(mat: np.ndarray) -> float:
     return scale * math.sqrt(max(largest, 0.0))
 
 
-def check_unitary(u, tol: float = UNITARITY_TOL):
-    mat = as_matrix(u)
-    defect = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-
-
 def unitary_conj(u, a):
-    """U A U^{-1} for unitary U; preserves spectrum and trace."""
-    check_unitary(u)
+    """U A U^{-1} for U unitary within UNITARITY_TOL (ValueError otherwise);
+    preserves spectrum and trace."""
     um = as_matrix(u)
+    defect = np.max(np.abs(um.conj().T @ um - np.eye(um.shape[0])))
+    if defect > UNITARITY_TOL:
+        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     am = as_matrix(a)
     if um.shape[0] != am.shape[0]:
         raise ValueError("dimension mismatch in unitary conjugation")
@@ -460,15 +432,6 @@ def unitary_conj(u, a):
     if isinstance(a, DenseOperator):
         return DenseOperator(a.sites, a.dims, out)
     return out
-
-
-def _require_hermitian(a, what: str = "spectral decomposition") -> np.ndarray:
-    """The matrix of A, which must be Hermitian within HERMITICITY_TOL;
-    the ValueError otherwise says that ``what`` requires one."""
-    mat = as_matrix(a)
-    if not is_hermitian_matrix(mat):
-        raise ValueError(f"{what} requires a Hermitian matrix")
-    return mat
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
@@ -479,7 +442,10 @@ def hermitian_matrix(a, what: str = "spectral decomposition") -> np.ndarray:
     """The Hermitian part (M + M^dagger) / 2 of the matrix M of A, which
     must be Hermitian within HERMITICITY_TOL (ValueError naming ``what``
     otherwise). A bitwise Hermitian M comes back equal to itself."""
-    return _hermitian_part(_require_hermitian(a, what))
+    mat = as_matrix(a)
+    if not is_hermitian_matrix(mat):
+        raise ValueError(f"{what} requires a Hermitian matrix")
+    return _hermitian_part(mat)
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """States and thermodynamics at finite volume.
 
-Gibbs and product initial states, the KMS residual check, time-averaged
-steady-state proxies (exact in the horizon through the spectral averaging
-kernel), reservoir energy fluxes, entropy production with its exact
-finite-volume nonnegativity, and the monotone-function trace inequality
-with its doubly stochastic witness.
+Gibbs states, the KMS residual check, horizon averages in the initial
+product state (exact in the horizon through the spectral averaging kernel),
+reservoir energy fluxes, entropy production with its exact finite-volume
+nonnegativity, and the monotone-function trace inequality with its doubly
+stochastic witness.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import opalg
-from .dynamics import EvolutionPlan, _conjugated, make_plan
+from .dynamics import EvolutionPlan, make_plan
 from .model import ModelSpec, redraw
 from .opalg import DenseOperator
 from .volume import VolumeOperators, build
@@ -47,9 +47,6 @@ class StateRep:
     @property
     def dim(self) -> int:
         return self.density.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.min(opalg.eigenvalues(self.density)))
 
     def expectation(self, a: DenseOperator) -> float:
         """Real expectation value of a Hermitian observable."""
@@ -84,20 +81,6 @@ def _gibbs_factors(vols: VolumeOperators) -> tuple[list[DenseOperator], float]:
     return factors, math.prod(f.dim for f in factors) / vols.dim
 
 
-def initial_state(vols: VolumeOperators) -> StateRep:
-    """The product state exp(-G): reservoirs at their own temperatures,
-    normalized trace on the small system.
-
-    Formed as the tensor product of the Gibbs states of the reservoir blocks
-    beta_a (H_a + B_a), each on its reservoir's in-volume sites, and the
-    normalized identity on the remaining sites, so nothing of the volume's
-    dimension is diagonalized.
-    """
-    factors, scale = _gibbs_factors(vols)
-    density = opalg.kron_embed(factors, vols.sites, vols.dims).matrix * scale
-    return StateRep(vols.sites, vols.dims, density)
-
-
 def kms_check(state: StateRep, h: DenseOperator, beta: float,
               a: DenseOperator, b: DenseOperator) -> float:
     """Residual of the equilibrium boundary condition for a Gibbs state.
@@ -122,9 +105,8 @@ def kms_check(state: StateRep, h: DenseOperator, beta: float,
     return float(abs(lhs - rhs))
 
 
-def _horizon_kernels(half: np.ndarray, endpoint: bool = True) -> np.ndarray:
-    """Re K and Im K at x = 2 half, then Re expm1(ix) and Im expm1(ix) if
-    ``endpoint``, stacked.
+def _horizon_kernels(half: np.ndarray) -> np.ndarray:
+    """Re K, Im K, Re expm1(ix) and Im expm1(ix) at x = 2 half, stacked.
 
     K(x) = (e^{ix} - 1)/(ix) is (1/T) times the integral of e^{i t d} over
     [0, T] at x = T d, the averaging kernel, and expm1(ix) = e^{ix} - 1 the
@@ -136,36 +118,12 @@ def _horizon_kernels(half: np.ndarray, endpoint: bool = True) -> np.ndarray:
     s = np.sin(half)
     c = np.cos(half)
     sinc = np.divide(s, half, out=np.ones_like(half), where=half != 0)
-    out = np.empty((4 if endpoint else 2,) + half.shape)
+    out = np.empty((4,) + half.shape)
     np.multiply(c, sinc, out=out[0])
     np.multiply(s, sinc, out=out[1])
-    if endpoint:
-        np.multiply(-2.0 * s, s, out=out[2])
-        np.multiply(2.0 * s, c, out=out[3])
+    np.multiply(-2.0 * s, s, out=out[2])
+    np.multiply(2.0 * s, c, out=out[3])
     return out
-
-
-def time_averaged_state(plan: EvolutionPlan, state: StateRep, horizon: float) -> StateRep:
-    """The horizon average of the evolved state, exact in the horizon.
-
-    Averaging the dual evolution over [0, T] multiplies each nonzero sector
-    block of the density matrix entrywise, in the generator eigenbasis, by
-    the averaging kernel of the Bohr frequencies w_k - w_j. The result is
-    again a state (a convex average of states).
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    w = [s.eigenvalues for s in plan.sectors]
-
-    def average(r: np.ndarray, p: int, q: int) -> np.ndarray:
-        kernel = np.empty(r.shape, dtype=complex)
-        kernel.real, kernel.imag = _horizon_kernels(
-            0.5 * horizon * (w[q][None, :] - w[p][:, None]), endpoint=False)
-        return r * kernel
-
-    averaged = _conjugated(plan, state.density, average)
-    averaged = 0.5 * (averaged + averaged.conj().T)
-    return StateRep(state.sites, state.dims, averaged)
 
 
 @dataclass(frozen=True)
@@ -188,16 +146,6 @@ class EntropyReport:
     g_norm: float
     w_norm: float
     perturbed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "T": self.horizon,
-            "fluxes": {str(a): f for a, f in sorted(self.fluxes.items())},
-            "e": self.e,
-            "e_telescoped": self.e_telescoped,
-            "sum_rule_residual": self.sum_rule_residual,
-            "tol_sum_rule": self.tol_sum_rule,
-        }
 
     def csv_row(self) -> list[float]:
         return ([self.horizon] + [f for _, f in sorted(self.fluxes.items())]
@@ -326,26 +274,11 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     return out
 
 
-def entropy_production(vols: VolumeOperators, horizon: float,
-                       plan: EvolutionPlan | None = None) -> EntropyReport:
-    """Entropy production by two routes over one averaging horizon.
-
-    Route one averages the reservoir current operators against the
-    time-averaged initial product state exp(-G) and weights them by the
-    inverse temperatures. Route two evaluates the weighted exponent G at the
-    horizon endpoints. The endpoint route is nonnegative exactly (up to
-    roundoff in units of the exponent's norm), for every volume and
-    horizon. A one-horizon call of :func:`horizon_reports`.
-    """
-    return horizon_reports(vols, (horizon,), plan=plan)[0][0]
-
-
 @dataclass(frozen=True)
 class HeatDirectionReport:
     """Two-reservoir check that heat flows from hot to cold."""
 
     horizon: float
-    beta_pair: tuple[float, float]
     flux_into_first: float
     lhs: float
     slack: float
@@ -363,15 +296,14 @@ def heat_direction_check(vols: VolumeOperators, horizon: float,
     reservoirs = vols.reservoirs
     if len(reservoirs) != 2:
         raise ValueError(f"heat direction check needs exactly 2 reservoirs, got {len(reservoirs)}")
-    report = entropy_production(vols, horizon, plan=plan)
+    ((report, _),) = horizon_reports(vols, (horizon,), plan=plan)
     a1, a2 = reservoirs
     b1, b2 = vols.betas[a1], vols.betas[a2]
     lhs = (b1 - b2) * report.fluxes[a1]
     slack = b2 * report.tol_sum_rule + opalg.HEAT_DIRECTION_SLACK
     return HeatDirectionReport(
-        horizon=float(horizon), beta_pair=(b1, b2),
-        flux_into_first=report.fluxes[a1], lhs=float(lhs), slack=float(slack),
-        ok=bool(lhs >= -slack),
+        horizon=float(horizon), flux_into_first=report.fluxes[a1], lhs=float(lhs),
+        slack=float(slack), ok=bool(lhs >= -slack),
     )
 
 
@@ -459,18 +391,6 @@ class KleinWitness:
     @property
     def violation(self) -> float:
         return self.lhs - self.rhs
-
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "c": [[float(x) for x in row] for row in self.c],
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
-
-    def csv_row(self) -> list[float]:
-        return [float(self.eigenvalues.size), self.lhs, self.rhs,
-                self.min_entry, self.row_sum_deviation, self.col_sum_deviation]
 
 
 def klein_check(a: np.ndarray, u: np.ndarray, phi: Callable[[float], float],

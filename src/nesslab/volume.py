@@ -116,11 +116,10 @@ def build(spec: ModelSpec, volume: Iterable[int],
     pert_terms: dict[int, list[InteractionTerm]] = {a: [] for a in spec.reservoirs}
     dropped_pert = 0
     for term in family.terms_for(sites):
-        regions = {spec.regions.region_of(x) for x in term.support}
-        if len(regions) != 1 or 0 in regions:
+        a = spec.regions.reservoir_of(term.support)
+        if a is None:
             raise ValueError(
                 f"perturbation term on {term.support} is not inside a single reservoir")
-        (a,) = regions
         if set(term.support) <= set(sites):
             pert_terms[a].append(term)
         else:
@@ -131,9 +130,8 @@ def build(spec: ModelSpec, volume: Iterable[int],
     # from the terms, not from H_B, in whose sum an entry can cancel
     sectors = opalg.sectors([spec.term_operator(t) for t in generator_terms], sites, dims)
 
-    interface = [t for t in in_volume
-                 if not any(set(t.support) <= inside[a] for a in spec.reservoirs)]
-    w_op = spec.term_sum(interface)
+    owners = [spec.regions.reservoir_of(t.support) for t in in_volume]
+    w_op = spec.term_sum(t for t, o in zip(in_volume, owners) if o is None)
 
     h_res: dict[int, DenseOperator] = {}
     b_res: dict[int, DenseOperator] = {}
@@ -144,8 +142,7 @@ def build(spec: ModelSpec, volume: Iterable[int],
         beta = spec.betas.get(a)
         if beta is None:
             raise ValueError(f"reservoir {a} has no inverse temperature")
-        h_res[a] = spec.term_sum([t for t in in_volume if set(t.support) <= inside[a]],
-                                 inside[a])
+        h_res[a] = spec.term_sum((t for t, o in zip(in_volume, owners) if o == a), inside[a])
         b_res[a] = spec.term_sum(pert_terms[a], inside[a])
         eigs = opalg.eigenvalues(beta * (h_res[a] + b_res[a]))
         # log sum_k exp(-e_k) around the smallest (first) eigenvalue: every

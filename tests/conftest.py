@@ -3,7 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from nesslab import InteractionTerm, ModelSpec, RegionMap, SiteSpec
+from nesslab import (InteractionTerm, ModelSpec, RegionMap, SiteSpec, build, derivation_powers,
+                     embed, horizon_reports)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -19,6 +20,17 @@ def random_hermitian(rng, n, scale=1.0):
 def random_unitary(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def derivation(spec, volume, a, perturbation=None):
+    """i[H_B, a] for the H_B that build assembles for ``volume``, ``a`` embedded into it."""
+    h_b = build(spec, volume, perturbation).H_B
+    return derivation_powers(h_b, embed(a, h_b.sites, h_b.dims), 1)[0]
+
+
+def entropy_report(vols, horizon, plan=None):
+    """The entropy report of one horizon."""
+    return horizon_reports(vols, (horizon,), plan=plan)[0][0]
 
 
 def make_chain(n, assignment, betas, coup=1.0, field=0.5, anis=0.0, lam=0.5):

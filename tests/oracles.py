@@ -1,7 +1,7 @@
 """Full-dimension reference routes for values the library takes shortcuts to.
 
-The library gets the initial state, log Z and the norms of G and W from the
-per-reservoir blocks and the interface terms, keeps the currents on the
+The library gets log Z and the norms of G and W from the per-reservoir
+blocks and the interface terms, keeps the currents on the
 interface and reservoir supports, and contracts every horizon in the
 eigenbasis of H_B by separable phases. The routes here work on the
 whole volume instead: they lift H_a, B_a, W and the currents to the volume,
@@ -18,10 +18,11 @@ real-arithmetic routes of the library have a reference that never takes them.
 
 It also holds the functional calculus phi(A) of a Hermitian matrix, which
 the tests use and the library does not, and the independent constructions
-the library no longer carries:
-the initial state as an explicit product of per-reservoir Gibbs blocks, the
-interface part by the weighted per-site formula, and the horizon average by
-composite Simpson quadrature of the exact evolution.
+the library no longer carries: the initial state as a D x D matrix, both
+from the library's Gibbs factors and as an explicit product of per-reservoir
+Gibbs blocks, the time-averaged state, the interface part by the weighted
+per-site formula, and the horizon average by composite Simpson quadrature
+of the exact evolution.
 """
 
 import functools
@@ -30,8 +31,9 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import logsumexp
 
-from nesslab import embed, exact_evolve, gibbs, make_plan, op_norm, spectral, time_averaged_state
+from nesslab import embed, exact_evolve, gibbs, make_plan, op_norm, spectral
 from nesslab import opalg
+from nesslab.dynamics import _conjugated
 from nesslab.opalg import DenseOperator, matmul, zero
 from nesslab.thermo import EntropyReport, StateRep, _gibbs_factors, _horizon_kernels
 
@@ -107,6 +109,39 @@ def currents(vols) -> dict:
 def exponent_operator(vols) -> DenseOperator:
     """:func:`exponent` as an operator on the volume."""
     return DenseOperator(vols.sites, vols.dims, exponent(vols))
+
+
+def initial_state(vols) -> StateRep:
+    """The product state exp(-G) as a D x D matrix: the tensor product of the
+    Gibbs states of the reservoir blocks beta_a (H_a + B_a), each on its
+    reservoir's in-volume sites, and the normalized identity on the other
+    sites, applied to the identity of the volume."""
+    factors, scale = _gibbs_factors(vols)
+    density = opalg.kron_apply(factors, vols.sites, vols.dims, np.eye(vols.dim)) * scale
+    return StateRep(vols.sites, vols.dims, density)
+
+
+def time_averaged_state(plan, state, horizon: float) -> StateRep:
+    """The horizon average of the evolved state, exact in the horizon.
+
+    Averaging the dual evolution over [0, T] multiplies each nonzero sector
+    block of the density matrix entrywise, in the generator eigenbasis, by
+    the averaging kernel of the Bohr frequencies w_k - w_j. The result is
+    again a state (a convex average of states).
+    """
+    if horizon <= 0:
+        raise ValueError("horizon must be > 0")
+    w = [s.eigenvalues for s in plan.sectors]
+
+    def average(r, p, q):
+        kernel = np.empty(r.shape, dtype=complex)
+        kernel.real, kernel.imag = _horizon_kernels(
+            0.5 * horizon * (w[q][None, :] - w[p][:, None]))[:2]
+        return r * kernel
+
+    averaged = _conjugated(plan, state.density, average)
+    averaged = 0.5 * (averaged + averaged.conj().T)
+    return StateRep(state.sites, state.dims, averaged)
 
 
 def horizon_values(vols, plan, sigma, horizon: float) -> tuple[dict, float]:

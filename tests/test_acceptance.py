@@ -22,7 +22,6 @@ from nesslab import (
     build,
     dyson_evolve,
     embed,
-    entropy_production,
     exact_evolve,
     gibbs,
     heat_direction_check,
@@ -34,10 +33,10 @@ from nesslab import (
     validate,
 )
 from nesslab.cli import run_klein_fuzz
-from nesslab.dynamics import DysonConfig, derivation, derivation_growth_bound
+from nesslab.dynamics import DysonConfig, derivation_growth_bound
 from nesslab.model import PerturbationEntry, PerturbationFamily, interaction_lambda_norm
 
-from conftest import make_chain, random_hermitian
+from conftest import derivation, entropy_report, make_chain, random_hermitian
 
 HORIZONS = (1.0, 5.0, 20.0, 100.0)
 BATCH_SEED = 20260808
@@ -133,7 +132,7 @@ class ModelRun:
         self.family = family
         self.vols = build(spec, spec.site_ids, family)
         self.plan = make_plan(self.vols.H_B)
-        self.reports = {t: entropy_production(self.vols, t, plan=self.plan)
+        self.reports = {t: entropy_report(self.vols, t, plan=self.plan)
                         for t in HORIZONS}
 
 
@@ -210,8 +209,8 @@ def test_criterion_04_sum_rule(batch):
     for run in batch["runs"][:4]:
         if run.family is not None:
             continue
-        shorter = entropy_production(run.vols, 10.0, plan=run.plan)
-        longer = entropy_production(run.vols, 20.0, plan=run.plan)
+        shorter = entropy_report(run.vols, 10.0, plan=run.plan)
+        longer = entropy_report(run.vols, 20.0, plan=run.plan)
         assert longer.tol_sum_rule == pytest.approx(shorter.tol_sum_rule / 2.0, rel=1e-12)
         assert abs(shorter.sum_rule_residual) <= shorter.tol_sum_rule + 1e-10
         assert abs(longer.sum_rule_residual) <= longer.tol_sum_rule + 1e-10
@@ -245,7 +244,7 @@ def test_criterion_06_equal_temperature_decay():
                       coup=0.8075, field=0.2753, anis=0.2166)
     vols = build(spec, range(4))
     plan = make_plan(vols.H_B)
-    values = {t: entropy_production(vols, t, plan=plan).e_telescoped
+    values = {t: entropy_report(vols, t, plan=plan).e_telescoped
               for t in (5.0, 10.0, 20.0, 40.0, 80.0)}
     for t in (5.0, 10.0, 20.0, 40.0):
         decayed = abs(values[2 * t]) <= 0.67 * abs(values[t])

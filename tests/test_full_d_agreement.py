@@ -10,10 +10,11 @@ bond belongs to the interface part W).
 import numpy as np
 import pytest
 
-from nesslab import InteractionTerm, build, embed, horizon_reports, initial_state, make_plan
+from nesslab import InteractionTerm, build, embed, horizon_reports, make_plan
 from nesslab.model import PerturbationEntry, PerturbationFamily
 
 import oracles
+from oracles import initial_state
 from conftest import SX, SZ, make_chain
 
 HORIZONS = (0.5, 3.0, 40.0)

@@ -11,11 +11,11 @@ from nesslab import (
     ModelSpec,
     RegionMap,
     SiteSpec,
+    build,
     lambda_norm,
     model_from_dict,
     model_to_dict,
     redraw,
-    restrict,
     series_radius,
     tail_norm,
     validate,
@@ -154,27 +154,27 @@ class TestTailNorm:
 
 
 class TestRestrict:
+    """The reservoir Hamiltonian H_a of build sums the terms inside reservoir a."""
+
     def test_chain_reservoir_one(self, standard_chain):
-        terms = restrict(standard_chain, 1)
-        assert [t.support for t in terms] == [(0,)]
+        h_a = build(standard_chain, (0, 1, 2)).H_a[1]
+        assert h_a.sites == (0,)
+        np.testing.assert_array_equal(h_a.matrix, 0.5 * SZ.real)
 
     def test_no_interior_terms(self, decoupled_model):
         spec = ModelSpec(decoupled_model.sites, decoupled_model.regions,
                          (InteractionTerm((0, 1), np.kron(SX, SX)),),
                          0.5, decoupled_model.betas)
-        assert restrict(spec, 2) == ()
+        assert not np.any(build(spec, (0, 1, 2)).H_a[2].matrix)
 
     def test_five_site_enumeration(self):
         spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 1.0, 2: 1.0})
-        picked = {t.support for t in restrict(spec, 1)}
-        # enumeration oracle: exactly the supports inside {0, 1}
-        expected = {t.support for t in spec.terms if set(t.support) <= {0, 1}}
-        assert picked == expected
-        assert (1, 2) not in picked
-
-    def test_unknown_reservoir(self, standard_chain):
-        with pytest.raises(ValueError):
-            restrict(standard_chain, 7)
+        h_a = build(spec, range(5)).H_a[1]
+        # enumeration oracle: exactly the supports inside {0, 1}, so not (1, 2)
+        expected = [t for t in spec.terms if set(t.support) <= {0, 1}]
+        assert (1, 2) not in {t.support for t in expected}
+        assert h_a.sites == (0, 1)
+        np.testing.assert_array_equal(h_a.matrix, spec.term_sum(expected, (0, 1)).matrix)
 
 
 class TestRedraw:

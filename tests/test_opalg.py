@@ -16,7 +16,7 @@ from nesslab import (
     unitary_conj,
 )
 from nesslab import opalg
-from nesslab.opalg import eigenvalues, identity, kron_embed
+from nesslab.opalg import eigenvalues
 
 from conftest import ID2, SX, SY, SZ, random_hermitian, random_unitary
 from oracles import apply_function
@@ -52,7 +52,7 @@ def embed_via_permutation(mat, op_sites, all_sites, dims_by_site):
 
 class TestEmbed:
     def test_identity_maps_to_identity(self):
-        one = identity((1,), (2,))
+        one = DenseOperator((1,), (2,), np.eye(2))
         out = embed(one, (0, 1, 2), (2, 2, 2))
         np.testing.assert_allclose(out.matrix, np.eye(8), atol=1e-15)
 
@@ -74,9 +74,9 @@ class TestEmbed:
         rng = np.random.default_rng(11)
         a = DenseOperator((0, 2), (2, 2), random_hermitian(rng, 4))
         b = DenseOperator((0, 2), (2, 2), random_hermitian(rng, 4))
-        lhs = embed(a, (0, 1, 2), (2, 2, 2)) @ embed(b, (0, 1, 2), (2, 2, 2))
-        rhs = embed(a @ b, (0, 1, 2), (2, 2, 2))
-        np.testing.assert_allclose(lhs.matrix, rhs.matrix, atol=1e-13)
+        lhs = embed(a, (0, 1, 2), (2, 2, 2)).matrix @ embed(b, (0, 1, 2), (2, 2, 2)).matrix
+        rhs = embed(a.with_matrix(a.matrix @ b.matrix), (0, 1, 2), (2, 2, 2))
+        np.testing.assert_allclose(lhs, rhs.matrix, atol=1e-13)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -104,15 +104,15 @@ class TestKronEmbed:
         sites, dims = (0, 1, 2, 3), (2, 3, 2, 2)
         a = DenseOperator((0, 2), (2, 2), random_hermitian(rng, 4))
         b = DenseOperator((1,), (3,), random_hermitian(rng, 3))
-        out = kron_embed((a, b), sites, dims)
-        expected = embed(a, sites, dims) @ embed(b, sites, dims)
-        np.testing.assert_allclose(out.matrix, expected.matrix, atol=1e-14)
+        out = opalg.kron_apply((a, b), sites, dims, np.eye(24))
+        expected = embed(a, sites, dims).matrix @ embed(b, sites, dims).matrix
+        np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_overlapping_factors_rejected(self):
         a = DenseOperator((0, 1), (2, 2), np.eye(4))
         b = DenseOperator((1,), (2,), SX)
         with pytest.raises(ValueError):
-            kron_embed((a, b), (0, 1), (2, 2))
+            opalg.kron_apply((a, b), (0, 1), (2, 2), np.eye(4))
 
 
 class TestKronApply:
@@ -209,7 +209,7 @@ class TestCommutator:
     def test_with_identity_vanishes(self):
         rng = np.random.default_rng(0)
         a = DenseOperator((0, 1), (2, 2), random_hermitian(rng, 4))
-        np.testing.assert_allclose(commutator(a, identity((0, 1), (2, 2))).matrix,
+        np.testing.assert_allclose(commutator(a, DenseOperator((0, 1), (2, 2), np.eye(4))).matrix,
                                    np.zeros((4, 4)), atol=1e-15)
 
     def test_antisymmetry(self):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from nesslab import (DenseOperator, EvolutionPlan, InteractionTerm, ModelSpec, build, embed,
-                     exact_evolve, horizon_reports, initial_state, make_plan, model_to_dict,
+                     exact_evolve, horizon_reports, make_plan, model_to_dict,
                      series_radius)
 from nesslab.cli import _observable_operators, load_config, main
 from nesslab.dynamics import Sector, _commutators, derivation_powers
@@ -23,6 +23,7 @@ from nesslab.model import PerturbationEntry, PerturbationFamily, load_model
 from nesslab.opalg import as_matrix, matmul
 
 import oracles
+from oracles import initial_state
 from conftest import SX, SY, SZ, make_chain
 
 TOL = 1e-12

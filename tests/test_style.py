@@ -1,5 +1,6 @@
 """Style limits that every source file of the package keeps."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -13,3 +14,31 @@ def test_no_line_exceeds_the_limit(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     long = [n for n, line in enumerate(lines, start=1) if len(line) > MAX_LINE]
     assert long == [], f"{path.name}: lines over {MAX_LINE} characters: {long}"
+
+
+def _definitions_and_uses():
+    """Each module-level function and class of the package as (file, name),
+    and every name the package uses outside that definition's own body: a
+    bare name, an attribute or an imported name."""
+    defined, used = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                defined.append((path.name, owner))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name is not None and name != owner:
+                    used.append(name)
+    return defined, set(used)
+
+
+def test_every_definition_is_referenced():
+    # a definition the package neither calls nor exports is a second route
+    # or dead code; the package's __init__ imports count as references
+    defined, used = _definitions_and_uses()
+    unreferenced = [f"{module}:{name}" for module, name in defined if name not in used]
+    assert unreferenced == [], f"unreferenced library definitions: {unreferenced}"
