@@ -18,7 +18,6 @@ from .model import (
     lambda_norm,
     load_model,
     model_from_dict,
-    model_to_dict,
     redraw,
     tail_norm,
     validate,

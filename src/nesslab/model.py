@@ -384,10 +384,6 @@ ZERO_FAMILY = PerturbationFamily()
 # JSON model files
 
 
-def _matrix_to_json(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
-
-
 def _matrix_from_json(rows, where: str) -> np.ndarray:
     try:
         return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
@@ -415,17 +411,6 @@ def model_from_dict(doc: Mapping) -> ModelSpec:
         raise ValueError(f"model document malformed: {exc}") from exc
     terms = tuple(term_from_dict(t, f"terms[{i}]") for i, t in enumerate(doc.get("terms", [])))
     return ModelSpec(sites, regions, terms, lam, betas)
-
-
-def model_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "sites": [{"id": s.id, "dim": s.local_dim} for s in spec.sites],
-        "regions": {str(s): r for s, r in sorted(spec.regions.assignment.items())},
-        "lambda": spec.lam,
-        "betas": {str(a): b for a, b in sorted(spec.betas.items())},
-        "terms": [{"support": list(t.support), "matrix": _matrix_to_json(t.matrix)}
-                  for t in spec.terms],
-    }
 
 
 def load_model(path) -> ModelSpec:

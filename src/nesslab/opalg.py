@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -132,9 +132,6 @@ class DenseOperator:
         self._require_same_volume(other)
         return self.with_matrix(self.matrix - other.matrix)
 
-    def __neg__(self) -> "DenseOperator":
-        return self.with_matrix(-self.matrix)
-
     def __mul__(self, scalar: complex) -> "DenseOperator":
         return self.with_matrix(self.matrix * scalar)
 
@@ -235,16 +232,23 @@ def kron_apply(factors: Sequence[DenseOperator], sites: Sequence[int],
     sites no factor covers, without forming T.
 
     Each factor is contracted with the row index of ``v`` along its own
-    site axes, moved to the front, at the cost of D d products per column
-    for a factor of dimension d, instead of the D^2 of a volume-sized
-    operator. Products go through :func:`matmul`, so a real ``v`` is never
-    upcast: a complex factor is split into its real and imaginary parts.
+    site axes, at the cost of D d products per column for a factor of
+    dimension d, instead of the D^2 of a volume-sized operator: on
+    contiguous sites one batched product on ``v`` viewed as (sites before,
+    factor, sites after and columns), with no copy, else with the axes moved
+    to the front. Products go through :func:`matmul`, so a real ``v`` is
+    never upcast: a complex factor is split into its real and imaginary parts.
     """
     sites = tuple(sites)
     dims = tuple(dims)
     out = v
     cols = v.shape[1]
     for f, axes in zip(factors, _positions(factors, sites, dims)):
+        first = min(axes, default=0)
+        if axes == list(range(first, first + len(axes))):
+            out = matmul(f.matrix, out.reshape(math.prod(dims[:first]), f.dim, -1))
+            out = out.reshape(-1, cols)
+            continue
         front = range(len(axes))
         tensor = np.moveaxis(out.reshape(dims + (cols,)), axes, front)
         moved = tensor.shape
@@ -324,32 +328,33 @@ def _conjugate_in_place(a: np.ndarray) -> np.ndarray:
     return np.conjugate(a, out=a) if np.iscomplexobj(a) else a
 
 
-def adjoint_matmul(v: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """V^dagger Y through :func:`matmul`, without a conjugated copy of V.
-
-    numpy hands the transposed view V^T to BLAS as it is but has no
-    conjugate-transpose product, and ``v.conj()`` of a complex V is a copy
-    of 16 D^2 bytes. For a complex V this forms conj(V^T conj(Y)) instead,
-    conjugating in place, so ``y`` must be a temporary of the caller: its
-    contents are lost. Conjugation is exact, and so is its effect on each
-    complex product, so the result equals ``v.conj().T @ y`` to the last
+def upper_blocks(v: np.ndarray, y: np.ndarray, size: int) -> Iterator[np.ndarray]:
+    """The block upper triangle of V^dagger Y through :func:`matmul`: for lo = 0,
+    size, ..., the rows [lo, lo + size) from column lo on; one block, V^dagger Y,
+    for ``size`` at least V's columns. numpy has no conjugate-transpose
+    product, and ``v.conj()`` of a complex V is a copy of 16 D^2 bytes, so
+    for a complex V ``y``, a temporary of the caller, is conjugated in place
+    once and each block is conj(V[:, rows]^T conj(Y)[:, lo:]), conjugated in
+    place: exact, so equal to ``v[:, rows].conj().T @ y[:, lo:]`` to the last
     bit when BLAS sums in the same order for both. A real V is used as V^T.
     """
-    if not np.iscomplexobj(v):
-        return matmul(v.T, y)
-    return _conjugate_in_place(matmul(v.T, _conjugate_in_place(y)))
+    cplx = np.iscomplexobj(v)
+    y = _conjugate_in_place(y) if cplx else y
+    for lo in range(0, v.shape[1], size):
+        block = matmul(v[:, lo:lo + size].T, y[:, lo:])
+        yield _conjugate_in_place(block) if cplx else block
 
 
 def rotate(v: np.ndarray, x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """V^dagger X W through :func:`matmul`, with W = V unless given.
 
     A real V^T is a free view, so the product is (V^T X) W; a complex one
-    is formed as V^dagger (X W) by :func:`adjoint_matmul` on the temporary
-    X W, without copying V.
+    is formed as V^dagger (X W), one :func:`upper_blocks` block on the
+    temporary X W, without copying V.
     """
     w = v if w is None else w
     if np.iscomplexobj(v):
-        return adjoint_matmul(v, matmul(x, w))
+        return next(upper_blocks(v, matmul(x, w), v.shape[1]))
     return matmul(matmul(v.T, x), w)
 
 
@@ -441,8 +446,10 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
 def hermitian_matrix(a, what: str = "spectral decomposition") -> np.ndarray:
     """The Hermitian part (M + M^dagger) / 2 of the matrix M of A, which
     must be Hermitian within HERMITICITY_TOL (ValueError naming ``what``
-    otherwise). A bitwise Hermitian M comes back equal to itself."""
+    otherwise); a bitwise Hermitian M is returned itself after one exact test."""
     mat = as_matrix(a)
+    if np.array_equal(mat, mat.conj().T):
+        return mat
     if not is_hermitian_matrix(mat):
         raise ValueError(f"{what} requires a Hermitian matrix")
     return _hermitian_part(mat)

@@ -44,10 +44,6 @@ class StateRep:
         except np.linalg.LinAlgError:
             raise ValueError("density matrix must be positive semidefinite") from None
 
-    @property
-    def dim(self) -> int:
-        return self.density.shape[0]
-
     def expectation(self, a: DenseOperator) -> float:
         """Real expectation value of a Hermitian observable."""
         if a.sites != self.sites:
@@ -174,16 +170,23 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     kernel, and e_telescoped = (1/T) Re sum_jk P^G_jk expm1(i T d_jk), the
     relative entropy of the evolved state to the initial one over T.
 
+    As s and x are Hermitian, P_kj = conj(P_jk) and d_kj = -d_jk, so the pair
+    (k, j) adds the complex conjugate of what (j, k) adds to each sum below.
+    So only the block upper triangle is rotated, held and contracted: per
+    block of 128 rows, those rows of V^dagger X V from the block's first
+    column on (:func:`opalg.upper_blocks`), about half of the full rotation.
+
     The phases separate: with u_j = exp(i T w_j), w shifted by the sector's
     midpoint, exp(i T d_jk) = conj(u_j) u_k. So the pairs with |d_jk| >= tau /
     min T (tau = ``opalg.SEPARABLE_PHASE_TOL``) add (1/T) Im sum Q_jk (conj(u_j)
     u_k - 1), Q = P / d, and (1/T) Re sum P^G_jk (conj(u_j) u_k - 1): one
-    product of each block of 128 rows of Q or P^G with the phases of all
-    horizons. Each such pair adds a rounding error of about eps |P_jk| / tau,
-    and its phase error eps T |w| adds eps |P_jk| |w| / |d_jk|, as the
-    eigenvalues' own error at d_jk does. The other pairs (d = 0 among them;
-    all of them for a small min T) are direct: the diagonal sum plus the
-    packed strict upper triangle, as P is conjugate-symmetric, with
+    product of each row block of Q or P^G with the phases of all horizons,
+    its diagonal block counted once and the columns right of it twice, and
+    none for a row block with no such pair. Each such pair adds a rounding
+    error of about eps |P_jk| / tau, and its phase error eps T |w| adds
+    eps |P_jk| |w| / |d_jk|, as the eigenvalues' own error at d_jk does. The
+    other pairs (d = 0 among them; all of them for a small min T) are
+    direct: the diagonal sum plus twice the packed pairs j < k, with
     :func:`_horizon_kernels` at every horizon.
 
     Returns one (report, {key: average}) pair per horizon, in order.
@@ -197,68 +200,73 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     reservoirs = sorted(vols.currents)
     operators = [vols.currents[a] for a in reservoirs] + list(observables.values())
     factors, scale = _gibbs_factors(vols)
+    g_blocks = list(vols.blocks.values())
     cut = opalg.SEPARABLE_PHASE_TOL / min(horizons, default=1.0)  # no horizon: no report
     # per operator, G last: diagonal sums, separable sums per horizon, direct P
     diag = np.zeros(len(operators) + 1)
     separable = np.zeros((len(operators) + 1, len(horizons)))
-    direct, direct_freq = [[] for _ in range(len(operators) + 1)], []
+    direct, freq = [[] for _ in range(len(operators) + 1)], []
     for sector in plan.sectors:
         v, w, size, dim = sector.basis, sector.eigenvalues, sector.indices.size, vols.dim
         phases = np.exp(1j * np.multiply.outer(w - 0.5 * (w[0] + w[-1]), horizons))
-        columns = v
+        columns, rows = v, slice(None)
         if size < dim:   # the sector's eigenvectors as columns of the volume's basis
-            columns = np.zeros((dim, size), dtype=v.dtype)
-            columns[sector.indices] = v
+            columns, rows = np.zeros((dim, size), dtype=v.dtype), sector.indices
+            columns[rows] = v
         apply = functools.partial(opalg.kron_apply, sites=vols.sites, dims=vols.dims, v=columns)
 
-        def rotated(x_v: np.ndarray) -> np.ndarray:
-            """V^dagger (X V) within the sector, from X V on its columns."""
-            return opalg.adjoint_matmul(v, x_v if size == dim else x_v[sector.indices])
-
-        # per block of 128 rows, for every operator: 1/d (0 if direct), the direct j < k
+        # per row block from its first column on: 1/d (0 if direct, None if all are), direct j < k
         blocks = []
         for lo in range(0, size, 128):
-            freq = w[None, :] - w[lo:lo + 128, None]
-            far = np.abs(freq) >= cut
-            upper = np.flatnonzero(np.triu(~far, lo + 1))
-            direct_freq.append(freq.ravel()[upper])
-            blocks.append((slice(lo, lo + 128), np.divide(1.0, freq, out=np.zeros(freq.shape),
-                                                          where=far), upper))
+            bohr = w[None, lo:] - w[lo:lo + 128, None]
+            far = np.abs(bohr) >= cut
+            upper = np.flatnonzero(np.triu(~far, 1)).astype(np.int32)
+            freq.append(bohr.ravel()[upper])
+            blocks.append((lo, np.divide(1.0, bohr, out=np.zeros(bohr.shape), where=far)
+                           if far.any() else None, upper))
 
-        def contract(x_t: np.ndarray, k: int, endpoint: bool = False) -> None:
-            """The sums of P = s * conj(x_t) into row k, block by block; x_t is overwritten."""
-            diag[k] += np.real(np.dot(np.diagonal(sigma_t), np.diagonal(x_t)))
-            for rows, inv, upper in blocks:
-                p = x_t[rows].conj()   # x_t's own rows if it is real
-                p *= sigma_t[rows]
+        def contract(y: np.ndarray, k: int, endpoint: bool = False) -> None:
+            """The sums of P = s * conj(V^dagger Y) into row k, block by block; y is overwritten."""
+            for (lo, inv, upper), s, p in zip(blocks, sigma_t, opalg.upper_blocks(v, y, 128)):
+                p = np.conjugate(p, out=p)
+                p *= s
+                diag[k] += np.real(np.trace(p))
                 direct[k].append(p.ravel()[upper])
+                if inv is None:
+                    continue
                 p *= inv != 0 if endpoint else inv
-                z = np.einsum("jt,jt->t", phases[rows].conj(), opalg.matmul(p, phases))
+                p[:, 128:] *= 2.0   # right of the diagonal block: the pairs k > j stand for j < k
+                z = np.einsum("jt,jt->t", phases[lo:lo + 128].conj(), opalg.matmul(p, phases[lo:]))
                 z -= p.sum()
                 separable[k] += z.real if endpoint else z.imag
 
-        sigma_t = rotated(apply(factors) * scale)
+        sigma_t = [b * scale for b in opalg.upper_blocks(v, apply(factors)[rows], 128)]
         # one at a time; an observable's blocks between sectors meet zero blocks of sigma_t
         for k, x in enumerate(operators):
-            contract(rotated(apply([x])), k)
-        # G V without the constant log Z, which drops out of the endpoint form
-        contract(rotated(functools.reduce(np.add, (apply([b]) for b in vols.blocks.values()))),
-                 -1, True)
-        del sigma_t, blocks
-    freq = np.concatenate(direct_freq)
-    # the rows Re, -Im of each packed direct P, rebound so that the parts are freed
-    direct = [np.concatenate([p.real, -np.imag(p)]) for p in map(np.concatenate, direct)]
+            contract(apply([x])[rows], k)
+        # G V without the constant log Z, which drops out of the endpoint form, summed in place
+        g_v = np.zeros((size, size), np.result_type(columns, *(b.matrix for b in g_blocks)))
+        for b in g_blocks:
+            g_v += apply([b])[rows]
+        contract(g_v, -1, True)
+        del sigma_t, blocks, g_v
+    freq = np.concatenate(freq)
+    for k, parts in enumerate(direct):   # each packed P as rows Re, -Im (Re alone if real)
+        p = np.concatenate(parts)
+        direct[k] = np.stack([p.real, -p.imag]) if np.iscomplexobj(p) else p[None]
+    del p, parts
 
     perturbed = any(np.any(b.matrix) for b in vols.B_a.values())
     out = []
     for n, horizon in enumerate(horizons):
         kernels = _horizon_kernels(0.5 * horizon * freq)
-        values = [diag[k] + 2.0 * (row @ kernels[:2].reshape(-1)) + separable[k, n] / horizon
-                  for k, row in enumerate(direct[:-1])]
+        values = [diag[k] + 2.0 * (row.ravel() @ kernels[:len(row)].reshape(-1))
+                  + separable[k, n] / horizon for k, row in enumerate(direct[:-1])]
         fluxes = dict(zip(reservoirs, map(float, values)))
         averages = dict(zip(observables, map(float, values[len(reservoirs):])))
         e = sum(vols.betas[a] * f for a, f in fluxes.items())
-        e_tel = 2.0 * float(direct[-1] @ kernels[2:].reshape(-1)) + separable[-1, n]
+        e_tel = 2.0 * float(direct[-1].ravel() @ kernels[2:2 + len(direct[-1])].reshape(-1))
+        e_tel += separable[-1, n]
         report = EntropyReport(
             horizon=float(horizon),
             fluxes=fluxes,
@@ -271,6 +279,7 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
             perturbed=perturbed,
         )
         out.append((report, averages))
+        del kernels   # freed before the next horizon's are made
     return out
 
 

@@ -33,6 +33,22 @@ def entropy_report(vols, horizon, plan=None):
     return horizon_reports(vols, (horizon,), plan=plan)[0][0]
 
 
+def _matrix_to_json(mat):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
+
+
+def model_to_dict(spec):
+    """The JSON document of a model, as ``nesslab.load_model`` reads it."""
+    return {
+        "sites": [{"id": s.id, "dim": s.local_dim} for s in spec.sites],
+        "regions": {str(s): r for s, r in sorted(spec.regions.assignment.items())},
+        "lambda": spec.lam,
+        "betas": {str(a): b for a, b in sorted(spec.betas.items())},
+        "terms": [{"support": list(t.support), "matrix": _matrix_to_json(t.matrix)}
+                  for t in spec.terms],
+    }
+
+
 def make_chain(n, assignment, betas, coup=1.0, field=0.5, anis=0.0, lam=0.5):
     """Open chain of qubits: field*sz on every site, coup*sxsx + anis*szsz bonds."""
     sites = tuple(SiteSpec(i, 2) for i in range(n))

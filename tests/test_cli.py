@@ -7,10 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nesslab import model_to_dict
 from nesslab.cli import main, run_klein_fuzz
 
-from conftest import make_chain
+from conftest import make_chain, model_to_dict
 
 
 def write_model(tmp_path, spec, name="model.json"):

@@ -248,18 +248,28 @@ class TestExactEvolve:
 
 class TestMakePlan:
     def test_checks_hermiticity_once(self, chain5, monkeypatch):
-        calls = []
-        check = opalg.is_hermitian_matrix
+        # one opalg.hermitian_matrix per sector: its exact comparison alone for a
+        # bitwise Hermitian block, and one tolerance test more for any other
+        checks, tolerance = [], []
 
-        def counted(mat, *args, **kwargs):
-            calls.append(np.shape(mat))
-            return check(mat, *args, **kwargs)
+        def counted(name, record):
+            fn = getattr(opalg, name)
+            monkeypatch.setattr(opalg, name, lambda mat, *args, **kwargs: (
+                record.append(np.shape(opalg.as_matrix(mat))) or fn(mat, *args, **kwargs)))
 
-        monkeypatch.setattr(opalg, "is_hermitian_matrix", counted)
-        h_b = build(chain5, range(5)).H_B
-        calls.clear()
-        make_plan(h_b)
-        assert calls == [(32, 32)]
+        counted("hermitian_matrix", checks)
+        counted("is_hermitian_matrix", tolerance)
+        vols = build(chain5, range(5))
+        h_b = vols.H_B
+        off = np.triu(np.full((32, 32), 1e-14), 1)
+        for generator, sectors, expected, tested in [
+                (h_b, None, [(32, 32)], []),
+                (h_b, vols.sectors, [(16, 16), (16, 16)], []),
+                (h_b.with_matrix(h_b.matrix + off), None, [(32, 32)], [(32, 32)])]:
+            checks.clear()
+            tolerance.clear()
+            make_plan(generator, sectors)
+            assert (checks, tolerance) == (expected, tested)
 
     def test_non_hermitian_generator_refused(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from nesslab import (
     build,
     lambda_norm,
     model_from_dict,
-    model_to_dict,
     redraw,
     series_radius,
     tail_norm,
@@ -23,7 +22,7 @@ from nesslab import (
 from nesslab import opalg
 from nesslab.model import PerturbationEntry, PerturbationFamily, interaction_lambda_norm
 
-from conftest import SX, SZ, make_chain, random_hermitian
+from conftest import SX, SZ, make_chain, model_to_dict, random_hermitian
 
 
 def brute_lambda_norm(spec):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -147,6 +148,37 @@ class TestKronApply:
             assert out.dtype == expected.dtype, name
             np.testing.assert_allclose(out, expected, atol=1e-13, err_msg=name)
 
+    @pytest.mark.parametrize("factor_complex", [False, True], ids=["real-op", "complex-op"])
+    @pytest.mark.parametrize("v_complex", [False, True], ids=["real-v", "complex-v"])
+    def test_matches_the_explicit_kronecker_product(self, factor_complex, v_complex):
+        # one factor on leading, middle, trailing or non-contiguous sites; the
+        # first three are one batched product, the last moves its axes
+        rng = np.random.default_rng(9)
+        v = rng.standard_normal((24, 24)) + (1j * rng.standard_normal((24, 24))
+                                             if v_complex else 0.0)
+        mats = [random_hermitian(rng, n) if factor_complex else random_hermitian(rng, n).real
+                for n in (6, 6, 4, 4)]
+        eye = np.eye
+
+        def unit(i, j):
+            return np.outer(eye(2)[i], eye(2)[j])
+
+        split = mats[3].reshape(2, 2, 2, 2)   # rows (site 0, site 2), columns the same
+        cases = {
+            "leading": ((0, 1), (2, 3), mats[0], np.kron(mats[0], eye(4))),
+            "middle": ((1, 2), (3, 2), mats[1], np.kron(np.kron(eye(2), mats[1]), eye(2))),
+            "trailing": ((2, 3), (2, 2), mats[2], np.kron(eye(6), mats[2])),
+            "non-contiguous": ((0, 2), (2, 2), mats[3], sum(
+                split[a, b, c, d] * np.kron(np.kron(np.kron(unit(a, c), eye(3)), unit(b, d)),
+                                            eye(2))
+                for a, b, c, d in itertools.product(range(2), repeat=4))),
+        }
+        for name, (sites, dims, mat, dense) in cases.items():
+            out = opalg.kron_apply((DenseOperator(sites, dims, mat),), self.SITES, self.DIMS, v)
+            expected = dense @ v
+            assert out.shape == expected.shape and out.dtype == expected.dtype, name
+            np.testing.assert_allclose(out, expected, atol=1e-13, err_msg=name)
+
     def test_rejects_what_kron_embed_rejects(self):
         v = np.eye(4)
         with pytest.raises(ValueError):
@@ -157,7 +189,7 @@ class TestKronApply:
 
 
 class TestAdjointProducts:
-    """adjoint_matmul, rotate and rotate_back against products with the
+    """upper_blocks, rotate and rotate_back against products with the
     explicit V^dagger = v.conj().T."""
 
     @staticmethod
@@ -175,9 +207,14 @@ class TestAdjointProducts:
             y = y + 1j * rng.standard_normal((24, 24))
         v_dagger = v.conj().T
         expected = v_dagger @ y
-        got = opalg.adjoint_matmul(v, y.copy())
+        (got,) = opalg.upper_blocks(v, y.copy(), 24)
         assert got.dtype == expected.dtype
         assert self._gap(got, expected) <= 1e-14
+        # blocks of 7 rows from their first column on: 24 = 7 + 7 + 7 + 3
+        blocks = list(opalg.upper_blocks(v, y.copy(), 7))
+        assert [b.shape for b in blocks] == [(7, 24), (7, 17), (7, 10), (3, 3)]
+        for lo, block in zip(range(0, 24, 7), blocks):
+            assert self._gap(block, expected[lo:lo + 7, lo:]) <= 1e-14
         assert self._gap(opalg.rotate(v, y), v_dagger @ y @ v) <= 1e-14
         assert self._gap(opalg.rotate_back(v, y), v @ y @ v_dagger) <= 1e-14
         np.testing.assert_allclose(opalg.rotate_back(v, opalg.rotate(v, y)), y, atol=1e-13)

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from nesslab import (DenseOperator, EvolutionPlan, InteractionTerm, ModelSpec, build, embed,
-                     exact_evolve, horizon_reports, make_plan, model_to_dict,
-                     series_radius)
+                     exact_evolve, horizon_reports, make_plan, series_radius)
 from nesslab.cli import _observable_operators, load_config, main
 from nesslab.dynamics import Sector, _commutators, derivation_powers
 from nesslab.model import PerturbationEntry, PerturbationFamily, load_model
@@ -24,7 +23,7 @@ from nesslab.opalg import as_matrix, matmul
 
 import oracles
 from oracles import initial_state
-from conftest import SX, SY, SZ, make_chain
+from conftest import SX, SY, SZ, make_chain, model_to_dict
 
 TOL = 1e-12
 HORIZONS = (0.5, 3.0, 40.0)

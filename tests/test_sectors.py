@@ -348,3 +348,91 @@ class TestSeparableContraction:
             tracemalloc.stop()
         assert len(reports) == 16
         assert peak <= 5 * 8 * vols.dim ** 2
+
+
+def _ten_site_chain():
+    """The real 10-site chain (D = 1024, two parity sectors of 512), its plan and
+    two one-site observables."""
+    spec = make_chain(10, {i: 0 if i == 5 else 1 if i < 5 else 2 for i in range(10)},
+                      BETAS, anis=0.3)
+    vols = build(spec, range(10))
+    plan = make_plan(vols.H_B, vols.sectors)
+    obs = {"mid": DenseOperator((5,), (2,), SZ), "left": DenseOperator((4,), (2,), SX)}
+    assert vols.dim == 1024 and [s.indices.size for s in plan.sectors] == [512, 512]
+    return vols, plan, obs
+
+
+def _traced_peak(fn):
+    """fn()'s result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestBlockUpperTriangle:
+    """horizon_reports rotates, holds and contracts only the block upper
+    triangle of each sector, in row blocks of 128."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_several_row_blocks_match_the_per_pair_oracle(self, kind):
+        # D = 512: four row blocks on one sector and two on each parity sector, so
+        # most pairs lie in the blocks right of the diagonal, which count twice
+        spec = make_chain(9, {i: 0 if i == 4 else 1 if i < 4 else 2 for i in range(9)},
+                          BETAS, anis=0.3)
+        if kind == "complex":
+            dm = 0.4 * (np.kron(SX, SY) - np.kron(SY, SX))
+            spec = _with_terms(spec, InteractionTerm((3, 4), dm), InteractionTerm((5, 6), dm))
+        vols = build(spec, range(9))
+        obs = _observables()
+        horizons = (0.37, 1.0, 1e3)
+        for plan in (make_plan(vols.H_B), make_plan(vols.H_B, vols.sectors)):
+            got = horizon_reports(vols, horizons, plan=plan, observables=obs)
+            _assert_reports_close(got, oracles.packed_horizon_reports(vols, horizons, plan, obs))
+
+    def test_no_rotation_is_a_full_sector_product(self, monkeypatch):
+        vols, plan, obs = _ten_site_chain()
+        horizons = tuple(np.logspace(0.0, 3.0, 16))
+        products = []
+        matmul = opalg.matmul
+
+        def counted(a, b):
+            out = matmul(a, b)
+            products.append((np.shape(a), np.shape(b), out.shape))
+            return out
+
+        monkeypatch.setattr(opalg, "matmul", counted)
+        horizon_reports(vols, horizons, plan=plan, observables=obs)
+        # a rotation contracts a sector's index; a phase product ends in the horizons
+        rotations = [out for a, b, out in products
+                     if len(a) == 2 and a[-1] == 512 and b[-1] != len(horizons)]
+        operators = 1 + len(vols.currents) + len(obs) + 1   # the state, G last
+        blocks = 512 // 128
+        assert len(rotations) == operators * blocks * len(plan.sectors)
+        assert (512, 512) not in rotations
+        entries = sum(rows * cols for rows, cols in rotations)
+        assert entries <= operators * len(plan.sectors) * (blocks + 1) / (2 * blocks) * 512 ** 2
+
+    def test_peak_is_below_the_triangle_bound(self):
+        # with the plan given: measured 2.4 real DxD (3.6 with full rotations)
+        vols, plan, obs = _ten_site_chain()
+        reports, peak = _traced_peak(lambda: horizon_reports(
+            vols, tuple(np.logspace(0.0, 3.0, 16)), plan=plan, observables=obs))
+        assert len(reports) == 16
+        assert peak <= 3.2 * 8 * vols.dim ** 2
+
+    def test_all_direct_peak(self, monkeypatch):
+        # tau / 1e-3 exceeds every Bohr frequency: no row block has a 1/d block or
+        # a phase product. Measured 4.8 real DxD (6.8 with a zero 1/d block per
+        # row block, int64 pair indices and zero imaginary rows for real P)
+        vols, plan, obs = _ten_site_chain()
+        horizons = (1e-3, 0.05, 1.0, 1e4)
+        sizes = _kernel_arguments(monkeypatch)
+        reports, peak = _traced_peak(lambda: horizon_reports(vols, horizons, plan=plan,
+                                                             observables=obs))
+        assert len(reports) == 4
+        assert sum(sizes) == len(horizons) * _pairs(plan)
+        assert peak <= 5.5 * 8 * vols.dim ** 2
