@@ -298,12 +298,18 @@ class ConvergenceSweepReport:
 def _lifted_gap(small_plan: EvolutionPlan, small: dict, plan: EvolutionPlan,
                 large: dict, sign: float) -> float:
     """||embed(S) - L|| for (anti-)Hermitian S and L (``sign`` +1, -1) given by
-    their blocks p <= q: S assembled at its own dimension, then gathered."""
+    their blocks p <= q: S assembled at its own dimension, then gathered, and L
+    subtracted in place from the gathered blocks."""
     h_s, rows = small_plan.generator, [s.indices for s in small_plan.sectors]
     diff = _embedded_blocks(plan, h_s.with_matrix(opalg.assemble(small, rows, h_s.dim, sign)),
                             pattern=(rows, small))
     for key, block in large.items():
-        diff[key] = diff[key] - block if key in diff else -block
+        if key not in diff:
+            diff[key] = -block
+        elif np.can_cast(block.dtype, diff[key].dtype):
+            diff[key] -= block
+        else:   # a real S against a complex L
+            diff[key] = diff[key] - block
     return opalg.block_norm(diff, [s.indices.size for s in plan.sectors], sign)
 
 
@@ -322,8 +328,11 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     be selfadjoint; the bound's envelope ||a|| e^{lam card X} takes
     X = ``a.sites``, so pass it on its own sites for the tightest bound.
     Every volume-sized operator is held as its nonzero sector blocks
-    p <= q. Only the previous volume's evolved observables and commutators
-    are kept; each commutator is added into every series error as made.
+    p <= q. Each time is evolved, compared and dropped before the next; one
+    inside the radius is kept as its series error a - tau_t(a). Of the
+    previous volume only the plan, the rotated observable blocks and the
+    first ``max_order`` commutators are kept, and its observable is evolved
+    again at each time. Each commutator is added into every series error as made.
     """
     vols = [tuple(sorted(set(v))) for v in exhaustion]
     for small, large in zip(vols, vols[1:]):
@@ -335,27 +344,31 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
 
     cfg = DysonConfig(lam=spec.lam)
     radius = series_radius(spec, perturbation)
-    inside = [j for j, t in enumerate(t_grid) if abs(t) < radius]
+    inside = any(abs(t) < radius for t in t_grid)
     order = max(max_order, cfg.max_order) if inside else max_order
     envelope = _envelope(a, cfg.lam)
 
     evo_rows, order_rows, dyson_rows = [], [], []
-    prev_plan, prev_evolved, prev_powers = None, [], []
+    prev_plan, prev_rotated, prev_powers = None, {}, []
     for i, sites in enumerate(vols):
         built = volume_mod.build(spec, sites, perturbation)
         plan = make_plan(built.H_B, built.sectors)
         a_v = _embedded_blocks(plan, a)
         rotated = _rotated_blocks(plan, a_v)
-        evolved = [_rotated_back(plan, rotated, True, _evolution(plan, t)) for t in t_grid]
-        del rotated
-        if i:
-            evo_rows += [SweepRow(i - 1, float(t), _lifted_gap(prev_plan, small, plan, large, 1.0))
-                         for t, small, large in zip(t_grid, prev_evolved, evolved)]
-        prev_evolved = evolved
+        errors = []   # a - tau_t(a) for each inside time, to which each order's term is added
+        for t in t_grid:
+            evolved = _rotated_back(plan, rotated, True, _evolution(plan, t))
+            if i:
+                small = _rotated_back(prev_plan, prev_rotated, True, _evolution(prev_plan, t))
+                gap = _lifted_gap(prev_plan, small, plan, evolved, 1.0)
+                evo_rows.append(SweepRow(i - 1, float(t), gap))
+                del small
+            if abs(t) < radius:
+                for key, block in evolved.items():
+                    np.subtract(a_v[key], block, out=block)
+                errors.append((float(t), evolved))
+            del evolved   # freed before the next time is evolved
 
-        # a - tau_t(a) for each inside time, to which each order's term is added
-        errors = [(float(t_grid[j]), {key: a_v[key] - evolved[j][key] for key in a_v})
-                  for j in inside]
         h_blocks = [_block(built.H_B.matrix, s.indices, s.indices) for s in plan.sectors]
         powers = []
         for m, r in enumerate(_commutator_blocks(h_blocks, a_v, order), start=1):
@@ -367,7 +380,7 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
                 if i:
                     order_rows.append(OrderRow(i - 1, m, _lifted_gap(
                         prev_plan, prev_powers[m - 1], plan, r, (-1.0) ** m)))
-        prev_plan, prev_powers = plan, powers
+        prev_plan, prev_rotated, prev_powers = plan, rotated, powers
         sizes = [s.indices.size for s in plan.sectors]
         dyson_rows += [DysonRow(i, t, opalg.block_norm(err, sizes, 1.0),
                                 _tail_bound(envelope, abs(t) / radius, cfg.max_order))

@@ -416,10 +416,16 @@ def block_norm(blocks: dict, sizes: Sequence[int], sign: float | None = None) ->
 
 def _gram_norm(mat: np.ndarray) -> float:
     """The largest singular value of a nonzero M as max|M| times the root of
-    the largest eigenvalue of U^dagger U, U = M / max|M|."""
+    the largest eigenvalue of U^dagger U, U = M / max|M|. Only M, U (freed
+    after the one product) and the Gram matrix are held, the latter made
+    bitwise Hermitian in place, (G + G^dagger) / 2."""
     scale = float(np.max(np.abs(mat)))
     unit = mat / scale
-    largest = float(_eigvalsh(_hermitian_part(matmul(unit.conj().T, unit)))[-1])
+    gram = matmul(unit.conj().T, unit)
+    del unit
+    gram += gram.conj().T
+    gram *= 0.5
+    largest = float(_eigvalsh(gram)[-1])
     return scale * math.sqrt(max(largest, 0.0))
 
 
@@ -439,10 +445,6 @@ def unitary_conj(u, a):
     return out
 
 
-def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
-
-
 def hermitian_matrix(a, what: str = "spectral decomposition") -> np.ndarray:
     """The Hermitian part (M + M^dagger) / 2 of the matrix M of A, which
     must be Hermitian within HERMITICITY_TOL (ValueError naming ``what``
@@ -452,7 +454,7 @@ def hermitian_matrix(a, what: str = "spectral decomposition") -> np.ndarray:
         return mat
     if not is_hermitian_matrix(mat):
         raise ValueError(f"{what} requires a Hermitian matrix")
-    return _hermitian_part(mat)
+    return 0.5 * (mat + mat.conj().T)
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:

@@ -110,15 +110,19 @@ def _horizon_kernels(half: np.ndarray) -> np.ndarray:
     sinc(x/2) is c sinc + i s sinc and expm1(ix) is -2 s^2 + 2i s c: one
     sine and one cosine per frequency, with no cancellation at small x, so
     every Bohr frequency is exact to roundoff; K(0) = 1 and expm1(0) = 0.
+    The rows are filled in place, sinc in the second; scaling by 2 is exact.
     """
     s = np.sin(half)
     c = np.cos(half)
-    sinc = np.divide(s, half, out=np.ones_like(half), where=half != 0)
     out = np.empty((4,) + half.shape)
+    out[1] = 1.0
+    sinc = np.divide(s, half, out=out[1], where=half != 0)
     np.multiply(c, sinc, out=out[0])
-    np.multiply(s, sinc, out=out[1])
-    np.multiply(-2.0 * s, s, out=out[2])
-    np.multiply(2.0 * s, c, out=out[3])
+    sinc *= s
+    np.multiply(s, -2.0, out=out[2])
+    out[2] *= s
+    np.multiply(s, 2.0, out=out[3])
+    out[3] *= c
     return out
 
 

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,17 @@ def derivation(spec, volume, a, perturbation=None):
 def entropy_report(vols, horizon, plan=None):
     """The entropy report of one horizon."""
     return horizon_reports(vols, (horizon,), plan=plan)[0][0]
+
+
+def traced_peak(fn):
+    """fn()'s result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def _matrix_to_json(mat):

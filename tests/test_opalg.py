@@ -419,6 +419,36 @@ class TestNonHermitianNorm:
         assert [dtype for _, _, dtype in eigensolves] == [np.float64]
 
 
+class TestGramNorm:
+    """The Gram route of a two-sector [[0, B], [sign B^dagger, 0]]: ||B|| from one
+    product of B / max|B| and one solve of its bitwise Hermitian Gram matrix."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_complex_off_diagonal_block_matches_the_svd(self, sign, scale):
+        rng = np.random.default_rng(44)
+        b = scale * (rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5)))
+        expected = np.linalg.svd(b, compute_uv=False)[0]
+        assert np.isfinite(expected) and expected > 0.0
+        assert abs(opalg.block_norm({(0, 1): b}, [7, 5], sign) - expected) <= 1e-13 * expected
+
+    def test_solves_a_bitwise_hermitian_gram_matrix(self, monkeypatch):
+        grams = []
+        solve = opalg._eigvalsh
+
+        def recording(mat):
+            grams.append(mat.copy())
+            return solve(mat)
+
+        monkeypatch.setattr(opalg, "_eigvalsh", recording)
+        rng = np.random.default_rng(45)
+        b = rng.standard_normal((9, 6))
+        for mat in (b, b + 1j * rng.standard_normal((9, 6))):
+            opalg._gram_norm(mat)
+        assert [g.shape for g in grams] == [(6, 6)] * 2
+        assert all(np.array_equal(g, g.conj().T) for g in grams)
+
+
 def _sector_matrix(rng, pattern, kind, sizes=(5, 5, 4)):
     """A matrix on sectors of ``sizes`` whose block pq is nonzero where
     ``pattern`` has a 1 (symmetric), under a scrambled basis order."""

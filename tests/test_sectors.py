@@ -11,7 +11,6 @@ is the reference here.
 
 import dataclasses
 import math
-import tracemalloc
 from math import comb
 
 import numpy as np
@@ -23,7 +22,7 @@ from nesslab import (DenseOperator, InteractionTerm, ModelSpec, build, convergen
 from nesslab.model import PerturbationEntry, PerturbationFamily
 
 import oracles
-from conftest import SX, SY, SZ, make_chain, random_hermitian
+from conftest import SX, SY, SZ, make_chain, random_hermitian, traced_peak
 
 TOL = 1e-12
 SEVEN = {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2}
@@ -104,12 +103,7 @@ class TestDetection:
         ops = [spec.term_operator(t) for t in spec.terms]
         dim = math.prod(dims)
         assert dim == 2048
-        tracemalloc.start()
-        try:
-            found = opalg.sectors(ops, sites, dims)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        found, peak = traced_peak(lambda: opalg.sectors(ops, sites, dims))
         assert len(found) == 2
         assert peak <= dim * dim * 8 / 16
 
@@ -339,13 +333,8 @@ class TestSeparableContraction:
         plan = make_plan(vols.H_B, vols.sectors)
         obs = {"mid": DenseOperator((5,), (2,), SZ), "left": DenseOperator((4,), (2,), SX)}
         assert vols.dim == 1024 and len(plan.sectors) == 2
-        tracemalloc.start()
-        try:
-            reports = horizon_reports(vols, tuple(np.logspace(0.0, 3.0, 16)), plan=plan,
-                                      observables=obs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        reports, peak = traced_peak(lambda: horizon_reports(
+            vols, tuple(np.logspace(0.0, 3.0, 16)), plan=plan, observables=obs))
         assert len(reports) == 16
         assert peak <= 5 * 8 * vols.dim ** 2
 
@@ -360,17 +349,6 @@ def _ten_site_chain():
     obs = {"mid": DenseOperator((5,), (2,), SZ), "left": DenseOperator((4,), (2,), SX)}
     assert vols.dim == 1024 and [s.indices.size for s in plan.sectors] == [512, 512]
     return vols, plan, obs
-
-
-def _traced_peak(fn):
-    """fn()'s result and the tracemalloc peak while it ran."""
-    tracemalloc.start()
-    try:
-        out = fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, peak
 
 
 class TestBlockUpperTriangle:
@@ -419,7 +397,7 @@ class TestBlockUpperTriangle:
     def test_peak_is_below_the_triangle_bound(self):
         # with the plan given: measured 2.4 real DxD (3.6 with full rotations)
         vols, plan, obs = _ten_site_chain()
-        reports, peak = _traced_peak(lambda: horizon_reports(
+        reports, peak = traced_peak(lambda: horizon_reports(
             vols, tuple(np.logspace(0.0, 3.0, 16)), plan=plan, observables=obs))
         assert len(reports) == 16
         assert peak <= 3.2 * 8 * vols.dim ** 2
@@ -431,8 +409,8 @@ class TestBlockUpperTriangle:
         vols, plan, obs = _ten_site_chain()
         horizons = (1e-3, 0.05, 1.0, 1e4)
         sizes = _kernel_arguments(monkeypatch)
-        reports, peak = _traced_peak(lambda: horizon_reports(vols, horizons, plan=plan,
-                                                             observables=obs))
+        reports, peak = traced_peak(lambda: horizon_reports(vols, horizons, plan=plan,
+                                                            observables=obs))
         assert len(reports) == 4
         assert sum(sizes) == len(horizons) * _pairs(plan)
         assert peak <= 5.5 * 8 * vols.dim ** 2

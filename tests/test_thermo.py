@@ -24,7 +24,8 @@ from nesslab.model import PerturbationEntry, PerturbationFamily
 from nesslab.thermo import StateRep, _horizon_kernels
 
 import oracles
-from conftest import SX, SY, SZ, entropy_report, make_chain, random_hermitian, random_unitary
+from conftest import (SX, SY, SZ, entropy_report, make_chain, random_hermitian, random_unitary,
+                      traced_peak)
 from oracles import initial_state, time_averaged_state
 
 
@@ -280,6 +281,19 @@ class TestHorizonKernels:
         endpoint_gap = kernels[2] + 1j * kernels[3] - oracles.endpoint_factor(x)
         assert np.max(np.abs(kernel_gap)) <= 4 * EPS
         assert np.max(np.abs(endpoint_gap)) <= 8 * EPS
+
+    def test_fills_the_rows_in_place(self):
+        # 8 bytes per frequency for each of the four rows, s and c, and the one-byte
+        # mask of nonzero frequencies (8.1 rows with sinc, a ones buffer and 2 s held);
+        # the rows are the formulas' to the last bit
+        half = np.random.default_rng(1).uniform(-1e3, 1e3, 1 << 17)
+        half[:5] = 0.0
+        kernels, peak = traced_peak(lambda: _horizon_kernels(half))
+        assert peak <= 6 * half.nbytes + half.size + 16384
+        s, c = np.sin(half), np.cos(half)
+        sinc = np.divide(s, half, out=np.ones_like(half), where=half != 0)
+        rows = np.array([c * sinc, s * sinc, -2.0 * s * s, 2.0 * s * c])
+        assert kernels.tobytes() == rows.tobytes()
 
     def test_degenerate_spectrum(self, decoupled_model):
         # field terms only: H_B is diagonal with exactly repeated eigenvalues,

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 from collections.abc import Mapping
 from dataclasses import fields
@@ -24,7 +23,7 @@ from nesslab import opalg
 from nesslab.opalg import DenseOperator, zero
 
 import oracles
-from conftest import SX, SZ, make_chain, random_hermitian
+from conftest import SX, SZ, make_chain, random_hermitian, traced_peak
 
 EPS = np.finfo(float).eps
 
@@ -181,12 +180,7 @@ class TestFootprint:
         # D = 256: every other operator lives on at most 6 of the 8 sites
         spec = make_chain(8, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2, 7: 2},
                           {1: 2.0, 2: 1.0}, anis=0.3)
-        tracemalloc.start()
-        try:
-            vols = build(spec, range(8))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        vols, peak = traced_peak(lambda: build(spec, range(8)))
         assert vols.dim == 256
         assert peak <= 1.5 * vols.H_B.matrix.nbytes
 
