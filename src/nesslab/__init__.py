@@ -34,7 +34,6 @@ from .opalg import (
 from .volume import VolumeOperators, build, current_bound_check
 from .dynamics import (
     ConvergenceSweepReport,
-    DysonConfig,
     EvolutionPlan,
     convergence_sweep,
     derivation_growth_bound,

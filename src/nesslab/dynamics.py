@@ -33,26 +33,32 @@ class Sector:
 
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """A generator with no entry between two sectors and each sector's
-    eigendecomposition, reusable across times."""
+    """The volume of a generator with no entry between two sectors and each
+    sector's eigendecomposition, reusable across times; not the generator."""
 
-    generator: DenseOperator
+    sites: tuple[int, ...]
+    dims: tuple[int, ...]
     sectors: tuple[Sector, ...]
 
 
 def make_plan(generator: DenseOperator,
               sectors: Sequence[np.ndarray] | None = None) -> EvolutionPlan:
-    """One :func:`opalg.spectral` per sector (ascending index arrays, one
-    sector unless given, as ``VolumeOperators.sectors``) of ``generator``;
-    ValueError for a non-Hermitian one or one coupling two sectors."""
+    """One :func:`opalg.spectral` per sector (ascending index arrays that
+    partition range(D), one sector unless given, as ``VolumeOperators.sectors``)
+    of ``generator``; ValueError for sectors that do not partition, a
+    non-Hermitian generator or one coupling two sectors."""
     mat = generator.matrix
     if sectors is None:
         sectors = (np.arange(generator.dim),)
+    # a count, not a sort: numpy's sort kernels add about 0.4 MiB of peak RSS
+    counts = np.bincount(np.concatenate(sectors), minlength=generator.dim)
+    if counts.size != generator.dim or not np.all(counts == 1):
+        raise ValueError("the sectors do not partition the generator's indices")
     blocks = [_block(mat, rows, rows) for rows in sectors]
     if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(mat):
         raise ValueError("the generator couples two sectors")
-    return EvolutionPlan(generator, tuple(Sector(rows, *opalg.spectral(block))
-                                          for rows, block in zip(sectors, blocks)))
+    return EvolutionPlan(generator.sites, generator.dims, tuple(
+        Sector(rows, *opalg.spectral(block)) for rows, block in zip(sectors, blocks)))
 
 
 def _block(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -67,11 +73,11 @@ def _embedded_blocks(plan: EvolutionPlan, op: DenseOperator, upper: bool = True,
     """The nonzero sector blocks of ``op`` embedded into the plan's volume (its own by
     :func:`_block` if on it), only p <= q if ``upper``, as for an (anti-)Hermitian op.
     ``pattern``, op's sector index arrays and nonzero block pairs, skips zero blocks."""
-    h_b, rows = plan.generator, [s.indices for s in plan.sectors]
+    rows = [s.indices for s in plan.sectors]
     pairs = [(p, q) for p in range(len(rows)) for q in range(p if upper else 0, len(rows))]
-    if op.same_volume(h_b):
+    if (op.sites, op.dims) == (plan.sites, plan.dims):
         return {(p, q): b for p, q in pairs if np.any(b := _block(op.matrix, rows[p], rows[q]))}
-    inner, outside = opalg.embedding_maps(op, h_b.sites, h_b.dims)
+    inner, outside = opalg.embedding_maps(op, plan.sites, plan.dims)
     if pattern is not None:   # seen[p][a][o]: indices of sector p in op's sector a, outside o
         seen = [[np.bincount(outside[r][np.isin(inner[r], s)], minlength=outside.max() + 1)
                  for s in pattern[0]] for r in rows]
@@ -107,7 +113,7 @@ def _conjugated(plan: EvolutionPlan, mat: np.ndarray,
                 weight: Callable[[np.ndarray, int, int], np.ndarray]) -> np.ndarray:
     """M with its nonzero sector blocks rotated, weighted and rotated back."""
     hermitian = bool(np.array_equal(mat, mat.conj().T))
-    blocks = _embedded_blocks(plan, plan.generator.with_matrix(mat), hermitian)
+    blocks = _embedded_blocks(plan, DenseOperator(plan.sites, plan.dims, mat), hermitian)
     back = _rotated_back(plan, _rotated_blocks(plan, blocks), hermitian, weight)
     return opalg.assemble(back, [s.indices for s in plan.sectors], mat.shape[0],
                           1.0 if hermitian else None)
@@ -123,22 +129,29 @@ def exact_evolve(plan: EvolutionPlan, a: DenseOperator, t: float) -> DenseOperat
     """Conjugate by exp(i t generator): the exact Heisenberg evolution, one
     sector block of ``a`` at a time. A zero block stays exactly zero, and a
     bitwise Hermitian ``a`` evolves to an exactly Hermitian operator."""
-    if not plan.generator.same_volume(a):
-        raise ValueError("operator volume does not match the plan's generator")
-    return plan.generator.with_matrix(_conjugated(plan, a.matrix, _evolution(plan, t)))
+    if (a.sites, a.dims) != (plan.sites, plan.dims):
+        raise ValueError("operator volume does not match the plan's")
+    return a.with_matrix(_conjugated(plan, a.matrix, _evolution(plan, t)))
 
 
 # i^m, exact, so that i^m r stays real for even m
 _I_POWERS = (1.0, 1j, -1.0, -1j)
+# the orders the truncated series sums
+SERIES_ORDER = 12
 
 
-def _commutator_blocks(h_blocks: Sequence[np.ndarray], blocks: dict,
-                       order: int) -> Iterator[dict]:
+def _commutator_blocks(h_blocks: Sequence[np.ndarray], blocks: dict, order: int,
+                       sums: Sequence[tuple[float, dict]] = ()) -> Iterator[dict]:
     """r_m = [H, r_{m-1}] = i^-m delta^m(r_0), m = 1..order, as blocks p <= q
     on the sectors of H, whose only blocks are ``h_blocks``; r_0 is Hermitian
     with the blocks ``blocks``. Block pq is H_pp r_pq - r_pq H_qq, a diagonal
     one H_pp r_pp minus (odd m) or plus (even m) its adjoint: r_m is exactly
-    anti-Hermitian (odd m) or Hermitian (even m), and real for real inputs."""
+    anti-Hermitian (odd m) or Hermitian (even m), and real for real inputs.
+
+    As each r_m with m <= SERIES_ORDER is made, t^m delta^m(r_0) / m! =
+    (i t)^m / m! r_m is added in place into the complex blocks of every
+    ``(t, blocks)`` of ``sums``. For a real r_m the coefficient is real or
+    imaginary, so only one part of each block changes."""
     def commutator(x: np.ndarray, p: int, q: int, odd: bool) -> np.ndarray:
         y = opalg.matmul(h_blocks[p], x)
         if p != q:
@@ -149,38 +162,28 @@ def _commutator_blocks(h_blocks: Sequence[np.ndarray], blocks: dict,
 
     for m in range(1, order + 1):
         blocks = {(p, q): commutator(x, p, q, m % 2) for (p, q), x in blocks.items()}
+        for t, acc in sums if m <= SERIES_ORDER else ():
+            coef = t**m / math.factorial(m) * _I_POWERS[m % 4]
+            for key, r in blocks.items():
+                if np.iscomplexobj(r):
+                    acc[key] += coef * r
+                elif m % 2:
+                    acc[key].imag += coef.imag * r
+                else:
+                    acc[key].real += coef.real * r
         yield blocks
-
-
-def _commutators(h_b: DenseOperator, a: DenseOperator, order: int) -> Iterator[np.ndarray]:
-    """The r_m of :func:`_commutator_blocks` for h_b and r_0 = a as one sector;
-    ``a`` must be selfadjoint (ValueError otherwise), its Hermitian part used."""
-    if not h_b.same_volume(a):
-        raise ValueError("operator volume does not match the generator")
-    r = opalg.hermitian_matrix(a, "the derivation series")
-    for blocks in _commutator_blocks([h_b.matrix], {(0, 0): r}, order):
-        yield blocks[0, 0]
 
 
 def derivation_powers(h_b: DenseOperator, a: DenseOperator, order: int) -> list[DenseOperator]:
     """[delta(a), ..., delta^order(a)] for the derivation delta = i[h_b, .]
-    and a selfadjoint ``a``: i^m r_m for the r_m of :func:`_commutators`."""
-    return [h_b.with_matrix(r * _I_POWERS[m % 4])
-            for m, r in enumerate(_commutators(h_b, a, order), start=1)]
-
-
-@dataclass(frozen=True)
-class DysonConfig:
-    """Truncation order and weight parameter for the series."""
-
-    lam: float
-    max_order: int = 12
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("need lam > 0")
-        if self.max_order < 1:
-            raise ValueError("max_order must be >= 1")
+    and ``a`` on h_b's volume: i^m r_m for the r_m of
+    :func:`_commutator_blocks` on one sector. ``a`` must be selfadjoint
+    (ValueError otherwise), its Hermitian part used."""
+    if not h_b.same_volume(a):
+        raise ValueError("operator volume does not match the generator")
+    r = opalg.hermitian_matrix(a, "the derivation series")
+    return [h_b.with_matrix(blocks[0, 0] * _I_POWERS[m % 4]) for m, blocks
+            in enumerate(_commutator_blocks([h_b.matrix], {(0, 0): r}, order), start=1)]
 
 
 def series_radius(spec: ModelSpec, perturbation: PerturbationFamily | None = None) -> float:
@@ -197,57 +200,41 @@ def _envelope(a: DenseOperator, lam: float) -> float:
     return opalg.op_norm(a) * math.exp(lam * len(a.sites))
 
 
-def _add_series_term(acc: np.ndarray, t: float, m: int, r: np.ndarray) -> None:
-    """acc += t^m delta^m(a) / m! = (i t)^m / m! r_m, in place in the complex
-    ``acc``. For a real r_m the coefficient is real or imaginary, so only one
-    part of ``acc`` changes."""
-    coef = t**m / math.factorial(m) * _I_POWERS[m % 4]
-    if np.iscomplexobj(r):
-        acc += coef * r
-    elif m % 2:
-        acc.imag += coef.imag * r
-    else:
-        acc.real += coef.real * r
-
-
-def _tail_bound(envelope: float, ratio: float, order: int) -> float:
-    """envelope * r^{M+1} / (1 - r) for a series truncated after M orders,
-    with ``envelope`` the :func:`_envelope` of the observable before it was
-    embedded into the volume."""
-    return float(envelope * ratio ** (order + 1) / (1.0 - ratio))
+def _tail_bound(envelope: float, ratio: float) -> float:
+    """envelope * r^{M+1} / (1 - r) for the series truncated after M =
+    SERIES_ORDER orders, with ``envelope`` the :func:`_envelope` of the
+    observable before it was embedded into the volume."""
+    return float(envelope * ratio ** (SERIES_ORDER + 1) / (1.0 - ratio))
 
 
 def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: float,
-                 cfg: DysonConfig | None = None,
                  perturbation: PerturbationFamily | None = None,
                  ) -> tuple[DenseOperator, float]:
     """Truncated power-series evolution with a rigorous tail bound.
 
-    Returns the partial sum over orders m <= M of t^m delta^m(a) / m!, with
-    delta = i[H_B, .] for the ``H_B`` that :func:`nesslab.volume.build`
-    assembles for ``volume`` (so build's preconditions hold), and the
-    geometric tail majorant ||a|| e^{lam card X} r^{M+1} / (1 - r) with
-    r = 2 |t| (||Phi||_lam + K) / lam. ``a`` must be selfadjoint. X is
-    ``a.sites``: pass the observable on its own sites, not embedded, for
-    the tightest bound. Times at or beyond the convergence radius are
-    refused since the majorant diverges there.
+    Returns the partial sum over orders m <= M = SERIES_ORDER (12) of
+    t^m delta^m(a) / m!, with delta = i[H_B, .] for the ``H_B`` that
+    :func:`nesslab.volume.build` assembles for ``volume`` (so build's
+    preconditions hold), and the geometric tail majorant
+    ||a|| e^{lam card X} r^{M+1} / (1 - r) with r = |t| / radius, radius =
+    :func:`series_radius`. ``a`` must be selfadjoint. X is ``a.sites``: pass
+    the observable on its own sites, not embedded, for the tightest bound.
+    Times at or beyond the convergence radius are refused since the
+    majorant diverges there.
     """
-    if cfg is None:
-        cfg = DysonConfig(lam=spec.lam)
-    k = 0.0 if perturbation is None else perturbation.bound_K
-    ratio = 2.0 * abs(t) * (lambda_norm(spec) + k) / cfg.lam
-    if ratio >= 1.0:
-        raise ValueError(
-            f"|t|={abs(t):.6g} is outside the series radius "
-            f"{series_radius(spec, perturbation):.6g}; the error bound diverges")
+    radius = series_radius(spec, perturbation)
+    if abs(t) >= radius:
+        raise ValueError(f"|t|={abs(t):.6g} is outside the series radius {radius:.6g}; "
+                         "the error bound diverges")
     a = a.with_matrix(opalg.hermitian_matrix(a, "the derivation series"))
-    envelope = _envelope(a, cfg.lam)
+    envelope = _envelope(a, spec.lam)
     h_b = volume_mod.build(spec, volume, perturbation).H_B
     a_vol = opalg.embed(a, h_b.sites, h_b.dims)
-    partial = a_vol.matrix.astype(complex)
-    for m, r in enumerate(_commutators(h_b, a_vol, cfg.max_order), start=1):
-        _add_series_term(partial, t, m, r)
-    return a_vol.with_matrix(partial), _tail_bound(envelope, ratio, cfg.max_order)
+    partial = {(0, 0): a_vol.matrix.astype(complex)}
+    for _ in _commutator_blocks([h_b.matrix], {(0, 0): a_vol.matrix}, SERIES_ORDER,
+                                [(t, partial)]):
+        pass
+    return a_vol.with_matrix(partial[0, 0]), _tail_bound(envelope, abs(t) / radius)
 
 
 def derivation_growth_bound(spec: ModelSpec, a: DenseOperator, m: int,
@@ -300,8 +287,9 @@ def _lifted_gap(small_plan: EvolutionPlan, small: dict, plan: EvolutionPlan,
     """||embed(S) - L|| for (anti-)Hermitian S and L (``sign`` +1, -1) given by
     their blocks p <= q: S assembled at its own dimension, then gathered, and L
     subtracted in place from the gathered blocks."""
-    h_s, rows = small_plan.generator, [s.indices for s in small_plan.sectors]
-    diff = _embedded_blocks(plan, h_s.with_matrix(opalg.assemble(small, rows, h_s.dim, sign)),
+    rows = [s.indices for s in small_plan.sectors]
+    lifted = opalg.assemble(small, rows, math.prod(small_plan.dims), sign)
+    diff = _embedded_blocks(plan, DenseOperator(small_plan.sites, small_plan.dims, lifted),
                             pattern=(rows, small))
     for key, block in large.items():
         if key not in diff:
@@ -328,11 +316,14 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     be selfadjoint; the bound's envelope ||a|| e^{lam card X} takes
     X = ``a.sites``, so pass it on its own sites for the tightest bound.
     Every volume-sized operator is held as its nonzero sector blocks
-    p <= q. Each time is evolved, compared and dropped before the next; one
-    inside the radius is kept as its series error a - tau_t(a). Of the
-    previous volume only the plan, the rotated observable blocks and the
-    first ``max_order`` commutators are kept, and its observable is evolved
-    again at each time. Each commutator is added into every series error as made.
+    p <= q; of ``H_B`` only its diagonal blocks are kept, gathered as soon as
+    the plan is made, and the dense matrix is dropped. Each time is evolved,
+    compared and dropped before the next; one inside the radius is kept as
+    its series error a - tau_t(a). Of the previous volume only the plan, the
+    rotated observable blocks and the first ``max_order`` commutators are
+    kept, and its observable is evolved again at each time. Each commutator
+    up to SERIES_ORDER is added into every series error as made, the step
+    :func:`dyson_evolve` takes on one block.
     """
     vols = [tuple(sorted(set(v))) for v in exhaustion]
     for small, large in zip(vols, vols[1:]):
@@ -342,17 +333,18 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
         raise ValueError("observable must be supported in the smallest volume")
     a = a.with_matrix(opalg.hermitian_matrix(a, "the convergence sweep"))
 
-    cfg = DysonConfig(lam=spec.lam)
     radius = series_radius(spec, perturbation)
     inside = any(abs(t) < radius for t in t_grid)
-    order = max(max_order, cfg.max_order) if inside else max_order
-    envelope = _envelope(a, cfg.lam)
+    order = max(max_order, SERIES_ORDER) if inside else max_order
+    envelope = _envelope(a, spec.lam)
 
     evo_rows, order_rows, dyson_rows = [], [], []
     prev_plan, prev_rotated, prev_powers = None, {}, []
     for i, sites in enumerate(vols):
         built = volume_mod.build(spec, sites, perturbation)
         plan = make_plan(built.H_B, built.sectors)
+        h_blocks = [_block(built.H_B.matrix, s.indices, s.indices) for s in plan.sectors]
+        del built   # no dense H_B is held past its sector blocks
         a_v = _embedded_blocks(plan, a)
         rotated = _rotated_blocks(plan, a_v)
         errors = []   # a - tau_t(a) for each inside time, to which each order's term is added
@@ -369,12 +361,8 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
                 errors.append((float(t), evolved))
             del evolved   # freed before the next time is evolved
 
-        h_blocks = [_block(built.H_B.matrix, s.indices, s.indices) for s in plan.sectors]
         powers = []
-        for m, r in enumerate(_commutator_blocks(h_blocks, a_v, order), start=1):
-            for t, err in errors if m <= cfg.max_order else ():
-                for key, block in r.items():
-                    _add_series_term(err[key], t, m, block)
+        for m, r in enumerate(_commutator_blocks(h_blocks, a_v, order, errors), start=1):
             if m <= max_order:
                 powers.append(r)
                 if i:
@@ -383,7 +371,7 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
         prev_plan, prev_rotated, prev_powers = plan, rotated, powers
         sizes = [s.indices.size for s in plan.sectors]
         dyson_rows += [DysonRow(i, t, opalg.block_norm(err, sizes, 1.0),
-                                _tail_bound(envelope, abs(t) / radius, cfg.max_order))
+                                _tail_bound(envelope, abs(t) / radius))
                        for t, err in errors]
 
     return ConvergenceSweepReport(tuple(evo_rows), tuple(order_rows), tuple(dyson_rows))

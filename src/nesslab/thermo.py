@@ -165,10 +165,11 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     reservoir currents and the observables, each selfadjoint (ValueError
     otherwise; its Hermitian part is used) and given on its own sites or on
     the whole volume. Each is rotated into the eigenbasis of the plan's
-    generator (``H_B`` with ``vols.sectors`` unless given) one sector at a
-    time, from its local factors (:func:`opalg.kron_apply`). The state, G
-    and the currents leave each sector invariant, as a given plan's sectors
-    must, so only Bohr frequencies d_jk = w_k - w_j within a sector count.
+    generator (``H_B`` with ``vols.sectors`` unless given; ValueError for a
+    plan of another volume) one sector at a time, from its local factors
+    (:func:`opalg.kron_apply`). The state, G and the currents leave each
+    sector invariant, as a given plan's sectors must, so only Bohr
+    frequencies d_jk = w_k - w_j within a sector count.
     With P_jk = s_jk x_kj for the rotated state s and operator x, the
     horizon average of <x> is sum_jk P_jk K(T d_jk), K the averaging
     kernel, and e_telescoped = (1/T) Re sum_jk P^G_jk expm1(i T d_jk), the
@@ -201,6 +202,8 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
                    for key, x in ({} if observables is None else observables).items()}
     if plan is None:
         plan = make_plan(vols.H_B, vols.sectors)
+    elif (plan.sites, plan.dims) != (vols.sites, vols.dims):
+        raise ValueError("the plan is for another volume")
     reservoirs = sorted(vols.currents)
     operators = [vols.currents[a] for a in reservoirs] + list(observables.values())
     factors, scale = _gibbs_factors(vols)
@@ -294,7 +297,6 @@ class HeatDirectionReport:
     horizon: float
     flux_into_first: float
     lhs: float
-    slack: float
     ok: bool
 
 
@@ -316,7 +318,7 @@ def heat_direction_check(vols: VolumeOperators, horizon: float,
     slack = b2 * report.tol_sum_rule + opalg.HEAT_DIRECTION_SLACK
     return HeatDirectionReport(
         horizon=float(horizon), flux_into_first=report.fluxes[a1], lhs=float(lhs),
-        slack=float(slack), ok=bool(lhs >= -slack),
+        ok=bool(lhs >= -slack),
     )
 
 

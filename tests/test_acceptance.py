@@ -33,7 +33,7 @@ from nesslab import (
     validate,
 )
 from nesslab.cli import run_klein_fuzz
-from nesslab.dynamics import DysonConfig, derivation_growth_bound
+from nesslab.dynamics import derivation_growth_bound
 from nesslab.model import PerturbationEntry, PerturbationFamily, interaction_lambda_norm
 
 from conftest import derivation, entropy_report, make_chain, random_hermitian
@@ -260,7 +260,6 @@ def test_criterion_07_dyson_validity(standard_chain):
                            (InteractionTerm((0,), 0.3 * np.array([[0, 1], [1, 0]],
                                                                  dtype=complex)),)),),
         bound_K=0.3)
-    cfg = DysonConfig(lam=standard_chain.lam, max_order=12)
     for fam in (None, family):
         radius = series_radius(standard_chain, fam)
         vols = build(standard_chain, (0, 1, 2), fam)
@@ -270,8 +269,7 @@ def test_criterion_07_dyson_validity(standard_chain):
         a_vol = embed(a, vols.sites, vols.dims)
         for frac in (-0.5, -0.25, 0.1, 0.25, 0.5):
             t = frac * radius
-            approx, bound = dyson_evolve(standard_chain, vols.sites, a, t, cfg=cfg,
-                                         perturbation=fam)
+            approx, bound = dyson_evolve(standard_chain, vols.sites, a, t, perturbation=fam)
             exact = exact_evolve(plan, a_vol, t)
             assert op_norm(approx - exact) <= bound
 

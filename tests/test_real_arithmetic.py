@@ -17,7 +17,7 @@ import pytest
 from nesslab import (DenseOperator, EvolutionPlan, InteractionTerm, ModelSpec, build, embed,
                      exact_evolve, horizon_reports, make_plan, series_radius)
 from nesslab.cli import _observable_operators, load_config, main
-from nesslab.dynamics import Sector, _commutators, derivation_powers
+from nesslab.dynamics import Sector, _commutator_blocks, derivation_powers
 from nesslab.model import PerturbationEntry, PerturbationFamily, load_model
 from nesslab.opalg import as_matrix, matmul
 
@@ -41,10 +41,10 @@ def _family(*terms):
 
 
 def _complex_plan(plan: EvolutionPlan) -> EvolutionPlan:
-    """The same generator, sectors and spectrum with each sector's
+    """The same volume, sectors and spectrum with each sector's
     eigenbasis V diag(e^{i theta})."""
     rng = np.random.default_rng(3)
-    return EvolutionPlan(plan.generator, tuple(
+    return EvolutionPlan(plan.sites, plan.dims, tuple(
         Sector(s.indices, s.eigenvalues,
                s.basis * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, s.eigenvalues.size)))
         for s in plan.sectors))
@@ -300,8 +300,9 @@ def _sweep_norm_solves(config_path, max_order=4) -> Counter:
     commutators = []
     for sites in cfg.exhaustion:
         h_b = build(spec, sites).H_B
-        commutators.append([h_b.with_matrix(r) for r in
-                            _commutators(h_b, embed(a, h_b.sites, h_b.dims), max_order)])
+        r_0 = embed(a, h_b.sites, h_b.dims).matrix
+        commutators.append([h_b.with_matrix(r[0, 0]) for r in
+                            _commutator_blocks([h_b.matrix], {(0, 0): r_0}, max_order)])
     for dim, small, large in zip(half[1:], commutators, commutators[1:]):
         for r_small, r_large in zip(small, large):
             diff = embed(r_small, r_large.sites, r_large.dims).matrix - r_large.matrix

@@ -132,6 +132,14 @@ class TestMakePlanPerSector:
         with pytest.raises(ValueError):
             make_plan(vols.H_B, halves)
 
+    @pytest.mark.parametrize("sectors", [(np.array([0, 1]), np.array([2])),
+                                         (np.array([0, 1, 2]), np.array([2, 3]))],
+                             ids=["missing", "overlap"])
+    def test_refuses_sectors_that_do_not_partition(self, sectors):
+        generator = DenseOperator((0, 1), (2, 2), np.diag([1.0, 2.0, 3.0, 0.0]))
+        with pytest.raises(ValueError, match="partition"):
+            make_plan(generator, sectors)
+
 
 def _spec(kind: str) -> ModelSpec:
     spec = make_chain(7, SEVEN, BETAS, anis=0.3)

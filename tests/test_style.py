@@ -42,3 +42,26 @@ def test_every_definition_is_referenced():
     defined, used = _definitions_and_uses()
     unreferenced = [f"{module}:{name}" for module, name in defined if name not in used]
     assert unreferenced == [], f"unreferenced library definitions: {unreferenced}"
+
+
+def _dataclass_fields():
+    """Each field of a dataclass the package declares, as (file, class, field)."""
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield path.name, node.name, stmt.target.id
+
+
+def test_every_dataclass_field_is_read():
+    # a field nothing reads is state held for nobody; a read is an attribute
+    # load of its name anywhere in the package or its tests
+    files = sorted(SRC.rglob("*.py")) + sorted(SRC.parent.joinpath("tests").rglob("*.py"))
+    read = {node.attr for path in files
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}:{cls}.{name}" for module, cls, name in _dataclass_fields()
+              if name not in read]
+    assert unread == [], f"dataclass fields nothing reads: {unread}"

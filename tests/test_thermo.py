@@ -437,6 +437,22 @@ class TestEntropyProduction:
             assert report.perturbed
             assert report.e_telescoped >= -1e-10 * report.g_norm
 
+    def test_plan_of_another_volume_refused(self):
+        # volumes (1, 2, 3) and (2, 3, 4) have the same dimension; the second's
+        # plan gave e = 0.18763 for the first's 0.24102 at T = 5
+        spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0},
+                          anis=0.3, field=0.7)
+        spec = ModelSpec(spec.sites, spec.regions,
+                         spec.terms + (InteractionTerm((4,), 0.9 * SZ),), spec.lam, spec.betas)
+        vols, other = build(spec, (1, 2, 3)), build(spec, (2, 3, 4))
+        ((report, _),) = horizon_reports(vols, (5.0,))
+        assert report.e == pytest.approx(0.24102, abs=1e-5)
+        plan = make_plan(other.H_B, other.sectors)
+        with pytest.raises(ValueError, match="another volume"):
+            horizon_reports(vols, (5.0,), plan=plan)
+        with pytest.raises(ValueError, match="another volume"):
+            heat_direction_check(vols, 5.0, plan=plan)
+
 
 class TestHeatDirection:
     def test_equal_betas_reduces_to_slack(self):
