@@ -41,22 +41,26 @@ class EvolutionPlan:
     sectors: tuple[Sector, ...]
 
 
-def make_plan(generator: DenseOperator,
+def make_plan(generator: DenseOperator | volume_mod.VolumeOperators,
               sectors: Sequence[np.ndarray] | None = None) -> EvolutionPlan:
-    """One :func:`opalg.spectral` per sector (ascending index arrays that
-    partition range(D), one sector unless given, as ``VolumeOperators.sectors``)
-    of ``generator``; ValueError for sectors that do not partition, a
-    non-Hermitian generator or one coupling two sectors."""
-    mat = generator.matrix
-    if sectors is None:
-        sectors = (np.arange(generator.dim),)
-    # a count, not a sort: numpy's sort kernels add about 0.4 MiB of peak RSS
-    counts = np.bincount(np.concatenate(sectors), minlength=generator.dim)
-    if counts.size != generator.dim or not np.all(counts == 1):
-        raise ValueError("the sectors do not partition the generator's indices")
-    blocks = [_block(mat, rows, rows) for rows in sectors]
-    if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(mat):
-        raise ValueError("the generator couples two sectors")
+    """One :func:`opalg.spectral` per sector block of the generator: the
+    ``H_B_blocks`` of a build on its ``sectors``, uncopied, or a dense
+    ``generator`` split into ``sectors`` (ascending index arrays that
+    partition range(D), one sector unless given, its matrix uncopied then).
+    ValueError for sectors that do not partition, a non-Hermitian
+    block or a dense generator coupling two sectors."""
+    if isinstance(generator, DenseOperator):
+        mat = generator.matrix
+        sectors = (np.arange(generator.dim),) if sectors is None else sectors
+        # a count, not a sort: numpy's sort kernels add about 0.4 MiB of peak RSS
+        counts = np.bincount(np.concatenate(sectors), minlength=generator.dim)
+        if counts.size != generator.dim or not np.all(counts == 1):
+            raise ValueError("the sectors do not partition the generator's indices")
+        blocks = [_block(mat, rows, rows) for rows in sectors]
+        if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(mat):
+            raise ValueError("the generator couples two sectors")
+    else:
+        blocks, sectors = generator.H_B_blocks, generator.sectors
     return EvolutionPlan(generator.sites, generator.dims, tuple(
         Sector(rows, *opalg.spectral(block)) for rows, block in zip(sectors, blocks)))
 
@@ -228,11 +232,12 @@ def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: fl
                          "the error bound diverges")
     a = a.with_matrix(opalg.hermitian_matrix(a, "the derivation series"))
     envelope = _envelope(a, spec.lam)
-    h_b = volume_mod.build(spec, volume, perturbation).H_B
-    a_vol = opalg.embed(a, h_b.sites, h_b.dims)
+    built = volume_mod.build(spec, volume, perturbation)
+    h_b = opalg.assemble({(p, p): h for p, h in enumerate(built.H_B_blocks)}, built.sectors,
+                         built.dim)
+    a_vol = opalg.embed(a, built.sites, built.dims)
     partial = {(0, 0): a_vol.matrix.astype(complex)}
-    for _ in _commutator_blocks([h_b.matrix], {(0, 0): a_vol.matrix}, SERIES_ORDER,
-                                [(t, partial)]):
+    for _ in _commutator_blocks([h_b], {(0, 0): a_vol.matrix}, SERIES_ORDER, [(t, partial)]):
         pass
     return a_vol.with_matrix(partial[0, 0]), _tail_bound(envelope, abs(t) / radius)
 
@@ -316,8 +321,7 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     be selfadjoint; the bound's envelope ||a|| e^{lam card X} takes
     X = ``a.sites``, so pass it on its own sites for the tightest bound.
     Every volume-sized operator is held as its nonzero sector blocks
-    p <= q; of ``H_B`` only its diagonal blocks are kept, gathered as soon as
-    the plan is made, and the dense matrix is dropped. Each time is evolved,
+    p <= q, ``H_B`` as the diagonal blocks the build gives. Each time is evolved,
     compared and dropped before the next; one inside the radius is kept as
     its series error a - tau_t(a). Of the previous volume only the plan, the
     rotated observable blocks and the first ``max_order`` commutators are
@@ -342,9 +346,9 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     prev_plan, prev_rotated, prev_powers = None, {}, []
     for i, sites in enumerate(vols):
         built = volume_mod.build(spec, sites, perturbation)
-        plan = make_plan(built.H_B, built.sectors)
-        h_blocks = [_block(built.H_B.matrix, s.indices, s.indices) for s in plan.sectors]
-        del built   # no dense H_B is held past its sector blocks
+        plan = make_plan(built)
+        h_blocks = built.H_B_blocks
+        del built   # its currents and reservoir operators are not read here
         a_v = _embedded_blocks(plan, a)
         rotated = _rotated_blocks(plan, a_v)
         errors = []   # a - tau_t(a) for each inside time, to which each order's term is added

@@ -34,6 +34,9 @@ STATE_POSITIVITY_TOL = 1e-10
 TERM_HERMITICITY_TOL = 1e-12
 # horizon_reports: Bohr frequencies |d| >= tol / min T are separable (rounding eps |P| / tol)
 SEPARABLE_PHASE_TOL = 0.1
+# horizon_reports: a given plan's sum w and sum w^2 per sector against tr H and ||H||_F^2,
+# relative to sqrt(d) ||H||_F and ||H||_F^2: far above an eigensolve's error d eps ||H||
+PLAN_SPECTRUM_TOL = 1e-10
 
 # Slacks of the reported checks, added to (or scaling) the rigorous bound
 # each check compares against so that roundoff alone never fails it.
@@ -211,6 +214,33 @@ def embedding_maps(op: DenseOperator, sites: Sequence[int],
                                [1 if k in axes else d for k, d in enumerate(dims)]))
 
 
+def embed_add_sectors(blocks: Sequence[np.ndarray], op: DenseOperator, sites: Sequence[int],
+                      dims: Sequence[int], indices: Sequence[np.ndarray]) -> None:
+    """blocks[p] += embed(op, sites, dims).matrix[indices[p]][:, indices[p]] for
+    each sector p, in place, for an ``op`` with no entry between two sectors.
+
+    Row i of the embedding has its d nonzeros (d the dimension of ``op``) in
+    the columns that differ from i on op's sites only, i - lift[inner[i]] +
+    lift[k] for k < d, with lift[k] the volume index of op's index k and
+    the other sites at 0 (:func:`embedding_maps`); those in the row's own
+    sector are added, D d entries in all, each as :func:`embed_add` adds it.
+    """
+    inner, outside = embedding_maps(op, sites, dims)
+    lift = np.empty(op.dim, dtype=np.intp)
+    at = np.flatnonzero(outside == 0)
+    lift[inner[at]] = at
+    label = np.empty(inner.size, dtype=np.intp)
+    position = np.empty(inner.size, dtype=np.intp)
+    for p, rows in enumerate(indices):
+        label[rows] = p
+        position[rows] = np.arange(rows.size)
+    for p, (block, rows) in enumerate(zip(blocks, indices)):
+        cols = (rows - lift[inner[rows]])[:, None] + lift
+        keep = label[cols] == p
+        flat = (position[rows, None] * rows.size + position[cols])[keep]
+        block.reshape(-1)[flat] += op.matrix[inner[rows]][keep]
+
+
 def assemble(blocks: dict, indices: Sequence[np.ndarray], dim: int,
              sign: float | None = None) -> np.ndarray:
     """The matrix with block M_pq at (indices[p], indices[q]) and, given ``sign``,
@@ -297,15 +327,22 @@ def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The product a @ b of two matrices, or of stacks of them as ``@`` takes.
 
-    When exactly one factor is complex, the real and imaginary parts of the
-    result are each one real BLAS product: numpy would upcast the real
-    factor and run a complex product, twice the arithmetic. A part that is
+    numpy would upcast a real factor next to a complex one and run a complex
+    product, twice the arithmetic. A real ``a`` times a complex ``b`` whose
+    last axis has unit stride is one real BLAS product on ``b`` viewed as
+    its interleaved real and imaginary parts, a real matrix of twice the
+    columns, whose result viewed back is the complex product: no copy and
+    nothing beyond the output. Otherwise (a complex ``a``, or a ``b`` of
+    other strides) the real and imaginary parts of the result are each one
+    real product, on contiguous copies of the complex factor's parts, since
+    numpy hands only unit-stride operands to BLAS; a part that is
     identically zero, as the real part of i times a real matrix, costs no
-    product at all. The parts of the complex factor are copied to contiguous
-    arrays first, because numpy hands only unit-stride operands to BLAS.
+    product.
     """
     if np.iscomplexobj(a) == np.iscomplexobj(b):
         return a @ b
+    if np.iscomplexobj(b) and b.strides[-1] == b.itemsize:
+        return (a @ b.view(np.float64)).view(np.complex128)
     cplx = a if np.iscomplexobj(a) else b
 
     def product(part: np.ndarray) -> np.ndarray:

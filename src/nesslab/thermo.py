@@ -9,7 +9,6 @@ stochastic witness.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -153,6 +152,27 @@ class EntropyReport:
                    self.tol_sum_rule])
 
 
+# rows of an upper_blocks block of a rotated operator, and basis columns of a panel of its image
+_BLOCK = 128
+
+
+def _is_plan_of(plan: EvolutionPlan, vols: VolumeOperators) -> bool:
+    """Whether the plan's sectors are ``vols.sectors`` and, per sector, the sum and
+    the sum of squares of its eigenvalues are tr H_pp and ||H_pp||_F^2 of ``vols``'
+    generator block within PLAN_SPECTRUM_TOL: O(d_p^2) work, no product."""
+    if len(plan.sectors) != len(vols.sectors):
+        return False
+    tol = opalg.PLAN_SPECTRUM_TOL
+    for sector, rows, h in zip(plan.sectors, vols.sectors, vols.H_B_blocks):
+        w = sector.eigenvalues
+        frobenius = float(np.vdot(h, h).real)
+        if not (np.array_equal(sector.indices, rows)
+                and abs(w.sum() - np.trace(h).real) <= tol * math.sqrt(w.size * frobenius)
+                and abs(w @ w - frobenius) <= tol * frobenius):
+            return False
+    return True
+
+
 def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
                     plan: EvolutionPlan | None = None,
                     observables: Mapping[Hashable, DenseOperator] | None = None,
@@ -165,15 +185,24 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     reservoir currents and the observables, each selfadjoint (ValueError
     otherwise; its Hermitian part is used) and given on its own sites or on
     the whole volume. Each is rotated into the eigenbasis of the plan's
-    generator (``H_B`` with ``vols.sectors`` unless given; ValueError for a
-    plan of another volume) one sector at a time, from its local factors
-    (:func:`opalg.kron_apply`). The state, G and the currents leave each
-    sector invariant, as a given plan's sectors must, so only Bohr
-    frequencies d_jk = w_k - w_j within a sector count.
+    generator (``make_plan(vols)`` unless given; ValueError for a plan of
+    another volume, or whose sectors are not ``vols.sectors`` or whose
+    spectra fail :func:`_is_plan_of` against ``vols.H_B_blocks``) one sector
+    at a time, from its local factors (:func:`opalg.kron_apply`). The state,
+    G and the currents leave each sector invariant, as the plan's sectors
+    must, so only Bohr frequencies d_jk = w_k - w_j within a sector count.
     With P_jk = s_jk x_kj for the rotated state s and operator x, the
     horizon average of <x> is sum_jk P_jk K(T d_jk), K the averaging
     kernel, and e_telescoped = (1/T) Re sum_jk P^G_jk expm1(i T d_jk), the
     relative entropy of the evolved state to the initial one over T.
+
+    An operator's image (X V_p) on the sector's rows is made in panels of
+    128 basis columns, each zero-padded to the volume's D rows, and written
+    into one d_p x d_p array; G's blocks add into it panel by panel. On a
+    one-sector volume one term is applied to the whole basis at once. On a
+    real plan an operator i Y with Y real, as every current of a real chain
+    is, is applied as Y: then P = -i Q with Q = s * (V^T Y V) real
+    (entrywise), whose diagonal adds nothing.
 
     As s and x are Hermitian, P_kj = conj(P_jk) and d_kj = -d_jk, so the pair
     (k, j) adds the complex conjugate of what (j, k) adds to each sum below.
@@ -192,7 +221,9 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     eps |P_jk| |w| / |d_jk|, as the eigenvalues' own error at d_jk does. The
     other pairs (d = 0 among them; all of them for a small min T) are
     direct: the diagonal sum plus twice the packed pairs j < k, with
-    :func:`_horizon_kernels` at every horizon.
+    :func:`_horizon_kernels` at every horizon; a packed P is one real row
+    paired with Re K when real, Q paired with Im K when P = -i Q, and the
+    rows Re P, -Im P otherwise.
 
     Returns one (report, {key: average}) pair per horizon, in order.
     """
@@ -201,11 +232,20 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     observables = {key: x.with_matrix(opalg.hermitian_matrix(x, f"observable {key!r}"))
                    for key, x in ({} if observables is None else observables).items()}
     if plan is None:
-        plan = make_plan(vols.H_B, vols.sectors)
+        plan = make_plan(vols)
     elif (plan.sites, plan.dims) != (vols.sites, vols.dims):
         raise ValueError("the plan is for another volume")
+    elif not _is_plan_of(plan, vols):
+        raise ValueError("the plan is of another generator")
     reservoirs = sorted(vols.currents)
     operators = [vols.currents[a] for a in reservoirs] + list(observables.values())
+    # on a real plan, i Y is applied as Y, whose contracted blocks are Q of P = -i Q
+    real = not any(np.iscomplexobj(s.basis) for s in plan.sectors)
+    imaginary = [real and np.iscomplexobj(x.matrix) and not np.any(x.matrix.real)
+                 for x in operators]
+    operators = [x.with_matrix(np.ascontiguousarray(x.matrix.imag)) if i else x
+                 for x, i in zip(operators, imaginary)]
+    imaginary.append(False)   # G
     factors, scale = _gibbs_factors(vols)
     g_blocks = list(vols.blocks.values())
     cut = opalg.SEPARABLE_PHASE_TOL / min(horizons, default=1.0)  # no horizon: no report
@@ -214,18 +254,32 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     separable = np.zeros((len(operators) + 1, len(horizons)))
     direct, freq = [[] for _ in range(len(operators) + 1)], []
     for sector in plan.sectors:
-        v, w, size, dim = sector.basis, sector.eigenvalues, sector.indices.size, vols.dim
+        v, w = sector.basis, sector.eigenvalues
+        size, dim = w.size, vols.dim
+        rows = sector.indices if size < dim else slice(None)
         phases = np.exp(1j * np.multiply.outer(w - 0.5 * (w[0] + w[-1]), horizons))
-        columns, rows = v, slice(None)
-        if size < dim:   # the sector's eigenvectors as columns of the volume's basis
-            columns, rows = np.zeros((dim, size), dtype=v.dtype), sector.indices
-            columns[rows] = v
-        apply = functools.partial(opalg.kron_apply, sites=vols.sites, dims=vols.dims, v=columns)
+
+        def image(terms: list[list[DenseOperator]]) -> np.ndarray:
+            """(sum over ``terms`` of the tensor product of each one's factors) V on
+            the sector's rows: one panel of basis columns at a time, each written
+            into the volume's basis (zero outside the sector's rows), except for
+            one term on a one-sector volume, which has nothing to pad or sum."""
+            if size == dim and len(terms) == 1:
+                y = opalg.kron_apply(terms[0], vols.sites, vols.dims, v)
+                return y.copy() if y is v else y   # contract overwrites it
+            out = np.zeros((size, size), np.result_type(v, *(f.matrix for t in terms for f in t)))
+            for lo in range(0, size, _BLOCK):
+                cols = slice(lo, lo + _BLOCK)
+                panel = np.zeros((dim, min(_BLOCK, size - lo)), v.dtype)
+                panel[rows] = v[:, cols]
+                for t in terms:
+                    out[:, cols] += opalg.kron_apply(t, vols.sites, vols.dims, panel)[rows]
+            return out
 
         # per row block from its first column on: 1/d (0 if direct, None if all are), direct j < k
         blocks = []
-        for lo in range(0, size, 128):
-            bohr = w[None, lo:] - w[lo:lo + 128, None]
+        for lo in range(0, size, _BLOCK):
+            bohr = w[None, lo:] - w[lo:lo + _BLOCK, None]
             far = np.abs(bohr) >= cut
             upper = np.flatnonzero(np.triu(~far, 1)).astype(np.int32)
             freq.append(bohr.ravel()[upper])
@@ -233,32 +287,33 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
                            if far.any() else None, upper))
 
         def contract(y: np.ndarray, k: int, endpoint: bool = False) -> None:
-            """The sums of P = s * conj(V^dagger Y) into row k, block by block; y is overwritten."""
-            for (lo, inv, upper), s, p in zip(blocks, sigma_t, opalg.upper_blocks(v, y, 128)):
+            """The sums of P = s * conj(V^dagger Y) (times -i if ``imaginary[k]``)
+            into row k, block by block; y is overwritten."""
+            for (lo, inv, upper), s, p in zip(blocks, sigma_t, opalg.upper_blocks(v, y, _BLOCK)):
                 p = np.conjugate(p, out=p)
                 p *= s
-                diag[k] += np.real(np.trace(p))
+                if not imaginary[k]:   # else Re(-i tr Q) = 0
+                    diag[k] += np.real(np.trace(p))
                 direct[k].append(p.ravel()[upper])
                 if inv is None:
                     continue
                 p *= inv != 0 if endpoint else inv
-                p[:, 128:] *= 2.0   # right of the diagonal block: the pairs k > j stand for j < k
-                z = np.einsum("jt,jt->t", phases[lo:lo + 128].conj(), opalg.matmul(p, phases[lo:]))
+                p[:, _BLOCK:] *= 2.0   # right of the diagonal block: pairs k > j stand for j < k
+                z = np.einsum("jt,jt->t", phases[lo:lo + _BLOCK].conj(),
+                              opalg.matmul(p, phases[lo:]))
                 z -= p.sum()
-                separable[k] += z.real if endpoint else z.imag
+                # Im(-i z) = -Re z for P = -i Q
+                separable[k] += z.real if endpoint else -z.real if imaginary[k] else z.imag
 
-        sigma_t = [b * scale for b in opalg.upper_blocks(v, apply(factors)[rows], 128)]
+        sigma_t = [b * scale for b in opalg.upper_blocks(v, image([factors]), _BLOCK)]
         # one at a time; an observable's blocks between sectors meet zero blocks of sigma_t
         for k, x in enumerate(operators):
-            contract(apply([x])[rows], k)
-        # G V without the constant log Z, which drops out of the endpoint form, summed in place
-        g_v = np.zeros((size, size), np.result_type(columns, *(b.matrix for b in g_blocks)))
-        for b in g_blocks:
-            g_v += apply([b])[rows]
-        contract(g_v, -1, True)
-        del sigma_t, blocks, g_v
+            contract(image([[x]]), k)
+        # G V without the constant log Z, which drops out of the endpoint form
+        contract(image([[b] for b in g_blocks]), -1, True)
+        del sigma_t, blocks
     freq = np.concatenate(freq)
-    for k, parts in enumerate(direct):   # each packed P as rows Re, -Im (Re alone if real)
+    for k, parts in enumerate(direct):   # each packed P as its rows (see above)
         p = np.concatenate(parts)
         direct[k] = np.stack([p.real, -p.imag]) if np.iscomplexobj(p) else p[None]
     del p, parts
@@ -267,8 +322,10 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     out = []
     for n, horizon in enumerate(horizons):
         kernels = _horizon_kernels(0.5 * horizon * freq)
-        values = [diag[k] + 2.0 * (row.ravel() @ kernels[:len(row)].reshape(-1))
-                  + separable[k, n] / horizon for k, row in enumerate(direct[:-1])]
+        # Re K is kernel row 0 and Im K row 1: a P = -i Q pairs its row Q = -Im P with Im K
+        values = [diag[k] + 2.0 * (row.ravel() @ kernels[i:i + len(row)].reshape(-1))
+                  + separable[k, n] / horizon
+                  for k, (row, i) in enumerate(zip(direct[:-1], map(int, imaginary)))]
         fluxes = dict(zip(reservoirs, map(float, values)))
         averages = dict(zip(observables, map(float, values[len(reservoirs):])))
         e = sum(vols.betas[a] * f for a, f in fluxes.items())
@@ -351,7 +408,8 @@ def boundary_redraw_check(spec: ModelSpec, new_small_system: Iterable[int],
     """
     vols = build(spec, volume)
     new_spec = redraw(spec, new_small_system)
-    redrawn = build(new_spec, volume)
+    # of the redrawn decomposition only its currents are kept, not its generator
+    currents = build(new_spec, volume).currents
 
     moved = [(vols.betas[a], t) for a in vols.reservoirs for t in spec.terms
              if set(t.support) <= spec.regions.sites_in(a) & set(vols.sites)
@@ -363,8 +421,8 @@ def boundary_redraw_check(spec: ModelSpec, new_small_system: Iterable[int],
     shift_norm = opalg.op_norm(shift)
 
     reports = []
-    for report, averaged in horizon_reports(vols, horizons, observables=redrawn.currents):
-        e_new = sum(redrawn.betas[a] * averaged[a] for a in redrawn.currents)
+    for report, averaged in horizon_reports(vols, horizons, observables=currents):
+        e_new = sum(new_spec.betas[a] * averaged[a] for a in currents)
         bound = 2.0 * shift_norm / report.horizon + opalg.REDRAW_BOUND_SLACK
         diff = abs(report.e - e_new)
         reports.append(RedrawReport(

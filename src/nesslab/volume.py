@@ -6,9 +6,9 @@ reservoir perturbations), the per-reservoir Hamiltonians and perturbations,
 the normalization of the weighted exponent whose exponential is the initial
 product state, the interface operator made of the terms inside no single
 reservoir, and the reservoir energy-current operators. Only the generator is
-volume-sized; every other operator stays on its own sites. Terms straddling
-the volume boundary are dropped (strict containment) and counted in the
-build log.
+volume-sized, held as its diagonal blocks on the conserved sectors; every
+other operator stays on its own sites. Terms straddling the volume boundary
+are dropped (strict containment) and counted in the build log.
 """
 
 from __future__ import annotations
@@ -28,16 +28,18 @@ from .opalg import DenseOperator
 class VolumeOperators:
     """All assembled operators for one finite volume.
 
-    ``H_B``, the generator of the finite-volume dynamics (the volume
-    Hamiltonian plus the reservoir perturbations), is the only volume-sized
-    field. Every other operator lives on its own sites: ``H_a[a]`` and
-    ``B_a[a]``, the Hamiltonian and perturbation of reservoir ``a``, on that
-    reservoir's in-volume sites; ``W``, the interface part H - sum_a H_a, on
-    the joint support of the in-volume terms that lie inside no single
-    reservoir; and ``currents[a]``, the rate-of-energy operator
-    i[H, H_a] = i[W, H_a] of reservoir ``a``, on the union of the sites of
-    ``W`` and of reservoir ``a``. An operator with no such site is a 1x1
-    zero on no sites. ``opalg.embed(op, vols.sites, vols.dims)`` lifts any
+    ``H_B_blocks``, the diagonal blocks H_pp of the generator H_B of the
+    finite-volume dynamics (the volume Hamiltonian plus the reservoir
+    perturbations) on the ``sectors``, aligned with them, are the only
+    volume-sized field; H_B has no other nonzero block, and on a one-sector
+    volume the one block is the D x D matrix. Every other operator lives on
+    its own sites: ``H_a[a]`` and ``B_a[a]``, the Hamiltonian and
+    perturbation of reservoir ``a``, on that reservoir's in-volume sites;
+    ``W``, the interface part H - sum_a H_a, on the joint support of the
+    in-volume terms that lie inside no single reservoir; and ``currents[a]``,
+    the rate-of-energy operator i[H, H_a] = i[W, H_a] of reservoir ``a``, on
+    the union of the sites of ``W`` and of reservoir ``a``. An operator with
+    no such site is a 1x1 zero on no sites. ``opalg.embed(op, vols.sites, vols.dims)`` lifts any
     of them to the volume.
 
     The normalized weighted exponent is G = sum_a beta_a (H_a + B_a) +
@@ -57,7 +59,7 @@ class VolumeOperators:
     dims: tuple[int, ...]
     H_a: Mapping[int, DenseOperator]
     B_a: Mapping[int, DenseOperator]
-    H_B: DenseOperator
+    H_B_blocks: tuple[np.ndarray, ...]
     log_z: float
     W: DenseOperator
     currents: Mapping[int, DenseOperator]
@@ -69,7 +71,7 @@ class VolumeOperators:
 
     @property
     def dim(self) -> int:
-        return self.H_B.dim
+        return math.prod(self.dims)
 
     @property
     def reservoirs(self) -> tuple[int, ...]:
@@ -90,8 +92,10 @@ def build(spec: ModelSpec, volume: Iterable[int],
     reported in the build log; perturbation terms must each sit inside a
     single reservoir or the build fails.
 
-    ``H_B`` is the one volume-sized array: :meth:`ModelSpec.term_sum` adds
-    the in-volume terms and then the perturbation terms into it in place.
+    ``H_B``'s sector blocks are the only volume-sized arrays, and H_B is
+    never formed whole: :func:`opalg.embed_add_sectors` adds the in-volume
+    terms and then the perturbation terms into them in place, the D d
+    entries of each term (d its dimension) that fall in a sector block.
     Nothing here diagonalizes or multiplies a volume-sized matrix: log Z and
     ``g_norm`` come from the spectra of the per-reservoir blocks,
     ``w_norm`` from the interface terms on their joint support, and each
@@ -126,9 +130,13 @@ def build(spec: ModelSpec, volume: Iterable[int],
             dropped_pert += 1
     log.append(f"perturbation terms dropped at the boundary: {dropped_pert}")
     generator_terms = in_volume + [t for a in spec.reservoirs for t in pert_terms[a]]
-    h_b = spec.term_sum(generator_terms, sites)
+    generator_ops = [spec.term_operator(t) for t in generator_terms]
     # from the terms, not from H_B, in whose sum an entry can cancel
-    sectors = opalg.sectors([spec.term_operator(t) for t in generator_terms], sites, dims)
+    sectors = opalg.sectors(generator_ops, sites, dims)
+    dtype = np.result_type(float, *(op.matrix for op in generator_ops))
+    h_blocks = tuple(np.zeros((rows.size, rows.size), dtype) for rows in sectors)
+    for op in generator_ops:
+        opalg.embed_add_sectors(h_blocks, op, sites, dims, sectors)
 
     owners = [spec.regions.reservoir_of(t.support) for t in in_volume]
     w_op = spec.term_sum(t for t, o in zip(in_volume, owners) if o is None)
@@ -161,7 +169,7 @@ def build(spec: ModelSpec, volume: Iterable[int],
     g_norm += log_z
 
     return VolumeOperators(
-        sites=sites, dims=dims, H_a=h_res, B_a=b_res, H_B=h_b, log_z=log_z, W=w_op,
+        sites=sites, dims=dims, H_a=h_res, B_a=b_res, H_B_blocks=h_blocks, log_z=log_z, W=w_op,
         currents=currents, betas=dict(spec.betas), g_norm=g_norm,
         w_norm=opalg.op_norm(w_op), log=tuple(log), sectors=sectors,
     )

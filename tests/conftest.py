@@ -1,11 +1,12 @@
+import dataclasses
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from nesslab import (InteractionTerm, ModelSpec, RegionMap, SiteSpec, build, derivation_powers,
-                     embed, horizon_reports)
+from nesslab import (DenseOperator, InteractionTerm, ModelSpec, RegionMap, SiteSpec, build,
+                     derivation_powers, embed, horizon_reports, opalg)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -23,9 +24,21 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def dense_generator(vols):
+    """The generator H_B of a build as one D x D operator, assembled from its sector blocks."""
+    blocks = {(p, p): h for p, h in enumerate(vols.H_B_blocks)}
+    return DenseOperator(vols.sites, vols.dims, opalg.assemble(blocks, vols.sectors, vols.dim))
+
+
+def one_sector(vols):
+    """A build as one sector whose block is the dense H_B: the dense route's operators."""
+    return dataclasses.replace(vols, sectors=(np.arange(vols.dim),),
+                               H_B_blocks=(dense_generator(vols).matrix,))
+
+
 def derivation(spec, volume, a, perturbation=None):
     """i[H_B, a] for the H_B that build assembles for ``volume``, ``a`` embedded into it."""
-    h_b = build(spec, volume, perturbation).H_B
+    h_b = dense_generator(build(spec, volume, perturbation))
     return derivation_powers(h_b, embed(a, h_b.sites, h_b.dims), 1)[0]
 
 

@@ -37,6 +37,8 @@ from nesslab.dynamics import _conjugated
 from nesslab.opalg import DenseOperator, matmul, zero
 from nesslab.thermo import EntropyReport, StateRep, _gibbs_factors, _horizon_kernels
 
+from conftest import dense_generator
+
 
 def apply_function(a, phi):
     """phi(A) for Hermitian A via the spectral decomposition.
@@ -53,7 +55,7 @@ def apply_function(a, phi):
 
 def hamiltonian(vols):
     """The volume Hamiltonian H = H_B - sum_a B_a; exactly H_B when unperturbed."""
-    h = vols.H_B
+    h = dense_generator(vols)
     for a in vols.reservoirs:
         h = h - embed(vols.B_a[a], vols.sites, vols.dims)
     return h
@@ -283,7 +285,7 @@ def time_avg_expectation_quadrature(vols, state, a, horizon: float, panels: int 
                                     plan=None) -> float:
     """Composite-Simpson average of the evolved expectation of ``a`` over [0, T]."""
     if plan is None:
-        plan = make_plan(vols.H_B)
+        plan = make_plan(dense_generator(vols))
     ts = np.linspace(0.0, horizon, 2 * panels + 1)
     vals = np.array([state.expectation(exact_evolve(plan, a, float(t))) for t in ts])
     h = horizon / (2 * panels)

@@ -36,7 +36,7 @@ from nesslab.cli import run_klein_fuzz
 from nesslab.dynamics import derivation_growth_bound
 from nesslab.model import PerturbationEntry, PerturbationFamily, interaction_lambda_norm
 
-from conftest import derivation, entropy_report, make_chain, random_hermitian
+from conftest import derivation, entropy_report, make_chain, one_sector, random_hermitian
 
 HORIZONS = (1.0, 5.0, 20.0, 100.0)
 BATCH_SEED = 20260808
@@ -130,8 +130,8 @@ class ModelRun:
     def __init__(self, spec, family):
         self.spec = spec
         self.family = family
-        self.vols = build(spec, spec.site_ids, family)
-        self.plan = make_plan(self.vols.H_B)
+        self.vols = one_sector(build(spec, spec.site_ids, family))
+        self.plan = make_plan(self.vols)
         self.reports = {t: entropy_report(self.vols, t, plan=self.plan)
                         for t in HORIZONS}
 
@@ -242,8 +242,8 @@ def test_criterion_05_hot_to_cold(batch):
 def test_criterion_06_equal_temperature_decay():
     spec = make_chain(4, {0: 1, 1: 0, 2: 0, 3: 2}, {1: 1.0, 2: 1.0},
                       coup=0.8075, field=0.2753, anis=0.2166)
-    vols = build(spec, range(4))
-    plan = make_plan(vols.H_B)
+    vols = one_sector(build(spec, range(4)))
+    plan = make_plan(vols)
     values = {t: entropy_report(vols, t, plan=plan).e_telescoped
               for t in (5.0, 10.0, 20.0, 40.0, 80.0)}
     for t in (5.0, 10.0, 20.0, 40.0):
@@ -263,7 +263,7 @@ def test_criterion_07_dyson_validity(standard_chain):
     for fam in (None, family):
         radius = series_radius(standard_chain, fam)
         vols = build(standard_chain, (0, 1, 2), fam)
-        plan = make_plan(vols.H_B)
+        plan = make_plan(vols)
         # a on its own site, so card X = 1 in the bound
         a = DenseOperator((1,), (2,), np.array([[0, 1], [1, 0]], dtype=complex))
         a_vol = embed(a, vols.sites, vols.dims)

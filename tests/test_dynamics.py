@@ -29,8 +29,8 @@ from nesslab.model import PerturbationEntry, PerturbationFamily
 from nesslab import opalg
 
 import oracles
-from conftest import (SX, SY, SZ, derivation, make_chain, random_hermitian, random_unitary,
-                      traced_peak)
+from conftest import (SX, SY, SZ, dense_generator, derivation, make_chain, random_hermitian,
+                      random_unitary, traced_peak)
 
 OMEGA = 1.3
 
@@ -73,9 +73,10 @@ class TestDerivation:
         # tau_t(a) spreads over the whole volume; its derivation must too
         vols = build(chain5, range(5))
         a = embed(DenseOperator((2,), (2,), SX), vols.sites, vols.dims)
-        evolved = exact_evolve(make_plan(vols.H_B), a, 1.3)
+        h_b = dense_generator(vols)
+        evolved = exact_evolve(make_plan(h_b), a, 1.3)
         out = derivation(chain5, range(5), evolved)
-        h = vols.H_B.matrix
+        h = h_b.matrix
         expected = 1j * (h @ evolved.matrix - evolved.matrix @ h)
         assert np.max(np.abs(out.matrix - expected)) <= 1e-12
 
@@ -85,7 +86,7 @@ class TestDerivation:
         u = random_unitary(np.random.default_rng(5), vols.dim)
         conj = unitary_conj(u, a)
         out = derivation(chain5, range(5), conj)
-        h = vols.H_B.matrix
+        h = dense_generator(vols).matrix
         expected = 1j * (h @ conj.matrix - conj.matrix @ h)
         assert np.max(np.abs(out.matrix - expected)) <= 1e-12
 
@@ -116,7 +117,7 @@ class TestDerivationStructure:
         else:
             spec = _dm_chain()
             local = np.kron(SZ, SY) + 0.5 * np.kron(SY, SX)
-        h_b = build(spec, range(5)).H_B
+        h_b = dense_generator(build(spec, range(5)))
         return request.param, h_b, embed(DenseOperator((1, 2), (2, 2), local),
                                          h_b.sites, h_b.dims)
 
@@ -166,7 +167,7 @@ class TestSelfadjointObservable:
     def test_derivation_powers_refuse_a_non_selfadjoint_observable(self, chain5):
         vols = build(chain5, range(5))
         with pytest.raises(ValueError, match="Hermitian"):
-            derivation_powers(vols.H_B, embed(self.SKEW, vols.sites, vols.dims), 2)
+            derivation_powers(dense_generator(vols), embed(self.SKEW, vols.sites, vols.dims), 2)
 
     def test_sweep_refuses_before_any_build(self, chain5, monkeypatch):
         built = []
@@ -201,7 +202,7 @@ class TestExactEvolve:
 
     def test_group_law(self, chain5):
         vols = build(chain5, range(5))
-        plan = make_plan(vols.H_B)
+        plan = make_plan(dense_generator(vols))
         rng = np.random.default_rng(2)
         a = embed(DenseOperator((2,), (2,), random_hermitian(rng, 2)),
                   vols.sites, vols.dims)
@@ -211,7 +212,7 @@ class TestExactEvolve:
 
     def test_preserves_hermiticity_spectrum_norm(self, chain5):
         vols = build(chain5, range(5))
-        plan = make_plan(vols.H_B)
+        plan = make_plan(dense_generator(vols))
         rng = np.random.default_rng(4)
         a = DenseOperator(vols.sites, vols.dims, random_hermitian(rng, vols.dim))
         out = exact_evolve(plan, a, 2.2)
@@ -222,7 +223,7 @@ class TestExactEvolve:
 
     def test_derivative_at_zero_matches_derivation(self, standard_chain):
         vols = build(standard_chain, (0, 1, 2))
-        plan = make_plan(vols.H_B)
+        plan = make_plan(dense_generator(vols))
         a = embed(DenseOperator((1,), (2,), SX), vols.sites, vols.dims)
         delta = derivation(standard_chain, (0, 1, 2), a)
         residuals = []
@@ -241,9 +242,10 @@ class TestExactEvolve:
         # no gather, copy or mask at D for a volume-sized operator and one sector
         vols = build(chain5, range(5))
         a = embed(DenseOperator((2,), (2,), SX), vols.sites, vols.dims)
-        ((key, block),) = dynamics._embedded_blocks(make_plan(vols.H_B), a).items()
+        ((key, block),) = dynamics._embedded_blocks(make_plan(dense_generator(vols)),
+                                                    a).items()
         assert key == (0, 0) and block is a.matrix
-        parity = dynamics._embedded_blocks(make_plan(vols.H_B, vols.sectors), a)
+        parity = dynamics._embedded_blocks(make_plan(vols), a)
         assert set(parity) == {(0, 1)}
         np.testing.assert_array_equal(parity[0, 1], a.matrix[np.ix_(*vols.sectors)])
 
@@ -262,7 +264,7 @@ class TestMakePlan:
         counted("hermitian_matrix", checks)
         counted("is_hermitian_matrix", tolerance)
         vols = build(chain5, range(5))
-        h_b = vols.H_B
+        h_b = dense_generator(vols)
         off = np.triu(np.full((32, 32), 1e-14), 1)
         for generator, sectors, expected, tested in [
                 (h_b, None, [(32, 32)], []),
@@ -273,17 +275,25 @@ class TestMakePlan:
             make_plan(generator, sectors)
             assert (checks, tolerance) == (expected, tested)
 
+    def test_solves_the_build_blocks_uncopied(self, chain5, monkeypatch):
+        vols = build(chain5, range(5))
+        solved = []
+        spectral = opalg.spectral
+        monkeypatch.setattr(opalg, "spectral", lambda a: solved.append(a) or spectral(a))
+        make_plan(vols)
+        assert len(solved) == 2 and all(a is h for a, h in zip(solved, vols.H_B_blocks))
+
     def test_non_hermitian_generator_refused(self):
         with pytest.raises(ValueError):
             make_plan(DenseOperator((0,), (2,), np.array([[0.0, 1.0], [0.0, 0.0]])))
 
     def test_keeps_the_volume_not_the_generator(self, chain5):
         vols = build(chain5, range(5))
-        matrix = weakref.ref(vols.H_B.matrix)
-        plan = make_plan(vols.H_B, vols.sectors)
+        blocks = [weakref.ref(h) for h in vols.H_B_blocks]
+        plan = make_plan(vols)
         del vols
         gc.collect()
-        assert matrix() is None
+        assert [block() for block in blocks] == [None, None]
         assert (plan.sites, plan.dims) == (tuple(range(5)), (2,) * 5)
 
 
@@ -310,7 +320,7 @@ class TestDysonEvolve:
         a = DenseOperator((1,), (2,), SX)
         approx, bound = dyson_evolve(standard_chain, (0, 1, 2), a, t)
         vols = build(standard_chain, (0, 1, 2))
-        exact = exact_evolve(make_plan(vols.H_B), embed(a, vols.sites, vols.dims), t)
+        exact = exact_evolve(make_plan(vols), embed(a, vols.sites, vols.dims), t)
         assert op_norm(approx - exact) <= bound
         assert bound < 1.0  # the majorant is meaningful at this time
 
@@ -431,7 +441,7 @@ class TestConvergenceSweep:
             vols = build(chain5, exhaustion[row.volume_index])
             a_v = embed(a, vols.sites, vols.dims)
             approx, bound = dyson_evolve(chain5, vols.sites, a, row.t)
-            exact = exact_evolve(make_plan(vols.H_B), a_v, row.t)
+            exact = exact_evolve(make_plan(vols), a_v, row.t)
             assert abs(row.error - op_norm(approx - exact)) <= 1e-12
             assert row.bound == bound
         powers = []

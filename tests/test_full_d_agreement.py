@@ -15,7 +15,7 @@ from nesslab.model import PerturbationEntry, PerturbationFamily
 
 import oracles
 from oracles import initial_state
-from conftest import SX, SZ, make_chain
+from conftest import SX, SZ, make_chain, one_sector
 
 HORIZONS = (0.5, 3.0, 40.0)
 TOL = 1e-12
@@ -72,9 +72,9 @@ def test_currents_match_full_commutators(vols):
 
 
 def test_horizon_contraction_matches_evolution(vols):
-    plan = make_plan(vols.H_B)
+    plan = make_plan(one_sector(vols))
     sigma = initial_state(vols)
-    reports = horizon_reports(vols, HORIZONS, plan=plan)
+    reports = horizon_reports(one_sector(vols), HORIZONS, plan=plan)
     for horizon, (report, _) in zip(HORIZONS, reports):
         fluxes, e_tel = oracles.horizon_values(vols, plan, sigma, horizon)
         for a, flux in fluxes.items():

@@ -237,6 +237,41 @@ class TestEmbedAdd:
             opalg.embed_add(acc, DenseOperator((0,), (2,), SY), (0, 1), (2, 2))
 
 
+class TestEmbedAddSectors:
+    """embed_add_sectors against the sector blocks of embed_add into D x D."""
+
+    SITES, DIMS = (0, 1, 2, 3), (2, 3, 2, 2)
+
+    def _terms(self, rng):
+        # each term preserves the parity of the qubits 0, 2 and 3 (site 1 is a qutrit)
+        return [DenseOperator((0,), (2,), 0.7 * SZ),
+                DenseOperator((1,), (3,), random_hermitian(rng, 3)),
+                DenseOperator((0, 2), (2, 2), np.kron(SX, SX)),
+                DenseOperator((2, 3), (2, 2), np.kron(SZ, SZ) + np.kron(SX, SY)),
+                DenseOperator((0, 1, 3), (2, 3, 2), np.kron(np.kron(SX, random_hermitian(
+                    rng, 3)), SX)),
+                DenseOperator(self.SITES, self.DIMS, np.diag(rng.standard_normal(24)))]
+
+    @pytest.mark.parametrize("split", ["parity", "one-sector"])
+    def test_matches_the_split_dense_sum_bitwise(self, split):
+        rng = np.random.default_rng(12)
+        terms = self._terms(rng)
+        parity = np.array([(i // 12 + i // 2 + i) % 2 for i in range(24)])
+        indices = ((np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
+                   if split == "parity" else (np.arange(24),))
+        if split == "parity":
+            assert [r.tolist() for r in opalg.sectors(terms, self.SITES, self.DIMS)] == [
+                r.tolist() for r in indices]
+        dense = np.zeros((24, 24), dtype=complex)
+        blocks = [np.zeros((r.size, r.size), dtype=complex) for r in indices]
+        for op in terms:
+            opalg.embed_add(dense, op, self.SITES, self.DIMS)
+            opalg.embed_add_sectors(blocks, op, self.SITES, self.DIMS, indices)
+        for rows, block in zip(indices, blocks):
+            assert block.tobytes() == dense[np.ix_(rows, rows)].tobytes()
+        assert np.count_nonzero(dense) == sum(map(np.count_nonzero, blocks))
+
+
 class TestCommutator:
     def test_pauli_algebra(self):
         a = DenseOperator((0,), (2,), SZ)

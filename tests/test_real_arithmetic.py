@@ -23,7 +23,8 @@ from nesslab.opalg import as_matrix, matmul
 
 import oracles
 from oracles import initial_state
-from conftest import SX, SY, SZ, make_chain, model_to_dict
+from conftest import (SX, SY, SZ, dense_generator, make_chain, model_to_dict, one_sector,
+                      traced_peak)
 
 TOL = 1e-12
 HORIZONS = (0.5, 3.0, 40.0)
@@ -51,7 +52,7 @@ def _complex_plan(plan: EvolutionPlan) -> EvolutionPlan:
 
 
 def _sector_plan(vols) -> EvolutionPlan:
-    plan = make_plan(vols.H_B, vols.sectors)
+    plan = make_plan(vols)
     assert len(plan.sectors) == 2   # the parity of the real chain
     return plan
 
@@ -78,7 +79,7 @@ class TestDtypeRule:
         assert as_matrix(SZ + 0j * SX).dtype == np.float64
 
     def test_real_chain_is_real_except_the_currents(self, vols):
-        operators = [vols.H_B, vols.W, *vols.H_a.values(), *vols.B_a.values(),
+        operators = [dense_generator(vols), vols.W, *vols.H_a.values(), *vols.B_a.values(),
                      *vols.blocks.values()]
         assert all(op.matrix.dtype == np.float64 for op in operators)
         assert all(s.basis.dtype == np.float64 for s in _sector_plan(vols).sectors)
@@ -92,11 +93,12 @@ class TestDtypeRule:
         # sigma_y on reservoir 1 makes H_B and reservoir 1's block complex
         # while H_a and reservoir 2's block stay real
         vols = build(_chain(), range(5), _family(InteractionTerm((0,), 0.2 * SY)))
-        assert vols.H_B.matrix.dtype == vols.blocks[1].matrix.dtype == np.complex128
+        assert all(h.dtype == np.complex128 for h in vols.H_B_blocks)
+        assert vols.blocks[1].matrix.dtype == np.complex128
         assert vols.B_a[1].matrix.dtype == np.complex128
         assert vols.H_a[1].matrix.dtype == vols.blocks[2].matrix.dtype == np.float64
         assert abs(vols.log_z - oracles.log_partition(vols)) <= TOL
-        plan = make_plan(vols.H_B)
+        plan = make_plan(vols)
         (report, _), = horizon_reports(vols, (10.0,), plan=plan)
         fluxes, e_tel = oracles.horizon_values(vols, plan, initial_state(vols), 10.0)
         assert abs(report.e_telescoped - e_tel) <= TOL
@@ -156,6 +158,29 @@ def test_matmul_with_a_vanishing_part(a_complex, b_complex, zero_part):
     assert _gap(matmul(a[:, :2], stacked), a[:, :2].astype(complex) @ stacked) <= TOL
 
 
+@pytest.mark.parametrize("m,k,n", [(512, 512, 512), (3, 129, 131), (64, 255, 7), (128, 512, 16),
+                                   (1, 5, 1)])
+def test_matmul_real_times_complex_is_one_real_product(m, k, n):
+    # b viewed as its interleaved real and imaginary parts, against the two real products
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((m, k))
+    wide = rng.standard_normal((k, n + 9)) + 1j * rng.standard_normal((k, n + 9))
+    # contiguous, a column slice (unit last stride) and a strided slice (the split route)
+    for b in (wide[:, :n].copy(), wide[:, 4:4 + n], wide[:, ::2][:, :n // 2 + 1]):
+        out = matmul(a, b)
+        expected = a @ np.ascontiguousarray(b.real) + 1j * (a @ np.ascontiguousarray(b.imag))
+        assert out.dtype == np.complex128 and out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+def test_matmul_real_times_complex_holds_only_its_output():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((256, 256))
+    b = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    out, peak = traced_peak(lambda: matmul(a, b))
+    assert peak <= 1.05 * out.nbytes
+
+
 class TestRouteAgreement:
     def test_horizon_reports(self, vols):
         plan = _sector_plan(vols)
@@ -184,7 +209,7 @@ class TestRouteAgreement:
         cplan = _complex_plan(plan)
         a = _observable(vols)
         for t in TIMES:
-            reference = oracles.heisenberg(vols.H_B, a, t)
+            reference = oracles.heisenberg(dense_generator(vols), a, t)
             real = exact_evolve(plan, a, t).matrix
             cplx = exact_evolve(cplan, a, t).matrix
             assert _gap(real, cplx) <= TOL
@@ -192,9 +217,10 @@ class TestRouteAgreement:
 
     def test_derivation_powers(self, vols):
         a = _observable(vols)
-        powers = derivation_powers(vols.H_B, a, 6)
+        h_b = dense_generator(vols)
+        powers = derivation_powers(h_b, a, 6)
         for m, (power, reference) in enumerate(
-                zip(powers, oracles.derivation_powers(vols.H_B, a, 6)), start=1):
+                zip(powers, oracles.derivation_powers(h_b, a, 6)), start=1):
             # delta^m(a) = i^m r with r real: real for even m, imaginary for odd m
             assert power.matrix.dtype == (np.float64 if m % 2 == 0 else np.complex128)
             assert _gap(power.matrix, reference) <= TOL * max(1.0, np.max(np.abs(reference)))
@@ -299,7 +325,7 @@ def _sweep_norm_solves(config_path, max_order=4) -> Counter:
         solves["eigvalsh", dim, "complex128"] += len(cfg.horizons)
     commutators = []
     for sites in cfg.exhaustion:
-        h_b = build(spec, sites).H_B
+        h_b = dense_generator(build(spec, sites))
         r_0 = embed(a, h_b.sites, h_b.dims).matrix
         commutators.append([h_b.with_matrix(r[0, 0]) for r in
                             _commutator_blocks([h_b.matrix], {(0, 0): r_0}, max_order)])

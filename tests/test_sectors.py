@@ -11,6 +11,7 @@ is the reference here.
 
 import dataclasses
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -19,10 +20,11 @@ import pytest
 from nesslab import (DenseOperator, InteractionTerm, ModelSpec, build, convergence_sweep,
                      embed, exact_evolve, horizon_reports, make_plan, opalg, series_radius,
                      thermo, volume)
-from nesslab.model import PerturbationEntry, PerturbationFamily
+from nesslab.model import PerturbationEntry, PerturbationFamily, redraw
 
 import oracles
-from conftest import SX, SY, SZ, make_chain, random_hermitian, traced_peak
+from conftest import (SX, SY, SZ, dense_generator, make_chain, one_sector, random_hermitian,
+                      traced_peak)
 
 TOL = 1e-12
 SEVEN = {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2}
@@ -80,7 +82,7 @@ class TestDetection:
         label = np.empty(32, dtype=int)
         for k, sector in enumerate(vols.sectors):
             label[sector] = k
-        rows, cols = np.nonzero(vols.H_B.matrix)
+        rows, cols = np.nonzero(dense_generator(vols).matrix)
         assert np.array_equal(label[rows], label[cols])
 
     def test_found_from_the_terms_not_from_h_b(self):
@@ -91,7 +93,7 @@ class TestDetection:
         spec = _with_terms(spec, InteractionTerm((0,), SX),
                            InteractionTerm((0, 1), -np.kron(SX, np.eye(2))))
         vols = build(spec, range(3))
-        h_b = vols.H_B.matrix
+        h_b = dense_generator(vols).matrix
         assert not np.any(h_b - np.diag(np.diagonal(h_b)))
         assert [s.tolist() for s in vols.sectors] == [[0, 4], [1, 5], [2, 6], [3, 7]]
 
@@ -119,7 +121,7 @@ class TestMakePlanPerSector:
         monkeypatch.setattr(opalg, "spectral",
                             lambda a: shapes.append(np.shape(a)) or spectral(a))
         named_eigensolves.clear()
-        plan = make_plan(vols.H_B, vols.sectors)
+        plan = make_plan(vols)
         assert shapes == [(256, 256)] * 2
         assert [(name, dim) for name, dim, _ in named_eigensolves] == [("eigh", 256)] * 2
         for sector, rows in zip(plan.sectors, vols.sectors):
@@ -130,7 +132,7 @@ class TestMakePlanPerSector:
         vols = build(make_chain(4, {0: 1, 1: 0, 2: 0, 3: 2}, BETAS), range(4))
         halves = (np.arange(8), np.arange(8, 16))   # site 0 up / down: sigma_x sigma_x flips it
         with pytest.raises(ValueError):
-            make_plan(vols.H_B, halves)
+            make_plan(dense_generator(vols), halves)
 
     @pytest.mark.parametrize("sectors", [(np.array([0, 1]), np.array([2])),
                                          (np.array([0, 1, 2]), np.array([2, 3]))],
@@ -177,10 +179,6 @@ def case(request):
     return spec, family, build(spec, range(7), family)
 
 
-def _one_sector(vols):
-    return dataclasses.replace(vols, sectors=(np.arange(vols.dim),))
-
-
 class TestSectorRouteMatchesDense:
     """The sector route against one-sector plans, within 1e-12 (1 + |ref|)."""
 
@@ -190,8 +188,8 @@ class TestSectorRouteMatchesDense:
 
     def test_exact_evolve(self, case):
         _, _, vols = case
-        plan = make_plan(vols.H_B, vols.sectors)
-        dense = make_plan(vols.H_B)
+        plan = make_plan(vols)
+        dense = make_plan(dense_generator(vols))
         operators = {k: embed(x, vols.sites, vols.dims) for k, x in _observables().items()}
         # sigma^+ on site 3, not selfadjoint: every block pair on its own
         operators["raise"] = embed(DenseOperator((3,), (2,), 0.5 * (SX + 1j * SY)),
@@ -212,7 +210,7 @@ class TestSectorRouteMatchesDense:
         _, _, vols = case
         horizons = (0.5, 3.0, 40.0)
         obs = _observables()
-        ref = horizon_reports(vols, horizons, plan=make_plan(vols.H_B), observables=obs)
+        ref = horizon_reports(one_sector(vols), horizons, observables=obs)
         got = horizon_reports(vols, horizons, observables=obs)
         for (r_rep, r_avg), (g_rep, g_avg) in zip(ref, got):
             for a in r_rep.fluxes:
@@ -232,7 +230,7 @@ class TestSectorRouteMatchesDense:
             got = convergence_sweep(spec, EXHAUSTION, a, t_grid, family, max_order=4)
             with monkeypatch.context() as m:
                 real_build = volume.build
-                m.setattr(volume, "build", lambda *args: _one_sector(real_build(*args)))
+                m.setattr(volume, "build", lambda *args: one_sector(real_build(*args)))
                 ref = convergence_sweep(spec, EXHAUSTION, a, t_grid, family, max_order=4)
             for rows in ("evolution_rows", "order_rows", "dyson_rows"):
                 assert len(getattr(got, rows)) == len(getattr(ref, rows))
@@ -284,7 +282,7 @@ class TestSeparableContraction:
     ], ids=["tiny-min-T", "mixed"])
     def test_matches_the_per_pair_oracle(self, case, horizons, regime, monkeypatch):
         _, _, vols = case
-        plan = make_plan(vols.H_B, vols.sectors)
+        plan = make_plan(vols)
         obs = _observables()
         sizes = _kernel_arguments(monkeypatch)
         got = horizon_reports(vols, horizons, plan=plan, observables=obs)
@@ -294,9 +292,34 @@ class TestSeparableContraction:
         # tau / 1e-3 exceeds every Bohr frequency of the chain: every pair direct
         assert sum(sizes) == total if regime == "all" else 0 < sum(sizes) < total
 
+    @pytest.mark.parametrize("horizons, regime", [
+        ((1e-3, 0.37, 1.0, 1e3), "all"),
+        ((0.37, 1.0, 1e3, 1e6), "some"),
+    ], ids=["tiny-min-T", "mixed"])
+    def test_imaginary_observables_on_a_real_chain(self, horizons, regime, monkeypatch):
+        # i times a real matrix, applied as that real matrix on the real plan
+        # (P = -i Q): two parity-even bonds and a current of a redrawn boundary
+        spec = _spec("real")
+        vols = build(spec, range(7))
+        plan = make_plan(vols)
+        obs = {"xy": DenseOperator((2, 3), (2, 2), np.kron(SX, SY)),
+               "dm": DenseOperator((3, 4), (2, 2), 0.5 * (np.kron(SX, SY) - np.kron(SY, SX))),
+               "redrawn": build(redraw(spec, {2, 3, 4}), range(7)).currents[1]}
+        assert all(s.basis.dtype == np.float64 for s in plan.sectors)
+        assert all(x.matrix.dtype == np.complex128 and not np.any(x.matrix.real)
+                   for x in obs.values())
+        sizes = _kernel_arguments(monkeypatch)
+        got = horizon_reports(vols, horizons, plan=plan, observables=obs)
+        monkeypatch.undo()
+        ref = oracles.packed_horizon_reports(vols, horizons, plan, obs)
+        _assert_reports_close(got, ref)
+        assert all(max(abs(avg[key]) for _, avg in ref) > 1e-3 for key in obs)
+        total = len(horizons) * _pairs(plan)
+        assert sum(sizes) == total if regime == "all" else 0 < sum(sizes) < total
+
     def test_no_pair_direct(self, case, monkeypatch):
         _, _, vols = case
-        plan = make_plan(vols.H_B, vols.sectors)
+        plan = make_plan(vols)
         gap = min(np.min(np.diff(s.eigenvalues)) for s in plan.sectors)
         assert gap > 0
         t_min = 2.0 * opalg.SEPARABLE_PHASE_TOL / gap
@@ -314,14 +337,15 @@ class TestSeparableContraction:
         # frequencies are exactly zero and always direct
         vols = build(decoupled_model, (0, 1, 2))
         obs = {"pair": DenseOperator((0, 1), (2, 2), random_hermitian(np.random.default_rng(3), 4))}
-        for plan in (make_plan(vols.H_B), make_plan(vols.H_B, vols.sectors)):
-            got = horizon_reports(vols, horizons, plan=plan, observables=obs)
-            _assert_reports_close(got, oracles.packed_horizon_reports(vols, horizons, plan, obs))
+        for v in (one_sector(vols), vols):
+            plan = make_plan(v)
+            got = horizon_reports(v, horizons, plan=plan, observables=obs)
+            _assert_reports_close(got, oracles.packed_horizon_reports(v, horizons, plan, obs))
 
     def test_few_pairs_take_per_pair_kernels(self, case, monkeypatch):
         # min T >= 1: only |d| < tau takes sines and cosines at each horizon
         _, _, vols = case
-        plan = make_plan(vols.H_B, vols.sectors)
+        plan = make_plan(vols)
         horizons = tuple(np.logspace(0.0, 3.0, 16))
         sizes = _kernel_arguments(monkeypatch)
         horizon_reports(vols, horizons, plan=plan, observables=_observables())
@@ -338,7 +362,7 @@ class TestSeparableContraction:
         spec = make_chain(10, {i: 0 if i == 5 else 1 if i < 5 else 2 for i in range(10)},
                           BETAS, anis=0.3)
         vols = build(spec, range(10))
-        plan = make_plan(vols.H_B, vols.sectors)
+        plan = make_plan(vols)
         obs = {"mid": DenseOperator((5,), (2,), SZ), "left": DenseOperator((4,), (2,), SX)}
         assert vols.dim == 1024 and len(plan.sectors) == 2
         reports, peak = traced_peak(lambda: horizon_reports(
@@ -353,7 +377,7 @@ def _ten_site_chain():
     spec = make_chain(10, {i: 0 if i == 5 else 1 if i < 5 else 2 for i in range(10)},
                       BETAS, anis=0.3)
     vols = build(spec, range(10))
-    plan = make_plan(vols.H_B, vols.sectors)
+    plan = make_plan(vols)
     obs = {"mid": DenseOperator((5,), (2,), SZ), "left": DenseOperator((4,), (2,), SX)}
     assert vols.dim == 1024 and [s.indices.size for s in plan.sectors] == [512, 512]
     return vols, plan, obs
@@ -375,9 +399,10 @@ class TestBlockUpperTriangle:
         vols = build(spec, range(9))
         obs = _observables()
         horizons = (0.37, 1.0, 1e3)
-        for plan in (make_plan(vols.H_B), make_plan(vols.H_B, vols.sectors)):
-            got = horizon_reports(vols, horizons, plan=plan, observables=obs)
-            _assert_reports_close(got, oracles.packed_horizon_reports(vols, horizons, plan, obs))
+        for v in (one_sector(vols), vols):
+            plan = make_plan(v)
+            got = horizon_reports(v, horizons, plan=plan, observables=obs)
+            _assert_reports_close(got, oracles.packed_horizon_reports(v, horizons, plan, obs))
 
     def test_no_rotation_is_a_full_sector_product(self, monkeypatch):
         vols, plan, obs = _ten_site_chain()
@@ -402,6 +427,20 @@ class TestBlockUpperTriangle:
         entries = sum(rows * cols for rows, cols in rotations)
         assert entries <= operators * len(plan.sectors) * (blocks + 1) / (2 * blocks) * 512 ** 2
 
+    def test_real_chain_takes_no_complex_sector_product(self, monkeypatch):
+        # the currents, i times a real matrix, are applied as that matrix, so of
+        # the operands of sector size only the phases of all horizons are complex
+        vols, plan, obs = _ten_site_chain()
+        horizons = tuple(np.logspace(0.0, 3.0, 16))
+        operands = []
+        matmul = opalg.matmul
+        monkeypatch.setattr(opalg, "matmul",
+                            lambda a, b: operands.extend((a, b)) or matmul(a, b))
+        horizon_reports(vols, horizons, plan=plan, observables=obs)
+        sector = [x for x in operands if 512 in x.shape[-2:] and x.shape[-1] != len(horizons)]
+        assert len(sector) >= 6 * 4 * len(plan.sectors)   # each operator's rotations
+        assert [x.shape for x in sector if np.iscomplexobj(x)] == []
+
     def test_peak_is_below_the_triangle_bound(self):
         # with the plan given: measured 2.4 real DxD (3.6 with full rotations)
         vols, plan, obs = _ten_site_chain()
@@ -422,3 +461,92 @@ class TestBlockUpperTriangle:
         assert len(reports) == 4
         assert sum(sizes) == len(horizons) * _pairs(plan)
         assert peak <= 5.5 * 8 * vols.dim ** 2
+
+
+def _complex_ten_site_chain():
+    """The 10-site chain with 0.2 sigma_y on every site, one sector of 1024, its
+    plan and the observables of :func:`_ten_site_chain`."""
+    spec = make_chain(10, {i: 0 if i == 5 else 1 if i < 5 else 2 for i in range(10)},
+                      BETAS, anis=0.3)
+    spec = _with_terms(spec, *(InteractionTerm((i,), 0.2 * SY) for i in range(10)))
+    vols = build(spec, range(10))
+    plan = make_plan(vols)
+    obs = {"mid": DenseOperator((5,), (2,), SZ), "left": DenseOperator((4,), (2,), SX)}
+    assert [s.indices.size for s in plan.sectors] == [1024]
+    return vols, plan, obs
+
+
+class TestPlanFootprint:
+    """The horizon stage holds one sector-sized image at a time beyond the
+    generator's sector blocks and the plan: each operator's image is made in
+    panels of 128 basis columns, zero-padded to D rows one panel at a time (one
+    term on a one-sector volume at once), and a real chain's currents, i times
+    a real matrix, are applied as that matrix.
+    10-site chains, 16 horizons unless every pair is direct, tracemalloc in real
+    D x D; the figures in parentheses were measured before, with a dense H_B, a
+    complex image of each current, a D x d_p padded basis and G's accumulator."""
+
+    HORIZONS = tuple(np.logspace(0.0, 3.0, 16))
+    UNIT = 8 * 1024 ** 2
+
+    def test_real_horizon_stage(self):
+        # measured 0.95 (2.38)
+        vols, plan, obs = _ten_site_chain()
+        reports, peak = traced_peak(lambda: horizon_reports(
+            vols, self.HORIZONS, plan=plan, observables=obs))
+        assert len(reports) == 16
+        assert peak <= 1.25 * self.UNIT
+
+    def test_real_horizon_stage_every_pair_direct(self):
+        # measured 3.32 (4.30): each current's packed weights are one real row
+        vols, plan, obs = _ten_site_chain()
+        reports, peak = traced_peak(lambda: horizon_reports(
+            vols, (1e-3, 0.05, 1.0, 1e4), plan=plan, observables=obs))
+        assert len(reports) == 4
+        assert peak <= 3.6 * self.UNIT
+
+    def test_complex_horizon_stage(self):
+        # measured 4.63 (5.81): one complex image at a time, no separate accumulator for G
+        vols, plan, obs = _complex_ten_site_chain()
+        reports, peak = traced_peak(lambda: horizon_reports(
+            vols, self.HORIZONS, plan=plan, observables=obs))
+        assert len(reports) == 16
+        assert peak <= 5.0 * self.UNIT
+
+    @pytest.fixture(scope="class")
+    def real_run(self):
+        """What build and make_plan leave allocated, and the peak of build,
+        make_plan and the horizon stage, on the real 10-site chain."""
+        spec = make_chain(10, {i: 0 if i == 5 else 1 if i < 5 else 2 for i in range(10)},
+                          BETAS, anis=0.3)
+        obs = {"mid": DenseOperator((5,), (2,), SZ), "left": DenseOperator((4,), (2,), SX)}
+        tracemalloc.start()
+        try:
+            vols = build(spec, range(10))
+            plan = make_plan(vols)
+            held = tracemalloc.get_traced_memory()[0]
+            reports = horizon_reports(vols, self.HORIZONS, plan=plan, observables=obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 16 and vols.dim == 1024
+        return held / self.UNIT, peak / self.UNIT
+
+    def test_build_and_plan_hold_the_blocks_and_bases(self, real_run):
+        # measured 1.05 (1.55): two sector blocks of H_B and two bases, 0.5 each
+        assert real_run[0] <= 1.10
+
+    def test_build_plan_and_horizon_stage_peak(self, real_run):
+        # measured 2.00 (3.93)
+        assert real_run[1] <= 2.5
+
+
+def test_redraw_check_keeps_only_the_redrawn_currents():
+    # the redrawn build's generator is dropped at once: measured 2.85 real
+    # D x D at D = 512 (5.40 with the second build held through the horizons)
+    spec = make_chain(9, {i: 0 if i == 4 else 1 if i < 4 else 2 for i in range(9)},
+                      BETAS, anis=0.3)
+    reports, peak = traced_peak(lambda: thermo.boundary_redraw_check(
+        spec, {3, 4, 5}, range(9), (1.0, 10.0, 100.0)))
+    assert len(reports) == 3 and all(r.ok for r in reports)
+    assert peak <= 3.5 * 8 * 512 ** 2

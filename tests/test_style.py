@@ -65,3 +65,18 @@ def test_every_dataclass_field_is_read():
     unread = [f"{module}:{cls}.{name}" for module, cls, name in _dataclass_fields()
               if name not in read]
     assert unread == [], f"dataclass fields nothing reads: {unread}"
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    # an import its module never names is a leftover of a deleted route; the
+    # package's __init__ imports to export, and __future__ imports are flags
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for alias in node.names}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - named) == [], f"{path.name}: unused imports"

@@ -8,6 +8,8 @@ from nesslab import (
     DenseOperator,
     InteractionTerm,
     ModelSpec,
+    RegionMap,
+    SiteSpec,
     boundary_redraw_check,
     build,
     embed,
@@ -24,8 +26,8 @@ from nesslab.model import PerturbationEntry, PerturbationFamily
 from nesslab.thermo import StateRep, _horizon_kernels
 
 import oracles
-from conftest import (SX, SY, SZ, entropy_report, make_chain, random_hermitian, random_unitary,
-                      traced_peak)
+from conftest import (SX, SY, SZ, dense_generator, entropy_report, make_chain, one_sector,
+                      random_hermitian, random_unitary, traced_peak)
 from oracles import initial_state, time_averaged_state
 
 
@@ -148,12 +150,13 @@ class TestKms:
     def test_one_eigensolve(self, chain5, eigensolves):
         vols = build(chain5, range(5))
         beta = 0.7
-        state = gibbs(vols.H_B, beta)
+        h_b = dense_generator(vols)
+        state = gibbs(h_b, beta)
         a = embed(DenseOperator((1,), (2,), SX), vols.sites, vols.dims)
         b = embed(DenseOperator((3,), (2,), SY), vols.sites, vols.dims)
         tol = 1e-8 * op_norm(a) * op_norm(b)
         eigensolves.clear()
-        residual = kms_check(state, vols.H_B, beta, a, b)
+        residual = kms_check(state, h_b, beta, a, b)
         assert [dim for dim, _, _ in eigensolves] == [vols.dim]
         assert residual <= tol
 
@@ -168,9 +171,9 @@ class TestKms:
 class TestTimeAverage:
     def test_conserved_observable_is_horizon_independent(self, chain5):
         vols = build(chain5, range(5))
-        plan = make_plan(vols.H_B)
+        plan = make_plan(dense_generator(vols))
         state = initial_state(vols)
-        conserved = oracles.apply_function(vols.H_B, lambda s: s * s)
+        conserved = oracles.apply_function(dense_generator(vols), lambda s: s * s)
         base = state.expectation(conserved)
         for horizon in (0.5, 3.0, 17.0):
             avg = time_averaged_state(plan, state, horizon).expectation(conserved)
@@ -178,10 +181,10 @@ class TestTimeAverage:
 
     def test_short_horizon_continuity(self, chain5):
         vols = build(chain5, range(5))
-        plan = make_plan(vols.H_B)
+        plan = make_plan(dense_generator(vols))
         state = initial_state(vols)
         a = embed(vols.currents[1], vols.sites, vols.dims)
-        scale = op_norm(a) * (1.0 + op_norm(vols.H_B))
+        scale = op_norm(a) * (1.0 + op_norm(dense_generator(vols)))
         avg = time_averaged_state(plan, state, 1e-6).expectation(a)
         assert abs(avg - state.expectation(a)) <= 1e-6 * scale
 
@@ -211,7 +214,7 @@ class TestTimeAverage:
 
     def test_matches_simpson_quadrature(self, chain5):
         vols = build(chain5, range(5))
-        plan = make_plan(vols.H_B)
+        plan = make_plan(dense_generator(vols))
         state = initial_state(vols)
         a = embed(vols.currents[1], vols.sites, vols.dims)
         spectral_avg = time_averaged_state(plan, state, 2.5).expectation(a)
@@ -219,12 +222,12 @@ class TestTimeAverage:
                                                            panels=160, plan=plan)
         # composite Simpson error ~ (T/panels)^4 * ||d^4/dt^4|| / 180
         step = 2.5 / 160
-        quad_err = step**4 * 2.5 * (op_norm(vols.H_B) ** 4) * op_norm(a)
+        quad_err = step**4 * 2.5 * (op_norm(dense_generator(vols)) ** 4) * op_norm(a)
         assert abs(spectral_avg - quad_avg) <= max(quad_err, 1e-9)
 
     def test_averaged_state_is_a_state(self, chain5):
         vols = build(chain5, range(5))
-        plan = make_plan(vols.H_B)
+        plan = make_plan(dense_generator(vols))
         averaged = time_averaged_state(plan, initial_state(vols), 7.0)
         assert np.trace(averaged.density).real == pytest.approx(1.0, abs=1e-10)
         assert np.min(opalg.eigenvalues(averaged.density)) >= -1e-10
@@ -233,7 +236,8 @@ class TestTimeAverage:
         vols = build(chain5, range(5))
         w_op = embed(vols.W, vols.sites, vols.dims)
         with pytest.raises(ValueError):
-            time_averaged_state(make_plan(vols.H_B), initial_state(vols), 0.0).expectation(w_op)
+            time_averaged_state(make_plan(dense_generator(vols)), initial_state(vols),
+                                0.0).expectation(w_op)
 
 
 EPS = np.finfo(float).eps
@@ -299,8 +303,7 @@ class TestHorizonKernels:
         # field terms only: H_B is diagonal with exactly repeated eigenvalues,
         # so many Bohr frequencies are exactly zero
         vols = build(decoupled_model, (0, 1, 2))
-        plan = make_plan(vols.H_B)
-        (sector,) = plan.sectors
+        (sector,) = make_plan(dense_generator(vols)).sectors
         w = sector.eigenvalues
         half = 0.5 * 7.0 * (w[None, :] - w[:, None])
         assert np.count_nonzero(half == 0.0) > vols.dim
@@ -311,8 +314,8 @@ class TestHorizonKernels:
         # every basis state is its own sector of the diagonal terms, so the
         # sector route keeps no Bohr frequency at all
         assert len(vols.sectors) == vols.dim
-        for p in (plan, None):
-            for report, _ in horizon_reports(vols, (1e-3, 7.0, 1e6), plan=p):
+        for v in (one_sector(vols), vols):
+            for report, _ in horizon_reports(v, (1e-3, 7.0, 1e6)):
                 values = [*report.fluxes.values(), report.e, report.e_telescoped]
                 assert all(np.isfinite(values)) and max(map(abs, values)) <= 1e-12
 
@@ -325,13 +328,13 @@ class TestLocalObservables:
             dm = InteractionTerm((1, 2), 0.4 * (np.kron(SX, SY) - np.kron(SY, SX)))
             spec = ModelSpec(spec.sites, spec.regions, spec.terms + (dm,), spec.lam,
                              spec.betas)
-        vols = build(spec, range(5))
+        vols = one_sector(build(spec, range(5)))
         rng = np.random.default_rng(11)
         local = {"mid": DenseOperator((2,), (2,), SX),
                  "pair": DenseOperator((0, 3), (2, 2), random_hermitian(rng, 4)),
                  "left": DenseOperator((0, 1), (2, 2), np.kron(SZ, SY) + np.kron(SY, SZ))}
         lifted = {k: embed(x, vols.sites, vols.dims) for k, x in local.items()}
-        plan = make_plan(vols.H_B)
+        plan = make_plan(vols)
         horizons = (0.5, 3.0, 40.0)
         for (rep, avg), (rep_l, avg_l) in zip(
                 horizon_reports(vols, horizons, plan=plan, observables=local),
@@ -354,6 +357,24 @@ class TestLocalObservables:
 
 
 class TestEntropyProduction:
+    def test_no_reservoir_leaves_the_plan_intact(self):
+        # validate refuses such a model, but the library takes it: the state is the
+        # normalized identity, whose image of the basis must not be the basis itself,
+        # which the contraction conjugates in place on a complex plan
+        spec = ModelSpec((SiteSpec(0, 2), SiteSpec(1, 2)), RegionMap({0: 0, 1: 0}),
+                         (InteractionTerm((0, 1), np.kron(SX, SX) + np.kron(SZ, SZ)),
+                          InteractionTerm((0,), 0.3 * SY)), 0.5, {})
+        vols = build(spec, (0, 1))
+        plan = make_plan(vols)
+        ((sector,),) = (plan.sectors,)
+        basis = sector.basis.copy()
+        assert basis.dtype == np.complex128
+        ((report, avg),) = horizon_reports(vols, (3.0,), plan=plan,
+                                           observables={"z": DenseOperator((0,), (2,), SZ)})
+        np.testing.assert_array_equal(sector.basis, basis)
+        assert report.fluxes == {} and report.e == 0.0 and report.e_telescoped == 0.0
+        assert abs(avg["z"]) <= 1e-15
+
     def test_decoupled_model_produces_nothing(self, decoupled_model):
         vols = build(decoupled_model, (0, 1, 2))
         report = entropy_report(vols, 5.0)
@@ -368,8 +389,8 @@ class TestEntropyProduction:
             assert report.e_telescoped >= -1e-10 * report.g_norm
 
     def test_three_site_chain_nonnegative(self, standard_chain):
-        vols = build(standard_chain, (0, 1, 2))
-        plan = make_plan(vols.H_B)
+        vols = one_sector(build(standard_chain, (0, 1, 2)))
+        plan = make_plan(vols)
         for horizon in (0.3, 1.0, 5.0, 40.0):
             report = entropy_report(vols, horizon, plan=plan)
             assert report.e_telescoped >= -1e-10 * report.g_norm
@@ -382,8 +403,8 @@ class TestEntropyProduction:
         assert row[0] == 3.0
 
     def test_flux_route_matches_endpoint_route(self, chain5):
-        vols = build(chain5, range(5))
-        plan = make_plan(vols.H_B)
+        vols = one_sector(build(chain5, range(5)))
+        plan = make_plan(vols)
         for horizon in (1.0, 10.0):
             report = entropy_report(vols, horizon, plan=plan)
             assert not report.perturbed
@@ -392,8 +413,8 @@ class TestEntropyProduction:
     def test_equal_temperature_entropy_decays(self):
         spec = make_chain(4, {0: 1, 1: 0, 2: 0, 3: 2}, {1: 1.0, 2: 1.0},
                           coup=0.8075, field=0.2753, anis=0.2166)
-        vols = build(spec, range(4))
-        plan = make_plan(vols.H_B)
+        vols = one_sector(build(spec, range(4)))
+        plan = make_plan(vols)
         values = {t: entropy_report(vols, t, plan=plan).e_telescoped
                   for t in (5.0, 10.0, 20.0, 40.0, 80.0)}
         for t in (5.0, 10.0, 20.0, 40.0):
@@ -401,8 +422,8 @@ class TestEntropyProduction:
                     or (abs(values[t]) < 1e-9 and abs(values[2 * t]) < 1e-9))
 
     def test_sum_rule_equals_interface_endpoint_difference(self, chain5):
-        vols = build(chain5, range(5))
-        plan = make_plan(vols.H_B)
+        vols = one_sector(build(chain5, range(5)))
+        plan = make_plan(vols)
         sigma = initial_state(vols)
         for horizon in (1.0, 7.0, 30.0):
             report = entropy_report(vols, horizon, plan=plan)
@@ -414,12 +435,13 @@ class TestEntropyProduction:
 
     def test_fundamental_theorem_identity(self, chain5):
         vols = build(chain5, range(5))
-        plan = make_plan(vols.H_B)
+        h_b = dense_generator(vols)
+        plan = make_plan(h_b)
         sigma = initial_state(vols)
         horizon = 4.0
         averaged = time_averaged_state(plan, sigma, horizon)
         g = oracles.exponent_operator(vols)
-        comm = 1j * (vols.H_B.matrix @ g.matrix - g.matrix @ vols.H_B.matrix)
+        comm = 1j * (h_b.matrix @ g.matrix - g.matrix @ h_b.matrix)
         lhs = float(np.real(np.trace(averaged.density @ comm)))
         g_end = exact_evolve(plan, g, horizon)
         rhs = (sigma.expectation(g_end) - sigma.expectation(g)) / horizon
@@ -447,11 +469,31 @@ class TestEntropyProduction:
         vols, other = build(spec, (1, 2, 3)), build(spec, (2, 3, 4))
         ((report, _),) = horizon_reports(vols, (5.0,))
         assert report.e == pytest.approx(0.24102, abs=1e-5)
-        plan = make_plan(other.H_B, other.sectors)
+        plan = make_plan(other)
         with pytest.raises(ValueError, match="another volume"):
             horizon_reports(vols, (5.0,), plan=plan)
         with pytest.raises(ValueError, match="another volume"):
             heat_direction_check(vols, 5.0, plan=plan)
+
+
+    def test_plan_of_another_generator_refused(self):
+        # same volume, sectors and dimensions; the field alone differs, which the
+        # plan's sum w^2 = ||H_pp||_F^2 tells apart (tr H_pp is 0 in both). The
+        # field-0.9 plan gave e = 0.152680 for the correct 0.039137 at T = 5
+        assignment = {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}
+        vols, other = (build(make_chain(5, assignment, {1: 2.0, 2: 1.0}, field=f), (1, 2, 3))
+                       for f in (0.7, 0.9))
+        ((report, _),) = horizon_reports(vols, (5.0,), plan=make_plan(vols))
+        assert report.e == pytest.approx(0.039137, abs=1e-6)
+        for plan in (make_plan(other), make_plan(dense_generator(vols))):
+            with pytest.raises(ValueError, match="another generator"):
+                horizon_reports(vols, (5.0,), plan=plan)
+            with pytest.raises(ValueError, match="another generator"):
+                heat_direction_check(vols, 5.0, plan=plan)
+        # the dense route's build accepts the dense plan
+        ((dense, _),) = horizon_reports(one_sector(vols), (5.0,),
+                                        plan=make_plan(dense_generator(vols)))
+        assert dense.e == pytest.approx(report.e, abs=1e-12)
 
 
 class TestHeatDirection:

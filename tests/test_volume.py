@@ -23,7 +23,7 @@ from nesslab import opalg
 from nesslab.opalg import DenseOperator, zero
 
 import oracles
-from conftest import SX, SZ, make_chain, random_hermitian, traced_peak
+from conftest import SX, SZ, dense_generator, make_chain, random_hermitian, traced_peak
 
 EPS = np.finfo(float).eps
 
@@ -52,7 +52,7 @@ class TestBuild:
         recon = h
         for a in vols.reservoirs:
             recon = recon + embed(vols.B_a[a], vols.sites, vols.dims)
-        np.testing.assert_array_equal(vols.H_B.matrix, recon.matrix)
+        np.testing.assert_array_equal(dense_generator(vols).matrix, recon.matrix)
         sub = h
         for a in vols.reservoirs:
             sub = sub - embed(vols.H_a[a], vols.sites, vols.dims)
@@ -60,7 +60,7 @@ class TestBuild:
 
     def test_all_fields_hermitian(self, chain5):
         vols = build(chain5, range(5))
-        for op in [oracles.hamiltonian(vols), vols.H_B, vols.W, *vols.H_a.values(),
+        for op in [oracles.hamiltonian(vols), dense_generator(vols), vols.W, *vols.H_a.values(),
                    *vols.B_a.values(), *vols.blocks.values(), *vols.currents.values()]:
             assert opalg.is_hermitian_matrix(op.matrix, 1e-12)
 
@@ -148,8 +148,8 @@ class TestBuild:
 
 
 class TestFootprint:
-    """Only H_B is volume-sized; H_a, B_a, W and the currents stay on their
-    own sites."""
+    """Only H_B's sector blocks are volume-sized; H_a, B_a, W and the currents
+    stay on their own sites."""
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["bare", "perturbed"])
     def test_volume_sized_fields(self, chain5, perturbed):
@@ -165,8 +165,8 @@ class TestFootprint:
                 operators.append(value)
             elif isinstance(value, Mapping):
                 operators += [v for v in value.values() if isinstance(v, DenseOperator)]
-        volume_sized = [op for op in operators if op.dim == vols.dim]
-        assert len(volume_sized) == 1 and volume_sized[0] is vols.H_B
+        assert [op for op in operators if op.dim == vols.dim] == []
+        assert [h.shape for h in vols.H_B_blocks] == [(16, 16)] * 2   # the parity sectors
         assert isinstance(vols.log_z, float)
         own_sites = [(vols.H_a[1], (0, 1)), (vols.B_a[1], (0, 1)),
                      (vols.H_a[2], (3, 4)), (vols.B_a[2], (3, 4)), (vols.W, (1, 2, 3)),
@@ -182,7 +182,7 @@ class TestFootprint:
                           {1: 2.0, 2: 1.0}, anis=0.3)
         vols, peak = traced_peak(lambda: build(spec, range(8)))
         assert vols.dim == 256
-        assert peak <= 1.5 * vols.H_B.matrix.nbytes
+        assert peak <= 1.5 * 8 * vols.dim ** 2
 
 
 class TestLogPartition:
