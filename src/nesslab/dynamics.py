@@ -72,16 +72,16 @@ def _block(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return mat[np.ix_(rows, cols)]
 
 
-def _embedded_blocks(plan: EvolutionPlan, op: DenseOperator, upper: bool = True,
-                     pattern: tuple | None = None) -> dict:
-    """The nonzero sector blocks of ``op`` embedded into the plan's volume (its own by
-    :func:`_block` if on it), only p <= q if ``upper``, as for an (anti-)Hermitian op.
-    ``pattern``, op's sector index arrays and nonzero block pairs, skips zero blocks."""
-    rows = [s.indices for s in plan.sectors]
+def _embedded_blocks(rows: Sequence[np.ndarray], sites: tuple[int, ...], dims: tuple[int, ...],
+                     op: DenseOperator, upper: bool = True, pattern: tuple | None = None) -> dict:
+    """The nonzero blocks of ``op`` embedded into the volume (``sites``, ``dims``) on its
+    sectors ``rows`` (its own by :func:`_block` if on it), only p <= q if ``upper``, as
+    for an (anti-)Hermitian op. ``pattern``, op's sector index arrays and nonzero block
+    pairs, skips zero blocks."""
     pairs = [(p, q) for p in range(len(rows)) for q in range(p if upper else 0, len(rows))]
-    if (op.sites, op.dims) == (plan.sites, plan.dims):
+    if (op.sites, op.dims) == (sites, dims):
         return {(p, q): b for p, q in pairs if np.any(b := _block(op.matrix, rows[p], rows[q]))}
-    inner, outside = opalg.embedding_maps(op, plan.sites, plan.dims)
+    inner, outside = opalg.embedding_maps(op, sites, dims)
     if pattern is not None:   # seen[p][a][o]: indices of sector p in op's sector a, outside o
         seen = [[np.bincount(outside[r][np.isin(inner[r], s)], minlength=outside.max() + 1)
                  for s in pattern[0]] for r in rows]
@@ -117,10 +117,11 @@ def _conjugated(plan: EvolutionPlan, mat: np.ndarray,
                 weight: Callable[[np.ndarray, int, int], np.ndarray]) -> np.ndarray:
     """M with its nonzero sector blocks rotated, weighted and rotated back."""
     hermitian = bool(np.array_equal(mat, mat.conj().T))
-    blocks = _embedded_blocks(plan, DenseOperator(plan.sites, plan.dims, mat), hermitian)
+    rows = [s.indices for s in plan.sectors]
+    blocks = _embedded_blocks(rows, plan.sites, plan.dims,
+                              DenseOperator(plan.sites, plan.dims, mat), hermitian)
     back = _rotated_back(plan, _rotated_blocks(plan, blocks), hermitian, weight)
-    return opalg.assemble(back, [s.indices for s in plan.sectors], mat.shape[0],
-                          1.0 if hermitian else None)
+    return opalg.assemble(back, rows, mat.shape[0], 1.0 if hermitian else None)
 
 
 def _evolution(plan: EvolutionPlan, t: float) -> Callable[[np.ndarray, int, int], np.ndarray]:
@@ -219,7 +220,8 @@ def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: fl
     Returns the partial sum over orders m <= M = SERIES_ORDER (12) of
     t^m delta^m(a) / m!, with delta = i[H_B, .] for the ``H_B`` that
     :func:`nesslab.volume.build` assembles for ``volume`` (so build's
-    preconditions hold), and the geometric tail majorant
+    preconditions hold), summed by :func:`_commutator_blocks` on the build's
+    sector blocks and assembled to D x D once, and the geometric tail majorant
     ||a|| e^{lam card X} r^{M+1} / (1 - r) with r = |t| / radius, radius =
     :func:`series_radius`. ``a`` must be selfadjoint. X is ``a.sites``: pass
     the observable on its own sites, not embedded, for the tightest bound.
@@ -233,13 +235,14 @@ def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: fl
     a = a.with_matrix(opalg.hermitian_matrix(a, "the derivation series"))
     envelope = _envelope(a, spec.lam)
     built = volume_mod.build(spec, volume, perturbation)
-    h_b = opalg.assemble({(p, p): h for p, h in enumerate(built.H_B_blocks)}, built.sectors,
-                         built.dim)
-    a_vol = opalg.embed(a, built.sites, built.dims)
-    partial = {(0, 0): a_vol.matrix.astype(complex)}
-    for _ in _commutator_blocks([h_b], {(0, 0): a_vol.matrix}, SERIES_ORDER, [(t, partial)]):
-        pass
-    return a_vol.with_matrix(partial[0, 0]), _tail_bound(envelope, abs(t) / radius)
+    rows, sites, dims = built.sectors, built.sites, built.dims
+    blocks = _embedded_blocks(rows, sites, dims, a)
+    partial = {key: block.astype(complex) for key, block in blocks.items()}
+    for blocks in _commutator_blocks(built.H_B_blocks, blocks, SERIES_ORDER, [(t, partial)]):
+        pass   # each order is added into partial as it is made
+    del built, blocks   # the partial sum alone is assembled
+    out = opalg.assemble(partial, rows, math.prod(dims), 1.0)
+    return DenseOperator(sites, dims, out), _tail_bound(envelope, abs(t) / radius)
 
 
 def derivation_growth_bound(spec: ModelSpec, a: DenseOperator, m: int,
@@ -294,7 +297,8 @@ def _lifted_gap(small_plan: EvolutionPlan, small: dict, plan: EvolutionPlan,
     subtracted in place from the gathered blocks."""
     rows = [s.indices for s in small_plan.sectors]
     lifted = opalg.assemble(small, rows, math.prod(small_plan.dims), sign)
-    diff = _embedded_blocks(plan, DenseOperator(small_plan.sites, small_plan.dims, lifted),
+    diff = _embedded_blocks([s.indices for s in plan.sectors], plan.sites, plan.dims,
+                            DenseOperator(small_plan.sites, small_plan.dims, lifted),
                             pattern=(rows, small))
     for key, block in large.items():
         if key not in diff:
@@ -327,7 +331,7 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     rotated observable blocks and the first ``max_order`` commutators are
     kept, and its observable is evolved again at each time. Each commutator
     up to SERIES_ORDER is added into every series error as made, the step
-    :func:`dyson_evolve` takes on one block.
+    :func:`dyson_evolve` takes.
     """
     vols = [tuple(sorted(set(v))) for v in exhaustion]
     for small, large in zip(vols, vols[1:]):
@@ -349,7 +353,7 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
         plan = make_plan(built)
         h_blocks = built.H_B_blocks
         del built   # its currents and reservoir operators are not read here
-        a_v = _embedded_blocks(plan, a)
+        a_v = _embedded_blocks([s.indices for s in plan.sectors], plan.sites, plan.dims, a)
         rotated = _rotated_blocks(plan, a_v)
         errors = []   # a - tau_t(a) for each inside time, to which each order's term is added
         for t in t_grid:

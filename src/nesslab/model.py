@@ -186,9 +186,9 @@ class ModelSpec:
 
         ``sites`` defaults to the union of the terms' supports, so no terms
         give a 1x1 zero on no sites. The sum is accumulated in place, term by
-        term through :func:`opalg.embed_add`, so the only volume-sized array
-        is the result; it equals the sum of the :func:`opalg.embed` of each
-        term, in term order, bitwise.
+        term through :func:`opalg.embed_add_sectors` on the volume as one
+        sector, so the only volume-sized array is the result; it equals the
+        sum of the :func:`opalg.embed` of each term, in term order, bitwise.
         """
         terms = tuple(terms)
         if sites is None:
@@ -199,7 +199,7 @@ class ModelSpec:
         ops = [self.term_operator(term) for term in terms]
         acc = np.zeros((dim, dim), dtype=np.result_type(float, *(op.matrix for op in ops)))
         for op in ops:
-            opalg.embed_add(acc, op, sites, dims)
+            opalg.embed_add_sectors([acc], op, sites, dims, [np.arange(dim)])
         return opalg.DenseOperator(sites, dims, acc)
 
     def volume_dim(self, sites: Sequence[int]) -> int:

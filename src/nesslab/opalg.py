@@ -168,40 +168,13 @@ def embed(op: DenseOperator, sites: Sequence[int], dims: Sequence[int]) -> Dense
 
     The target volume must contain the operator's volume; the result acts
     as ``op`` on the original factors and as the identity elsewhere, under
-    canonical ascending-site ordering: :func:`embed_add` into a zero matrix.
+    canonical ascending-site ordering: :func:`embed_add_sectors` into a zero
+    matrix, as the one sector of the whole volume.
     """
     dim = math.prod(dims)
     acc = np.zeros((dim, dim), dtype=np.result_type(float, op.matrix))
-    embed_add(acc, op, sites, dims)
+    embed_add_sectors([acc], op, sites, dims, [np.arange(dim)])
     return DenseOperator(tuple(sites), tuple(dims), acc)
-
-
-def embed_add(acc: np.ndarray, op: DenseOperator, sites: Sequence[int],
-              dims: Sequence[int]) -> None:
-    """acc += embed(op, sites, dims).matrix, in place, without forming the embedding.
-
-    ``acc`` is a C-contiguous matrix on the volume. Reshaped to
-    ``dims + dims``, its entries that act as the identity on the sites
-    outside ``op`` form one writable strided view, indexed by those sites
-    and by the row and column indices of ``op``; ``op`` is added to it,
-    broadcast over the outside sites. Only the D d entries the embedding
-    does not leave zero are touched (d the dimension of ``op``).
-    """
-    sites = tuple(sites)
-    dims = tuple(dims)
-    if not acc.flags.c_contiguous:
-        raise ValueError("accumulator must be C-contiguous")
-    (axes,) = _positions((op,), sites, dims)
-    n = len(sites)
-    strides = acc.reshape(dims + dims).strides
-    rest = [i for i in range(n) if i not in axes]
-    view = np.lib.stride_tricks.as_strided(
-        acc,
-        shape=[dims[i] for i in rest] + [dims[i] for i in axes] * 2,
-        strides=([strides[i] + strides[n + i] for i in rest]
-                 + [strides[i] for i in axes] + [strides[n + i] for i in axes]),
-        writeable=True)
-    view += op.matrix.reshape(op.dims + op.dims)
 
 
 def embedding_maps(op: DenseOperator, sites: Sequence[int],
@@ -223,7 +196,7 @@ def embed_add_sectors(blocks: Sequence[np.ndarray], op: DenseOperator, sites: Se
     the columns that differ from i on op's sites only, i - lift[inner[i]] +
     lift[k] for k < d, with lift[k] the volume index of op's index k and
     the other sites at 0 (:func:`embedding_maps`); those in the row's own
-    sector are added, D d entries in all, each as :func:`embed_add` adds it.
+    sector are added, D d entries in all.
     """
     inner, outside = embedding_maps(op, sites, dims)
     lift = np.empty(op.dim, dtype=np.intp)

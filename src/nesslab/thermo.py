@@ -101,27 +101,21 @@ def kms_check(state: StateRep, h: DenseOperator, beta: float,
 
 
 def _horizon_kernels(half: np.ndarray) -> np.ndarray:
-    """Re K, Im K, Re expm1(ix) and Im expm1(ix) at x = 2 half, stacked.
-
-    K(x) = (e^{ix} - 1)/(ix) is (1/T) times the integral of e^{i t d} over
-    [0, T] at x = T d, the averaging kernel, and expm1(ix) = e^{ix} - 1 the
-    endpoint factor. With s = sin(x/2) and c = cos(x/2), K = e^{ix/2}
-    sinc(x/2) is c sinc + i s sinc and expm1(ix) is -2 s^2 + 2i s c: one
-    sine and one cosine per frequency, with no cancellation at small x, so
-    every Bohr frequency is exact to roundoff; K(0) = 1 and expm1(0) = 0.
-    The rows are filled in place, sinc in the second; scaling by 2 is exact.
+    """K(x) = (e^{ix} - 1)/(ix) at x = 2 half: (1/T) times the integral of
+    e^{i t d} over [0, T] at x = T d, the averaging kernel. With s = sin(x/2)
+    and c = cos(x/2), K = e^{ix/2} sinc(x/2) is c sinc + i s sinc: one sine and
+    one cosine per frequency, with no cancellation at small x, so every Bohr
+    frequency is exact to roundoff; K(0) = 1. Filled in place, sinc in the
+    imaginary part.
     """
     s = np.sin(half)
     c = np.cos(half)
-    out = np.empty((4,) + half.shape)
-    out[1] = 1.0
-    sinc = np.divide(s, half, out=out[1], where=half != 0)
-    np.multiply(c, sinc, out=out[0])
+    out = np.empty(half.shape, complex)
+    sinc = out.imag
+    sinc[...] = 1.0
+    np.divide(s, half, out=sinc, where=half != 0)
+    np.multiply(c, sinc, out=out.real)
     sinc *= s
-    np.multiply(s, -2.0, out=out[2])
-    out[2] *= s
-    np.multiply(s, 2.0, out=out[3])
-    out[3] *= c
     return out
 
 
@@ -130,10 +124,11 @@ class EntropyReport:
     """Fluxes, entropy production and sum-rule accounting for one horizon.
 
     ``e`` is the temperature-weighted flux sum; ``e_telescoped`` is the
-    endpoint form (1/T)(<G(T)> - <G(0)>), which is nonnegative up to
-    roundoff for every horizon. The two agree (and the sum-rule residual is
-    bounded by ``tol_sum_rule``) whenever the reservoir perturbations
-    vanish or commute with the interface part.
+    horizon average of <delta(G)>, delta = i[H_B, .]: the endpoint form
+    (1/T)(<G(T)> - <G(0)>), nonnegative up to roundoff for every horizon.
+    The two agree (and the sum-rule residual is bounded by ``tol_sum_rule``)
+    whenever the reservoir perturbations vanish or commute with the
+    interface part.
     """
 
     horizon: float
@@ -179,51 +174,49 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
                     ) -> list[tuple[EntropyReport, dict[Hashable, float]]]:
     """Entropy reports and averaged observables for every horizon.
 
-    Every quantity is an expectation in the initial state exp(-G) of an
-    operator that is local or a sum or product of local blocks: the state
-    itself, G (its blocks beta_a (H_a + B_a); log Z drops out), the
-    reservoir currents and the observables, each selfadjoint (ValueError
-    otherwise; its Hermitian part is used) and given on its own sites or on
-    the whole volume. Each is rotated into the eigenbasis of the plan's
+    Each value is the horizon average of an expectation in the initial state
+    exp(-G) of an operator that is local or a sum or product of local blocks:
+    a reservoir current, an observable (selfadjoint, ValueError otherwise; its
+    Hermitian part is used), on its own sites or on the whole volume, or
+    delta(G) = i[H_B, G] for ``e_telescoped``, G from its blocks beta_a (H_a +
+    B_a) (log Z drops out). Each is rotated into the eigenbasis of the plan's
     generator (``make_plan(vols)`` unless given; ValueError for a plan of
     another volume, or whose sectors are not ``vols.sectors`` or whose
     spectra fail :func:`_is_plan_of` against ``vols.H_B_blocks``) one sector
     at a time, from its local factors (:func:`opalg.kron_apply`). The state,
     G and the currents leave each sector invariant, as the plan's sectors
     must, so only Bohr frequencies d_jk = w_k - w_j within a sector count.
-    With P_jk = s_jk x_kj for the rotated state s and operator x, the
-    horizon average of <x> is sum_jk P_jk K(T d_jk), K the averaging
-    kernel, and e_telescoped = (1/T) Re sum_jk P^G_jk expm1(i T d_jk), the
-    relative entropy of the evolved state to the initial one over T.
+    With P_jk = s_jk x_kj for the rotated state s and operator x, the average
+    of <x> is sum_jk P_jk K(T d_jk), K the averaging kernel.
 
-    An operator's image (X V_p) on the sector's rows is made in panels of
-    128 basis columns, each zero-padded to the volume's D rows, and written
-    into one d_p x d_p array; G's blocks add into it panel by panel. On a
-    one-sector volume one term is applied to the whole basis at once. On a
-    real plan an operator i Y with Y real, as every current of a real chain
-    is, is applied as Y: then P = -i Q with Q = s * (V^T Y V) real
-    (entrywise), whose diagonal adds nothing.
+    One rule contracts every operator: P = c Q with Q = s * conj(V^dagger Y V)
+    (entrywise) for the Y it is applied as. c = 1 for an operator applied as
+    it is; on a real plan an operator i Y with Y real, as every current of a
+    real chain is, is applied as Y with c = -i. delta(G) rotates to -i d *
+    (V^dagger G V), so G is applied, with Q = d * P^G and c = i.
+
+    An operator's image (Y V_p) on the sector's rows is made in panels of 128
+    basis columns, each zero-padded to the volume's D rows, and written into
+    one d_p x d_p array; G's blocks add into it panel by panel. On a
+    one-sector volume one term is applied to the whole basis at once.
 
     As s and x are Hermitian, P_kj = conj(P_jk) and d_kj = -d_jk, so the pair
     (k, j) adds the complex conjugate of what (j, k) adds to each sum below.
     So only the block upper triangle is rotated, held and contracted: per
-    block of 128 rows, those rows of V^dagger X V from the block's first
+    block of 128 rows, those rows of V^dagger Y V from the block's first
     column on (:func:`opalg.upper_blocks`), about half of the full rotation.
 
     The phases separate: with u_j = exp(i T w_j), w shifted by the sector's
     midpoint, exp(i T d_jk) = conj(u_j) u_k. So the pairs with |d_jk| >= tau /
-    min T (tau = ``opalg.SEPARABLE_PHASE_TOL``) add (1/T) Im sum Q_jk (conj(u_j)
-    u_k - 1), Q = P / d, and (1/T) Re sum P^G_jk (conj(u_j) u_k - 1): one
-    product of each row block of Q or P^G with the phases of all horizons,
-    its diagonal block counted once and the columns right of it twice, and
-    none for a row block with no such pair. Each such pair adds a rounding
-    error of about eps |P_jk| / tau, and its phase error eps T |w| adds
-    eps |P_jk| |w| / |d_jk|, as the eigenvalues' own error at d_jk does. The
-    other pairs (d = 0 among them; all of them for a small min T) are
-    direct: the diagonal sum plus twice the packed pairs j < k, with
-    :func:`_horizon_kernels` at every horizon; a packed P is one real row
-    paired with Re K when real, Q paired with Im K when P = -i Q, and the
-    rows Re P, -Im P otherwise.
+    min T (tau = ``opalg.SEPARABLE_PHASE_TOL``) add (-i/T) z, z = sum Q_jk /
+    d_jk (conj(u_j) u_k - 1): one product of each row block of Q / d with the
+    phases of all horizons, its diagonal block counted once and the columns
+    right of it twice, and none for a row block with no such pair. Each such
+    pair adds a rounding error of about eps |P_jk| / tau, and its phase error
+    eps T |w| adds eps |P_jk| |w| / |d_jk|, as the eigenvalues' own error at
+    d_jk does. The other pairs (d = 0 among them; all of them for a small min
+    T) are direct: packed j < k per operator, with :func:`_horizon_kernels` at
+    every horizon. Each value is Re(c (tr Q + 2 sum_{j<k} Q K + (-i/T) z)).
 
     Returns one (report, {key: average}) pair per horizon, in order.
     """
@@ -239,20 +232,19 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
         raise ValueError("the plan is of another generator")
     reservoirs = sorted(vols.currents)
     operators = [vols.currents[a] for a in reservoirs] + list(observables.values())
-    # on a real plan, i Y is applied as Y, whose contracted blocks are Q of P = -i Q
     real = not any(np.iscomplexobj(s.basis) for s in plan.sectors)
-    imaginary = [real and np.iscomplexobj(x.matrix) and not np.any(x.matrix.real)
-                 for x in operators]
-    operators = [x.with_matrix(np.ascontiguousarray(x.matrix.imag)) if i else x
-                 for x, i in zip(operators, imaginary)]
-    imaginary.append(False)   # G
+    coefs = [-1j if real and np.iscomplexobj(x.matrix) and not np.any(x.matrix.real) else 1.0
+             for x in operators] + [1j]   # G last, contracted as delta(G)
+    operators = [x.with_matrix(np.ascontiguousarray(x.matrix.imag)) if c == -1j else x
+                 for x, c in zip(operators, coefs)]
     factors, scale = _gibbs_factors(vols)
     g_blocks = list(vols.blocks.values())
+    g = len(operators)
     cut = opalg.SEPARABLE_PHASE_TOL / min(horizons, default=1.0)  # no horizon: no report
-    # per operator, G last: diagonal sums, separable sums per horizon, direct P
-    diag = np.zeros(len(operators) + 1)
-    separable = np.zeros((len(operators) + 1, len(horizons)))
-    direct, freq = [[] for _ in range(len(operators) + 1)], []
+    # per operator, G last: tr Q, z per horizon, packed direct Q
+    diag = np.zeros(g + 1, complex)
+    separable = np.zeros((g + 1, len(horizons)), complex)
+    direct, freq = [[] for _ in range(g + 1)], []
     for sector in plan.sectors:
         v, w = sector.basis, sector.eigenvalues
         size, dim = w.size, vols.dim
@@ -286,56 +278,51 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
             blocks.append((lo, np.divide(1.0, bohr, out=np.zeros(bohr.shape), where=far)
                            if far.any() else None, upper))
 
-        def contract(y: np.ndarray, k: int, endpoint: bool = False) -> None:
-            """The sums of P = s * conj(V^dagger Y) (times -i if ``imaginary[k]``)
-            into row k, block by block; y is overwritten."""
-            for (lo, inv, upper), s, p in zip(blocks, sigma_t, opalg.upper_blocks(v, y, _BLOCK)):
-                p = np.conjugate(p, out=p)
-                p *= s
-                if not imaginary[k]:   # else Re(-i tr Q) = 0
-                    diag[k] += np.real(np.trace(p))
-                direct[k].append(p.ravel()[upper])
+        def contract(y: np.ndarray, k: int) -> None:
+            """The sums of Q = s * conj(V^dagger Y), times d for G, into row k,
+            block by block; y is overwritten."""
+            for (lo, inv, upper), s, q in zip(blocks, sigma_t, opalg.upper_blocks(v, y, _BLOCK)):
+                q = np.conjugate(q, out=q)
+                q *= s
+                if k == g:
+                    q *= w[None, lo:] - w[lo:lo + _BLOCK, None]
+                diag[k] += np.trace(q)
+                direct[k].append(q.ravel()[upper])
                 if inv is None:
                     continue
-                p *= inv != 0 if endpoint else inv
-                p[:, _BLOCK:] *= 2.0   # right of the diagonal block: pairs k > j stand for j < k
+                q *= inv
+                q[:, _BLOCK:] *= 2.0   # right of the diagonal block: pairs k > j stand for j < k
                 z = np.einsum("jt,jt->t", phases[lo:lo + _BLOCK].conj(),
-                              opalg.matmul(p, phases[lo:]))
-                z -= p.sum()
-                # Im(-i z) = -Re z for P = -i Q
-                separable[k] += z.real if endpoint else -z.real if imaginary[k] else z.imag
+                              opalg.matmul(q, phases[lo:]))
+                z -= q.sum()
+                separable[k] += z
 
         sigma_t = [b * scale for b in opalg.upper_blocks(v, image([factors]), _BLOCK)]
         # one at a time; an observable's blocks between sectors meet zero blocks of sigma_t
         for k, x in enumerate(operators):
             contract(image([[x]]), k)
-        # G V without the constant log Z, which drops out of the endpoint form
-        contract(image([[b] for b in g_blocks]), -1, True)
+        contract(image([[b] for b in g_blocks]), g)   # G V without the constant log Z
         del sigma_t, blocks
     freq = np.concatenate(freq)
-    for k, parts in enumerate(direct):   # each packed P as its rows (see above)
-        p = np.concatenate(parts)
-        direct[k] = np.stack([p.real, -p.imag]) if np.iscomplexobj(p) else p[None]
-    del p, parts
+    for k in range(g + 1):   # one operator at a time, its parts freed as packed
+        direct[k] = np.concatenate(direct[k])
 
     perturbed = any(np.any(b.matrix) for b in vols.B_a.values())
     out = []
     for n, horizon in enumerate(horizons):
-        kernels = _horizon_kernels(0.5 * horizon * freq)
-        # Re K is kernel row 0 and Im K row 1: a P = -i Q pairs its row Q = -Im P with Im K
-        values = [diag[k] + 2.0 * (row.ravel() @ kernels[i:i + len(row)].reshape(-1))
-                  + separable[k, n] / horizon
-                  for k, (row, i) in enumerate(zip(direct[:-1], map(int, imaginary)))]
-        fluxes = dict(zip(reservoirs, map(float, values)))
-        averages = dict(zip(observables, map(float, values[len(reservoirs):])))
-        e = sum(vols.betas[a] * f for a, f in fluxes.items())
-        e_tel = 2.0 * float(direct[-1].ravel() @ kernels[2:2 + len(direct[-1])].reshape(-1))
-        e_tel += separable[-1, n]
+        kernel = _horizon_kernels(0.5 * horizon * freq).reshape(-1, 1)
+        *values, e_tel = [
+            float((c * (diag[k] + 2.0 * opalg.matmul(q[None], kernel)[0, 0]
+                        - 1j * (separable[k, n] / horizon))).real)
+            for k, (c, q) in enumerate(zip(coefs, direct))]
+        del kernel   # freed before the next horizon's is made
+        fluxes = dict(zip(reservoirs, values))
+        averages = dict(zip(observables, values[len(reservoirs):]))
         report = EntropyReport(
             horizon=float(horizon),
             fluxes=fluxes,
-            e=float(e),
-            e_telescoped=float(e_tel / horizon),
+            e=float(sum(vols.betas[a] * f for a, f in fluxes.items())),
+            e_telescoped=e_tel,
             sum_rule_residual=float(sum(fluxes.values())),
             tol_sum_rule=float(2.0 * vols.w_norm / horizon),
             g_norm=float(vols.g_norm),
@@ -343,7 +330,6 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
             perturbed=perturbed,
         )
         out.append((report, averages))
-        del kernels   # freed before the next horizon's are made
     return out
 
 

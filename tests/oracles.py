@@ -7,9 +7,10 @@ eigenbasis of H_B by separable phases. The routes here work on the
 whole volume instead: they lift H_a, B_a, W and the currents to the volume,
 diagonalize the D x D weighted reservoir sum, G and W, commute H with H_a,
 and evolve G to the horizon endpoint, so each production value has an
-independent check. The averaging kernel and the endpoint factor are also
-kept in the complex form the library used before, as references, and the
-horizon contraction in its packed per-pair form: one sine and one cosine
+independent check. The averaging kernel is also kept in the complex form
+the library used before, the endpoint factor e^{ix} - 1 as the reference
+for e_telescoped, which the library takes as the average of delta(G), and
+the horizon contraction in its packed per-pair form: one sine and one cosine
 per Bohr frequency and horizon, the reference for the separable phases.
 
 For the dynamics it holds the Heisenberg evolution through the matrix
@@ -136,10 +137,7 @@ def time_averaged_state(plan, state, horizon: float) -> StateRep:
     w = [s.eigenvalues for s in plan.sectors]
 
     def average(r, p, q):
-        kernel = np.empty(r.shape, dtype=complex)
-        kernel.real, kernel.imag = _horizon_kernels(
-            0.5 * horizon * (w[q][None, :] - w[p][:, None]))[:2]
-        return r * kernel
+        return r * _horizon_kernels(0.5 * horizon * (w[q][None, :] - w[p][:, None]))
 
     averaged = _conjugated(plan, state.density, average)
     averaged = 0.5 * (averaged + averaged.conj().T)
@@ -167,9 +165,11 @@ def packed_horizon_reports(vols, horizons, plan, observables=None) -> list:
 
     Each operator is rotated into the plan's sector eigenbases as the
     library does it; its weights P_jk = s_jk x_kj are kept as the diagonal
-    sum plus the real and imaginary parts of the packed strict upper
-    triangle, and every horizon evaluates :func:`_horizon_kernels` at every
-    Bohr frequency of a sector.
+    sum plus the packed complex strict upper triangle, and every horizon
+    evaluates :func:`_horizon_kernels` at every Bohr frequency of a sector.
+    e_telescoped is G's weights in the endpoint form (1/T) Re sum_jk P^G_jk
+    (e^{i T d_jk} - 1), by :func:`endpoint_factor`, not as the library's
+    average of delta(G).
     """
     observables = {key: x.with_matrix(opalg.hermitian_matrix(x))
                    for key, x in (observables or {}).items()}
@@ -192,28 +192,28 @@ def packed_horizon_reports(vols, horizons, plan, observables=None) -> list:
         sigma_t = rotated(factors, scale)
 
         def weight(x_t):
-            p = sigma_t[upper] * x_t.T[upper]
-            return np.real(np.dot(np.diagonal(sigma_t), np.diagonal(x_t))), np.concatenate(
-                [np.real(p), -np.imag(p)])
+            return (np.real(np.dot(np.diagonal(sigma_t), np.diagonal(x_t))),
+                    sigma_t[upper] * x_t.T[upper])
 
         for k, x in enumerate(operators):
             d, row = weight(rotated([x]))
             diag[k] += d
-            rows[k].append(row.reshape(2, -1))
+            rows[k].append(row)
         g_t = functools.reduce(np.add, (rotated([b]) for b in vols.blocks.values()))
-        g_rows.append(weight(g_t)[1].reshape(2, -1))
+        g_rows.append(weight(g_t)[1])
     half_freq = np.concatenate(half_freq)
-    rows = [np.concatenate(r, axis=1).reshape(-1) for r in rows]
-    g_row = np.concatenate(g_rows, axis=1).reshape(-1)
+    rows = [np.concatenate(r) for r in rows]
+    g_row = np.concatenate(g_rows)
     out = []
     for horizon in horizons:
-        kernels = _horizon_kernels(horizon * half_freq)
-        values = [d + 2.0 * (row @ kernels[:2].reshape(-1)) for d, row in zip(diag, rows)]
+        kernel = _horizon_kernels(horizon * half_freq)
+        values = [d + 2.0 * np.real(row @ kernel) for d, row in zip(diag, rows)]
         fluxes = dict(zip(reservoirs, values))
+        endpoint = endpoint_factor(2.0 * horizon * half_freq)
         report = EntropyReport(
             horizon=float(horizon), fluxes=fluxes,
             e=float(sum(vols.betas[a] * f for a, f in fluxes.items())),
-            e_telescoped=2.0 * float(g_row @ kernels[2:].reshape(-1)) / horizon,
+            e_telescoped=2.0 * float(np.real(g_row @ endpoint)) / horizon,
             sum_rule_residual=float(sum(fluxes.values())),
             tol_sum_rule=float(2.0 * vols.w_norm / horizon),
             g_norm=float(vols.g_norm), w_norm=float(vols.w_norm),

@@ -221,24 +221,28 @@ class TestAdjointProducts:
 
 
 class TestEmbedAdd:
+    """embed_add_sectors with the whole volume as its one sector: acc += the embedding."""
+
     def test_adds_the_embedding_in_place(self):
         rng = np.random.default_rng(8)
         sites, dims = (0, 1, 2, 3), (2, 3, 2, 3)
         acc = random_hermitian(rng, 36)
         start = acc.copy()
         op = DenseOperator((1, 3), (3, 3), random_hermitian(rng, 9))
-        opalg.embed_add(acc, op, sites, dims)
+        opalg.embed_add_sectors([acc], op, sites, dims, [np.arange(36)])
         lifted = embed_via_permutation(op.matrix, op.sites, sites, dict(zip(sites, dims)))
         np.testing.assert_array_equal(acc, start + lifted)
 
     def test_real_accumulator_refuses_a_complex_term(self):
         acc = np.zeros((4, 4))
         with pytest.raises(TypeError):
-            opalg.embed_add(acc, DenseOperator((0,), (2,), SY), (0, 1), (2, 2))
+            opalg.embed_add_sectors([acc], DenseOperator((0,), (2,), SY), (0, 1), (2, 2),
+                                    [np.arange(4)])
 
 
 class TestEmbedAddSectors:
-    """embed_add_sectors against the sector blocks of embed_add into D x D."""
+    """embed_add_sectors against the sector blocks of the summed embeddings
+    of :func:`embed_via_permutation`."""
 
     SITES, DIMS = (0, 1, 2, 3), (2, 3, 2, 2)
 
@@ -265,7 +269,8 @@ class TestEmbedAddSectors:
         dense = np.zeros((24, 24), dtype=complex)
         blocks = [np.zeros((r.size, r.size), dtype=complex) for r in indices]
         for op in terms:
-            opalg.embed_add(dense, op, self.SITES, self.DIMS)
+            dense += embed_via_permutation(op.matrix, op.sites, self.SITES,
+                                           dict(zip(self.SITES, self.DIMS)))
             opalg.embed_add_sectors(blocks, op, self.SITES, self.DIMS, indices)
         for rows, block in zip(indices, blocks):
             assert block.tobytes() == dense[np.ix_(rows, rows)].tobytes()

@@ -18,30 +18,45 @@ def test_no_line_exceeds_the_limit(path):
 
 def _definitions_and_uses():
     """Each module-level function and class of the package as (file, name),
-    and every name the package uses outside that definition's own body: a
+    each module-level constant (an assignment to one name) likewise, and
+    every name the package uses outside that definition's own statement: a
     bare name, an attribute or an imported name."""
-    defined, used = [], []
+    defined, constants, used = [], [], []
     for path in sorted(SRC.rglob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owner = stmt.name
                 defined.append((path.name, owner))
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            if len(targets) == 1 and isinstance(targets[0], ast.Name):
+                owner = targets[0].id
+                constants.append((path.name, owner))
             for node in ast.walk(stmt):
                 name = (node.id if isinstance(node, ast.Name)
                         else node.attr if isinstance(node, ast.Attribute)
                         else node.name if isinstance(node, ast.alias) else None)
                 if name is not None and name != owner:
                     used.append(name)
-    return defined, set(used)
+    return defined, constants, set(used)
 
 
 def test_every_definition_is_referenced():
     # a definition the package neither calls nor exports is a second route
     # or dead code; the package's __init__ imports count as references
-    defined, used = _definitions_and_uses()
+    defined, _, used = _definitions_and_uses()
     unreferenced = [f"{module}:{name}" for module, name in defined if name not in used]
     assert unreferenced == [], f"unreferenced library definitions: {unreferenced}"
+
+
+def test_every_constant_is_referenced():
+    # a constant the package never reads is left behind by a deleted route;
+    # the version string is read by the package's installers
+    _, constants, used = _definitions_and_uses()
+    unreferenced = [f"{module}:{name}" for module, name in constants
+                    if name not in used and name != "__version__"]
+    assert constants and unreferenced == [], f"unreferenced library constants: {unreferenced}"
 
 
 def _dataclass_fields():

@@ -246,26 +246,23 @@ KERNEL_POINTS = (0.0, 1e-300, -1e-300, 1e-12, -1e-12, 1e-6, -1e-6, 1.0, -1.0, ma
 
 
 class TestHorizonKernels:
-    """The sine/cosine form of K(x) = (e^{ix} - 1)/(ix) and expm1(ix)."""
+    """The sine/cosine form of K(x) = (e^{ix} - 1)/(ix)."""
 
     @staticmethod
-    def _exact(x: float) -> tuple:
+    def _exact(x: float):
         with mpmath.workdps(50):
             if x == 0.0:
-                return mpmath.mpc(1), mpmath.mpc(0)
-            endpoint = mpmath.expm1(1j * mpmath.mpf(x))
-            return endpoint / (1j * mpmath.mpf(x)), endpoint
+                return mpmath.mpc(1)
+            return mpmath.expm1(1j * mpmath.mpf(x)) / (1j * mpmath.mpf(x))
 
     @pytest.mark.parametrize("x", KERNEL_POINTS)
     def test_matches_50_digits(self, x):
-        # at the same double x, each component within 4 eps of |K| or |expm1|
-        re_k, im_k, re_e, im_e = _horizon_kernels(np.array([0.5 * x]))[:, 0]
-        kernel, endpoint = self._exact(x)
+        # at the same double x, each component within 4 eps of |K|
+        (kernel,) = _horizon_kernels(np.array([0.5 * x]))
+        exact = self._exact(x)
         with mpmath.workdps(50):
-            assert abs(re_k - kernel.real) <= 4 * EPS * abs(kernel)
-            assert abs(im_k - kernel.imag) <= 4 * EPS * abs(kernel)
-            assert abs(re_e - endpoint.real) <= 4 * EPS * abs(endpoint)
-            assert abs(im_e - endpoint.imag) <= 4 * EPS * abs(endpoint)
+            assert abs(kernel.real - exact.real) <= 4 * EPS * abs(exact)
+            assert abs(kernel.imag - exact.imag) <= 4 * EPS * abs(exact)
 
     def test_relative_accuracy_on_a_grid(self):
         # the complex form's np.sinc rounds x / (2 pi) before taking the sine,
@@ -275,29 +272,25 @@ class TestHorizonKernels:
         x = np.concatenate([np.logspace(-8.0, 4.0, 100), -np.logspace(-8.0, 4.0, 100),
                             rng.uniform(-1e6, 1e6, 200)])
         kernels = _horizon_kernels(0.5 * x)
-        for xi, (re_k, im_k, re_e, im_e) in zip(x, kernels.T):
-            kernel, endpoint = self._exact(float(xi))
+        for xi, kernel in zip(x, kernels):
+            exact = self._exact(float(xi))
             with mpmath.workdps(50):
-                assert abs(re_k + 1j * im_k - kernel) <= 4 * EPS * abs(kernel)
-                assert abs(re_e + 1j * im_e - endpoint) <= 4 * EPS * abs(endpoint)
-        # |K| <= 1 and |expm1| <= 2: both forms agree to a few eps absolute
-        kernel_gap = kernels[0] + 1j * kernels[1] - oracles.averaging_kernel(x)
-        endpoint_gap = kernels[2] + 1j * kernels[3] - oracles.endpoint_factor(x)
-        assert np.max(np.abs(kernel_gap)) <= 4 * EPS
-        assert np.max(np.abs(endpoint_gap)) <= 8 * EPS
+                assert abs(kernel - exact) <= 4 * EPS * abs(exact)
+        # |K| <= 1: both forms agree to a few eps absolute
+        assert np.max(np.abs(kernels - oracles.averaging_kernel(x))) <= 4 * EPS
 
     def test_fills_the_rows_in_place(self):
-        # 8 bytes per frequency for each of the four rows, s and c, and the one-byte
-        # mask of nonzero frequencies (8.1 rows with sinc, a ones buffer and 2 s held);
-        # the rows are the formulas' to the last bit
+        # 16 bytes per frequency for K, 8 each for s and c, and the one-byte mask
+        # of nonzero frequencies: 4.1 rows of 8 bytes; K is c sinc + i s sinc to
+        # the last bit
         half = np.random.default_rng(1).uniform(-1e3, 1e3, 1 << 17)
         half[:5] = 0.0
         kernels, peak = traced_peak(lambda: _horizon_kernels(half))
-        assert peak <= 6 * half.nbytes + half.size + 16384
+        assert peak <= 4 * half.nbytes + half.size + 16384
         s, c = np.sin(half), np.cos(half)
         sinc = np.divide(s, half, out=np.ones_like(half), where=half != 0)
-        rows = np.array([c * sinc, s * sinc, -2.0 * s * s, 2.0 * s * c])
-        assert kernels.tobytes() == rows.tobytes()
+        assert kernels.dtype == np.complex128
+        assert kernels.tobytes() == (c * sinc + 1j * (s * sinc)).tobytes()
 
     def test_degenerate_spectrum(self, decoupled_model):
         # field terms only: H_B is diagonal with exactly repeated eigenvalues,
@@ -309,8 +302,7 @@ class TestHorizonKernels:
         assert np.count_nonzero(half == 0.0) > vols.dim
         kernels = _horizon_kernels(half)
         assert np.all(np.isfinite(kernels))
-        np.testing.assert_array_equal(kernels[:, half == 0.0].T,
-                                      np.tile([1.0, 0.0, 0.0, 0.0], (np.sum(half == 0.0), 1)))
+        np.testing.assert_array_equal(kernels[half == 0.0], 1.0 + 0.0j)
         # every basis state is its own sector of the diagonal terms, so the
         # sector route keeps no Bohr frequency at all
         assert len(vols.sectors) == vols.dim
@@ -458,6 +450,27 @@ class TestEntropyProduction:
             report = entropy_report(vols, horizon)
             assert report.perturbed
             assert report.e_telescoped >= -1e-10 * report.g_norm
+
+    def test_perturbed_chain_matches_the_evolution_oracle(self, chain5):
+        # B_1 = 0.4 sigma_z(1) does not commute with the interface bond (1, 2), so
+        # e and e_telescoped differ: each against its own full-D route on the parity
+        # sectors, the fluxes from the averaged state and e_telescoped from G evolved
+        # to the endpoint, whose difference (<G(T)> - <G>) / T loses about
+        # eps ||G|| / T to cancellation at T = 1e-3
+        entry = PerturbationEntry(frozenset(range(5)),
+                                  (InteractionTerm((1,), 0.4 * SZ),
+                                   InteractionTerm((3, 4), 0.3 * np.kron(SZ, SZ))))
+        vols = build(chain5, range(5), PerturbationFamily((entry,), bound_K=1.5))
+        plan = make_plan(vols)
+        assert len(plan.sectors) == 2
+        sigma = initial_state(vols)
+        horizons = (1e-3, 1.0, 1e6)
+        for horizon, (report, _) in zip(horizons, horizon_reports(vols, horizons, plan=plan)):
+            fluxes, e_tel = oracles.horizon_values(vols, plan, sigma, horizon)
+            for a, flux in fluxes.items():
+                assert abs(report.fluxes[a] - flux) <= 1e-12 * (1.0 + abs(flux))
+            assert abs(report.e_telescoped - e_tel) <= 1e-11 * (1.0 + abs(e_tel))
+            assert abs(report.e - report.e_telescoped) >= 0.3 * report.e_telescoped > 0.0
 
     def test_plan_of_another_volume_refused(self):
         # volumes (1, 2, 3) and (2, 3, 4) have the same dimension; the second's
