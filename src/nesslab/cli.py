@@ -9,13 +9,22 @@ numpy's PCG64, seeded explicitly and recorded in report headers.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
+
+# CPython's built-in SHA-256, as random.py takes _sha512: hashlib would load
+# OpenSSL's libcrypto, about 3.5 MiB of resident memory, for one digest
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -107,7 +116,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
         "redraw_new_s": list(cfg.redraw_new_s) if cfg.redraw_new_s else None,
     }
     blob = json.dumps(doc, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return sha256(blob).hexdigest()[:12]
 
 
 def _observable_operators(spec: model.ModelSpec,

@@ -37,6 +37,9 @@ SEPARABLE_PHASE_TOL = 0.1
 # horizon_reports: a given plan's sum w and sum w^2 per sector against tr H and ||H||_F^2,
 # relative to sqrt(d) ||H||_F and ||H||_F^2: far above an eigensolve's error d eps ||H||
 PLAN_SPECTRUM_TOL = 1e-10
+# embed_add_sectors: index entries formed at once, rows times the operator's dimension d
+# (2 MiB per index array); a chain term (d <= 16) on up to 16384 states takes one chunk
+EMBED_CHUNK_ENTRIES = 1 << 18
 
 # Slacks of the reported checks, added to (or scaling) the rigorous bound
 # each check compares against so that roundoff alone never fails it.
@@ -196,7 +199,8 @@ def embed_add_sectors(blocks: Sequence[np.ndarray], op: DenseOperator, sites: Se
     the columns that differ from i on op's sites only, i - lift[inner[i]] +
     lift[k] for k < d, with lift[k] the volume index of op's index k and
     the other sites at 0 (:func:`embedding_maps`); those in the row's own
-    sector are added, D d entries in all.
+    sector are added, D d entries in all, walked in chunks of rows of at most
+    ``EMBED_CHUNK_ENTRIES`` entries so that no index array is D d long.
     """
     inner, outside = embedding_maps(op, sites, dims)
     lift = np.empty(op.dim, dtype=np.intp)
@@ -207,11 +211,14 @@ def embed_add_sectors(blocks: Sequence[np.ndarray], op: DenseOperator, sites: Se
     for p, rows in enumerate(indices):
         label[rows] = p
         position[rows] = np.arange(rows.size)
+    step = max(1, EMBED_CHUNK_ENTRIES // op.dim)
     for p, (block, rows) in enumerate(zip(blocks, indices)):
-        cols = (rows - lift[inner[rows]])[:, None] + lift
-        keep = label[cols] == p
-        flat = (position[rows, None] * rows.size + position[cols])[keep]
-        block.reshape(-1)[flat] += op.matrix[inner[rows]][keep]
+        for lo in range(0, rows.size, step):
+            part = rows[lo:lo + step]
+            cols = (part - lift[inner[part]])[:, None] + lift
+            keep = label[cols] == p
+            flat = (position[part, None] * rows.size + position[cols])[keep]
+            block.reshape(-1)[flat] += op.matrix[inner[part]][keep]
 
 
 def assemble(blocks: dict, indices: Sequence[np.ndarray], dim: int,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nesslab.cli import main, run_klein_fuzz
+from nesslab.cli import config_hash, load_config, main, run_klein_fuzz
 
 from conftest import make_chain, model_to_dict
 
@@ -38,16 +39,46 @@ def chain_files(tmp_path):
     return spec, model_path, config_path, tmp_path
 
 
-def test_import_brings_in_no_scipy():
-    # scipy's import alone costs about as much as a small command's work
+def _fresh_python(code, *args):
+    """The stdout of ``code`` run by a new interpreter that imports the package from src/."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
-    code = ("import sys, nesslab, nesslab.cli; "
-            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.split() == []
+    return done.stdout
+
+
+def test_import_brings_in_no_scipy():
+    # scipy's import alone costs about as much as a small command's work, and
+    # OpenSSL's libcrypto (behind _hashlib and ssl) 3.5 MiB of its resident memory
+    code = ("import sys, nesslab, nesslab.cli; "
+            "print(' '.join(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', '_hashlib', 'ssl')))")
+    assert _fresh_python(code).split() == []
+
+
+@pytest.mark.parametrize("route", ["builtin", "hashlib-fallback"])
+def test_config_hash_is_sha256_of_the_canonical_json(chain_files, route):
+    _, model_path, config_path, _ = chain_files
+    canonical = json.dumps({
+        "model": str(model_path),
+        "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
+        "horizons": [5.0, 10.0, 20.0, 40.0],
+        "observables": {},
+        "seed": 7,
+        "perturbation": None,
+        "redraw_new_s": None,
+    }, sort_keys=True)
+    expected = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+    if route == "builtin":
+        assert config_hash(load_config(config_path)) == expected
+        return
+    # with neither built-in module importable, the digest comes from hashlib
+    code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+            "from nesslab.cli import config_hash, load_config; "
+            "print(config_hash(load_config(sys.argv[1])), 'hashlib' in sys.modules)")
+    assert _fresh_python(code, str(config_path)).split() == [expected, "True"]
 
 
 class TestValidateCommand:

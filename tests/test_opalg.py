@@ -19,7 +19,7 @@ from nesslab import (
 from nesslab import opalg
 from nesslab.opalg import eigenvalues
 
-from conftest import ID2, SX, SY, SZ, random_hermitian, random_unitary
+from conftest import ID2, SX, SY, SZ, random_hermitian, random_unitary, traced_peak
 from oracles import apply_function
 
 
@@ -239,6 +239,15 @@ class TestEmbedAdd:
             opalg.embed_add_sectors([acc], DenseOperator((0,), (2,), SY), (0, 1), (2, 2),
                                     [np.arange(4)])
 
+    def test_large_operator_costs_little_beyond_its_embedding(self):
+        # a real operator on 10 of 11 qubits: D = 2048, d = 1024, so D d index
+        # entries at once would be 0.5 real DxD per array
+        rng = np.random.default_rng(3)
+        op = DenseOperator(tuple(range(10)), (2,) * 10, rng.standard_normal((1024, 1024)))
+        out, peak = traced_peak(lambda: embed(op, tuple(range(11)), (2,) * 11))
+        assert out.matrix[1::2, 1::2].tobytes() == op.matrix.tobytes()
+        assert peak <= 1.6 * 8 * 2048 ** 2
+
 
 class TestEmbedAddSectors:
     """embed_add_sectors against the sector blocks of the summed embeddings
@@ -256,8 +265,14 @@ class TestEmbedAddSectors:
                     rng, 3)), SX)),
                 DenseOperator(self.SITES, self.DIMS, np.diag(rng.standard_normal(24)))]
 
-    @pytest.mark.parametrize("split", ["parity", "one-sector"])
-    def test_matches_the_split_dense_sum_bitwise(self, split):
+    @pytest.mark.parametrize(
+        "split,chunk", [("parity", None), ("one-sector", None), ("parity", 7), ("one-sector", 7)],
+        ids=["parity", "one-sector", "parity-chunks-of-7", "one-sector-chunks-of-7"])
+    def test_matches_the_split_dense_sum_bitwise(self, split, chunk, monkeypatch):
+        # a budget of 7 entries walks every term's rows in chunks, one row at a
+        # time for the terms of dimension 8 or more
+        if chunk is not None:
+            monkeypatch.setattr(opalg, "EMBED_CHUNK_ENTRIES", chunk)
         rng = np.random.default_rng(12)
         terms = self._terms(rng)
         parity = np.array([(i // 12 + i // 2 + i) % 2 for i in range(24)])
