@@ -125,7 +125,8 @@ def _observable_operators(spec: model.ModelSpec,
 
     Every term must be selfadjoint within TERM_HERMITICITY_TOL, as model
     validation asks of the interaction terms; the averages and the series
-    are only defined for selfadjoint observables, so any other is refused.
+    are only defined for selfadjoint observables, so any other is refused,
+    as is one on a site outside the first volume.
     """
     out = {}
     for name in sorted(cfg.observables):
@@ -138,6 +139,9 @@ def _observable_operators(spec: model.ModelSpec,
                                  f"{list(term.support)} is not selfadjoint "
                                  f"(defect {defect:.3e})")
         out[name] = spec.term_sum(terms)
+        if not set(out[name].sites) <= set(cfg.exhaustion[0]):
+            raise SystemExit(f"refusing observable {name}: sites {list(out[name].sites)} "
+                             f"not inside the first volume {list(cfg.exhaustion[0])}")
     return out
 
 
@@ -149,13 +153,24 @@ def _check_dim_cap(spec: model.ModelSpec, sites: Sequence[int], cap: int) -> Non
             f"(raise --dim-cap to override)")
 
 
+class _Unreadable(Exception):
+    """An input file that is missing or is not JSON: the command prints why and returns 2."""
+
+
+def _loaded(load, path):
+    """``load(path)``, or _Unreadable naming ``path`` if it cannot be read or parsed."""
+    try:
+        return load(path)
+    except json.JSONDecodeError as exc:
+        raise _Unreadable(f"parse error in {path}: {exc}") from None
+    except OSError as exc:
+        raise _Unreadable(f"cannot load {path}: {exc}") from None
+
+
 def cmd_validate(args) -> int:
     try:
-        spec = model.load_model(args.model)
-    except json.JSONDecodeError as exc:
-        print(f"parse error in {args.model} at line {exc.lineno} column {exc.colno}: {exc.msg}")
-        return 2
-    except (OSError, ValueError) as exc:
+        spec = _loaded(model.load_model, args.model)
+    except ValueError as exc:   # JSON that is no model document
         print(f"cannot load {args.model}: {exc}")
         return 2
     report = model.validate(spec)
@@ -164,13 +179,13 @@ def cmd_validate(args) -> int:
 
 
 def _load_spec_and_family(cfg: ExperimentConfig):
-    spec = model.load_model(cfg.model_path)
+    spec = _loaded(model.load_model, cfg.model_path)
     report = model.validate(spec)
     if not report.ok:
         raise SystemExit(f"model does not validate:\n{report}")
     family = None
     if cfg.perturbation_path:
-        family = model.load_family(cfg.perturbation_path)
+        family = _loaded(model.load_family, cfg.perturbation_path)
         problems = family.check(spec)
         if problems:
             raise SystemExit("perturbation family rejected:\n" + "\n".join(problems))
@@ -178,17 +193,13 @@ def _load_spec_and_family(cfg: ExperimentConfig):
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _loaded(load_config, args.config)
     if args.out:
         cfg = ExperimentConfig(**{**cfg.__dict__, "output_dir": args.out})
     spec, family = _load_spec_and_family(cfg)
     for sites in cfg.exhaustion:
         _check_dim_cap(spec, sites, args.dim_cap)
     observables = _observable_operators(spec, cfg)
-    for name, x in observables.items():
-        if not set(x.sites) <= set(cfg.exhaustion[0]):
-            raise SystemExit(f"refusing observable {name}: sites {list(x.sites)} "
-                             f"not inside the first volume {list(cfg.exhaustion[0])}")
     digest = config_hash(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,7 +284,7 @@ def cmd_klein_fuzz(args) -> int:
 
 
 def cmd_sweep_convergence(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _loaded(load_config, args.config)
     if args.out:
         cfg = ExperimentConfig(**{**cfg.__dict__, "output_dir": args.out})
     if len(cfg.exhaustion) < 3:
@@ -305,10 +316,12 @@ def cmd_sweep_convergence(args) -> int:
 
 
 def cmd_redraw_check(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _loaded(load_config, args.config)
     if cfg.redraw_new_s is None:
         raise SystemExit("config needs a 'redraw_new_s' site list for redraw-check")
-    spec, _family = _load_spec_and_family(cfg)
+    if cfg.perturbation_path:   # the redraw bound is derived for the unperturbed model only
+        raise SystemExit("redraw-check refuses a config with a 'perturbation'")
+    spec, _ = _load_spec_and_family(cfg)
     sites = cfg.exhaustion[-1]
     _check_dim_cap(spec, sites, args.dim_cap)
     ok = True
@@ -355,7 +368,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.set_defaults(func=cmd_redraw_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unreadable as exc:
+        print(exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,26 +41,14 @@ class EvolutionPlan:
     sectors: tuple[Sector, ...]
 
 
-def make_plan(generator: DenseOperator | volume_mod.VolumeOperators,
-              sectors: Sequence[np.ndarray] | None = None) -> EvolutionPlan:
-    """One :func:`opalg.spectral` per sector block of the generator: the
-    ``H_B_blocks`` of a build on its ``sectors``, uncopied, or a dense
-    ``generator`` split into ``sectors`` (ascending index arrays that
-    partition range(D), one sector unless given, its matrix uncopied then).
-    ValueError for sectors that do not partition, a non-Hermitian
-    block or a dense generator coupling two sectors."""
+def make_plan(generator: DenseOperator | volume_mod.VolumeOperators) -> EvolutionPlan:
+    """One :func:`opalg.spectral` per sector block of the generator, uncopied:
+    the ``H_B_blocks`` of a build on its ``sectors``, or a dense ``generator``
+    as one sector. ValueError for a non-Hermitian block."""
     if isinstance(generator, DenseOperator):
-        mat = generator.matrix
-        sectors = (np.arange(generator.dim),) if sectors is None else sectors
-        # a count, not a sort: numpy's sort kernels add about 0.4 MiB of peak RSS
-        counts = np.bincount(np.concatenate(sectors), minlength=generator.dim)
-        if counts.size != generator.dim or not np.all(counts == 1):
-            raise ValueError("the sectors do not partition the generator's indices")
-        blocks = [_block(mat, rows, rows) for rows in sectors]
-        if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(mat):
-            raise ValueError("the generator couples two sectors")
+        sectors, blocks = (np.arange(generator.dim),), (generator.matrix,)
     else:
-        blocks, sectors = generator.H_B_blocks, generator.sectors
+        sectors, blocks = generator.sectors, generator.H_B_blocks
     return EvolutionPlan(generator.sites, generator.dims, tuple(
         Sector(rows, *opalg.spectral(block)) for rows, block in zip(sectors, blocks)))
 

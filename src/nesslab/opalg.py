@@ -34,17 +34,12 @@ STATE_POSITIVITY_TOL = 1e-10
 TERM_HERMITICITY_TOL = 1e-12
 # horizon_reports: Bohr frequencies |d| >= tol / min T are separable (rounding eps |P| / tol)
 SEPARABLE_PHASE_TOL = 0.1
-# horizon_reports: a given plan's sum w and sum w^2 per sector against tr H and ||H||_F^2,
-# relative to sqrt(d) ||H||_F and ||H||_F^2: far above an eigensolve's error d eps ||H||
-PLAN_SPECTRUM_TOL = 1e-10
 # embed_add_sectors: index entries formed at once, rows times the operator's dimension d
 # (2 MiB per index array); a chain term (d <= 16) on up to 16384 states takes one chunk
 EMBED_CHUNK_ENTRIES = 1 << 18
 
 # Slacks of the reported checks, added to (or scaling) the rigorous bound
 # each check compares against so that roundoff alone never fails it.
-# kms_check: max entry of state - Gibbs(H, beta) for "same state"; both are O(1)
-KMS_STATE_TOL = 1e-8
 # heat_direction_check: absolute, on top of beta_2 * 2||W||/T
 HEAT_DIRECTION_SLACK = 1e-10
 # boundary_redraw_check: absolute, on top of (2/T) ||sum_a beta_a (H_a - H'_a)||

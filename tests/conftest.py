@@ -42,9 +42,9 @@ def derivation(spec, volume, a, perturbation=None):
     return derivation_powers(h_b, embed(a, h_b.sites, h_b.dims), 1)[0]
 
 
-def entropy_report(vols, horizon, plan=None):
+def entropy_report(vols, horizon):
     """The entropy report of one horizon."""
-    return horizon_reports(vols, (horizon,), plan=plan)[0][0]
+    return horizon_reports(vols, (horizon,))[0][0]
 
 
 def traced_peak(fn):

@@ -23,8 +23,8 @@ from nesslab import (
     dyson_evolve,
     embed,
     exact_evolve,
-    gibbs,
     heat_direction_check,
+    horizon_reports,
     kms_check,
     lambda_norm,
     make_plan,
@@ -36,7 +36,7 @@ from nesslab.cli import run_klein_fuzz
 from nesslab.dynamics import derivation_growth_bound
 from nesslab.model import PerturbationEntry, PerturbationFamily, interaction_lambda_norm
 
-from conftest import derivation, entropy_report, make_chain, one_sector, random_hermitian
+from conftest import derivation, make_chain, one_sector, random_hermitian
 
 HORIZONS = (1.0, 5.0, 20.0, 100.0)
 BATCH_SEED = 20260808
@@ -131,9 +131,8 @@ class ModelRun:
         self.spec = spec
         self.family = family
         self.vols = one_sector(build(spec, spec.site_ids, family))
-        self.plan = make_plan(self.vols)
-        self.reports = {t: entropy_report(self.vols, t, plan=self.plan)
-                        for t in HORIZONS}
+        self.reports = {t: report for t, (report, _)
+                        in zip(HORIZONS, horizon_reports(self.vols, HORIZONS))}
 
 
 @pytest.fixture(scope="module")
@@ -209,8 +208,7 @@ def test_criterion_04_sum_rule(batch):
     for run in batch["runs"][:4]:
         if run.family is not None:
             continue
-        shorter = entropy_report(run.vols, 10.0, plan=run.plan)
-        longer = entropy_report(run.vols, 20.0, plan=run.plan)
+        (shorter, _), (longer, _) = horizon_reports(run.vols, (10.0, 20.0))
         assert longer.tol_sum_rule == pytest.approx(shorter.tol_sum_rule / 2.0, rel=1e-12)
         assert abs(shorter.sum_rule_residual) <= shorter.tol_sum_rule + 1e-10
         assert abs(longer.sum_rule_residual) <= longer.tol_sum_rule + 1e-10
@@ -232,7 +230,7 @@ def test_criterion_05_hot_to_cold(batch):
             lhs = (b1 - b2) * report.fluxes[a1]
             assert lhs >= -b2 * report.tol_sum_rule - 1e-10
             checked += 1
-        direction = heat_direction_check(run.vols, 20.0, plan=run.plan)
+        direction = heat_direction_check(run.vols, 20.0)
         assert direction.ok
     assert checked > 0
     print(f"[criterion 05] PASS: (b1-b2)*flux_1 >= -b2*2||W||/T - 1e-10 on "
@@ -243,9 +241,8 @@ def test_criterion_06_equal_temperature_decay():
     spec = make_chain(4, {0: 1, 1: 0, 2: 0, 3: 2}, {1: 1.0, 2: 1.0},
                       coup=0.8075, field=0.2753, anis=0.2166)
     vols = one_sector(build(spec, range(4)))
-    plan = make_plan(vols)
-    values = {t: entropy_report(vols, t, plan=plan).e_telescoped
-              for t in (5.0, 10.0, 20.0, 40.0, 80.0)}
+    values = {rep.horizon: rep.e_telescoped
+              for rep, _ in horizon_reports(vols, (5.0, 10.0, 20.0, 40.0, 80.0))}
     for t in (5.0, 10.0, 20.0, 40.0):
         decayed = abs(values[2 * t]) <= 0.67 * abs(values[t])
         negligible = abs(values[t]) < 1e-9 and abs(values[2 * t]) < 1e-9
@@ -290,12 +287,11 @@ def test_criterion_08_kms_residual():
         n = int(rng.choice([2, 4, 8]))
         h = DenseOperator((0,), (n,), scaled_hermitian(rng, n, float(rng.uniform(0.5, 2.0))))
         beta = float(rng.uniform(0.1, 2.0))
-        state = gibbs(h, beta)
         a = DenseOperator((0,), (n,),
                           rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         b = DenseOperator((0,), (n,),
                           rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        residual = kms_check(state, h, beta, a, b)
+        residual = kms_check(h, beta, a, b)
         scaled = residual / (op_norm(a) * op_norm(b))
         worst = max(worst, scaled)
         assert scaled <= 1e-8

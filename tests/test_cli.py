@@ -189,6 +189,19 @@ class TestSimulateCommand:
         assert "far_z" in str(err.value)
         assert built == []
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence", "redraw-check"])
+    def test_missing_model_file_exits_two(self, chain_files, capsys, command):
+        _, _, _, tmp_path = chain_files
+        config_path = write_config(tmp_path, {
+            "model": "missing.json",
+            "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
+            "horizons": [5.0],
+            "redraw_new_s": [0, 1, 2],
+        }, name="missing_model.json")
+        assert main([command, "--config", str(config_path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"cannot load {tmp_path / 'missing.json'}: ")
+
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
     def test_non_selfadjoint_observable_refused_before_any_build(
             self, chain_files, monkeypatch, command):
@@ -313,19 +326,20 @@ class TestEigensolveCount:
             "terms": [{"support": [0, 1],
                        "matrix": [[[0.2 * float(z), 0.0] for z in row] for row in bond]}],
         }]}), encoding="utf-8")
-        config_path = write_config(tmp_path, {
+        doc = {
             "model": model_path.name,
             "exhaustion": [[1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3, 4]],
             "horizons": [0.01, 0.5, 5.0],
             "observables": {"mid_x": [{"support": [2],
                                        "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}]},
-            "perturbation": family.name,
             "redraw_new_s": [1, 2, 3],
             "output_dir": str(tmp_path / "out"),
-        })
+        }
+        unperturbed = write_config(tmp_path, doc, name="unperturbed.json")
+        config_path = write_config(tmp_path, {**doc, "perturbation": family.name})
         for argv in (["simulate", "--config", str(config_path)],
                      ["sweep-convergence", "--config", str(config_path)],
-                     ["redraw-check", "--config", str(config_path)],
+                     ["redraw-check", "--config", str(unperturbed)],
                      ["klein-fuzz", "--trials", "8", "--max-dim", "4"]):
             eigensolves.clear()
             assert main(argv) == 0, argv
@@ -394,6 +408,26 @@ class TestSweepConvergenceCommand:
                 evo.setdefault(int(r[0]), []).append(float(r[2]))
         sups = [max(v) for _, v in sorted(evo.items())]
         assert all(a >= b - 1e-14 for a, b in zip(sups, sups[1:]))
+
+    def test_observable_outside_first_volume_refused_before_any_build(
+            self, chain_files, monkeypatch):
+        # the refusal and message of simulate: site 3 lies in the last volume only
+        _, model_path, _, tmp_path = chain_files
+        config_path = write_config(tmp_path, {
+            "model": model_path.name,
+            "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
+            "horizons": [0.01],
+            "observables": {"far_z": [{"support": [3],
+                                       "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}]},
+            "output_dir": str(tmp_path / "out"),
+        }, name="far.json")
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        with pytest.raises(SystemExit) as err:
+            main(["sweep-convergence", "--config", str(config_path)])
+        assert str(err.value) == ("refusing observable far_z: sites [3] not inside "
+                                  "the first volume [1, 2]")
+        assert built == []
 
     def test_needs_three_volumes(self, tmp_path):
         spec = make_chain(3, {0: 1, 1: 0, 2: 2}, {1: 1.0, 2: 1.0})
@@ -491,6 +525,31 @@ class TestRedrawCheckCommand:
         assert full > 0.0
         for report in boundary_redraw_check(spec, {2, 3}, range(7), (10.0, 20.0)):
             assert abs(report.bound - (2.0 * full / report.horizon + 1e-9)) <= 1e-12
+
+    def test_perturbation_refused_before_any_build(self, tmp_path, monkeypatch):
+        # the redraw bound covers the unperturbed model: a configured family
+        # must not be dropped silently
+        spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0})
+        model_path = write_model(tmp_path, spec)
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"bound_K": 1.0, "volumes": [{
+            "sites": [0, 1, 2, 3, 4],
+            "terms": [{"support": [0], "matrix": [[[0.3, 0], [0, 0]], [[0, 0], [-0.3, 0]]]}],
+        }]}), encoding="utf-8")
+        config_path = write_config(tmp_path, {
+            "model": model_path.name,
+            "exhaustion": [[0, 1, 2, 3, 4]],
+            "horizons": [10.0],
+            "redraw_new_s": [1, 2, 3],
+            "perturbation": family.name,
+        })
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        monkeypatch.setattr("nesslab.thermo.build", lambda *a, **k: built.append(a))
+        with pytest.raises(SystemExit) as err:
+            main(["redraw-check", "--config", str(config_path)])
+        assert "'perturbation'" in str(err.value)
+        assert built == []
 
     def test_requires_redraw_sites(self, chain_files):
         _, _, config_path, _ = chain_files

@@ -266,13 +266,12 @@ class TestMakePlan:
         vols = build(chain5, range(5))
         h_b = dense_generator(vols)
         off = np.triu(np.full((32, 32), 1e-14), 1)
-        for generator, sectors, expected, tested in [
-                (h_b, None, [(32, 32)], []),
-                (h_b, vols.sectors, [(16, 16), (16, 16)], []),
-                (h_b.with_matrix(h_b.matrix + off), None, [(32, 32)], [(32, 32)])]:
+        for generator, expected, tested in [
+                (h_b, [(32, 32)], []),
+                (h_b.with_matrix(h_b.matrix + off), [(32, 32)], [(32, 32)])]:
             checks.clear()
             tolerance.clear()
-            make_plan(generator, sectors)
+            make_plan(generator)
             assert (checks, tolerance) == (expected, tested)
 
     def test_solves_the_build_blocks_uncopied(self, chain5, monkeypatch):

@@ -74,7 +74,7 @@ def test_currents_match_full_commutators(vols):
 def test_horizon_contraction_matches_evolution(vols):
     plan = make_plan(one_sector(vols))
     sigma = initial_state(vols)
-    reports = horizon_reports(one_sector(vols), HORIZONS, plan=plan)
+    reports = horizon_reports(one_sector(vols), HORIZONS)
     for horizon, (report, _) in zip(HORIZONS, reports):
         fluxes, e_tel = oracles.horizon_values(vols, plan, sigma, horizon)
         for a, flux in fluxes.items():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from nesslab import (DenseOperator, EvolutionPlan, InteractionTerm, ModelSpec, build, embed,
-                     exact_evolve, horizon_reports, make_plan, series_radius)
+                     exact_evolve, horizon_reports, make_plan, series_radius, thermo)
 from nesslab.cli import _observable_operators, load_config, main
 from nesslab.dynamics import Sector, _commutator_blocks, derivation_powers
 from nesslab.model import PerturbationEntry, PerturbationFamily, load_model
@@ -99,7 +99,7 @@ class TestDtypeRule:
         assert vols.H_a[1].matrix.dtype == vols.blocks[2].matrix.dtype == np.float64
         assert abs(vols.log_z - oracles.log_partition(vols)) <= TOL
         plan = make_plan(vols)
-        (report, _), = horizon_reports(vols, (10.0,), plan=plan)
+        (report, _), = horizon_reports(vols, (10.0,))
         fluxes, e_tel = oracles.horizon_values(vols, plan, initial_state(vols), 10.0)
         assert abs(report.e_telescoped - e_tel) <= TOL
         assert all(abs(report.fluxes[a] - fluxes[a]) <= TOL for a in fluxes)
@@ -182,14 +182,15 @@ def test_matmul_real_times_complex_holds_only_its_output():
 
 
 class TestRouteAgreement:
-    def test_horizon_reports(self, vols):
+    def test_horizon_reports(self, vols, monkeypatch):
         plan = _sector_plan(vols)
         cplan = _complex_plan(plan)
         assert all(s.basis.dtype == np.float64 for s in plan.sectors)
         assert all(s.basis.dtype == np.complex128 for s in cplan.sectors)
         obs = {"x": _observable(vols)}
-        real = horizon_reports(vols, HORIZONS, plan=plan, observables=obs)
-        cplx = horizon_reports(vols, HORIZONS, plan=cplan, observables=obs)
+        real = horizon_reports(vols, HORIZONS, observables=obs)
+        monkeypatch.setattr(thermo, "make_plan", lambda vols: cplan)
+        cplx = horizon_reports(vols, HORIZONS, observables=obs)
         sigma = initial_state(vols)
         for horizon, (r_rep, r_avg), (c_rep, c_avg) in zip(HORIZONS, real, cplx):
             fluxes, e_tel = oracles.horizon_values(vols, cplan, sigma, horizon)
