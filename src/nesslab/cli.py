@@ -154,25 +154,21 @@ def _check_dim_cap(spec: model.ModelSpec, sites: Sequence[int], cap: int) -> Non
 
 
 class _Unreadable(Exception):
-    """An input file that is missing or is not JSON: the command prints why and returns 2."""
+    """A missing, non-JSON or refused input file: the command prints why and returns 2."""
 
 
 def _loaded(load, path):
-    """``load(path)``, or _Unreadable naming ``path`` if it cannot be read or parsed."""
+    """``load(path)``, or _Unreadable naming ``path`` if unreadable, not JSON or refused."""
     try:
         return load(path)
     except json.JSONDecodeError as exc:
         raise _Unreadable(f"parse error in {path}: {exc}") from None
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _Unreadable(f"cannot load {path}: {exc}") from None
 
 
 def cmd_validate(args) -> int:
-    try:
-        spec = _loaded(model.load_model, args.model)
-    except ValueError as exc:   # JSON that is no model document
-        print(f"cannot load {args.model}: {exc}")
-        return 2
+    spec = _loaded(model.load_model, args.model)
     report = model.validate(spec)
     print(report)
     return 0 if report.ok else 1

@@ -115,7 +115,8 @@ def _conjugated(plan: EvolutionPlan, mat: np.ndarray,
 def _evolution(plan: EvolutionPlan, t: float) -> Callable[[np.ndarray, int, int], np.ndarray]:
     """The weight of :func:`_rotated_back` that evolves by exp(i t generator)."""
     phases = [np.exp(1j * t * s.eigenvalues) for s in plan.sectors]
-    return lambda r, p, q: (phases[p][:, None] * r) * phases[q].conj()[None, :]
+    # one temporary: the second phase is applied in place
+    return lambda r, p, q: np.multiply(w := phases[p][:, None] * r, phases[q].conj(), out=w)
 
 
 def exact_evolve(plan: EvolutionPlan, a: DenseOperator, t: float) -> DenseOperator:
@@ -288,6 +289,7 @@ def _lifted_gap(small_plan: EvolutionPlan, small: dict, plan: EvolutionPlan,
     diff = _embedded_blocks([s.indices for s in plan.sectors], plan.sites, plan.dims,
                             DenseOperator(small_plan.sites, small_plan.dims, lifted),
                             pattern=(rows, small))
+    del lifted   # its blocks are gathered
     for key, block in large.items():
         if key not in diff:
             diff[key] = -block
@@ -312,13 +314,15 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     reported tail bound, for times inside the radius. The observable must
     be selfadjoint; the bound's envelope ||a|| e^{lam card X} takes
     X = ``a.sites``, so pass it on its own sites for the tightest bound.
-    Every volume-sized operator is held as its nonzero sector blocks
-    p <= q, ``H_B`` as the diagonal blocks the build gives. Each time is evolved,
+    Every volume-sized operator is held as its nonzero sector blocks p <= q,
+    ``H_B`` as the diagonal blocks the build gives. Each time is evolved,
     compared and dropped before the next; one inside the radius is kept as
-    its series error a - tau_t(a). Of the previous volume only the plan, the
-    rotated observable blocks and the first ``max_order`` commutators are
-    kept, and its observable is evolved again at each time. Each commutator
-    up to SERIES_ORDER is added into every series error as made, the step
+    its series error a - tau_t(a), and the times outside it come first, so
+    no series error is held while they are compared (rows stay in grid
+    order). Of the previous volume only the plan, the rotated observable
+    blocks and the first ``max_order`` commutators are kept, and its
+    observable is evolved again at each time. Each commutator up to
+    SERIES_ORDER is added into every series error as made, the step
     :func:`dyson_evolve` takes.
     """
     vols = [tuple(sorted(set(v))) for v in exhaustion]
@@ -344,18 +348,20 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
         a_v = _embedded_blocks([s.indices for s in plan.sectors], plan.sites, plan.dims, a)
         rotated = _rotated_blocks(plan, a_v)
         errors = []   # a - tau_t(a) for each inside time, to which each order's term is added
-        for t in t_grid:
+        gaps = {}   # each pair row's discrepancy by position in t_grid
+        # the times outside the radius first, while no series error is held
+        for k, t in sorted(enumerate(t_grid), key=lambda kt: abs(kt[1]) < radius):
             evolved = _rotated_back(plan, rotated, True, _evolution(plan, t))
             if i:
                 small = _rotated_back(prev_plan, prev_rotated, True, _evolution(prev_plan, t))
-                gap = _lifted_gap(prev_plan, small, plan, evolved, 1.0)
-                evo_rows.append(SweepRow(i - 1, float(t), gap))
+                gaps[k] = _lifted_gap(prev_plan, small, plan, evolved, 1.0)
                 del small
             if abs(t) < radius:
                 for key, block in evolved.items():
                     np.subtract(a_v[key], block, out=block)
                 errors.append((float(t), evolved))
             del evolved   # freed before the next time is evolved
+        evo_rows += [SweepRow(i - 1, float(t), gaps[k]) for k, t in enumerate(t_grid) if i]
 
         powers = []
         for m, r in enumerate(_commutator_blocks(h_blocks, a_v, order, errors), start=1):
@@ -364,6 +370,8 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
                 if i:
                     order_rows.append(OrderRow(i - 1, m, _lifted_gap(
                         prev_plan, prev_powers[m - 1], plan, r, (-1.0) ** m)))
+            del r   # only powers keeps an order
+        del h_blocks, a_v   # not needed by the norms below
         prev_plan, prev_rotated, prev_powers = plan, rotated, powers
         sizes = [s.indices.size for s in plan.sectors]
         dyson_rows += [DysonRow(i, t, opalg.block_norm(err, sizes, 1.0),

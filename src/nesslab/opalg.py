@@ -380,6 +380,7 @@ def rotate_back(v: np.ndarray, x: np.ndarray, w: np.ndarray | None = None) -> np
     """
     w = v if w is None else w
     vx = matmul(v, x)
+    del x   # a temporary X of the caller's is freed before the second product
     if not np.iscomplexobj(w):
         return matmul(vx, w.T)
     return _conjugate_in_place(matmul(_conjugate_in_place(vx), w.T))
@@ -392,7 +393,7 @@ def op_norm(a) -> float:
     normed by the largest absolute eigenvalue of its Hermitian part, formed
     from the conjugate transpose the test used. Else it is the root of the
     largest eigenvalue of the Gram matrix of M / max|M| (no overflow or
-    underflow), one product and an eigensolve, real for a real M.
+    underflow): :func:`_gram_norm`, real for a real M.
     """
     mat = as_matrix(a)
     if mat.size == 0:
@@ -428,15 +429,20 @@ def block_norm(blocks: dict, sizes: Sequence[int], sign: float | None = None) ->
 
 def _gram_norm(mat: np.ndarray) -> float:
     """The largest singular value of a nonzero M as max|M| times the root of
-    the largest eigenvalue of U^dagger U, U = M / max|M|. Only M, U (freed
-    after the one product) and the Gram matrix are held, the latter made
-    bitwise Hermitian in place, (G + G^dagger) / 2."""
+    the largest eigenvalue of G = U^dagger U, U = X + iY = M / max|M|, formed
+    by symmetric rank-k products (syrk), which fill both triangles alike:
+    Re G = X^T X + Y^T Y and Im G = C - C^T, C = X^T Y. So G is bitwise
+    Hermitian at half the flops of a general product, with no copy of U^dagger."""
     scale = float(np.max(np.abs(mat)))
-    unit = mat / scale
-    gram = matmul(unit.conj().T, unit)
-    del unit
-    gram += gram.conj().T
-    gram *= 0.5
+    x = (mat.real if np.iscomplexobj(mat) else mat) / scale
+    gram = matmul(x.T, x)
+    if np.iscomplexobj(mat):
+        y = mat.imag / scale
+        gram += matmul(y.T, y)
+        cross = matmul(x.T, y)
+        del x, y
+        gram = gram.astype(complex)
+        np.subtract(cross, cross.T, out=gram.imag)
     largest = float(_eigvalsh(gram)[-1])
     return scale * math.sqrt(max(largest, 0.0))
 

@@ -86,9 +86,14 @@ def kms_check(h: DenseOperator, beta: float, a: DenseOperator, b: DenseOperator)
     against the diagonal of a product: sum_j p_j sum_k A~_jk B~_kj
     e^{-beta (w_k - w_j)} and sum_j p_j sum_k B~_jk A~_kj. No density matrix
     is formed, so no roundoff off its diagonal meets the continuation's
-    factors, which reach e^{beta (max w - min w)}.
+    factors, which reach e^{beta (max w - min w)}: ValueError, before any
+    exponential, where that exceeds the largest float.
     """
     w, v = opalg.spectral(h)
+    exponent, limit = abs(beta) * (w[-1] - w[0]), math.log(np.finfo(float).max)
+    if exponent > limit:
+        raise ValueError(f"beta (max w - min w) = {exponent:.6g} exceeds log(max float) = "
+                         f"{limit:.6g}: the KMS continuation factor would overflow")
     p = _boltzmann(w, beta)
     p /= p.sum()
     a_t = opalg.rotate(v, a.matrix)

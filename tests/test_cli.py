@@ -203,6 +203,29 @@ class TestSimulateCommand:
         assert out.startswith(f"cannot load {tmp_path / 'missing.json'}: ")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
+    @pytest.mark.parametrize("invalid", ["descending-horizons", "model-without-sites"])
+    def test_invalid_content_exits_two_before_any_build(
+            self, chain_files, capsys, monkeypatch, command, invalid):
+        # JSON that its loader refuses is reported as a file that cannot be
+        # loaded, on one line, as a missing file is; not as a traceback
+        _, model_path, _, tmp_path = chain_files
+        doc = {"model": model_path.name, "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
+               "horizons": [5.0, 1.0] if invalid == "descending-horizons" else [1.0, 5.0]}
+        bad_path = tmp_path / "invalid.json"
+        if invalid == "model-without-sites":
+            model_doc = json.loads(model_path.read_text())
+            del model_doc["sites"]
+            bad_path = write_config(tmp_path, model_doc, name="no_sites.json")
+            doc["model"] = bad_path.name
+        config_path = write_config(tmp_path, doc, name="invalid.json")
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        assert main([command, "--config", str(config_path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"cannot load {bad_path}: ") and out.count("\n") == 1
+        assert built == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
     def test_non_selfadjoint_observable_refused_before_any_build(
             self, chain_files, monkeypatch, command):
         # averages and series of a non-selfadjoint observable are undefined:
@@ -567,7 +590,8 @@ class TestConfigValidation:
             "horizons": [1.0],
         })
         with pytest.raises(ValueError):
-            main(["simulate", "--config", str(config_path)])
+            load_config(config_path)
+        assert main(["simulate", "--config", str(config_path)]) == 2
 
     def test_descending_horizons_rejected(self, tmp_path):
         spec = make_chain(3, {0: 1, 1: 0, 2: 2}, {1: 1.0, 2: 1.0})
@@ -578,4 +602,5 @@ class TestConfigValidation:
             "horizons": [5.0, 1.0],
         })
         with pytest.raises(ValueError):
-            main(["simulate", "--config", str(config_path)])
+            load_config(config_path)
+        assert main(["simulate", "--config", str(config_path)]) == 2

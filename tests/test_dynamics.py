@@ -608,8 +608,8 @@ class TestConvergenceSweep:
     def test_holds_one_time_at_a_time(self, ten_site_sweep):
         # each time is evolved, compared and dropped before the next, the
         # previous volume re-evolves its observable per time at its own sector
-        # size, and a Gram norm frees its scaled copy first. Measured: 6.8 real
-        # DxD at D = 1024 (10.1 with every time's evolved operators held)
+        # size, and a Gram norm holds no conjugate copy of its matrix. Measured:
+        # 6.8 real DxD at D = 1024 (10.1 with every time's evolved operators held)
         assert ten_site_sweep <= 7.0
 
     def test_holds_no_dense_generator(self, ten_site_sweep):
@@ -618,6 +618,15 @@ class TestConvergenceSweep:
         # times and orders. Measured: 5.8 real DxD at D = 1024 (6.8 with it)
         assert ten_site_sweep <= 6.0
 
+    def test_compares_outside_times_while_no_series_error_is_held(self, ten_site_sweep):
+        # the times outside the radius are compared before those inside it,
+        # a Gram matrix is formed by symmetric rank-k products of the real
+        # and imaginary parts, a pair difference drops the smaller operator
+        # once gathered, and an evolution weight is one temporary. Measured:
+        # 4.9 real DxD at D = 1024 (5.8 with the grid in order and the Gram
+        # matrix a general product of a scaled copy and its conjugate)
+        assert ten_site_sweep <= 5.6
+
     def test_largest_volume_works_at_the_sector_dimension(self, monkeypatch,
                                                           named_eigensolves):
         # On a parity chain the sweep's products and solves at the largest
@@ -625,9 +634,10 @@ class TestConvergenceSweep:
         # and H_B two diagonal ones, so each commutator order is two D/2
         # products (a quarter of the flops of one D product). They are the
         # rotation of sigma_x (two), two rotations back per time, two per
-        # order of the twelve the Dyson rows need, and one Gram product per
-        # nonzero norm; the solves are H_B's two eigh and one Gram eigvalsh
-        # per nonzero norm. The previous volume, of dimension D/2, works at
+        # order of the twelve the Dyson rows need, and the Gram products of
+        # each nonzero norm: one for a real block (the three order rows),
+        # three for a complex one (the evolution and Dyson rows); the solves
+        # are H_B's two eigh and one Gram eigvalsh per nonzero norm. The previous volume, of dimension D/2, works at
         # D/4, so nothing else reaches D/2.
         shapes = []
         product = opalg.matmul
@@ -652,7 +662,7 @@ class TestConvergenceSweep:
         assert norms == 3 + 3 + 2
         assert max(max(x + y) for x, y in shapes) == half
         assert [s for s in shapes if max(s[0] + s[1]) == half] == [
-            ((half, half), (half, half))] * (2 + 2 * len(t_grid) + 2 * 12 + norms)
+            ((half, half), (half, half))] * (2 + 2 * len(t_grid) + 2 * 12 + 3 + 3 * (3 + 2))
         assert max(d for _, d, _ in named_eigensolves) == half
         assert Counter(name for name, d, _ in named_eigensolves if d == half) == {
             "eigh": 2, "eigvalsh": norms}

@@ -454,6 +454,33 @@ class TestNonHermitianNorm:
         assert np.isfinite(expected) and expected > 0.0
         assert abs(op_norm(m) - expected) <= 1e-13 * expected
 
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_gram_route_matches_the_svd(self, monkeypatch, n, field, scale):
+        # the Gram matrix is made of symmetric rank-k products (X^T X, Y^T Y and
+        # C - C^T): bitwise Hermitian as the eigensolver gets it
+        grams = []
+        solve = opalg._eigvalsh
+
+        def recording(mat):
+            grams.append(mat.copy())
+            return solve(mat)
+
+        monkeypatch.setattr(opalg, "_eigvalsh", recording)
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        if field == "complex":
+            m = m + 1j * rng.standard_normal((n, n))
+        m *= scale
+        expected = np.linalg.norm(m, 2)
+        assert np.isfinite(expected) and expected > 0.0
+        assert abs(op_norm(m) - expected) <= 1e-13 * expected
+        grams.clear()
+        assert abs(opalg._gram_norm(m) - expected) <= 1e-13 * expected
+        assert [g.shape for g in grams] == [(n, n)]
+        assert np.array_equal(grams[0], grams[0].conj().T)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_tiny_matrices_do_not_underflow(self, kind):
         # entries ~1e-200 square to 0 without the scaling by max|M|; op_norm
@@ -475,8 +502,9 @@ class TestNonHermitianNorm:
 
 
 class TestGramNorm:
-    """The Gram route of a two-sector [[0, B], [sign B^dagger, 0]]: ||B|| from one
-    product of B / max|B| and one solve of its bitwise Hermitian Gram matrix."""
+    """The Gram route of a two-sector [[0, B], [sign B^dagger, 0]]: ||B|| from the
+    symmetric rank-k products of B / max|B| and one solve of its bitwise
+    Hermitian Gram matrix."""
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("scale", [1e200, 1e-200])

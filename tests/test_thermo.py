@@ -158,6 +158,21 @@ class TestKms:
                                   + 1j * rng.standard_normal((n, n))) for _ in range(2))
             assert kms_check(h, beta, a, b) <= 1e-12 * op_norm(a) * op_norm(b)
 
+    def test_largest_continuation_factor_below_overflow(self):
+        # beta (max w - min w) = 709 < log(max float) = 709.78: e^709 is finite
+        h = DenseOperator((0,), (2,), np.diag([0.0, 1.0]))
+        a = DenseOperator((0,), (2,), SX)
+        assert kms_check(h, 709.0, a, a) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [710.0, 800.0])
+    def test_overflowing_continuation_factor_refused(self, beta):
+        # e^{beta (max w - min w)} is inf, and the smallest Gibbs weight 0: their
+        # product would be nan or inf, not a residual
+        h = DenseOperator((0,), (2,), np.diag([0.0, 1.0]))
+        a = DenseOperator((0,), (2,), SX)
+        with pytest.raises(ValueError, match=f"{beta:g} exceeds log.max float. = 709.783"):
+            kms_check(h, beta, a, a)
+
     def test_one_eigensolve(self, chain5, eigensolves):
         vols = build(chain5, range(5))
         beta = 0.7
