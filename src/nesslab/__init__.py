@@ -14,7 +14,6 @@ from .model import (
     PerturbationFamily,
     RegionMap,
     SiteSpec,
-    ValidationReport,
     lambda_norm,
     load_model,
     model_from_dict,
@@ -46,7 +45,6 @@ from .dynamics import (
 from .thermo import (
     EntropyReport,
     KleinWitness,
-    StateRep,
     boundary_redraw_check,
     gibbs,
     heat_direction_check,

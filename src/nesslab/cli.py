@@ -85,6 +85,7 @@ def load_config(path) -> ExperimentConfig:
         model_path = str(doc["model"])
         exhaustion = tuple(tuple(sorted(int(x) for x in v)) for v in doc["exhaustion"])
         horizons = tuple(float(t) for t in doc["horizons"])
+        observables = {k: list(v) for k, v in dict(doc.get("observables", {})).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"config malformed: {exc}") from exc
     if not Path(model_path).is_absolute():
@@ -97,7 +98,7 @@ def load_config(path) -> ExperimentConfig:
         model_path=model_path,
         exhaustion=exhaustion,
         horizons=horizons,
-        observables=dict(doc.get("observables", {})),
+        observables=observables,
         seed=int(doc.get("seed", 0)),
         output_dir=str(doc.get("output_dir", "out")),
         perturbation_path=pert,
@@ -125,8 +126,9 @@ def _observable_operators(spec: model.ModelSpec,
 
     Every term must be selfadjoint within TERM_HERMITICITY_TOL, as model
     validation asks of the interaction terms; the averages and the series
-    are only defined for selfadjoint observables, so any other is refused,
-    as is one on a site outside the first volume.
+    are only defined for selfadjoint observables, so any other is refused
+    (ValueError), as is one on a site outside the first volume, before its
+    terms are summed.
     """
     out = {}
     for name in sorted(cfg.observables):
@@ -135,13 +137,14 @@ def _observable_operators(spec: model.ModelSpec,
         for i, term in enumerate(terms):
             defect = term.hermiticity_defect()
             if defect > opalg.TERM_HERMITICITY_TOL:
-                raise SystemExit(f"refusing observable {name}: term {i} on "
+                raise ValueError(f"refusing observable {name}: term {i} on "
                                  f"{list(term.support)} is not selfadjoint "
                                  f"(defect {defect:.3e})")
-        out[name] = spec.term_sum(terms)
-        if not set(out[name].sites) <= set(cfg.exhaustion[0]):
-            raise SystemExit(f"refusing observable {name}: sites {list(out[name].sites)} "
+        sites = sorted(set().union(*(t.support for t in terms)))
+        if not set(sites) <= set(cfg.exhaustion[0]):
+            raise ValueError(f"refusing observable {name}: sites {sites} "
                              f"not inside the first volume {list(cfg.exhaustion[0])}")
+        out[name] = spec.term_sum(terms)
     return out
 
 
@@ -169,33 +172,41 @@ def _loaded(load, path):
 
 def cmd_validate(args) -> int:
     spec = _loaded(model.load_model, args.model)
-    report = model.validate(spec)
-    print(report)
-    return 0 if report.ok else 1
+    problems = model.validate(spec)
+    print("\n".join(problems) or "ok")
+    return 1 if problems else 0
 
 
-def _load_spec_and_family(cfg: ExperimentConfig):
+def _load_inputs(path):
+    """The config at ``path`` with its validated model, perturbation family
+    (or None) and observables; ValueError if the config names a site the
+    model does not declare, an observable it cannot hold, or a
+    ``redraw_new_s`` that :func:`model.redraw` refuses."""
+    cfg = load_config(path)
     spec = _loaded(model.load_model, cfg.model_path)
-    report = model.validate(spec)
-    if not report.ok:
-        raise SystemExit(f"model does not validate:\n{report}")
+    problems = model.validate(spec)
+    if problems:
+        raise SystemExit("model does not validate:\n" + "\n".join(problems))
     family = None
     if cfg.perturbation_path:
         family = _loaded(model.load_family, cfg.perturbation_path)
         problems = family.check(spec)
         if problems:
             raise SystemExit("perturbation family rejected:\n" + "\n".join(problems))
-    return spec, family
+    undeclared = set().union(*cfg.exhaustion) - set(spec.site_ids)
+    if undeclared:
+        raise ValueError(f"exhaustion names undeclared sites {sorted(undeclared)}")
+    if cfg.redraw_new_s:
+        model.redraw(spec, cfg.redraw_new_s)
+    return cfg, spec, family, _observable_operators(spec, cfg)
 
 
 def cmd_simulate(args) -> int:
-    cfg = _loaded(load_config, args.config)
+    cfg, spec, family, observables = _loaded(_load_inputs, args.config)
     if args.out:
         cfg = ExperimentConfig(**{**cfg.__dict__, "output_dir": args.out})
-    spec, family = _load_spec_and_family(cfg)
     for sites in cfg.exhaustion:
         _check_dim_cap(spec, sites, args.dim_cap)
-    observables = _observable_operators(spec, cfg)
     digest = config_hash(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -280,19 +291,17 @@ def cmd_klein_fuzz(args) -> int:
 
 
 def cmd_sweep_convergence(args) -> int:
-    cfg = _loaded(load_config, args.config)
+    cfg, spec, family, observables = _loaded(_load_inputs, args.config)
     if args.out:
         cfg = ExperimentConfig(**{**cfg.__dict__, "output_dir": args.out})
     if len(cfg.exhaustion) < 3:
         raise SystemExit("sweep-convergence needs an exhaustion of at least 3 volumes")
-    spec, family = _load_spec_and_family(cfg)
     for sites in cfg.exhaustion:
         _check_dim_cap(spec, sites, args.dim_cap)
-    if not cfg.observables:
+    if not observables:
         raise SystemExit("sweep-convergence needs at least one named observable")
     digest = config_hash(cfg)
-    name = sorted(cfg.observables)[0]
-    a = _observable_operators(spec, cfg)[name]
+    a = observables[min(observables)]
 
     report = dynamics.convergence_sweep(spec, cfg.exhaustion, a, cfg.horizons,
                                         perturbation=family)
@@ -312,12 +321,11 @@ def cmd_sweep_convergence(args) -> int:
 
 
 def cmd_redraw_check(args) -> int:
-    cfg = _loaded(load_config, args.config)
+    cfg, spec, _, _ = _loaded(_load_inputs, args.config)
     if cfg.redraw_new_s is None:
         raise SystemExit("config needs a 'redraw_new_s' site list for redraw-check")
     if cfg.perturbation_path:   # the redraw bound is derived for the unperturbed model only
         raise SystemExit("redraw-check refuses a config with a 'perturbation'")
-    spec, _ = _load_spec_and_family(cfg)
     sites = cfg.exhaustion[-1]
     _check_dim_cap(spec, sites, args.dim_cap)
     ok = True

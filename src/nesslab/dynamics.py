@@ -132,6 +132,8 @@ def exact_evolve(plan: EvolutionPlan, a: DenseOperator, t: float) -> DenseOperat
 _I_POWERS = (1.0, 1j, -1.0, -1j)
 # the orders the truncated series sums
 SERIES_ORDER = 12
+# the orders whose commutators convergence_sweep compares across volumes
+SWEEP_ORDERS = 4
 
 
 def _commutator_blocks(h_blocks: Sequence[np.ndarray], blocks: dict, order: int,
@@ -302,13 +304,12 @@ def _lifted_gap(small_plan: EvolutionPlan, small: dict, plan: EvolutionPlan,
 
 def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
                       a: DenseOperator, t_grid: Sequence[float],
-                      perturbation: PerturbationFamily | None = None,
-                      max_order: int = 4) -> ConvergenceSweepReport:
+                      perturbation: PerturbationFamily | None = None) -> ConvergenceSweepReport:
     """Compare the dynamics across a nested family of volumes.
 
     For each consecutive volume pair the report carries the norm difference
-    of the evolved observable at each time and of each order's commutator
-    r_m of :func:`_commutator_blocks` (||i^m x|| = ||x||), taken in the
+    of the evolved observable at each time and of each commutator r_m,
+    m <= SWEEP_ORDERS, of :func:`_commutator_blocks` (||i^m x|| = ||x||), taken in the
     larger volume, as embedding is isometric. Each volume also gets
     truncated-series error rows against the exact evolution, with the
     reported tail bound, for times inside the radius. The observable must
@@ -320,7 +321,7 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     its series error a - tau_t(a), and the times outside it come first, so
     no series error is held while they are compared (rows stay in grid
     order). Of the previous volume only the plan, the rotated observable
-    blocks and the first ``max_order`` commutators are kept, and its
+    blocks and the first SWEEP_ORDERS commutators are kept, and its
     observable is evolved again at each time. Each commutator up to
     SERIES_ORDER is added into every series error as made, the step
     :func:`dyson_evolve` takes.
@@ -335,7 +336,7 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
 
     radius = series_radius(spec, perturbation)
     inside = any(abs(t) < radius for t in t_grid)
-    order = max(max_order, SERIES_ORDER) if inside else max_order
+    order = max(SWEEP_ORDERS, SERIES_ORDER) if inside else SWEEP_ORDERS
     envelope = _envelope(a, spec.lam)
 
     evo_rows, order_rows, dyson_rows = [], [], []
@@ -365,7 +366,7 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
 
         powers = []
         for m, r in enumerate(_commutator_blocks(h_blocks, a_v, order, errors), start=1):
-            if m <= max_order:
+            if m <= SWEEP_ORDERS:
                 powers.append(r)
                 if i:
                     order_rows.append(OrderRow(i - 1, m, _lifted_gap(

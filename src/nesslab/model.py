@@ -206,59 +206,37 @@ class ModelSpec:
         return int(np.prod(self.dims_for(sites))) if len(sites) else 1
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(f"[{v.kind}] {v.message}" for v in self.violations)
-
-
-def validate(spec: ModelSpec) -> ValidationReport:
-    """Check the model assumptions; every problem becomes a report entry.
+def validate(spec: ModelSpec) -> tuple[str, ...]:
+    """Check the model assumptions; every problem becomes one "[kind] message" line.
 
     Flags non-Hermitian terms, terms that couple two reservoirs without
     passing through the small system, an empty small system, and reservoirs
-    with missing or nonpositive inverse temperatures.
+    with missing or nonpositive inverse temperatures. Empty when the model
+    is valid.
     """
-    found: list[Violation] = []
+    found: list[str] = []
     if not spec.small_system:
-        found.append(Violation("empty-s", "region 0 (small system) has no sites"))
+        found.append("[empty-s] region 0 (small system) has no sites")
     if not spec.reservoirs:
-        found.append(Violation("no-reservoir", "no reservoir region declared"))
+        found.append("[no-reservoir] no reservoir region declared")
     for t in spec.terms:
         defect = t.hermiticity_defect()
         if defect > opalg.TERM_HERMITICITY_TOL:
-            found.append(Violation(
-                "hermiticity",
-                f"term on {t.support} is not selfadjoint (defect {defect:.3e})"))
+            found.append(f"[hermiticity] term on {t.support} is not selfadjoint "
+                         f"(defect {defect:.3e})")
     s_sites = spec.small_system
     for t in spec.terms:
         touched = {spec.regions.region_of(x) for x in t.support}
         touched_reservoirs = {r for r in touched if r > 0}
         if len(touched_reservoirs) >= 2 and not (set(t.support) & s_sites):
-            found.append(Violation(
-                "reservoir-coupling",
-                f"term on {t.support} couples reservoirs "
-                f"{sorted(touched_reservoirs)} without meeting the small system"))
+            found.append(f"[reservoir-coupling] term on {t.support} couples reservoirs "
+                         f"{sorted(touched_reservoirs)} without meeting the small system")
     for a in spec.reservoirs:
         if a not in spec.betas:
-            found.append(Violation("missing-beta", f"reservoir {a} has no inverse temperature"))
+            found.append(f"[missing-beta] reservoir {a} has no inverse temperature")
         elif spec.betas[a] <= 0:
-            found.append(Violation("bad-beta", f"reservoir {a}: beta must be > 0"))
-    return ValidationReport(tuple(found))
+            found.append(f"[bad-beta] reservoir {a}: beta must be > 0")
+    return tuple(found)
 
 
 def interaction_lambda_norm(terms: Sequence[InteractionTerm], lam: float,
@@ -309,9 +287,9 @@ def redraw(spec: ModelSpec, new_small_system: Iterable[int]) -> ModelSpec:
         raise ValueError(f"new small system contains unknown sites {sorted(unknown)}")
     assignment = {s: (0 if s in new_s else r) for s, r in spec.regions.assignment.items()}
     out = ModelSpec(spec.sites, RegionMap(assignment), spec.terms, spec.lam, spec.betas)
-    report = validate(out)
-    if not report.ok:
-        raise ValueError(f"redraw produces an invalid model:\n{report}")
+    problems = validate(out)
+    if problems:
+        raise ValueError("redraw produces an invalid model: " + "; ".join(problems))
     return out
 
 

@@ -20,16 +20,12 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 # Tolerances of the validity checks; relative ones scale with max(1, max|M|).
-# relative Hermiticity of operators, states and Klein inputs: far above sum/product roundoff
+# relative Hermiticity of operators and Klein inputs: far above sum/product roundoff
 HERMITICITY_TOL = 1e-10
 # absolute max|U^dagger U - I| of a supplied unitary, whose entries are O(1)
 UNITARITY_TOL = 1e-10
 # op_norm uses eigvalsh of the symmetrized matrix below this defect, which bounds its error
 OP_NORM_HERMITIAN_TOL = 1e-12
-# absolute |tr rho - 1| of a density matrix, whose trace is O(1)
-STATE_TRACE_TOL = 1e-10
-# absolute lower bound -tol on the eigenvalues of a density matrix, whose entries are O(1)
-STATE_POSITIVITY_TOL = 1e-10
 # absolute entrywise defect of raw user terms: text rounding is ~1e-16
 TERM_HERMITICITY_TOL = 1e-12
 # horizon_reports: Bohr frequencies |d| >= tol / min T are separable (rounding eps |P| / tol)

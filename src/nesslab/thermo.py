@@ -21,46 +21,17 @@ from .model import ModelSpec, redraw
 from .opalg import DenseOperator
 from .volume import VolumeOperators, build
 
-@dataclass(frozen=True)
-class StateRep:
-    """A density matrix on a finite volume: Hermitian, unit trace, positive."""
 
-    sites: tuple[int, ...]
-    dims: tuple[int, ...]
-    density: np.ndarray
-
-    def __post_init__(self):
-        mat = opalg.as_matrix(self.density)
-        object.__setattr__(self, "density", mat)
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError("density matrix must be square")
-        if abs(np.trace(mat) - 1.0) > opalg.STATE_TRACE_TOL:
-            raise ValueError(f"density trace {np.trace(mat):.12g} != 1")
-        if not opalg.is_hermitian_matrix(mat):
-            raise ValueError("density matrix must be Hermitian")
-        try:  # lambda_min >= -tol iff rho + tol 1 has a Cholesky factor: no eigensolve
-            np.linalg.cholesky(mat + opalg.STATE_POSITIVITY_TOL * np.eye(mat.shape[0]))
-        except np.linalg.LinAlgError:
-            raise ValueError("density matrix must be positive semidefinite") from None
-
-    def expectation(self, a: DenseOperator) -> float:
-        """Real expectation value of a Hermitian observable."""
-        if a.sites != self.sites:
-            raise ValueError("observable volume does not match the state")
-        # tr(rho A) as an entrywise sum, quadratic instead of cubic
-        return float(np.real(np.sum(self.density.T * a.matrix)))
-
-
-def gibbs(h: DenseOperator, beta: float) -> StateRep:
-    """exp(-beta H) / tr exp(-beta H) through the spectral decomposition.
+def gibbs(h: DenseOperator, beta: float) -> DenseOperator:
+    """exp(-beta H) / tr exp(-beta H) through the spectral decomposition, on H's sites.
 
     The exponent is shifted by its largest value before exponentiation so
-    the weights stay in (0, 1]; any real beta yields a valid state.
+    the weights stay in (0, 1]; any real beta yields a density matrix.
     """
     w, v = opalg.spectral(h)
     density = opalg.matmul(v * _boltzmann(w, beta), v.conj().T)
     density /= np.real(np.trace(density))
-    return StateRep(h.sites, h.dims, density)
+    return h.with_matrix(density)
 
 
 def _boltzmann(w: np.ndarray, beta: float) -> np.ndarray:
@@ -72,7 +43,7 @@ def _boltzmann(w: np.ndarray, beta: float) -> np.ndarray:
 def _gibbs_factors(vols: VolumeOperators) -> tuple[list[DenseOperator], float]:
     """The tensor factors of exp(-G), the Gibbs states of the reservoir blocks beta_a (H_a + B_a)
     on their in-volume sites, and the scalar 1/d of its normalized identity on the other sites."""
-    factors = [b.with_matrix(gibbs(b, 1.0).density) for b in vols.blocks.values()]
+    factors = [gibbs(b, 1.0) for b in vols.blocks.values()]
     return factors, math.prod(f.dim for f in factors) / vols.dim
 
 
@@ -141,9 +112,6 @@ class EntropyReport:
     e_telescoped: float
     sum_rule_residual: float
     tol_sum_rule: float
-    g_norm: float
-    w_norm: float
-    perturbed: bool
 
     def csv_row(self) -> list[float]:
         return ([self.horizon] + [f for _, f in sorted(self.fluxes.items())]
@@ -286,7 +254,6 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     for k in range(g + 1):   # one operator at a time, its parts freed as packed
         direct[k] = np.concatenate(direct[k])
 
-    perturbed = any(np.any(b.matrix) for b in vols.B_a.values())
     out = []
     for n, horizon in enumerate(horizons):
         kernel = _horizon_kernels(0.5 * horizon * freq).reshape(-1, 1)
@@ -304,9 +271,6 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
             e_telescoped=e_tel,
             sum_rule_residual=float(sum(fluxes.values())),
             tol_sum_rule=float(2.0 * vols.w_norm / horizon),
-            g_norm=float(vols.g_norm),
-            w_norm=float(vols.w_norm),
-            perturbed=perturbed,
         )
         out.append((report, averages))
     return out
@@ -370,8 +334,8 @@ def boundary_redraw_check(spec: ModelSpec, new_small_system: Iterable[int],
     current sets are contracted against the same rotated state, for every
     horizon; one report per horizon, in order.
     """
+    new_spec = redraw(spec, new_small_system)   # refused before anything is built
     vols = build(spec, volume)
-    new_spec = redraw(spec, new_small_system)
     # of the redrawn decomposition only its currents are kept, not its generator
     currents = build(new_spec, volume).currents
 

@@ -36,7 +36,7 @@ from nesslab import embed, exact_evolve, gibbs, make_plan, op_norm, spectral
 from nesslab import opalg
 from nesslab.dynamics import _conjugated
 from nesslab.opalg import DenseOperator, matmul, zero
-from nesslab.thermo import EntropyReport, StateRep, _gibbs_factors, _horizon_kernels
+from nesslab.thermo import EntropyReport, _gibbs_factors, _horizon_kernels
 
 from conftest import dense_generator
 
@@ -114,17 +114,22 @@ def exponent_operator(vols) -> DenseOperator:
     return DenseOperator(vols.sites, vols.dims, exponent(vols))
 
 
-def initial_state(vols) -> StateRep:
+def expectation(rho, a) -> float:
+    """tr(rho A) of a density matrix and an observable on one volume, as an entrywise sum."""
+    return float(np.real(np.sum(rho.matrix.T * a.matrix)))
+
+
+def initial_state(vols) -> DenseOperator:
     """The product state exp(-G) as a D x D matrix: the tensor product of the
     Gibbs states of the reservoir blocks beta_a (H_a + B_a), each on its
     reservoir's in-volume sites, and the normalized identity on the other
     sites, applied to the identity of the volume."""
     factors, scale = _gibbs_factors(vols)
     density = opalg.kron_apply(factors, vols.sites, vols.dims, np.eye(vols.dim)) * scale
-    return StateRep(vols.sites, vols.dims, density)
+    return DenseOperator(vols.sites, vols.dims, density)
 
 
-def time_averaged_state(plan, state, horizon: float) -> StateRep:
+def time_averaged_state(plan, state, horizon: float) -> DenseOperator:
     """The horizon average of the evolved state, exact in the horizon.
 
     Averaging the dual evolution over [0, T] multiplies each nonzero sector
@@ -139,9 +144,8 @@ def time_averaged_state(plan, state, horizon: float) -> StateRep:
     def average(r, p, q):
         return r * _horizon_kernels(0.5 * horizon * (w[q][None, :] - w[p][:, None]))
 
-    averaged = _conjugated(plan, state.density, average)
-    averaged = 0.5 * (averaged + averaged.conj().T)
-    return StateRep(state.sites, state.dims, averaged)
+    averaged = _conjugated(plan, state.matrix, average)
+    return state.with_matrix(0.5 * (averaged + averaged.conj().T))
 
 
 def horizon_values(vols, plan, sigma, horizon: float) -> tuple[dict, float]:
@@ -152,11 +156,11 @@ def horizon_values(vols, plan, sigma, horizon: float) -> tuple[dict, float]:
     G the full-D :func:`exponent` and G(T) its exact Heisenberg evolution.
     """
     averaged = time_averaged_state(plan, sigma, horizon)
-    fluxes = {a: averaged.expectation(embed(cur, vols.sites, vols.dims))
+    fluxes = {a: expectation(averaged, embed(cur, vols.sites, vols.dims))
               for a, cur in sorted(vols.currents.items())}
     g = exponent_operator(vols)
     g_end = exact_evolve(plan, g, horizon)
-    e_tel = (sigma.expectation(g_end) - sigma.expectation(g)) / horizon
+    e_tel = (expectation(sigma, g_end) - expectation(sigma, g)) / horizon
     return fluxes, e_tel
 
 
@@ -215,9 +219,7 @@ def packed_horizon_reports(vols, horizons, plan, observables=None) -> list:
             e=float(sum(vols.betas[a] * f for a, f in fluxes.items())),
             e_telescoped=2.0 * float(np.real(g_row @ endpoint)) / horizon,
             sum_rule_residual=float(sum(fluxes.values())),
-            tol_sum_rule=float(2.0 * vols.w_norm / horizon),
-            g_norm=float(vols.g_norm), w_norm=float(vols.w_norm),
-            perturbed=any(np.any(b.matrix) for b in vols.B_a.values()))
+            tol_sum_rule=float(2.0 * vols.w_norm / horizon))
         out.append((report, dict(zip(observables, values[len(reservoirs):]))))
     return out
 
@@ -233,7 +235,7 @@ def endpoint_factor(x):
     return np.expm1(1j * np.asarray(x, dtype=float))
 
 
-def product_initial_state(spec, volume, perturbation=None) -> StateRep:
+def product_initial_state(spec, volume, perturbation=None) -> DenseOperator:
     """The initial state as an explicit product of per-reservoir Gibbs blocks
     and the normalized trace on the remaining sites."""
     sites = tuple(sorted(set(volume)))
@@ -252,12 +254,12 @@ def product_initial_state(spec, volume, perturbation=None) -> StateRep:
             if set(term.support) <= set(block_sites):
                 block = block + embed(spec.term_operator(term), block_sites, block_dims)
         rho_a = gibbs(block, spec.betas[a])
-        lifted = embed(DenseOperator(block_sites, block_dims, rho_a.density), sites, dims)
+        lifted = embed(rho_a, sites, dims)
         density = density @ lifted.matrix
     covered = frozenset().union(*(spec.regions.sites_in(a) for a in spec.reservoirs)) & set(sites)
     rest_dim = int(np.prod([d for s, d in zip(sites, dims) if s not in covered])) or 1
     density /= rest_dim
-    return StateRep(sites, dims, density)
+    return DenseOperator(sites, dims, density)
 
 
 def interface_operator(spec, volume) -> DenseOperator:
@@ -287,7 +289,7 @@ def time_avg_expectation_quadrature(vols, state, a, horizon: float, panels: int 
     if plan is None:
         plan = make_plan(dense_generator(vols))
     ts = np.linspace(0.0, horizon, 2 * panels + 1)
-    vals = np.array([state.expectation(exact_evolve(plan, a, float(t))) for t in ts])
+    vals = np.array([expectation(state, exact_evolve(plan, a, float(t))) for t in ts])
     h = horizon / (2 * panels)
     integral = (h / 3.0) * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
                             + 2.0 * vals[2:-2:2].sum())

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nesslab import boundary_redraw_check
 from nesslab.cli import config_hash, load_config, main, run_klein_fuzz
 
 from conftest import make_chain, model_to_dict
@@ -23,6 +24,16 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+# observables whose terms the chain_files model cannot hold
+INVALID_OBSERVABLES = {
+    "observable-on-undeclared-site": [{"support": [99],
+                                       "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}],
+    "term-without-matrix": [{"support": [1]}],
+    "one-by-one-matrix-on-a-qubit": [{"support": [1], "matrix": [[[1, 0]]]}],
+    "observable-not-a-term-list": 5,
+}
 
 
 @pytest.fixture
@@ -171,7 +182,7 @@ class TestSimulateCommand:
         assert built == []
 
     def test_observable_outside_first_volume_refused_before_any_build(
-            self, chain_files, monkeypatch):
+            self, chain_files, capsys, monkeypatch):
         # site 3 lies in the last volume only
         _, model_path, _, tmp_path = chain_files
         config_path = write_config(tmp_path, {
@@ -184,9 +195,9 @@ class TestSimulateCommand:
         }, name="far.json")
         built = []
         monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
-        with pytest.raises(SystemExit) as err:
-            main(["simulate", "--config", str(config_path)])
-        assert "far_z" in str(err.value)
+        assert main(["simulate", "--config", str(config_path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"cannot load {config_path}: ") and "far_z" in out
         assert built == []
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence", "redraw-check"])
@@ -203,14 +214,20 @@ class TestSimulateCommand:
         assert out.startswith(f"cannot load {tmp_path / 'missing.json'}: ")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
-    @pytest.mark.parametrize("invalid", ["descending-horizons", "model-without-sites"])
+    @pytest.mark.parametrize("invalid", ["descending-horizons", "model-without-sites",
+                                         *INVALID_OBSERVABLES, "undeclared-volume-site"])
     def test_invalid_content_exits_two_before_any_build(
             self, chain_files, capsys, monkeypatch, command, invalid):
-        # JSON that its loader refuses is reported as a file that cannot be
-        # loaded, on one line, as a missing file is; not as a traceback
+        # JSON that its loader refuses, or that names what the model does not
+        # hold, is reported as a file that cannot be loaded, on one line, as a
+        # missing file is; not as a traceback
         _, model_path, _, tmp_path = chain_files
         doc = {"model": model_path.name, "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
                "horizons": [5.0, 1.0] if invalid == "descending-horizons" else [1.0, 5.0]}
+        if invalid in INVALID_OBSERVABLES:
+            doc["observables"] = {"x": INVALID_OBSERVABLES[invalid]}
+        if invalid == "undeclared-volume-site":
+            doc["exhaustion"][-1].append(99)
         bad_path = tmp_path / "invalid.json"
         if invalid == "model-without-sites":
             model_doc = json.loads(model_path.read_text())
@@ -227,7 +244,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
     def test_non_selfadjoint_observable_refused_before_any_build(
-            self, chain_files, monkeypatch, command):
+            self, chain_files, capsys, monkeypatch, command):
         # averages and series of a non-selfadjoint observable are undefined:
         # the run must stop and name it rather than report its Hermitian part
         skew = np.kron([[1.0, 0.7], [0.1, -0.3]], [[0.2, 1.0], [0.4, 0.5]])
@@ -244,9 +261,10 @@ class TestSimulateCommand:
         }, name="skew.json")
         built = []
         monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
-        with pytest.raises(SystemExit) as err:
-            main([command, "--config", str(config_path)])
-        assert "skew" in str(err.value) and "selfadjoint" in str(err.value)
+        assert main([command, "--config", str(config_path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"cannot load {config_path}: ") and out.count("\n") == 1
+        assert "skew" in out and "selfadjoint" in out
         assert built == []
 
     def test_observable_columns(self, tmp_path):
@@ -433,7 +451,7 @@ class TestSweepConvergenceCommand:
         assert all(a >= b - 1e-14 for a, b in zip(sups, sups[1:]))
 
     def test_observable_outside_first_volume_refused_before_any_build(
-            self, chain_files, monkeypatch):
+            self, chain_files, capsys, monkeypatch):
         # the refusal and message of simulate: site 3 lies in the last volume only
         _, model_path, _, tmp_path = chain_files
         config_path = write_config(tmp_path, {
@@ -446,10 +464,9 @@ class TestSweepConvergenceCommand:
         }, name="far.json")
         built = []
         monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
-        with pytest.raises(SystemExit) as err:
-            main(["sweep-convergence", "--config", str(config_path)])
-        assert str(err.value) == ("refusing observable far_z: sites [3] not inside "
-                                  "the first volume [1, 2]")
+        assert main(["sweep-convergence", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().out == (f"cannot load {config_path}: refusing observable "
+                                           "far_z: sites [3] not inside the first volume [1, 2]\n")
         assert built == []
 
     def test_needs_three_volumes(self, tmp_path):
@@ -572,6 +589,32 @@ class TestRedrawCheckCommand:
         with pytest.raises(SystemExit) as err:
             main(["redraw-check", "--config", str(config_path)])
         assert "'perturbation'" in str(err.value)
+        assert built == []
+
+    @pytest.mark.parametrize("new_s,reason", [
+        ([3], "new small system must contain the current one"),   # leaves out {1, 2}
+        ([0, 1, 2, 3], "redraw produces an invalid model: [no-reservoir] no reservoir "
+                       "region declared"),
+    ], ids=["leaves-out-the-small-system", "leaves-no-reservoir"])
+    def test_refused_redraw_exits_two_on_one_line_before_any_build(
+            self, chain_files, capsys, monkeypatch, new_s, reason):
+        _, model_path, _, tmp_path = chain_files
+        config_path = write_config(tmp_path, {
+            "model": model_path.name, "exhaustion": [[0, 1, 2, 3]], "horizons": [10.0],
+            "redraw_new_s": new_s,
+        }, name="redraw.json")
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        monkeypatch.setattr("nesslab.thermo.build", lambda *a, **k: built.append(a))
+        assert main(["redraw-check", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().out == f"cannot load {config_path}: {reason}\n"
+        assert built == []
+
+    def test_library_refuses_the_redraw_before_any_build(self, chain_files, monkeypatch):
+        built = []
+        monkeypatch.setattr("nesslab.thermo.build", lambda *a, **k: built.append(a))
+        with pytest.raises(ValueError, match="must contain the current one"):
+            boundary_redraw_check(chain_files[0], {3}, range(4), (10.0,))
         assert built == []
 
     def test_requires_redraw_sites(self, chain_files):

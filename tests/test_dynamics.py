@@ -384,8 +384,7 @@ class TestConvergenceSweep:
                  InteractionTerm((1, 2), np.kron(SX, SX)))
         spec = ModelSpec(sites, regions, terms, 0.5, {1: 2.0, 2: 1.0})
         a = DenseOperator((1,), (2,), SX)
-        report = convergence_sweep(spec, [(0, 1, 2), (0, 1, 2, 3)], a, [0.2, 0.5],
-                                   max_order=3)
+        report = convergence_sweep(spec, [(0, 1, 2), (0, 1, 2, 3)], a, [0.2, 0.5])
         for row in report.evolution_rows:
             assert row.discrepancy <= 1e-12
         for row in report.order_rows:
@@ -398,7 +397,7 @@ class TestConvergenceSweep:
         radius = series_radius(spec)
         t_grid = [0.2 * radius, 0.5 * radius]
         report = convergence_sweep(spec, [(1, 2, 3, 4), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5)],
-                                   a, t_grid, max_order=3)
+                                   a, t_grid)
         sups = [max(r.discrepancy for r in report.evolution_rows if r.pair_index == k)
                 for k in (0, 1)]
         assert sups[0] >= sups[1] - 1e-14
@@ -444,7 +443,7 @@ class TestConvergenceSweep:
         exhaustion = [(1, 2, 3), (1, 2, 3, 4), tuple(range(5))]
         radius = series_radius(chain5)
         t_grid = [0.3 * radius, 0.7 * radius, 1.5 * radius]
-        report = convergence_sweep(chain5, exhaustion, a, t_grid, max_order=3)
+        report = convergence_sweep(chain5, exhaustion, a, t_grid)
         inside = [t for t in t_grid if t < radius]
         assert [(r.volume_index, r.t) for r in report.dyson_rows] == [
             (i, t) for i in range(len(exhaustion)) for t in inside]
@@ -459,7 +458,7 @@ class TestConvergenceSweep:
         for sites in exhaustion:
             cur = embed(a, sites, chain5.dims_for(sites))
             per_volume = []
-            for _ in range(3):
+            for _ in range(dynamics.SWEEP_ORDERS):
                 cur = derivation(chain5, sites, cur)
                 per_volume.append(cur)
             powers.append(per_volume)
@@ -473,7 +472,7 @@ class TestConvergenceSweep:
         a = DenseOperator((2, 3), (2, 2), np.kron(SX, SZ))
         radius = series_radius(chain5)
         report = convergence_sweep(chain5, [(1, 2, 3), (1, 2, 3, 4), tuple(range(5))], a,
-                                   [0.2 * radius, 0.6 * radius, 1.5 * radius], max_order=3)
+                                   [0.2 * radius, 0.6 * radius, 1.5 * radius])
         order = dynamics.SERIES_ORDER
         envelope = op_norm(a) * math.exp(chain5.lam * len(a.sites))
         assert len(report.dyson_rows) == 6
@@ -496,7 +495,7 @@ class TestConvergenceSweep:
         exhaustion = [tuple(range(1, 6)), tuple(range(6)), tuple(range(7))]
         radius = series_radius(spec)
         t_grid = [0.2 * radius, 0.5 * radius, 2.0 * radius]
-        report = convergence_sweep(spec, exhaustion, a, t_grid, max_order=3)
+        report = convergence_sweep(spec, exhaustion, a, t_grid)
         assert all(row.discrepancy == 0.0 for row in report.order_rows)
         expected = Counter()
         for i, sites in enumerate(exhaustion):
@@ -522,7 +521,7 @@ class TestConvergenceSweep:
         exhaustion = [(1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 3, 4), tuple(range(6))]
         radius = series_radius(spec)
         t_grid = [2.0 * radius, 8.0 * radius]
-        report = convergence_sweep(spec, exhaustion, a, t_grid, max_order=4)
+        report = convergence_sweep(spec, exhaustion, a, t_grid)
         assert all(row.discrepancy > 0.0 for row in report.order_rows)
         expected = Counter({("eigvalsh", 8, "float64"): len(exhaustion) + 1})
         for sites in exhaustion[1:]:
@@ -547,8 +546,7 @@ class TestConvergenceSweep:
         a = DenseOperator((2,), (2,), SX)
         exhaustion = [(1, 2, 3), (1, 2, 3, 4)]
         radius = series_radius(chain5)
-        report = convergence_sweep(chain5, exhaustion, a, [2.0 * radius, 5.0 * radius],
-                                   max_order=4)
+        report = convergence_sweep(chain5, exhaustion, a, [2.0 * radius, 5.0 * radius])
         assert report.dyson_rows == ()
         assert orders == [4, 4]
         assert len(report.order_rows) == 4
@@ -635,7 +633,7 @@ class TestConvergenceSweep:
         # products (a quarter of the flops of one D product). They are the
         # rotation of sigma_x (two), two rotations back per time, two per
         # order of the twelve the Dyson rows need, and the Gram products of
-        # each nonzero norm: one for a real block (the three order rows),
+        # each nonzero norm: one for a real block (the four order rows),
         # three for a complex one (the evolution and Dyson rows); the solves
         # are H_B's two eigh and one Gram eigvalsh per nonzero norm. The previous volume, of dimension D/2, works at
         # D/4, so nothing else reaches D/2.
@@ -653,16 +651,16 @@ class TestConvergenceSweep:
         exhaustion = [tuple(range(1, 6)), tuple(range(6)), tuple(range(7))]
         radius = series_radius(spec)
         t_grid = [0.2 * radius, 0.5 * radius, 2.0 * radius]
-        report = convergence_sweep(spec, exhaustion, a, t_grid, max_order=3)
+        report = convergence_sweep(spec, exhaustion, a, t_grid)
         dim = spec.volume_dim(exhaustion[-1])
         half = dim // 2
         norms = sum(row.discrepancy > 0.0 for row in report.evolution_rows + report.order_rows
                     if row.pair_index == 1) + sum(row.error > 0.0 for row in report.dyson_rows
                                                   if row.volume_index == 2)
-        assert norms == 3 + 3 + 2
+        assert norms == 3 + 4 + 2
         assert max(max(x + y) for x, y in shapes) == half
         assert [s for s in shapes if max(s[0] + s[1]) == half] == [
-            ((half, half), (half, half))] * (2 + 2 * len(t_grid) + 2 * 12 + 3 + 3 * (3 + 2))
+            ((half, half), (half, half))] * (2 + 2 * len(t_grid) + 2 * 12 + 4 + 3 * (3 + 2))
         assert max(d for _, d, _ in named_eigensolves) == half
         assert Counter(name for name, d, _ in named_eigensolves if d == half) == {
             "eigh": 2, "eigvalsh": norms}

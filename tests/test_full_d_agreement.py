@@ -52,7 +52,7 @@ def vols(request):
 
 
 def test_initial_state_matches_full_exponential(vols):
-    density = initial_state(vols).density
+    density = initial_state(vols).matrix
     assert np.max(np.abs(density - oracles.initial_density(vols))) <= TOL
 
 

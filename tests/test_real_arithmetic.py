@@ -17,7 +17,7 @@ import pytest
 from nesslab import (DenseOperator, EvolutionPlan, InteractionTerm, ModelSpec, build, embed,
                      exact_evolve, horizon_reports, make_plan, series_radius, thermo)
 from nesslab.cli import _observable_operators, load_config, main
-from nesslab.dynamics import Sector, _commutator_blocks, derivation_powers
+from nesslab.dynamics import SWEEP_ORDERS, Sector, _commutator_blocks, derivation_powers
 from nesslab.model import PerturbationEntry, PerturbationFamily, load_model
 from nesslab.opalg import as_matrix, matmul
 
@@ -83,7 +83,7 @@ class TestDtypeRule:
                      *vols.blocks.values()]
         assert all(op.matrix.dtype == np.float64 for op in operators)
         assert all(s.basis.dtype == np.float64 for s in _sector_plan(vols).sectors)
-        assert initial_state(vols).density.dtype == np.float64
+        assert initial_state(vols).matrix.dtype == np.float64
         for current in vols.currents.values():
             # i times a real antisymmetric matrix
             assert current.matrix.dtype == np.complex128
@@ -301,7 +301,7 @@ class TestVolumeSolveDtypes:
         assert solves == expected + _sweep_norm_solves(tmp_path / "config.json")
 
 
-def _sweep_norm_solves(config_path, max_order=4) -> Counter:
+def _sweep_norm_solves(config_path) -> Counter:
     """The eigvalsh calls of the sweep's norms, derived from the block rule.
 
     The observable mid_x flips the parity, so every norm is that of a
@@ -329,7 +329,7 @@ def _sweep_norm_solves(config_path, max_order=4) -> Counter:
         h_b = dense_generator(build(spec, sites))
         r_0 = embed(a, h_b.sites, h_b.dims).matrix
         commutators.append([h_b.with_matrix(r[0, 0]) for r in
-                            _commutator_blocks([h_b.matrix], {(0, 0): r_0}, max_order)])
+                            _commutator_blocks([h_b.matrix], {(0, 0): r_0}, SWEEP_ORDERS)])
     for dim, small, large in zip(half[1:], commutators, commutators[1:]):
         for r_small, r_large in zip(small, large):
             diff = embed(r_small, r_large.sites, r_large.dims).matrix - r_large.matrix

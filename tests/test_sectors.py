@@ -213,11 +213,11 @@ class TestSectorRouteMatchesDense:
         radius = series_radius(spec, family)
         t_grid = [0.2 * radius, 0.8 * radius, 2.0 * radius, 8.0 * radius]
         for key, a in _observables().items():
-            got = convergence_sweep(spec, EXHAUSTION, a, t_grid, family, max_order=4)
+            got = convergence_sweep(spec, EXHAUSTION, a, t_grid, family)
             with monkeypatch.context() as m:
                 real_build = volume.build
                 m.setattr(volume, "build", lambda *args: one_sector(real_build(*args)))
-                ref = convergence_sweep(spec, EXHAUSTION, a, t_grid, family, max_order=4)
+                ref = convergence_sweep(spec, EXHAUSTION, a, t_grid, family)
             for rows in ("evolution_rows", "order_rows", "dyson_rows"):
                 assert len(getattr(got, rows)) == len(getattr(ref, rows))
                 for g, r in zip(getattr(got, rows), getattr(ref, rows)):

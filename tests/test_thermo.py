@@ -23,12 +23,12 @@ from nesslab import (
 )
 from nesslab import exact_evolve, opalg, thermo
 from nesslab.model import PerturbationEntry, PerturbationFamily
-from nesslab.thermo import StateRep, _horizon_kernels
+from nesslab.thermo import _gibbs_factors, _horizon_kernels
 
 import oracles
 from conftest import (SX, SY, SZ, dense_generator, entropy_report, make_chain, one_sector,
                       random_hermitian, random_unitary, traced_peak)
-from oracles import initial_state, time_averaged_state
+from oracles import expectation, initial_state, time_averaged_state
 
 
 class TestGibbs:
@@ -36,12 +36,12 @@ class TestGibbs:
         rng = np.random.default_rng(0)
         h = DenseOperator((0, 1), (2, 2), random_hermitian(rng, 4))
         state = gibbs(h, 0.0)
-        np.testing.assert_allclose(state.density, np.eye(4) / 4.0, atol=1e-12)
+        np.testing.assert_allclose(state.matrix, np.eye(4) / 4.0, atol=1e-12)
 
     def test_qubit_closed_form(self):
         state = gibbs(DenseOperator((0,), (2,), SZ), 1.0)
         z = math.e + math.exp(-1.0)
-        np.testing.assert_allclose(state.density,
+        np.testing.assert_allclose(state.matrix,
                                    np.diag([math.exp(-1.0) / z, math.e / z]),
                                    atol=1e-12)
 
@@ -52,32 +52,38 @@ class TestGibbs:
         gap = w[1] - w[0]
         state = gibbs(DenseOperator((0,), (6,), mat), 50.0 / gap)
         ground = v[:, 0]
-        fidelity = float(np.real(ground.conj() @ state.density @ ground))
+        fidelity = float(np.real(ground.conj() @ state.matrix @ ground))
         assert fidelity > 1.0 - 1e-6
 
     def test_negative_beta_still_a_state(self):
         state = gibbs(DenseOperator((0,), (2,), SZ), -2.0)
-        assert np.trace(state.density).real == pytest.approx(1.0, abs=1e-12)
-        assert np.min(opalg.eigenvalues(state.density)) >= -1e-12
+        assert np.trace(state.matrix).real == pytest.approx(1.0, abs=1e-12)
+        assert np.min(opalg.eigenvalues(state.matrix)) >= -1e-12
 
-
-class TestStateRep:
-    def test_refuses_a_non_positive_matrix(self):
-        # unit trace and Hermitian, with eigenvalues 1.5 and -0.5
-        with pytest.raises(ValueError, match="positive"):
-            StateRep((0,), (2,), np.array([[0.5, 1.0], [1.0, 0.5]]))
-
-    @pytest.mark.parametrize("lowest,accepted", [(-1e-8, False), (-1e-12, True), (0.0, True)])
-    def test_positivity_is_checked_to_its_tolerance(self, lowest, accepted):
-        assert opalg.STATE_POSITIVITY_TOL == 1e-10
-        u = random_unitary(np.random.default_rng(2), 3)
-        density = u @ np.diag([lowest, 0.4, 0.6 - lowest]) @ u.conj().T
-        if accepted:
-            state = StateRep((0,), (3,), density)
-            assert np.min(opalg.eigenvalues(state.density)) == pytest.approx(lowest, abs=1e-14)
-        else:
-            with pytest.raises(ValueError, match="positive"):
-                StateRep((0,), (3,), density)
+    @pytest.mark.parametrize("kind", ["real", "complex", "perturbed"])
+    def test_initial_state_factors_are_density_matrices(self, kind):
+        # each Gibbs factor of exp(-G), on its reservoir's sites: unit trace,
+        # Hermitian and no eigenvalue below zero, each within 1e-10
+        spec = make_chain(6, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2, 5: 2}, {1: 2.0, 2: 0.5},
+                          coup=0.8, anis=0.3)
+        family = None
+        if kind == "complex":
+            extra = (InteractionTerm((0, 1), 0.4 * np.kron(SX, SY)),
+                     InteractionTerm((4,), 0.3 * SY))
+            spec = ModelSpec(spec.sites, spec.regions, spec.terms + extra, spec.lam, spec.betas)
+        elif kind == "perturbed":
+            entry = PerturbationEntry(frozenset(range(6)),
+                                      (InteractionTerm((0, 1), 0.3 * np.kron(SX, SX)),
+                                       InteractionTerm((5,), 0.25 * SZ)))
+            family = PerturbationFamily((entry,), bound_K=1.0)
+        factors, _ = _gibbs_factors(build(spec, range(6), family))
+        assert [f.sites for f in factors] == [(0, 1), (3, 4, 5)]
+        assert any(np.iscomplexobj(f.matrix) for f in factors) == (kind == "complex")
+        for rho in factors:
+            m = rho.matrix
+            assert abs(np.trace(m) - 1.0) <= 1e-10
+            assert np.max(np.abs(m - m.conj().T)) <= 1e-10 * np.max(np.abs(m))
+            assert np.min(np.linalg.eigvalsh(m)) >= -1e-10
 
 
 class TestInitialState:
@@ -86,19 +92,19 @@ class TestInitialState:
                          0.5, decoupled_model.betas)
         vols = build(spec, (0, 1, 2))
         state = initial_state(vols)
-        np.testing.assert_allclose(state.density, np.eye(8) / 8.0, atol=1e-12)
+        np.testing.assert_allclose(state.matrix, np.eye(8) / 8.0, atol=1e-12)
 
     def test_unit_trace_by_construction(self, chain5):
         vols = build(chain5, range(5))
         state = initial_state(vols)
-        assert np.trace(state.density).real == pytest.approx(1.0, abs=1e-10)
-        assert np.min(opalg.eigenvalues(state.density)) >= -1e-10
+        assert np.trace(state.matrix).real == pytest.approx(1.0, abs=1e-10)
+        assert np.min(opalg.eigenvalues(state.matrix)) >= -1e-10
 
     def test_matches_explicit_tensor_product(self, chain5):
         vols = build(chain5, range(5))
         direct = initial_state(vols)
         product = oracles.product_initial_state(chain5, range(5))
-        assert np.max(np.abs(direct.density - product.density)) <= 1e-10
+        assert np.max(np.abs(direct.matrix - product.matrix)) <= 1e-10
 
     def test_matches_product_with_perturbation(self, chain5):
         entry = PerturbationEntry(frozenset(range(5)),
@@ -108,13 +114,13 @@ class TestInitialState:
         vols = build(chain5, range(5), family)
         direct = initial_state(vols)
         product = oracles.product_initial_state(chain5, range(5), family)
-        assert np.max(np.abs(direct.density - product.density)) <= 1e-10
+        assert np.max(np.abs(direct.matrix - product.matrix)) <= 1e-10
 
     def test_small_system_factor_is_normalized_trace(self, chain5):
         vols = build(chain5, range(5))
         state = initial_state(vols)
         # tracing out the reservoirs leaves the maximally mixed qubit at site 2
-        rho = state.density.reshape((2,) * 10)
+        rho = state.matrix.reshape((2,) * 10)
         reduced = np.einsum("abcdeabfde->cf", rho)
         np.testing.assert_allclose(reduced, np.eye(2) / 2.0, atol=1e-12)
 
@@ -192,9 +198,9 @@ class TestTimeAverage:
         plan = make_plan(dense_generator(vols))
         state = initial_state(vols)
         conserved = oracles.apply_function(dense_generator(vols), lambda s: s * s)
-        base = state.expectation(conserved)
+        base = expectation(state, conserved)
         for horizon in (0.5, 3.0, 17.0):
-            avg = time_averaged_state(plan, state, horizon).expectation(conserved)
+            avg = expectation(time_averaged_state(plan, state, horizon), conserved)
             assert avg == pytest.approx(base, abs=1e-10)
 
     def test_short_horizon_continuity(self, chain5):
@@ -203,16 +209,16 @@ class TestTimeAverage:
         state = initial_state(vols)
         a = embed(vols.currents[1], vols.sites, vols.dims)
         scale = op_norm(a) * (1.0 + op_norm(dense_generator(vols)))
-        avg = time_averaged_state(plan, state, 1e-6).expectation(a)
-        assert abs(avg - state.expectation(a)) <= 1e-6 * scale
+        avg = expectation(time_averaged_state(plan, state, 1e-6), a)
+        assert abs(avg - expectation(state, a)) <= 1e-6 * scale
 
     def test_qubit_pauli_average_vanishes(self):
         gen = DenseOperator((0,), (2,), 0.5 * SZ)
         plan = make_plan(gen)
-        state = StateRep((0,), (2,), np.eye(2, dtype=complex) / 2.0)
+        state = DenseOperator((0,), (2,), np.eye(2, dtype=complex) / 2.0)
         a = DenseOperator((0,), (2,), SX)
         for horizon in (0.1, 1.0, 10.0):
-            avg = time_averaged_state(plan, state, horizon).expectation(a)
+            avg = expectation(time_averaged_state(plan, state, horizon), a)
             assert abs(avg) <= 1e-12
 
     def test_kernel_exact_at_every_bohr_frequency(self):
@@ -220,10 +226,10 @@ class TestTimeAverage:
         # coherence, K(x) = (e^{ix} - 1)/(ix): compared with the Taylor
         # series where the closed form cancels, and with the closed form
         # where it does not
-        state = StateRep((0,), (2,), np.full((2, 2), 0.5, dtype=complex))
+        state = DenseOperator((0,), (2,), np.full((2, 2), 0.5, dtype=complex))
         for x in (1e-14, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1.0, 2.5, 10.0, 1e3):
             plan = make_plan(DenseOperator((0,), (2,), np.diag([0.0, x])))
-            got = 2.0 * time_averaged_state(plan, state, 1.0).density[0, 1]
+            got = 2.0 * time_averaged_state(plan, state, 1.0).matrix[0, 1]
             if x <= 1e-3:
                 want = sum((1j * x) ** n / math.factorial(n + 1) for n in range(5))
             else:
@@ -235,7 +241,7 @@ class TestTimeAverage:
         plan = make_plan(dense_generator(vols))
         state = initial_state(vols)
         a = embed(vols.currents[1], vols.sites, vols.dims)
-        spectral_avg = time_averaged_state(plan, state, 2.5).expectation(a)
+        spectral_avg = expectation(time_averaged_state(plan, state, 2.5), a)
         quad_avg = oracles.time_avg_expectation_quadrature(vols, state, a, 2.5,
                                                            panels=160, plan=plan)
         # composite Simpson error ~ (T/panels)^4 * ||d^4/dt^4|| / 180
@@ -247,15 +253,14 @@ class TestTimeAverage:
         vols = build(chain5, range(5))
         plan = make_plan(dense_generator(vols))
         averaged = time_averaged_state(plan, initial_state(vols), 7.0)
-        assert np.trace(averaged.density).real == pytest.approx(1.0, abs=1e-10)
-        assert np.min(opalg.eigenvalues(averaged.density)) >= -1e-10
+        assert np.trace(averaged.matrix).real == pytest.approx(1.0, abs=1e-10)
+        assert np.min(opalg.eigenvalues(averaged.matrix)) >= -1e-10
 
     def test_nonpositive_horizon_rejected(self, chain5):
         vols = build(chain5, range(5))
         w_op = embed(vols.W, vols.sites, vols.dims)
         with pytest.raises(ValueError):
-            time_averaged_state(make_plan(dense_generator(vols)), initial_state(vols),
-                                0.0).expectation(w_op)
+            time_averaged_state(make_plan(dense_generator(vols)), initial_state(vols), 0.0)
 
 
 EPS = np.finfo(float).eps
@@ -396,12 +401,12 @@ class TestEntropyProduction:
         vols = build(chain5, range(5))
         for horizon in (0.5, 2.0, 11.0, 60.0):
             report = entropy_report(vols, horizon)
-            assert report.e_telescoped >= -1e-10 * report.g_norm
+            assert report.e_telescoped >= -1e-10 * vols.g_norm
 
     def test_three_site_chain_nonnegative(self, standard_chain):
         vols = one_sector(build(standard_chain, (0, 1, 2)))
         for report, _ in horizon_reports(vols, (0.3, 1.0, 5.0, 40.0)):
-            assert report.e_telescoped >= -1e-10 * report.g_norm
+            assert report.e_telescoped >= -1e-10 * vols.g_norm
 
     def test_report_serialization(self, standard_chain):
         vols = build(standard_chain, (0, 1, 2))
@@ -412,8 +417,8 @@ class TestEntropyProduction:
 
     def test_flux_route_matches_endpoint_route(self, chain5):
         vols = one_sector(build(chain5, range(5)))
+        assert not any(np.any(b.matrix) for b in vols.B_a.values())
         for report, _ in horizon_reports(vols, (1.0, 10.0)):
-            assert not report.perturbed
             assert abs(report.e - report.e_telescoped) <= 1e-8 * max(1.0, abs(report.e))
 
     def test_equal_temperature_entropy_decays(self):
@@ -434,7 +439,7 @@ class TestEntropyProduction:
         for horizon, (report, _) in zip(horizons, horizon_reports(vols, horizons)):
             w_op = embed(vols.W, vols.sites, vols.dims)
             w_end = exact_evolve(plan, w_op, horizon)
-            endpoint = -(sigma.expectation(w_end) - sigma.expectation(w_op)) / horizon
+            endpoint = -(expectation(sigma, w_end) - expectation(sigma, w_op)) / horizon
             assert abs(report.sum_rule_residual - endpoint) <= 1e-10
             assert abs(report.sum_rule_residual) <= report.tol_sum_rule + 1e-10
 
@@ -447,9 +452,9 @@ class TestEntropyProduction:
         averaged = time_averaged_state(plan, sigma, horizon)
         g = oracles.exponent_operator(vols)
         comm = 1j * (h_b.matrix @ g.matrix - g.matrix @ h_b.matrix)
-        lhs = float(np.real(np.trace(averaged.density @ comm)))
+        lhs = float(np.real(np.trace(averaged.matrix @ comm)))
         g_end = exact_evolve(plan, g, horizon)
-        rhs = (sigma.expectation(g_end) - sigma.expectation(g)) / horizon
+        rhs = (expectation(sigma, g_end) - expectation(sigma, g)) / horizon
         scale = max(1.0, op_norm(g))
         assert abs(lhs - rhs) <= 1e-8 * scale
 
@@ -459,10 +464,10 @@ class TestEntropyProduction:
                                    InteractionTerm((4,), 0.3 * SZ)))
         family = PerturbationFamily((entry,), bound_K=1.5)
         vols = build(chain5, range(5), family)
+        assert any(np.any(b.matrix) for b in vols.B_a.values())
         for horizon in (0.7, 6.0, 25.0):
             report = entropy_report(vols, horizon)
-            assert report.perturbed
-            assert report.e_telescoped >= -1e-10 * report.g_norm
+            assert report.e_telescoped >= -1e-10 * vols.g_norm
 
     def test_perturbed_chain_matches_the_evolution_oracle(self, chain5):
         # B_1 = 0.4 sigma_z(1) does not commute with the interface bond (1, 2), so
