@@ -67,12 +67,14 @@ class ExperimentConfig:
     redraw_new_s: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not self.exhaustion:
+            raise ValueError("exhaustion must name at least one volume")
         for small, large in zip(self.exhaustion, self.exhaustion[1:]):
             if not set(small) < set(large):
                 raise ValueError("exhaustion must be strictly nested ascending")
         for t in self.horizons:
-            if t <= 0:
-                raise ValueError("horizons must be positive")
+            if not 0 < t < math.inf:
+                raise ValueError("horizons must be positive and finite")
         if any(b > a for a, b in zip(self.horizons[1:], self.horizons)):
             raise ValueError("horizons must be ascending")
 

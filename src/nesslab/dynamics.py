@@ -284,22 +284,110 @@ class ConvergenceSweepReport:
 def _lifted_gap(small_plan: EvolutionPlan, small: dict, plan: EvolutionPlan,
                 large: dict, sign: float) -> float:
     """||embed(S) - L|| for (anti-)Hermitian S and L (``sign`` +1, -1) given by
-    their blocks p <= q: S assembled at its own dimension, then gathered, and L
-    subtracted in place from the gathered blocks."""
+    their blocks p <= q: S assembled at its own dimension, then gathered, and
+    each block of L popped from ``large``, which is left empty, and subtracted
+    in place from the gathered blocks, so a block of L held nowhere else is
+    freed as it is subtracted."""
     rows = [s.indices for s in small_plan.sectors]
     lifted = opalg.assemble(small, rows, math.prod(small_plan.dims), sign)
     diff = _embedded_blocks([s.indices for s in plan.sectors], plan.sites, plan.dims,
                             DenseOperator(small_plan.sites, small_plan.dims, lifted),
                             pattern=(rows, small))
     del lifted   # its blocks are gathered
-    for key, block in large.items():
+    while large:
+        key, block = large.popitem()
         if key not in diff:
             diff[key] = -block
         elif np.can_cast(block.dtype, diff[key].dtype):
             diff[key] -= block
         else:   # a real S against a complex L
             diff[key] = diff[key] - block
+        del block
     return opalg.block_norm(diff, [s.indices.size for s in plan.sectors], sign)
+
+
+# |x| below which R(x) is summed as its tail series: from there it is the difference of
+# e^{ix} and the partial sum, whose terms sum in magnitude to at most 5.3e3 |R(x)| (at 4)
+_TAIL_SERIES_BELOW = 4.0
+
+
+def _alternating_sum(x: np.ndarray, first: int, terms: int) -> np.ndarray:
+    """sum of (-1)^(m // 2) x^m / m! over m = first, first + 2, ... (``terms`` of
+    them), by Horner in x^2: the real (even m) or imaginary (odd m) part of the
+    sum of (ix)^m / m! over those m."""
+    u = x * x
+    acc = np.ones_like(x)
+    for m in range(first + 2 * (terms - 1), first, -2):
+        acc *= u
+        acc *= -1.0 / (m * (m - 1))
+        acc += 1.0
+    acc *= (-1) ** (first // 2) / math.factorial(first)
+    acc *= np.power(u, first // 2, out=u)   # x^first from x^2, so the sum's parity is exact
+    return np.multiply(acc, x, out=acc) if first % 2 else acc
+
+
+def _series_remainder(x: np.ndarray) -> np.ndarray:
+    """R(x) = e^{ix} - sum_{m <= SERIES_ORDER} (ix)^m / m! for real x, elementwise:
+    the error of the truncated series on the phase e^{ix}. Its real part is even
+    in x and its imaginary part odd, so R(-x) = conj R(x) exactly. Below |x| =
+    _TAIL_SERIES_BELOW it is summed as its tail sum_{m > SERIES_ORDER} (ix)^m / m!,
+    up to the first term below eps times the leading one at the largest such |x|,
+    where nothing cancels; from there as the difference."""
+    out = np.empty(x.shape, dtype=complex)
+    low = np.abs(x) < _TAIL_SERIES_BELOW
+    part = x[low]
+    if part.size:
+        top, last = float(np.max(np.abs(part))), SERIES_ORDER + 2
+        while (top ** (last - SERIES_ORDER) / math.prod(range(SERIES_ORDER + 2, last + 2))
+               > np.finfo(float).eps):
+            last += 1
+        for first in (SERIES_ORDER + 1, SERIES_ORDER + 2):
+            (out.imag if first % 2 else out.real)[low] = _alternating_sum(
+                part, first, (last - first) // 2 + 1)
+    high = ~low
+    part = x[high]
+    if part.size:
+        out.real[high] = np.cos(part) - _alternating_sum(part, 0, SERIES_ORDER // 2 + 1)
+        out.imag[high] = np.sin(part) - _alternating_sum(part, 1, (SERIES_ORDER + 1) // 2)
+    return out
+
+
+def _dyson_error_norm(plan: EvolutionPlan, rotated: dict, t: float) -> float:
+    """||E|| for the error E of the truncated series at time t on an operator whose
+    rotated blocks (:func:`_rotated_blocks`) are ``rotated``: in the eigenbasis the
+    partial sum applies the degree-SERIES_ORDER Taylor polynomial of the phase that
+    the exact evolution applies, so E_pq = R(x) * rotated_pq entrywise with x_jk =
+    t (w_pj - w_qk) (:func:`_series_remainder`). E is Hermitian, and the norm is
+    unitarily invariant, so its blocks are normed as they are."""
+    w = [s.eigenvalues for s in plan.sectors]
+    err = {}
+    for (p, q), block in rotated.items():
+        e = _series_remainder(t * np.subtract.outer(w[p], w[q]))
+        err[p, q] = np.multiply(e, block, out=e)
+    return opalg.block_norm(err, [s.indices.size for s in plan.sectors], 1.0)
+
+
+def _light_cone_order(spec: ModelSpec, small: tuple[int, ...], large: tuple[int, ...],
+                      sites: Iterable[int], perturbation: PerturbationFamily | None) -> int:
+    """k = 1 + the first j < SWEEP_ORDERS at which the generator terms (perturbation
+    terms included) that meet S_j differ between the volumes ``small`` and ``large``,
+    supports and matrices compared exactly; S_0 = ``sites`` and S_{j+1} is S_j with
+    the supports of those terms. SWEEP_ORDERS + 1 if none differ. delta^m of an
+    operator on ``sites`` is made of the terms meeting S_0, ..., S_{m-1} alone, so it
+    is the same operator in both volumes for every m < k."""
+    def terms(volume: tuple[int, ...]) -> list:
+        extra = () if perturbation is None else perturbation.terms_for(volume)
+        return [t for t in spec.terms + tuple(extra) if set(t.support) <= set(volume)]
+
+    near = (terms(small), terms(large))
+    region = set(sites)
+    for j in range(SWEEP_ORDERS):
+        meeting = [sorted((t.support, t.matrix.tobytes()) for t in ts if region & set(t.support))
+                   for ts in near]
+        if meeting[0] != meeting[1]:
+            return j + 1
+        region.update(*(support for support, _ in meeting[0]))
+    return SWEEP_ORDERS + 1
 
 
 def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
@@ -310,21 +398,23 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     For each consecutive volume pair the report carries the norm difference
     of the evolved observable at each time and of each commutator r_m,
     m <= SWEEP_ORDERS, of :func:`_commutator_blocks` (||i^m x|| = ||x||), taken in the
-    larger volume, as embedding is isometric. Each volume also gets
-    truncated-series error rows against the exact evolution, with the
-    reported tail bound, for times inside the radius. The observable must
-    be selfadjoint; the bound's envelope ||a|| e^{lam card X} takes
-    X = ``a.sites``, so pass it on its own sites for the tightest bound.
+    larger volume, as embedding is isometric. An order below the pair's
+    :func:`_light_cone_order` is exactly the same operator in both volumes and
+    is written as 0.0, neither lifted nor normed. Each volume also gets, for
+    the times inside the radius, the norm of the truncated series' error at
+    that volume's spectral data (:func:`_dyson_error_norm`) with the reported
+    tail bound. The observable must be selfadjoint; the bound's envelope
+    ||a|| e^{lam card X} takes X = ``a.sites``, so pass it on its own sites
+    for the tightest bound.
+
     Every volume-sized operator is held as its nonzero sector blocks p <= q,
-    ``H_B`` as the diagonal blocks the build gives. Each time is evolved,
-    compared and dropped before the next; one inside the radius is kept as
-    its series error a - tau_t(a), and the times outside it come first, so
-    no series error is held while they are compared (rows stay in grid
-    order). Of the previous volume only the plan, the rotated observable
-    blocks and the first SWEEP_ORDERS commutators are kept, and its
-    observable is evolved again at each time. Each commutator up to
-    SERIES_ORDER is added into every series error as made, the step
-    :func:`dyson_evolve` takes.
+    ``H_B`` as the diagonal blocks the build gives. Each volume is built,
+    planned, and its observable embedded and rotated; then its commutators
+    are made and compared, after which ``H_B`` and the embedded observable
+    are dropped, and the commutators are kept only for a next volume. Then
+    each time is evolved in both volumes, compared and dropped before the
+    next. Of the previous volume only the plan, the rotated observable
+    blocks and the commutators are kept.
     """
     vols = [tuple(sorted(set(v))) for v in exhaustion]
     for small, large in zip(vols, vols[1:]):
@@ -335,8 +425,6 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     a = a.with_matrix(opalg.hermitian_matrix(a, "the convergence sweep"))
 
     radius = series_radius(spec, perturbation)
-    inside = any(abs(t) < radius for t in t_grid)
-    order = max(SWEEP_ORDERS, SERIES_ORDER) if inside else SWEEP_ORDERS
     envelope = _envelope(a, spec.lam)
 
     evo_rows, order_rows, dyson_rows = [], [], []
@@ -348,35 +436,27 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
         del built   # its currents and reservoir operators are not read here
         a_v = _embedded_blocks([s.indices for s in plan.sectors], plan.sites, plan.dims, a)
         rotated = _rotated_blocks(plan, a_v)
-        errors = []   # a - tau_t(a) for each inside time, to which each order's term is added
-        gaps = {}   # each pair row's discrepancy by position in t_grid
-        # the times outside the radius first, while no series error is held
-        for k, t in sorted(enumerate(t_grid), key=lambda kt: abs(kt[1]) < radius):
-            evolved = _rotated_back(plan, rotated, True, _evolution(plan, t))
-            if i:
-                small = _rotated_back(prev_plan, prev_rotated, True, _evolution(prev_plan, t))
-                gaps[k] = _lifted_gap(prev_plan, small, plan, evolved, 1.0)
-                del small
-            if abs(t) < radius:
-                for key, block in evolved.items():
-                    np.subtract(a_v[key], block, out=block)
-                errors.append((float(t), evolved))
-            del evolved   # freed before the next time is evolved
-        evo_rows += [SweepRow(i - 1, float(t), gaps[k]) for k, t in enumerate(t_grid) if i]
 
+        cone = _light_cone_order(spec, vols[i - 1], sites, a.sites, perturbation) if i else 0
         powers = []
-        for m, r in enumerate(_commutator_blocks(h_blocks, a_v, order, errors), start=1):
-            if m <= SWEEP_ORDERS:
+        for m, r in enumerate(_commutator_blocks(h_blocks, a_v, SWEEP_ORDERS), start=1):
+            if i:
+                order_rows.append(OrderRow(i - 1, m, 0.0 if m < cone else _lifted_gap(
+                    prev_plan, prev_powers[m - 1], plan, dict(r), (-1.0) ** m)))
+            if i + 1 < len(vols):
                 powers.append(r)
-                if i:
-                    order_rows.append(OrderRow(i - 1, m, _lifted_gap(
-                        prev_plan, prev_powers[m - 1], plan, r, (-1.0) ** m)))
             del r   # only powers keeps an order
-        del h_blocks, a_v   # not needed by the norms below
+        del h_blocks, a_v, prev_powers   # no later step reads them
+
+        for t in t_grid:
+            if i:
+                evo_rows.append(SweepRow(i - 1, float(t), _lifted_gap(
+                    prev_plan, _rotated_back(prev_plan, prev_rotated, True,
+                                             _evolution(prev_plan, t)),
+                    plan, _rotated_back(plan, rotated, True, _evolution(plan, t)), 1.0)))
+            if abs(t) < radius:
+                dyson_rows.append(DysonRow(i, float(t), _dyson_error_norm(plan, rotated, t),
+                                           _tail_bound(envelope, abs(t) / radius)))
         prev_plan, prev_rotated, prev_powers = plan, rotated, powers
-        sizes = [s.indices.size for s in plan.sectors]
-        dyson_rows += [DysonRow(i, t, opalg.block_norm(err, sizes, 1.0),
-                                _tail_bound(envelope, abs(t) / radius))
-                       for t, err in errors]
 
     return ConvergenceSweepReport(tuple(evo_rows), tuple(order_rows), tuple(dyson_rows))

@@ -89,6 +89,8 @@ class InteractionTerm:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"term on {support}: matrix must be square")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError(f"term on {support}: matrix entries must be finite")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "matrix", mat)
 
@@ -133,8 +135,10 @@ class ModelSpec:
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "terms", _merge_terms(self.terms))
         object.__setattr__(self, "betas", {int(k): float(v) for k, v in dict(self.betas).items()})
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be > 0 and finite")
+        if not all(map(math.isfinite, self.betas.values())):
+            raise ValueError("betas must be finite")
         declared = set(ids)
         assigned = set(self.regions.assignment)
         if assigned != declared:
@@ -309,10 +313,11 @@ class PerturbationEntry:
 class PerturbationFamily:
     """A volume-indexed family of reservoir perturbations.
 
-    Every term must live inside a single reservoir, each volume's term list
-    stays below the uniform weighted-norm bound ``bound_K``, and each
-    protected site set is untouched by all entries from its threshold index
-    on. :meth:`check` verifies all three against a model.
+    Every term must live on declared sites inside a single reservoir, each
+    volume's term list stays below the uniform weighted-norm bound
+    ``bound_K`` (finite), and each protected site set is untouched by all
+    entries from its threshold index on. :meth:`check` verifies all three
+    against a model.
     """
 
     entries: tuple[PerturbationEntry, ...] = ()
@@ -324,8 +329,8 @@ class PerturbationFamily:
         object.__setattr__(
             self, "protected",
             tuple((frozenset(x), int(i)) for x, i in self.protected))
-        if self.bound_K < 0:
-            raise ValueError("bound_K must be >= 0")
+        if not 0 <= self.bound_K < math.inf:
+            raise ValueError("bound_K must be >= 0 and finite")
 
     def terms_for(self, volume: Iterable[int]) -> tuple[InteractionTerm, ...]:
         key = frozenset(volume)
@@ -336,9 +341,13 @@ class PerturbationFamily:
 
     def check(self, spec: ModelSpec) -> list[str]:
         problems: list[str] = []
+        declared = set(spec.site_ids)
         for idx, entry in enumerate(self.entries):
             for t in entry.terms:
-                if spec.regions.reservoir_of(t.support) is None:
+                if not set(t.support) <= declared:
+                    problems.append(f"entry {idx}: term on {t.support} names undeclared "
+                                    f"sites {sorted(set(t.support) - declared)}")
+                elif spec.regions.reservoir_of(t.support) is None:
                     problems.append(
                         f"entry {idx}: term on {t.support} is not inside a single reservoir")
             norm = interaction_lambda_norm(entry.terms, spec.lam, spec.site_ids)

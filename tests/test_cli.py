@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +34,14 @@ INVALID_OBSERVABLES = {
     "term-without-matrix": [{"support": [1]}],
     "one-by-one-matrix-on-a-qubit": [{"support": [1], "matrix": [[[1, 0]]]}],
     "observable-not-a-term-list": 5,
+}
+MID_Z = [{"support": [1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}]
+# changes to the chain_files model document that its loader refuses
+INVALID_MODELS = {
+    "model-without-sites": lambda doc: doc.pop("sites"),
+    "nan-model-entry": lambda doc: doc["terms"][0]["matrix"][0][0].__setitem__(0, math.nan),
+    "nan-lambda": lambda doc: doc.update({"lambda": math.nan}),
+    "infinite-beta": lambda doc: doc["betas"].update({"1": math.inf}),
 }
 
 
@@ -120,6 +129,17 @@ class TestValidateCommand:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--model", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("invalid", ["nan-model-entry", "nan-lambda", "infinite-beta"])
+    def test_non_finite_model_exits_two(self, chain_files, capsys, invalid):
+        # a NaN entry used to validate as ok and then fail the build
+        _, model_path, _, tmp_path = chain_files
+        doc = json.loads(model_path.read_text())
+        INVALID_MODELS[invalid](doc)
+        path = write_config(tmp_path, doc, name="non_finite.json")
+        assert main(["validate", "--model", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"cannot load {path}: ") and "finite" in out
 
 
 class TestSimulateCommand:
@@ -214,13 +234,15 @@ class TestSimulateCommand:
         assert out.startswith(f"cannot load {tmp_path / 'missing.json'}: ")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
-    @pytest.mark.parametrize("invalid", ["descending-horizons", "model-without-sites",
-                                         *INVALID_OBSERVABLES, "undeclared-volume-site"])
+    @pytest.mark.parametrize("invalid", ["descending-horizons", *INVALID_MODELS,
+                                         *INVALID_OBSERVABLES, "undeclared-volume-site",
+                                         "empty-exhaustion", "infinite-horizon",
+                                         "infinite-bound-K"])
     def test_invalid_content_exits_two_before_any_build(
             self, chain_files, capsys, monkeypatch, command, invalid):
         # JSON that its loader refuses, or that names what the model does not
         # hold, is reported as a file that cannot be loaded, on one line, as a
-        # missing file is; not as a traceback
+        # missing file is; not as a traceback, nor as rows of NaN
         _, model_path, _, tmp_path = chain_files
         doc = {"model": model_path.name, "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
                "horizons": [5.0, 1.0] if invalid == "descending-horizons" else [1.0, 5.0]}
@@ -228,18 +250,46 @@ class TestSimulateCommand:
             doc["observables"] = {"x": INVALID_OBSERVABLES[invalid]}
         if invalid == "undeclared-volume-site":
             doc["exhaustion"][-1].append(99)
+        if invalid == "empty-exhaustion":
+            doc.update(exhaustion=[], observables={"mid_z": MID_Z})
+        if invalid == "infinite-horizon":
+            doc["horizons"].append(math.inf)
         bad_path = tmp_path / "invalid.json"
-        if invalid == "model-without-sites":
+        if invalid in INVALID_MODELS:
             model_doc = json.loads(model_path.read_text())
-            del model_doc["sites"]
-            bad_path = write_config(tmp_path, model_doc, name="no_sites.json")
+            INVALID_MODELS[invalid](model_doc)
+            bad_path = write_config(tmp_path, model_doc, name="bad_model.json")
             doc["model"] = bad_path.name
+        if invalid == "infinite-bound-K":
+            bad_path = write_config(tmp_path, {"bound_K": math.inf}, name="family.json")
+            doc["perturbation"] = bad_path.name
         config_path = write_config(tmp_path, doc, name="invalid.json")
         built = []
         monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
         assert main([command, "--config", str(config_path)]) == 2
         out = capsys.readouterr().out
         assert out.startswith(f"cannot load {bad_path}: ") and out.count("\n") == 1
+        assert built == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
+    def test_family_term_on_undeclared_site_refused_before_any_build(
+            self, chain_files, monkeypatch, command):
+        # one of the family check's problem lines, not a KeyError traceback
+        _, model_path, _, tmp_path = chain_files
+        family_path = write_config(tmp_path, {"bound_K": 1.0, "volumes": [
+            {"sites": [0, 1, 2, 3], "terms": [{**MID_Z[0], "support": [99]}]}]},
+            name="family.json")
+        config_path = write_config(tmp_path, {
+            "model": model_path.name, "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
+            "horizons": [1.0], "observables": {"mid_z": MID_Z},
+            "perturbation": family_path.name, "output_dir": str(tmp_path / "out"),
+        }, name="family_config.json")
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        with pytest.raises(SystemExit) as refused:
+            main([command, "--config", str(config_path)])
+        assert str(refused.value) == ("perturbation family rejected:\n"
+                                      "entry 0: term on (99,) names undeclared sites [99]")
         assert built == []
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])

@@ -3,6 +3,7 @@ import math
 import weakref
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -508,26 +509,32 @@ class TestConvergenceSweep:
 
     def test_real_chain_order_norms_solve_real(self, named_eigensolves):
         # Outside the radius there are no Dyson rows. Past the first volume,
-        # each sector dimension D/2 sees H_B's two real eigh; the four order
-        # rows, real, each through the Gram matrix of the one stored
-        # off-diagonal sector block of its difference, which is exactly
-        # antisymmetric (odd order) or symmetric (even order); and one
+        # each sector dimension D/2 sees H_B's two real eigh; each order row
+        # outside the pair's light cone, real, through the Gram matrix of the
+        # one stored off-diagonal sector block of its difference, which is
+        # exactly antisymmetric (odd order) or symmetric (even order); and one
         # complex Gram solve per evolution row, which is exactly Hermitian. At D/2 = 4 of the first
         # volume only H_B is solved. Dimension 8 adds ||W|| on W's sites
         # {1, 2, 3} in each volume and log Z of reservoir 2's block {3, 4, 5}
-        # in the last. Nothing is solved at the largest D.
+        # in the last. Nothing is solved at the largest D. The light cone of
+        # sigma_x on site 2 reaches {1, 2, 3} after one order and the whole
+        # middle volume after two: the bond (3, 4), then (0, 1), then (4, 5)
+        # is the first term that tells the pair's volumes apart, so orders
+        # below 2, 2 and 3 are exactly zero and take no solve.
         spec = make_chain(6, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2, 5: 2}, {1: 2.0, 2: 1.0}, anis=0.3)
         a = DenseOperator((2,), (2,), SX)
         exhaustion = [(1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 3, 4), tuple(range(6))]
+        cones = [2, 2, 3]
         radius = series_radius(spec)
         t_grid = [2.0 * radius, 8.0 * radius]
         report = convergence_sweep(spec, exhaustion, a, t_grid)
-        assert all(row.discrepancy > 0.0 for row in report.order_rows)
+        for row in report.order_rows:
+            assert (row.discrepancy > 0.0) == (row.order >= cones[row.pair_index])
         expected = Counter({("eigvalsh", 8, "float64"): len(exhaustion) + 1})
-        for sites in exhaustion[1:]:
+        for sites, cone in zip(exhaustion[1:], cones):
             half = spec.volume_dim(sites) // 2
             expected["eigh", half, "float64"] += 2
-            expected["eigvalsh", half, "float64"] += 1 + 1 + 1 + 1
+            expected["eigvalsh", half, "float64"] += dynamics.SWEEP_ORDERS + 1 - cone
             expected["eigvalsh", half, "complex128"] += len(t_grid)
         solves = Counter((name, dim, np.dtype(dtype).name)
                          for name, dim, dtype in named_eigensolves if dim >= 8)
@@ -617,13 +624,22 @@ class TestConvergenceSweep:
         assert ten_site_sweep <= 6.0
 
     def test_compares_outside_times_while_no_series_error_is_held(self, ten_site_sweep):
-        # the times outside the radius are compared before those inside it,
-        # a Gram matrix is formed by symmetric rank-k products of the real
-        # and imaginary parts, a pair difference drops the smaller operator
-        # once gathered, and an evolution weight is one temporary. Measured:
-        # 4.9 real DxD at D = 1024 (5.8 with the grid in order and the Gram
+        # no series error is held while a time is compared, a Gram matrix is
+        # formed by symmetric rank-k products of the real and imaginary parts,
+        # a pair difference drops the smaller operator once gathered, and an
+        # evolution weight is one temporary. Measured: 4.9 real DxD at
+        # D = 1024 when the series errors were held but the times outside the
+        # radius compared first (5.8 with the grid in order and the Gram
         # matrix a general product of a scaled copy and its conjugate)
         assert ten_site_sweep <= 5.6
+
+    def test_holds_nothing_a_later_step_does_not_read(self, ten_site_sweep):
+        # a Dyson row is taken entrywise from the rotated observable, so no
+        # series error is held; H_B and the embedded observable are dropped
+        # before the times; the largest volume keeps no commutators; and each
+        # evolved block is freed as it is subtracted. Measured: 2.6 real DxD
+        # at D = 1024 (4.9 with the series errors summed in the site basis)
+        assert ten_site_sweep <= 3.2
 
     def test_largest_volume_works_at_the_sector_dimension(self, monkeypatch,
                                                           named_eigensolves):
@@ -632,11 +648,13 @@ class TestConvergenceSweep:
         # and H_B two diagonal ones, so each commutator order is two D/2
         # products (a quarter of the flops of one D product). They are the
         # rotation of sigma_x (two), two rotations back per time, two per
-        # order of the twelve the Dyson rows need, and the Gram products of
-        # each nonzero norm: one for a real block (the four order rows),
-        # three for a complex one (the evolution and Dyson rows); the solves
-        # are H_B's two eigh and one Gram eigvalsh per nonzero norm. The previous volume, of dimension D/2, works at
-        # D/4, so nothing else reaches D/2.
+        # order of the SWEEP_ORDERS the order rows compare (a Dyson row is
+        # entrywise in the eigenbasis), and the Gram products of each nonzero
+        # norm: one for a real block (the order rows from 3 on: sigma_x on
+        # site 3 meets the bond (5, 6) only at its third order), three for a
+        # complex one (the evolution and Dyson rows); the solves are H_B's two
+        # eigh and one Gram eigvalsh per nonzero norm. The previous volume, of
+        # dimension D/2, works at D/4, so nothing else reaches D/2.
         shapes = []
         product = opalg.matmul
 
@@ -657,10 +675,12 @@ class TestConvergenceSweep:
         norms = sum(row.discrepancy > 0.0 for row in report.evolution_rows + report.order_rows
                     if row.pair_index == 1) + sum(row.error > 0.0 for row in report.dyson_rows
                                                   if row.volume_index == 2)
-        assert norms == 3 + 4 + 2
+        orders = dynamics.SWEEP_ORDERS - 2
+        assert norms == 3 + orders + 2
         assert max(max(x + y) for x, y in shapes) == half
         assert [s for s in shapes if max(s[0] + s[1]) == half] == [
-            ((half, half), (half, half))] * (2 + 2 * len(t_grid) + 2 * 12 + 4 + 3 * (3 + 2))
+            ((half, half), (half, half))] * (2 + 2 * len(t_grid) + 2 * dynamics.SWEEP_ORDERS
+                                             + orders + 3 * (3 + 2))
         assert max(d for _, d, _ in named_eigensolves) == half
         assert Counter(name for name, d, _ in named_eigensolves if d == half) == {
             "eigh": 2, "eigvalsh": norms}
@@ -674,3 +694,143 @@ class TestConvergenceSweep:
         a = DenseOperator((4,), (2,), SX)
         with pytest.raises(ValueError):
             convergence_sweep(chain5, [(1, 2, 3), (1, 2, 3, 4)], a, [0.1])
+
+
+def _middle_chain(n, **kwargs):
+    """An open chain of n qubits whose middle site is the small system, sigma_x
+    on it, and the nested volumes that grow by one site on each side."""
+    mid = n // 2
+    spec = make_chain(n, {i: 0 if i == mid else 1 if i < mid else 2 for i in range(n)},
+                      {1: 2.0, 2: 1.0}, **kwargs)
+    exhaustion = [tuple(range(mid - k, min(n, mid + k + 1))) for k in range(1, mid + 1)]
+    return spec, DenseOperator((mid,), (2,), SX), exhaustion
+
+
+def _mp_remainder(x):
+    """R(x) = sum_{m > SERIES_ORDER} (ix)^m / m! at the working precision."""
+    m = dynamics.SERIES_ORDER + 1
+    term = (1j * x) ** m / mpmath.factorial(m)
+    total = mpmath.mpc(0)
+    while abs(term) > mpmath.mpf(10) ** (-2 * mpmath.mp.dps) or m < abs(x):
+        total += term
+        m += 1
+        term *= 1j * x / m
+    return total
+
+
+class TestSweepDysonRows:
+    """A Dyson row is the norm of R(x) o V^dagger a V, R(x) = e^{ix} - sum_{m <= 12}
+    (ix)^m / m!, x_jk = t (w_j - w_k): the series remainder itself, not the
+    roundoff of a difference of two D x D operators."""
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_error_below_its_bound_near_zero(self, n):
+        # the bound falls as (t / radius)^13: 1.7e-26 at 0.01 of the radius,
+        # far below the 4e-15 of roundoff a site-basis difference carries
+        spec, a, exhaustion = _middle_chain(n, anis=0.3)
+        radius = series_radius(spec)
+        report = convergence_sweep(spec, exhaustion, a, [f * radius for f in (0.01, 0.03, 0.05)])
+        assert len(report.dyson_rows) == 3 * len(exhaustion)
+        for row in report.dyson_rows:
+            assert 0.0 < row.error <= row.bound
+
+    def test_remainder_matches_fifty_digits(self):
+        # both branches, each side of |x| = 4, and R(-x) = conj R(x) bitwise
+        x = np.concatenate([np.geomspace(1e-6, 3.99, 40), [4.0], np.linspace(4.01, 40.0, 40)])
+        x = np.concatenate([x, -x, [0.0]])
+        got = dynamics._series_remainder(x)
+        with mpmath.workdps(50):
+            for xi, gi in zip(x, got):
+                ref = complex(_mp_remainder(mpmath.mpf(float(xi))))
+                assert abs(gi - ref) <= 1e-12 * abs(ref), xi
+        half = len(x) // 2
+        assert np.array_equal(got[half:-1], got[:half].conj())
+        assert got[-1] == 0.0
+
+    @pytest.mark.parametrize("model", ["tail", "difference"])
+    def test_rows_match_fifty_digits(self, model):
+        # D <= 16. The second chain's strong field and weak bonds at a large
+        # lam give a radius at which some |x| passes 4, the difference branch
+        if model == "tail":
+            spec, a, exhaustion = _middle_chain(4, anis=0.3)
+            spec = ModelSpec(spec.sites, spec.regions,
+                             spec.terms + (InteractionTerm((3,), 0.3 * SY),), spec.lam, spec.betas)
+        else:
+            spec, a, exhaustion = _middle_chain(4, coup=0.01, field=2.0, lam=5.0)
+        exhaustion = [(2,), (1, 2, 3), (0, 1, 2, 3)]
+        radius = series_radius(spec)
+        t_grid = [f * radius for f in (0.2, 0.5, 0.9)]
+        report = convergence_sweep(spec, exhaustion, a, t_grid)
+        assert len(report.dyson_rows) == len(exhaustion) * len(t_grid)
+        widest = 0.0
+        with mpmath.workdps(50):
+            for i, sites in enumerate(exhaustion):
+                h_b = dense_generator(build(spec, sites))
+                a_v = embed(a, h_b.sites, h_b.dims).matrix
+                w, q = mpmath.eigh(mpmath.matrix(h_b.matrix.tolist()))
+                rotated = q.H * mpmath.matrix(a_v.tolist()) * q
+                dim = h_b.dim
+                for row in report.dyson_rows[i * len(t_grid):(i + 1) * len(t_grid)]:
+                    assert row.volume_index == i
+                    t = mpmath.mpf(row.t)
+                    r = [[_mp_remainder(t * (w[j] - w[k])) for k in range(dim)]
+                         for j in range(dim)]
+                    err = mpmath.matrix(dim)
+                    for j in range(dim):
+                        for k in range(dim):
+                            err[j, k] = r[j][k] * rotated[j, k]
+                    exact = max(abs(e) for e in mpmath.eigh(err, eigvals_only=True))
+                    top = max(abs(v) for line in r for v in line)
+                    widest = max(widest, float(max(abs(t * (w[j] - w[k])) for j in range(dim)
+                                                   for k in range(dim))))
+                    assert abs(row.error - float(exact)) <= 1e-10 * float(top) * op_norm(a)
+        assert (widest > 4.0) == (model == "difference")
+
+
+class TestSweepLightCone:
+    """An order m below k = 1 + the first j at which the terms meeting S_j
+    differ between a pair's volumes is the same operator in both."""
+
+    def test_orders_inside_the_cone_are_zero_and_take_no_norm(self, monkeypatch):
+        # sigma_x on site 3 reaches {2, 3, 4} after one order and {1, ..., 5}
+        # after two; the bond (0, 1), then (5, 6), is the first term that
+        # tells a pair apart, so k = 3 for both pairs
+        spec, a, _ = _middle_chain(7, anis=0.3)
+        exhaustion = [tuple(range(1, 6)), tuple(range(6)), tuple(range(7))]
+        radius = series_radius(spec)
+        t_grid = [0.5 * radius, 2.0 * radius]
+        calls = []
+        block_norm = opalg.block_norm
+        monkeypatch.setattr(opalg, "block_norm", lambda *args: calls.append(1) or block_norm(*args))
+        report = convergence_sweep(spec, exhaustion, a, t_grid)
+        assert [row.order for row in report.order_rows] == [1, 2, 3, 4] * 2
+        for row in report.order_rows:
+            if row.order < 3:
+                assert row.discrepancy == 0.0 and type(row.discrepancy) is float
+            else:
+                assert row.discrepancy > 0.0
+        normed = [row for row in report.order_rows if row.order >= 3]
+        assert len(calls) == (len(report.evolution_rows) + len(normed)
+                              + len(report.dyson_rows))
+
+    def test_perturbation_terms_are_in_the_cone(self, chain5):
+        # sigma_x on site 3 against volumes {1, 2, 3} and {0, 1, 2, 3}: the
+        # bond (0, 1) is met at the third order, but a perturbation term on
+        # site 3 is met at the first unless both volumes carry it alike
+        a = DenseOperator((3,), (2,), SX)
+        small, large = (1, 2, 3), (0, 1, 2, 3)
+        term = InteractionTerm((3,), 0.4 * SZ)
+        other = InteractionTerm((3,), 0.3 * SZ)
+
+        def family(*entries):
+            return PerturbationFamily(tuple(PerturbationEntry(frozenset(v), (t,))
+                                            for v, t in entries), bound_K=0.5)
+
+        cone = dynamics._light_cone_order
+        assert cone(chain5, small, large, a.sites, None) == 3
+        assert cone(chain5, small, large, a.sites, family((large, term))) == 1
+        assert cone(chain5, small, large, a.sites, family((small, term), (large, term))) == 3
+        assert cone(chain5, small, large, a.sites, family((small, term), (large, other))) == 1
+        report = convergence_sweep(chain5, [small, large], a, [0.1], family((large, term)))
+        assert report.order_rows[0].discrepancy == pytest.approx(
+            op_norm(DenseOperator((3,), (2,), 0.4 * (SZ @ SX - SX @ SZ))), rel=1e-12)

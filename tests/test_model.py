@@ -273,6 +273,25 @@ class TestPerturbationFamily:
         family = PerturbationFamily((entry,), bound_K=1.0)
         assert family.check(standard_chain)
 
+    def test_check_flags_undeclared_sites(self, standard_chain):
+        # a problem line, not the KeyError of looking the site up in the region map
+        entry = PerturbationEntry(frozenset({0, 1, 2}), (InteractionTerm((99,), 0.3 * SZ),))
+        family = PerturbationFamily((entry,), bound_K=1.0)
+        assert family.check(standard_chain) == [
+            "entry 0: term on (99,) names undeclared sites [99]"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_refused(self, standard_chain, bad):
+        with pytest.raises(ValueError, match="finite"):
+            InteractionTerm((0,), np.array([[bad, 0.0], [0.0, 1.0]]))
+        spec = standard_chain
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(spec.sites, spec.regions, spec.terms, bad, spec.betas)
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(spec.sites, spec.regions, spec.terms, spec.lam, {1: bad, 2: 1.0})
+        with pytest.raises(ValueError, match="bound_K"):
+            PerturbationFamily((), bound_K=bad)
+
     def test_check_flags_bound_violation(self, standard_chain):
         entry = PerturbationEntry(frozenset({0, 1, 2}), (InteractionTerm((0,), 5.0 * SZ),))
         family = PerturbationFamily((entry,), bound_K=1.0)

@@ -17,7 +17,8 @@ import pytest
 from nesslab import (DenseOperator, EvolutionPlan, InteractionTerm, ModelSpec, build, embed,
                      exact_evolve, horizon_reports, make_plan, series_radius, thermo)
 from nesslab.cli import _observable_operators, load_config, main
-from nesslab.dynamics import SWEEP_ORDERS, Sector, _commutator_blocks, derivation_powers
+from nesslab.dynamics import (SWEEP_ORDERS, Sector, _commutator_blocks, _light_cone_order,
+                              derivation_powers)
 from nesslab.model import PerturbationEntry, PerturbationFamily, load_model
 from nesslab.opalg import as_matrix, matmul
 
@@ -311,8 +312,8 @@ def _sweep_norm_solves(config_path) -> Counter:
     differences and the series errors: one complex solve per evolution row
     and per Dyson row. An order difference embed(r_m) - r_m is exactly
     Hermitian for even m and anti-Hermitian for odd m, so one solve of its
-    stored block either way, none when it is zero, and real when its
-    imaginary part is exactly zero.
+    stored block either way, none when it is zero or the order lies inside
+    the pair's light cone, and real when its imaginary part is exactly zero.
     """
     cfg = load_config(config_path)
     spec = load_model(cfg.model_path)
@@ -330,10 +331,12 @@ def _sweep_norm_solves(config_path) -> Counter:
         r_0 = embed(a, h_b.sites, h_b.dims).matrix
         commutators.append([h_b.with_matrix(r[0, 0]) for r in
                             _commutator_blocks([h_b.matrix], {(0, 0): r_0}, SWEEP_ORDERS)])
-    for dim, small, large in zip(half[1:], commutators, commutators[1:]):
-        for r_small, r_large in zip(small, large):
+    pairs = zip(half[1:], cfg.exhaustion, cfg.exhaustion[1:], commutators, commutators[1:])
+    for dim, small_sites, large_sites, small, large in pairs:
+        cone = _light_cone_order(spec, small_sites, large_sites, a.sites, None)
+        for m, (r_small, r_large) in enumerate(zip(small, large), start=1):
             diff = embed(r_small, r_large.sites, r_large.dims).matrix - r_large.matrix
-            if np.any(diff):
+            if m >= cone and np.any(diff):
                 dtype = "complex128" if np.any(np.imag(diff)) else "float64"
                 solves["eigvalsh", dim, dtype] += 1
     return +solves
