@@ -9,12 +9,13 @@ numpy's PCG64, seeded explicitly and recorded in report headers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # CPython's built-in SHA-256, as random.py takes _sha512: hashlib would load
 # OpenSSL's libcrypto, about 3.5 MiB of resident memory, for one digest
@@ -46,11 +47,15 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence],
+               cfg: ExperimentConfig) -> None:
+    """Write ``rows`` under ``header``, each ending in the ``config_hash`` of ``cfg``."""
+    digest = config_hash(cfg)
+    lines = [",".join([*header, "config_hash"])]
     for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+        lines.append(",".join([*(c if isinstance(c, str) else _fmt(c) for c in row), digest]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {path} ({len(rows)} rows, config {digest})")
 
 
 @dataclass(frozen=True)
@@ -60,50 +65,41 @@ class ExperimentConfig:
     model_path: str
     exhaustion: tuple[tuple[int, ...], ...]
     horizons: tuple[float, ...]
-    observables: dict = field(default_factory=dict)
-    seed: int = 0
-    output_dir: str = "out"
-    perturbation_path: str | None = None
-    redraw_new_s: tuple[int, ...] | None = None
+    observables: dict
+    seed: int
+    output_dir: str
+    perturbation_path: str | None
+    redraw_new_s: tuple[int, ...] | None
 
     def __post_init__(self):
         if not self.exhaustion:
             raise ValueError("exhaustion must name at least one volume")
-        for small, large in zip(self.exhaustion, self.exhaustion[1:]):
-            if not set(small) < set(large):
-                raise ValueError("exhaustion must be strictly nested ascending")
-        for t in self.horizons:
-            if not 0 < t < math.inf:
-                raise ValueError("horizons must be positive and finite")
+        if not all(set(a) < set(b) for a, b in zip(self.exhaustion, self.exhaustion[1:])):
+            raise ValueError("exhaustion must be strictly nested ascending")
+        if not all(0 < t < math.inf for t in self.horizons):
+            raise ValueError("horizons must be positive and finite")
         if any(b > a for a, b in zip(self.horizons[1:], self.horizons)):
             raise ValueError("horizons must be ascending")
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config at ``path``, its model and perturbation paths resolved against its directory."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    for key in ("model", "output_dir", "perturbation"):
+        if not isinstance(doc.get(key, ""), str):
+            raise ValueError(f"'{key}' must be a string")
     base = Path(path).parent
-    try:
-        model_path = str(doc["model"])
-        exhaustion = tuple(tuple(sorted(int(x) for x in v)) for v in doc["exhaustion"])
-        horizons = tuple(float(t) for t in doc["horizons"])
-        observables = {k: list(v) for k, v in dict(doc.get("observables", {})).items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"config malformed: {exc}") from exc
-    if not Path(model_path).is_absolute():
-        model_path = str(base / model_path)
     pert = doc.get("perturbation")
-    if pert is not None and not Path(pert).is_absolute():
-        pert = str(base / pert)
     redraw_new_s = doc.get("redraw_new_s")
     return ExperimentConfig(
-        model_path=model_path,
-        exhaustion=exhaustion,
-        horizons=horizons,
-        observables=observables,
+        model_path=str(base / doc["model"]),
+        exhaustion=tuple(tuple(sorted(int(x) for x in v)) for v in doc["exhaustion"]),
+        horizons=tuple(float(t) for t in doc["horizons"]),
+        observables={k: list(v) for k, v in dict(doc.get("observables", {})).items()},
         seed=int(doc.get("seed", 0)),
-        output_dir=str(doc.get("output_dir", "out")),
-        perturbation_path=pert,
+        output_dir=doc.get("output_dir", "out"),
+        perturbation_path=None if pert is None else str(base / pert),
         redraw_new_s=tuple(int(x) for x in redraw_new_s) if redraw_new_s else None,
     )
 
@@ -150,82 +146,87 @@ def _observable_operators(spec: model.ModelSpec,
     return out
 
 
-def _check_dim_cap(spec: model.ModelSpec, sites: Sequence[int], cap: int) -> None:
-    dim = spec.volume_dim(sites)
-    if dim > cap:
-        raise SystemExit(
-            f"refusing volume {list(sites)}: dimension {dim} exceeds cap {cap} "
-            f"(raise --dim-cap to override)")
+# what a command's input step raises for an input it refuses: main reports it
+# on one stderr line with status 2, and lets any other exception through
+_REFUSED = (OSError, ValueError, TypeError, KeyError, AttributeError, IndexError, OverflowError)
 
 
-class _Unreadable(Exception):
-    """A missing, non-JSON or refused input file: the command prints why and returns 2."""
-
-
-def _loaded(load, path):
-    """``load(path)``, or _Unreadable naming ``path`` if unreadable, not JSON or refused."""
+@contextlib.contextmanager
+def _reading(path):
+    """Raise a refusal raised inside as the ValueError ``cannot load <path>: <reason>``,
+    the reason an OSError's or ValueError's message, else the exception's repr."""
     try:
-        return load(path)
-    except json.JSONDecodeError as exc:
-        raise _Unreadable(f"parse error in {path}: {exc}") from None
-    except (OSError, ValueError) as exc:
-        raise _Unreadable(f"cannot load {path}: {exc}") from None
+        yield
+    except _REFUSED as exc:
+        reason = exc if isinstance(exc, (OSError, ValueError)) else repr(exc)
+        raise ValueError(f"cannot load {path}: {reason}") from None
 
 
-def cmd_validate(args) -> int:
-    spec = _loaded(model.load_model, args.model)
-    problems = model.validate(spec)
-    print("\n".join(problems) or "ok")
-    return 1 if problems else 0
+def cmd_validate(args):
+    with _reading(args.model):
+        problems = model.validate(model.load_model(args.model))
+
+    def run() -> int:
+        print("\n".join(problems) or "ok")
+        return 1 if problems else 0
+    return run
 
 
-def _load_inputs(path):
-    """The config at ``path`` with its validated model, perturbation family
-    (or None) and observables; ValueError if the config names a site the
-    model does not declare, an observable it cannot hold, or a
-    ``redraw_new_s`` that :func:`model.redraw` refuses."""
-    cfg = load_config(path)
-    spec = _loaded(model.load_model, cfg.model_path)
-    problems = model.validate(spec)
-    if problems:
-        raise SystemExit("model does not validate:\n" + "\n".join(problems))
+def _load_inputs(args):
+    """The config ``args.config`` names, with its validated model, checked
+    perturbation family (or None) and observables; ValueError, naming the file
+    at fault, for any of them that cannot be read or is refused, and for a
+    largest volume above ``args.dim_cap``."""
+    with _reading(args.config):
+        cfg = load_config(args.config)
+    with _reading(cfg.model_path):
+        spec = model.load_model(cfg.model_path)
+        problems = model.validate(spec)
+        if problems:
+            raise ValueError("; ".join(problems))
     family = None
     if cfg.perturbation_path:
-        family = _loaded(model.load_family, cfg.perturbation_path)
-        problems = family.check(spec)
-        if problems:
-            raise SystemExit("perturbation family rejected:\n" + "\n".join(problems))
-    undeclared = set().union(*cfg.exhaustion) - set(spec.site_ids)
-    if undeclared:
-        raise ValueError(f"exhaustion names undeclared sites {sorted(undeclared)}")
-    if cfg.redraw_new_s:
-        model.redraw(spec, cfg.redraw_new_s)
-    return cfg, spec, family, _observable_operators(spec, cfg)
+        with _reading(cfg.perturbation_path):
+            family = model.load_family(cfg.perturbation_path)
+            problems = family.check(spec)
+            if problems:
+                raise ValueError("; ".join(problems))
+    with _reading(args.config):
+        undeclared = set().union(*cfg.exhaustion) - set(spec.site_ids)
+        if undeclared:
+            raise ValueError(f"exhaustion names undeclared sites {sorted(undeclared)}")
+        if not spec.small_system <= set(cfg.exhaustion[0]):   # the later volumes hold it
+            raise ValueError(f"volume {list(cfg.exhaustion[0])} does not contain the small "
+                             f"system {sorted(spec.small_system)}")
+        if cfg.redraw_new_s:
+            model.redraw(spec, cfg.redraw_new_s)
+        observables = _observable_operators(spec, cfg)
+    dim = spec.volume_dim(cfg.exhaustion[-1])   # the largest of the nested volumes
+    if dim > args.dim_cap:
+        raise ValueError(f"refusing volume {list(cfg.exhaustion[-1])}: dimension {dim} exceeds "
+                         f"cap {args.dim_cap} (raise --dim-cap to override)")
+    return cfg, spec, family, observables
 
 
-def cmd_simulate(args) -> int:
-    cfg, spec, family, observables = _loaded(_load_inputs, args.config)
-    if args.out:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "output_dir": args.out})
-    for sites in cfg.exhaustion:
-        _check_dim_cap(spec, sites, args.dim_cap)
-    digest = config_hash(cfg)
-    out_dir = Path(cfg.output_dir)
+def cmd_simulate(args):
+    cfg, spec, family, observables = _load_inputs(args)
+    out_dir = Path(args.out or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    obs_names = sorted(cfg.observables)
-    header = (["volume_index", "T"] + [f"flux_{a}" for a in spec.reservoirs]
-              + ["e", "e_telescoped", "sum_rule_residual", "tol"]
-              + [f"avg_{n}" for n in obs_names] + ["config_hash"])
-    rows = []
-    for vol_idx, sites in enumerate(cfg.exhaustion):
-        vols = volume.build(spec, sites, family)
-        for rep, averaged in thermo.horizon_reports(vols, cfg.horizons, observables=observables):
-            rows.append([str(vol_idx)] + rep.csv_row() + [averaged[n] for n in obs_names]
-                        + [digest])
-    _write_csv(out_dir / "entropy.csv", header, rows)
-    print(f"wrote {out_dir / 'entropy.csv'} ({len(rows)} rows, config {digest})")
-    return 0
+    def run() -> int:
+        obs_names = sorted(cfg.observables)
+        header = (["volume_index", "T"] + [f"flux_{a}" for a in spec.reservoirs]
+                  + ["e", "e_telescoped", "sum_rule_residual", "tol"]
+                  + [f"avg_{n}" for n in obs_names])
+        rows = []
+        for vol_idx, sites in enumerate(cfg.exhaustion):
+            vols = volume.build(spec, sites, family)
+            for rep, averaged in thermo.horizon_reports(vols, cfg.horizons,
+                                                        observables=observables):
+                rows.append([str(vol_idx)] + rep.csv_row() + [averaged[n] for n in obs_names])
+        _write_csv(out_dir / "entropy.csv", header, rows, cfg)
+        return 0
+    return run
 
 
 def run_klein_fuzz(trials: int, max_dim: int, seed: int) -> dict:
@@ -235,8 +236,6 @@ def run_klein_fuzz(trials: int, max_dim: int, seed: int) -> dict:
     from the QR orthonormalization of a complex Gaussian (phases fixed by
     the R diagonal), and phi cycles through a fixed monotone family.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     passes = 0
     max_violation = 0.0
@@ -277,66 +276,71 @@ def run_klein_fuzz(trials: int, max_dim: int, seed: int) -> dict:
     }
 
 
-def cmd_klein_fuzz(args) -> int:
-    report = run_klein_fuzz(args.trials, args.max_dim, args.seed)
-    print(f"# rng={report['rng']} seed={report['seed']} trials={report['trials']} "
-          f"max_dim={report['max_dim']}")
-    print(f"passes: {report['passes']}/{report['trials']}")
-    print(f"max violation: {_fmt(report['max_violation'])}")
-    print(f"max row-sum deviation: {_fmt(report['max_row_sum_deviation'])}")
-    print(f"max col-sum deviation: {_fmt(report['max_col_sum_deviation'])}")
-    for line in report["failures"]:
-        print("FAIL " + line)
-    if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=1), encoding="utf-8")
-    return 0 if report["passes"] == report["trials"] else 1
+def cmd_klein_fuzz(args):
+    if args.trials < 1 or args.max_dim < 1:
+        raise ValueError("klein-fuzz needs --trials and --max-dim of at least 1")
+
+    def run() -> int:
+        report = run_klein_fuzz(args.trials, args.max_dim, args.seed)
+        print(f"# rng={report['rng']} seed={report['seed']} trials={report['trials']} "
+              f"max_dim={report['max_dim']}")
+        print(f"passes: {report['passes']}/{report['trials']}")
+        print(f"max violation: {_fmt(report['max_violation'])}")
+        print(f"max row-sum deviation: {_fmt(report['max_row_sum_deviation'])}")
+        print(f"max col-sum deviation: {_fmt(report['max_col_sum_deviation'])}")
+        for line in report["failures"]:
+            print("FAIL " + line)
+        if args.out:
+            Path(args.out).write_text(json.dumps(report, indent=1), encoding="utf-8")
+        return 0 if report["passes"] == report["trials"] else 1
+    return run
 
 
-def cmd_sweep_convergence(args) -> int:
-    cfg, spec, family, observables = _loaded(_load_inputs, args.config)
-    if args.out:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "output_dir": args.out})
+def cmd_sweep_convergence(args):
+    cfg, spec, family, observables = _load_inputs(args)
     if len(cfg.exhaustion) < 3:
-        raise SystemExit("sweep-convergence needs an exhaustion of at least 3 volumes")
-    for sites in cfg.exhaustion:
-        _check_dim_cap(spec, sites, args.dim_cap)
+        raise ValueError("sweep-convergence needs an exhaustion of at least 3 volumes")
     if not observables:
-        raise SystemExit("sweep-convergence needs at least one named observable")
-    digest = config_hash(cfg)
-    a = observables[min(observables)]
-
-    report = dynamics.convergence_sweep(spec, cfg.exhaustion, a, cfg.horizons,
-                                        perturbation=family)
-    out_dir = Path(cfg.output_dir)
+        raise ValueError("sweep-convergence needs at least one named observable")
+    out_dir = Path(args.out or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = ["volume_index", "t", "discrepancy", "dyson_order", "bound", "config_hash"]
-    rows: list[list] = []
-    for r in report.evolution_rows:
-        rows.append([str(r.pair_index), r.t, r.discrepancy, "", "", digest])
-    for r in report.order_rows:
-        rows.append([str(r.pair_index), "", r.discrepancy, str(r.order), "", digest])
-    for r in report.dyson_rows:
-        rows.append([str(r.volume_index), r.t, r.error, "", r.bound, digest])
-    _write_csv(out_dir / "convergence.csv", header, rows)
-    print(f"wrote {out_dir / 'convergence.csv'} ({len(rows)} rows, config {digest})")
-    return 0
+
+    def run() -> int:
+        report = dynamics.convergence_sweep(spec, cfg.exhaustion, observables[min(observables)],
+                                            cfg.horizons, perturbation=family)
+        header = ["volume_index", "t", "discrepancy", "dyson_order", "bound"]
+        rows: list[list] = []
+        for r in report.evolution_rows:
+            rows.append([str(r.pair_index), r.t, r.discrepancy, "", ""])
+        for r in report.order_rows:
+            rows.append([str(r.pair_index), "", r.discrepancy, str(r.order), ""])
+        for r in report.dyson_rows:
+            rows.append([str(r.volume_index), r.t, r.error, "", r.bound])
+        _write_csv(out_dir / "convergence.csv", header, rows, cfg)
+        return 0
+    return run
 
 
-def cmd_redraw_check(args) -> int:
-    cfg, spec, _, _ = _loaded(_load_inputs, args.config)
-    if cfg.redraw_new_s is None:
-        raise SystemExit("config needs a 'redraw_new_s' site list for redraw-check")
-    if cfg.perturbation_path:   # the redraw bound is derived for the unperturbed model only
-        raise SystemExit("redraw-check refuses a config with a 'perturbation'")
+def cmd_redraw_check(args):
+    cfg, spec, _, _ = _load_inputs(args)
     sites = cfg.exhaustion[-1]
-    _check_dim_cap(spec, sites, args.dim_cap)
-    ok = True
-    for rep in thermo.boundary_redraw_check(spec, cfg.redraw_new_s, sites, cfg.horizons):
-        ok = ok and rep.ok
-        print(f"T={_fmt(rep.horizon)} e={_fmt(rep.e_original)} e'={_fmt(rep.e_redrawn)} "
-              f"|e-e'|={_fmt(rep.difference)} bound={_fmt(rep.bound)} "
-              f"{'ok' if rep.ok else 'VIOLATED'}")
-    return 0 if ok else 1
+    if cfg.redraw_new_s is None:
+        raise ValueError("config needs a 'redraw_new_s' site list for redraw-check")
+    if cfg.perturbation_path:   # the redraw bound is derived for the unperturbed model only
+        raise ValueError("redraw-check refuses a config with a 'perturbation'")
+    if not set(cfg.redraw_new_s) <= set(sites):
+        raise ValueError(f"redraw_new_s {sorted(set(cfg.redraw_new_s))} is not inside "
+                         f"the largest volume {list(sites)}")
+
+    def run() -> int:
+        ok = True
+        for rep in thermo.boundary_redraw_check(spec, cfg.redraw_new_s, sites, cfg.horizons):
+            ok = ok and rep.ok
+            print(f"T={_fmt(rep.horizon)} e={_fmt(rep.e_original)} e'={_fmt(rep.e_redrawn)} "
+                  f"|e-e'|={_fmt(rep.difference)} bound={_fmt(rep.bound)} "
+                  f"{'ok' if rep.ok else 'VIOLATED'}")
+        return 0 if ok else 1
+    return run
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -374,11 +378,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.set_defaults(func=cmd_redraw_check)
 
     args = parser.parse_args(argv)
+    # exit status: 0 done; 1 the command ran and a check it reports failed;
+    # 2 an input refused, on one stderr line, before any volume is built
     try:
-        return args.func(args)
-    except _Unreadable as exc:
-        print(exc)
+        run = args.func(args)   # the input step, which returns the run step
+    except _REFUSED as exc:
+        print(exc, file=sys.stderr)
         return 2
+    return run()
 
 
 if __name__ == "__main__":

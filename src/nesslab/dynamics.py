@@ -136,18 +136,13 @@ SERIES_ORDER = 12
 SWEEP_ORDERS = 4
 
 
-def _commutator_blocks(h_blocks: Sequence[np.ndarray], blocks: dict, order: int,
-                       sums: Sequence[tuple[float, dict]] = ()) -> Iterator[dict]:
+def _commutator_blocks(h_blocks: Sequence[np.ndarray], blocks: dict,
+                       order: int) -> Iterator[dict]:
     """r_m = [H, r_{m-1}] = i^-m delta^m(r_0), m = 1..order, as blocks p <= q
     on the sectors of H, whose only blocks are ``h_blocks``; r_0 is Hermitian
     with the blocks ``blocks``. Block pq is H_pp r_pq - r_pq H_qq, a diagonal
     one H_pp r_pp minus (odd m) or plus (even m) its adjoint: r_m is exactly
-    anti-Hermitian (odd m) or Hermitian (even m), and real for real inputs.
-
-    As each r_m with m <= SERIES_ORDER is made, t^m delta^m(r_0) / m! =
-    (i t)^m / m! r_m is added in place into the complex blocks of every
-    ``(t, blocks)`` of ``sums``. For a real r_m the coefficient is real or
-    imaginary, so only one part of each block changes."""
+    anti-Hermitian (odd m) or Hermitian (even m), and real for real inputs."""
     def commutator(x: np.ndarray, p: int, q: int, odd: bool) -> np.ndarray:
         y = opalg.matmul(h_blocks[p], x)
         if p != q:
@@ -158,15 +153,6 @@ def _commutator_blocks(h_blocks: Sequence[np.ndarray], blocks: dict, order: int,
 
     for m in range(1, order + 1):
         blocks = {(p, q): commutator(x, p, q, m % 2) for (p, q), x in blocks.items()}
-        for t, acc in sums if m <= SERIES_ORDER else ():
-            coef = t**m / math.factorial(m) * _I_POWERS[m % 4]
-            for key, r in blocks.items():
-                if np.iscomplexobj(r):
-                    acc[key] += coef * r
-                elif m % 2:
-                    acc[key].imag += coef.imag * r
-                else:
-                    acc[key].real += coef.real * r
         yield blocks
 
 
@@ -211,11 +197,12 @@ def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: fl
     Returns the partial sum over orders m <= M = SERIES_ORDER (12) of
     t^m delta^m(a) / m!, with delta = i[H_B, .] for the ``H_B`` that
     :func:`nesslab.volume.build` assembles for ``volume`` (so build's
-    preconditions hold), summed by :func:`_commutator_blocks` on the build's
-    sector blocks and assembled to D x D once, and the geometric tail majorant
-    ||a|| e^{lam card X} r^{M+1} / (1 - r) with r = |t| / radius, radius =
-    :func:`series_radius`. ``a`` must be selfadjoint. X is ``a.sites``: pass
-    the observable on its own sites, not embedded, for the tightest bound.
+    preconditions hold), its orders made by :func:`_commutator_blocks` on the
+    build's sector blocks and summed in place, the sum assembled to D x D once,
+    and the geometric tail majorant ||a|| e^{lam card X} r^{M+1} / (1 - r) with
+    r = |t| / radius, radius = :func:`series_radius`. ``a`` must be selfadjoint.
+    X is ``a.sites``: pass the observable on its own sites, not embedded, for
+    the tightest bound.
     Times at or beyond the convergence radius are refused since the
     majorant diverges there.
     """
@@ -229,8 +216,18 @@ def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: fl
     rows, sites, dims = built.sectors, built.sites, built.dims
     blocks = _embedded_blocks(rows, sites, dims, a)
     partial = {key: block.astype(complex) for key, block in blocks.items()}
-    for blocks in _commutator_blocks(built.H_B_blocks, blocks, SERIES_ORDER, [(t, partial)]):
-        pass   # each order is added into partial as it is made
+    for m, blocks in enumerate(_commutator_blocks(built.H_B_blocks, blocks, SERIES_ORDER),
+                               start=1):
+        # t^m delta^m(a) / m! = (it)^m / m! r_m, added in place; for a real r_m
+        # the coefficient is real or imaginary, so only one part of each block changes
+        coef = t**m / math.factorial(m) * _I_POWERS[m % 4]
+        for key, r in blocks.items():
+            if np.iscomplexobj(r):
+                partial[key] += coef * r
+            elif m % 2:
+                partial[key].imag += coef.imag * r
+            else:
+                partial[key].real += coef.real * r
     del built, blocks   # the partial sum alone is assembled
     out = opalg.assemble(partial, rows, math.prod(dims), 1.0)
     return DenseOperator(sites, dims, out), _tail_bound(envelope, abs(t) / radius)

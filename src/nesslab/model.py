@@ -389,21 +389,16 @@ def term_from_dict(obj, where: str = "term") -> InteractionTerm:
 
 def model_from_dict(doc: Mapping) -> ModelSpec:
     """Build a model from the JSON document structure."""
-    try:
-        sites = tuple(SiteSpec(int(s["id"]), int(s["dim"])) for s in doc["sites"])
-        regions = RegionMap({int(k): int(v) for k, v in doc["regions"].items()})
-        lam = float(doc["lambda"])
-        betas = {int(k): float(v) for k, v in doc["betas"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"model document malformed: {exc}") from exc
+    sites = tuple(SiteSpec(int(s["id"]), int(s["dim"])) for s in doc["sites"])
+    regions = RegionMap({int(k): int(v) for k, v in doc["regions"].items()})
     terms = tuple(term_from_dict(t, f"terms[{i}]") for i, t in enumerate(doc.get("terms", [])))
-    return ModelSpec(sites, regions, terms, lam, betas)
+    return ModelSpec(sites, regions, terms, float(doc["lambda"]),
+                     {int(k): float(v) for k, v in doc["betas"].items()})
 
 
 def load_model(path) -> ModelSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return model_from_dict(doc)
+        return model_from_dict(json.load(fh))
 
 
 def family_from_dict(doc: Mapping) -> PerturbationFamily:

@@ -124,8 +124,9 @@ class TestValidateCommand:
         path = tmp_path / "broken.json"
         path.write_text('{"sites": [{"id": 0, "dim": 2}', encoding="utf-8")
         assert main(["validate", "--model", str(path)]) == 2
-        out = capsys.readouterr().out
-        assert "line" in out and "column" in out
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"cannot load {path}: ") and err.count("\n") == 1
+        assert "line" in err and "column" in err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--model", str(tmp_path / "nope.json")]) == 2
@@ -138,8 +139,8 @@ class TestValidateCommand:
         INVALID_MODELS[invalid](doc)
         path = write_config(tmp_path, doc, name="non_finite.json")
         assert main(["validate", "--model", str(path)]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith(f"cannot load {path}: ") and "finite" in out
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"cannot load {path}: ") and "finite" in err
 
 
 class TestSimulateCommand:
@@ -186,19 +187,20 @@ class TestSimulateCommand:
         assert (tmp_path / "out" / "entropy.csv").read_bytes() == first
 
     def test_dim_cap_refusal_names_volume(self, chain_files, capsys):
+        # volumes have D = 4, 8, 16: the largest is named, with the cap it needs
         _, _, config_path, _ = chain_files
-        with pytest.raises(SystemExit) as err:
-            main(["simulate", "--config", str(config_path), "--dim-cap", "4"])
-        assert "exceeds cap" in str(err.value)
+        assert main(["simulate", "--config", str(config_path), "--dim-cap", "4"]) == 2
+        assert capsys.readouterr() == ("", "refusing volume [0, 1, 2, 3]: dimension 16 "
+                                           "exceeds cap 4 (raise --dim-cap to override)\n")
 
-    def test_dim_cap_refuses_before_any_build(self, chain_files, monkeypatch):
+    def test_dim_cap_refuses_before_any_build(self, chain_files, capsys, monkeypatch):
         # volumes have D = 4, 8, 16: only the last exceeds the cap
         _, _, config_path, _ = chain_files
         built = []
         monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
-        with pytest.raises(SystemExit) as err:
-            main(["simulate", "--config", str(config_path), "--dim-cap", "8"])
-        assert "exceeds cap" in str(err.value)
+        assert main(["simulate", "--config", str(config_path), "--dim-cap", "8"]) == 2
+        assert capsys.readouterr() == ("", "refusing volume [0, 1, 2, 3]: dimension 16 "
+                                           "exceeds cap 8 (raise --dim-cap to override)\n")
         assert built == []
 
     def test_observable_outside_first_volume_refused_before_any_build(
@@ -216,8 +218,8 @@ class TestSimulateCommand:
         built = []
         monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
         assert main(["simulate", "--config", str(config_path)]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith(f"cannot load {config_path}: ") and "far_z" in out
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"cannot load {config_path}: ") and "far_z" in err
         assert built == []
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence", "redraw-check"])
@@ -230,14 +232,15 @@ class TestSimulateCommand:
             "redraw_new_s": [0, 1, 2],
         }, name="missing_model.json")
         assert main([command, "--config", str(config_path)]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith(f"cannot load {tmp_path / 'missing.json'}: ")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"cannot load {tmp_path / 'missing.json'}: ")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
     @pytest.mark.parametrize("invalid", ["descending-horizons", *INVALID_MODELS,
                                          *INVALID_OBSERVABLES, "undeclared-volume-site",
                                          "empty-exhaustion", "infinite-horizon",
-                                         "infinite-bound-K"])
+                                         "infinite-bound-K", "volume-without-small-system",
+                                         "output-dir-not-a-string"])
     def test_invalid_content_exits_two_before_any_build(
             self, chain_files, capsys, monkeypatch, command, invalid):
         # JSON that its loader refuses, or that names what the model does not
@@ -254,6 +257,10 @@ class TestSimulateCommand:
             doc.update(exhaustion=[], observables={"mid_z": MID_Z})
         if invalid == "infinite-horizon":
             doc["horizons"].append(math.inf)
+        if invalid == "volume-without-small-system":   # the small system is {1, 2}
+            doc["exhaustion"][0] = [1]
+        if invalid == "output-dir-not-a-string":
+            doc["output_dir"] = [1]
         bad_path = tmp_path / "invalid.json"
         if invalid in INVALID_MODELS:
             model_doc = json.loads(model_path.read_text())
@@ -267,13 +274,13 @@ class TestSimulateCommand:
         built = []
         monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
         assert main([command, "--config", str(config_path)]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith(f"cannot load {bad_path}: ") and out.count("\n") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"cannot load {bad_path}: ") and err.count("\n") == 1
         assert built == []
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
     def test_family_term_on_undeclared_site_refused_before_any_build(
-            self, chain_files, monkeypatch, command):
+            self, chain_files, capsys, monkeypatch, command):
         # one of the family check's problem lines, not a KeyError traceback
         _, model_path, _, tmp_path = chain_files
         family_path = write_config(tmp_path, {"bound_K": 1.0, "volumes": [
@@ -286,10 +293,9 @@ class TestSimulateCommand:
         }, name="family_config.json")
         built = []
         monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
-        with pytest.raises(SystemExit) as refused:
-            main([command, "--config", str(config_path)])
-        assert str(refused.value) == ("perturbation family rejected:\n"
-                                      "entry 0: term on (99,) names undeclared sites [99]")
+        assert main([command, "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == ("", f"cannot load {family_path}: entry 0: term on (99,) "
+                                           "names undeclared sites [99]\n")
         assert built == []
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
@@ -312,9 +318,9 @@ class TestSimulateCommand:
         built = []
         monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
         assert main([command, "--config", str(config_path)]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith(f"cannot load {config_path}: ") and out.count("\n") == 1
-        assert "skew" in out and "selfadjoint" in out
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"cannot load {config_path}: ")
+        assert err.count("\n") == 1 and "skew" in err and "selfadjoint" in err
         assert built == []
 
     def test_observable_columns(self, tmp_path):
@@ -515,11 +521,11 @@ class TestSweepConvergenceCommand:
         built = []
         monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
         assert main(["sweep-convergence", "--config", str(config_path)]) == 2
-        assert capsys.readouterr().out == (f"cannot load {config_path}: refusing observable "
+        assert capsys.readouterr() == ("", f"cannot load {config_path}: refusing observable "
                                            "far_z: sites [3] not inside the first volume [1, 2]\n")
         assert built == []
 
-    def test_needs_three_volumes(self, tmp_path):
+    def test_needs_three_volumes(self, tmp_path, capsys):
         spec = make_chain(3, {0: 1, 1: 0, 2: 2}, {1: 1.0, 2: 1.0})
         model_path = write_model(tmp_path, spec)
         config_path = write_config(tmp_path, {
@@ -530,8 +536,9 @@ class TestSweepConvergenceCommand:
                                    "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}]},
             "output_dir": str(tmp_path / "s"),
         })
-        with pytest.raises(SystemExit):
-            main(["sweep-convergence", "--config", str(config_path)])
+        assert main(["sweep-convergence", "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == (
+            "", "sweep-convergence needs an exhaustion of at least 3 volumes\n")
 
 
 class TestRedrawCheckCommand:
@@ -616,7 +623,7 @@ class TestRedrawCheckCommand:
         for report in boundary_redraw_check(spec, {2, 3}, range(7), (10.0, 20.0)):
             assert abs(report.bound - (2.0 * full / report.horizon + 1e-9)) <= 1e-12
 
-    def test_perturbation_refused_before_any_build(self, tmp_path, monkeypatch):
+    def test_perturbation_refused_before_any_build(self, tmp_path, capsys, monkeypatch):
         # the redraw bound covers the unperturbed model: a configured family
         # must not be dropped silently
         spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0})
@@ -636,9 +643,8 @@ class TestRedrawCheckCommand:
         built = []
         monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
         monkeypatch.setattr("nesslab.thermo.build", lambda *a, **k: built.append(a))
-        with pytest.raises(SystemExit) as err:
-            main(["redraw-check", "--config", str(config_path)])
-        assert "'perturbation'" in str(err.value)
+        assert main(["redraw-check", "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == ("", "redraw-check refuses a config with a 'perturbation'\n")
         assert built == []
 
     @pytest.mark.parametrize("new_s,reason", [
@@ -657,7 +663,22 @@ class TestRedrawCheckCommand:
         monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
         monkeypatch.setattr("nesslab.thermo.build", lambda *a, **k: built.append(a))
         assert main(["redraw-check", "--config", str(config_path)]) == 2
-        assert capsys.readouterr().out == f"cannot load {config_path}: {reason}\n"
+        assert capsys.readouterr() == ("", f"cannot load {config_path}: {reason}\n")
+        assert built == []
+
+    def test_redraw_outside_the_largest_volume_refused_before_any_build(
+            self, chain_files, capsys, monkeypatch):
+        _, model_path, _, tmp_path = chain_files
+        config_path = write_config(tmp_path, {
+            "model": model_path.name, "exhaustion": [[1, 2], [0, 1, 2]], "horizons": [10.0],
+            "redraw_new_s": [1, 2, 3],
+        }, name="redraw.json")
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        monkeypatch.setattr("nesslab.thermo.build", lambda *a, **k: built.append(a))
+        assert main(["redraw-check", "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == ("", "redraw_new_s [1, 2, 3] is not inside the largest "
+                                           "volume [0, 1, 2]\n")
         assert built == []
 
     def test_library_refuses_the_redraw_before_any_build(self, chain_files, monkeypatch):
@@ -667,10 +688,11 @@ class TestRedrawCheckCommand:
             boundary_redraw_check(chain_files[0], {3}, range(4), (10.0,))
         assert built == []
 
-    def test_requires_redraw_sites(self, chain_files):
+    def test_requires_redraw_sites(self, chain_files, capsys):
         _, _, config_path, _ = chain_files
-        with pytest.raises(SystemExit):
-            main(["redraw-check", "--config", str(config_path)])
+        assert main(["redraw-check", "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == (
+            "", "config needs a 'redraw_new_s' site list for redraw-check\n")
 
 
 class TestConfigValidation:

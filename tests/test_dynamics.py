@@ -545,9 +545,9 @@ class TestConvergenceSweep:
         orders = []
         real = dynamics._commutator_blocks
 
-        def counting(h_blocks, blocks, order, sums=()):
+        def counting(h_blocks, blocks, order):
             orders.append(order)
-            return real(h_blocks, blocks, order, sums)
+            return real(h_blocks, blocks, order)
 
         monkeypatch.setattr(dynamics, "_commutator_blocks", counting)
         a = DenseOperator((2,), (2,), SX)
