@@ -10,10 +10,7 @@ entropy production, whose finite-volume nonnegativity is exact.
 from .model import (
     InteractionTerm,
     ModelSpec,
-    PerturbationEntry,
     PerturbationFamily,
-    RegionMap,
-    SiteSpec,
     lambda_norm,
     load_model,
     model_from_dict,

@@ -32,6 +32,11 @@ import numpy as np
 from . import dynamics, model, opalg, thermo, volume
 
 DEFAULT_DIM_CAP = 4096
+# the largest accepted E, max |beta| E and max T E, for E the sum of the largest
+# absolute row sums of the model's, family's and observables' terms (so |w| <= E for
+# every eigenvalue w of any volume's H_B): a run multiplies a few of them, the
+# sweep's fourth commutator (2E)^4 ||a|| <= 2^1004 the most, below the largest float
+SCALE_LIMIT = 2.0 ** 200
 RNG_NAME = "numpy PCG64"
 
 _PHI_FAMILIES: tuple[tuple[str, object, object], ...] = (
@@ -175,8 +180,8 @@ def cmd_validate(args):
 def _load_inputs(args):
     """The config ``args.config`` names, with its validated model, checked
     perturbation family (or None) and observables; ValueError, naming the file
-    at fault, for any of them that cannot be read or is refused, and for a
-    largest volume above ``args.dim_cap``."""
+    at fault, for any of them that cannot be read or is refused, for a scale
+    above ``SCALE_LIMIT`` and for a largest volume above ``args.dim_cap``."""
     with _reading(args.config):
         cfg = load_config(args.config)
     with _reading(cfg.model_path):
@@ -201,6 +206,18 @@ def _load_inputs(args):
         if cfg.redraw_new_s:
             model.redraw(spec, cfg.redraw_new_s)
         observables = _observable_operators(spec, cfg)
+        matrices = [t.matrix for t in spec.terms] + [x.matrix for x in observables.values()]
+        if family is not None:
+            matrices += [t.matrix for _, terms in family.entries for t in terms]
+        with np.errstate(over="ignore"):   # an infinite E is refused below
+            energy = sum(float(np.abs(m).sum(axis=1).max()) for m in matrices)
+        for what, scale in (("E", energy),
+                            ("max |beta| E", max(map(abs, spec.betas.values()), default=0.0)
+                             * energy),
+                            ("max T E", max(cfg.horizons, default=0.0) * energy)):
+            if not scale <= SCALE_LIMIT:
+                raise ValueError(f"refusing {what} = {scale:.6g} (E = {energy:.6g}, the terms' "
+                                 f"energy bound) above 2^200: a run's products could overflow")
     dim = spec.volume_dim(cfg.exhaustion[-1])   # the largest of the nested volumes
     if dim > args.dim_cap:
         raise ValueError(f"refusing volume {list(cfg.exhaustion[-1])}: dimension {dim} exceeds "
@@ -279,6 +296,8 @@ def run_klein_fuzz(trials: int, max_dim: int, seed: int) -> dict:
 def cmd_klein_fuzz(args):
     if args.trials < 1 or args.max_dim < 1:
         raise ValueError("klein-fuzz needs --trials and --max-dim of at least 1")
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ValueError(f"cannot write {args.out}: not a file in an existing directory")
 
     def run() -> int:
         report = run_klein_fuzz(args.trials, args.max_dim, args.seed)

@@ -22,51 +22,6 @@ from . import opalg
 
 
 @dataclass(frozen=True)
-class SiteSpec:
-    """One lattice site: integer label and local Hilbert space dimension."""
-
-    id: int
-    local_dim: int
-
-    def __post_init__(self):
-        if self.local_dim < 2:
-            raise ValueError(f"site {self.id}: local_dim must be >= 2")
-
-
-@dataclass(frozen=True)
-class RegionMap:
-    """Assignment of every site to region 0 (small system) or a reservoir a >= 1."""
-
-    assignment: Mapping[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", dict(self.assignment))
-        for site, region in self.assignment.items():
-            if region < 0:
-                raise ValueError(f"site {site}: region index must be >= 0")
-
-    @property
-    def small_system(self) -> frozenset[int]:
-        return frozenset(s for s, r in self.assignment.items() if r == 0)
-
-    @property
-    def reservoirs(self) -> tuple[int, ...]:
-        return tuple(sorted({r for r in self.assignment.values() if r > 0}))
-
-    def sites_in(self, region: int) -> frozenset[int]:
-        return frozenset(s for s, r in self.assignment.items() if r == region)
-
-    def region_of(self, site: int) -> int:
-        return self.assignment[site]
-
-    def reservoir_of(self, support: Iterable[int]) -> int | None:
-        """The one reservoir holding every site of ``support``; None if the
-        sites meet the small system or two regions."""
-        regions = {self.assignment[x] for x in support}
-        return None if len(regions) != 1 or 0 in regions else next(iter(regions))
-
-
-@dataclass(frozen=True)
 class InteractionTerm:
     """A selfadjoint matrix on a finite ordered support.
 
@@ -119,39 +74,47 @@ def _merge_terms(terms: Iterable[InteractionTerm]) -> tuple[InteractionTerm, ...
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Sites, regions, interaction, decay rate, inverse temperatures."""
+    """Sites, regions, interaction, decay rate, inverse temperatures.
 
-    sites: tuple[SiteSpec, ...]
-    regions: RegionMap
+    ``sites`` maps each site id to its local dimension (at least 2), and
+    ``regions`` maps each site id to its region: 0 for the small system, a
+    for reservoir a >= 1. ``lam`` times the number of sites is at most
+    log(max float), so every weight e^{lam card X} on the sites is finite.
+    """
+
+    sites: Mapping[int, int]
+    regions: Mapping[int, int]
     terms: tuple[InteractionTerm, ...]
     lam: float
     betas: Mapping[int, float]
 
     def __post_init__(self):
-        sites = tuple(self.sites)
-        ids = [s.id for s in sites]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate site ids")
-        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "sites", dict(self.sites))
+        object.__setattr__(self, "regions", dict(self.regions))
+        for site, dim in self.sites.items():
+            if dim < 2:
+                raise ValueError(f"site {site}: local_dim must be >= 2")
+        for site, region in self.regions.items():
+            if region < 0:
+                raise ValueError(f"site {site}: region index must be >= 0")
         object.__setattr__(self, "terms", _merge_terms(self.terms))
         object.__setattr__(self, "betas", {int(k): float(v) for k, v in dict(self.betas).items()})
-        if not 0 < self.lam < math.inf:
-            raise ValueError("lam must be > 0 and finite")
+        if not (0 < self.lam and self.lam * len(self.sites) <= opalg.LOG_MAX_FLOAT):
+            raise ValueError(f"lam must be > 0, with lam * {len(self.sites)} sites at most "
+                             f"{opalg.LOG_MAX_FLOAT:.6g} so that every e^(lam card X) is finite")
         if not all(map(math.isfinite, self.betas.values())):
             raise ValueError("betas must be finite")
-        declared = set(ids)
-        assigned = set(self.regions.assignment)
+        declared, assigned = set(self.sites), set(self.regions)
         if assigned != declared:
             raise ValueError(
                 f"region map must assign every declared site exactly once "
                 f"(missing {sorted(declared - assigned)}, extra {sorted(assigned - declared)})"
             )
-        dim_by_id = {s.id: s.local_dim for s in sites}
         for t in self.terms:
             unknown = [x for x in t.support if x not in declared]
             if unknown:
                 raise ValueError(f"term on {t.support}: unknown sites {unknown}")
-            want = int(np.prod([dim_by_id[x] for x in t.support]))
+            want = math.prod(self.dims_for(t.support))
             if t.matrix.shape[0] != want:
                 raise ValueError(
                     f"term on {t.support}: matrix dimension {t.matrix.shape[0]} "
@@ -160,24 +123,27 @@ class ModelSpec:
 
     @property
     def site_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(s.id for s in self.sites))
-
-    def dim_of(self, site: int) -> int:
-        for s in self.sites:
-            if s.id == site:
-                return s.local_dim
-        raise KeyError(site)
+        return tuple(sorted(self.sites))
 
     def dims_for(self, sites: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.dim_of(s) for s in sites)
+        return tuple(self.sites[s] for s in sites)
+
+    def sites_in(self, region: int) -> frozenset[int]:
+        return frozenset(s for s, r in self.regions.items() if r == region)
 
     @property
     def small_system(self) -> frozenset[int]:
-        return self.regions.small_system
+        return self.sites_in(0)
 
     @property
     def reservoirs(self) -> tuple[int, ...]:
-        return self.regions.reservoirs
+        return tuple(sorted({r for r in self.regions.values() if r > 0}))
+
+    def reservoir_of(self, support: Iterable[int]) -> int | None:
+        """The one reservoir holding every site of ``support``; None if the
+        sites meet the small system or two regions."""
+        regions = {self.regions[x] for x in support}
+        return None if len(regions) != 1 or 0 in regions else next(iter(regions))
 
     def term_operator(self, term: InteractionTerm) -> opalg.DenseOperator:
         """The term's symmetrized matrix as an operator on its own support."""
@@ -207,7 +173,7 @@ class ModelSpec:
         return opalg.DenseOperator(sites, dims, acc)
 
     def volume_dim(self, sites: Sequence[int]) -> int:
-        return int(np.prod(self.dims_for(sites))) if len(sites) else 1
+        return math.prod(self.dims_for(sites))
 
 
 def validate(spec: ModelSpec) -> tuple[str, ...]:
@@ -230,7 +196,7 @@ def validate(spec: ModelSpec) -> tuple[str, ...]:
                          f"(defect {defect:.3e})")
     s_sites = spec.small_system
     for t in spec.terms:
-        touched = {spec.regions.region_of(x) for x in t.support}
+        touched = {spec.regions[x] for x in t.support}
         touched_reservoirs = {r for r in touched if r > 0}
         if len(touched_reservoirs) >= 2 and not (set(t.support) & s_sites):
             found.append(f"[reservoir-coupling] term on {t.support} couples reservoirs "
@@ -289,8 +255,8 @@ def redraw(spec: ModelSpec, new_small_system: Iterable[int]) -> ModelSpec:
     unknown = new_s - set(spec.site_ids)
     if unknown:
         raise ValueError(f"new small system contains unknown sites {sorted(unknown)}")
-    assignment = {s: (0 if s in new_s else r) for s, r in spec.regions.assignment.items()}
-    out = ModelSpec(spec.sites, RegionMap(assignment), spec.terms, spec.lam, spec.betas)
+    regions = {s: (0 if s in new_s else r) for s, r in spec.regions.items()}
+    out = ModelSpec(spec.sites, regions, spec.terms, spec.lam, spec.betas)
     problems = validate(out)
     if problems:
         raise ValueError("redraw produces an invalid model: " + "; ".join(problems))
@@ -298,34 +264,24 @@ def redraw(spec: ModelSpec, new_small_system: Iterable[int]) -> ModelSpec:
 
 
 @dataclass(frozen=True)
-class PerturbationEntry:
-    """Reservoir-interior extra terms attached to one specific volume."""
-
-    volume: frozenset[int]
-    terms: tuple[InteractionTerm, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "volume", frozenset(self.volume))
-        object.__setattr__(self, "terms", tuple(self.terms))
-
-
-@dataclass(frozen=True)
 class PerturbationFamily:
     """A volume-indexed family of reservoir perturbations.
 
-    Every term must live on declared sites inside a single reservoir, each
-    volume's term list stays below the uniform weighted-norm bound
-    ``bound_K`` (finite), and each protected site set is untouched by all
-    entries from its threshold index on. :meth:`check` verifies all three
-    against a model.
+    ``entries`` pairs a volume (a site set) with the reservoir-interior
+    terms its generator adds. Every term must live on declared sites inside
+    a single reservoir, each volume's term list stays below the uniform
+    weighted-norm bound ``bound_K`` (finite), and each protected site set is
+    untouched by all entries from its threshold index on. :meth:`check`
+    verifies all three against a model.
     """
 
-    entries: tuple[PerturbationEntry, ...] = ()
+    entries: tuple[tuple[frozenset[int], tuple[InteractionTerm, ...]], ...] = ()
     bound_K: float = 0.0
     protected: tuple[tuple[frozenset[int], int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "entries",
+                           tuple((frozenset(v), tuple(terms)) for v, terms in self.entries))
         object.__setattr__(
             self, "protected",
             tuple((frozenset(x), int(i)) for x, i in self.protected))
@@ -334,29 +290,26 @@ class PerturbationFamily:
 
     def terms_for(self, volume: Iterable[int]) -> tuple[InteractionTerm, ...]:
         key = frozenset(volume)
-        for entry in self.entries:
-            if entry.volume == key:
-                return entry.terms
-        return ()
+        return next((terms for v, terms in self.entries if v == key), ())
 
     def check(self, spec: ModelSpec) -> list[str]:
         problems: list[str] = []
         declared = set(spec.site_ids)
-        for idx, entry in enumerate(self.entries):
-            for t in entry.terms:
+        for idx, (_, terms) in enumerate(self.entries):
+            for t in terms:
                 if not set(t.support) <= declared:
                     problems.append(f"entry {idx}: term on {t.support} names undeclared "
                                     f"sites {sorted(set(t.support) - declared)}")
-                elif spec.regions.reservoir_of(t.support) is None:
+                elif spec.reservoir_of(t.support) is None:
                     problems.append(
                         f"entry {idx}: term on {t.support} is not inside a single reservoir")
-            norm = interaction_lambda_norm(entry.terms, spec.lam, spec.site_ids)
+            norm = interaction_lambda_norm(terms, spec.lam, spec.site_ids)
             if norm > self.bound_K + opalg.BOUND_K_SLACK:
                 problems.append(
                     f"entry {idx}: weighted norm {norm:.6g} exceeds bound_K {self.bound_K:.6g}")
         for x, threshold in self.protected:
-            for idx, entry in enumerate(self.entries[threshold:], start=threshold):
-                for t in entry.terms:
+            for idx, (_, terms) in enumerate(self.entries[threshold:], start=threshold):
+                for t in terms:
                     if set(t.support) & x:
                         problems.append(
                             f"protected set {sorted(x)}: entry {idx} term on "
@@ -389,8 +342,10 @@ def term_from_dict(obj, where: str = "term") -> InteractionTerm:
 
 def model_from_dict(doc: Mapping) -> ModelSpec:
     """Build a model from the JSON document structure."""
-    sites = tuple(SiteSpec(int(s["id"]), int(s["dim"])) for s in doc["sites"])
-    regions = RegionMap({int(k): int(v) for k, v in doc["regions"].items()})
+    sites = {int(s["id"]): int(s["dim"]) for s in doc["sites"]}
+    if len(sites) != len(doc["sites"]):
+        raise ValueError("duplicate site ids")
+    regions = {int(k): int(v) for k, v in doc["regions"].items()}
     terms = tuple(term_from_dict(t, f"terms[{i}]") for i, t in enumerate(doc.get("terms", [])))
     return ModelSpec(sites, regions, terms, float(doc["lambda"]),
                      {int(k): float(v) for k, v in doc["betas"].items()})
@@ -410,7 +365,7 @@ def family_from_dict(doc: Mapping) -> PerturbationFamily:
             raise ValueError(f"volumes[{i}]: needs a 'sites' list") from exc
         terms = tuple(term_from_dict(t, f"volumes[{i}].terms[{j}]")
                       for j, t in enumerate(entry.get("terms", [])))
-        entries.append(PerturbationEntry(vol, terms))
+        entries.append((vol, terms))
     protected = tuple(
         (frozenset(int(x) for x in p["sites"]), int(p["threshold"]))
         for p in doc.get("protected", []))

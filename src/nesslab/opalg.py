@@ -51,6 +51,9 @@ KLEIN_STOCHASTIC_TOL = 1e-10
 # klein-fuzz: most negative witness entry allowed (entries are |overlap|^2 >= 0)
 KLEIN_MIN_ENTRY_TOL = 1e-12
 
+# the largest x whose exp(x) is a finite float, about 709.78
+LOG_MAX_FLOAT = math.log(np.finfo(float).max)
+
 
 def is_hermitian_matrix(mat, tol: float = HERMITICITY_TOL, adjoint=None,
                         floor: float = 1.0) -> bool:

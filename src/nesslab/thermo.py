@@ -19,7 +19,7 @@ from . import opalg
 from .dynamics import make_plan
 from .model import ModelSpec, redraw
 from .opalg import DenseOperator
-from .volume import VolumeOperators, build
+from .volume import VolumeOperators, build, interface
 
 
 def gibbs(h: DenseOperator, beta: float) -> DenseOperator:
@@ -61,7 +61,7 @@ def kms_check(h: DenseOperator, beta: float, a: DenseOperator, b: DenseOperator)
     exponential, where that exceeds the largest float.
     """
     w, v = opalg.spectral(h)
-    exponent, limit = abs(beta) * (w[-1] - w[0]), math.log(np.finfo(float).max)
+    exponent, limit = abs(beta) * (w[-1] - w[0]), opalg.LOG_MAX_FLOAT
     if exponent > limit:
         raise ValueError(f"beta (max w - min w) = {exponent:.6g} exceeds log(max float) = "
                          f"{limit:.6g}: the KMS continuation factor would overflow")
@@ -330,18 +330,18 @@ def boundary_redraw_check(spec: ModelSpec, new_small_system: Iterable[int],
     values is bounded by (2/T) times the norm of the weighted reservoir
     Hamiltonian difference sum_a beta_a (H_a - H'_a): the in-volume terms
     that leave reservoir ``a``, weighted by beta_a, whose norm is taken on
-    their joint support. Both decompositions are built once, and both
+    their joint support. The original decomposition is built once, the
+    redrawn one only as far as its currents (:func:`interface`), and both
     current sets are contracted against the same rotated state, for every
     horizon; one report per horizon, in order.
     """
     new_spec = redraw(spec, new_small_system)   # refused before anything is built
     vols = build(spec, volume)
-    # of the redrawn decomposition only its currents are kept, not its generator
-    currents = build(new_spec, volume).currents
+    _, _, _, currents = interface(new_spec, volume)
 
     moved = [(vols.betas[a], t) for a in vols.reservoirs for t in spec.terms
-             if set(t.support) <= spec.regions.sites_in(a) & set(vols.sites)
-             and not set(t.support) <= new_spec.regions.sites_in(a)]
+             if set(t.support) <= spec.sites_in(a) & set(vols.sites)
+             and not set(t.support) <= new_spec.sites_in(a)]
     support = tuple(sorted(set().union(*(t.support for _, t in moved))))
     dims = spec.dims_for(support)
     shift = sum((beta * opalg.embed(spec.term_operator(t), support, dims) for beta, t in moved),

@@ -83,6 +83,37 @@ class VolumeOperators:
         return {a: self.betas[a] * (self.H_a[a] + self.B_a[a]) for a in self.reservoirs}
 
 
+def interface(spec: ModelSpec, volume: Iterable[int],
+              ) -> tuple[tuple[int, ...], DenseOperator, dict[int, DenseOperator],
+                         dict[int, DenseOperator]]:
+    """The step of :func:`build` that forms the currents, with no generator.
+
+    Returns ``volume``'s sorted sites, checked as build checks them, and the
+    ``W``, ``H_a`` and ``currents`` that build returns for it: each current
+    i[W, H_a] (equal to i[H, H_a], since the reservoir blocks commute) is
+    formed and kept on the union of the interface and reservoir supports.
+    """
+    sites = tuple(sorted(set(volume)))
+    declared = set(spec.site_ids)
+    if not set(sites) <= declared:
+        raise ValueError(f"volume contains undeclared sites {sorted(set(sites) - declared)}")
+    if not spec.small_system <= set(sites):
+        raise ValueError("volume must contain the small system")
+    in_volume = [t for t in spec.terms if set(t.support) <= set(sites)]
+    owners = [spec.reservoir_of(t.support) for t in in_volume]
+    w_op = spec.term_sum(t for t, o in zip(in_volume, owners) if o is None)
+    h_res: dict[int, DenseOperator] = {}
+    currents: dict[int, DenseOperator] = {}
+    for a in spec.reservoirs:
+        inside = spec.sites_in(a) & set(sites)
+        h_res[a] = spec.term_sum((t for t, o in zip(in_volume, owners) if o == a), inside)
+        joint = tuple(sorted(set(w_op.sites) | inside))
+        joint_dims = spec.dims_for(joint)
+        currents[a] = 1j * opalg.commutator(opalg.embed(w_op, joint, joint_dims),
+                                            opalg.embed(h_res[a], joint, joint_dims))
+    return sites, w_op, h_res, currents
+
+
 def build(spec: ModelSpec, volume: Iterable[int],
           perturbation: PerturbationFamily | None = None) -> VolumeOperators:
     """Assemble every finite-volume operator for ``volume``.
@@ -98,29 +129,22 @@ def build(spec: ModelSpec, volume: Iterable[int],
     entries of each term (d its dimension) that fall in a sector block.
     Nothing here diagonalizes or multiplies a volume-sized matrix: log Z and
     ``g_norm`` come from the spectra of the per-reservoir blocks,
-    ``w_norm`` from the interface terms on their joint support, and each
-    current i[W, H_a] (equal to i[H, H_a], since the reservoir blocks
-    commute) is formed and kept on the union of the interface and reservoir
-    supports.
+    ``w_norm`` from the interface terms on their joint support, and the
+    currents from :func:`interface`.
     """
     family = ZERO_FAMILY if perturbation is None else perturbation
-    sites = tuple(sorted(set(volume)))
-    declared = set(spec.site_ids)
-    if not set(sites) <= declared:
-        raise ValueError(f"volume contains undeclared sites {sorted(set(sites) - declared)}")
-    if not spec.small_system <= set(sites):
-        raise ValueError("volume must contain the small system")
+    sites, w_op, h_res, currents = interface(spec, volume)
     dims = spec.dims_for(sites)
     log: list[str] = [f"volume sites={list(sites)} dim={int(np.prod(dims))}"]
 
     in_volume = [t for t in spec.terms if set(t.support) <= set(sites)]
     log.append(f"interaction terms dropped at the boundary: {len(spec.terms) - len(in_volume)}")
 
-    inside = {a: spec.regions.sites_in(a) & set(sites) for a in spec.reservoirs}
+    inside = {a: spec.sites_in(a) & set(sites) for a in spec.reservoirs}
     pert_terms: dict[int, list[InteractionTerm]] = {a: [] for a in spec.reservoirs}
     dropped_pert = 0
     for term in family.terms_for(sites):
-        a = spec.regions.reservoir_of(term.support)
+        a = spec.reservoir_of(term.support)
         if a is None:
             raise ValueError(
                 f"perturbation term on {term.support} is not inside a single reservoir")
@@ -138,29 +162,19 @@ def build(spec: ModelSpec, volume: Iterable[int],
     for op in generator_ops:
         opalg.embed_add_sectors(h_blocks, op, sites, dims, sectors)
 
-    owners = [spec.regions.reservoir_of(t.support) for t in in_volume]
-    w_op = spec.term_sum(t for t, o in zip(in_volume, owners) if o is None)
-
-    h_res: dict[int, DenseOperator] = {}
     b_res: dict[int, DenseOperator] = {}
-    currents: dict[int, DenseOperator] = {}
     log_z = 0.0
     g_norm = 0.0
     for a in spec.reservoirs:
         beta = spec.betas.get(a)
         if beta is None:
             raise ValueError(f"reservoir {a} has no inverse temperature")
-        h_res[a] = spec.term_sum((t for t, o in zip(in_volume, owners) if o == a), inside[a])
         b_res[a] = spec.term_sum(pert_terms[a], inside[a])
         eigs = opalg.eigenvalues(beta * (h_res[a] + b_res[a]))
         # log sum_k exp(-e_k) around the smallest (first) eigenvalue: every
         # exponent is <= 0, so nothing overflows
         log_z += float(np.log1p(np.sum(np.exp(eigs[0] - eigs[1:]))) - eigs[0])
         g_norm += float(eigs[-1])
-        joint = tuple(sorted(set(w_op.sites) | inside[a]))
-        joint_dims = spec.dims_for(joint)
-        currents[a] = 1j * opalg.commutator(opalg.embed(w_op, joint, joint_dims),
-                                            opalg.embed(h_res[a], joint, joint_dims))
 
     covered = set().union(*inside.values())
     # normalization constant of G, so that exp(-G) has unit trace; G's
@@ -185,12 +199,14 @@ class CurrentBoundReport:
 
 
 def current_bound_check(spec: ModelSpec, volume: Iterable[int]) -> CurrentBoundReport:
-    """Check ||i[H, H_a]|| <= 2 card(S) e^lam ||Phi||_lam^2 / lam per reservoir."""
-    vols = build(spec, volume)
+    """Check ||i[H, H_a]|| <= 2 card(S) e^lam ||Phi||_lam^2 / lam per reservoir.
+
+    The currents come from :func:`interface`: no generator is built."""
+    _, _, _, currents = interface(spec, volume)
     norm_phi = lambda_norm(spec)
     bound = 2.0 * len(spec.small_system) * np.exp(spec.lam) * norm_phi**2 / spec.lam
     # each current on its own sites: embedding is isometric
-    norms = {a: opalg.op_norm(c) for a, c in vols.currents.items()}
+    norms = {a: opalg.op_norm(c) for a, c in currents.items()}
     return CurrentBoundReport(norms=norms, bound=float(bound),
                               ok=all(v <= bound + opalg.CURRENT_BOUND_SLACK
                                      for v in norms.values()))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nesslab import (DenseOperator, InteractionTerm, ModelSpec, RegionMap, SiteSpec, build,
+from nesslab import (DenseOperator, InteractionTerm, ModelSpec, build,
                      derivation_powers, embed, horizon_reports, opalg)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -65,8 +65,8 @@ def _matrix_to_json(mat):
 def model_to_dict(spec):
     """The JSON document of a model, as ``nesslab.load_model`` reads it."""
     return {
-        "sites": [{"id": s.id, "dim": s.local_dim} for s in spec.sites],
-        "regions": {str(s): r for s, r in sorted(spec.regions.assignment.items())},
+        "sites": [{"id": s, "dim": d} for s, d in spec.sites.items()],
+        "regions": {str(s): r for s, r in sorted(spec.regions.items())},
         "lambda": spec.lam,
         "betas": {str(a): b for a, b in sorted(spec.betas.items())},
         "terms": [{"support": list(t.support), "matrix": _matrix_to_json(t.matrix)}
@@ -76,11 +76,11 @@ def model_to_dict(spec):
 
 def make_chain(n, assignment, betas, coup=1.0, field=0.5, anis=0.0, lam=0.5):
     """Open chain of qubits: field*sz on every site, coup*sxsx + anis*szsz bonds."""
-    sites = tuple(SiteSpec(i, 2) for i in range(n))
+    sites = {i: 2 for i in range(n)}
     terms = [InteractionTerm((i,), field * SZ) for i in range(n)]
     for i in range(n - 1):
         terms.append(InteractionTerm((i, i + 1), coup * np.kron(SX, SX) + anis * np.kron(SZ, SZ)))
-    return ModelSpec(sites, RegionMap(assignment), tuple(terms), lam, betas)
+    return ModelSpec(sites, assignment, tuple(terms), lam, betas)
 
 
 @pytest.fixture
@@ -91,8 +91,8 @@ def standard_chain():
     the weighted interaction norm is 0.5 + 2 e^{0.5}, attained at the middle
     site.
     """
-    sites = tuple(SiteSpec(i, 2) for i in range(3))
-    regions = RegionMap({0: 1, 1: 0, 2: 2})
+    sites = {i: 2 for i in range(3)}
+    regions = {0: 1, 1: 0, 2: 2}
     terms = tuple(
         [InteractionTerm((i,), 0.5 * SZ) for i in range(3)]
         + [InteractionTerm((0, 1), np.kron(SX, SX)),
@@ -104,8 +104,8 @@ def standard_chain():
 @pytest.fixture
 def decoupled_model():
     """Terms never connect the small system to the reservoirs."""
-    sites = tuple(SiteSpec(i, 2) for i in range(3))
-    regions = RegionMap({0: 1, 1: 0, 2: 2})
+    sites = {i: 2 for i in range(3)}
+    regions = {0: 1, 1: 0, 2: 2}
     terms = tuple(InteractionTerm((i,), 0.7 * SZ) for i in range(3))
     return ModelSpec(sites, regions, terms, 0.5, {1: 2.0, 2: 1.0})
 

@@ -242,7 +242,7 @@ def product_initial_state(spec, volume, perturbation=None) -> DenseOperator:
     dims = spec.dims_for(sites)
     density = np.eye(int(np.prod(dims)), dtype=complex)
     for a in spec.reservoirs:
-        block_sites = tuple(sorted(spec.regions.sites_in(a) & set(sites)))
+        block_sites = tuple(sorted(spec.sites_in(a) & set(sites)))
         if not block_sites:
             continue
         block_dims = spec.dims_for(block_sites)
@@ -256,7 +256,7 @@ def product_initial_state(spec, volume, perturbation=None) -> DenseOperator:
         rho_a = gibbs(block, spec.betas[a])
         lifted = embed(rho_a, sites, dims)
         density = density @ lifted.matrix
-    covered = frozenset().union(*(spec.regions.sites_in(a) for a in spec.reservoirs)) & set(sites)
+    covered = frozenset().union(*(spec.sites_in(a) for a in spec.reservoirs)) & set(sites)
     rest_dim = int(np.prod([d for s, d in zip(sites, dims) if s not in covered])) or 1
     density /= rest_dim
     return DenseOperator(sites, dims, density)

@@ -16,8 +16,6 @@ from nesslab import (
     DenseOperator,
     InteractionTerm,
     ModelSpec,
-    RegionMap,
-    SiteSpec,
     boundary_redraw_check,
     build,
     dyson_evolve,
@@ -34,7 +32,7 @@ from nesslab import (
 )
 from nesslab.cli import run_klein_fuzz
 from nesslab.dynamics import derivation_growth_bound
-from nesslab.model import PerturbationEntry, PerturbationFamily, interaction_lambda_norm
+from nesslab.model import PerturbationFamily, interaction_lambda_norm
 
 from conftest import derivation, make_chain, one_sector, random_hermitian
 
@@ -74,10 +72,9 @@ def random_model(rng, n_reservoirs):
         if rng.random() < 0.8:
             terms.append(InteractionTerm((i,), scaled_hermitian(
                 rng, dim_of(i), float(rng.uniform(0.2, 0.8)))))
-    regions = RegionMap(assignment)
     for a in range(1, n_reservoirs + 1):
         s = int(rng.choice(s_sites))
-        r = int(rng.choice(sorted(regions.sites_in(a))))
+        r = int(rng.choice(sorted(x for x, g in assignment.items() if g == a)))
         pair = tuple(sorted((s, r)))
         terms.append(InteractionTerm(pair, scaled_hermitian(
             rng, dim_of(pair[0]) * dim_of(pair[1]), float(rng.uniform(0.4, 1.0)))))
@@ -96,8 +93,8 @@ def random_model(rng, n_reservoirs):
         betas = {1: beta_cold + float(rng.uniform(0.3, 1.5)), 2: beta_cold}
     else:
         betas = {a: float(rng.uniform(0.4, 2.5)) for a in range(1, n_reservoirs + 1)}
-    spec = ModelSpec(tuple(SiteSpec(i, dims[i]) for i in range(n_sites)),
-                     regions, tuple(terms), lam, betas)
+    spec = ModelSpec({i: dims[i] for i in range(n_sites)},
+                     assignment, tuple(terms), lam, betas)
     assert validate(spec) == ()
     return spec
 
@@ -107,14 +104,14 @@ def random_family(rng, spec):
     terms = []
     for _ in range(int(rng.integers(1, 3))):
         a = int(rng.choice(spec.reservoirs))
-        inside = sorted(spec.regions.sites_in(a))
+        inside = sorted(spec.sites_in(a))
         site = int(rng.choice(inside))
-        d = spec.dim_of(site)
+        d = spec.sites[site]
         terms.append(InteractionTerm((site,), scaled_hermitian(
             rng, d, float(rng.uniform(0.2, 0.6)))))
     bound = interaction_lambda_norm(tuple(terms), spec.lam, spec.site_ids)
     family = PerturbationFamily(
-        (PerturbationEntry(frozenset(spec.site_ids), tuple(terms)),), bound_K=bound)
+        ((frozenset(spec.site_ids), tuple(terms)),), bound_K=bound)
     assert not family.check(spec)
     return family
 
@@ -253,9 +250,8 @@ def test_criterion_06_equal_temperature_decay():
 
 def test_criterion_07_dyson_validity(standard_chain):
     family = PerturbationFamily(
-        (PerturbationEntry(frozenset({0, 1, 2}),
-                           (InteractionTerm((0,), 0.3 * np.array([[0, 1], [1, 0]],
-                                                                 dtype=complex)),)),),
+        ((frozenset({0, 1, 2}),
+          (InteractionTerm((0,), 0.3 * np.array([[0, 1], [1, 0]], dtype=complex)),)),),
         bound_K=0.3)
     for fam in (None, family):
         radius = series_radius(standard_chain, fam)

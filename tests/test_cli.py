@@ -203,6 +203,18 @@ class TestSimulateCommand:
                                            "exceeds cap 8 (raise --dim-cap to override)\n")
         assert built == []
 
+    def test_dim_cap_holds_past_the_int64_range(self, tmp_path, capsys):
+        # 2 * 2^32 * 2^32 = 2^65, which a product in int64 wraps to 0
+        write_config(tmp_path, {
+            "sites": [{"id": 0, "dim": 2}, {"id": 1, "dim": 2**32}, {"id": 2, "dim": 2**32}],
+            "regions": {"0": 0, "1": 1, "2": 2}, "lambda": 0.5,
+            "betas": {"1": 1.0, "2": 1.0}, "terms": []}, name="model.json")
+        config_path = write_config(tmp_path, {"model": "model.json",
+                                              "exhaustion": [[0, 1, 2]], "horizons": [1.0]})
+        assert main(["simulate", "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == ("", f"refusing volume [0, 1, 2]: dimension {2**65} "
+                                           "exceeds cap 4096 (raise --dim-cap to override)\n")
+
     def test_observable_outside_first_volume_refused_before_any_build(
             self, chain_files, capsys, monkeypatch):
         # site 3 lies in the last volume only
@@ -354,7 +366,7 @@ class TestEigensolveCount:
 
     @staticmethod
     def _interface_spans_volume(spec, sites):
-        inside = [spec.regions.sites_in(a) for a in spec.reservoirs]
+        inside = [spec.sites_in(a) for a in spec.reservoirs]
         touched = set()
         for t in spec.terms:
             if set(t.support) <= set(sites) and not any(set(t.support) <= r for r in inside):
@@ -472,6 +484,18 @@ class TestKleinFuzzCommand:
         assert "passes: 16/16" in capsys.readouterr().out
         assert json.loads(out.read_text())["trials"] == 16
 
+    @pytest.mark.parametrize("out", ["missing/k.json", "."])
+    def test_unwritable_out_refused_before_any_trial(self, tmp_path, capsys, monkeypatch, out):
+        from nesslab import cli
+
+        trials = []
+        monkeypatch.setattr(cli, "run_klein_fuzz", lambda *args: trials.append(args))
+        out = tmp_path / out
+        assert main(["klein-fuzz", "--trials", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"cannot write {out}: not a file in an existing directory\n")
+        assert trials == [] and not (tmp_path / "missing").exists()
+
 
 class TestSweepConvergenceCommand:
     def test_writes_convergence_csv(self, tmp_path):
@@ -556,7 +580,9 @@ class TestRedrawCheckCommand:
         out = capsys.readouterr().out
         assert "|e-e'|" in out and "ok" in out
 
-    def test_builds_each_decomposition_once(self, tmp_path, monkeypatch):
+    def test_builds_only_the_original_decomposition(self, tmp_path, monkeypatch):
+        # the redrawn decomposition contributes only its currents, formed
+        # without a generator
         from nesslab import thermo, volume
 
         spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0})
@@ -577,7 +603,7 @@ class TestRedrawCheckCommand:
         monkeypatch.setattr(volume, "build", build)
         monkeypatch.setattr(thermo, "build", build)
         assert main(["redraw-check", "--config", str(config_path)]) == 0
-        assert len(built) == 2
+        assert built == [(0, 1, 2, 3, 4)]
 
     def test_shift_norm_on_moved_terms_support(self, tmp_path, monkeypatch):
         # moving site 2 into S takes the field on 2 and the bond (1, 2) out

@@ -47,9 +47,10 @@ DOCS = {
         "protected": [{"sites": [2], "threshold": 0}],
     },
 }
-# values of the wrong JSON type, an undeclared site, and numbers no input may hold
+# values of the wrong JSON type, an undeclared site, numbers no input may hold, and
+# finite numbers whose exponential or products overflow
 VALUES = [5, 2.5, "x", True, None, {}, {"a": 1}, [], [1, 2], 99, 0, -1,
-          math.nan, math.inf, -math.inf]
+          math.nan, math.inf, -math.inf, 800.0, 1e308]
 ABOVE_CAP = 8192   # the default --dim-cap is 4096
 # the keys under which a document names sites
 SITE_KEYS = ("id", "support", "sites", "exhaustion", "redraw_new_s")
@@ -97,6 +98,7 @@ MUTATIONS = st.one_of(
     _mutation("big-site", [("model", ())]),    # a volume dimension above the cap
     _mutation("ragged", MATRICES),             # a matrix of the wrong shape
     _mutation("skew", MATRICES),               # a non-Hermitian matrix
+    _mutation("scale", MATRICES, [1e80]),      # finite entries whose products overflow
 )
 
 
@@ -123,6 +125,8 @@ def _mutated(mutation):
         holder[key] = holder[key][:-1]
     elif op == "skew":
         holder[key][0][-1] = [3.0, 0.0]
+    elif op == "scale":
+        holder[key] = [[[value * re, value * im] for re, im in row] for row in holder[key]]
     return docs
 
 
@@ -174,6 +178,10 @@ def _check(argv, checks_fail=False, csv=None):
 @example(mutation=("drop", "family", ("protected", 0, "threshold"), None), klein=(1, 2))
 @example(mutation=("set", "config", ("exhaustion", 0), [1, 3]), klein=(1, 2))
 @example(mutation=("set", "config", ("output_dir",), [1]), klein=(1, 2))
+@example(mutation=("set", "model", ("lambda",), 800.0), klein=(1, 2))
+@example(mutation=("set", "model", ("betas", "1"), 1e308), klein=(1, 2))
+@example(mutation=("set", "config", ("horizons", 1), 1e308), klein=(1, 2))
+@example(mutation=("scale", "model", ("terms", 5, "matrix"), 1e80), klein=(1, 2))
 @example(mutation=("set", "config", ("seed",), 3), klein=(0, 2))
 @example(mutation=("set", "config", ("seed",), 3), klein=(2, 0))
 def test_every_input_runs_or_is_refused_on_one_line(mutation, klein):

@@ -11,8 +11,6 @@ from nesslab import (
     DenseOperator,
     InteractionTerm,
     ModelSpec,
-    RegionMap,
-    SiteSpec,
     build,
     convergence_sweep,
     dyson_evolve,
@@ -26,7 +24,7 @@ from nesslab import (
 )
 from nesslab import dynamics
 from nesslab.dynamics import derivation_growth_bound, derivation_powers
-from nesslab.model import PerturbationEntry, PerturbationFamily
+from nesslab.model import PerturbationFamily
 from nesslab import opalg
 
 import oracles
@@ -37,7 +35,7 @@ OMEGA = 1.3
 
 
 def qubit_model(omega=OMEGA):
-    return ModelSpec((SiteSpec(0, 2),), RegionMap({0: 0}),
+    return ModelSpec({0: 2}, {0: 0},
                      (InteractionTerm((0,), (omega / 2.0) * SZ),), 0.5, {})
 
 
@@ -370,7 +368,7 @@ class TestDysonEvolve:
         assert peak <= 5.0 * 8 * 1024 ** 2
 
     def test_perturbation_shrinks_radius(self, chain5):
-        entry = PerturbationEntry(frozenset(range(5)), (InteractionTerm((0,), 0.5 * SZ),))
+        entry = (frozenset(range(5)), (InteractionTerm((0,), 0.5 * SZ),))
         family = PerturbationFamily((entry,), bound_K=0.5)
         assert series_radius(chain5, family) < series_radius(chain5)
 
@@ -378,8 +376,8 @@ class TestDysonEvolve:
 class TestConvergenceSweep:
     def test_termfree_enlargement_gives_zero(self):
         # site 3 carries no terms at all: adding it changes nothing
-        sites = tuple(SiteSpec(i, 2) for i in range(4))
-        regions = RegionMap({0: 1, 1: 0, 2: 2, 3: 2})
+        sites = {i: 2 for i in range(4)}
+        regions = {0: 1, 1: 0, 2: 2, 3: 2}
         terms = (InteractionTerm((0,), 0.5 * SZ), InteractionTerm((0, 1), np.kron(SX, SX)),
                  InteractionTerm((1,), 0.5 * SZ), InteractionTerm((2,), 0.5 * SZ),
                  InteractionTerm((1, 2), np.kron(SX, SX)))
@@ -412,8 +410,8 @@ class TestConvergenceSweep:
         small = tuple(range(1, 5))
         full = tuple(range(5))
         family = PerturbationFamily(
-            (PerturbationEntry(frozenset(small), (InteractionTerm((3,), 0.4 * SZ),)),
-             PerturbationEntry(frozenset(full), (InteractionTerm((4,), 0.4 * SZ),))),
+            ((frozenset(small), (InteractionTerm((3,), 0.4 * SZ),)),
+             (frozenset(full), (InteractionTerm((4,), 0.4 * SZ),))),
             bound_K=0.5,
             protected=((frozenset({2, 3}), 1),))
         assert not family.check(chain5)
@@ -823,7 +821,7 @@ class TestSweepLightCone:
         other = InteractionTerm((3,), 0.3 * SZ)
 
         def family(*entries):
-            return PerturbationFamily(tuple(PerturbationEntry(frozenset(v), (t,))
+            return PerturbationFamily(tuple((frozenset(v), (t,))
                                             for v, t in entries), bound_K=0.5)
 
         cone = dynamics._light_cone_order

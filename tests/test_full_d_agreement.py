@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nesslab import InteractionTerm, build, embed, horizon_reports, make_plan
-from nesslab.model import PerturbationEntry, PerturbationFamily
+from nesslab.model import PerturbationFamily
 
 import oracles
 from oracles import initial_state
@@ -22,9 +22,8 @@ TOL = 1e-12
 
 
 def _perturbation():
-    entry = PerturbationEntry(frozenset(range(5)),
-                              (InteractionTerm((0, 1), 0.3 * np.kron(SX, SX)),
-                               InteractionTerm((4,), 0.25 * SZ)))
+    entry = (frozenset(range(5)),
+             (InteractionTerm((0, 1), 0.3 * np.kron(SX, SX)), InteractionTerm((4,), 0.25 * SZ)))
     return PerturbationFamily((entry,), bound_K=1.0)
 
 

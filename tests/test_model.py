@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from nesslab import (
     InteractionTerm,
     ModelSpec,
-    RegionMap,
-    SiteSpec,
     build,
     lambda_norm,
     model_from_dict,
@@ -20,7 +18,7 @@ from nesslab import (
     validate,
 )
 from nesslab import opalg
-from nesslab.model import PerturbationEntry, PerturbationFamily, interaction_lambda_norm
+from nesslab.model import PerturbationFamily, interaction_lambda_norm
 
 from conftest import SX, SZ, make_chain, model_to_dict, random_hermitian
 
@@ -51,21 +49,21 @@ class TestValidate:
         assert any(p.startswith("[reservoir-coupling] ") for p in problems)
 
     def test_non_hermitian_flagged(self):
-        sites = (SiteSpec(0, 2), SiteSpec(1, 2))
-        regions = RegionMap({0: 0, 1: 1})
+        sites = {0: 2, 1: 2}
+        regions = {0: 0, 1: 1}
         term = InteractionTerm((0,), np.array([[0, 1], [0, 0]], dtype=complex))
         problems = validate(ModelSpec(sites, regions, (term,), 0.5, {1: 1.0}))
         assert any(p.startswith("[hermiticity] ") for p in problems)
 
     def test_empty_small_system_flagged(self):
-        sites = (SiteSpec(0, 2), SiteSpec(1, 2))
-        regions = RegionMap({0: 1, 1: 2})
+        sites = {0: 2, 1: 2}
+        regions = {0: 1, 1: 2}
         problems = validate(ModelSpec(sites, regions, (), 0.5, {1: 1.0, 2: 1.0}))
         assert any(p.startswith("[empty-s] ") for p in problems)
 
     def test_missing_beta_flagged(self):
-        sites = (SiteSpec(0, 2), SiteSpec(1, 2))
-        regions = RegionMap({0: 0, 1: 1})
+        sites = {0: 2, 1: 2}
+        regions = {0: 0, 1: 1}
         problems = validate(ModelSpec(sites, regions, (), 0.5, {}))
         assert any(p.startswith("[missing-beta] ") for p in problems)
 
@@ -77,14 +75,14 @@ class TestLambdaNorm:
         assert brute_lambda_norm(standard_chain) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_interaction(self):
-        spec = ModelSpec((SiteSpec(0, 2), SiteSpec(1, 2)), RegionMap({0: 0, 1: 1}),
+        spec = ModelSpec({0: 2, 1: 2}, {0: 0, 1: 1},
                          (), 0.5, {1: 1.0})
         assert lambda_norm(spec) == 0.0
 
     def test_single_site_term_ignores_lam(self):
         h = 0.37
         for lam in (0.1, 1.0, 3.0):
-            spec = ModelSpec((SiteSpec(0, 2),), RegionMap({0: 0}),
+            spec = ModelSpec({0: 2}, {0: 0},
                              (InteractionTerm((0,), h * SZ),), lam, {})
             assert lambda_norm(spec) == pytest.approx(h, abs=1e-14)
 
@@ -129,7 +127,7 @@ class TestConvergenceRadius:
             series_radius(standard_chain) / 2.0, rel=1e-12)
 
     def test_empty_interaction_is_infinite(self):
-        spec = ModelSpec((SiteSpec(0, 2), SiteSpec(1, 2)), RegionMap({0: 0, 1: 1}),
+        spec = ModelSpec({0: 2, 1: 2}, {0: 0, 1: 1},
                          (), 0.5, {1: 1.0})
         assert series_radius(spec) == math.inf
 
@@ -178,13 +176,13 @@ class TestRestrict:
 class TestRedraw:
     def test_identity(self, chain5):
         same = redraw(chain5, chain5.small_system)
-        assert same.regions.assignment == chain5.regions.assignment
+        assert same.regions == chain5.regions
 
     def test_five_site_enlargement(self, chain5):
         out = redraw(chain5, {1, 2, 3})
-        assert out.regions.sites_in(0) == {1, 2, 3}
-        assert out.regions.sites_in(1) == {0}
-        assert out.regions.sites_in(2) == {4}
+        assert out.sites_in(0) == {1, 2, 3}
+        assert out.sites_in(1) == {0}
+        assert out.sites_in(2) == {4}
         assert validate(out) == ()
 
     def test_preserves_sites_and_terms(self, chain5):
@@ -212,8 +210,8 @@ class TestTermSum:
                  InteractionTerm((3,), random_hermitian(rng, 3).real + 0j),
                  InteractionTerm((0, 1, 3), random_hermitian(rng, 18)),
                  InteractionTerm((2, 3), random_hermitian(rng, 6)))
-        spec = ModelSpec(tuple(SiteSpec(i, d) for i, d in dims.items()),
-                         RegionMap({0: 1, 1: 1, 2: 0, 3: 2, 4: 2}), terms, 0.5,
+        spec = ModelSpec(dims,
+                         {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, terms, 0.5,
                          {1: 1.0, 2: 2.0})
         for sites in [(0, 1, 2, 3, 4), (0, 1, 2, 3)]:
             inside = [t for t in spec.terms if set(t.support) <= set(sites)]
@@ -228,8 +226,8 @@ class TestTermSum:
 
 class TestModelStructure:
     def test_duplicate_supports_merge(self):
-        sites = (SiteSpec(0, 2), SiteSpec(1, 2))
-        regions = RegionMap({0: 0, 1: 1})
+        sites = {0: 2, 1: 2}
+        regions = {0: 0, 1: 1}
         spec = ModelSpec(sites, regions,
                          (InteractionTerm((0,), 0.5 * SZ), InteractionTerm((0,), 0.25 * SZ)),
                          0.5, {1: 1.0})
@@ -237,24 +235,24 @@ class TestModelStructure:
         np.testing.assert_allclose(spec.terms[0].matrix, 0.75 * SZ)
 
     def test_local_dim_must_be_at_least_two(self):
-        with pytest.raises(ValueError):
-            SiteSpec(0, 1)
+        with pytest.raises(ValueError, match="local_dim must be >= 2"):
+            ModelSpec({0: 1}, {0: 0}, (), 0.5, {})
 
     def test_term_dimension_checked(self):
-        sites = (SiteSpec(0, 2), SiteSpec(1, 3))
+        sites = {0: 2, 1: 3}
         with pytest.raises(ValueError):
-            ModelSpec(sites, RegionMap({0: 0, 1: 1}),
+            ModelSpec(sites, {0: 0, 1: 1},
                       (InteractionTerm((0, 1), np.eye(4)),), 0.5, {1: 1.0})
 
     def test_region_map_covers_sites(self):
         with pytest.raises(ValueError):
-            ModelSpec((SiteSpec(0, 2), SiteSpec(1, 2)), RegionMap({0: 0}), (), 0.5, {})
+            ModelSpec({0: 2, 1: 2}, {0: 0}, (), 0.5, {})
 
     def test_json_roundtrip(self, standard_chain):
         doc = model_to_dict(standard_chain)
         again = model_from_dict(json.loads(json.dumps(doc)))
         assert again.site_ids == standard_chain.site_ids
-        assert again.regions.assignment == standard_chain.regions.assignment
+        assert again.regions == standard_chain.regions
         assert again.betas == standard_chain.betas
         for a, b in zip(again.terms, standard_chain.terms):
             assert a.support == b.support
@@ -263,19 +261,19 @@ class TestModelStructure:
 
 class TestPerturbationFamily:
     def test_terms_keyed_by_volume(self):
-        entry = PerturbationEntry(frozenset({0, 1, 2}), (InteractionTerm((0,), 0.3 * SZ),))
+        entry = (frozenset({0, 1, 2}), (InteractionTerm((0,), 0.3 * SZ),))
         family = PerturbationFamily((entry,), bound_K=1.0)
-        assert family.terms_for((0, 1, 2)) == entry.terms
+        assert family.terms_for((0, 1, 2)) == entry[1]
         assert family.terms_for((0, 1)) == ()
 
     def test_check_flags_small_system_terms(self, standard_chain):
-        entry = PerturbationEntry(frozenset({0, 1, 2}), (InteractionTerm((1,), 0.3 * SZ),))
+        entry = (frozenset({0, 1, 2}), (InteractionTerm((1,), 0.3 * SZ),))
         family = PerturbationFamily((entry,), bound_K=1.0)
         assert family.check(standard_chain)
 
     def test_check_flags_undeclared_sites(self, standard_chain):
         # a problem line, not the KeyError of looking the site up in the region map
-        entry = PerturbationEntry(frozenset({0, 1, 2}), (InteractionTerm((99,), 0.3 * SZ),))
+        entry = (frozenset({0, 1, 2}), (InteractionTerm((99,), 0.3 * SZ),))
         family = PerturbationFamily((entry,), bound_K=1.0)
         assert family.check(standard_chain) == [
             "entry 0: term on (99,) names undeclared sites [99]"]
@@ -293,13 +291,13 @@ class TestPerturbationFamily:
             PerturbationFamily((), bound_K=bad)
 
     def test_check_flags_bound_violation(self, standard_chain):
-        entry = PerturbationEntry(frozenset({0, 1, 2}), (InteractionTerm((0,), 5.0 * SZ),))
+        entry = (frozenset({0, 1, 2}), (InteractionTerm((0,), 5.0 * SZ),))
         family = PerturbationFamily((entry,), bound_K=1.0)
         problems = family.check(standard_chain)
         assert any("bound_K" in p for p in problems)
 
     def test_protected_sets_enforced(self, standard_chain):
-        touching = PerturbationEntry(frozenset({0, 1, 2}), (InteractionTerm((0,), 0.3 * SZ),))
+        touching = (frozenset({0, 1, 2}), (InteractionTerm((0,), 0.3 * SZ),))
         family = PerturbationFamily((touching, touching), bound_K=1.0,
                                     protected=(((frozenset({0})), 1),))
         problems = family.check(standard_chain)

@@ -19,7 +19,7 @@ from nesslab import (DenseOperator, EvolutionPlan, InteractionTerm, ModelSpec, b
 from nesslab.cli import _observable_operators, load_config, main
 from nesslab.dynamics import (SWEEP_ORDERS, Sector, _commutator_blocks, _light_cone_order,
                               derivation_powers)
-from nesslab.model import PerturbationEntry, PerturbationFamily, load_model
+from nesslab.model import PerturbationFamily, load_model
 from nesslab.opalg import as_matrix, matmul
 
 import oracles
@@ -39,7 +39,7 @@ def _chain():
 
 
 def _family(*terms):
-    return PerturbationFamily((PerturbationEntry(frozenset(range(5)), terms),), bound_K=1.0)
+    return PerturbationFamily(((frozenset(range(5)), terms),), bound_K=1.0)
 
 
 def _complex_plan(plan: EvolutionPlan) -> EvolutionPlan:

@@ -20,7 +20,7 @@ import pytest
 from nesslab import (DenseOperator, InteractionTerm, ModelSpec, build, convergence_sweep,
                      embed, exact_evolve, horizon_reports, make_plan, opalg, series_radius,
                      thermo, volume)
-from nesslab.model import PerturbationEntry, PerturbationFamily, redraw
+from nesslab.model import PerturbationFamily, redraw
 
 import oracles
 from conftest import (SX, SY, SZ, dense_generator, make_chain, one_sector, random_hermitian,
@@ -145,7 +145,7 @@ def _family(kind: str) -> PerturbationFamily:
     if kind == "complex":
         terms.append(InteractionTerm((5, 6), 0.2 * (np.kron(SX, SY) - np.kron(SY, SX))))
     return PerturbationFamily(
-        tuple(PerturbationEntry(frozenset(v), tuple(t for t in terms if set(t.support) <= set(v)))
+        tuple((frozenset(v), tuple(t for t in terms if set(t.support) <= set(v)))
               for v in EXHAUSTION), bound_K=1.0)
 
 

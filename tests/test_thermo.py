@@ -8,8 +8,6 @@ from nesslab import (
     DenseOperator,
     InteractionTerm,
     ModelSpec,
-    RegionMap,
-    SiteSpec,
     boundary_redraw_check,
     build,
     embed,
@@ -22,7 +20,7 @@ from nesslab import (
     op_norm,
 )
 from nesslab import exact_evolve, opalg, thermo
-from nesslab.model import PerturbationEntry, PerturbationFamily
+from nesslab.model import PerturbationFamily
 from nesslab.thermo import _gibbs_factors, _horizon_kernels
 
 import oracles
@@ -72,9 +70,9 @@ class TestGibbs:
                      InteractionTerm((4,), 0.3 * SY))
             spec = ModelSpec(spec.sites, spec.regions, spec.terms + extra, spec.lam, spec.betas)
         elif kind == "perturbed":
-            entry = PerturbationEntry(frozenset(range(6)),
-                                      (InteractionTerm((0, 1), 0.3 * np.kron(SX, SX)),
-                                       InteractionTerm((5,), 0.25 * SZ)))
+            entry = (frozenset(range(6)),
+                     (InteractionTerm((0, 1), 0.3 * np.kron(SX, SX)),
+                      InteractionTerm((5,), 0.25 * SZ)))
             family = PerturbationFamily((entry,), bound_K=1.0)
         factors, _ = _gibbs_factors(build(spec, range(6), family))
         assert [f.sites for f in factors] == [(0, 1), (3, 4, 5)]
@@ -107,9 +105,9 @@ class TestInitialState:
         assert np.max(np.abs(direct.matrix - product.matrix)) <= 1e-10
 
     def test_matches_product_with_perturbation(self, chain5):
-        entry = PerturbationEntry(frozenset(range(5)),
-                                  (InteractionTerm((0, 1), 0.3 * np.kron(SX, SX)),
-                                   InteractionTerm((4,), 0.25 * SZ)))
+        entry = (frozenset(range(5)),
+                 (InteractionTerm((0, 1), 0.3 * np.kron(SX, SX)),
+                  InteractionTerm((4,), 0.25 * SZ)))
         family = PerturbationFamily((entry,), bound_K=1.0)
         vols = build(chain5, range(5), family)
         direct = initial_state(vols)
@@ -375,7 +373,7 @@ class TestEntropyProduction:
         # validate refuses such a model, but the library takes it: the state is the
         # normalized identity, whose image of the basis must not be the basis itself,
         # which the contraction conjugates in place on a complex plan
-        spec = ModelSpec((SiteSpec(0, 2), SiteSpec(1, 2)), RegionMap({0: 0, 1: 0}),
+        spec = ModelSpec({0: 2, 1: 2}, {0: 0, 1: 0},
                          (InteractionTerm((0, 1), np.kron(SX, SX) + np.kron(SZ, SZ)),
                           InteractionTerm((0,), 0.3 * SY)), 0.5, {})
         vols = build(spec, (0, 1))
@@ -459,9 +457,9 @@ class TestEntropyProduction:
         assert abs(lhs - rhs) <= 1e-8 * scale
 
     def test_perturbed_volume_still_nonnegative(self, chain5):
-        entry = PerturbationEntry(frozenset(range(5)),
-                                  (InteractionTerm((0, 1), 0.4 * np.kron(SX, SX)),
-                                   InteractionTerm((4,), 0.3 * SZ)))
+        entry = (frozenset(range(5)),
+                 (InteractionTerm((0, 1), 0.4 * np.kron(SX, SX)),
+                  InteractionTerm((4,), 0.3 * SZ)))
         family = PerturbationFamily((entry,), bound_K=1.5)
         vols = build(chain5, range(5), family)
         assert any(np.any(b.matrix) for b in vols.B_a.values())
@@ -475,9 +473,9 @@ class TestEntropyProduction:
         # sectors, the fluxes from the averaged state and e_telescoped from G evolved
         # to the endpoint, whose difference (<G(T)> - <G>) / T loses about
         # eps ||G|| / T to cancellation at T = 1e-3
-        entry = PerturbationEntry(frozenset(range(5)),
-                                  (InteractionTerm((1,), 0.4 * SZ),
-                                   InteractionTerm((3, 4), 0.3 * np.kron(SZ, SZ))))
+        entry = (frozenset(range(5)),
+                 (InteractionTerm((1,), 0.4 * SZ),
+                  InteractionTerm((3, 4), 0.3 * np.kron(SZ, SZ))))
         vols = build(chain5, range(5), PerturbationFamily((entry,), bound_K=1.5))
         plan = make_plan(vols)
         assert len(plan.sectors) == 2

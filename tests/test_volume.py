@@ -10,15 +10,13 @@ from scipy.linalg import expm
 from nesslab import (
     InteractionTerm,
     ModelSpec,
-    RegionMap,
-    SiteSpec,
     build,
     commutator,
     current_bound_check,
     embed,
     op_norm,
 )
-from nesslab.model import PerturbationEntry, PerturbationFamily
+from nesslab.model import PerturbationFamily, redraw
 from nesslab import opalg
 from nesslab.opalg import DenseOperator, zero
 
@@ -82,6 +80,18 @@ class TestBuild:
                 manual = manual + embed(chain5.term_operator(term), vols.sites, vols.dims)
         np.testing.assert_allclose(oracles.hamiltonian(vols).matrix, manual.matrix, atol=1e-14)
 
+    def test_interface_matches_build_bitwise(self, chain5):
+        from nesslab.volume import interface
+
+        spec = redraw(chain5, {1, 2, 3})
+        vols = build(spec, range(5))
+        sites, w, h_a, currents = interface(spec, range(5))
+        assert sites == vols.sites and np.array_equal(w.matrix, vols.W.matrix)
+        for a in vols.reservoirs:
+            assert currents[a].sites == vols.currents[a].sites
+            assert np.array_equal(h_a[a].matrix, vols.H_a[a].matrix)
+            assert np.array_equal(currents[a].matrix, vols.currents[a].matrix)
+
     def test_volume_must_contain_small_system(self, chain5):
         with pytest.raises(ValueError):
             build(chain5, (0, 1))
@@ -91,9 +101,9 @@ class TestBuild:
             build(chain5, (2, 3, 9))
 
     def test_reservoir_blocks_commute(self, chain5):
-        entry = PerturbationEntry(frozenset(range(5)),
-                                  (InteractionTerm((0, 1), 0.4 * np.kron(SX, SX)),
-                                   InteractionTerm((4,), 0.2 * SZ)))
+        entry = (frozenset(range(5)),
+                 (InteractionTerm((0, 1), 0.4 * np.kron(SX, SX)),
+                  InteractionTerm((4,), 0.2 * SZ)))
         family = PerturbationFamily((entry,), bound_K=2.0)
         vols = build(chain5, range(5), family)
         total = zero(vols.sites, vols.dims)
@@ -113,16 +123,16 @@ class TestBuild:
         assert np.max(np.abs(total.matrix - expected)) <= 1e-12
 
     def test_perturbation_for_other_volume_is_inert(self, chain5):
-        entry = PerturbationEntry(frozenset({1, 2, 3}),
-                                  (InteractionTerm((4,), 0.2 * SZ),))
+        entry = (frozenset({1, 2, 3}),
+                 (InteractionTerm((4,), 0.2 * SZ),))
         family = PerturbationFamily((entry,), bound_K=1.0)
         vols = build(chain5, range(5), family)
         for b in vols.B_a.values():
             assert op_norm(b) == 0.0
 
     def test_perturbation_meeting_small_system_rejected(self, chain5):
-        entry = PerturbationEntry(frozenset(range(5)),
-                                  (InteractionTerm((2,), 0.2 * SZ),))
+        entry = (frozenset(range(5)),
+                 (InteractionTerm((2,), 0.2 * SZ),))
         family = PerturbationFamily((entry,), bound_K=1.0)
         with pytest.raises(ValueError):
             build(chain5, range(5), family)
@@ -153,9 +163,9 @@ class TestFootprint:
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["bare", "perturbed"])
     def test_volume_sized_fields(self, chain5, perturbed):
-        entry = PerturbationEntry(frozenset(range(5)),
-                                  (InteractionTerm((0, 1), 0.4 * np.kron(SX, SX)),
-                                   InteractionTerm((4,), 0.2 * SZ)))
+        entry = (frozenset(range(5)),
+                 (InteractionTerm((0, 1), 0.4 * np.kron(SX, SX)),
+                  InteractionTerm((4,), 0.2 * SZ)))
         family = PerturbationFamily((entry,), bound_K=2.0) if perturbed else None
         vols = build(chain5, range(5), family)
         operators = []
@@ -242,8 +252,8 @@ class TestInterfaceOperator:
         terms = [InteractionTerm((i,), random_hermitian(rng, 2)) for i in sites]
         terms += [InteractionTerm((i, i + 1), random_hermitian(rng, 4)) for i in range(4)]
         terms += [InteractionTerm((1, 2, 3), random_hermitian(rng, 8))]
-        spec = ModelSpec(tuple(SiteSpec(i, 2) for i in sites),
-                         RegionMap({0: 1, 1: 1, 2: 0, 3: 2, 4: 2}),
+        spec = ModelSpec({i: 2 for i in sites},
+                         {0: 1, 1: 1, 2: 0, 3: 2, 4: 2},
                          tuple(terms), 0.5, {1: 2.0, 2: 1.0})
         w = oracles.interface_operator(spec, sites)
         vols = build(spec, sites)
@@ -274,6 +284,22 @@ class TestCurrentBound:
         assert report.ok
         assert eigensolves
         assert max(dim for dim, _, _ in eigensolves) == 16
+
+    def test_builds_no_volume(self, chain5, monkeypatch):
+        # the currents come from the step of build that forms them, bitwise
+        from nesslab import volume
+
+        expected = {a: op_norm(c) for a, c in build(chain5, range(5)).currents.items()}
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args[1])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(volume, "build", counted)
+        report = current_bound_check(chain5, range(5))
+        assert built == []
+        assert report.norms == expected
 
     def test_scaling_is_quartic_in_bound_quadratic_in_interaction(self, standard_chain):
         doubled = ModelSpec(
