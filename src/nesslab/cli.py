@@ -272,14 +272,15 @@ def run_klein_fuzz(trials: int, max_dim: int, seed: int) -> dict:
         max_violation = max(max_violation, violation)
         max_row_dev = max(max_row_dev, witness.row_sum_deviation)
         max_col_dev = max(max_col_dev, witness.col_sum_deviation)
-        ok = (violation <= tol
+        ok = (violation <= tol and witness.footnote_value >= -tol
               and witness.row_sum_deviation <= opalg.KLEIN_STOCHASTIC_TOL
               and witness.col_sum_deviation <= opalg.KLEIN_STOCHASTIC_TOL
               and witness.min_entry >= -opalg.KLEIN_MIN_ENTRY_TOL)
         if ok:
             passes += 1
         else:
-            failures.append(f"trial {trial} (dim {n}, phi {name}): violation {violation:.3e}")
+            failures.append(f"trial {trial} (dim {n}, phi {name}): violation {violation:.3e}, "
+                            f"convex form {witness.footnote_value:.3e}")
     return {
         "rng": RNG_NAME,
         "seed": seed,

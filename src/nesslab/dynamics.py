@@ -53,22 +53,12 @@ def make_plan(generator: DenseOperator | volume_mod.VolumeOperators) -> Evolutio
         Sector(rows, *opalg.spectral(block)) for rows, block in zip(sectors, blocks)))
 
 
-def _block(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """mat[rows][:, cols], and ``mat`` itself, uncopied, when they cover it."""
-    if rows.size == mat.shape[0] and cols.size == mat.shape[1]:
-        return mat
-    return mat[np.ix_(rows, cols)]
-
-
 def _embedded_blocks(rows: Sequence[np.ndarray], sites: tuple[int, ...], dims: tuple[int, ...],
                      op: DenseOperator, upper: bool = True, pattern: tuple | None = None) -> dict:
-    """The nonzero blocks of ``op`` embedded into the volume (``sites``, ``dims``) on its
-    sectors ``rows`` (its own by :func:`_block` if on it), only p <= q if ``upper``, as
-    for an (anti-)Hermitian op. ``pattern``, op's sector index arrays and nonzero block
-    pairs, skips zero blocks."""
+    """The nonzero blocks of ``op``, on any sites of the volume (``sites``, ``dims``), embedded
+    into it on its sectors ``rows``, only p <= q if ``upper``, as for an (anti-)Hermitian op.
+    ``pattern``, op's sector index arrays and nonzero block pairs, skips zero blocks."""
     pairs = [(p, q) for p in range(len(rows)) for q in range(p if upper else 0, len(rows))]
-    if (op.sites, op.dims) == (sites, dims):
-        return {(p, q): b for p, q in pairs if np.any(b := _block(op.matrix, rows[p], rows[q]))}
     inner, outside = opalg.embedding_maps(op, sites, dims)
     if pattern is not None:   # seen[p][a][o]: indices of sector p in op's sector a, outside o
         seen = [[np.bincount(outside[r][np.isin(inner[r], s)], minlength=outside.max() + 1)
@@ -101,17 +91,6 @@ def _rotated_back(plan: EvolutionPlan, rotated: dict, hermitian: bool,
     return out
 
 
-def _conjugated(plan: EvolutionPlan, mat: np.ndarray,
-                weight: Callable[[np.ndarray, int, int], np.ndarray]) -> np.ndarray:
-    """M with its nonzero sector blocks rotated, weighted and rotated back."""
-    hermitian = bool(np.array_equal(mat, mat.conj().T))
-    rows = [s.indices for s in plan.sectors]
-    blocks = _embedded_blocks(rows, plan.sites, plan.dims,
-                              DenseOperator(plan.sites, plan.dims, mat), hermitian)
-    back = _rotated_back(plan, _rotated_blocks(plan, blocks), hermitian, weight)
-    return opalg.assemble(back, rows, mat.shape[0], 1.0 if hermitian else None)
-
-
 def _evolution(plan: EvolutionPlan, t: float) -> Callable[[np.ndarray, int, int], np.ndarray]:
     """The weight of :func:`_rotated_back` that evolves by exp(i t generator)."""
     phases = [np.exp(1j * t * s.eigenvalues) for s in plan.sectors]
@@ -120,12 +99,17 @@ def _evolution(plan: EvolutionPlan, t: float) -> Callable[[np.ndarray, int, int]
 
 
 def exact_evolve(plan: EvolutionPlan, a: DenseOperator, t: float) -> DenseOperator:
-    """Conjugate by exp(i t generator): the exact Heisenberg evolution, one
-    sector block of ``a`` at a time. A zero block stays exactly zero, and a
-    bitwise Hermitian ``a`` evolves to an exactly Hermitian operator."""
-    if (a.sites, a.dims) != (plan.sites, plan.dims):
-        raise ValueError("operator volume does not match the plan's")
-    return a.with_matrix(_conjugated(plan, a.matrix, _evolution(plan, t)))
+    """Conjugate by exp(i t generator): the exact Heisenberg evolution of ``a``, given on
+    any sites of the plan's volume (ValueError otherwise), as an operator on the volume.
+    Its sector blocks are gathered (:func:`_embedded_blocks`), rotated, weighted and
+    rotated back one at a time: a zero block stays exactly zero, and a bitwise
+    Hermitian ``a`` evolves to an exactly Hermitian operator."""
+    hermitian = bool(np.array_equal(a.matrix, a.matrix.conj().T))
+    rows = [s.indices for s in plan.sectors]
+    blocks = _embedded_blocks(rows, plan.sites, plan.dims, a, hermitian)
+    back = _rotated_back(plan, _rotated_blocks(plan, blocks), hermitian, _evolution(plan, t))
+    return DenseOperator(plan.sites, plan.dims, opalg.assemble(
+        back, rows, math.prod(plan.dims), 1.0 if hermitian else None))
 
 
 # i^m, exact, so that i^m r stays real for even m
@@ -177,15 +161,10 @@ def series_radius(spec: ModelSpec, perturbation: PerturbationFamily | None = Non
     return spec.lam / (2.0 * denom)
 
 
-def _envelope(a: DenseOperator, lam: float) -> float:
-    """||a|| e^{lam card X}, with X the sites ``a`` is given on."""
-    return opalg.op_norm(a) * math.exp(lam * len(a.sites))
-
-
 def _tail_bound(envelope: float, ratio: float) -> float:
     """envelope * r^{M+1} / (1 - r) for the series truncated after M =
-    SERIES_ORDER orders, with ``envelope`` the :func:`_envelope` of the
-    observable before it was embedded into the volume."""
+    SERIES_ORDER orders, with ``envelope`` ||a|| e^{lam card X}
+    (:func:`opalg.observable_lambda_norm_upper`) of the observable on its own sites."""
     return float(envelope * ratio ** (SERIES_ORDER + 1) / (1.0 - ratio))
 
 
@@ -211,7 +190,7 @@ def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: fl
         raise ValueError(f"|t|={abs(t):.6g} is outside the series radius {radius:.6g}; "
                          "the error bound diverges")
     a = a.with_matrix(opalg.hermitian_matrix(a, "the derivation series"))
-    envelope = _envelope(a, spec.lam)
+    envelope = opalg.observable_lambda_norm_upper(((a.sites, a.matrix),), spec.lam)
     built = volume_mod.build(spec, volume, perturbation)
     rows, sites, dims = built.sectors, built.sites, built.dims
     blocks = _embedded_blocks(rows, sites, dims, a)
@@ -237,16 +216,18 @@ def derivation_growth_bound(spec: ModelSpec, a: DenseOperator, m: int,
                             mu: float = 0.0) -> float:
     """Majorant for the m-th derivation power applied to ``a``.
 
-    Returns ||a|| e^{lam card X} m! (2 ||Phi||_lam / (lam - mu))^m, valid in
-    the mu-weighted norm (hence in the operator norm) for 0 <= mu < lam;
-    mu = 0 gives the plain growth bound of the series. X is ``a.sites``, so
-    pass the observable on its own sites for the tightest bound.
+    Returns ||a|| e^{lam card X} m! (2 ||Phi||_lam / (lam - mu))^m, valid in the mu-weighted
+    norm (hence in the operator norm) for 0 <= mu < lam; mu = 0 gives the plain growth bound
+    of the series, inf (true but vacuous) where its float product overflows. X is
+    ``a.sites``, so pass the observable on its own sites for the tightest bound.
     """
     if not spec.lam > mu >= 0:
         raise ValueError("need lam > mu >= 0")
-    norm_phi = lambda_norm(spec)
-    return (_envelope(a, spec.lam)
-            * math.factorial(m) * (2.0 * norm_phi / (spec.lam - mu)) ** m)
+    envelope = opalg.observable_lambda_norm_upper(((a.sites, a.matrix),), spec.lam)
+    try:
+        return envelope * math.factorial(m) * (2.0 * lambda_norm(spec) / (spec.lam - mu)) ** m
+    except OverflowError:   # m! or the power past the largest float
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -422,7 +403,7 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     a = a.with_matrix(opalg.hermitian_matrix(a, "the convergence sweep"))
 
     radius = series_radius(spec, perturbation)
-    envelope = _envelope(a, spec.lam)
+    envelope = opalg.observable_lambda_norm_upper(((a.sites, a.matrix),), spec.lam)
 
     evo_rows, order_rows, dyson_rows = [], [], []
     prev_plan, prev_rotated, prev_powers = None, {}, []

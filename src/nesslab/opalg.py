@@ -100,7 +100,7 @@ class DenseOperator:
             raise ValueError("volume must be ordered by ascending site id")
         if len(set(self.sites)) != len(self.sites):
             raise ValueError("duplicate site id in volume")
-        dim = int(np.prod(self.dims)) if self.dims else 1
+        dim = math.prod(self.dims)
         mat = as_matrix(self.matrix)
         if mat.shape != (dim, dim):
             raise ValueError(
@@ -139,7 +139,7 @@ class DenseOperator:
 
 
 def zero(sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
-    dim = int(np.prod(tuple(dims))) if len(dims) else 1
+    dim = math.prod(dims)
     return DenseOperator(tuple(sites), tuple(dims), np.zeros((dim, dim)))
 
 

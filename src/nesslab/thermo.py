@@ -149,8 +149,7 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
 
     An operator's image (Y V_p) on the sector's rows is made in panels of 128
     basis columns, each zero-padded to the volume's D rows, and written into
-    one d_p x d_p array; G's blocks add into it panel by panel. On a
-    one-sector volume one term is applied to the whole basis at once.
+    one d_p x d_p array; G's blocks add into it panel by panel.
 
     As s and x are Hermitian, P_kj = conj(P_jk) and d_kj = -d_jk, so the pair
     (k, j) adds the complex conjugate of what (j, k) adds to each sum below.
@@ -201,11 +200,7 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
         def image(terms: list[list[DenseOperator]]) -> np.ndarray:
             """(sum over ``terms`` of the tensor product of each one's factors) V on
             the sector's rows: one panel of basis columns at a time, each written
-            into the volume's basis (zero outside the sector's rows), except for
-            one term on a one-sector volume, which has nothing to pad or sum."""
-            if size == dim and len(terms) == 1:
-                y = opalg.kron_apply(terms[0], vols.sites, vols.dims, v)
-                return y.copy() if y is v else y   # contract overwrites it
+            into the volume's basis (zero outside the sector's rows)."""
             out = np.zeros((size, size), np.result_type(v, *(f.matrix for t in terms for f in t)))
             for lo in range(0, size, _BLOCK):
                 cols = slice(lo, lo + _BLOCK)

@@ -34,7 +34,6 @@ from scipy.special import logsumexp
 
 from nesslab import embed, exact_evolve, gibbs, make_plan, op_norm, spectral
 from nesslab import opalg
-from nesslab.dynamics import _conjugated
 from nesslab.opalg import DenseOperator, matmul, zero
 from nesslab.thermo import EntropyReport, _gibbs_factors, _horizon_kernels
 
@@ -132,19 +131,23 @@ def initial_state(vols) -> DenseOperator:
 def time_averaged_state(plan, state, horizon: float) -> DenseOperator:
     """The horizon average of the evolved state, exact in the horizon.
 
-    Averaging the dual evolution over [0, T] multiplies each nonzero sector
-    block of the density matrix entrywise, in the generator eigenbasis, by
-    the averaging kernel of the Bohr frequencies w_k - w_j. The result is
-    again a state (a convex average of states).
+    Averaging the dual evolution over [0, T] multiplies the density matrix
+    entrywise, in the generator eigenbasis, by the averaging kernel of the
+    Bohr frequencies w_k - w_j. The plan's sector bases are set into one
+    D x D unitary V, and the state is rotated by it densely with numpy. The
+    result is again a state (a convex average of states).
     """
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
-    w = [s.eigenvalues for s in plan.sectors]
-
-    def average(r, p, q):
-        return r * _horizon_kernels(0.5 * horizon * (w[q][None, :] - w[p][:, None]))
-
-    averaged = _conjugated(plan, state.matrix, average)
+    v = np.zeros((state.dim, state.dim), dtype=complex)
+    start = 0
+    for s in plan.sectors:
+        v[s.indices, start:start + s.indices.size] = s.basis
+        start += s.indices.size
+    w = np.concatenate([s.eigenvalues for s in plan.sectors])
+    rotated = v.conj().T @ state.matrix @ v
+    rotated *= _horizon_kernels(0.5 * horizon * (w[None, :] - w[:, None]))
+    averaged = v @ rotated @ v.conj().T
     return state.with_matrix(0.5 * (averaged + averaged.conj().T))
 
 

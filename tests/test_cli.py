@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -465,6 +466,16 @@ class TestKleinFuzzCommand:
         assert report["max_violation"] <= 1e-10
         assert report["max_row_sum_deviation"] <= 1e-10
         assert report["max_col_sum_deviation"] <= 1e-10
+
+    def test_negative_convex_form_fails_the_trial(self, monkeypatch):
+        from nesslab import thermo
+
+        check = thermo.klein_check
+        monkeypatch.setattr(thermo, "klein_check", lambda *args: dataclasses.replace(
+            check(*args), footnote_value=-1.0))
+        report = run_klein_fuzz(trials=4, max_dim=4, seed=0)
+        assert report["passes"] == 0
+        assert all(line.endswith("convex form -1.000e+00") for line in report["failures"])
 
     def test_scalar_dimension_gives_equality(self):
         report = run_klein_fuzz(trials=32, max_dim=1, seed=5)

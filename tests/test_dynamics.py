@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from collections import Counter
 
@@ -236,14 +237,12 @@ class TestExactEvolve:
         plan = qubit_plan()
         with pytest.raises(ValueError):
             exact_evolve(plan, DenseOperator((1,), (2,), SX), 0.1)
+        with pytest.raises(ValueError):
+            exact_evolve(plan, DenseOperator((0,), (3,), np.eye(3)), 0.1)
 
-    def test_one_sector_plan_takes_the_matrix_uncopied(self, chain5):
-        # no gather, copy or mask at D for a volume-sized operator and one sector
+    def test_gathers_the_parity_blocks_of_a_volume_operator(self, chain5):
         vols = build(chain5, range(5))
         a = embed(DenseOperator((2,), (2,), SX), vols.sites, vols.dims)
-        ((key, block),) = dynamics._embedded_blocks((np.arange(vols.dim),), vols.sites,
-                                                    vols.dims, a).items()
-        assert key == (0, 0) and block is a.matrix
         parity = dynamics._embedded_blocks(vols.sectors, vols.sites, vols.dims, a)
         assert set(parity) == {(0, 1)}
         np.testing.assert_array_equal(parity[0, 1], a.matrix[np.ix_(*vols.sectors)])
@@ -335,6 +334,17 @@ class TestDysonEvolve:
             assert op_norm(current) <= shifted + 1e-12
         with pytest.raises(ValueError):
             derivation_growth_bound(standard_chain, a, 1, mu=standard_chain.lam)
+
+    def test_growth_bound_past_the_largest_float_is_inf(self):
+        # ||Phi||_lam = e^{3 lam} on one 4-site term: 2 ||Phi||_lam / lam squared overflows
+        term = InteractionTerm((0, 1, 2, 3), np.kron(np.kron(SX, SX), np.kron(SX, SX)))
+        spec = ModelSpec({i: 2 for i in range(4)}, {0: 1, 1: 0, 2: 0, 3: 2}, (term,), 177.0,
+                         {1: 1.0, 2: 2.0})
+        a = DenseOperator((1,), (2,), SX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert derivation_growth_bound(spec, a, 2) == math.inf
+            assert derivation_growth_bound(spec, a, 0) == math.exp(177.0)
 
     def test_partial_sum_terms_below_majorant(self, standard_chain):
         radius = series_radius(standard_chain)

@@ -653,6 +653,11 @@ class TestDenseOperator:
         with pytest.raises(ValueError):
             DenseOperator((0, 1), (2, 2), np.eye(3))
 
+    def test_dimension_is_the_exact_product(self):
+        # 2^32 * 2^32 is 0 in int64 arithmetic; the volume's dimension is 2^64
+        with pytest.raises(ValueError, match="does not match volume dimension"):
+            DenseOperator((0, 1), (2**32, 2**32), np.zeros((0, 0)))
+
     def test_volume_ordering_enforced(self):
         with pytest.raises(ValueError):
             DenseOperator((1, 0), (2, 2), np.eye(4))

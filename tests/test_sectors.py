@@ -465,12 +465,25 @@ def _complex_ten_site_chain():
     return vols, plan, obs
 
 
+@pytest.mark.parametrize("chain", [_ten_site_chain, _complex_ten_site_chain],
+                         ids=["real-two-sectors", "complex-one-sector"])
+def test_exact_evolve_on_own_sites_equals_its_embedding_bitwise(chain):
+    # one gather for both: the embedding's entries are the operator's, or exact zeros
+    vols, plan, obs = chain()
+    obs["raise"] = DenseOperator((3,), (2,), 0.5 * (SX + 1j * SY))
+    for key, a in obs.items():
+        lifted = embed(a, vols.sites, vols.dims)
+        for t in (0.3, 7.5):
+            got = exact_evolve(plan, a, t)
+            assert (got.sites, got.dims) == (vols.sites, vols.dims)
+            assert np.array_equal(got.matrix, exact_evolve(plan, lifted, t).matrix), key
+
+
 class TestPlanFootprint:
     """The horizon stage holds one sector-sized image at a time beyond the
     generator's sector blocks and the plan: each operator's image is made in
-    panels of 128 basis columns, zero-padded to D rows one panel at a time (one
-    term on a one-sector volume at once), and a real chain's currents, i times
-    a real matrix, are applied as that matrix.
+    panels of 128 basis columns, zero-padded to D rows one panel at a time, and
+    a real chain's currents, i times a real matrix, are applied as that matrix.
     10-site chains, 16 horizons unless every pair is direct, tracemalloc in real
     D x D; the figures in parentheses were measured before, with a dense H_B, a
     complex image of each current, a D x d_p padded basis and G's accumulator."""

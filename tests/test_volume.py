@@ -16,7 +16,7 @@ from nesslab import (
     embed,
     op_norm,
 )
-from nesslab.model import PerturbationFamily, redraw
+from nesslab.model import PerturbationFamily, lambda_norm, redraw
 from nesslab import opalg
 from nesslab.opalg import DenseOperator, zero
 
@@ -277,6 +277,8 @@ class TestCurrentBound:
         report = current_bound_check(standard_chain, (0, 1, 2))
         assert report.ok
         assert all(v <= report.bound for v in report.norms.values())
+        # a finite bound is the float product as written
+        assert report.bound == 2.0 * 1 * np.exp(0.5) * lambda_norm(standard_chain)**2 / 0.5
 
     def test_no_volume_sized_eigensolve(self, chain5, eigensolves):
         # each current lives on W's sites (1, 2, 3) plus its reservoir's two
@@ -300,6 +302,21 @@ class TestCurrentBound:
         report = current_bound_check(chain5, range(5))
         assert built == []
         assert report.norms == expected
+
+    @pytest.mark.parametrize("case", ["3-site chain", "4-site term"])
+    def test_bound_whose_float_product_overflows_is_inf(self, case):
+        # the 3-site chain's e^lam ||Phi||_lam^2 = 4 e^708 overflows at lam = 236;
+        # one 4-site term has ||Phi||_lam = e^{3 lam}, whose square overflows at lam = 177
+        if case == "3-site chain":
+            spec = make_chain(3, {0: 1, 1: 0, 2: 2}, {1: 1.0, 2: 2.0}, field=0.0, lam=236.0)
+        else:
+            term = InteractionTerm((0, 1, 2, 3), np.kron(np.kron(SX, SX), np.kron(SX, SX)))
+            spec = ModelSpec({i: 2 for i in range(4)}, {0: 1, 1: 0, 2: 0, 3: 2}, (term,),
+                             177.0, {1: 1.0, 2: 2.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = current_bound_check(spec, spec.site_ids)
+        assert report.bound == math.inf and report.ok
 
     def test_scaling_is_quartic_in_bound_quadratic_in_interaction(self, standard_chain):
         doubled = ModelSpec(
