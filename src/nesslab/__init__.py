@@ -25,7 +25,6 @@ from .opalg import (
     observable_lambda_norm_upper,
     op_norm,
     spectral,
-    unitary_conj,
 )
 from .volume import VolumeOperators, build, current_bound_check
 from .dynamics import (
@@ -33,7 +32,6 @@ from .dynamics import (
     EvolutionPlan,
     convergence_sweep,
     derivation_growth_bound,
-    derivation_powers,
     dyson_evolve,
     exact_evolve,
     make_plan,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,40 +79,38 @@ def _rotated_blocks(plan: EvolutionPlan, blocks: dict) -> dict:
     return {(p, q): opalg.rotate(bases[p], m, bases[q]) for (p, q), m in blocks.items()}
 
 
-def _rotated_back(plan: EvolutionPlan, rotated: dict, hermitian: bool,
-                  weight: Callable[[np.ndarray, int, int], np.ndarray]) -> dict:
-    """V_p weight(R_pq, p, q) V_q^dagger for each R_pq of :func:`_rotated_blocks`,
-    diagonal blocks made exactly Hermitian if ``hermitian`` (``weight`` keeps it)."""
+def _evolved(plan: EvolutionPlan, rotated: dict, t: float, hermitian: bool) -> dict:
+    """V_p e^{i t w_p} R_pq e^{-i t w_q} V_q^dagger, evolved by exp(i t generator), for each
+    R_pq of :func:`_rotated_blocks`; diagonal blocks made exactly Hermitian if ``hermitian``."""
+    phases = [np.exp(1j * t * s.eigenvalues) for s in plan.sectors]
     bases = [s.basis for s in plan.sectors]
+
+    def weighted(r: np.ndarray, p: int, q: int) -> np.ndarray:
+        # one temporary, unnamed in the caller so that rotate_back frees it early
+        return np.multiply(w := phases[p][:, None] * r, phases[q].conj(), out=w)
+
     out = {}
     for (p, q), r in rotated.items():
-        block = opalg.rotate_back(bases[p], weight(r, p, q), bases[q])
+        block = opalg.rotate_back(bases[p], weighted(r, p, q), bases[q])
         out[p, q] = 0.5 * (block + block.conj().T) if hermitian and p == q else block
     return out
-
-
-def _evolution(plan: EvolutionPlan, t: float) -> Callable[[np.ndarray, int, int], np.ndarray]:
-    """The weight of :func:`_rotated_back` that evolves by exp(i t generator)."""
-    phases = [np.exp(1j * t * s.eigenvalues) for s in plan.sectors]
-    # one temporary: the second phase is applied in place
-    return lambda r, p, q: np.multiply(w := phases[p][:, None] * r, phases[q].conj(), out=w)
 
 
 def exact_evolve(plan: EvolutionPlan, a: DenseOperator, t: float) -> DenseOperator:
     """Conjugate by exp(i t generator): the exact Heisenberg evolution of ``a``, given on
     any sites of the plan's volume (ValueError otherwise), as an operator on the volume.
-    Its sector blocks are gathered (:func:`_embedded_blocks`), rotated, weighted and
-    rotated back one at a time: a zero block stays exactly zero, and a bitwise
+    Its sector blocks are gathered (:func:`_embedded_blocks`), rotated and evolved, as in the
+    sweep (:func:`_evolved`), one at a time: a zero block stays exactly zero, and a bitwise
     Hermitian ``a`` evolves to an exactly Hermitian operator."""
     hermitian = bool(np.array_equal(a.matrix, a.matrix.conj().T))
     rows = [s.indices for s in plan.sectors]
     blocks = _embedded_blocks(rows, plan.sites, plan.dims, a, hermitian)
-    back = _rotated_back(plan, _rotated_blocks(plan, blocks), hermitian, _evolution(plan, t))
+    back = _evolved(plan, _rotated_blocks(plan, blocks), t, hermitian)
     return DenseOperator(plan.sites, plan.dims, opalg.assemble(
         back, rows, math.prod(plan.dims), 1.0 if hermitian else None))
 
 
-# i^m, exact, so that i^m r stays real for even m
+# i^m, exact: real for even m, where (it)^m / m! r_m is a real product for a real r_m
 _I_POWERS = (1.0, 1j, -1.0, -1j)
 # the orders the truncated series sums
 SERIES_ORDER = 12
@@ -138,18 +136,6 @@ def _commutator_blocks(h_blocks: Sequence[np.ndarray], blocks: dict,
     for m in range(1, order + 1):
         blocks = {(p, q): commutator(x, p, q, m % 2) for (p, q), x in blocks.items()}
         yield blocks
-
-
-def derivation_powers(h_b: DenseOperator, a: DenseOperator, order: int) -> list[DenseOperator]:
-    """[delta(a), ..., delta^order(a)] for the derivation delta = i[h_b, .]
-    and ``a`` on h_b's volume: i^m r_m for the r_m of
-    :func:`_commutator_blocks` on one sector. ``a`` must be selfadjoint
-    (ValueError otherwise), its Hermitian part used."""
-    if not h_b.same_volume(a):
-        raise ValueError("operator volume does not match the generator")
-    r = opalg.hermitian_matrix(a, "the derivation series")
-    return [h_b.with_matrix(blocks[0, 0] * _I_POWERS[m % 4]) for m, blocks
-            in enumerate(_commutator_blocks([h_b.matrix], {(0, 0): r}, order), start=1)]
 
 
 def series_radius(spec: ModelSpec, perturbation: PerturbationFamily | None = None) -> float:
@@ -197,16 +183,10 @@ def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: fl
     partial = {key: block.astype(complex) for key, block in blocks.items()}
     for m, blocks in enumerate(_commutator_blocks(built.H_B_blocks, blocks, SERIES_ORDER),
                                start=1):
-        # t^m delta^m(a) / m! = (it)^m / m! r_m, added in place; for a real r_m
-        # the coefficient is real or imaginary, so only one part of each block changes
+        # t^m delta^m(a) / m! = (it)^m / m! r_m, added in place
         coef = t**m / math.factorial(m) * _I_POWERS[m % 4]
         for key, r in blocks.items():
-            if np.iscomplexobj(r):
-                partial[key] += coef * r
-            elif m % 2:
-                partial[key].imag += coef.imag * r
-            else:
-                partial[key].real += coef.real * r
+            partial[key] += coef * r
     del built, blocks   # the partial sum alone is assembled
     out = opalg.assemble(partial, rows, math.prod(dims), 1.0)
     return DenseOperator(sites, dims, out), _tail_bound(envelope, abs(t) / radius)
@@ -218,16 +198,20 @@ def derivation_growth_bound(spec: ModelSpec, a: DenseOperator, m: int,
 
     Returns ||a|| e^{lam card X} m! (2 ||Phi||_lam / (lam - mu))^m, valid in the mu-weighted
     norm (hence in the operator norm) for 0 <= mu < lam; mu = 0 gives the plain growth bound
-    of the series, inf (true but vacuous) where its float product overflows. X is
-    ``a.sites``, so pass the observable on its own sites for the tightest bound.
+    of the series, 0.0 for a zero factor, inf (true but vacuous) past the largest float. X
+    is ``a.sites``, so pass the observable on its own sites for the tightest bound.
     """
     if not spec.lam > mu >= 0:
         raise ValueError("need lam > mu >= 0")
     envelope = opalg.observable_lambda_norm_upper(((a.sites, a.matrix),), spec.lam)
+    base = 2.0 * lambda_norm(spec) / (spec.lam - mu)
     try:
-        return envelope * math.factorial(m) * (2.0 * lambda_norm(spec) / (spec.lam - mu)) ** m
-    except OverflowError:   # m! or the power past the largest float
-        return math.inf
+        bound = envelope * math.factorial(m) * base ** m
+    except OverflowError:   # m! or the power past the largest float, times a zero or not
+        bound = math.inf if envelope and base else 0.0
+    if bound == math.inf:   # an overflow in the float product: summed as logarithms
+        bound = opalg.exp_or_inf(math.log(envelope) + math.lgamma(m + 1) + m * math.log(base))
+    return bound
 
 
 @dataclass(frozen=True)
@@ -355,7 +339,7 @@ def _light_cone_order(spec: ModelSpec, small: tuple[int, ...], large: tuple[int,
     is the same operator in both volumes for every m < k."""
     def terms(volume: tuple[int, ...]) -> list:
         extra = () if perturbation is None else perturbation.terms_for(volume)
-        return [t for t in spec.terms + tuple(extra) if set(t.support) <= set(volume)]
+        return [t for t in spec.terms if set(t.support) <= set(volume)] + list(extra)
 
     near = (terms(small), terms(large))
     region = set(sites)
@@ -429,9 +413,8 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
         for t in t_grid:
             if i:
                 evo_rows.append(SweepRow(i - 1, float(t), _lifted_gap(
-                    prev_plan, _rotated_back(prev_plan, prev_rotated, True,
-                                             _evolution(prev_plan, t)),
-                    plan, _rotated_back(plan, rotated, True, _evolution(plan, t)), 1.0)))
+                    prev_plan, _evolved(prev_plan, prev_rotated, t, True),
+                    plan, _evolved(plan, rotated, t, True), 1.0)))
             if abs(t) < radius:
                 dyson_rows.append(DysonRow(i, float(t), _dyson_error_norm(plan, rotated, t),
                                            _tail_bound(envelope, abs(t) / radius)))

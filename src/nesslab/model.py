@@ -268,11 +268,11 @@ class PerturbationFamily:
     """A volume-indexed family of reservoir perturbations.
 
     ``entries`` pairs a volume (a site set) with the reservoir-interior
-    terms its generator adds. Every term must live on declared sites inside
-    a single reservoir, each volume's term list stays below the uniform
-    weighted-norm bound ``bound_K`` (finite), and each protected site set is
-    untouched by all entries from its threshold index on. :meth:`check`
-    verifies all three against a model.
+    terms its generator adds. Every term must live on declared sites of its
+    own volume inside a single reservoir, each volume's term list stays below
+    the uniform weighted-norm bound ``bound_K`` (finite), and each protected
+    site set is untouched by all entries from its threshold index on.
+    :meth:`check` verifies all three against a model.
     """
 
     entries: tuple[tuple[frozenset[int], tuple[InteractionTerm, ...]], ...] = ()
@@ -295,11 +295,14 @@ class PerturbationFamily:
     def check(self, spec: ModelSpec) -> list[str]:
         problems: list[str] = []
         declared = set(spec.site_ids)
-        for idx, (_, terms) in enumerate(self.entries):
+        for idx, (volume, terms) in enumerate(self.entries):
             for t in terms:
                 if not set(t.support) <= declared:
                     problems.append(f"entry {idx}: term on {t.support} names undeclared "
                                     f"sites {sorted(set(t.support) - declared)}")
+                elif not set(t.support) <= volume:
+                    problems.append(f"entry {idx}: term on {t.support} lies outside its "
+                                    f"volume {sorted(volume)}")
                 elif spec.reservoir_of(t.support) is None:
                     problems.append(
                         f"entry {idx}: term on {t.support} is not inside a single reservoir")
@@ -315,9 +318,6 @@ class PerturbationFamily:
                             f"protected set {sorted(x)}: entry {idx} term on "
                             f"{t.support} meets it past threshold {threshold}")
         return problems
-
-
-ZERO_FAMILY = PerturbationFamily()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ solver of :func:`eigenvalues`, which :func:`op_norm` shares.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -55,6 +56,11 @@ KLEIN_MIN_ENTRY_TOL = 1e-12
 LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 
 
+def exp_or_inf(x: float) -> float:
+    """e^x, or inf for x above LOG_MAX_FLOAT (a product given by its logarithm x)."""
+    return math.exp(x) if x <= LOG_MAX_FLOAT else math.inf
+
+
 def is_hermitian_matrix(mat, tol: float = HERMITICITY_TOL, adjoint=None,
                         floor: float = 1.0) -> bool:
     """max|M - M^dagger| <= tol * max(floor, max|M|), relative for floor 0, with
@@ -94,6 +100,9 @@ class DenseOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
+        # Python ints, whose product is exact; a tuple of them is kept as it is
+        if any(type(d) is not int for d in self.dims):
+            object.__setattr__(self, "dims", tuple(map(operator.index, self.dims)))
         if len(self.sites) != len(self.dims):
             raise ValueError("sites and dims must have equal length")
         if tuple(sorted(self.sites)) != self.sites:
@@ -112,14 +121,9 @@ class DenseOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def same_volume(self, other: "DenseOperator") -> bool:
-        return self.sites == other.sites and self.dims == other.dims
-
     def _require_same_volume(self, other: "DenseOperator"):
-        if not self.same_volume(other):
-            raise ValueError(
-                f"volume mismatch: {self.sites} vs {other.sites}"
-            )
+        if (self.sites, self.dims) != (other.sites, other.dims):
+            raise ValueError(f"volume mismatch: {self.sites} vs {other.sites}")
 
     def with_matrix(self, matrix: np.ndarray) -> "DenseOperator":
         return DenseOperator(self.sites, self.dims, matrix)
@@ -444,22 +448,6 @@ def _gram_norm(mat: np.ndarray) -> float:
         np.subtract(cross, cross.T, out=gram.imag)
     largest = float(_eigvalsh(gram)[-1])
     return scale * math.sqrt(max(largest, 0.0))
-
-
-def unitary_conj(u, a):
-    """U A U^{-1} for U unitary within UNITARITY_TOL (ValueError otherwise);
-    preserves spectrum and trace."""
-    um = as_matrix(u)
-    defect = np.max(np.abs(um.conj().T @ um - np.eye(um.shape[0])))
-    if defect > UNITARITY_TOL:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    am = as_matrix(a)
-    if um.shape[0] != am.shape[0]:
-        raise ValueError("dimension mismatch in unitary conjugation")
-    out = rotate_back(um, am)
-    if isinstance(a, DenseOperator):
-        return DenseOperator(a.sites, a.dims, out)
-    return out
 
 
 def hermitian_matrix(a, what: str = "spectral decomposition") -> np.ndarray:

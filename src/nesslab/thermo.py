@@ -393,17 +393,21 @@ def klein_check(a: np.ndarray, u: np.ndarray, phi: Callable[[float], float],
                 antiderivative: Callable[[float], float] | None = None) -> KleinWitness:
     """Check tr(phi(A) U A U^{-1}) <= tr(phi(A) A) for nondecreasing phi.
 
-    Constructs the witness from the finest (rank-one) spectral resolution
-    so the unit row/column sums hold regardless of degeneracies. When the
-    antiderivative of phi is supplied, the equivalent convex-function form
-    tr(f(UAU^{-1}) - f(A) - (UAU^{-1} - A) phi(A)) >= 0 is evaluated too.
-    Refuses phi that decreases somewhere on the sampled eigenvalues.
+    Refuses an A not Hermitian (its Hermitian part is used), a U not unitary or not
+    of A's dimension, and phi that decreases on the spectrum of A. The witness comes
+    from the finest (rank-one) spectral resolution so the unit row/column sums hold
+    regardless of degeneracies. When the antiderivative of phi is supplied, the
+    equivalent convex-function form tr(f(UAU^{-1}) - f(A) - (UAU^{-1} - A) phi(A)) >= 0
+    is evaluated too.
     """
-    a = opalg.as_matrix(a)
-    w, v = opalg.spectral(a)  # refuses non-Hermitian A
-    a = 0.5 * (a + a.conj().T)
-    conj = opalg.unitary_conj(u, a)  # refuses non-unitary U
-    u = opalg.as_matrix(u)
+    a, u = opalg.hermitian_matrix(a, "klein_check"), opalg.as_matrix(u)
+    if u.shape != a.shape:
+        raise ValueError(f"U of shape {u.shape} does not match A of shape {a.shape}")
+    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    if defect > opalg.UNITARITY_TOL:
+        raise ValueError(f"U is not unitary (defect {defect:.3e})")
+    w, v = opalg.spectral(a)
+    conj = opalg.rotate_back(u, a)
 
     phi_vals = np.array([phi(float(x)) for x in w], dtype=float)
     if np.any(np.diff(phi_vals) < 0):

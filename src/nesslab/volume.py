@@ -7,8 +7,8 @@ the normalization of the weighted exponent whose exponential is the initial
 product state, the interface operator made of the terms inside no single
 reservoir, and the reservoir energy-current operators. Only the generator is
 volume-sized, held as its diagonal blocks on the conserved sectors; every
-other operator stays on its own sites. Terms straddling the volume boundary
-are dropped (strict containment) and counted in the build log.
+other operator stays on its own sites. Model terms straddling the volume
+boundary are dropped and counted in the build log, family terms refused.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import opalg
-from .model import InteractionTerm, ModelSpec, PerturbationFamily, ZERO_FAMILY, lambda_norm
+from .model import InteractionTerm, ModelSpec, PerturbationFamily, lambda_norm
 from .opalg import DenseOperator
 
 
@@ -120,8 +120,8 @@ def build(spec: ModelSpec, volume: Iterable[int],
 
     The volume must contain the small system. Interaction terms whose
     support is not fully inside the volume are silently excluded and
-    reported in the build log; perturbation terms must each sit inside a
-    single reservoir or the build fails.
+    reported in the build log; the family's terms for the volume must each
+    lie inside it and inside a single reservoir, or the build fails.
 
     ``H_B``'s sector blocks are the only volume-sized arrays, and H_B is
     never formed whole: :func:`opalg.embed_add_sectors` adds the in-volume
@@ -132,7 +132,6 @@ def build(spec: ModelSpec, volume: Iterable[int],
     ``w_norm`` from the interface terms on their joint support, and the
     currents from :func:`interface`.
     """
-    family = ZERO_FAMILY if perturbation is None else perturbation
     sites, w_op, h_res, currents = interface(spec, volume)
     dims = spec.dims_for(sites)
     log: list[str] = [f"volume sites={list(sites)} dim={math.prod(dims)}"]
@@ -142,17 +141,12 @@ def build(spec: ModelSpec, volume: Iterable[int],
 
     inside = {a: spec.sites_in(a) & set(sites) for a in spec.reservoirs}
     pert_terms: dict[int, list[InteractionTerm]] = {a: [] for a in spec.reservoirs}
-    dropped_pert = 0
-    for term in family.terms_for(sites):
-        a = spec.reservoir_of(term.support)
+    for term in () if perturbation is None else perturbation.terms_for(sites):
+        a = spec.reservoir_of(term.support) if set(term.support) <= set(sites) else None
         if a is None:
-            raise ValueError(
-                f"perturbation term on {term.support} is not inside a single reservoir")
-        if set(term.support) <= set(sites):
-            pert_terms[a].append(term)
-        else:
-            dropped_pert += 1
-    log.append(f"perturbation terms dropped at the boundary: {dropped_pert}")
+            raise ValueError(f"perturbation term on {term.support} is not inside its volume "
+                             "and a single reservoir")
+        pert_terms[a].append(term)
     generator_terms = in_volume + [t for a in spec.reservoirs for t in pert_terms[a]]
     generator_ops = [spec.term_operator(t) for t in generator_terms]
     # from the terms, not from H_B, in whose sum an entry can cancel
@@ -199,14 +193,17 @@ class CurrentBoundReport:
 
 
 def current_bound_check(spec: ModelSpec, volume: Iterable[int]) -> CurrentBoundReport:
-    """Check ||i[H, H_a]|| <= 2 card(S) e^lam ||Phi||_lam^2 / lam per reservoir;
-    the bound is inf, true but vacuous, where its float product overflows.
+    """Check ||i[H, H_a]|| <= 2 card(S) e^lam ||Phi||_lam^2 / lam per reservoir; the
+    bound is inf, true but vacuous, only past the largest float.
 
     The currents come from :func:`interface`: no generator is built."""
     _, _, _, currents = interface(spec, volume)
-    norm_phi = np.float64(lambda_norm(spec))   # whose square overflows to inf, not an error
+    card, norm_phi = len(spec.small_system), np.float64(lambda_norm(spec))
     with np.errstate(over="ignore"):
-        bound = float(2.0 * len(spec.small_system) * np.exp(spec.lam) * norm_phi**2 / spec.lam)
+        bound = float(2.0 * card * np.exp(spec.lam) * norm_phi**2 / spec.lam)
+    if bound == math.inf:   # an overflow in the float product: summed as logarithms
+        bound = opalg.exp_or_inf(math.log(2.0 * card) + spec.lam + 2.0 * math.log(norm_phi)
+                                 - math.log(spec.lam))
     # each current on its own sites: embedding is isometric
     norms = {a: opalg.op_norm(c) for a, c in currents.items()}
     return CurrentBoundReport(norms=norms, bound=bound,

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nesslab import (DenseOperator, InteractionTerm, ModelSpec, build,
-                     derivation_powers, embed, horizon_reports, opalg)
+from nesslab import (DenseOperator, InteractionTerm, ModelSpec, build, commutator, embed,
+                     horizon_reports, opalg)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -39,7 +39,7 @@ def one_sector(vols):
 def derivation(spec, volume, a, perturbation=None):
     """i[H_B, a] for the H_B that build assembles for ``volume``, ``a`` embedded into it."""
     h_b = dense_generator(build(spec, volume, perturbation))
-    return derivation_powers(h_b, embed(a, h_b.sites, h_b.dims), 1)[0]
+    return 1j * commutator(h_b, embed(a, h_b.sites, h_b.dims))
 
 
 def entropy_report(vols, horizon):

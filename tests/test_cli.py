@@ -312,6 +312,26 @@ class TestSimulateCommand:
         assert built == []
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
+    def test_family_term_outside_its_volume_refused_before_any_build(
+            self, chain_files, capsys, monkeypatch, command):
+        # site 0 lies in reservoir 1 but not in the entry's volume [1, 2]: refused, not dropped
+        _, model_path, _, tmp_path = chain_files
+        family_path = write_config(tmp_path, {"bound_K": 1.0, "volumes": [
+            {"sites": [1, 2], "terms": [{**MID_Z[0], "support": [0]}]}]},
+            name="family.json")
+        config_path = write_config(tmp_path, {
+            "model": model_path.name, "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
+            "horizons": [1.0], "observables": {"mid_z": MID_Z},
+            "perturbation": family_path.name, "output_dir": str(tmp_path / "out"),
+        }, name="family_config.json")
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        assert main([command, "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == ("", f"cannot load {family_path}: entry 0: term on (0,) "
+                                           "lies outside its volume [1, 2]\n")
+        assert built == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
     def test_non_selfadjoint_observable_refused_before_any_build(
             self, chain_files, capsys, monkeypatch, command):
         # averages and series of a non-selfadjoint observable are undefined:
@@ -487,6 +507,18 @@ class TestKleinFuzzCommand:
         b = run_klein_fuzz(trials=40, max_dim=6, seed=99)
         assert a == b
 
+    def test_failed_trial_prints_fail_and_exits_one(self, monkeypatch, capsys):
+        from nesslab import thermo
+
+        check = thermo.klein_check
+        monkeypatch.setattr(thermo, "klein_check", lambda *args: dataclasses.replace(
+            check(*args), footnote_value=-1.0))
+        assert main(["klein-fuzz", "--trials", "2", "--max-dim", "2", "--seed", "0"]) == 1
+        out, err = capsys.readouterr()
+        fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert "passes: 0/2" in out and err == ""
+        assert [line.split(" (")[0] for line in fails] == ["FAIL trial 0", "FAIL trial 1"]
+
     def test_cli_exit_and_json(self, tmp_path, capsys):
         out = tmp_path / "klein.json"
         code = main(["klein-fuzz", "--trials", "16", "--max-dim", "4",
@@ -574,6 +606,15 @@ class TestSweepConvergenceCommand:
         assert main(["sweep-convergence", "--config", str(config_path)]) == 2
         assert capsys.readouterr() == (
             "", "sweep-convergence needs an exhaustion of at least 3 volumes\n")
+
+    def test_needs_a_named_observable(self, chain_files, capsys, monkeypatch):
+        _, _, config_path, _ = chain_files   # three volumes, no observables
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        assert main(["sweep-convergence", "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == (
+            "", "sweep-convergence needs at least one named observable\n")
+        assert built == []
 
 
 class TestRedrawCheckCommand:

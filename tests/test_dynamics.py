@@ -21,10 +21,9 @@ from nesslab import (
     op_norm,
     series_radius,
     spectral,
-    unitary_conj,
 )
 from nesslab import dynamics
-from nesslab.dynamics import derivation_growth_bound, derivation_powers
+from nesslab.dynamics import derivation_growth_bound
 from nesslab.model import PerturbationFamily
 from nesslab import opalg
 
@@ -84,7 +83,7 @@ class TestDerivation:
         vols = build(chain5, range(5))
         a = embed(DenseOperator((2,), (2,), SX), vols.sites, vols.dims)
         u = random_unitary(np.random.default_rng(5), vols.dim)
-        conj = unitary_conj(u, a)
+        conj = a.with_matrix(opalg.rotate_back(u, a.matrix))
         out = derivation(chain5, range(5), conj)
         h = dense_generator(vols).matrix
         expected = 1j * (h @ conj.matrix - conj.matrix @ h)
@@ -143,19 +142,25 @@ class TestDerivationStructure:
             return product(x, y)
 
         monkeypatch.setattr(opalg, "matmul", counted)
-        powers = derivation_powers(h_b, a, self.ORDER)
+        powers = self.powers(h_b, a)
         square = (h_b.dim, h_b.dim)
         assert shapes == [(square, square)] * self.ORDER
         for power in powers:
             # delta^m(a) = i^m r_m is exactly Hermitian
-            assert np.array_equal(power.matrix.conj().T, power.matrix)
+            assert np.array_equal(power.conj().T, power)
 
     def test_powers_match_the_complex_oracle(self, case):
         _, h_b, a = case
-        powers = derivation_powers(h_b, a, self.ORDER)
-        for power, reference in zip(powers, oracles.derivation_powers(h_b, a, self.ORDER)):
+        for power, reference in zip(self.powers(h_b, a),
+                                    oracles.derivation_powers(h_b, a, self.ORDER)):
             scale = max(1.0, float(np.max(np.abs(reference))))
-            assert np.max(np.abs(power.matrix - reference)) <= 1e-12 * scale
+            assert np.max(np.abs(power - reference)) <= 1e-12 * scale
+
+    def powers(self, h_b, a):
+        """delta^m(a) = i^m r_m, m <= ORDER, for the r_m of the one-sector step."""
+        return [dynamics._I_POWERS[m % 4] * blocks[0, 0] for m, blocks in enumerate(
+            dynamics._commutator_blocks([h_b.matrix], {(0, 0): a.matrix}, self.ORDER),
+            start=1)]
 
 
 class TestSelfadjointObservable:
@@ -163,11 +168,6 @@ class TestSelfadjointObservable:
 
     SKEW = DenseOperator((1, 2), (2, 2), np.kron([[1.0, 0.7], [0.1, -0.3]],
                                                  [[0.2, 1.0], [0.4, 0.5]]))
-
-    def test_derivation_powers_refuse_a_non_selfadjoint_observable(self, chain5):
-        vols = build(chain5, range(5))
-        with pytest.raises(ValueError, match="Hermitian"):
-            derivation_powers(dense_generator(vols), embed(self.SKEW, vols.sites, vols.dims), 2)
 
     def test_sweep_refuses_before_any_build(self, chain5, monkeypatch):
         built = []
@@ -345,6 +345,23 @@ class TestDysonEvolve:
             warnings.simplefilter("error")
             assert derivation_growth_bound(spec, a, 2) == math.inf
             assert derivation_growth_bound(spec, a, 0) == math.exp(177.0)
+
+    def test_growth_bound_whose_factorial_overflows_is_finite(self):
+        # 171! is past the largest float, but with 2 ||Phi||_lam / lam = 1/2 the bound
+        # e^0.5 171! 2^-171 is about 1e257
+        a = DenseOperator((0,), (2,), SX)
+        bound = derivation_growth_bound(qubit_model(omega=0.25), a, 171)
+        exact = mpmath.e ** 0.5 * mpmath.factorial(171) * mpmath.mpf(0.5) ** 171
+        assert bound == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("zero", ["observable", "interaction"])
+    def test_growth_bound_with_a_zero_factor_is_zero(self, standard_chain, zero):
+        # 171! alone is past the largest float
+        if zero == "observable":
+            spec, a = standard_chain, DenseOperator((1,), (2,), np.zeros((2, 2)))
+        else:
+            spec, a = ModelSpec({0: 2}, {0: 0}, (), 0.5, {}), DenseOperator((0,), (2,), SX)
+        assert derivation_growth_bound(spec, a, 171) == 0.0
 
     def test_partial_sum_terms_below_majorant(self, standard_chain):
         radius = series_radius(standard_chain)

@@ -67,6 +67,11 @@ class TestValidate:
         problems = validate(ModelSpec(sites, regions, (), 0.5, {}))
         assert any(p.startswith("[missing-beta] ") for p in problems)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_nonpositive_beta_flagged(self, beta):
+        problems = validate(ModelSpec({0: 2, 1: 2}, {0: 0, 1: 1}, (), 0.5, {1: beta}))
+        assert problems == ("[bad-beta] reservoir 1: beta must be > 0",)
+
 
 class TestLambdaNorm:
     def test_chain_value(self, standard_chain):
@@ -244,6 +249,14 @@ class TestModelStructure:
             ModelSpec(sites, {0: 0, 1: 1},
                       (InteractionTerm((0, 1), np.eye(4)),), 0.5, {1: 1.0})
 
+    def test_unsorted_support_refused(self):
+        with pytest.raises(ValueError, match=r"support \(1, 0\) must be sorted ascending"):
+            InteractionTerm((1, 0), np.kron(SZ, SZ))
+
+    def test_negative_region_refused(self):
+        with pytest.raises(ValueError, match="site 1: region index must be >= 0"):
+            ModelSpec({0: 2, 1: 2}, {0: 0, 1: -1}, (), 0.5, {})
+
     def test_region_map_covers_sites(self):
         with pytest.raises(ValueError):
             ModelSpec({0: 2, 1: 2}, {0: 0}, (), 0.5, {})
@@ -277,6 +290,13 @@ class TestPerturbationFamily:
         family = PerturbationFamily((entry,), bound_K=1.0)
         assert family.check(standard_chain) == [
             "entry 0: term on (99,) names undeclared sites [99]"]
+
+    def test_check_flags_a_term_outside_its_volume(self, standard_chain):
+        # site 0 is a reservoir site of the model, but not of the entry's volume
+        entry = (frozenset({1, 2}), (InteractionTerm((0,), 0.3 * SZ),))
+        family = PerturbationFamily((entry,), bound_K=1.0)
+        assert family.check(standard_chain) == [
+            "entry 0: term on (0,) lies outside its volume [1, 2]"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_numbers_refused(self, standard_chain, bad):

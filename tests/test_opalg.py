@@ -14,7 +14,6 @@ from nesslab import (
     observable_lambda_norm_upper,
     op_norm,
     spectral,
-    unitary_conj,
 )
 from nesslab import opalg
 from nesslab.opalg import eigenvalues
@@ -398,6 +397,9 @@ class TestNormTraceConjugation:
     def test_norm_of_diagonal(self):
         assert op_norm(np.diag([1.0, -3.0]).astype(complex)) == pytest.approx(3.0)
 
+    def test_norm_of_an_empty_matrix_is_zero(self):
+        assert op_norm(np.zeros((0, 0))) == 0.0
+
     def test_norm_checks_hermiticity_once(self, monkeypatch):
         calls = []
         check = opalg.is_hermitian_matrix
@@ -411,21 +413,13 @@ class TestNormTraceConjugation:
         rng = np.random.default_rng(17)
         a = random_hermitian(rng, 4)
         u = random_unitary(rng, 4)
-        assert np.trace(unitary_conj(u, a)) == pytest.approx(np.trace(a), abs=1e-12)
+        assert np.trace(opalg.rotate_back(u, a)) == pytest.approx(np.trace(a), abs=1e-12)
 
     def test_norm_unitary_invariance(self):
         rng = np.random.default_rng(19)
         a = random_hermitian(rng, 4)
         u = random_unitary(rng, 4)
-        assert op_norm(unitary_conj(u, a)) == pytest.approx(op_norm(a), abs=1e-10)
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError):
-            unitary_conj(np.diag([2.0, 1.0]).astype(complex), SX)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            unitary_conj(np.eye(4, dtype=complex), SX)
+        assert op_norm(opalg.rotate_back(u, a)) == pytest.approx(op_norm(a), abs=1e-10)
 
 
 class TestNonHermitianNorm:
@@ -657,6 +651,26 @@ class TestDenseOperator:
         # 2^32 * 2^32 is 0 in int64 arithmetic; the volume's dimension is 2^64
         with pytest.raises(ValueError, match="does not match volume dimension"):
             DenseOperator((0, 1), (2**32, 2**32), np.zeros((0, 0)))
+
+    def test_numpy_integer_dimensions_multiply_exactly(self):
+        # np.int64 would overflow to 0 in the product: each dim is taken as a Python int
+        big = np.int64(2**32)
+        with pytest.raises(ValueError, match="does not match volume dimension"):
+            DenseOperator((0, 1), (big, big), np.zeros((0, 0)))
+        op = DenseOperator((0,), (np.int64(2),), np.eye(2))
+        assert type(op.dims[0]) is int and op.dims == (2,)
+
+    def test_non_integer_dimension_refused(self):
+        with pytest.raises(TypeError):
+            DenseOperator((0,), (2.0,), np.eye(2))
+
+    @pytest.mark.parametrize("sites, dims, match", [
+        ((0, 1), (2,), "equal length"),
+        ((0, 0), (2, 2), "duplicate site"),
+    ], ids=["unequal-lengths", "duplicate-site"])
+    def test_malformed_volume_refused(self, sites, dims, match):
+        with pytest.raises(ValueError, match=match):
+            DenseOperator(sites, dims, np.eye(4))
 
     def test_volume_ordering_enforced(self):
         with pytest.raises(ValueError):

@@ -17,8 +17,8 @@ import pytest
 from nesslab import (DenseOperator, EvolutionPlan, InteractionTerm, ModelSpec, build, embed,
                      exact_evolve, horizon_reports, make_plan, series_radius, thermo)
 from nesslab.cli import _observable_operators, load_config, main
-from nesslab.dynamics import (SWEEP_ORDERS, Sector, _commutator_blocks, _light_cone_order,
-                              derivation_powers)
+from nesslab.dynamics import (_I_POWERS, SWEEP_ORDERS, Sector, _commutator_blocks,
+                              _light_cone_order)
 from nesslab.model import PerturbationFamily, load_model
 from nesslab.opalg import as_matrix, matmul
 
@@ -220,12 +220,13 @@ class TestRouteAgreement:
     def test_derivation_powers(self, vols):
         a = _observable(vols)
         h_b = dense_generator(vols)
-        powers = derivation_powers(h_b, a, 6)
-        for m, (power, reference) in enumerate(
-                zip(powers, oracles.derivation_powers(h_b, a, 6)), start=1):
+        commutators = _commutator_blocks([h_b.matrix], {(0, 0): a.matrix}, 6)
+        for m, (blocks, reference) in enumerate(
+                zip(commutators, oracles.derivation_powers(h_b, a, 6)), start=1):
             # delta^m(a) = i^m r with r real: real for even m, imaginary for odd m
-            assert power.matrix.dtype == (np.float64 if m % 2 == 0 else np.complex128)
-            assert _gap(power.matrix, reference) <= TOL * max(1.0, np.max(np.abs(reference)))
+            power = _I_POWERS[m % 4] * blocks[0, 0]
+            assert power.dtype == (np.float64 if m % 2 == 0 else np.complex128)
+            assert _gap(power, reference) <= TOL * max(1.0, np.max(np.abs(reference)))
 
 
 def _cli_files(tmp_path, spec):

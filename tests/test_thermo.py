@@ -260,6 +260,11 @@ class TestTimeAverage:
         with pytest.raises(ValueError):
             time_averaged_state(make_plan(dense_generator(vols)), initial_state(vols), 0.0)
 
+    @pytest.mark.parametrize("horizons", [(0.0,), (1.0, -2.0)], ids=["zero", "negative"])
+    def test_horizon_reports_refuse_a_nonpositive_horizon(self, chain5, horizons):
+        with pytest.raises(ValueError, match="horizon must be > 0"):
+            horizon_reports(build(chain5, range(5)), horizons)
+
 
 EPS = np.finfo(float).eps
 KERNEL_POINTS = (0.0, 1e-300, -1e-300, 1e-12, -1e-12, 1e-6, -1e-6, 1.0, -1.0, math.pi,
@@ -607,3 +612,12 @@ class TestKleinCheck:
         with pytest.raises(ValueError):
             klein_check(random_hermitian(rng, 3), np.diag([2.0, 1.0, 1.0]),
                         lambda s: s)
+
+    @pytest.mark.parametrize("u, match", [
+        (np.diag([2.0, 1.0]).astype(complex), "not unitary"),
+        (np.eye(4, dtype=complex), "does not match A"),
+        (np.eye(2, dtype=complex)[:, :1], "does not match A"),
+    ], ids=["not-unitary", "larger", "not-square"])
+    def test_u_refused(self, u, match):
+        with pytest.raises(ValueError, match=match):
+            klein_check(SX, u, lambda s: s)

@@ -92,6 +92,11 @@ class TestBuild:
             assert np.array_equal(h_a[a].matrix, vols.H_a[a].matrix)
             assert np.array_equal(currents[a].matrix, vols.currents[a].matrix)
 
+    def test_reservoir_without_beta_refused(self, chain5):
+        spec = ModelSpec(chain5.sites, chain5.regions, chain5.terms, chain5.lam, {1: 2.0})
+        with pytest.raises(ValueError, match="reservoir 2 has no inverse temperature"):
+            build(spec, range(5))
+
     def test_volume_must_contain_small_system(self, chain5):
         with pytest.raises(ValueError):
             build(chain5, (0, 1))
@@ -129,6 +134,13 @@ class TestBuild:
         vols = build(chain5, range(5), family)
         for b in vols.B_a.values():
             assert op_norm(b) == 0.0
+
+    def test_perturbation_outside_its_volume_rejected(self, chain5):
+        # refused as a term outside a single reservoir is, not dropped
+        entry = (frozenset({1, 2, 3}), (InteractionTerm((0,), 0.2 * SZ),))
+        family = PerturbationFamily((entry,), bound_K=1.0)
+        with pytest.raises(ValueError, match=r"term on \(0,\) is not inside its volume"):
+            build(chain5, (1, 2, 3), family)
 
     def test_perturbation_meeting_small_system_rejected(self, chain5):
         entry = (frozenset(range(5)),
@@ -304,19 +316,22 @@ class TestCurrentBound:
         assert report.norms == expected
 
     @pytest.mark.parametrize("case", ["3-site chain", "4-site term"])
-    def test_bound_whose_float_product_overflows_is_inf(self, case):
-        # the 3-site chain's e^lam ||Phi||_lam^2 = 4 e^708 overflows at lam = 236;
-        # one 4-site term has ||Phi||_lam = e^{3 lam}, whose square overflows at lam = 177
+    def test_bound_whose_float_product_overflows(self, case):
+        # the 3-site chain's e^lam ||Phi||_lam^2 = 4 e^708 overflows at lam = 236, but the
+        # bound 8 e^708 / 236 is finite; one 4-site term has ||Phi||_lam = e^{3 lam}, and
+        # its bound 4 e^{7 lam} / lam is past the largest float at lam = 177
         if case == "3-site chain":
             spec = make_chain(3, {0: 1, 1: 0, 2: 2}, {1: 1.0, 2: 2.0}, field=0.0, lam=236.0)
+            expected = 8.0 * math.exp(708.0 - math.log(236.0))
         else:
             term = InteractionTerm((0, 1, 2, 3), np.kron(np.kron(SX, SX), np.kron(SX, SX)))
             spec = ModelSpec({i: 2 for i in range(4)}, {0: 1, 1: 0, 2: 0, 3: 2}, (term,),
                              177.0, {1: 1.0, 2: 2.0})
+            expected = math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = current_bound_check(spec, spec.site_ids)
-        assert report.bound == math.inf and report.ok
+        assert report.bound == pytest.approx(expected, rel=1e-12) and report.ok
 
     def test_scaling_is_quartic_in_bound_quadratic_in_interaction(self, standard_chain):
         doubled = ModelSpec(
