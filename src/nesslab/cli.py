@@ -180,8 +180,9 @@ def cmd_validate(args):
 def _load_inputs(args):
     """The config ``args.config`` names, with its validated model, checked
     perturbation family (or None) and observables; ValueError, naming the file
-    at fault, for any of them that cannot be read or is refused, for a scale
-    above ``SCALE_LIMIT`` and for a largest volume above ``args.dim_cap``."""
+    at fault, for any of them that cannot be read or is refused (a family entry
+    for a volume the exhaustion does not name among them), for a scale above
+    ``SCALE_LIMIT`` and for a largest volume above ``args.dim_cap``."""
     with _reading(args.config):
         cfg = load_config(args.config)
     with _reading(cfg.model_path):
@@ -193,7 +194,11 @@ def _load_inputs(args):
     if cfg.perturbation_path:
         with _reading(cfg.perturbation_path):
             family = model.load_family(cfg.perturbation_path)
-            problems = family.check(spec)
+            # build looks up only the volume it builds: any other entry would do nothing
+            volumes = set(map(frozenset, cfg.exhaustion))
+            problems = family.check(spec) + [
+                f"entry {i}: volume {sorted(v)} is none of the exhaustion's volumes"
+                for i, (v, _) in enumerate(family.entries) if v not in volumes]
             if problems:
                 raise ValueError("; ".join(problems))
     with _reading(args.config):

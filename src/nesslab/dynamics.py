@@ -43,14 +43,16 @@ class EvolutionPlan:
 
 def make_plan(generator: DenseOperator | volume_mod.VolumeOperators) -> EvolutionPlan:
     """One :func:`opalg.spectral` per sector block of the generator, uncopied:
-    the ``H_B_blocks`` of a build on its ``sectors``, or a dense ``generator``
-    as one sector. ValueError for a non-Hermitian block."""
+    the blocks that ``generator.H_B_blocks()`` assembles for a build, on its
+    ``sectors``, each dropped once solved, so no block is held beside the next
+    one's solve or after the plan is made; or a dense ``generator`` as one
+    sector. ValueError for a non-Hermitian block."""
     if isinstance(generator, DenseOperator):
-        sectors, blocks = (np.arange(generator.dim),), (generator.matrix,)
+        sectors, blocks = (np.arange(generator.dim),), [generator.matrix]
     else:
-        sectors, blocks = generator.sectors, generator.H_B_blocks
+        sectors, blocks = generator.sectors, list(generator.H_B_blocks())
     return EvolutionPlan(generator.sites, generator.dims, tuple(
-        Sector(rows, *opalg.spectral(block)) for rows, block in zip(sectors, blocks)))
+        Sector(rows, *opalg.spectral(blocks.pop(0))) for rows in sectors))
 
 
 def _embedded_blocks(rows: Sequence[np.ndarray], sites: tuple[int, ...], dims: tuple[int, ...],
@@ -181,13 +183,13 @@ def dyson_evolve(spec: ModelSpec, volume: Iterable[int], a: DenseOperator, t: fl
     rows, sites, dims = built.sectors, built.sites, built.dims
     blocks = _embedded_blocks(rows, sites, dims, a)
     partial = {key: block.astype(complex) for key, block in blocks.items()}
-    for m, blocks in enumerate(_commutator_blocks(built.H_B_blocks, blocks, SERIES_ORDER),
+    for m, blocks in enumerate(_commutator_blocks(built.H_B_blocks(), blocks, SERIES_ORDER),
                                start=1):
         # t^m delta^m(a) / m! = (it)^m / m! r_m, added in place
         coef = t**m / math.factorial(m) * _I_POWERS[m % 4]
         for key, r in blocks.items():
             partial[key] += coef * r
-    del built, blocks   # the partial sum alone is assembled
+    del blocks   # the partial sum alone is assembled
     out = opalg.assemble(partial, rows, math.prod(dims), 1.0)
     return DenseOperator(sites, dims, out), _tail_bound(envelope, abs(t) / radius)
 
@@ -370,10 +372,11 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     for the tightest bound.
 
     Every volume-sized operator is held as its nonzero sector blocks p <= q,
-    ``H_B`` as the diagonal blocks the build gives. Each volume is built,
-    planned, and its observable embedded and rotated; then its commutators
-    are made and compared, after which ``H_B`` and the embedded observable
-    are dropped, and the commutators are kept only for a next volume. Then
+    ``H_B`` as its diagonal blocks. Each volume is built, planned, and its
+    observable embedded and rotated; then ``H_B``'s blocks are assembled
+    once, its commutators made and compared, after which ``H_B`` and the
+    embedded observable are dropped, and the commutators are kept only for a
+    next volume. Then
     each time is evolved in both volumes, compared and dropped before the
     next. Of the previous volume only the plan, the rotated observable
     blocks and the commutators are kept.
@@ -394,10 +397,10 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     for i, sites in enumerate(vols):
         built = volume_mod.build(spec, sites, perturbation)
         plan = make_plan(built)
-        h_blocks = built.H_B_blocks
-        del built   # its currents and reservoir operators are not read here
         a_v = _embedded_blocks([s.indices for s in plan.sectors], plan.sites, plan.dims, a)
         rotated = _rotated_blocks(plan, a_v)
+        h_blocks = built.H_B_blocks()
+        del built   # its currents and reservoir operators are not read here
 
         cone = _light_cone_order(spec, vols[i - 1], sites, a.sites, perturbation) if i else 0
         powers = []

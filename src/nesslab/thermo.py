@@ -276,30 +276,29 @@ class HeatDirectionReport:
     """Two-reservoir check that heat flows from hot to cold."""
 
     horizon: float
-    flux_into_first: float
     lhs: float
     ok: bool
 
 
-def heat_direction_check(vols: VolumeOperators, horizon: float) -> HeatDirectionReport:
+def heat_direction_check(report: EntropyReport,
+                         betas: Mapping[int, float]) -> HeatDirectionReport:
     """Check (beta_1 - beta_2) * flux_1 >= -beta_2 * 2||W||/T - HEAT_DIRECTION_SLACK.
 
-    The inequality combines the nonnegativity of the entropy production
-    with the sum-rule slack; it forces energy into the colder reservoir up
-    to a horizon-decaying tolerance. Requires exactly two reservoirs.
+    Judges the ``report`` of one horizon that the caller already holds, from
+    :func:`horizon_reports` (so nothing is solved here), with ``betas`` the
+    reservoirs' inverse temperatures, as ``vols.betas``. The inequality
+    combines the nonnegativity of the entropy production with the sum-rule
+    slack; it forces energy into the colder reservoir up to a horizon-decaying
+    tolerance. Requires exactly two reservoirs.
     """
-    reservoirs = vols.reservoirs
+    reservoirs = sorted(report.fluxes)
     if len(reservoirs) != 2:
         raise ValueError(f"heat direction check needs exactly 2 reservoirs, got {len(reservoirs)}")
-    ((report, _),) = horizon_reports(vols, (horizon,))
     a1, a2 = reservoirs
-    b1, b2 = vols.betas[a1], vols.betas[a2]
+    b1, b2 = betas[a1], betas[a2]
     lhs = (b1 - b2) * report.fluxes[a1]
     slack = b2 * report.tol_sum_rule + opalg.HEAT_DIRECTION_SLACK
-    return HeatDirectionReport(
-        horizon=float(horizon), flux_into_first=report.fluxes[a1], lhs=float(lhs),
-        ok=bool(lhs >= -slack),
-    )
+    return HeatDirectionReport(horizon=report.horizon, lhs=float(lhs), ok=bool(lhs >= -slack))
 
 
 @dataclass(frozen=True)
@@ -393,14 +392,16 @@ def klein_check(a: np.ndarray, u: np.ndarray, phi: Callable[[float], float],
                 antiderivative: Callable[[float], float] | None = None) -> KleinWitness:
     """Check tr(phi(A) U A U^{-1}) <= tr(phi(A) A) for nondecreasing phi.
 
-    Refuses an A not Hermitian (its Hermitian part is used), a U not unitary or not
-    of A's dimension, and phi that decreases on the spectrum of A. The witness comes
-    from the finest (rank-one) spectral resolution so the unit row/column sums hold
-    regardless of degeneracies. When the antiderivative of phi is supplied, the
+    Refuses an empty A or U, an A not Hermitian (its Hermitian part is used), a U not
+    unitary or not of A's dimension, and phi that decreases on the spectrum of A. The
+    witness comes from the finest (rank-one) spectral resolution so the unit row/column
+    sums hold regardless of degeneracies. When the antiderivative of phi is supplied, the
     equivalent convex-function form tr(f(UAU^{-1}) - f(A) - (UAU^{-1} - A) phi(A)) >= 0
     is evaluated too.
     """
     a, u = opalg.hermitian_matrix(a, "klein_check"), opalg.as_matrix(u)
+    if a.size == 0 or u.size == 0:
+        raise ValueError(f"klein_check refuses an empty A or U (shapes {a.shape}, {u.shape})")
     if u.shape != a.shape:
         raise ValueError(f"U of shape {u.shape} does not match A of shape {a.shape}")
     defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
@@ -418,8 +419,8 @@ def klein_check(a: np.ndarray, u: np.ndarray, phi: Callable[[float], float],
     lhs = float(np.real(np.trace(phi_a @ conj)))
     rhs = float(np.dot(phi_vals, w))
     n = a.shape[0]
-    norm_a = float(np.max(np.abs(w))) if n else 0.0
-    scale = n * norm_a * float(np.max(np.abs(phi_vals))) if n else 0.0
+    norm_a = float(np.max(np.abs(w)))
+    scale = n * norm_a * float(np.max(np.abs(phi_vals)))
 
     footnote = None
     if antiderivative is not None:

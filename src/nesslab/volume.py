@@ -5,10 +5,11 @@ this builds the generator of the dynamics (the volume Hamiltonian plus the
 reservoir perturbations), the per-reservoir Hamiltonians and perturbations,
 the normalization of the weighted exponent whose exponential is the initial
 product state, the interface operator made of the terms inside no single
-reservoir, and the reservoir energy-current operators. Only the generator is
-volume-sized, held as its diagonal blocks on the conserved sectors; every
-other operator stays on its own sites. Model terms straddling the volume
-boundary are dropped and counted in the build log, family terms refused.
+reservoir, and the reservoir energy-current operators. Every operator, the
+generator's terms included, stays on its own sites; the generator's diagonal
+blocks on the conserved sectors are assembled from its terms on request.
+Model terms straddling the volume boundary are dropped and counted in the
+build log, family terms refused.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from .opalg import DenseOperator
 class VolumeOperators:
     """All assembled operators for one finite volume.
 
-    ``H_B_blocks``, the diagonal blocks H_pp of the generator H_B of the
-    finite-volume dynamics (the volume Hamiltonian plus the reservoir
-    perturbations) on the ``sectors``, aligned with them, are the only
-    volume-sized field; H_B has no other nonzero block, and on a one-sector
-    volume the one block is the D x D matrix. Every other operator lives on
+    No field is volume-sized. ``generator_terms`` are the terms of the
+    generator H_B of the finite-volume dynamics (the volume Hamiltonian plus
+    the reservoir perturbations), each on its own sites, in the order in
+    which :meth:`H_B_blocks` adds them into H_B's diagonal blocks H_pp on the
+    ``sectors``; H_B has no other nonzero block. Every other operator lives on
     its own sites: ``H_a[a]`` and ``B_a[a]``, the Hamiltonian and
     perturbation of reservoir ``a``, on that reservoir's in-volume sites;
     ``W``, the interface part H - sum_a H_a, on the joint support of the
@@ -59,7 +60,7 @@ class VolumeOperators:
     dims: tuple[int, ...]
     H_a: Mapping[int, DenseOperator]
     B_a: Mapping[int, DenseOperator]
-    H_B_blocks: tuple[np.ndarray, ...]
+    generator_terms: tuple[DenseOperator, ...]
     log_z: float
     W: DenseOperator
     currents: Mapping[int, DenseOperator]
@@ -81,6 +82,17 @@ class VolumeOperators:
     def blocks(self) -> dict[int, DenseOperator]:
         """beta_a (H_a + B_a) for each reservoir, on its in-volume sites."""
         return {a: self.betas[a] * (self.H_a[a] + self.B_a[a]) for a in self.reservoirs}
+
+    def H_B_blocks(self) -> tuple[np.ndarray, ...]:
+        """The diagonal blocks H_pp of H_B on the ``sectors``, aligned with them (on a
+        one-sector volume the one block is the D x D matrix), assembled on each call:
+        :func:`opalg.embed_add_sectors` adds the ``generator_terms`` into them in place,
+        in order, the D d entries of each term (d its dimension) that fall in a block."""
+        dtype = np.result_type(float, *(op.matrix for op in self.generator_terms))
+        blocks = tuple(np.zeros((rows.size, rows.size), dtype) for rows in self.sectors)
+        for op in self.generator_terms:
+            opalg.embed_add_sectors(blocks, op, self.sites, self.dims, self.sectors)
+        return blocks
 
 
 def interface(spec: ModelSpec, volume: Iterable[int],
@@ -123,14 +135,13 @@ def build(spec: ModelSpec, volume: Iterable[int],
     reported in the build log; the family's terms for the volume must each
     lie inside it and inside a single reservoir, or the build fails.
 
-    ``H_B``'s sector blocks are the only volume-sized arrays, and H_B is
-    never formed whole: :func:`opalg.embed_add_sectors` adds the in-volume
-    terms and then the perturbation terms into them in place, the D d
-    entries of each term (d its dimension) that fall in a sector block.
-    Nothing here diagonalizes or multiplies a volume-sized matrix: log Z and
-    ``g_norm`` come from the spectra of the per-reservoir blocks,
-    ``w_norm`` from the interface terms on their joint support, and the
-    currents from :func:`interface`.
+    Nothing here allocates, diagonalizes or multiplies a volume-sized
+    matrix: the generator is kept as its in-volume terms and then its
+    perturbation terms, each on its own sites, whose sector blocks
+    :meth:`VolumeOperators.H_B_blocks` assembles on request; the ``sectors``
+    come from the terms, log Z and ``g_norm`` from the spectra of the
+    per-reservoir blocks, ``w_norm`` from the interface terms on their joint
+    support, and the currents from :func:`interface`.
     """
     sites, w_op, h_res, currents = interface(spec, volume)
     dims = spec.dims_for(sites)
@@ -147,14 +158,10 @@ def build(spec: ModelSpec, volume: Iterable[int],
             raise ValueError(f"perturbation term on {term.support} is not inside its volume "
                              "and a single reservoir")
         pert_terms[a].append(term)
-    generator_terms = in_volume + [t for a in spec.reservoirs for t in pert_terms[a]]
-    generator_ops = [spec.term_operator(t) for t in generator_terms]
+    generator = tuple(spec.term_operator(t) for t in
+                      in_volume + [t for a in spec.reservoirs for t in pert_terms[a]])
     # from the terms, not from H_B, in whose sum an entry can cancel
-    sectors = opalg.sectors(generator_ops, sites, dims)
-    dtype = np.result_type(float, *(op.matrix for op in generator_ops))
-    h_blocks = tuple(np.zeros((rows.size, rows.size), dtype) for rows in sectors)
-    for op in generator_ops:
-        opalg.embed_add_sectors(h_blocks, op, sites, dims, sectors)
+    sectors = opalg.sectors(generator, sites, dims)
 
     b_res: dict[int, DenseOperator] = {}
     log_z = 0.0
@@ -177,8 +184,8 @@ def build(spec: ModelSpec, volume: Iterable[int],
     g_norm += log_z
 
     return VolumeOperators(
-        sites=sites, dims=dims, H_a=h_res, B_a=b_res, H_B_blocks=h_blocks, log_z=log_z, W=w_op,
-        currents=currents, betas=dict(spec.betas), g_norm=g_norm,
+        sites=sites, dims=dims, H_a=h_res, B_a=b_res, generator_terms=generator, log_z=log_z,
+        W=w_op, currents=currents, betas=dict(spec.betas), g_norm=g_norm,
         w_norm=opalg.op_norm(w_op), log=tuple(log), sectors=sectors,
     )
 

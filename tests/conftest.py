@@ -26,14 +26,13 @@ def random_unitary(rng, n):
 
 def dense_generator(vols):
     """The generator H_B of a build as one D x D operator, assembled from its sector blocks."""
-    blocks = {(p, p): h for p, h in enumerate(vols.H_B_blocks)}
+    blocks = {(p, p): h for p, h in enumerate(vols.H_B_blocks())}
     return DenseOperator(vols.sites, vols.dims, opalg.assemble(blocks, vols.sectors, vols.dim))
 
 
 def one_sector(vols):
-    """A build as one sector whose block is the dense H_B: the dense route's operators."""
-    return dataclasses.replace(vols, sectors=(np.arange(vols.dim),),
-                               H_B_blocks=(dense_generator(vols).matrix,))
+    """A build as one sector, whose one block is the dense H_B: the dense route's operators."""
+    return dataclasses.replace(vols, sectors=(np.arange(vols.dim),))
 
 
 def derivation(spec, volume, a, perturbation=None):

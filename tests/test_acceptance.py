@@ -227,7 +227,7 @@ def test_criterion_05_hot_to_cold(batch):
             lhs = (b1 - b2) * report.fluxes[a1]
             assert lhs >= -b2 * report.tol_sum_rule - 1e-10
             checked += 1
-        direction = heat_direction_check(run.vols, 20.0)
+        direction = heat_direction_check(run.reports[20.0], run.vols.betas)
         assert direction.ok
     assert checked > 0
     print(f"[criterion 05] PASS: (b1-b2)*flux_1 >= -b2*2||W||/T - 1e-10 on "

@@ -332,6 +332,28 @@ class TestSimulateCommand:
         assert built == []
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
+    def test_family_entry_for_no_volume_of_the_exhaustion_refused_before_any_build(
+            self, tmp_path, capsys, monkeypatch, command):
+        # the middle-site chain of six: build looks up only the volumes it builds, so an
+        # entry for [1, 2, 3, 4] would leave every flux and average as without the family
+        spec = make_chain(6, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2}, {1: 2.0, 2: 1.0})
+        family_path = write_config(tmp_path, {"bound_K": 10.0, "volumes": [
+            {"sites": [1, 2, 3, 4], "terms": [{**MID_Z[0], "support": [1]}]}]},
+            name="family.json")
+        config_path = write_config(tmp_path, {
+            "model": write_model(tmp_path, spec).name,
+            "exhaustion": [[2, 3, 4], [1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]],
+            "horizons": [100.0], "observables": {"mid_z": [{**MID_Z[0], "support": [3]}]},
+            "perturbation": family_path.name, "output_dir": str(tmp_path / "out"),
+        }, name="family_config.json")
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        assert main([command, "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == ("", f"cannot load {family_path}: entry 0: volume "
+                                           "[1, 2, 3, 4] is none of the exhaustion's volumes\n")
+        assert built == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
     def test_non_selfadjoint_observable_refused_before_any_build(
             self, chain_files, capsys, monkeypatch, command):
         # averages and series of a non-selfadjoint observable are undefined:

@@ -12,6 +12,7 @@ from nesslab import (
     DenseOperator,
     InteractionTerm,
     ModelSpec,
+    VolumeOperators,
     build,
     convergence_sweep,
     dyson_evolve,
@@ -273,12 +274,29 @@ class TestMakePlan:
             assert (checks, tolerance) == (expected, tested)
 
     def test_solves_the_build_blocks_uncopied(self, chain5, monkeypatch):
+        # the blocks H_B_blocks() assembles, each solved as it is and dropped
+        # before the next solve
         vols = build(chain5, range(5))
-        solved = []
-        spectral = opalg.spectral
-        monkeypatch.setattr(opalg, "spectral", lambda a: solved.append(a) or spectral(a))
-        make_plan(vols)
-        assert len(solved) == 2 and all(a is h for a, h in zip(solved, vols.H_B_blocks))
+        assembled, seen = [], []
+        blocks_of, spectral = VolumeOperators.H_B_blocks, opalg.spectral
+
+        def assemble(self):
+            out = blocks_of(self)
+            assembled.extend(weakref.ref(h) for h in out)
+            return out
+
+        def solve(a):
+            seen.append(([a is ref() for ref in assembled], [ref() is None for ref in assembled]))
+            return spectral(a)
+        monkeypatch.setattr(VolumeOperators, "H_B_blocks", assemble)
+        monkeypatch.setattr(opalg, "spectral", solve)
+        plan = make_plan(vols)
+        # per solve: which assembled block it is given, and which blocks are freed
+        assert seen == [([True, False], [False, False]), ([False, True], [True, False])]
+        assert [ref() for ref in assembled] == [None, None]
+        for sector, block in zip(plan.sectors, blocks_of(vols)):
+            w, v = spectral(block)
+            assert np.array_equal(sector.eigenvalues, w) and np.array_equal(sector.basis, v)
 
     def test_non_hermitian_generator_refused(self):
         with pytest.raises(ValueError):
@@ -286,11 +304,11 @@ class TestMakePlan:
 
     def test_keeps_the_volume_not_the_generator(self, chain5):
         vols = build(chain5, range(5))
-        blocks = [weakref.ref(h) for h in vols.H_B_blocks]
+        terms = [weakref.ref(op) for op in vols.generator_terms]
         plan = make_plan(vols)
         del vols
         gc.collect()
-        assert [block() for block in blocks] == [None, None]
+        assert [term() for term in terms] == [None] * len(terms)
         assert (plan.sites, plan.dims) == (tuple(range(5)), (2,) * 5)
 
 

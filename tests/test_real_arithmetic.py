@@ -94,7 +94,7 @@ class TestDtypeRule:
         # sigma_y on reservoir 1 makes H_B and reservoir 1's block complex
         # while H_a and reservoir 2's block stay real
         vols = build(_chain(), range(5), _family(InteractionTerm((0,), 0.2 * SY)))
-        assert all(h.dtype == np.complex128 for h in vols.H_B_blocks)
+        assert all(h.dtype == np.complex128 for h in vols.H_B_blocks())
         assert vols.blocks[1].matrix.dtype == np.complex128
         assert vols.B_a[1].matrix.dtype == np.complex128
         assert vols.H_a[1].matrix.dtype == vols.blocks[2].matrix.dtype == np.float64

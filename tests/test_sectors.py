@@ -480,8 +480,8 @@ def test_exact_evolve_on_own_sites_equals_its_embedding_bitwise(chain):
 
 
 class TestPlanFootprint:
-    """The horizon stage holds one sector-sized image at a time beyond the
-    generator's sector blocks and the plan: each operator's image is made in
+    """The horizon stage holds one sector-sized image at a time beyond the plan,
+    and no block of the generator: each operator's image is made in
     panels of 128 basis columns, zero-padded to D rows one panel at a time, and
     a real chain's currents, i times a real matrix, are applied as that matrix.
     10-site chains, 16 horizons unless every pair is direct, tracemalloc in real
@@ -520,32 +520,49 @@ class TestPlanFootprint:
 
     @pytest.fixture(scope="class")
     def real_run(self):
-        """What build and make_plan leave allocated, and the peak of build,
-        make_plan and the horizon stage, on the real 10-site chain."""
+        """What build leaves allocated, what build and make_plan leave allocated,
+        and the peak of build, make_plan and horizon_reports, which makes its own
+        plan, on the real 10-site chain."""
         spec = make_chain(10, {i: 0 if i == 5 else 1 if i < 5 else 2 for i in range(10)},
                           BETAS, anis=0.3)
         obs = {"mid": DenseOperator((5,), (2,), SZ), "left": DenseOperator((4,), (2,), SX)}
         tracemalloc.start()
         try:
             vols = build(spec, range(10))
+            built = tracemalloc.get_traced_memory()[0]
             plan = make_plan(vols)
             held = tracemalloc.get_traced_memory()[0]
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(thermo, "make_plan", lambda vols: plan)
-                reports = horizon_reports(vols, self.HORIZONS, observables=obs)
+            del plan
+            reports = horizon_reports(vols, self.HORIZONS, observables=obs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(reports) == 16 and vols.dim == 1024
-        return held / self.UNIT, peak / self.UNIT
+        return built / self.UNIT, held / self.UNIT, peak / self.UNIT
 
-    def test_build_and_plan_hold_the_blocks_and_bases(self, real_run):
-        # measured 1.05 (1.55): two sector blocks of H_B and two bases, 0.5 each
-        assert real_run[0] <= 1.10
+    def test_build_holds_no_volume_sized_array(self, real_run):
+        # measured 0.046 (0.545 with H_B's two sector blocks held by the build)
+        assert real_run[0] < 0.1
+
+    def test_build_and_plan_hold_the_bases(self, real_run):
+        # measured 0.55 (1.05): two bases, 0.5 in all; no block of H_B outlives the plan
+        assert real_run[1] <= 0.6
 
     def test_build_plan_and_horizon_stage_peak(self, real_run):
-        # measured 2.00 (3.93)
-        assert real_run[1] <= 2.5
+        # measured 1.50 (2.00 with H_B held through the solves and the horizon stage)
+        assert real_run[2] <= 1.6
+
+    def test_complex_build_and_horizon_stage_peak(self):
+        # 9 sites, one sector of 512: the peak is make_plan's complex eigh, beside
+        # no block of H_B other than the one it solves. Measured 7.30 (9.30)
+        spec = make_chain(9, {i: 0 if i == 4 else 1 if i < 4 else 2 for i in range(9)},
+                          BETAS, anis=0.3)
+        spec = _with_terms(spec, *(InteractionTerm((i,), 0.2 * SY) for i in range(9)))
+        obs = {"mid": DenseOperator((4,), (2,), SZ), "left": DenseOperator((3,), (2,), SX)}
+        reports, peak = traced_peak(lambda: horizon_reports(
+            build(spec, range(9)), self.HORIZONS, observables=obs))
+        assert len(reports) == 16
+        assert peak <= 7.5 * 8 * 512 ** 2
 
 
 def test_redraw_check_keeps_only_the_redrawn_currents():

@@ -506,7 +506,7 @@ class TestEntropyProduction:
         vols = build(make_chain(5, assignment, {1: 2.0, 2: 1.0}, field=0.7), (1, 2, 3))
         ((report, _),) = horizon_reports(vols, (5.0,))
         assert report.e == pytest.approx(0.039137, abs=1e-6)
-        assert heat_direction_check(vols, 5.0).flux_into_first == report.fluxes[1]
+        assert heat_direction_check(report, vols.betas).lhs == (2.0 - 1.0) * report.fluxes[1]
         # the dense route: one sector whose block is the whole H_B
         ((dense, _),) = horizon_reports(one_sector(vols), (5.0,))
         assert dense.e == pytest.approx(report.e, abs=1e-12)
@@ -516,29 +516,42 @@ class TestHeatDirection:
     def test_equal_betas_reduces_to_slack(self):
         spec = make_chain(4, {0: 1, 1: 0, 2: 0, 3: 2}, {1: 1.0, 2: 1.0})
         vols = build(spec, range(4))
-        report = heat_direction_check(vols, 10.0)
+        report = heat_direction_check(entropy_report(vols, 10.0), vols.betas)
         assert report.lhs == 0.0
         assert report.ok
 
     def test_four_site_chain_hot_to_cold(self):
         spec = make_chain(4, {0: 1, 1: 0, 2: 0, 3: 2}, {1: 2.0, 2: 1.0})
         vols = build(spec, range(4))
-        report = heat_direction_check(vols, 50.0)
-        assert report.ok
+        fluxes = entropy_report(vols, 50.0)
+        report = heat_direction_check(fluxes, vols.betas)
+        assert report.ok and report.horizon == 50.0
         # reservoir 1 is the cold one; at a long horizon energy flows into it
-        assert report.flux_into_first > 0.0
+        assert fluxes.fluxes[1] > 0.0
 
     def test_decoupled_holds_with_full_slack(self, decoupled_model):
         vols = build(decoupled_model, (0, 1, 2))
-        report = heat_direction_check(vols, 5.0)
-        assert abs(report.flux_into_first) <= 1e-13
+        fluxes = entropy_report(vols, 5.0)
+        report = heat_direction_check(fluxes, vols.betas)
+        assert abs(fluxes.fluxes[1]) <= 1e-13
         assert report.ok
 
     def test_three_reservoirs_rejected(self):
         spec = make_chain(4, {0: 1, 1: 0, 2: 2, 3: 3}, {1: 1.0, 2: 1.0, 3: 1.0})
         vols = build(spec, range(4))
-        with pytest.raises(ValueError):
-            heat_direction_check(vols, 5.0)
+        with pytest.raises(ValueError, match="exactly 2 reservoirs, got 3"):
+            heat_direction_check(entropy_report(vols, 5.0), vols.betas)
+
+    def test_judges_the_report_it_is_given_with_no_solve(self, eigensolves):
+        spec = make_chain(4, {0: 1, 1: 0, 2: 0, 3: 2}, {1: 2.0, 2: 1.0})
+        vols = build(spec, range(4))
+        (short, _), (long, _) = horizon_reports(vols, (0.5, 50.0))
+        assert eigensolves
+        eigensolves.clear()
+        checks = [heat_direction_check(r, vols.betas) for r in (short, long)]
+        assert eigensolves == []
+        assert [c.horizon for c in checks] == [0.5, 50.0]
+        assert [c.lhs for c in checks] == [short.fluxes[1], long.fluxes[1]]   # beta_1 - beta_2 = 1
 
 
 class TestBoundaryRedraw:
@@ -621,3 +634,13 @@ class TestKleinCheck:
     def test_u_refused(self, u, match):
         with pytest.raises(ValueError, match=match):
             klein_check(SX, u, lambda s: s)
+
+    @pytest.mark.parametrize("a, u", [
+        (np.zeros((0, 0)), np.zeros((0, 0))),
+        (np.zeros((0, 0), complex), np.zeros((0, 0), complex)),
+        (np.zeros((0, 0)), np.eye(1)),
+    ], ids=["real", "complex", "empty-A"])
+    def test_empty_pair_refused(self, a, u):
+        # refused by its own message, before the unitarity test reduces over no entry
+        with pytest.raises(ValueError, match=r"refuses an empty A or U \(shapes \(0, 0\), "):
+            klein_check(a, u, lambda s: s)

@@ -170,8 +170,8 @@ class TestBuild:
 
 
 class TestFootprint:
-    """Only H_B's sector blocks are volume-sized; H_a, B_a, W and the currents
-    stay on their own sites."""
+    """No field is volume-sized: H_B's terms, H_a, B_a, W and the currents stay
+    on their own sites, and H_B's sector blocks are assembled on request."""
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["bare", "perturbed"])
     def test_volume_sized_fields(self, chain5, perturbed):
@@ -187,8 +187,11 @@ class TestFootprint:
                 operators.append(value)
             elif isinstance(value, Mapping):
                 operators += [v for v in value.values() if isinstance(v, DenseOperator)]
+            elif isinstance(value, tuple):
+                operators += [v for v in value if isinstance(v, DenseOperator)]
+        assert len(operators) == 7 + len(vols.generator_terms)
         assert [op for op in operators if op.dim == vols.dim] == []
-        assert [h.shape for h in vols.H_B_blocks] == [(16, 16)] * 2   # the parity sectors
+        assert [h.shape for h in vols.H_B_blocks()] == [(16, 16)] * 2   # the parity sectors
         assert isinstance(vols.log_z, float)
         own_sites = [(vols.H_a[1], (0, 1)), (vols.B_a[1], (0, 1)),
                      (vols.H_a[2], (3, 4)), (vols.B_a[2], (3, 4)), (vols.W, (1, 2, 3)),
