@@ -41,18 +41,14 @@ class EvolutionPlan:
     sectors: tuple[Sector, ...]
 
 
-def make_plan(generator: DenseOperator | volume_mod.VolumeOperators) -> EvolutionPlan:
-    """One :func:`opalg.spectral` per sector block of the generator, uncopied:
-    the blocks that ``generator.H_B_blocks()`` assembles for a build, on its
-    ``sectors``, each dropped once solved, so no block is held beside the next
-    one's solve or after the plan is made; or a dense ``generator`` as one
-    sector. ValueError for a non-Hermitian block."""
-    if isinstance(generator, DenseOperator):
-        sectors, blocks = (np.arange(generator.dim),), [generator.matrix]
-    else:
-        sectors, blocks = generator.sectors, list(generator.H_B_blocks())
-    return EvolutionPlan(generator.sites, generator.dims, tuple(
-        Sector(rows, *opalg.spectral(blocks.pop(0))) for rows in sectors))
+def make_plan(vols: volume_mod.VolumeOperators) -> EvolutionPlan:
+    """One :func:`opalg.spectral` per sector block of the build's generator, uncopied:
+    the blocks that ``vols.H_B_blocks()`` assembles on its ``sectors``, each dropped
+    once solved, so no block is held beside the next one's solve or after the plan
+    is made."""
+    blocks = list(vols.H_B_blocks())
+    return EvolutionPlan(vols.sites, vols.dims, tuple(
+        Sector(rows, *opalg.spectral(blocks.pop(0))) for rows in vols.sectors))
 
 
 def _embedded_blocks(rows: Sequence[np.ndarray], sites: tuple[int, ...], dims: tuple[int, ...],
@@ -331,26 +327,21 @@ def _dyson_error_norm(plan: EvolutionPlan, rotated: dict, t: float) -> float:
     return opalg.block_norm(err, [s.indices.size for s in plan.sectors], 1.0)
 
 
-def _light_cone_order(spec: ModelSpec, small: tuple[int, ...], large: tuple[int, ...],
-                      sites: Iterable[int], perturbation: PerturbationFamily | None) -> int:
-    """k = 1 + the first j < SWEEP_ORDERS at which the generator terms (perturbation
-    terms included) that meet S_j differ between the volumes ``small`` and ``large``,
-    supports and matrices compared exactly; S_0 = ``sites`` and S_{j+1} is S_j with
-    the supports of those terms. SWEEP_ORDERS + 1 if none differ. delta^m of an
-    operator on ``sites`` is made of the terms meeting S_0, ..., S_{m-1} alone, so it
-    is the same operator in both volumes for every m < k."""
-    def terms(volume: tuple[int, ...]) -> list:
-        extra = () if perturbation is None else perturbation.terms_for(volume)
-        return [t for t in spec.terms if set(t.support) <= set(volume)] + list(extra)
-
-    near = (terms(small), terms(large))
+def _light_cone_order(small_terms: Sequence[DenseOperator], large_terms: Sequence[DenseOperator],
+                      sites: Iterable[int]) -> int:
+    """k = 1 + the first j < SWEEP_ORDERS at which the generator terms that meet S_j
+    differ between two volumes' builds, given as their ``generator_terms``, sites and
+    matrices compared exactly; S_0 = ``sites`` and S_{j+1} is S_j with the sites of
+    those terms. SWEEP_ORDERS + 1 if none differ. delta^m of an operator on ``sites``
+    is made of the terms meeting S_0, ..., S_{m-1} alone, so it is the same operator
+    in both volumes for every m < k."""
     region = set(sites)
     for j in range(SWEEP_ORDERS):
-        meeting = [sorted((t.support, t.matrix.tobytes()) for t in ts if region & set(t.support))
-                   for ts in near]
+        meeting = [sorted((op.sites, op.matrix.tobytes()) for op in terms
+                          if region & set(op.sites)) for terms in (small_terms, large_terms)]
         if meeting[0] != meeting[1]:
             return j + 1
-        region.update(*(support for support, _ in meeting[0]))
+        region.update(*(op_sites for op_sites, _ in meeting[0]))
     return SWEEP_ORDERS + 1
 
 
@@ -379,7 +370,7 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     next volume. Then
     each time is evolved in both volumes, compared and dropped before the
     next. Of the previous volume only the plan, the rotated observable
-    blocks and the commutators are kept.
+    blocks, the commutators and the build's generator terms are kept.
     """
     vols = [tuple(sorted(set(v))) for v in exhaustion]
     for small, large in zip(vols, vols[1:]):
@@ -393,16 +384,16 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
     envelope = opalg.observable_lambda_norm_upper(((a.sites, a.matrix),), spec.lam)
 
     evo_rows, order_rows, dyson_rows = [], [], []
-    prev_plan, prev_rotated, prev_powers = None, {}, []
+    prev_plan, prev_rotated, prev_powers, prev_terms = None, {}, [], ()
     for i, sites in enumerate(vols):
         built = volume_mod.build(spec, sites, perturbation)
         plan = make_plan(built)
         a_v = _embedded_blocks([s.indices for s in plan.sectors], plan.sites, plan.dims, a)
         rotated = _rotated_blocks(plan, a_v)
-        h_blocks = built.H_B_blocks()
+        h_blocks, terms = built.H_B_blocks(), built.generator_terms
         del built   # its currents and reservoir operators are not read here
 
-        cone = _light_cone_order(spec, vols[i - 1], sites, a.sites, perturbation) if i else 0
+        cone = _light_cone_order(prev_terms, terms, a.sites) if i else 0
         powers = []
         for m, r in enumerate(_commutator_blocks(h_blocks, a_v, SWEEP_ORDERS), start=1):
             if i:
@@ -421,6 +412,6 @@ def convergence_sweep(spec: ModelSpec, exhaustion: Sequence[Iterable[int]],
             if abs(t) < radius:
                 dyson_rows.append(DysonRow(i, float(t), _dyson_error_norm(plan, rotated, t),
                                            _tail_bound(envelope, abs(t) / radius)))
-        prev_plan, prev_rotated, prev_powers = plan, rotated, powers
+        prev_plan, prev_rotated, prev_powers, prev_terms = plan, rotated, powers, terms
 
     return ConvergenceSweepReport(tuple(evo_rows), tuple(order_rows), tuple(dyson_rows))

@@ -19,7 +19,7 @@ from . import opalg
 from .dynamics import make_plan
 from .model import ModelSpec, redraw
 from .opalg import DenseOperator
-from .volume import VolumeOperators, build, interface
+from .volume import VolumeOperators, build
 
 
 def gibbs(h: DenseOperator, beta: float) -> DenseOperator:
@@ -249,7 +249,7 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     for k in range(g + 1):   # one operator at a time, its parts freed as packed
         direct[k] = np.concatenate(direct[k])
 
-    out = []
+    out, w_norm = [], vols.w_norm   # one solve for every horizon's tolerance
     for n, horizon in enumerate(horizons):
         kernel = _horizon_kernels(0.5 * horizon * freq).reshape(-1, 1)
         *values, e_tel = [
@@ -265,7 +265,7 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
             e=float(sum(vols.betas[a] * f for a, f in fluxes.items())),
             e_telescoped=e_tel,
             sum_rule_residual=float(sum(fluxes.values())),
-            tol_sum_rule=float(2.0 * vols.w_norm / horizon),
+            tol_sum_rule=float(2.0 * w_norm / horizon),
         )
         out.append((report, averages))
     return out
@@ -324,14 +324,14 @@ def boundary_redraw_check(spec: ModelSpec, new_small_system: Iterable[int],
     values is bounded by (2/T) times the norm of the weighted reservoir
     Hamiltonian difference sum_a beta_a (H_a - H'_a): the in-volume terms
     that leave reservoir ``a``, weighted by beta_a, whose norm is taken on
-    their joint support. The original decomposition is built once, the
-    redrawn one only as far as its currents (:func:`interface`), and both
-    current sets are contracted against the same rotated state, for every
-    horizon; one report per horizon, in order.
+    their joint support. Both decompositions are built, and only the
+    original one is solved: the currents of the redrawn build are contracted
+    against the same rotated state as the original ones, for every horizon;
+    one report per horizon, in order.
     """
     new_spec = redraw(spec, new_small_system)   # refused before anything is built
     vols = build(spec, volume)
-    _, _, _, currents = interface(new_spec, volume)
+    currents = build(new_spec, volume).currents
 
     moved = [(vols.betas[a], t) for a in vols.reservoirs for t in spec.terms
              if set(t.support) <= spec.sites_in(a) & set(vols.sites)

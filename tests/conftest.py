@@ -82,6 +82,12 @@ def make_chain(n, assignment, betas, coup=1.0, field=0.5, anis=0.0, lam=0.5):
     return ModelSpec(sites, assignment, tuple(terms), lam, betas)
 
 
+def end_chain(n, **kwargs):
+    """make_chain of ``n`` qubits whose small system is the end site 0 and whose one
+    reservoir is every other site: W is the field on 0 and the bond (0, 1)."""
+    return make_chain(n, {i: 0 if i == 0 else 1 for i in range(n)}, {1: 1.5}, **kwargs)
+
+
 @pytest.fixture
 def standard_chain():
     """3-site chain, S={1} between two single-site reservoirs.

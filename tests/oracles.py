@@ -1,8 +1,9 @@
 """Full-dimension reference routes for values the library takes shortcuts to.
 
 The library gets log Z and the norms of G and W from the per-reservoir
-blocks and the interface terms, keeps the currents on the
-interface and reservoir supports, and contracts every horizon in the
+blocks and the interface terms, keeps each current on the sites of the
+interface and of the reservoir terms that meet it, plans only a build's
+sector blocks, and contracts every horizon in the
 eigenbasis of H_B by separable phases. The routes here work on the
 whole volume instead: they lift H_a, B_a, W and the currents to the volume,
 diagonalize the D x D weighted reservoir sum, G and W, commute H with H_a,
@@ -17,8 +18,9 @@ For the dynamics it holds the Heisenberg evolution through the matrix
 exponential and the derivation powers iterated in complex arithmetic, so the
 real-arithmetic routes of the library have a reference that never takes them.
 
-It also holds the functional calculus phi(A) of a Hermitian matrix, which
-the tests use and the library does not, and the independent constructions
+It also holds the functional calculus phi(A) of a Hermitian matrix and the
+evolution plan of a raw Hermitian matrix as one sector, which the tests use
+and the library does not, and the independent constructions
 the library no longer carries: the initial state as a D x D matrix, both
 from the library's Gibbs factors and as an explicit product of per-reservoir
 Gibbs blocks, the time-averaged state, the interface part by the weighted
@@ -33,11 +35,17 @@ from scipy.linalg import expm
 from scipy.special import logsumexp
 
 from nesslab import embed, exact_evolve, gibbs, make_plan, op_norm, spectral
+from nesslab.dynamics import EvolutionPlan, Sector
 from nesslab import opalg
 from nesslab.opalg import DenseOperator, matmul, zero
 from nesslab.thermo import EntropyReport, _gibbs_factors, _horizon_kernels
 
-from conftest import dense_generator
+from conftest import dense_generator, one_sector
+
+
+def dense_plan(h: DenseOperator) -> EvolutionPlan:
+    """The evolution plan of a raw Hermitian matrix ``h``, as one sector."""
+    return EvolutionPlan(h.sites, h.dims, (Sector(np.arange(h.dim), *spectral(h)),))
 
 
 def apply_function(a, phi):
@@ -290,7 +298,7 @@ def time_avg_expectation_quadrature(vols, state, a, horizon: float, panels: int 
                                     plan=None) -> float:
     """Composite-Simpson average of the evolved expectation of ``a`` over [0, T]."""
     if plan is None:
-        plan = make_plan(dense_generator(vols))
+        plan = make_plan(one_sector(vols))
     ts = np.linspace(0.0, horizon, 2 * panels + 1)
     vals = np.array([expectation(state, exact_evolve(plan, a, float(t))) for t in ts])
     h = horizon / (2 * panels)

@@ -318,7 +318,7 @@ def test_criterion_10_current_norm_bound(batch, standard_chain):
             assert op_norm(current) <= bound + 1e-12
             checked += 1
     from nesslab import current_bound_check
-    report = current_bound_check(standard_chain, (0, 1, 2))
+    report = current_bound_check(standard_chain, build(standard_chain, (0, 1, 2)))
     assert report.ok
     checked += len(report.norms)
     print(f"[criterion 10] PASS: ||i[H, H_a]|| within 2 card(S) e^lam ||Phi||^2/lam "

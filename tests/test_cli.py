@@ -401,10 +401,11 @@ class TestEigensolveCount:
     other eigensolve at a volume's dimension, apart from ||W||.
 
     These chains conserve the parity prod sigma_z, so H_B is solved as two
-    sectors of D/2 and never at D. The initial state, log Z and ||G|| come
-    from the reservoir blocks and ||W|| from the interface terms on their own
-    support, which is the whole volume only when every site is in S or next
-    to it; then ||W|| costs an eigensolve at the volume's dimension.
+    sectors of D/2 and never at D. The initial state comes from the
+    reservoir blocks, ``simulate`` reads neither log Z nor ||G||, and ||W||
+    is normed once per volume on the interface terms' own support, which is
+    the whole volume only when every site is in S or next to it; then ||W||
+    costs an eigensolve at the volume's dimension.
     """
 
     @staticmethod
@@ -654,9 +655,10 @@ class TestRedrawCheckCommand:
         out = capsys.readouterr().out
         assert "|e-e'|" in out and "ok" in out
 
-    def test_builds_only_the_original_decomposition(self, tmp_path, monkeypatch):
-        # the redrawn decomposition contributes only its currents, formed
-        # without a generator
+    def test_builds_each_decomposition_once(self, tmp_path, monkeypatch):
+        # the original decomposition and the redrawn one, whose currents alone
+        # are read; that only the original is solved is held by
+        # test_shift_norm_on_moved_terms_support
         from nesslab import thermo, volume
 
         spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0})
@@ -671,13 +673,13 @@ class TestRedrawCheckCommand:
         real_build = volume.build
 
         def build(*args, **kwargs):
-            built.append(args[1])
+            built.append((sorted(args[0].small_system), args[1]))
             return real_build(*args, **kwargs)
 
         monkeypatch.setattr(volume, "build", build)
         monkeypatch.setattr(thermo, "build", build)
         assert main(["redraw-check", "--config", str(config_path)]) == 0
-        assert built == [(0, 1, 2, 3, 4)]
+        assert built == [([2], (0, 1, 2, 3, 4)), ([1, 2, 3], (0, 1, 2, 3, 4))]
 
     def test_shift_norm_on_moved_terms_support(self, tmp_path, monkeypatch):
         # moving site 2 into S takes the field on 2 and the bond (1, 2) out

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import warnings
@@ -29,8 +30,8 @@ from nesslab.model import PerturbationFamily
 from nesslab import opalg
 
 import oracles
-from conftest import (SX, SY, SZ, dense_generator, derivation, make_chain, random_hermitian,
-                      random_unitary, traced_peak)
+from conftest import (SX, SY, SZ, dense_generator, derivation, make_chain, one_sector,
+                      random_hermitian, random_unitary, traced_peak)
 
 OMEGA = 1.3
 
@@ -41,7 +42,7 @@ def qubit_model(omega=OMEGA):
 
 
 def qubit_plan(omega=OMEGA):
-    return make_plan(DenseOperator((0,), (2,), (omega / 2.0) * SZ))
+    return oracles.dense_plan(DenseOperator((0,), (2,), (omega / 2.0) * SZ))
 
 
 class TestDerivation:
@@ -74,7 +75,7 @@ class TestDerivation:
         vols = build(chain5, range(5))
         a = embed(DenseOperator((2,), (2,), SX), vols.sites, vols.dims)
         h_b = dense_generator(vols)
-        evolved = exact_evolve(make_plan(h_b), a, 1.3)
+        evolved = exact_evolve(make_plan(one_sector(vols)), a, 1.3)
         out = derivation(chain5, range(5), evolved)
         h = h_b.matrix
         expected = 1j * (h @ evolved.matrix - evolved.matrix @ h)
@@ -203,7 +204,7 @@ class TestExactEvolve:
 
     def test_group_law(self, chain5):
         vols = build(chain5, range(5))
-        plan = make_plan(dense_generator(vols))
+        plan = make_plan(one_sector(vols))
         rng = np.random.default_rng(2)
         a = embed(DenseOperator((2,), (2,), random_hermitian(rng, 2)),
                   vols.sites, vols.dims)
@@ -213,7 +214,7 @@ class TestExactEvolve:
 
     def test_preserves_hermiticity_spectrum_norm(self, chain5):
         vols = build(chain5, range(5))
-        plan = make_plan(dense_generator(vols))
+        plan = make_plan(one_sector(vols))
         rng = np.random.default_rng(4)
         a = DenseOperator(vols.sites, vols.dims, random_hermitian(rng, vols.dim))
         out = exact_evolve(plan, a, 2.2)
@@ -224,7 +225,7 @@ class TestExactEvolve:
 
     def test_derivative_at_zero_matches_derivation(self, standard_chain):
         vols = build(standard_chain, (0, 1, 2))
-        plan = make_plan(dense_generator(vols))
+        plan = make_plan(one_sector(vols))
         a = embed(DenseOperator((1,), (2,), SX), vols.sites, vols.dims)
         delta = derivation(standard_chain, (0, 1, 2), a)
         residuals = []
@@ -262,12 +263,12 @@ class TestMakePlan:
 
         counted("hermitian_matrix", checks)
         counted("is_hermitian_matrix", tolerance)
-        vols = build(chain5, range(5))
+        vols = one_sector(build(chain5, range(5)))
         h_b = dense_generator(vols)
         off = np.triu(np.full((32, 32), 1e-14), 1)
+        skewed = dataclasses.replace(vols, generator_terms=(h_b.with_matrix(h_b.matrix + off),))
         for generator, expected, tested in [
-                (h_b, [(32, 32)], []),
-                (h_b.with_matrix(h_b.matrix + off), [(32, 32)], [(32, 32)])]:
+                (vols, [(32, 32)], []), (skewed, [(32, 32)], [(32, 32)])]:
             checks.clear()
             tolerance.clear()
             make_plan(generator)
@@ -299,8 +300,11 @@ class TestMakePlan:
             assert np.array_equal(sector.eigenvalues, w) and np.array_equal(sector.basis, v)
 
     def test_non_hermitian_generator_refused(self):
+        # a build's terms are Hermitian; one put in by hand reaches the solve
+        vols = one_sector(build(qubit_model(), (0,)))
+        term = DenseOperator((0,), (2,), np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
-            make_plan(DenseOperator((0,), (2,), np.array([[0.0, 1.0], [0.0, 0.0]])))
+            make_plan(dataclasses.replace(vols, generator_terms=(term,)))
 
     def test_keeps_the_volume_not_the_generator(self, chain5):
         vols = build(chain5, range(5))
@@ -557,9 +561,9 @@ class TestConvergenceSweep:
         # one stored off-diagonal sector block of its difference, which is
         # exactly antisymmetric (odd order) or symmetric (even order); and one
         # complex Gram solve per evolution row, which is exactly Hermitian. At D/2 = 4 of the first
-        # volume only H_B is solved. Dimension 8 adds ||W|| on W's sites
-        # {1, 2, 3} in each volume and log Z of reservoir 2's block {3, 4, 5}
-        # in the last. Nothing is solved at the largest D. The light cone of
+        # volume only H_B is solved. The sweep reads neither ||W|| nor log Z,
+        # so no interface or reservoir block is solved at dimension 8.
+        # Nothing is solved at the largest D. The light cone of
         # sigma_x on site 2 reaches {1, 2, 3} after one order and the whole
         # middle volume after two: the bond (3, 4), then (0, 1), then (4, 5)
         # is the first term that tells the pair's volumes apart, so orders
@@ -573,7 +577,7 @@ class TestConvergenceSweep:
         report = convergence_sweep(spec, exhaustion, a, t_grid)
         for row in report.order_rows:
             assert (row.discrepancy > 0.0) == (row.order >= cones[row.pair_index])
-        expected = Counter({("eigvalsh", 8, "float64"): len(exhaustion) + 1})
+        expected = Counter()
         for sites, cone in zip(exhaustion[1:], cones):
             half = spec.volume_dim(sites) // 2
             expected["eigh", half, "float64"] += 2
@@ -869,11 +873,14 @@ class TestSweepLightCone:
             return PerturbationFamily(tuple((frozenset(v), (t,))
                                             for v, t in entries), bound_K=0.5)
 
-        cone = dynamics._light_cone_order
-        assert cone(chain5, small, large, a.sites, None) == 3
-        assert cone(chain5, small, large, a.sites, family((large, term))) == 1
-        assert cone(chain5, small, large, a.sites, family((small, term), (large, term))) == 3
-        assert cone(chain5, small, large, a.sites, family((small, term), (large, other))) == 1
+        def cone(perturbation):
+            terms = [build(chain5, v, perturbation).generator_terms for v in (small, large)]
+            return dynamics._light_cone_order(*terms, a.sites)
+
+        assert cone(None) == 3
+        assert cone(family((large, term))) == 1
+        assert cone(family((small, term), (large, term))) == 3
+        assert cone(family((small, term), (large, other))) == 1
         report = convergence_sweep(chain5, [small, large], a, [0.1], family((large, term)))
         assert report.order_rows[0].discrepancy == pytest.approx(
             op_norm(DenseOperator((3,), (2,), 0.4 * (SZ @ SX - SX @ SZ))), rel=1e-12)

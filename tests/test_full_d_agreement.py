@@ -2,9 +2,11 @@
 
 The cases cover both reservoirs inside the volume (with and without
 reservoir perturbations), a model whose terms never meet the small system,
-a volume missing one reservoir, the small system alone, and two adjacent
+a volume missing one reservoir, the small system alone, two adjacent
 reservoirs joined by a bond that does not touch the small system (so that
-bond belongs to the interface part W).
+bond belongs to the interface part W), and a chain whose small system is its
+end site, perturbed where W does not reach (so its current acts on three of
+the five sites).
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from nesslab.model import PerturbationFamily
 
 import oracles
 from oracles import initial_state
-from conftest import SX, SZ, make_chain, one_sector
+from conftest import SX, SZ, end_chain, make_chain, one_sector
 
 HORIZONS = (0.5, 3.0, 40.0)
 TOL = 1e-12
@@ -27,27 +29,35 @@ def _perturbation():
     return PerturbationFamily((entry,), bound_K=1.0)
 
 
+def _end_perturbation():
+    # on sites 3 and 4, which W on (0, 1) does not meet
+    entry = (frozenset(range(5)),
+             (InteractionTerm((3, 4), 0.3 * np.kron(SX, SX)), InteractionTerm((4,), 0.25 * SZ)))
+    return PerturbationFamily((entry,), bound_K=1.0)
+
+
 def _adjacent_reservoirs():
     # sites 0 | 1 are reservoirs 1 | 2; the bond (0, 1) misses S = {2}
     return make_chain(4, {0: 1, 1: 2, 2: 0, 3: 2}, {1: 2.0, 2: 1.0}, anis=0.3)
 
 
-# (case id, spec fixture or None for the adjacent-reservoir chain, volume, perturbed)
+# (case id, spec fixture name or function, volume, perturbation function or None)
 CASES = (
-    ("chain5", "chain5", (0, 1, 2, 3, 4), False),
-    ("chain5-perturbed", "chain5", (0, 1, 2, 3, 4), True),
-    ("decoupled", "decoupled_model", (0, 1, 2), False),
-    ("reservoir-2-outside", "chain5", (1, 2), False),
-    ("small-system-only", "chain5", (2,), False),
-    ("adjacent-reservoirs", None, (0, 1, 2, 3), False),
+    ("chain5", "chain5", (0, 1, 2, 3, 4), None),
+    ("chain5-perturbed", "chain5", (0, 1, 2, 3, 4), _perturbation),
+    ("decoupled", "decoupled_model", (0, 1, 2), None),
+    ("reservoir-2-outside", "chain5", (1, 2), None),
+    ("small-system-only", "chain5", (2,), None),
+    ("adjacent-reservoirs", _adjacent_reservoirs, (0, 1, 2, 3), None),
+    ("end-S-perturbed", lambda: end_chain(5, anis=0.3), (0, 1, 2, 3, 4), _end_perturbation),
 )
 
 
 @pytest.fixture(params=CASES, ids=[case[0] for case in CASES])
 def vols(request):
-    _, fixture, volume, perturbed = request.param
-    spec = request.getfixturevalue(fixture) if fixture else _adjacent_reservoirs()
-    return build(spec, volume, _perturbation() if perturbed else None)
+    _, spec, volume, perturbation = request.param
+    spec = request.getfixturevalue(spec) if isinstance(spec, str) else spec()
+    return build(spec, volume, perturbation and perturbation())
 
 
 def test_initial_state_matches_full_exponential(vols):

@@ -175,7 +175,7 @@ class TestSectorRouteMatchesDense:
     def test_exact_evolve(self, case):
         _, _, vols = case
         plan = make_plan(vols)
-        dense = make_plan(dense_generator(vols))
+        dense = make_plan(one_sector(vols))
         operators = {k: embed(x, vols.sites, vols.dims) for k, x in _observables().items()}
         # sigma^+ on site 3, not selfadjoint: every block pair on its own
         operators["raise"] = embed(DenseOperator((3,), (2,), 0.5 * (SX + 1j * SY)),

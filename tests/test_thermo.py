@@ -193,7 +193,7 @@ class TestKms:
 class TestTimeAverage:
     def test_conserved_observable_is_horizon_independent(self, chain5):
         vols = build(chain5, range(5))
-        plan = make_plan(dense_generator(vols))
+        plan = make_plan(one_sector(vols))
         state = initial_state(vols)
         conserved = oracles.apply_function(dense_generator(vols), lambda s: s * s)
         base = expectation(state, conserved)
@@ -203,7 +203,7 @@ class TestTimeAverage:
 
     def test_short_horizon_continuity(self, chain5):
         vols = build(chain5, range(5))
-        plan = make_plan(dense_generator(vols))
+        plan = make_plan(one_sector(vols))
         state = initial_state(vols)
         a = embed(vols.currents[1], vols.sites, vols.dims)
         scale = op_norm(a) * (1.0 + op_norm(dense_generator(vols)))
@@ -211,8 +211,7 @@ class TestTimeAverage:
         assert abs(avg - expectation(state, a)) <= 1e-6 * scale
 
     def test_qubit_pauli_average_vanishes(self):
-        gen = DenseOperator((0,), (2,), 0.5 * SZ)
-        plan = make_plan(gen)
+        plan = oracles.dense_plan(DenseOperator((0,), (2,), 0.5 * SZ))
         state = DenseOperator((0,), (2,), np.eye(2, dtype=complex) / 2.0)
         a = DenseOperator((0,), (2,), SX)
         for horizon in (0.1, 1.0, 10.0):
@@ -226,7 +225,7 @@ class TestTimeAverage:
         # where it does not
         state = DenseOperator((0,), (2,), np.full((2, 2), 0.5, dtype=complex))
         for x in (1e-14, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1.0, 2.5, 10.0, 1e3):
-            plan = make_plan(DenseOperator((0,), (2,), np.diag([0.0, x])))
+            plan = oracles.dense_plan(DenseOperator((0,), (2,), np.diag([0.0, x])))
             got = 2.0 * time_averaged_state(plan, state, 1.0).matrix[0, 1]
             if x <= 1e-3:
                 want = sum((1j * x) ** n / math.factorial(n + 1) for n in range(5))
@@ -236,7 +235,7 @@ class TestTimeAverage:
 
     def test_matches_simpson_quadrature(self, chain5):
         vols = build(chain5, range(5))
-        plan = make_plan(dense_generator(vols))
+        plan = make_plan(one_sector(vols))
         state = initial_state(vols)
         a = embed(vols.currents[1], vols.sites, vols.dims)
         spectral_avg = expectation(time_averaged_state(plan, state, 2.5), a)
@@ -249,7 +248,7 @@ class TestTimeAverage:
 
     def test_averaged_state_is_a_state(self, chain5):
         vols = build(chain5, range(5))
-        plan = make_plan(dense_generator(vols))
+        plan = make_plan(one_sector(vols))
         averaged = time_averaged_state(plan, initial_state(vols), 7.0)
         assert np.trace(averaged.matrix).real == pytest.approx(1.0, abs=1e-10)
         assert np.min(opalg.eigenvalues(averaged.matrix)) >= -1e-10
@@ -258,7 +257,7 @@ class TestTimeAverage:
         vols = build(chain5, range(5))
         w_op = embed(vols.W, vols.sites, vols.dims)
         with pytest.raises(ValueError):
-            time_averaged_state(make_plan(dense_generator(vols)), initial_state(vols), 0.0)
+            time_averaged_state(make_plan(one_sector(vols)), initial_state(vols), 0.0)
 
     @pytest.mark.parametrize("horizons", [(0.0,), (1.0, -2.0)], ids=["zero", "negative"])
     def test_horizon_reports_refuse_a_nonpositive_horizon(self, chain5, horizons):
@@ -322,7 +321,7 @@ class TestHorizonKernels:
         # field terms only: H_B is diagonal with exactly repeated eigenvalues,
         # so many Bohr frequencies are exactly zero
         vols = build(decoupled_model, (0, 1, 2))
-        (sector,) = make_plan(dense_generator(vols)).sectors
+        (sector,) = make_plan(one_sector(vols)).sectors
         w = sector.eigenvalues
         half = 0.5 * 7.0 * (w[None, :] - w[:, None])
         assert np.count_nonzero(half == 0.0) > vols.dim
@@ -449,7 +448,7 @@ class TestEntropyProduction:
     def test_fundamental_theorem_identity(self, chain5):
         vols = build(chain5, range(5))
         h_b = dense_generator(vols)
-        plan = make_plan(h_b)
+        plan = make_plan(one_sector(vols))
         sigma = initial_state(vols)
         horizon = 4.0
         averaged = time_averaged_state(plan, sigma, horizon)

@@ -16,12 +16,13 @@ from nesslab import (
     embed,
     op_norm,
 )
-from nesslab.model import PerturbationFamily, lambda_norm, redraw
+from nesslab.model import PerturbationFamily, lambda_norm
 from nesslab import opalg
 from nesslab.opalg import DenseOperator, zero
 
 import oracles
-from conftest import SX, SZ, dense_generator, make_chain, random_hermitian, traced_peak
+from conftest import (SX, SZ, dense_generator, end_chain, make_chain, random_hermitian,
+                      traced_peak)
 
 EPS = np.finfo(float).eps
 
@@ -80,17 +81,16 @@ class TestBuild:
                 manual = manual + embed(chain5.term_operator(term), vols.sites, vols.dims)
         np.testing.assert_allclose(oracles.hamiltonian(vols).matrix, manual.matrix, atol=1e-14)
 
-    def test_interface_matches_build_bitwise(self, chain5):
-        from nesslab.volume import interface
-
-        spec = redraw(chain5, {1, 2, 3})
-        vols = build(spec, range(5))
-        sites, w, h_a, currents = interface(spec, range(5))
-        assert sites == vols.sites and np.array_equal(w.matrix, vols.W.matrix)
-        for a in vols.reservoirs:
-            assert currents[a].sites == vols.currents[a].sites
-            assert np.array_equal(h_a[a].matrix, vols.H_a[a].matrix)
-            assert np.array_equal(currents[a].matrix, vols.currents[a].matrix)
+    @pytest.mark.parametrize("case", ["chain5", "end-S"])
+    def test_builds_with_no_eigensolve(self, chain5, case, eigensolves):
+        # log Z and the norms of G and W are read on request, each from its own solves
+        spec = chain5 if case == "chain5" else end_chain(8)
+        vols = build(spec, spec.site_ids)
+        assert eigensolves == []
+        assert vols.w_norm > 0.0
+        assert len(eigensolves) == 1
+        assert math.isfinite(vols.log_z)
+        assert len(eigensolves) == 1 + len(vols.reservoirs)
 
     def test_reservoir_without_beta_refused(self, chain5):
         spec = ModelSpec(chain5.sites, chain5.regions, chain5.terms, chain5.lam, {1: 2.0})
@@ -173,13 +173,14 @@ class TestFootprint:
     """No field is volume-sized: H_B's terms, H_a, B_a, W and the currents stay
     on their own sites, and H_B's sector blocks are assembled on request."""
 
-    @pytest.mark.parametrize("perturbed", [False, True], ids=["bare", "perturbed"])
-    def test_volume_sized_fields(self, chain5, perturbed):
+    @pytest.mark.parametrize("case", ["bare", "perturbed", "end-S"])
+    def test_volume_sized_fields(self, chain5, case):
         entry = (frozenset(range(5)),
                  (InteractionTerm((0, 1), 0.4 * np.kron(SX, SX)),
                   InteractionTerm((4,), 0.2 * SZ)))
-        family = PerturbationFamily((entry,), bound_K=2.0) if perturbed else None
-        vols = build(chain5, range(5), family)
+        family = PerturbationFamily((entry,), bound_K=2.0) if case == "perturbed" else None
+        spec = end_chain(5) if case == "end-S" else chain5
+        vols = build(spec, range(5), family)
         operators = []
         for f in fields(vols):
             value = getattr(vols, f.name)
@@ -189,25 +190,35 @@ class TestFootprint:
                 operators += [v for v in value.values() if isinstance(v, DenseOperator)]
             elif isinstance(value, tuple):
                 operators += [v for v in value if isinstance(v, DenseOperator)]
-        assert len(operators) == 7 + len(vols.generator_terms)
+        assert len(operators) == 1 + 3 * len(vols.reservoirs) + len(vols.generator_terms)
         assert [op for op in operators if op.dim == vols.dim] == []
         assert [h.shape for h in vols.H_B_blocks()] == [(16, 16)] * 2   # the parity sectors
         assert isinstance(vols.log_z, float)
-        own_sites = [(vols.H_a[1], (0, 1)), (vols.B_a[1], (0, 1)),
-                     (vols.H_a[2], (3, 4)), (vols.B_a[2], (3, 4)), (vols.W, (1, 2, 3)),
-                     (vols.currents[1], (0, 1, 2, 3)), (vols.currents[2], (1, 2, 3, 4))]
+        if case == "end-S":
+            # W is on (0, 1); of the reservoir's terms only the field on 1 and the
+            # bond (1, 2) meet it, so the current is on (0, 1, 2), not on the volume
+            own_sites = [(vols.H_a[1], (1, 2, 3, 4)), (vols.B_a[1], (1, 2, 3, 4)),
+                         (vols.W, (0, 1)), (vols.currents[1], (0, 1, 2))]
+        else:
+            own_sites = [(vols.H_a[1], (0, 1)), (vols.B_a[1], (0, 1)),
+                         (vols.H_a[2], (3, 4)), (vols.B_a[2], (3, 4)), (vols.W, (1, 2, 3)),
+                         (vols.currents[1], (0, 1, 2, 3)), (vols.currents[2], (1, 2, 3, 4))]
         for op, sites in own_sites:
             assert op.sites == sites
-            assert op.dim == chain5.volume_dim(sites)
+            assert op.dim == spec.volume_dim(sites)
 
-
-    def test_build_holds_one_volume_sized_array_at_a_time(self):
-        # D = 256: every other operator lives on at most 6 of the 8 sites
-        spec = make_chain(8, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2, 7: 2},
-                          {1: 2.0, 2: 1.0}, anis=0.3)
-        vols, peak = traced_peak(lambda: build(spec, range(8)))
-        assert vols.dim == 256
-        assert peak <= 1.5 * 8 * vols.dim ** 2
+    @pytest.mark.parametrize("case", ["middle-S", "end-S"])
+    def test_build_holds_one_volume_sized_array_at_a_time(self, case):
+        # with S in the middle of 8 sites every other operator lives on at most 6 of
+        # them; with S at the end of 10, H_a and B_a live on 9 and the current on 3
+        if case == "middle-S":
+            spec = make_chain(8, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2, 7: 2},
+                              {1: 2.0, 2: 1.0}, anis=0.3)
+        else:
+            spec = end_chain(10, anis=0.3)
+        vols, peak = traced_peak(lambda: build(spec, spec.site_ids))
+        assert vols.dim == 2 ** len(spec.site_ids)
+        assert peak <= 0.75 * 8 * vols.dim ** 2
 
 
 class TestLogPartition:
@@ -284,12 +295,12 @@ class TestInterfaceOperator:
 
 class TestCurrentBound:
     def test_decoupled(self, decoupled_model):
-        report = current_bound_check(decoupled_model, (0, 1, 2))
+        report = current_bound_check(decoupled_model, build(decoupled_model, (0, 1, 2)))
         assert report.ok
         assert all(v == 0.0 for v in report.norms.values())
 
     def test_standard_chain(self, standard_chain):
-        report = current_bound_check(standard_chain, (0, 1, 2))
+        report = current_bound_check(standard_chain, build(standard_chain, (0, 1, 2)))
         assert report.ok
         assert all(v <= report.bound for v in report.norms.values())
         # a finite bound is the float product as written
@@ -297,25 +308,18 @@ class TestCurrentBound:
 
     def test_no_volume_sized_eigensolve(self, chain5, eigensolves):
         # each current lives on W's sites (1, 2, 3) plus its reservoir's two
-        report = current_bound_check(chain5, range(5))
+        report = current_bound_check(chain5, build(chain5, range(5)))
         assert report.ok
         assert eigensolves
         assert max(dim for dim, _, _ in eigensolves) == 16
 
-    def test_builds_no_volume(self, chain5, monkeypatch):
-        # the currents come from the step of build that forms them, bitwise
+    def test_takes_the_builds_currents_bitwise(self, chain5, monkeypatch):
         from nesslab import volume
 
-        expected = {a: op_norm(c) for a, c in build(chain5, range(5)).currents.items()}
-        built = []
-
-        def counted(*args, **kwargs):
-            built.append(args[1])
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(volume, "build", counted)
-        report = current_bound_check(chain5, range(5))
-        assert built == []
+        vols = build(chain5, range(5))
+        expected = {a: op_norm(c) for a, c in vols.currents.items()}
+        monkeypatch.setattr(volume, "build", None)   # nothing is built again
+        report = current_bound_check(chain5, vols)
         assert report.norms == expected
 
     @pytest.mark.parametrize("case", ["3-site chain", "4-site term"])
@@ -333,7 +337,7 @@ class TestCurrentBound:
             expected = math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = current_bound_check(spec, spec.site_ids)
+            report = current_bound_check(spec, build(spec, spec.site_ids))
         assert report.bound == pytest.approx(expected, rel=1e-12) and report.ok
 
     def test_scaling_is_quartic_in_bound_quadratic_in_interaction(self, standard_chain):
@@ -341,8 +345,8 @@ class TestCurrentBound:
             standard_chain.sites, standard_chain.regions,
             tuple(InteractionTerm(t.support, 2.0 * t.matrix) for t in standard_chain.terms),
             standard_chain.lam, standard_chain.betas)
-        base = current_bound_check(standard_chain, (0, 1, 2))
-        big = current_bound_check(doubled, (0, 1, 2))
+        base = current_bound_check(standard_chain, build(standard_chain, (0, 1, 2)))
+        big = current_bound_check(doubled, build(doubled, (0, 1, 2)))
         assert big.bound == pytest.approx(4.0 * base.bound, rel=1e-12)
         for a in base.norms:
             assert big.norms[a] == pytest.approx(4.0 * base.norms[a], rel=1e-10)
