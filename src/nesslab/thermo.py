@@ -99,11 +99,12 @@ class EntropyReport:
     """Fluxes, entropy production and sum-rule accounting for one horizon.
 
     ``e`` is the temperature-weighted flux sum; ``e_telescoped`` is the
-    horizon average of <delta(G)>, delta = i[H_B, .]: the endpoint form
-    (1/T)(<G(T)> - <G(0)>), nonnegative up to roundoff for every horizon.
-    The two agree (and the sum-rule residual is bounded by ``tol_sum_rule``)
-    whenever the reservoir perturbations vanish or commute with the
-    interface part.
+    horizon average of <delta(G)>, delta = i[H_B, .], which telescopes to the
+    endpoint form (1/T)(<G(T)> - <G(0)>), nonnegative for every horizon. As
+    delta(G) = sum_a beta_a (J_a + i[W, B_a]), it is ``e`` plus the average of
+    ``VolumeOperators.perturbation_current``, and ``e`` itself, bitwise,
+    when no perturbation term meets the interface's sites. The sum-rule
+    residual is bounded by ``tol_sum_rule``.
     """
 
     horizon: float
@@ -131,25 +132,24 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     Each value is the horizon average of an expectation in the initial state
     exp(-G) of an operator that is local or a sum or product of local blocks:
     a reservoir current, an observable (selfadjoint, ValueError otherwise; its
-    Hermitian part is used), on its own sites or on the whole volume, or
-    delta(G) = i[H_B, G] for ``e_telescoped``, G from its blocks beta_a (H_a +
-    B_a) (log Z drops out). Each is rotated into the eigenbasis of
-    ``make_plan(vols)`` one sector at a time, from its local factors
-    (:func:`opalg.kron_apply`). The state, G and the currents leave each of
-    ``vols.sectors`` invariant, so only Bohr frequencies d_jk = w_k - w_j
-    within a sector count.
+    Hermitian part is used), on its own sites or on the whole volume, or,
+    when it has sites, ``vols.perturbation_current``, whose average added to
+    ``e`` is ``e_telescoped`` (otherwise ``e_telescoped`` is ``e``). Each is
+    rotated into the eigenbasis of ``make_plan(vols)`` one sector at a time,
+    from its local factors (:func:`opalg.kron_apply`). The state and every
+    current leave each of ``vols.sectors`` invariant, so only Bohr
+    frequencies d_jk = w_k - w_j within a sector count.
     With P_jk = s_jk x_kj for the rotated state s and operator x, the average
     of <x> is sum_jk P_jk K(T d_jk), K the averaging kernel.
 
     One rule contracts every operator: P = c Q with Q = s * conj(V^dagger Y V)
     (entrywise) for the Y it is applied as. c = 1 for an operator applied as
     it is; on a real plan an operator i Y with Y real, as every current of a
-    real chain is, is applied as Y with c = -i. delta(G) rotates to -i d *
-    (V^dagger G V), so G is applied, with Q = d * P^G and c = i.
+    real chain is, is applied as Y with c = -i.
 
     An operator's image (Y V_p) on the sector's rows is made in panels of 128
     basis columns, each zero-padded to the volume's D rows, and written into
-    one d_p x d_p array; G's blocks add into it panel by panel.
+    one d_p x d_p array.
 
     As s and x are Hermitian, P_kj = conj(P_jk) and d_kj = -d_jk, so the pair
     (k, j) adds the complex conjugate of what (j, k) adds to each sum below.
@@ -178,36 +178,36 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     plan = make_plan(vols)
     reservoirs = sorted(vols.currents)
     operators = [vols.currents[a] for a in reservoirs] + list(observables.values())
+    telescoping = bool(vols.perturbation_current.sites)
+    if telescoping:   # last, and only where a family term meets W's sites
+        operators.append(vols.perturbation_current)
     real = not any(np.iscomplexobj(s.basis) for s in plan.sectors)
     coefs = [-1j if real and np.iscomplexobj(x.matrix) and not np.any(x.matrix.real) else 1.0
-             for x in operators] + [1j]   # G last, contracted as delta(G)
+             for x in operators]
     operators = [x.with_matrix(np.ascontiguousarray(x.matrix.imag)) if c == -1j else x
                  for x, c in zip(operators, coefs)]
     factors, scale = _gibbs_factors(vols)
-    g_blocks = list(vols.blocks.values())
-    g = len(operators)
     cut = opalg.SEPARABLE_PHASE_TOL / min(horizons, default=1.0)  # no horizon: no report
-    # per operator, G last: tr Q, z per horizon, packed direct Q
-    diag = np.zeros(g + 1, complex)
-    separable = np.zeros((g + 1, len(horizons)), complex)
-    direct, freq = [[] for _ in range(g + 1)], []
+    # per operator: tr Q, z per horizon, packed direct Q
+    diag = np.zeros(len(operators), complex)
+    separable = np.zeros((len(operators), len(horizons)), complex)
+    direct, freq = [[] for _ in operators], []
     for sector in plan.sectors:
         v, w = sector.basis, sector.eigenvalues
         size, dim = w.size, vols.dim
         rows = sector.indices if size < dim else slice(None)
         phases = np.exp(1j * np.multiply.outer(w - 0.5 * (w[0] + w[-1]), horizons))
 
-        def image(terms: list[list[DenseOperator]]) -> np.ndarray:
-            """(sum over ``terms`` of the tensor product of each one's factors) V on
-            the sector's rows: one panel of basis columns at a time, each written
-            into the volume's basis (zero outside the sector's rows)."""
-            out = np.zeros((size, size), np.result_type(v, *(f.matrix for t in terms for f in t)))
+        def image(factors: list[DenseOperator]) -> np.ndarray:
+            """(the tensor product of ``factors``) V on the sector's rows: one panel
+            of basis columns at a time, each written into the volume's basis (zero
+            outside the sector's rows)."""
+            out = np.empty((size, size), np.result_type(v, *(f.matrix for f in factors)))
             for lo in range(0, size, _BLOCK):
                 cols = slice(lo, lo + _BLOCK)
                 panel = np.zeros((dim, min(_BLOCK, size - lo)), v.dtype)
                 panel[rows] = v[:, cols]
-                for t in terms:
-                    out[:, cols] += opalg.kron_apply(t, vols.sites, vols.dims, panel)[rows]
+                out[:, cols] = opalg.kron_apply(factors, vols.sites, vols.dims, panel)[rows]
             return out
 
         # per row block from its first column on: 1/d (0 if direct, None if all are), direct j < k
@@ -221,13 +221,11 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
                            if far.any() else None, upper))
 
         def contract(y: np.ndarray, k: int) -> None:
-            """The sums of Q = s * conj(V^dagger Y), times d for G, into row k,
-            block by block; y is overwritten."""
+            """The sums of Q = s * conj(V^dagger Y) into row k, block by block; y is
+            overwritten."""
             for (lo, inv, upper), s, q in zip(blocks, sigma_t, opalg.upper_blocks(v, y, _BLOCK)):
                 q = np.conjugate(q, out=q)
                 q *= s
-                if k == g:
-                    q *= w[None, lo:] - w[lo:lo + _BLOCK, None]
                 diag[k] += np.trace(q)
                 direct[k].append(q.ravel()[upper])
                 if inv is None:
@@ -239,31 +237,30 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
                 z -= q.sum()
                 separable[k] += z
 
-        sigma_t = [b * scale for b in opalg.upper_blocks(v, image([factors]), _BLOCK)]
+        sigma_t = [b * scale for b in opalg.upper_blocks(v, image(factors), _BLOCK)]
         # one at a time; an observable's blocks between sectors meet zero blocks of sigma_t
         for k, x in enumerate(operators):
-            contract(image([[x]]), k)
-        contract(image([[b] for b in g_blocks]), g)   # G V without the constant log Z
+            contract(image([x]), k)
         del sigma_t, blocks
     freq = np.concatenate(freq)
-    for k in range(g + 1):   # one operator at a time, its parts freed as packed
+    for k in range(len(operators)):   # one operator at a time, its parts freed as packed
         direct[k] = np.concatenate(direct[k])
 
     out, w_norm = [], vols.w_norm   # one solve for every horizon's tolerance
     for n, horizon in enumerate(horizons):
         kernel = _horizon_kernels(0.5 * horizon * freq).reshape(-1, 1)
-        *values, e_tel = [
-            float((c * (diag[k] + 2.0 * opalg.matmul(q[None], kernel)[0, 0]
-                        - 1j * (separable[k, n] / horizon))).real)
-            for k, (c, q) in enumerate(zip(coefs, direct))]
+        values = [float((c * (diag[k] + 2.0 * opalg.matmul(q[None], kernel)[0, 0]
+                              - 1j * (separable[k, n] / horizon))).real)
+                  for k, (c, q) in enumerate(zip(coefs, direct))]
         del kernel   # freed before the next horizon's is made
         fluxes = dict(zip(reservoirs, values))
         averages = dict(zip(observables, values[len(reservoirs):]))
+        e = float(sum(vols.betas[a] * f for a, f in fluxes.items()))
         report = EntropyReport(
             horizon=float(horizon),
             fluxes=fluxes,
-            e=float(sum(vols.betas[a] * f for a, f in fluxes.items())),
-            e_telescoped=e_tel,
+            e=e,
+            e_telescoped=e + values[-1] if telescoping else e,
             sum_rule_residual=float(sum(fluxes.values())),
             tol_sum_rule=float(2.0 * w_norm / horizon),
         )

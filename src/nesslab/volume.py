@@ -3,12 +3,13 @@
 Given a model and a volume (a subset of sites containing the small system),
 this builds the generator of the dynamics (the volume Hamiltonian plus the
 reservoir perturbations), the per-reservoir Hamiltonians and perturbations,
-the interface operator made of the terms inside no single reservoir, and the
-reservoir energy-current operators. Every operator, the generator's terms
-included, stays on its own sites, a current on the interface's sites and on
-those of its reservoir's terms that meet them; the generator's diagonal
-blocks on the conserved sectors, log Z and the norms of G and of the
-interface are computed from them on request. Nothing is diagonalized here.
+the interface operator made of the terms inside no single reservoir, the
+reservoir energy-current operators and the weighted commutator of the
+interface with the perturbations. Every operator, the generator's terms
+included, stays on its own sites, a commutator with the interface on the
+interface's sites and on those of the terms that meet them; the generator's
+diagonal blocks on the conserved sectors, log Z and the norms of G and of
+the interface are computed from them on request. Nothing is diagonalized here.
 Model terms straddling the volume boundary are dropped and counted in the
 build log, family terms refused.
 """
@@ -35,14 +36,17 @@ class VolumeOperators:
     the reservoir perturbations), each on its own sites, in the order in
     which :meth:`H_B_blocks` adds them into H_B's diagonal blocks H_pp on the
     ``sectors``; H_B has no other nonzero block. Every other operator lives on
-    its own sites: ``H_a[a]`` and ``B_a[a]``, the Hamiltonian and
-    perturbation of reservoir ``a``, on that reservoir's in-volume sites;
-    ``W``, the interface part H - sum_a H_a, on the joint support of the
-    in-volume terms that lie inside no single reservoir; and ``currents[a]``,
-    the rate-of-energy operator i[H, H_a] = i[W, N_a] of reservoir ``a``,
-    with N_a the terms of H_a that meet the sites of ``W`` (the others act on
-    none of them and commute with it), on the sites of ``W`` and of N_a. An
-    operator with no such site is a 1x1 zero on no sites.
+    its own sites: ``H_a[a]``, the Hamiltonian of reservoir ``a``, on that
+    reservoir's in-volume sites; ``B_a[a]``, its perturbation, on the sites of
+    its family terms; ``W``, the interface part H - sum_a H_a, on the joint
+    support of the in-volume terms that lie inside no single reservoir;
+    ``currents[a]``, the rate-of-energy operator i[H, H_a] = i[W, N_a] of
+    reservoir ``a``, with N_a the terms of H_a that meet the sites of ``W``
+    (the others act on none of them and commute with it), on the sites of
+    ``W`` and of N_a; and ``perturbation_current``, sum_a beta_a i[W, B_a] =
+    sum_a beta_a i[W, M_a] with M_a the family terms of reservoir ``a`` that
+    meet the sites of ``W``, on those sites and theirs. An operator with no
+    such site is a 1x1 zero on no sites.
     ``opalg.embed(op, vols.sites, vols.dims)`` lifts any of them to the volume.
 
     The normalized weighted exponent is G = sum_a beta_a (H_a + B_a) +
@@ -50,8 +54,9 @@ class VolumeOperators:
     sites, so exp(-G) is the tensor product of the reservoirs' Gibbs states
     and the normalized trace on the remaining sites. ``log_z``, ``g_norm``
     (the operator norm of G) and ``w_norm`` (that of ``W``) are computed on
-    each read, from the spectra of the blocks and of ``W``. All operators are
-    Hermitian.
+    each read, from the spectra of the blocks and of ``W``. Each block
+    commutes with every term off its sites, so i[H_B, G] = sum_a beta_a
+    ``currents[a]`` + ``perturbation_current``. All operators are Hermitian.
 
     ``sectors`` are the :func:`opalg.sectors` of the in-volume and
     perturbation terms, of whose sums and products every operator above is
@@ -66,6 +71,7 @@ class VolumeOperators:
     generator_terms: tuple[DenseOperator, ...]
     W: DenseOperator
     currents: Mapping[int, DenseOperator]
+    perturbation_current: DenseOperator
     betas: Mapping[int, float]
     log: tuple[str, ...]
     sectors: tuple[np.ndarray, ...]
@@ -80,8 +86,13 @@ class VolumeOperators:
 
     @property
     def blocks(self) -> dict[int, DenseOperator]:
-        """beta_a (H_a + B_a) for each reservoir, on its in-volume sites."""
-        return {a: self.betas[a] * (self.H_a[a] + self.B_a[a]) for a in self.reservoirs}
+        """beta_a (H_a + B_a) for each reservoir, on its in-volume sites; B_a is lifted
+        onto them only when it has sites."""
+        out = {}
+        for a in self.reservoirs:
+            h, b = self.H_a[a], self.B_a[a]
+            out[a] = self.betas[a] * (h + opalg.embed(b, h.sites, h.dims) if b.sites else h)
+        return out
 
     def _exponent(self) -> tuple[float, float]:
         """(log Z, ||G||) from one eigvalsh of each block: G's eigenvalues are nonnegative,
@@ -135,8 +146,10 @@ def build(spec: ModelSpec, volume: Iterable[int],
     matrix: the generator is kept as its in-volume terms and then its
     perturbation terms, each on its own sites, whose sector blocks
     :meth:`VolumeOperators.H_B_blocks` assembles on request; the ``sectors``
-    come from the terms, and each current is the commutator of ``W`` with
-    the terms of its reservoir that meet W's sites, on their joint sites.
+    come from the terms; each current is the commutator of ``W`` with the
+    terms of its reservoir that meet W's sites, and ``perturbation_current``
+    that of ``W`` with the beta-weighted family terms that meet them, each on
+    their joint sites.
     """
     sites = tuple(sorted(set(volume)))
     declared = set(spec.site_ids)
@@ -163,25 +176,38 @@ def build(spec: ModelSpec, volume: Iterable[int],
     sectors = opalg.sectors(generator, sites, dims)
 
     w_op = spec.term_sum(t for t, o in zip(in_volume, owners) if o is None)
+
+    def near(terms: Iterable[InteractionTerm]) -> list[InteractionTerm]:
+        """The ``terms`` that meet W's sites; the others commute with ``W``."""
+        return [t for t in terms if set(t.support) & set(w_op.sites)]
+
+    def with_w(x: DenseOperator) -> DenseOperator:
+        """i[W, x] on the sites of ``W`` and of ``x``."""
+        joint = tuple(sorted(set(w_op.sites) | set(x.sites)))
+        joint_dims = spec.dims_for(joint)
+        return 1j * opalg.commutator(opalg.embed(w_op, joint, joint_dims),
+                                     opalg.embed(x, joint, joint_dims))
+
     h_res: dict[int, DenseOperator] = {}
     b_res: dict[int, DenseOperator] = {}
     currents: dict[int, DenseOperator] = {}
     for a in spec.reservoirs:
         if spec.betas.get(a) is None:
             raise ValueError(f"reservoir {a} has no inverse temperature")
-        inside = spec.sites_in(a) & set(sites)
         own = [t for t, o in zip(in_volume, owners) if o == a]
-        h_res[a] = spec.term_sum(own, inside)
-        b_res[a] = spec.term_sum(pert_terms[a], inside)
-        near = spec.term_sum(t for t in own if set(t.support) & set(w_op.sites))
-        joint = tuple(sorted(set(w_op.sites) | set(near.sites)))
-        joint_dims = spec.dims_for(joint)
-        currents[a] = 1j * opalg.commutator(opalg.embed(w_op, joint, joint_dims),
-                                            opalg.embed(near, joint, joint_dims))
+        h_res[a] = spec.term_sum(own, spec.sites_in(a) & set(sites))
+        b_res[a] = spec.term_sum(pert_terms[a])
+        currents[a] = with_w(spec.term_sum(near(own)))
+    # sum_a beta_a M_a on the sites of every M_a, commuted with W only when it has any
+    touching = [(spec.betas[a], near(pert_terms[a])) for a in spec.reservoirs]
+    m_sites = set().union(*(t.support for _, terms in touching for t in terms))
+    m_op = sum((beta * spec.term_sum(terms, m_sites) for beta, terms in touching if terms),
+               spec.term_sum((), m_sites))
 
     return VolumeOperators(
         sites=sites, dims=dims, H_a=h_res, B_a=b_res, generator_terms=generator, W=w_op,
-        currents=currents, betas=dict(spec.betas), log=log, sectors=sectors,
+        currents=currents, perturbation_current=with_w(m_op) if m_sites else m_op,
+        betas=dict(spec.betas), log=log, sectors=sectors,
     )
 
 

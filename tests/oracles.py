@@ -6,13 +6,15 @@ interface and of the reservoir terms that meet it, plans only a build's
 sector blocks, and contracts every horizon in the
 eigenbasis of H_B by separable phases. The routes here work on the
 whole volume instead: they lift H_a, B_a, W and the currents to the volume,
-diagonalize the D x D weighted reservoir sum, G and W, commute H with H_a,
-and evolve G to the horizon endpoint, so each production value has an
-independent check. The averaging kernel is also kept in the complex form
-the library used before, the endpoint factor e^{ix} - 1 as the reference
-for e_telescoped, which the library takes as the average of delta(G), and
-the horizon contraction in its packed per-pair form: one sine and one cosine
-per Bohr frequency and horizon, the reference for the separable phases.
+diagonalize the D x D weighted reservoir sum, G and W, commute H with H_a
+and H_B with G, and evolve G to the horizon endpoint, so each production
+value has an independent check. The averaging kernel is also kept in the
+complex form the library used before, and e_telescoped, which the library
+takes as e plus the average of the local perturbation current, in G's own
+forms: delta(G) on the volume, G evolved to the endpoint, and G's rotated
+weights times the endpoint factor e^{ix} - 1. The horizon contraction is
+kept in its packed per-pair form: one sine and one cosine per Bohr
+frequency and horizon, the reference for the separable phases.
 
 For the dynamics it holds the Heisenberg evolution through the matrix
 exponential and the derivation powers iterated in complex arithmetic, so the
@@ -73,7 +75,8 @@ def weighted_reservoir_sum(vols) -> np.ndarray:
     """sum_a beta_a (H_a + B_a) on the whole volume."""
     total = np.zeros((vols.dim, vols.dim), dtype=complex)
     for a in vols.reservoirs:
-        total += vols.betas[a] * embed(vols.H_a[a] + vols.B_a[a], vols.sites, vols.dims).matrix
+        for op in (vols.H_a[a], vols.B_a[a]):   # each on its own sites
+            total += vols.betas[a] * embed(op, vols.sites, vols.dims).matrix
     return total
 
 
@@ -114,6 +117,12 @@ def currents(vols) -> dict:
         h_a = embed(vols.H_a[a], vols.sites, vols.dims).matrix
         out[a] = 1j * (h @ h_a - h_a @ h)
     return out
+
+
+def delta_exponent(vols) -> np.ndarray:
+    """delta(G) = i[H_B, G] on the whole volume, from the D x D generator and exponent."""
+    h_b, g = dense_generator(vols).matrix, exponent(vols)
+    return 1j * (h_b @ g - g @ h_b)
 
 
 def exponent_operator(vols) -> DenseOperator:
@@ -183,8 +192,9 @@ def packed_horizon_reports(vols, horizons, plan, observables=None) -> list:
     sum plus the packed complex strict upper triangle, and every horizon
     evaluates :func:`_horizon_kernels` at every Bohr frequency of a sector.
     e_telescoped is G's weights in the endpoint form (1/T) Re sum_jk P^G_jk
-    (e^{i T d_jk} - 1), by :func:`endpoint_factor`, not as the library's
-    average of delta(G).
+    (e^{i T d_jk} - 1), by :func:`endpoint_factor`, not as the library's e
+    plus the average of the perturbation current: G is rotated here, and
+    never in the library.
     """
     observables = {key: x.with_matrix(opalg.hermitian_matrix(x))
                    for key, x in (observables or {}).items()}

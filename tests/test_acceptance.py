@@ -34,6 +34,7 @@ from nesslab.cli import run_klein_fuzz
 from nesslab.dynamics import derivation_growth_bound
 from nesslab.model import PerturbationFamily, interaction_lambda_norm
 
+import oracles
 from conftest import derivation, make_chain, one_sector, random_hermitian
 
 HORIZONS = (1.0, 5.0, 20.0, 100.0)
@@ -178,19 +179,21 @@ def test_criterion_02_klein_fuzz():
 
 
 def test_criterion_03_telescoping_identity(batch):
+    # the library's e_telescoped, e plus the perturbation current's average, against
+    # the endpoint form (1/T)(<G(T)> - <G>) of the oracle, from G's own weights
     worst = 0.0
     checked = 0
     for run in batch["runs"]:
-        if run.family is not None:
-            continue
-        for report in run.reports.values():
-            gap = abs(report.e - report.e_telescoped)
+        endpoint = oracles.packed_horizon_reports(run.vols, HORIZONS, make_plan(run.vols))
+        for (horizon, report), (ref, _) in zip(run.reports.items(), endpoint):
+            assert ref.horizon == horizon
+            gap = abs(report.e_telescoped - ref.e_telescoped)
             assert gap <= 1e-8 * max(1.0, abs(report.e))
             worst = max(worst, gap)
             checked += 1
-    assert checked > 0
+    assert checked == len(batch["runs"]) * len(HORIZONS)
     print(f"[criterion 03] PASS: flux route vs endpoint route within "
-          f"1e-8*max(1,|e|) on {checked} unperturbed points (max gap {worst:.3e})")
+          f"1e-8*max(1,|e|) on {checked} points (max gap {worst:.3e})")
 
 
 def test_criterion_04_sum_rule(batch):

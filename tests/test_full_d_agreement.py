@@ -6,7 +6,7 @@ a volume missing one reservoir, the small system alone, two adjacent
 reservoirs joined by a bond that does not touch the small system (so that
 bond belongs to the interface part W), and a chain whose small system is its
 end site, perturbed where W does not reach (so its current acts on three of
-the five sites).
+the five sites) or where it does (so e_telescoped is not e).
 """
 
 import numpy as np
@@ -36,6 +36,12 @@ def _end_perturbation():
     return PerturbationFamily((entry,), bound_K=1.0)
 
 
+def _end_perturbation_at_w():
+    # on site 1, which W on (0, 1) meets: sigma_z there does not commute with the bond
+    entry = (frozenset(range(5)), (InteractionTerm((1,), 0.2 * SZ),))
+    return PerturbationFamily((entry,), bound_K=1.0)
+
+
 def _adjacent_reservoirs():
     # sites 0 | 1 are reservoirs 1 | 2; the bond (0, 1) misses S = {2}
     return make_chain(4, {0: 1, 1: 2, 2: 0, 3: 2}, {1: 2.0, 2: 1.0}, anis=0.3)
@@ -50,6 +56,8 @@ CASES = (
     ("small-system-only", "chain5", (2,), None),
     ("adjacent-reservoirs", _adjacent_reservoirs, (0, 1, 2, 3), None),
     ("end-S-perturbed", lambda: end_chain(5, anis=0.3), (0, 1, 2, 3, 4), _end_perturbation),
+    ("end-S-perturbed-at-W", lambda: end_chain(5, anis=0.3), (0, 1, 2, 3, 4),
+     _end_perturbation_at_w),
 )
 
 
@@ -78,6 +86,14 @@ def test_currents_match_full_commutators(vols):
     for a, cur in oracles.currents(vols).items():
         lifted = embed(vols.currents[a], vols.sites, vols.dims)
         assert np.max(np.abs(lifted.matrix - cur)) <= TOL
+
+
+def test_currents_telescope_to_delta_g(vols):
+    # delta(G) = sum_a beta_a currents[a] + the perturbation current, each lifted
+    total = embed(vols.perturbation_current, vols.sites, vols.dims).matrix
+    for a, cur in vols.currents.items():
+        total = total + vols.betas[a] * embed(cur, vols.sites, vols.dims).matrix
+    assert np.max(np.abs(total - oracles.delta_exponent(vols))) <= TOL
 
 
 def test_horizon_contraction_matches_evolution(vols):

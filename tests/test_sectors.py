@@ -358,12 +358,12 @@ class TestSeparableContraction:
         assert peak <= 5 * 8 * vols.dim ** 2
 
 
-def _ten_site_chain():
-    """The real 10-site chain (D = 1024, two parity sectors of 512), its plan and
-    two one-site observables."""
+def _ten_site_chain(family=None):
+    """The real 10-site chain (D = 1024, two parity sectors of 512), perturbed by
+    ``family``, its plan and two one-site observables."""
     spec = make_chain(10, {i: 0 if i == 5 else 1 if i < 5 else 2 for i in range(10)},
                       BETAS, anis=0.3)
-    vols = build(spec, range(10))
+    vols = build(spec, range(10), family)
     plan = make_plan(vols)
     obs = {"mid": DenseOperator((5,), (2,), SZ), "left": DenseOperator((4,), (2,), SX)}
     assert vols.dim == 1024 and [s.indices.size for s in plan.sectors] == [512, 512]
@@ -391,8 +391,12 @@ class TestBlockUpperTriangle:
             got = horizon_reports(v, horizons, observables=obs)
             _assert_reports_close(got, oracles.packed_horizon_reports(v, horizons, plan, obs))
 
-    def test_no_rotation_is_a_full_sector_product(self, monkeypatch):
-        vols, plan, obs = _ten_site_chain()
+    @pytest.mark.parametrize("site", [None, 1, 4], ids=["unperturbed", "away-from-W", "at-W"])
+    def test_no_rotation_is_a_full_sector_product(self, monkeypatch, site):
+        # a family field on site 4 meets W on (4, 5, 6), one on site 1 does not
+        family = None if site is None else PerturbationFamily(
+            ((frozenset(range(10)), (InteractionTerm((site,), 0.2 * SZ),)),), bound_K=1.0)
+        vols, plan, obs = _ten_site_chain(family)
         horizons = tuple(np.logspace(0.0, 3.0, 16))
         products = []
         matmul = opalg.matmul
@@ -407,7 +411,10 @@ class TestBlockUpperTriangle:
         # a rotation contracts a sector's index; a phase product ends in the horizons
         rotations = [out for a, b, out in products
                      if len(a) == 2 and a[-1] == 512 and b[-1] != len(horizons)]
-        operators = 1 + len(vols.currents) + len(obs) + 1   # the state, G last
+        # the state, the currents, the observables and, only where a family term meets
+        # W's sites, the perturbation current; never G
+        operators = 1 + len(vols.currents) + len(obs) + (site == 4)
+        assert bool(vols.perturbation_current.sites) == (site == 4)
         blocks = 512 // 128
         assert len(rotations) == operators * blocks * len(plan.sectors)
         assert (512, 512) not in rotations
@@ -425,7 +432,7 @@ class TestBlockUpperTriangle:
                             lambda a, b: operands.extend((a, b)) or matmul(a, b))
         horizon_reports(vols, horizons, observables=obs)
         sector = [x for x in operands if 512 in x.shape[-2:] and x.shape[-1] != len(horizons)]
-        assert len(sector) >= 6 * 4 * len(plan.sectors)   # each operator's rotations
+        assert len(sector) >= 5 * 4 * len(plan.sectors)   # each operator's rotations
         assert [x.shape for x in sector if np.iscomplexobj(x)] == []
 
     def test_peak_is_below_the_triangle_bound(self, monkeypatch):

@@ -24,8 +24,8 @@ from nesslab.model import PerturbationFamily
 from nesslab.thermo import _gibbs_factors, _horizon_kernels
 
 import oracles
-from conftest import (SX, SY, SZ, dense_generator, entropy_report, make_chain, one_sector,
-                      random_hermitian, random_unitary, traced_peak)
+from conftest import (SX, SY, SZ, dense_generator, end_chain, entropy_report, make_chain,
+                      one_sector, random_hermitian, random_unitary, traced_peak)
 from oracles import expectation, initial_state, time_averaged_state
 
 
@@ -418,10 +418,37 @@ class TestEntropyProduction:
         assert row[0] == 3.0
 
     def test_flux_route_matches_endpoint_route(self, chain5):
+        # against G's weights in the endpoint form (1/T)(<G(T)> - <G>), which the
+        # library does not form
         vols = one_sector(build(chain5, range(5)))
         assert not any(np.any(b.matrix) for b in vols.B_a.values())
-        for report, _ in horizon_reports(vols, (1.0, 10.0)):
-            assert abs(report.e - report.e_telescoped) <= 1e-8 * max(1.0, abs(report.e))
+        horizons = (1.0, 10.0)
+        endpoint = oracles.packed_horizon_reports(vols, horizons, make_plan(vols))
+        for (report, _), (ref, _) in zip(horizon_reports(vols, horizons), endpoint):
+            assert abs(report.e_telescoped - ref.e_telescoped) <= 1e-8 * max(1.0, abs(report.e))
+            assert report.e_telescoped == report.e   # no perturbation: bitwise
+
+    def test_perturbation_away_from_the_interface_adds_no_rotation(self, monkeypatch):
+        # W of the end-S chain is on (0, 1); a family on (3, 4) and 4 commutes with it,
+        # so e_telescoped is e and the operators rotated are those of the bare chain
+        entry = (frozenset(range(5)),
+                 (InteractionTerm((3, 4), 0.3 * np.kron(SX, SX)), InteractionTerm((4,), 0.25 * SZ)))
+        spec = end_chain(5, anis=0.3)
+        rotated = []
+        upper_blocks = opalg.upper_blocks
+        monkeypatch.setattr(opalg, "upper_blocks",
+                            lambda v, y, size: rotated.append(y.shape) or upper_blocks(v, y, size))
+        counts = []
+        for family in (None, PerturbationFamily((entry,), bound_K=1.0)):
+            vols = build(spec, range(5), family)
+            rotated.clear()
+            for report, _ in horizon_reports(vols, (0.5, 4.0, 100.0)):
+                assert report.e_telescoped == report.e
+            counts.append(len(rotated))
+        assert vols.perturbation_current.sites == ()
+        assert any(np.any(b.matrix) for b in vols.B_a.values())
+        # the state and the one current, per parity sector
+        assert counts == [2 * 2, 2 * 2]
 
     def test_equal_temperature_entropy_decays(self):
         spec = make_chain(4, {0: 1, 1: 0, 2: 0, 3: 2}, {1: 1.0, 2: 1.0},

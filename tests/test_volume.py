@@ -111,11 +111,11 @@ class TestBuild:
                   InteractionTerm((4,), 0.2 * SZ)))
         family = PerturbationFamily((entry,), bound_K=2.0)
         vols = build(chain5, range(5), family)
-        total = zero(vols.sites, vols.dims)
-        for a in vols.reservoirs:
-            total = total + embed(vols.H_a[a] + vols.B_a[a], vols.sites, vols.dims)
-        for a in vols.reservoirs:
-            block = embed(vols.H_a[a] + vols.B_a[a], vols.sites, vols.dims)
+        blocks = [embed(vols.H_a[a], vols.sites, vols.dims) + embed(vols.B_a[a], vols.sites,
+                                                                    vols.dims)
+                  for a in vols.reservoirs]
+        total = sum(blocks, zero(vols.sites, vols.dims))
+        for block in blocks:
             assert op_norm(commutator(block, total)) <= 1e-10
 
     def test_current_sum_equals_interface_commutator(self, chain5):
@@ -170,8 +170,9 @@ class TestBuild:
 
 
 class TestFootprint:
-    """No field is volume-sized: H_B's terms, H_a, B_a, W and the currents stay
-    on their own sites, and H_B's sector blocks are assembled on request."""
+    """No field is volume-sized: H_B's terms, H_a, B_a, W, the currents and the
+    perturbation current stay on their own sites, and H_B's sector blocks are
+    assembled on request."""
 
     @pytest.mark.parametrize("case", ["bare", "perturbed", "end-S"])
     def test_volume_sized_fields(self, chain5, case):
@@ -190,19 +191,26 @@ class TestFootprint:
                 operators += [v for v in value.values() if isinstance(v, DenseOperator)]
             elif isinstance(value, tuple):
                 operators += [v for v in value if isinstance(v, DenseOperator)]
-        assert len(operators) == 1 + 3 * len(vols.reservoirs) + len(vols.generator_terms)
+        assert len(operators) == 2 + 3 * len(vols.reservoirs) + len(vols.generator_terms)
         assert [op for op in operators if op.dim == vols.dim] == []
         assert [h.shape for h in vols.H_B_blocks()] == [(16, 16)] * 2   # the parity sectors
         assert isinstance(vols.log_z, float)
+        # B_a is on the sites of its family terms, and with none on no sites, as is
+        # the perturbation current when no family term meets W's sites
         if case == "end-S":
             # W is on (0, 1); of the reservoir's terms only the field on 1 and the
             # bond (1, 2) meet it, so the current is on (0, 1, 2), not on the volume
-            own_sites = [(vols.H_a[1], (1, 2, 3, 4)), (vols.B_a[1], (1, 2, 3, 4)),
-                         (vols.W, (0, 1)), (vols.currents[1], (0, 1, 2))]
+            own_sites = [(vols.H_a[1], (1, 2, 3, 4)), (vols.B_a[1], ()),
+                         (vols.W, (0, 1)), (vols.currents[1], (0, 1, 2)),
+                         (vols.perturbation_current, ())]
         else:
-            own_sites = [(vols.H_a[1], (0, 1)), (vols.B_a[1], (0, 1)),
-                         (vols.H_a[2], (3, 4)), (vols.B_a[2], (3, 4)), (vols.W, (1, 2, 3)),
-                         (vols.currents[1], (0, 1, 2, 3)), (vols.currents[2], (1, 2, 3, 4))]
+            # of the family, the bond (0, 1) meets W on (1, 2, 3) and the field on 4 does not
+            perturbed = case == "perturbed"
+            own_sites = [(vols.H_a[1], (0, 1)), (vols.B_a[1], (0, 1) if perturbed else ()),
+                         (vols.H_a[2], (3, 4)), (vols.B_a[2], (4,) if perturbed else ()),
+                         (vols.W, (1, 2, 3)),
+                         (vols.currents[1], (0, 1, 2, 3)), (vols.currents[2], (1, 2, 3, 4)),
+                         (vols.perturbation_current, (0, 1, 2, 3) if perturbed else ())]
         for op, sites in own_sites:
             assert op.sites == sites
             assert op.dim == spec.volume_dim(sites)
@@ -210,15 +218,19 @@ class TestFootprint:
     @pytest.mark.parametrize("case", ["middle-S", "end-S"])
     def test_build_holds_one_volume_sized_array_at_a_time(self, case):
         # with S in the middle of 8 sites every other operator lives on at most 6 of
-        # them; with S at the end of 10, H_a and B_a live on 9 and the current on 3
+        # them; with S at the end of 10, H_a lives on 9, the current on 3 and B_a, with
+        # no family term, on none: the reservoir-sized array is H_a's alone (measured
+        # 0.27 real DxD, and 0.50 with B_a a zero matrix on H_a's sites)
         if case == "middle-S":
             spec = make_chain(8, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2, 7: 2},
                               {1: 2.0, 2: 1.0}, anis=0.3)
+            bound = 0.75
         else:
             spec = end_chain(10, anis=0.3)
+            bound = 0.375
         vols, peak = traced_peak(lambda: build(spec, spec.site_ids))
         assert vols.dim == 2 ** len(spec.site_ids)
-        assert peak <= 0.75 * 8 * vols.dim ** 2
+        assert peak <= bound * 8 * vols.dim ** 2
 
 
 class TestLogPartition:
