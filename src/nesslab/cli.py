@@ -127,8 +127,8 @@ def _observable_operators(spec: model.ModelSpec,
                           cfg: ExperimentConfig) -> dict[str, opalg.DenseOperator]:
     """Each named observable on the union of its terms' supports.
 
-    Every term must be selfadjoint within TERM_HERMITICITY_TOL, as model
-    validation asks of the interaction terms; the averages and the series
+    Every term must be selfadjoint (:meth:`model.InteractionTerm.hermiticity_problem`),
+    as model validation asks of the interaction terms; the averages and the series
     are only defined for selfadjoint observables, so any other is refused
     (ValueError), as is one on a site outside the first volume, before its
     terms are summed.
@@ -137,12 +137,9 @@ def _observable_operators(spec: model.ModelSpec,
     for name in sorted(cfg.observables):
         terms = [model.term_from_dict(doc, f"observables[{name}][{i}]")
                  for i, doc in enumerate(cfg.observables[name])]
-        for i, term in enumerate(terms):
-            defect = term.hermiticity_defect()
-            if defect > opalg.TERM_HERMITICITY_TOL:
-                raise ValueError(f"refusing observable {name}: term {i} on "
-                                 f"{list(term.support)} is not selfadjoint "
-                                 f"(defect {defect:.3e})")
+        problem = next(filter(None, map(model.InteractionTerm.hermiticity_problem, terms)), "")
+        if problem:
+            raise ValueError(f"refusing observable {name}: {problem}")
         sites = sorted(set().union(*(t.support for t in terms)))
         if not set(sites) <= set(cfg.exhaustion[0]):
             raise ValueError(f"refusing observable {name}: sites {sites} "

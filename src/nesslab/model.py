@@ -26,7 +26,7 @@ class InteractionTerm:
     """A selfadjoint matrix on a finite ordered support.
 
     The matrix is kept exactly as supplied; Hermiticity is a validation
-    concern (tolerance 1e-12 entrywise) and consumers use :meth:`symmetrized`
+    concern (:meth:`hermiticity_problem`) and consumers use :meth:`symmetrized`
     to guard against text-format rounding.
     """
 
@@ -49,8 +49,11 @@ class InteractionTerm:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "matrix", mat)
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+    def hermiticity_problem(self) -> str:
+        """Why the matrix is not selfadjoint within TERM_HERMITICITY_TOL entrywise, or ''."""
+        defect = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        return (f"term on {self.support} is not selfadjoint (defect {defect:.3e})"
+                if defect > opalg.TERM_HERMITICITY_TOL else "")
 
     def symmetrized(self) -> np.ndarray:
         return 0.5 * (self.matrix + self.matrix.conj().T)
@@ -155,22 +158,18 @@ class ModelSpec:
         """The sum of ``terms``, each embedded into the ordered volume ``sites``.
 
         ``sites`` defaults to the union of the terms' supports, so no terms
-        give a 1x1 zero on no sites. The sum is accumulated in place, term by
-        term through :func:`opalg.embed_add_sectors` on the volume as one
-        sector, so the only volume-sized array is the result; it equals the
-        sum of the :func:`opalg.embed` of each term, in term order, bitwise.
+        give a 1x1 zero on no sites. The sum is :func:`opalg.embed_sum` of the
+        terms' operators, in term order, on the volume as one sector, so the
+        only volume-sized array is the result.
         """
         terms = tuple(terms)
         if sites is None:
             sites = set().union(*(t.support for t in terms))
         sites = tuple(sorted(sites))
         dims = self.dims_for(sites)
-        dim = self.volume_dim(sites)
-        ops = [self.term_operator(term) for term in terms]
-        acc = np.zeros((dim, dim), dtype=np.result_type(float, *(op.matrix for op in ops)))
-        for op in ops:
-            opalg.embed_add_sectors([acc], op, sites, dims, [np.arange(dim)])
-        return opalg.DenseOperator(sites, dims, acc)
+        (matrix,) = opalg.embed_sum([self.term_operator(t) for t in terms], sites, dims,
+                                    [np.arange(self.volume_dim(sites))])
+        return opalg.DenseOperator(sites, dims, matrix)
 
     def volume_dim(self, sites: Sequence[int]) -> int:
         return math.prod(self.dims_for(sites))
@@ -189,11 +188,8 @@ def validate(spec: ModelSpec) -> tuple[str, ...]:
         found.append("[empty-s] region 0 (small system) has no sites")
     if not spec.reservoirs:
         found.append("[no-reservoir] no reservoir region declared")
-    for t in spec.terms:
-        defect = t.hermiticity_defect()
-        if defect > opalg.TERM_HERMITICITY_TOL:
-            found.append(f"[hermiticity] term on {t.support} is not selfadjoint "
-                         f"(defect {defect:.3e})")
+    found += [f"[hermiticity] {p}" for p in map(InteractionTerm.hermiticity_problem, spec.terms)
+              if p]
     s_sites = spec.small_system
     for t in spec.terms:
         touched = {spec.regions[x] for x in t.support}
@@ -269,10 +265,10 @@ class PerturbationFamily:
 
     ``entries`` pairs a volume (a site set) with the reservoir-interior
     terms its generator adds. Every term must live on declared sites of its
-    own volume inside a single reservoir, each volume's term list stays below
-    the uniform weighted-norm bound ``bound_K`` (finite), and each protected
-    site set is untouched by all entries from its threshold index on.
-    :meth:`check` verifies all three against a model.
+    own volume inside a single reservoir and be selfadjoint, each volume's term
+    list stays below the uniform weighted-norm bound ``bound_K`` (finite), and
+    each protected site set is untouched by all entries from its threshold
+    index on. :meth:`check` verifies all three against a model.
     """
 
     entries: tuple[tuple[frozenset[int], tuple[InteractionTerm, ...]], ...] = ()
@@ -306,6 +302,8 @@ class PerturbationFamily:
                 elif spec.reservoir_of(t.support) is None:
                     problems.append(
                         f"entry {idx}: term on {t.support} is not inside a single reservoir")
+            problems += [f"entry {idx}: {p}"
+                         for p in map(InteractionTerm.hermiticity_problem, terms) if p]
             norm = interaction_lambda_norm(terms, spec.lam, spec.site_ids)
             if norm > self.bound_K + opalg.BOUND_K_SLACK:
                 problems.append(

@@ -3,8 +3,9 @@
 Operators live on an ordered list of lattice sites (ascending site id, one
 finite-dimensional factor per site) and are stored as full dense matrices:
 float64 when every entry is real, complex128 otherwise (:func:`as_matrix`).
-The module provides tensor products and embedding into larger volumes,
-the conserved sectors of a set of operators, commutators, the operator
+The module provides tensor products, embedding into larger volumes and
+the one in-place sum of embedded operators (:func:`embed_sum`), the
+conserved sectors of a set of operators, commutators, the operator
 norm, the spectral decomposition of Hermitian matrices, and the
 exponentially weighted observable norm in its upper-bound form. Every
 Hermitian eigensolve of the package goes through :func:`spectral` or the
@@ -31,7 +32,7 @@ OP_NORM_HERMITIAN_TOL = 1e-12
 TERM_HERMITICITY_TOL = 1e-12
 # horizon_reports: Bohr frequencies |d| >= tol / min T are separable (rounding eps |P| / tol)
 SEPARABLE_PHASE_TOL = 0.1
-# embed_add_sectors: index entries formed at once, rows times the operator's dimension d
+# embed_sum: index entries formed at once, rows times the operator's dimension d
 # (2 MiB per index array); a chain term (d <= 16) on up to 16384 states takes one chunk
 EMBED_CHUNK_ENTRIES = 1 << 18
 
@@ -142,11 +143,6 @@ class DenseOperator:
     __rmul__ = __mul__
 
 
-def zero(sites: Sequence[int], dims: Sequence[int]) -> DenseOperator:
-    dim = math.prod(dims)
-    return DenseOperator(tuple(sites), tuple(dims), np.zeros((dim, dim)))
-
-
 def _positions(factors: Sequence[DenseOperator], sites: tuple[int, ...],
                dims: tuple[int, ...]) -> list[list[int]]:
     """Each factor's site positions in the volume; the factors must act on
@@ -169,13 +165,11 @@ def embed(op: DenseOperator, sites: Sequence[int], dims: Sequence[int]) -> Dense
 
     The target volume must contain the operator's volume; the result acts
     as ``op`` on the original factors and as the identity elsewhere, under
-    canonical ascending-site ordering: :func:`embed_add_sectors` into a zero
-    matrix, as the one sector of the whole volume.
+    canonical ascending-site ordering: :func:`embed_sum` of ``op`` alone on
+    the whole volume as one sector.
     """
-    dim = math.prod(dims)
-    acc = np.zeros((dim, dim), dtype=np.result_type(float, op.matrix))
-    embed_add_sectors([acc], op, sites, dims, [np.arange(dim)])
-    return DenseOperator(tuple(sites), tuple(dims), acc)
+    (matrix,) = embed_sum([op], sites, dims, [np.arange(math.prod(dims))])
+    return DenseOperator(tuple(sites), tuple(dims), matrix)
 
 
 def embedding_maps(op: DenseOperator, sites: Sequence[int],
@@ -188,35 +182,42 @@ def embedding_maps(op: DenseOperator, sites: Sequence[int],
                                [1 if k in axes else d for k, d in enumerate(dims)]))
 
 
-def embed_add_sectors(blocks: Sequence[np.ndarray], op: DenseOperator, sites: Sequence[int],
-                      dims: Sequence[int], indices: Sequence[np.ndarray]) -> None:
-    """blocks[p] += embed(op, sites, dims).matrix[indices[p]][:, indices[p]] for
-    each sector p, in place, for an ``op`` with no entry between two sectors.
+def embed_sum(ops: Sequence[DenseOperator], sites: Sequence[int], dims: Sequence[int],
+              indices: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The diagonal blocks M[indices[p]][:, indices[p]], one per sector p, of the
+    sum M of the embed(op, sites, dims) of ``ops``, none of which has an entry
+    between two sectors: each op is added in place, in order, into zeroed blocks
+    of the sum's dtype. The whole volume is the one sector np.arange(D).
 
-    Row i of the embedding has its d nonzeros (d the dimension of ``op``) in
-    the columns that differ from i on op's sites only, i - lift[inner[i]] +
-    lift[k] for k < d, with lift[k] the volume index of op's index k and
-    the other sites at 0 (:func:`embedding_maps`); those in the row's own
-    sector are added, D d entries in all, walked in chunks of rows of at most
-    ``EMBED_CHUNK_ENTRIES`` entries so that no index array is D d long.
+    Row i of an op's embedding has its d nonzeros (d the op's dimension) in the
+    columns that differ from i on op's sites only, i - lift[inner[i]] + lift[k]
+    for k < d, with lift[k] the volume index of op's index k and the other
+    sites at 0 (:func:`embedding_maps`); those in the row's own sector are
+    added, D d entries per op, walked in chunks of rows of at most
+    ``EMBED_CHUNK_ENTRIES`` entries so that no index array is D d long. Each
+    index's sector and position in it are found once per call.
     """
-    inner, outside = embedding_maps(op, sites, dims)
-    lift = np.empty(op.dim, dtype=np.intp)
-    at = np.flatnonzero(outside == 0)
-    lift[inner[at]] = at
-    label = np.empty(inner.size, dtype=np.intp)
-    position = np.empty(inner.size, dtype=np.intp)
+    dtype = np.result_type(float, *(op.matrix for op in ops))
+    blocks = [np.zeros((rows.size, rows.size), dtype) for rows in indices]
+    label = np.empty(math.prod(dims), dtype=np.intp)
+    position = np.empty_like(label)
     for p, rows in enumerate(indices):
         label[rows] = p
         position[rows] = np.arange(rows.size)
-    step = max(1, EMBED_CHUNK_ENTRIES // op.dim)
-    for p, (block, rows) in enumerate(zip(blocks, indices)):
-        for lo in range(0, rows.size, step):
-            part = rows[lo:lo + step]
-            cols = (part - lift[inner[part]])[:, None] + lift
-            keep = label[cols] == p
-            flat = (position[part, None] * rows.size + position[cols])[keep]
-            block.reshape(-1)[flat] += op.matrix[inner[part]][keep]
+    for op in ops:
+        inner, outside = embedding_maps(op, sites, dims)
+        lift = np.empty(op.dim, dtype=np.intp)
+        at = np.flatnonzero(outside == 0)
+        lift[inner[at]] = at
+        step = max(1, EMBED_CHUNK_ENTRIES // op.dim)
+        for p, (block, rows) in enumerate(zip(blocks, indices)):
+            for lo in range(0, rows.size, step):
+                part = rows[lo:lo + step]
+                cols = (part - lift[inner[part]])[:, None] + lift
+                keep = label[cols] == p
+                flat = (position[part, None] * rows.size + position[cols])[keep]
+                block.reshape(-1)[flat] += op.matrix[inner[part]][keep]
+    return blocks
 
 
 def assemble(blocks: dict, indices: Sequence[np.ndarray], dim: int,

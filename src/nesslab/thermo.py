@@ -132,11 +132,14 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     Each value is the horizon average of an expectation in the initial state
     exp(-G) of an operator that is local or a sum or product of local blocks:
     a reservoir current, an observable (selfadjoint, ValueError otherwise; its
-    Hermitian part is used), on its own sites or on the whole volume, or,
-    when it has sites, ``vols.perturbation_current``, whose average added to
-    ``e`` is ``e_telescoped`` (otherwise ``e_telescoped`` is ``e``). Each is
-    rotated into the eigenbasis of ``make_plan(vols)`` one sector at a time,
-    from its local factors (:func:`opalg.kron_apply`). The state and every
+    Hermitian part is used), on its own sites or on the whole volume, or
+    ``vols.perturbation_current``, whose average added to ``e`` is
+    ``e_telescoped``. An operator on no sites is a 1x1 matrix [c], c times the
+    identity, and its average is c: a zero current, and the perturbation
+    current when no family term meets W's sites (so ``e_telescoped`` is ``e``
+    bitwise). Every other operator is rotated into the eigenbasis of
+    ``make_plan(vols)`` one sector at a time, from its local factors
+    (:func:`opalg.kron_apply`). The state and every
     current leave each of ``vols.sectors`` invariant, so only Bohr
     frequencies d_jk = w_k - w_j within a sector count.
     With P_jk = s_jk x_kj for the rotated state s and operator x, the average
@@ -177,10 +180,9 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
                    for key, x in ({} if observables is None else observables).items()}
     plan = make_plan(vols)
     reservoirs = sorted(vols.currents)
-    operators = [vols.currents[a] for a in reservoirs] + list(observables.values())
-    telescoping = bool(vols.perturbation_current.sites)
-    if telescoping:   # last, and only where a family term meets W's sites
-        operators.append(vols.perturbation_current)
+    named = ([vols.currents[a] for a in reservoirs] + list(observables.values())
+             + [vols.perturbation_current])
+    operators = [x for x in named if x.sites]   # one on no sites is c I, of average c
     real = not any(np.iscomplexobj(s.basis) for s in plan.sectors)
     coefs = [-1j if real and np.iscomplexobj(x.matrix) and not np.any(x.matrix.real) else 1.0
              for x in operators]
@@ -249,9 +251,10 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     out, w_norm = [], vols.w_norm   # one solve for every horizon's tolerance
     for n, horizon in enumerate(horizons):
         kernel = _horizon_kernels(0.5 * horizon * freq).reshape(-1, 1)
-        values = [float((c * (diag[k] + 2.0 * opalg.matmul(q[None], kernel)[0, 0]
-                              - 1j * (separable[k, n] / horizon))).real)
-                  for k, (c, q) in enumerate(zip(coefs, direct))]
+        local = iter([float((c * (diag[k] + 2.0 * opalg.matmul(q[None], kernel)[0, 0]
+                                  - 1j * (separable[k, n] / horizon))).real)
+                      for k, (c, q) in enumerate(zip(coefs, direct))])
+        values = [next(local) if x.sites else float(x.matrix[0, 0].real) for x in named]
         del kernel   # freed before the next horizon's is made
         fluxes = dict(zip(reservoirs, values))
         averages = dict(zip(observables, values[len(reservoirs):]))
@@ -260,7 +263,7 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
             horizon=float(horizon),
             fluxes=fluxes,
             e=e,
-            e_telescoped=e + values[-1] if telescoping else e,
+            e_telescoped=e + values[-1],
             sum_rule_residual=float(sum(fluxes.values())),
             tol_sum_rule=float(2.0 * w_norm / horizon),
         )
@@ -320,11 +323,12 @@ def boundary_redraw_check(spec: ModelSpec, new_small_system: Iterable[int],
     which reservoir changes. The difference of the two entropy production
     values is bounded by (2/T) times the norm of the weighted reservoir
     Hamiltonian difference sum_a beta_a (H_a - H'_a): the in-volume terms
-    that leave reservoir ``a``, weighted by beta_a, whose norm is taken on
-    their joint support. Both decompositions are built, and only the
-    original one is solved: the currents of the redrawn build are contracted
-    against the same rotated state as the original ones, for every horizon;
-    one report per horizon, in order.
+    that leave reservoir ``a``, weighted by beta_a, summed by
+    :func:`opalg.embed_sum` on their joint support, where it is normed. Both
+    decompositions are built, and only the original one is solved: the
+    currents of the redrawn build are contracted against the same rotated
+    state as the original ones, for every horizon; one report per horizon,
+    in order.
     """
     new_spec = redraw(spec, new_small_system)   # refused before anything is built
     vols = build(spec, volume)
@@ -334,9 +338,8 @@ def boundary_redraw_check(spec: ModelSpec, new_small_system: Iterable[int],
              if set(t.support) <= spec.sites_in(a) & set(vols.sites)
              and not set(t.support) <= new_spec.sites_in(a)]
     support = tuple(sorted(set().union(*(t.support for _, t in moved))))
-    dims = spec.dims_for(support)
-    shift = sum((beta * opalg.embed(spec.term_operator(t), support, dims) for beta, t in moved),
-                opalg.zero(support, dims))
+    (shift,) = opalg.embed_sum([beta * spec.term_operator(t) for beta, t in moved], support,
+                               spec.dims_for(support), [np.arange(spec.volume_dim(support))])
     shift_norm = opalg.op_norm(shift)
 
     reports = []

@@ -10,8 +10,7 @@ included, stays on its own sites, a commutator with the interface on the
 interface's sites and on those of the terms that meet them; the generator's
 diagonal blocks on the conserved sectors, log Z and the norms of G and of
 the interface are computed from them on request. Nothing is diagonalized here.
-Model terms straddling the volume boundary are dropped and counted in the
-build log, family terms refused.
+Model terms straddling the volume boundary are dropped, family terms refused.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ class VolumeOperators:
     currents: Mapping[int, DenseOperator]
     perturbation_current: DenseOperator
     betas: Mapping[int, float]
-    log: tuple[str, ...]
     sectors: tuple[np.ndarray, ...]
 
     @property
@@ -121,16 +119,11 @@ class VolumeOperators:
     def w_norm(self) -> float:
         return opalg.op_norm(self.W)
 
-    def H_B_blocks(self) -> tuple[np.ndarray, ...]:
+    def H_B_blocks(self) -> list[np.ndarray]:
         """The diagonal blocks H_pp of H_B on the ``sectors``, aligned with them (on a
         one-sector volume the one block is the D x D matrix), assembled on each call:
-        :func:`opalg.embed_add_sectors` adds the ``generator_terms`` into them in place,
-        in order, the D d entries of each term (d its dimension) that fall in a block."""
-        dtype = np.result_type(float, *(op.matrix for op in self.generator_terms))
-        blocks = tuple(np.zeros((rows.size, rows.size), dtype) for rows in self.sectors)
-        for op in self.generator_terms:
-            opalg.embed_add_sectors(blocks, op, self.sites, self.dims, self.sectors)
-        return blocks
+        the :func:`opalg.embed_sum` of the ``generator_terms`` on the ``sectors``."""
+        return opalg.embed_sum(self.generator_terms, self.sites, self.dims, self.sectors)
 
 
 def build(spec: ModelSpec, volume: Iterable[int],
@@ -138,9 +131,9 @@ def build(spec: ModelSpec, volume: Iterable[int],
     """Assemble every finite-volume operator for ``volume``.
 
     The volume must contain the small system. Interaction terms whose
-    support is not fully inside the volume are silently excluded and
-    reported in the build log; the family's terms for the volume must each
-    lie inside it and inside a single reservoir, or the build fails.
+    support is not fully inside the volume are silently excluded; the
+    family's terms for the volume must each lie inside it and inside a single
+    reservoir, or the build fails.
 
     Nothing here allocates, diagonalizes or multiplies a volume-sized
     matrix: the generator is kept as its in-volume terms and then its
@@ -160,8 +153,6 @@ def build(spec: ModelSpec, volume: Iterable[int],
     dims = spec.dims_for(sites)
     in_volume = [t for t in spec.terms if set(t.support) <= set(sites)]
     owners = [spec.reservoir_of(t.support) for t in in_volume]
-    log = (f"volume sites={list(sites)} dim={math.prod(dims)}",
-           f"interaction terms dropped at the boundary: {len(spec.terms) - len(in_volume)}")
 
     pert_terms: dict[int, list[InteractionTerm]] = {a: [] for a in spec.reservoirs}
     for term in () if perturbation is None else perturbation.terms_for(sites):
@@ -182,7 +173,10 @@ def build(spec: ModelSpec, volume: Iterable[int],
         return [t for t in terms if set(t.support) & set(w_op.sites)]
 
     def with_w(x: DenseOperator) -> DenseOperator:
-        """i[W, x] on the sites of ``W`` and of ``x``."""
+        """i[W, x] on the sites of ``W`` and of ``x``; an ``x`` on no sites, a 1x1 zero,
+        itself."""
+        if not x.sites:
+            return x
         joint = tuple(sorted(set(w_op.sites) | set(x.sites)))
         joint_dims = spec.dims_for(joint)
         return 1j * opalg.commutator(opalg.embed(w_op, joint, joint_dims),
@@ -198,16 +192,17 @@ def build(spec: ModelSpec, volume: Iterable[int],
         h_res[a] = spec.term_sum(own, spec.sites_in(a) & set(sites))
         b_res[a] = spec.term_sum(pert_terms[a])
         currents[a] = with_w(spec.term_sum(near(own)))
-    # sum_a beta_a M_a on the sites of every M_a, commuted with W only when it has any
-    touching = [(spec.betas[a], near(pert_terms[a])) for a in spec.reservoirs]
-    m_sites = set().union(*(t.support for _, terms in touching for t in terms))
-    m_op = sum((beta * spec.term_sum(terms, m_sites) for beta, terms in touching if terms),
-               spec.term_sum((), m_sites))
+    # sum_a beta_a M_a on the sites of every M_a
+    touching = [spec.betas[a] * spec.term_operator(t)
+                for a in spec.reservoirs for t in near(pert_terms[a])]
+    m_sites = tuple(sorted(set().union(*(x.sites for x in touching))))
+    m_dims = spec.dims_for(m_sites)
+    (m_op,) = opalg.embed_sum(touching, m_sites, m_dims, [np.arange(math.prod(m_dims))])
 
     return VolumeOperators(
         sites=sites, dims=dims, H_a=h_res, B_a=b_res, generator_terms=generator, W=w_op,
-        currents=currents, perturbation_current=with_w(m_op) if m_sites else m_op,
-        betas=dict(spec.betas), log=log, sectors=sectors,
+        currents=currents, perturbation_current=with_w(DenseOperator(m_sites, m_dims, m_op)),
+        betas=dict(spec.betas), sectors=sectors,
     )
 
 

@@ -20,9 +20,10 @@ For the dynamics it holds the Heisenberg evolution through the matrix
 exponential and the derivation powers iterated in complex arithmetic, so the
 real-arithmetic routes of the library have a reference that never takes them.
 
-It also holds the functional calculus phi(A) of a Hermitian matrix and the
-evolution plan of a raw Hermitian matrix as one sector, which the tests use
-and the library does not, and the independent constructions
+It also holds the zero operator that sums of lifted operators start from,
+the functional calculus phi(A) of a Hermitian matrix and the evolution plan
+of a raw Hermitian matrix as one sector, which the tests use and the
+library does not, and the independent constructions
 the library no longer carries: the initial state as a D x D matrix, both
 from the library's Gibbs factors and as an explicit product of per-reservoir
 Gibbs blocks, the time-averaged state, the interface part by the weighted
@@ -39,10 +40,16 @@ from scipy.special import logsumexp
 from nesslab import embed, exact_evolve, gibbs, make_plan, op_norm, spectral
 from nesslab.dynamics import EvolutionPlan, Sector
 from nesslab import opalg
-from nesslab.opalg import DenseOperator, matmul, zero
+from nesslab.opalg import DenseOperator, matmul
 from nesslab.thermo import EntropyReport, _gibbs_factors, _horizon_kernels
 
 from conftest import dense_generator, one_sector
+
+
+def zero(sites, dims) -> DenseOperator:
+    """The zero operator on ``sites``, a start for sums of lifted operators."""
+    dim = int(np.prod(dims))
+    return DenseOperator(tuple(sites), tuple(dims), np.zeros((dim, dim)))
 
 
 def dense_plan(h: DenseOperator) -> EvolutionPlan:

@@ -332,6 +332,28 @@ class TestSimulateCommand:
         assert built == []
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
+    def test_non_selfadjoint_family_term_refused_before_any_build(
+            self, tmp_path, capsys, monkeypatch, command):
+        # sigma^+ times 5 on site 0 of a three-site chain: refused as a model term or
+        # an observable term would be, not run with its Hermitian part
+        spec = make_chain(3, {0: 1, 1: 0, 2: 2}, {1: 2.0, 2: 1.0})
+        family_path = write_config(tmp_path, {"bound_K": 10.0, "volumes": [
+            {"sites": [0, 1, 2], "terms": [{"support": [0], "matrix": [[[0, 0], [5, 0]],
+                                                                      [[0, 0], [0, 0]]]}]}]},
+            name="family.json")
+        config_path = write_config(tmp_path, {
+            "model": write_model(tmp_path, spec).name, "exhaustion": [[1], [0, 1], [0, 1, 2]],
+            "horizons": [1.0], "observables": {"mid_z": MID_Z},
+            "perturbation": family_path.name, "output_dir": str(tmp_path / "out"),
+        }, name="family_config.json")
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        assert main([command, "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == ("", f"cannot load {family_path}: entry 0: term on (0,) "
+                                           "is not selfadjoint (defect 5.000e+00)\n")
+        assert built == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
     def test_family_entry_for_no_volume_of_the_exhaustion_refused_before_any_build(
             self, tmp_path, capsys, monkeypatch, command):
         # the middle-site chain of six: build looks up only the volumes it builds, so an

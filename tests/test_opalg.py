@@ -219,24 +219,16 @@ class TestAdjointProducts:
         np.testing.assert_allclose(opalg.rotate_back(v, opalg.rotate(v, y)), y, atol=1e-13)
 
 
-class TestEmbedAdd:
-    """embed_add_sectors with the whole volume as its one sector: acc += the embedding."""
+class TestEmbedSum:
+    """embed_sum with the whole volume as its one sector: the embedding itself."""
 
-    def test_adds_the_embedding_in_place(self):
+    def test_one_operator_is_its_embedding(self):
         rng = np.random.default_rng(8)
         sites, dims = (0, 1, 2, 3), (2, 3, 2, 3)
-        acc = random_hermitian(rng, 36)
-        start = acc.copy()
         op = DenseOperator((1, 3), (3, 3), random_hermitian(rng, 9))
-        opalg.embed_add_sectors([acc], op, sites, dims, [np.arange(36)])
+        (got,) = opalg.embed_sum([op], sites, dims, [np.arange(36)])
         lifted = embed_via_permutation(op.matrix, op.sites, sites, dict(zip(sites, dims)))
-        np.testing.assert_array_equal(acc, start + lifted)
-
-    def test_real_accumulator_refuses_a_complex_term(self):
-        acc = np.zeros((4, 4))
-        with pytest.raises(TypeError):
-            opalg.embed_add_sectors([acc], DenseOperator((0,), (2,), SY), (0, 1), (2, 2),
-                                    [np.arange(4)])
+        assert got.dtype == lifted.dtype and got.tobytes() == lifted.tobytes()
 
     def test_large_operator_costs_little_beyond_its_embedding(self):
         # a real operator on 10 of 11 qubits: D = 2048, d = 1024, so D d index
@@ -248,9 +240,9 @@ class TestEmbedAdd:
         assert peak <= 1.6 * 8 * 2048 ** 2
 
 
-class TestEmbedAddSectors:
-    """embed_add_sectors against the sector blocks of the summed embeddings
-    of :func:`embed_via_permutation`."""
+class TestEmbedSumSectors:
+    """embed_sum against the sector blocks of :func:`embed_via_permutation`: of each
+    term alone, and of the sum of the six in one call."""
 
     SITES, DIMS = (0, 1, 2, 3), (2, 3, 2, 2)
 
@@ -265,9 +257,12 @@ class TestEmbedAddSectors:
                 DenseOperator(self.SITES, self.DIMS, np.diag(rng.standard_normal(24)))]
 
     @pytest.mark.parametrize(
-        "split,chunk", [("parity", None), ("one-sector", None), ("parity", 7), ("one-sector", 7)],
-        ids=["parity", "one-sector", "parity-chunks-of-7", "one-sector-chunks-of-7"])
-    def test_matches_the_split_dense_sum_bitwise(self, split, chunk, monkeypatch):
+        "split,chunk,together",
+        [("parity", None, False), ("one-sector", None, False), ("parity", 7, False),
+         ("one-sector", 7, False), ("parity", None, True)],
+        ids=["parity", "one-sector", "parity-chunks-of-7", "one-sector-chunks-of-7",
+             "parity-six-terms-in-one-call"])
+    def test_matches_the_split_dense_sum_bitwise(self, split, chunk, together, monkeypatch):
         # a budget of 7 entries walks every term's rows in chunks, one row at a
         # time for the terms of dimension 8 or more
         if chunk is not None:
@@ -280,15 +275,17 @@ class TestEmbedAddSectors:
         if split == "parity":
             assert [r.tolist() for r in opalg.sectors(terms, self.SITES, self.DIMS)] == [
                 r.tolist() for r in indices]
-        dense = np.zeros((24, 24), dtype=complex)
-        blocks = [np.zeros((r.size, r.size), dtype=complex) for r in indices]
-        for op in terms:
-            dense += embed_via_permutation(op.matrix, op.sites, self.SITES,
-                                           dict(zip(self.SITES, self.DIMS)))
-            opalg.embed_add_sectors(blocks, op, self.SITES, self.DIMS, indices)
-        for rows, block in zip(indices, blocks):
-            assert block.tobytes() == dense[np.ix_(rows, rows)].tobytes()
-        assert np.count_nonzero(dense) == sum(map(np.count_nonzero, blocks))
+        # the dense sum is accumulated in the dtype of the sum, as embed_sum's blocks are
+        for ops in [terms] if together else [[op] for op in terms]:
+            dense = np.zeros((24, 24), dtype=np.result_type(float, *(op.matrix for op in ops)))
+            for op in ops:
+                dense += embed_via_permutation(op.matrix, op.sites, self.SITES,
+                                               dict(zip(self.SITES, self.DIMS)))
+            blocks = opalg.embed_sum(ops, self.SITES, self.DIMS, indices)
+            for rows, block in zip(indices, blocks, strict=True):
+                assert block.dtype == dense.dtype
+                assert block.tobytes() == dense[np.ix_(rows, rows)].tobytes()
+            assert np.count_nonzero(dense) == sum(map(np.count_nonzero, blocks))
 
 
 class TestCommutator:

@@ -392,6 +392,26 @@ class TestEntropyProduction:
         assert report.fluxes == {} and report.e == 0.0 and report.e_telescoped == 0.0
         assert abs(avg["z"]) <= 1e-15
 
+    def test_an_operator_on_no_sites_is_not_rotated(self, chain5, monkeypatch):
+        # reservoir 2 (sites 3, 4) has no site in the volume (1, 2), so no term of it
+        # meets W: its current is the 1x1 zero on no sites, whose average is its entry
+        vols = build(chain5, (1, 2))
+        assert vols.currents[2].sites == () and vols.currents[2].matrix.tolist() == [[0.0]]
+        assert vols.currents[1].sites == (1, 2) and vols.perturbation_current.sites == ()
+        rotations = []
+        upper_blocks = opalg.upper_blocks
+        monkeypatch.setattr(opalg, "upper_blocks",
+                            lambda v, y, size: rotations.append(v.shape) or upper_blocks(
+                                v, y, size))
+        obs = {"z": DenseOperator((1,), (2,), SZ)}
+        ((report, avg),) = horizon_reports(vols, (5.0,), observables=obs)
+        # per sector (two of 2 states, one 128-row block each): the state, the current
+        # of reservoir 1 and the observable
+        assert len(vols.sectors) == 2
+        assert rotations == [(2, 2)] * len(vols.sectors) * (1 + 1 + len(obs))
+        assert report.fluxes[2] == 0.0 and report.e_telescoped == report.e
+        assert report.e == vols.betas[1] * report.fluxes[1]
+
     def test_decoupled_model_produces_nothing(self, decoupled_model):
         vols = build(decoupled_model, (0, 1, 2))
         report = entropy_report(vols, 5.0)
