@@ -94,6 +94,8 @@ def load_config(path) -> ExperimentConfig:
     for key in ("model", "output_dir", "perturbation"):
         if not isinstance(doc.get(key, ""), str):
             raise ValueError(f"'{key}' must be a string")
+    model.refuse_unknown_keys(doc, ("model", "exhaustion", "horizons", "observables", "seed",
+                                    "output_dir", "perturbation", "redraw_new_s"))
     base = Path(path).parent
     pert = doc.get("perturbation")
     redraw_new_s = doc.get("redraw_new_s")
@@ -324,12 +326,16 @@ def cmd_sweep_convergence(args):
         raise ValueError("sweep-convergence needs an exhaustion of at least 3 volumes")
     if not observables:
         raise ValueError("sweep-convergence needs at least one named observable")
+    if len(observables) > 1:
+        raise ValueError(f"sweep-convergence sweeps one named observable, not {len(observables)} "
+                         f"({', '.join(sorted(observables))})")
+    (observable,) = observables.values()
     out_dir = Path(args.out or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def run() -> int:
-        report = dynamics.convergence_sweep(spec, cfg.exhaustion, observables[min(observables)],
-                                            cfg.horizons, perturbation=family)
+        report = dynamics.convergence_sweep(spec, cfg.exhaustion, observable, cfg.horizons,
+                                            perturbation=family)
         header = ["volume_index", "t", "discrepancy", "dyson_order", "bound"]
         rows: list[list] = []
         for r in report.evolution_rows:

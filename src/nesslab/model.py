@@ -113,16 +113,20 @@ class ModelSpec:
                 f"region map must assign every declared site exactly once "
                 f"(missing {sorted(declared - assigned)}, extra {sorted(assigned - declared)})"
             )
-        for t in self.terms:
-            unknown = [x for x in t.support if x not in declared]
-            if unknown:
-                raise ValueError(f"term on {t.support}: unknown sites {unknown}")
-            want = math.prod(self.dims_for(t.support))
-            if t.matrix.shape[0] != want:
-                raise ValueError(
-                    f"term on {t.support}: matrix dimension {t.matrix.shape[0]} "
-                    f"!= product of local dims {want}"
-                )
+        problem = next(filter(None, map(self.term_problem, self.terms)), "")
+        if problem:
+            raise ValueError(problem)
+
+    def term_problem(self, term: InteractionTerm) -> str:
+        """Why ``term`` does not fit the declared sites, or '': a site not declared,
+        or a matrix dimension other than the product of its sites' local dimensions."""
+        undeclared = sorted(set(term.support) - set(self.sites))
+        if undeclared:
+            return f"term on {term.support} names undeclared sites {undeclared}"
+        want = self.volume_dim(term.support)
+        return (f"term on {term.support} has matrix dimension {term.matrix.shape[0]}, not "
+                f"{want}, the product of its sites' local dimensions"
+                if term.matrix.shape[0] != want else "")
 
     @property
     def site_ids(self) -> tuple[int, ...]:
@@ -264,8 +268,9 @@ class PerturbationFamily:
     """A volume-indexed family of reservoir perturbations.
 
     ``entries`` pairs a volume (a site set) with the reservoir-interior
-    terms its generator adds. Every term must live on declared sites of its
-    own volume inside a single reservoir and be selfadjoint, each volume's term
+    terms its generator adds. Every term must fit the model
+    (:meth:`ModelSpec.term_problem`), live on sites of its own volume inside a
+    single reservoir and be selfadjoint, each volume's term
     list stays below the uniform weighted-norm bound ``bound_K`` (finite), and
     each protected site set is untouched by all entries from its threshold
     index on. :meth:`check` verifies all three against a model.
@@ -290,12 +295,10 @@ class PerturbationFamily:
 
     def check(self, spec: ModelSpec) -> list[str]:
         problems: list[str] = []
-        declared = set(spec.site_ids)
         for idx, (volume, terms) in enumerate(self.entries):
             for t in terms:
-                if not set(t.support) <= declared:
-                    problems.append(f"entry {idx}: term on {t.support} names undeclared "
-                                    f"sites {sorted(set(t.support) - declared)}")
+                if problem := spec.term_problem(t):
+                    problems.append(f"entry {idx}: {problem}")
                 elif not set(t.support) <= volume:
                     problems.append(f"entry {idx}: term on {t.support} lies outside its "
                                     f"volume {sorted(volume)}")
@@ -320,6 +323,15 @@ class PerturbationFamily:
 
 # ---------------------------------------------------------------------------
 # JSON model files
+
+
+def refuse_unknown_keys(doc: Mapping, known: Sequence[str], where: str = "") -> None:
+    """ValueError naming the first key of the JSON object ``doc`` (``where`` in
+    its file) that is not one of ``known``, so that no misspelled part of a file
+    is silently left out."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}{where}; known keys: {', '.join(known)}")
 
 
 def _matrix_from_json(rows, where: str) -> np.ndarray:
@@ -355,19 +367,23 @@ def load_model(path) -> ModelSpec:
 
 
 def family_from_dict(doc: Mapping) -> PerturbationFamily:
+    """Build a family from the JSON document structure; a key it does not know is refused."""
+    refuse_unknown_keys(doc, ("volumes", "bound_K", "protected"))
     entries = []
     for i, entry in enumerate(doc.get("volumes", [])):
         try:
             vol = frozenset(int(x) for x in entry["sites"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"volumes[{i}]: needs a 'sites' list") from exc
+        refuse_unknown_keys(entry, ("sites", "terms"), f" in volumes[{i}]")
         terms = tuple(term_from_dict(t, f"volumes[{i}].terms[{j}]")
                       for j, t in enumerate(entry.get("terms", [])))
         entries.append((vol, terms))
-    protected = tuple(
-        (frozenset(int(x) for x in p["sites"]), int(p["threshold"]))
-        for p in doc.get("protected", []))
-    return PerturbationFamily(tuple(entries), float(doc.get("bound_K", 0.0)), protected)
+    protected = []
+    for i, p in enumerate(doc.get("protected", [])):
+        protected.append((frozenset(int(x) for x in p["sites"]), int(p["threshold"])))
+        refuse_unknown_keys(p, ("sites", "threshold"), f" in protected[{i}]")
+    return PerturbationFamily(tuple(entries), float(doc.get("bound_K", 0.0)), tuple(protected))
 
 
 def load_family(path) -> PerturbationFamily:

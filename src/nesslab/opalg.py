@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -344,33 +344,19 @@ def _conjugate_in_place(a: np.ndarray) -> np.ndarray:
     return np.conjugate(a, out=a) if np.iscomplexobj(a) else a
 
 
-def upper_blocks(v: np.ndarray, y: np.ndarray, size: int) -> Iterator[np.ndarray]:
-    """The block upper triangle of V^dagger Y through :func:`matmul`: for lo = 0,
-    size, ..., the rows [lo, lo + size) from column lo on; one block, V^dagger Y,
-    for ``size`` at least V's columns. numpy has no conjugate-transpose
-    product, and ``v.conj()`` of a complex V is a copy of 16 D^2 bytes, so
-    for a complex V ``y``, a temporary of the caller, is conjugated in place
-    once and each block is conj(V[:, rows]^T conj(Y)[:, lo:]), conjugated in
-    place: exact, so equal to ``v[:, rows].conj().T @ y[:, lo:]`` to the last
-    bit when BLAS sums in the same order for both. A real V is used as V^T.
-    """
-    cplx = np.iscomplexobj(v)
-    y = _conjugate_in_place(y) if cplx else y
-    for lo in range(0, v.shape[1], size):
-        block = matmul(v[:, lo:lo + size].T, y[:, lo:])
-        yield _conjugate_in_place(block) if cplx else block
-
-
 def rotate(v: np.ndarray, x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """V^dagger X W through :func:`matmul`, with W = V unless given.
 
-    A real V^T is a free view, so the product is (V^T X) W; a complex one
-    is formed as V^dagger (X W), one :func:`upper_blocks` block on the
-    temporary X W, without copying V.
+    A real V^T is a free view, so the product is (V^T X) W. numpy has no
+    conjugate-transpose product, and ``v.conj()`` of a complex V is a copy of
+    16 D^2 bytes, so a complex one is formed as conj(V^T conj(X W)),
+    conjugating the temporary X W and the product in place, without copying
+    V: exact, so equal to ``v.conj().T @ (x @ w)`` to the last bit when BLAS
+    sums in the same order for both.
     """
     w = v if w is None else w
     if np.iscomplexobj(v):
-        return next(upper_blocks(v, matmul(x, w), v.shape[1]))
+        return _conjugate_in_place(matmul(v.T, _conjugate_in_place(matmul(x, w))))
     return matmul(matmul(v.T, x), w)
 
 

@@ -120,7 +120,7 @@ class EntropyReport:
                    self.tol_sum_rule])
 
 
-# rows of an upper_blocks block of a rotated operator, and basis columns of a panel of its image
+# rows of a row block of a rotated operator: basis columns of the panel it is made from
 _BLOCK = 128
 
 
@@ -145,20 +145,19 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     With P_jk = s_jk x_kj for the rotated state s and operator x, the average
     of <x> is sum_jk P_jk K(T d_jk), K the averaging kernel.
 
-    One rule contracts every operator: P = c Q with Q = s * conj(V^dagger Y V)
-    (entrywise) for the Y it is applied as. c = 1 for an operator applied as
-    it is; on a real plan an operator i Y with Y real, as every current of a
-    real chain is, is applied as Y with c = -i.
-
-    An operator's image (Y V_p) on the sector's rows is made in panels of 128
-    basis columns, each zero-padded to the volume's D rows, and written into
-    one d_p x d_p array.
-
-    As s and x are Hermitian, P_kj = conj(P_jk) and d_kj = -d_jk, so the pair
-    (k, j) adds the complex conjugate of what (j, k) adds to each sum below.
-    So only the block upper triangle is rotated, held and contracted: per
-    block of 128 rows, those rows of V^dagger Y V from the block's first
-    column on (:func:`opalg.upper_blocks`), about half of the full rotation.
+    One rule contracts every operator: P = c Q with Q = s * conj(R) (entrywise),
+    R made from the Y the operator is applied as. As s and x are Hermitian,
+    P_kj = conj(P_jk) and d_kj = -d_jk, so the pair (k, j) adds the complex
+    conjugate of what (j, k) adds to each sum below. So only the block upper
+    triangle is made, held and contracted, about half of the full rotation:
+    per block of 128 rows from lo on, R's rows from column lo on are
+    (Y V_b)^dagger V[:, lo:], V_b the block's own basis columns. No image of Y
+    on the whole sector is formed: Y V_b is made from one panel, V_b
+    zero-padded to the volume's D rows, and the panel and the block are freed
+    once the block is contracted. For a Hermitian Y, R is V^dagger Y V and
+    c = 1. On a real plan an operator i Y with Y real, as every current of a
+    real chain is, is applied as Y, which is antisymmetric, so R is
+    -V^dagger Y V and c = i.
 
     The phases separate: with u_j = exp(i T w_j), w shifted by the sector's
     midpoint, exp(i T d_jk) = conj(u_j) u_k. So the pairs with |d_jk| >= tau /
@@ -184,9 +183,9 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
              + [vols.perturbation_current])
     operators = [x for x in named if x.sites]   # one on no sites is c I, of average c
     real = not any(np.iscomplexobj(s.basis) for s in plan.sectors)
-    coefs = [-1j if real and np.iscomplexobj(x.matrix) and not np.any(x.matrix.real) else 1.0
+    coefs = [1j if real and np.iscomplexobj(x.matrix) and not np.any(x.matrix.real) else 1.0
              for x in operators]
-    operators = [x.with_matrix(np.ascontiguousarray(x.matrix.imag)) if c == -1j else x
+    operators = [x.with_matrix(np.ascontiguousarray(x.matrix.imag)) if c == 1j else x
                  for x, c in zip(operators, coefs)]
     factors, scale = _gibbs_factors(vols)
     cut = opalg.SEPARABLE_PHASE_TOL / min(horizons, default=1.0)  # no horizon: no report
@@ -200,17 +199,15 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
         rows = sector.indices if size < dim else slice(None)
         phases = np.exp(1j * np.multiply.outer(w - 0.5 * (w[0] + w[-1]), horizons))
 
-        def image(factors: list[DenseOperator]) -> np.ndarray:
-            """(the tensor product of ``factors``) V on the sector's rows: one panel
-            of basis columns at a time, each written into the volume's basis (zero
-            outside the sector's rows)."""
-            out = np.empty((size, size), np.result_type(v, *(f.matrix for f in factors)))
-            for lo in range(0, size, _BLOCK):
-                cols = slice(lo, lo + _BLOCK)
-                panel = np.zeros((dim, min(_BLOCK, size - lo)), v.dtype)
-                panel[rows] = v[:, cols]
-                out[:, cols] = opalg.kron_apply(factors, vols.sites, vols.dims, panel)[rows]
-            return out
+        def row_block(factors: list[DenseOperator], lo: int) -> np.ndarray:
+            """Rows [lo, lo + 128) of V^dagger T V from column lo on, for the Hermitian
+            tensor product T of ``factors``: (T V_b)^dagger V[:, lo:], V_b the block's
+            basis columns as one panel zero-padded to the volume's D rows."""
+            panel = np.zeros((dim, min(_BLOCK, size - lo)), v.dtype)
+            panel[rows] = v[:, lo:lo + _BLOCK]
+            y = opalg.kron_apply(factors, vols.sites, vols.dims, panel)[rows]
+            del panel
+            return opalg.matmul(np.conjugate(y, out=y).T, v[:, lo:])
 
         # per row block from its first column on: 1/d (0 if direct, None if all are), direct j < k
         blocks = []
@@ -222,27 +219,28 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
             blocks.append((lo, np.divide(1.0, bohr, out=np.zeros(bohr.shape), where=far)
                            if far.any() else None, upper))
 
-        def contract(y: np.ndarray, k: int) -> None:
-            """The sums of Q = s * conj(V^dagger Y) into row k, block by block; y is
-            overwritten."""
-            for (lo, inv, upper), s, q in zip(blocks, sigma_t, opalg.upper_blocks(v, y, _BLOCK)):
-                q = np.conjugate(q, out=q)
+        def contract(x: DenseOperator, k: int) -> None:
+            """The sums of Q = s * conj(V^dagger Y V) into row k, one row block at a time,
+            each freed before the next is made."""
+            for (lo, inv, upper), s in zip(blocks, sigma_t):
+                q = row_block([x], lo)
+                np.conjugate(q, out=q)
                 q *= s
                 diag[k] += np.trace(q)
                 direct[k].append(q.ravel()[upper])
-                if inv is None:
-                    continue
-                q *= inv
-                q[:, _BLOCK:] *= 2.0   # right of the diagonal block: pairs k > j stand for j < k
-                z = np.einsum("jt,jt->t", phases[lo:lo + _BLOCK].conj(),
-                              opalg.matmul(q, phases[lo:]))
-                z -= q.sum()
-                separable[k] += z
+                if inv is not None:
+                    q *= inv
+                    q[:, _BLOCK:] *= 2.0   # right of the diagonal block, k > j stands for j < k
+                    z = np.einsum("jt,jt->t", phases[lo:lo + _BLOCK].conj(),
+                                  opalg.matmul(q, phases[lo:]))
+                    z -= q.sum()
+                    separable[k] += z
+                del q
 
-        sigma_t = [b * scale for b in opalg.upper_blocks(v, image(factors), _BLOCK)]
+        sigma_t = [row_block(factors, lo) * scale for lo, _, _ in blocks]
         # one at a time; an observable's blocks between sectors meet zero blocks of sigma_t
         for k, x in enumerate(operators):
-            contract(image([x]), k)
+            contract(x, k)
         del sigma_t, blocks
     freq = np.concatenate(freq)
     for k in range(len(operators)):   # one operator at a time, its parts freed as packed

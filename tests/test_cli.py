@@ -354,6 +354,54 @@ class TestSimulateCommand:
         assert built == []
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
+    def test_family_term_of_the_wrong_dimension_refused_before_any_build(
+            self, tmp_path, capsys, monkeypatch, command):
+        # a 3 x 3 matrix on qubit site 0: refused by the model's own term check, not
+        # left to fail inside build
+        spec = make_chain(3, {0: 1, 1: 0, 2: 2}, {1: 2.0, 2: 1.0})
+        identity = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+        family_path = write_config(tmp_path, {"bound_K": 10.0, "volumes": [
+            {"sites": [0, 1, 2], "terms": [{"support": [0], "matrix": identity}]}]},
+            name="family.json")
+        config_path = write_config(tmp_path, {
+            "model": write_model(tmp_path, spec).name, "exhaustion": [[1], [0, 1], [0, 1, 2]],
+            "horizons": [1.0], "observables": {"mid_z": MID_Z},
+            "perturbation": family_path.name, "output_dir": str(tmp_path / "out"),
+        }, name="family_config.json")
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        assert main([command, "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == ("", f"cannot load {family_path}: entry 0: term on (0,) "
+                                           "has matrix dimension 3, not 2, the product of its "
+                                           "sites' local dimensions\n")
+        assert built == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
+    @pytest.mark.parametrize("file, key, known", [
+        ("config", "observabels", "model, exhaustion, horizons, observables, seed, output_dir, "
+                                  "perturbation, redraw_new_s"),
+        ("family", "entries", "volumes, bound_K, protected")], ids=["config", "family"])
+    def test_misspelled_key_refused_before_any_build(
+            self, chain_files, capsys, monkeypatch, command, file, key, known):
+        # the misspelled part would otherwise be left out, and the run end in status 0
+        _, model_path, _, tmp_path = chain_files
+        family = {"bound_K": 1.0, "volumes": [{"sites": [0, 1, 2, 3],
+                                               "terms": [{**MID_Z[0], "support": [0]}]}]}
+        config = {"model": model_path.name, "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
+                  "horizons": [1.0], "observables": {"mid_z": MID_Z},
+                  "perturbation": "family.json", "output_dir": str(tmp_path / "out")}
+        doc = config if file == "config" else family
+        doc[key] = doc.pop("observables" if file == "config" else "volumes")
+        paths = {"family": write_config(tmp_path, family, name="family.json"),
+                 "config": write_config(tmp_path, config, name="key_config.json")}
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        assert main([command, "--config", str(paths["config"])]) == 2
+        assert capsys.readouterr() == ("", f"cannot load {paths[file]}: unknown key {key!r}; "
+                                           f"known keys: {known}\n")
+        assert built == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
     def test_family_entry_for_no_volume_of_the_exhaustion_refused_before_any_build(
             self, tmp_path, capsys, monkeypatch, command):
         # the middle-site chain of six: build looks up only the volumes it builds, so an
@@ -659,6 +707,22 @@ class TestSweepConvergenceCommand:
         assert main(["sweep-convergence", "--config", str(config_path)]) == 2
         assert capsys.readouterr() == (
             "", "sweep-convergence needs at least one named observable\n")
+        assert built == []
+
+
+    def test_refuses_more_than_one_observable(self, chain_files, capsys, monkeypatch):
+        # only one would be swept, and the others left out without a word
+        _, model_path, _, tmp_path = chain_files
+        config_path = write_config(tmp_path, {
+            "model": model_path.name, "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
+            "horizons": [0.01], "output_dir": str(tmp_path / "s"),
+            "observables": {"mid_z": MID_Z, "right_z": [{**MID_Z[0], "support": [2]}]},
+        }, name="two_observables.json")
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        assert main(["sweep-convergence", "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == (
+            "", "sweep-convergence sweeps one named observable, not 2 (mid_z, right_z)\n")
         assert built == []
 
 

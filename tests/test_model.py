@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,18 @@ class TestPerturbationFamily:
         family = PerturbationFamily((entry,), bound_K=1.0)
         assert family.check(standard_chain) == [
             "entry 0: term on (99,) names undeclared sites [99]"]
+
+    def test_check_flags_a_term_of_the_wrong_dimension(self, standard_chain):
+        # the model's own term check, so a problem line instead of build's ValueError
+        entry = (frozenset({0, 1, 2}), (InteractionTerm((0,), np.eye(3)),))
+        family = PerturbationFamily((entry,), bound_K=10.0)
+        problem = ("term on (0,) has matrix dimension 3, not 2, the product of its sites' "
+                   "local dimensions")
+        assert standard_chain.term_problem(entry[1][0]) == problem
+        assert family.check(standard_chain) == [f"entry 0: {problem}"]
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            ModelSpec(standard_chain.sites, standard_chain.regions, entry[1],
+                      standard_chain.lam, standard_chain.betas)
 
     def test_check_flags_a_term_outside_its_volume(self, standard_chain):
         # site 0 is a reservoir site of the model, but not of the entry's volume

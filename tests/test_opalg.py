@@ -188,8 +188,8 @@ class TestKronApply:
 
 
 class TestAdjointProducts:
-    """upper_blocks, rotate and rotate_back against products with the
-    explicit V^dagger = v.conj().T."""
+    """rotate and rotate_back against products with the explicit
+    V^dagger = v.conj().T."""
 
     @staticmethod
     def _gap(got, expected):
@@ -205,16 +205,10 @@ class TestAdjointProducts:
         if y_complex:
             y = y + 1j * rng.standard_normal((24, 24))
         v_dagger = v.conj().T
-        expected = v_dagger @ y
-        (got,) = opalg.upper_blocks(v, y.copy(), 24)
+        expected = v_dagger @ y @ v
+        got = opalg.rotate(v, y)
         assert got.dtype == expected.dtype
         assert self._gap(got, expected) <= 1e-14
-        # blocks of 7 rows from their first column on: 24 = 7 + 7 + 7 + 3
-        blocks = list(opalg.upper_blocks(v, y.copy(), 7))
-        assert [b.shape for b in blocks] == [(7, 24), (7, 17), (7, 10), (3, 3)]
-        for lo, block in zip(range(0, 24, 7), blocks):
-            assert self._gap(block, expected[lo:lo + 7, lo:]) <= 1e-14
-        assert self._gap(opalg.rotate(v, y), v_dagger @ y @ v) <= 1e-14
         assert self._gap(opalg.rotate_back(v, y), v @ y @ v_dagger) <= 1e-14
         np.testing.assert_allclose(opalg.rotate_back(v, opalg.rotate(v, y)), y, atol=1e-13)
 

@@ -487,19 +487,20 @@ def test_exact_evolve_on_own_sites_equals_its_embedding_bitwise(chain):
 
 
 class TestPlanFootprint:
-    """The horizon stage holds one sector-sized image at a time beyond the plan,
-    and no block of the generator: each operator's image is made in
-    panels of 128 basis columns, zero-padded to D rows one panel at a time, and
-    a real chain's currents, i times a real matrix, are applied as that matrix.
-    10-site chains, 16 horizons unless every pair is direct, tracemalloc in real
-    D x D; the figures in parentheses were measured before, with a dense H_B, a
-    complex image of each current, a D x d_p padded basis and G's accumulator."""
+    """The horizon stage holds the state's block upper triangle beyond the plan,
+    and no sector-sized image and no block of the generator: each row block of
+    128 rows is made from one panel image of its own basis columns, zero-padded
+    to D rows, and freed once contracted, and a real chain's currents, i times a
+    real matrix, are applied as that matrix. 10-site chains, 16 horizons unless
+    every pair is direct, tracemalloc in real D x D; the figures in parentheses
+    were measured before, with a dense H_B, a complex image of each current, a
+    D x d_p padded basis and G's accumulator."""
 
     HORIZONS = tuple(np.logspace(0.0, 3.0, 16))
     UNIT = 8 * 1024 ** 2
 
     def test_real_horizon_stage(self, monkeypatch):
-        # measured 0.95 (2.38)
+        # measured 0.72 (2.38)
         vols, plan, obs = _ten_site_chain()
         monkeypatch.setattr(thermo, "make_plan", lambda vols: plan)
         reports, peak = traced_peak(lambda: horizon_reports(
@@ -517,13 +518,26 @@ class TestPlanFootprint:
         assert peak <= 3.6 * self.UNIT
 
     def test_complex_horizon_stage(self, monkeypatch):
-        # measured 4.63 (5.81): one complex image at a time, no separate accumulator for G
+        # measured 2.47 (5.81): no complex image, no separate accumulator for G
         vols, plan, obs = _complex_ten_site_chain()
         monkeypatch.setattr(thermo, "make_plan", lambda vols: plan)
         reports, peak = traced_peak(lambda: horizon_reports(
             vols, self.HORIZONS, observables=obs))
         assert len(reports) == 16
         assert peak <= 5.0 * self.UNIT
+
+    @pytest.mark.parametrize("chain, bound", [(_ten_site_chain, 0.8),
+                                              (_complex_ten_site_chain, 3.0)],
+                             ids=["real", "complex"])
+    def test_horizon_stage_forms_no_image(self, monkeypatch, chain, bound):
+        # measured 0.72 real and 2.47 complex (0.93 and 4.30 with each operator's
+        # whole d_p x d_p image formed before its upper triangle was rotated)
+        vols, plan, obs = chain()
+        monkeypatch.setattr(thermo, "make_plan", lambda vols: plan)
+        reports, peak = traced_peak(lambda: horizon_reports(
+            vols, self.HORIZONS, observables=obs))
+        assert len(reports) == 16
+        assert peak <= bound * self.UNIT
 
     @pytest.fixture(scope="class")
     def real_run(self):

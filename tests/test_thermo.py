@@ -398,17 +398,18 @@ class TestEntropyProduction:
         vols = build(chain5, (1, 2))
         assert vols.currents[2].sites == () and vols.currents[2].matrix.tolist() == [[0.0]]
         assert vols.currents[1].sites == (1, 2) and vols.perturbation_current.sites == ()
+        # each row block of a rotated operator is made from one panel image
         rotations = []
-        upper_blocks = opalg.upper_blocks
-        monkeypatch.setattr(opalg, "upper_blocks",
-                            lambda v, y, size: rotations.append(v.shape) or upper_blocks(
-                                v, y, size))
+        kron_apply = opalg.kron_apply
+        monkeypatch.setattr(opalg, "kron_apply",
+                            lambda factors, sites, dims, v: rotations.append(v.shape)
+                            or kron_apply(factors, sites, dims, v))
         obs = {"z": DenseOperator((1,), (2,), SZ)}
         ((report, avg),) = horizon_reports(vols, (5.0,), observables=obs)
-        # per sector (two of 2 states, one 128-row block each): the state, the current
-        # of reservoir 1 and the observable
+        # per sector (two of 2 states, one 128-row block each, its panel padded to
+        # D = 4 rows): the state, the current of reservoir 1 and the observable
         assert len(vols.sectors) == 2
-        assert rotations == [(2, 2)] * len(vols.sectors) * (1 + 1 + len(obs))
+        assert rotations == [(4, 2)] * len(vols.sectors) * (1 + 1 + len(obs))
         assert report.fluxes[2] == 0.0 and report.e_telescoped == report.e
         assert report.e == vols.betas[1] * report.fluxes[1]
 
@@ -454,10 +455,11 @@ class TestEntropyProduction:
         entry = (frozenset(range(5)),
                  (InteractionTerm((3, 4), 0.3 * np.kron(SX, SX)), InteractionTerm((4,), 0.25 * SZ)))
         spec = end_chain(5, anis=0.3)
-        rotated = []
-        upper_blocks = opalg.upper_blocks
-        monkeypatch.setattr(opalg, "upper_blocks",
-                            lambda v, y, size: rotated.append(y.shape) or upper_blocks(v, y, size))
+        rotated = []   # one panel image per row block of a rotated operator
+        kron_apply = opalg.kron_apply
+        monkeypatch.setattr(opalg, "kron_apply",
+                            lambda factors, sites, dims, v: rotated.append(v.shape)
+                            or kron_apply(factors, sites, dims, v))
         counts = []
         for family in (None, PerturbationFamily((entry,), bound_K=1.0)):
             vols = build(spec, range(5), family)
