@@ -90,25 +90,18 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """The config at ``path``, its model and perturbation paths resolved against its directory."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for key in ("model", "output_dir", "perturbation"):
-        if not isinstance(doc.get(key, ""), str):
-            raise ValueError(f"'{key}' must be a string")
-    model.refuse_unknown_keys(doc, ("model", "exhaustion", "horizons", "observables", "seed",
-                                    "output_dir", "perturbation", "redraw_new_s"))
+        model_path, exhaustion, horizons, observables, seed, output_dir, pert, redraw_new_s = (
+            model.read_object(json.load(fh), {
+                "model": "string", "exhaustion": "array of array of number",
+                "horizons": "array of number", "observables": ("object of array", {}),
+                "seed": ("number", 0), "output_dir": ("string", "out"),
+                "perturbation": ("string", None), "redraw_new_s": ("array of number", None)}))
     base = Path(path).parent
-    pert = doc.get("perturbation")
-    redraw_new_s = doc.get("redraw_new_s")
-    return ExperimentConfig(
-        model_path=str(base / doc["model"]),
-        exhaustion=tuple(tuple(sorted(int(x) for x in v)) for v in doc["exhaustion"]),
-        horizons=tuple(float(t) for t in doc["horizons"]),
-        observables={k: list(v) for k, v in dict(doc.get("observables", {})).items()},
-        seed=int(doc.get("seed", 0)),
-        output_dir=doc.get("output_dir", "out"),
-        perturbation_path=None if pert is None else str(base / pert),
-        redraw_new_s=tuple(int(x) for x in redraw_new_s) if redraw_new_s else None,
-    )
+    return ExperimentConfig(   # the fields in the keys' order
+        str(base / model_path), tuple(tuple(sorted(map(int, v))) for v in exhaustion),
+        tuple(map(float, horizons)), observables, int(seed), output_dir,
+        None if pert is None else str(base / pert),
+        tuple(map(int, redraw_new_s)) if redraw_new_s else None)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -129,18 +122,17 @@ def _observable_operators(spec: model.ModelSpec,
                           cfg: ExperimentConfig) -> dict[str, opalg.DenseOperator]:
     """Each named observable on the union of its terms' supports.
 
-    Every term must be selfadjoint (:meth:`model.InteractionTerm.hermiticity_problem`),
-    as model validation asks of the interaction terms; the averages and the series
-    are only defined for selfadjoint observables, so any other is refused
-    (ValueError), as is one on a site outside the first volume, before its
-    terms are summed.
+    Every term must fit the model and be selfadjoint, as a family term must: the
+    averages and the series are only defined for selfadjoint observables, so any
+    other is refused (ValueError), as is one on a site outside the first volume,
+    before its terms are summed.
     """
     out = {}
     for name in sorted(cfg.observables):
-        terms = [model.term_from_dict(doc, f"observables[{name}][{i}]")
+        terms = [model.term_from_dict(doc, f"observables.{name}[{i}]")
                  for i, doc in enumerate(cfg.observables[name])]
-        problem = next(filter(None, map(model.InteractionTerm.hermiticity_problem, terms)), "")
-        if problem:
+        if problem := next(filter(None, (spec.term_problem(t) or t.hermiticity_problem()
+                                         for t in terms)), ""):
             raise ValueError(f"refusing observable {name}: {problem}")
         sites = sorted(set().union(*(t.support for t in terms)))
         if not set(sites) <= set(cfg.exhaustion[0]):
@@ -201,12 +193,8 @@ def _load_inputs(args):
             if problems:
                 raise ValueError("; ".join(problems))
     with _reading(args.config):
-        undeclared = set().union(*cfg.exhaustion) - set(spec.site_ids)
-        if undeclared:
-            raise ValueError(f"exhaustion names undeclared sites {sorted(undeclared)}")
-        if not spec.small_system <= set(cfg.exhaustion[0]):   # the later volumes hold it
-            raise ValueError(f"volume {list(cfg.exhaustion[0])} does not contain the small "
-                             f"system {sorted(spec.small_system)}")
+        if problem := next(filter(None, map(spec.volume_problem, cfg.exhaustion)), ""):
+            raise ValueError(problem)
         if cfg.redraw_new_s:
             model.redraw(spec, cfg.redraw_new_s)
         observables = _observable_operators(spec, cfg)

@@ -113,8 +113,7 @@ class ModelSpec:
                 f"region map must assign every declared site exactly once "
                 f"(missing {sorted(declared - assigned)}, extra {sorted(assigned - declared)})"
             )
-        problem = next(filter(None, map(self.term_problem, self.terms)), "")
-        if problem:
+        if problem := next(filter(None, map(self.term_problem, self.terms)), ""):
             raise ValueError(problem)
 
     def term_problem(self, term: InteractionTerm) -> str:
@@ -127,6 +126,14 @@ class ModelSpec:
         return (f"term on {term.support} has matrix dimension {term.matrix.shape[0]}, not "
                 f"{want}, the product of its sites' local dimensions"
                 if term.matrix.shape[0] != want else "")
+
+    def volume_problem(self, sites: Iterable[int]) -> str:
+        """Why ``sites`` is not a volume, or '': an undeclared site, or no small system."""
+        sites, small = sorted(set(sites)), sorted(self.small_system)
+        if undeclared := sorted(set(sites) - set(self.sites)):
+            return f"volume {sites} names undeclared sites {undeclared}"
+        return ("" if set(small) <= set(sites)
+                else f"volume {sites} leaves out the small system {small}")
 
     @property
     def site_ids(self) -> tuple[int, ...]:
@@ -297,7 +304,7 @@ class PerturbationFamily:
         problems: list[str] = []
         for idx, (volume, terms) in enumerate(self.entries):
             for t in terms:
-                if problem := spec.term_problem(t):
+                if problem := spec.term_problem(t) or t.hermiticity_problem():
                     problems.append(f"entry {idx}: {problem}")
                 elif not set(t.support) <= volume:
                     problems.append(f"entry {idx}: term on {t.support} lies outside its "
@@ -305,8 +312,6 @@ class PerturbationFamily:
                 elif spec.reservoir_of(t.support) is None:
                     problems.append(
                         f"entry {idx}: term on {t.support} is not inside a single reservoir")
-            problems += [f"entry {idx}: {p}"
-                         for p in map(InteractionTerm.hermiticity_problem, terms) if p]
             norm = interaction_lambda_norm(terms, spec.lam, spec.site_ids)
             if norm > self.bound_K + opalg.BOUND_K_SLACK:
                 problems.append(
@@ -324,41 +329,61 @@ class PerturbationFamily:
 # ---------------------------------------------------------------------------
 # JSON model files
 
-
-def refuse_unknown_keys(doc: Mapping, known: Sequence[str], where: str = "") -> None:
-    """ValueError naming the first key of the JSON object ``doc`` (``where`` in
-    its file) that is not one of ``known``, so that no misspelled part of a file
-    is silently left out."""
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}{where}; known keys: {', '.join(known)}")
+_KINDS = {"array": list, "object": dict, "string": str, "number": (int, float)}
 
 
-def _matrix_from_json(rows, where: str) -> np.ndarray:
-    try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: matrix entries must be [re, im] pairs") from exc
+def _checked(value, kind: str, where: str):
+    """``value``, at ``where`` in its file, if of ``kind``: a key of _KINDS, the types json.load
+    gives each JSON kind (no boolean), or '<array or object> of <kind>'; else ValueError."""
+    outer, _, inner = kind.partition(" of ")
+    if isinstance(value, bool) or not isinstance(value, _KINDS[outer]):
+        raise ValueError(f"{where} must be a JSON {outer}")
+    for key, item in (value.items() if outer == "object" else enumerate(value)) if inner else ():
+        _checked(item, inner, f"{where}.{key}" if outer == "object" else f"{where}[{key}]")
+    return value
+
+
+def read_object(doc, keys: Mapping[str, str | tuple[str, object]], where: str = "") -> list:
+    """The values of the JSON object ``doc``, at ``where`` in its file, under ``keys``,
+    which maps each key ``doc`` may hold to its kind (as :func:`_checked` takes it) or,
+    if optional, to (kind, default). ValueError, naming the key and ``where``, for a
+    non-object ``doc``, an unknown or missing key, or a value of another kind."""
+    _checked(doc, "object", where or "the document")
+    place = f" in {where}" if where else ""
+    if unknown := sorted(set(doc) - set(keys)):
+        raise ValueError(f"unknown key {unknown[0]!r}{place}; known keys: {', '.join(keys)}")
+    values = []
+    for key, spec in keys.items():
+        kind, *default = (spec,) if isinstance(spec, str) else spec
+        if key not in doc and not default:
+            raise ValueError(f"missing key {key!r}{place}")
+        values.append(_checked(doc[key], kind, f"{where}.{key}" if where else key)
+                      if key in doc else default[0])
+    return values
 
 
 def term_from_dict(obj, where: str = "term") -> InteractionTerm:
+    support, rows = read_object(
+        obj, {"support": "array of number", "matrix": "array of array of array of number"}, where)
     try:
-        support = tuple(sorted(int(x) for x in obj["support"]))
-        rows = obj["matrix"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{where}: each term needs 'support' and 'matrix'") from exc
-    return InteractionTerm(support, _matrix_from_json(rows, where))
+        matrix = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except ValueError as exc:
+        raise ValueError(f"{where}: matrix entries must be [re, im] pairs") from exc
+    return InteractionTerm(tuple(sorted(map(int, support))), matrix)
 
 
-def model_from_dict(doc: Mapping) -> ModelSpec:
+def model_from_dict(doc) -> ModelSpec:
     """Build a model from the JSON document structure."""
-    sites = {int(s["id"]): int(s["dim"]) for s in doc["sites"]}
-    if len(sites) != len(doc["sites"]):
+    site_docs, regions, lam, betas, terms = read_object(doc, {
+        "sites": "array", "regions": "object of number", "lambda": "number",
+        "betas": "object of number", "terms": ("array", [])})
+    sites = dict(map(int, read_object(x, {"id": "number", "dim": "number"}, f"sites[{i}]"))
+                 for i, x in enumerate(site_docs))
+    if len(sites) != len(site_docs):
         raise ValueError("duplicate site ids")
-    regions = {int(k): int(v) for k, v in doc["regions"].items()}
-    terms = tuple(term_from_dict(t, f"terms[{i}]") for i, t in enumerate(doc.get("terms", [])))
-    return ModelSpec(sites, regions, terms, float(doc["lambda"]),
-                     {int(k): float(v) for k, v in doc["betas"].items()})
+    return ModelSpec(sites, {int(k): int(v) for k, v in regions.items()},
+                     tuple(term_from_dict(t, f"terms[{i}]") for i, t in enumerate(terms)),
+                     float(lam), {int(k): float(v) for k, v in betas.items()})
 
 
 def load_model(path) -> ModelSpec:
@@ -366,24 +391,21 @@ def load_model(path) -> ModelSpec:
         return model_from_dict(json.load(fh))
 
 
-def family_from_dict(doc: Mapping) -> PerturbationFamily:
-    """Build a family from the JSON document structure; a key it does not know is refused."""
-    refuse_unknown_keys(doc, ("volumes", "bound_K", "protected"))
+def family_from_dict(doc) -> PerturbationFamily:
+    """Build a family from the JSON document structure."""
+    volumes, bound_K, protected_docs = read_object(doc, {
+        "volumes": ("array", []), "bound_K": ("number", 0.0), "protected": ("array", [])})
     entries = []
-    for i, entry in enumerate(doc.get("volumes", [])):
-        try:
-            vol = frozenset(int(x) for x in entry["sites"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"volumes[{i}]: needs a 'sites' list") from exc
-        refuse_unknown_keys(entry, ("sites", "terms"), f" in volumes[{i}]")
-        terms = tuple(term_from_dict(t, f"volumes[{i}].terms[{j}]")
-                      for j, t in enumerate(entry.get("terms", [])))
-        entries.append((vol, terms))
-    protected = []
-    for i, p in enumerate(doc.get("protected", [])):
-        protected.append((frozenset(int(x) for x in p["sites"]), int(p["threshold"])))
-        refuse_unknown_keys(p, ("sites", "threshold"), f" in protected[{i}]")
-    return PerturbationFamily(tuple(entries), float(doc.get("bound_K", 0.0)), tuple(protected))
+    for i, entry in enumerate(volumes):
+        sites, terms = read_object(entry, {"sites": "array of number", "terms": ("array", [])},
+                                   f"volumes[{i}]")
+        entries.append((frozenset(map(int, sites)),
+                        tuple(term_from_dict(t, f"volumes[{i}].terms[{j}]")
+                              for j, t in enumerate(terms))))
+    protected = [read_object(p, {"sites": "array of number", "threshold": "number"},
+                             f"protected[{i}]") for i, p in enumerate(protected_docs)]
+    return PerturbationFamily(tuple(entries), float(bound_K),
+                              tuple((frozenset(map(int, x)), int(t)) for x, t in protected))
 
 
 def load_family(path) -> PerturbationFamily:

@@ -8,8 +8,8 @@ reservoir energy-current operators and the weighted commutator of the
 interface with the perturbations. Every operator, the generator's terms
 included, stays on its own sites, a commutator with the interface on the
 interface's sites and on those of the terms that meet them; the generator's
-diagonal blocks on the conserved sectors, log Z and the norms of G and of
-the interface are computed from them on request. Nothing is diagonalized here.
+diagonal blocks on the conserved sectors and the norms of G and of the
+interface are computed from them on request. Nothing is diagonalized here.
 Model terms straddling the volume boundary are dropped, family terms refused.
 """
 
@@ -48,14 +48,14 @@ class VolumeOperators:
     such site is a 1x1 zero on no sites.
     ``opalg.embed(op, vols.sites, vols.dims)`` lifts any of them to the volume.
 
-    The normalized weighted exponent is G = sum_a beta_a (H_a + B_a) +
-    ``log_z``, with the commuting ``blocks`` beta_a (H_a + B_a) on disjoint
-    sites, so exp(-G) is the tensor product of the reservoirs' Gibbs states
-    and the normalized trace on the remaining sites. ``log_z``, ``g_norm``
-    (the operator norm of G) and ``w_norm`` (that of ``W``) are computed on
-    each read, from the spectra of the blocks and of ``W``. Each block
-    commutes with every term off its sites, so i[H_B, G] = sum_a beta_a
-    ``currents[a]`` + ``perturbation_current``. All operators are Hermitian.
+    The normalized weighted exponent is G = sum_a beta_a (H_a + B_a) + log Z,
+    with the commuting ``blocks`` beta_a (H_a + B_a) on disjoint sites, so
+    exp(-G) is the tensor product of the reservoirs' Gibbs states and the
+    normalized trace on the remaining sites. ``g_norm`` (the operator norm of
+    G) and ``w_norm`` (that of ``W``) are computed on each read, from the
+    spectra of the blocks and of ``W``. Each block commutes with every term
+    off its sites, so i[H_B, G] = sum_a beta_a ``currents[a]`` +
+    ``perturbation_current``. All operators are Hermitian.
 
     ``sectors`` are the :func:`opalg.sectors` of the in-volume and
     perturbation terms, of whose sums and products every operator above is
@@ -92,9 +92,10 @@ class VolumeOperators:
             out[a] = self.betas[a] * (h + opalg.embed(b, h.sites, h.dims) if b.sites else h)
         return out
 
-    def _exponent(self) -> tuple[float, float]:
-        """(log Z, ||G||) from one eigvalsh of each block: G's eigenvalues are nonnegative,
-        so its norm is its largest eigenvalue."""
+    @property
+    def g_norm(self) -> float:
+        """||G|| from one eigvalsh of each block: G's eigenvalues are nonnegative, so its
+        norm is its largest eigenvalue, the blocks' largest summed, plus log Z."""
         log_z, top, blocks = 0.0, 0.0, self.blocks
         for block in blocks.values():
             eigs = opalg.eigenvalues(block)
@@ -104,16 +105,7 @@ class VolumeOperators:
             top += float(eigs[-1])
         # the normalized trace on the sites that no block covers
         log_z += math.log(self.dim // math.prod(b.dim for b in blocks.values()))
-        return log_z, top + log_z
-
-    @property
-    def log_z(self) -> float:
-        """The constant of G, so that exp(-G) has unit trace."""
-        return self._exponent()[0]
-
-    @property
-    def g_norm(self) -> float:
-        return self._exponent()[1]
+        return top + log_z
 
     @property
     def w_norm(self) -> float:
@@ -145,11 +137,8 @@ def build(spec: ModelSpec, volume: Iterable[int],
     their joint sites.
     """
     sites = tuple(sorted(set(volume)))
-    declared = set(spec.site_ids)
-    if not set(sites) <= declared:
-        raise ValueError(f"volume contains undeclared sites {sorted(set(sites) - declared)}")
-    if not spec.small_system <= set(sites):
-        raise ValueError("volume must contain the small system")
+    if problem := spec.volume_problem(sites):
+        raise ValueError(problem)
     dims = spec.dims_for(sites)
     in_volume = [t for t in spec.terms if set(t.support) <= set(sites)]
     owners = [spec.reservoir_of(t.support) for t in in_volume]

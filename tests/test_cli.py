@@ -132,6 +132,16 @@ class TestValidateCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--model", str(tmp_path / "nope.json")]) == 2
 
+    def test_misspelled_key_exits_two(self, chain_files, capsys):
+        # "term" for "terms" once loaded a model with no terms, which validated as ok
+        _, model_path, _, tmp_path = chain_files
+        doc = json.loads(model_path.read_text())
+        doc["term"] = doc.pop("terms")
+        path = write_config(tmp_path, doc, name="term_model.json")
+        assert main(["validate", "--model", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"cannot load {path}: unknown key 'term'; known "
+                                           "keys: sites, regions, lambda, betas, terms\n")
+
     @pytest.mark.parametrize("invalid", ["nan-model-entry", "nan-lambda", "infinite-beta"])
     def test_non_finite_model_exits_two(self, chain_files, capsys, invalid):
         # a NaN entry used to validate as ok and then fail the build
@@ -376,30 +386,74 @@ class TestSimulateCommand:
                                            "sites' local dimensions\n")
         assert built == []
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
-    @pytest.mark.parametrize("file, key, known", [
-        ("config", "observabels", "model, exhaustion, horizons, observables, seed, output_dir, "
-                                  "perturbation, redraw_new_s"),
-        ("family", "entries", "volumes, bound_K, protected")], ids=["config", "family"])
-    def test_misspelled_key_refused_before_any_build(
-            self, chain_files, capsys, monkeypatch, command, file, key, known):
-        # the misspelled part would otherwise be left out, and the run end in status 0
+    @staticmethod
+    def _refused_input(chain_files, monkeypatch, command, file, change):
+        """Run ``command`` on the chain_files model, a family and a config that names
+        both, after ``change`` of the one named ``file``: the path of that file, with
+        the status and the no-build check asserted."""
         _, model_path, _, tmp_path = chain_files
-        family = {"bound_K": 1.0, "volumes": [{"sites": [0, 1, 2, 3],
-                                               "terms": [{**MID_Z[0], "support": [0]}]}]}
-        config = {"model": model_path.name, "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
-                  "horizons": [1.0], "observables": {"mid_z": MID_Z},
-                  "perturbation": "family.json", "output_dir": str(tmp_path / "out")}
-        doc = config if file == "config" else family
-        doc[key] = doc.pop("observables" if file == "config" else "volumes")
-        paths = {"family": write_config(tmp_path, family, name="family.json"),
-                 "config": write_config(tmp_path, config, name="key_config.json")}
+        docs = {"model": json.loads(model_path.read_text()),
+                "family": {"bound_K": 1.0, "volumes": [
+                    {"sites": [0, 1, 2, 3], "terms": [{**MID_Z[0], "support": [0]}]}]},
+                "config": {"model": "changed_model.json",
+                           "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
+                           "horizons": [1.0], "observables": {"mid_z": MID_Z},
+                           "perturbation": "family.json", "output_dir": str(tmp_path / "out")}}
+        change(docs[file])
+        paths = {"model": write_config(tmp_path, docs["model"], name="changed_model.json"),
+                 "family": write_config(tmp_path, docs["family"], name="family.json"),
+                 "config": write_config(tmp_path, docs["config"], name="changed_config.json")}
         built = []
         monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
         assert main([command, "--config", str(paths["config"])]) == 2
-        assert capsys.readouterr() == ("", f"cannot load {paths[file]}: unknown key {key!r}; "
-                                           f"known keys: {known}\n")
         assert built == []
+        return paths[file]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
+    @pytest.mark.parametrize("file, place, key, new_key, refusal", [
+        ("config", (), "observables", "observabels",
+         "unknown key 'observabels'; known keys: model, exhaustion, horizons, observables, "
+         "seed, output_dir, perturbation, redraw_new_s"),
+        ("family", (), "volumes", "entries",
+         "unknown key 'entries'; known keys: volumes, bound_K, protected"),
+        ("model", (), "terms", "term",
+         "unknown key 'term'; known keys: sites, regions, lambda, betas, terms"),
+        ("model", ("sites", 2), "dim", "dimm",
+         "unknown key 'dimm' in sites[2]; known keys: id, dim"),
+        ("model", ("terms", 1), None, "weight",
+         "unknown key 'weight' in terms[1]; known keys: support, matrix")],
+        ids=["config", "family", "model", "site", "term"])
+    def test_misspelled_key_refused_before_any_build(
+            self, chain_files, capsys, monkeypatch, command, file, place, key, new_key,
+            refusal):
+        # the misspelled part would otherwise be left out (the model's terms, leaving
+        # every flux 0) or read with a default, and the run end in status 0
+        def rename(doc):
+            for step in place:
+                doc = doc[step]
+            doc[new_key] = doc.pop(key) if key else 1.0
+        path = self._refused_input(chain_files, monkeypatch, command, file, rename)
+        assert capsys.readouterr() == ("", f"cannot load {path}: {refusal}\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
+    @pytest.mark.parametrize("file, change, refusal", [
+        ("model", lambda doc: doc.pop("lambda"), "missing key 'lambda'"),
+        ("model", lambda doc: doc.update({"lambda": True}), "lambda must be a JSON number"),
+        ("model", lambda doc: doc["sites"].__setitem__(1, [1, 2]),
+         "sites[1] must be a JSON object"),
+        ("config", lambda doc: doc.update({"horizons": "15"}),
+         "horizons must be a JSON array"),
+        ("config", lambda doc: doc["exhaustion"].__setitem__(1, "012"),
+         "exhaustion[1] must be a JSON array"),
+        ("family", lambda doc: doc["volumes"][0].update({"sites": "0123"}),
+         "volumes[0].sites must be a JSON array")],
+        ids=["no-lambda", "boolean-lambda", "site-not-an-object", "horizons-string",
+             "exhaustion-volume-string", "family-volume-string"])
+    def test_value_of_the_wrong_kind_refused_before_any_build(
+            self, chain_files, capsys, monkeypatch, command, file, change, refusal):
+        # "15" once ran as the horizons 1 and 5, and "012" as the volume [0, 1, 2]
+        path = self._refused_input(chain_files, monkeypatch, command, file, change)
+        assert capsys.readouterr() == ("", f"cannot load {path}: {refusal}\n")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
     def test_family_entry_for_no_volume_of_the_exhaustion_refused_before_any_build(
@@ -446,6 +500,25 @@ class TestSimulateCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"cannot load {config_path}: ")
         assert err.count("\n") == 1 and "skew" in err and "selfadjoint" in err
+        assert built == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
+    def test_observable_of_the_wrong_dimension_refused_before_any_build(
+            self, chain_files, capsys, monkeypatch, command):
+        # a 3 x 3 matrix on qubit site 1: the family terms' fit check, naming the observable
+        _, model_path, _, tmp_path = chain_files
+        identity = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+        config_path = write_config(tmp_path, {
+            "model": model_path.name, "exhaustion": [[1, 2], [0, 1, 2], [0, 1, 2, 3]],
+            "horizons": [1.0], "observables": {"wide": [{"support": [1], "matrix": identity}]},
+            "output_dir": str(tmp_path / "out"),
+        }, name="wide.json")
+        built = []
+        monkeypatch.setattr("nesslab.volume.build", lambda *a, **k: built.append(a))
+        assert main([command, "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == ("", f"cannot load {config_path}: refusing observable "
+                                           "wide: term on (1,) has matrix dimension 3, not 2, "
+                                           "the product of its sites' local dimensions\n")
         assert built == []
 
     def test_observable_columns(self, tmp_path):

@@ -74,7 +74,10 @@ def test_initial_state_matches_full_exponential(vols):
 
 
 def test_exponent_matches_full_spectrum(vols):
-    assert abs(vols.log_z - oracles.log_partition(vols)) <= TOL
+    # G is nonnegative, since exp(-G) has unit trace, and its largest eigenvalue is g_norm
+    spectrum = np.linalg.eigvalsh(oracles.exponent(vols))
+    assert spectrum[0] >= -TOL
+    assert abs(vols.g_norm - spectrum[-1]) <= TOL
 
 
 def test_norms_match_full_operators(vols):

@@ -98,7 +98,7 @@ class TestDtypeRule:
         assert vols.blocks[1].matrix.dtype == np.complex128
         assert vols.B_a[1].matrix.dtype == np.complex128
         assert vols.H_a[1].matrix.dtype == vols.blocks[2].matrix.dtype == np.float64
-        assert abs(vols.log_z - oracles.log_partition(vols)) <= TOL
+        assert abs(vols.g_norm - oracles.g_norm(vols)) <= TOL
         plan = make_plan(vols)
         (report, _), = horizon_reports(vols, (10.0,))
         fluxes, e_tel = oracles.horizon_values(vols, plan, initial_state(vols), 10.0)
