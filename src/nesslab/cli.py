@@ -92,16 +92,16 @@ def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         model_path, exhaustion, horizons, observables, seed, output_dir, pert, redraw_new_s = (
             model.read_object(json.load(fh), {
-                "model": "string", "exhaustion": "array of array of number",
+                "model": "string", "exhaustion": "array of array of integer",
                 "horizons": "array of number", "observables": ("object of array", {}),
-                "seed": ("number", 0), "output_dir": ("string", "out"),
-                "perturbation": ("string", None), "redraw_new_s": ("array of number", None)}))
+                "seed": ("integer", 0), "output_dir": ("string", "out"),
+                "perturbation": ("string", None), "redraw_new_s": ("array of integer", None)}))
     base = Path(path).parent
     return ExperimentConfig(   # the fields in the keys' order
-        str(base / model_path), tuple(tuple(sorted(map(int, v))) for v in exhaustion),
-        tuple(map(float, horizons)), observables, int(seed), output_dir,
+        str(base / model_path), tuple(tuple(sorted(v)) for v in exhaustion),
+        tuple(map(float, horizons)), observables, seed, output_dir,
         None if pert is None else str(base / pert),
-        tuple(map(int, redraw_new_s)) if redraw_new_s else None)
+        tuple(redraw_new_s) if redraw_new_s else None)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -329,7 +329,8 @@ class PerturbationFamily:
 # ---------------------------------------------------------------------------
 # JSON model files
 
-_KINDS = {"array": list, "object": dict, "string": str, "number": (int, float)}
+# an integer is a number written with no fraction and no exponent, which json.load gives as int
+_KINDS = {"array": list, "object": dict, "string": str, "number": (int, float), "integer": int}
 
 
 def _checked(value, kind: str, where: str):
@@ -364,24 +365,25 @@ def read_object(doc, keys: Mapping[str, str | tuple[str, object]], where: str = 
 
 def term_from_dict(obj, where: str = "term") -> InteractionTerm:
     support, rows = read_object(
-        obj, {"support": "array of number", "matrix": "array of array of array of number"}, where)
-    try:
-        matrix = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    except ValueError as exc:
-        raise ValueError(f"{where}: matrix entries must be [re, im] pairs") from exc
-    return InteractionTerm(tuple(sorted(map(int, support))), matrix)
+        obj, {"support": "array of integer", "matrix": "array of array of array of number"}, where)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"{where}.matrix must be square: as many entries in each row as rows")
+    if any(len(entry) != 2 for row in rows for entry in row):
+        raise ValueError(f"{where}.matrix entries must be [re, im] pairs")
+    return InteractionTerm(tuple(sorted(support)),
+                           np.array([[complex(re, im) for re, im in row] for row in rows]))
 
 
 def model_from_dict(doc) -> ModelSpec:
     """Build a model from the JSON document structure."""
     site_docs, regions, lam, betas, terms = read_object(doc, {
-        "sites": "array", "regions": "object of number", "lambda": "number",
+        "sites": "array", "regions": "object of integer", "lambda": "number",
         "betas": "object of number", "terms": ("array", [])})
-    sites = dict(map(int, read_object(x, {"id": "number", "dim": "number"}, f"sites[{i}]"))
+    sites = dict(read_object(x, {"id": "integer", "dim": "integer"}, f"sites[{i}]")
                  for i, x in enumerate(site_docs))
     if len(sites) != len(site_docs):
         raise ValueError("duplicate site ids")
-    return ModelSpec(sites, {int(k): int(v) for k, v in regions.items()},
+    return ModelSpec(sites, {int(k): v for k, v in regions.items()},
                      tuple(term_from_dict(t, f"terms[{i}]") for i, t in enumerate(terms)),
                      float(lam), {int(k): float(v) for k, v in betas.items()})
 
@@ -397,15 +399,15 @@ def family_from_dict(doc) -> PerturbationFamily:
         "volumes": ("array", []), "bound_K": ("number", 0.0), "protected": ("array", [])})
     entries = []
     for i, entry in enumerate(volumes):
-        sites, terms = read_object(entry, {"sites": "array of number", "terms": ("array", [])},
+        sites, terms = read_object(entry, {"sites": "array of integer", "terms": ("array", [])},
                                    f"volumes[{i}]")
-        entries.append((frozenset(map(int, sites)),
+        entries.append((frozenset(sites),
                         tuple(term_from_dict(t, f"volumes[{i}].terms[{j}]")
                               for j, t in enumerate(terms))))
-    protected = [read_object(p, {"sites": "array of number", "threshold": "number"},
+    protected = [read_object(p, {"sites": "array of integer", "threshold": "integer"},
                              f"protected[{i}]") for i, p in enumerate(protected_docs)]
     return PerturbationFamily(tuple(entries), float(bound_K),
-                              tuple((frozenset(map(int, x)), int(t)) for x, t in protected))
+                              tuple((frozenset(x), t) for x, t in protected))
 
 
 def load_family(path) -> PerturbationFamily:

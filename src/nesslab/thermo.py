@@ -149,12 +149,13 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     R made from the Y the operator is applied as. As s and x are Hermitian,
     P_kj = conj(P_jk) and d_kj = -d_jk, so the pair (k, j) adds the complex
     conjugate of what (j, k) adds to each sum below. So only the block upper
-    triangle is made, held and contracted, about half of the full rotation:
-    per block of 128 rows from lo on, R's rows from column lo on are
+    triangle is made and contracted, about half of the full rotation: per
+    block of 128 rows from lo on, R's rows from column lo on are
     (Y V_b)^dagger V[:, lo:], V_b the block's own basis columns. No image of Y
     on the whole sector is formed: Y V_b is made from one panel, V_b
-    zero-padded to the volume's D rows, and the panel and the block are freed
-    once the block is contracted. For a Hermitian Y, R is V^dagger Y V and
+    zero-padded to the volume's D rows. The state's row block is made once,
+    every operator's is contracted against it in turn, and nothing but the
+    sums outlives the row block. For a Hermitian Y, R is V^dagger Y V and
     c = 1. On a real plan an operator i Y with Y real, as every current of a
     real chain is, is applied as Y, which is antisymmetric, so R is
     -V^dagger Y V and c = i.
@@ -168,8 +169,10 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
     pair adds a rounding error of about eps |P_jk| / tau, and its phase error
     eps T |w| adds eps |P_jk| |w| / |d_jk|, as the eigenvalues' own error at
     d_jk does. The other pairs (d = 0 among them; all of them for a small min
-    T) are direct: packed j < k per operator, with :func:`_horizon_kernels` at
-    every horizon. Each value is Re(c (tr Q + 2 sum_{j<k} Q K + (-i/T) z)).
+    T) are direct: a row block's direct Q_jk, j < k, of every operator are
+    stacked into one array, and each horizon contracts it with
+    :func:`_horizon_kernels` at that block's direct frequencies in one
+    product. Each value is Re(c (tr Q + 2 sum_{j<k} Q K + (-i/T) z)).
 
     Returns one (report, {key: average}) pair per horizon, in order.
     """
@@ -189,10 +192,10 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
                  for x, c in zip(operators, coefs)]
     factors, scale = _gibbs_factors(vols)
     cut = opalg.SEPARABLE_PHASE_TOL / min(horizons, default=1.0)  # no horizon: no report
-    # per operator: tr Q, z per horizon, packed direct Q
+    # per operator: tr Q, and per horizon z and the direct sum of Q K
     diag = np.zeros(len(operators), complex)
     separable = np.zeros((len(operators), len(horizons)), complex)
-    direct, freq = [[] for _ in operators], []
+    direct = np.zeros((len(operators), len(horizons)), complex)
     for sector in plan.sectors:
         v, w = sector.basis, sector.eigenvalues
         size, dim = w.size, vols.dim
@@ -209,51 +212,42 @@ def horizon_reports(vols: VolumeOperators, horizons: Sequence[float],
             del panel
             return opalg.matmul(np.conjugate(y, out=y).T, v[:, lo:])
 
-        # per row block from its first column on: 1/d (0 if direct, None if all are), direct j < k
-        blocks = []
+        # one row block at a time, from its first column on; nothing is kept but the sums
         for lo in range(0, size, _BLOCK):
             bohr = w[None, lo:] - w[lo:lo + _BLOCK, None]
             far = np.abs(bohr) >= cut
-            upper = np.flatnonzero(np.triu(~far, 1)).astype(np.int32)
-            freq.append(bohr.ravel()[upper])
-            blocks.append((lo, np.divide(1.0, bohr, out=np.zeros(bohr.shape), where=far)
-                           if far.any() else None, upper))
-
-        def contract(x: DenseOperator, k: int) -> None:
-            """The sums of Q = s * conj(V^dagger Y V) into row k, one row block at a time,
-            each freed before the next is made."""
-            for (lo, inv, upper), s in zip(blocks, sigma_t):
+            upper = np.flatnonzero(np.triu(~far, 1))   # the direct pairs j < k
+            half = 0.5 * bohr.ravel()[upper]
+            inv = np.divide(1.0, bohr, out=np.zeros(bohr.shape), where=far) if far.any() else None
+            del bohr, far
+            s = row_block(factors, lo) * scale
+            pairs = np.empty((len(operators), upper.size),
+                             np.result_type(v, *(x.matrix for x in operators)))
+            # an observable's blocks between sectors meet zero blocks of the state
+            for k, x in enumerate(operators):
                 q = row_block([x], lo)
                 np.conjugate(q, out=q)
                 q *= s
                 diag[k] += np.trace(q)
-                direct[k].append(q.ravel()[upper])
+                pairs[k] = q.ravel()[upper]
                 if inv is not None:
                     q *= inv
                     q[:, _BLOCK:] *= 2.0   # right of the diagonal block, k > j stands for j < k
-                    z = np.einsum("jt,jt->t", phases[lo:lo + _BLOCK].conj(),
-                                  opalg.matmul(q, phases[lo:]))
-                    z -= q.sum()
-                    separable[k] += z
+                    separable[k] += np.einsum("jt,jt->t", phases[lo:lo + _BLOCK].conj(),
+                                              opalg.matmul(q, phases[lo:])) - q.sum()
                 del q
-
-        sigma_t = [row_block(factors, lo) * scale for lo, _, _ in blocks]
-        # one at a time; an observable's blocks between sectors meet zero blocks of sigma_t
-        for k, x in enumerate(operators):
-            contract(x, k)
-        del sigma_t, blocks
-    freq = np.concatenate(freq)
-    for k in range(len(operators)):   # one operator at a time, its parts freed as packed
-        direct[k] = np.concatenate(direct[k])
+            del s, inv, upper
+            for n, horizon in enumerate(horizons):
+                kernel = _horizon_kernels(horizon * half).reshape(-1, 1)
+                direct[:, n] += opalg.matmul(pairs, kernel)[:, 0]
+            del pairs, half
 
     out, w_norm = [], vols.w_norm   # one solve for every horizon's tolerance
     for n, horizon in enumerate(horizons):
-        kernel = _horizon_kernels(0.5 * horizon * freq).reshape(-1, 1)
-        local = iter([float((c * (diag[k] + 2.0 * opalg.matmul(q[None], kernel)[0, 0]
+        local = iter([float((c * (diag[k] + 2.0 * direct[k, n]
                                   - 1j * (separable[k, n] / horizon))).real)
-                      for k, (c, q) in enumerate(zip(coefs, direct))])
+                      for k, c in enumerate(coefs)])
         values = [next(local) if x.sites else float(x.matrix[0, 0].real) for x in named]
-        del kernel   # freed before the next horizon's is made
         fluxes = dict(zip(reservoirs, values))
         averages = dict(zip(observables, values[len(reservoirs):]))
         e = float(sum(vols.betas[a] * f for a, f in fluxes.items()))

@@ -446,12 +446,30 @@ class TestSimulateCommand:
         ("config", lambda doc: doc["exhaustion"].__setitem__(1, "012"),
          "exhaustion[1] must be a JSON array"),
         ("family", lambda doc: doc["volumes"][0].update({"sites": "0123"}),
-         "volumes[0].sites must be a JSON array")],
+         "volumes[0].sites must be a JSON array"),
+        ("model", lambda doc: doc["sites"][1].update({"id": 1.7, "dim": 2.9}),
+         "sites[1].id must be a JSON integer"),
+        ("model", lambda doc: doc["terms"][4].update({"support": [0.6, 1]}),
+         "terms[4].support[0] must be a JSON integer"),
+        ("model", lambda doc: doc["sites"][0].update({"dim": math.inf}),
+         "sites[0].dim must be a JSON integer"),
+        ("config", lambda doc: doc["exhaustion"][0].__setitem__(1, 2.0),
+         "exhaustion[0][1] must be a JSON integer"),
+        ("config", lambda doc: doc.update({"seed": 7.5}), "seed must be a JSON integer"),
+        ("model", lambda doc: doc["terms"][0].update({"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}),
+         "terms[0].matrix must be square: as many entries in each row as rows"),
+        ("model", lambda doc: doc["terms"][0].update(
+            {"matrix": [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+         "terms[0].matrix entries must be [re, im] pairs")],
         ids=["no-lambda", "boolean-lambda", "site-not-an-object", "horizons-string",
-             "exhaustion-volume-string", "family-volume-string"])
+             "exhaustion-volume-string", "family-volume-string", "fractional-site",
+             "fractional-support", "infinite-dim", "float-exhaustion-site", "fractional-seed",
+             "ragged-matrix", "matrix-entry-not-a-pair"])
     def test_value_of_the_wrong_kind_refused_before_any_build(
             self, chain_files, capsys, monkeypatch, command, file, change, refusal):
-        # "15" once ran as the horizons 1 and 5, and "012" as the volume [0, 1, 2]
+        # "15" once ran as the horizons 1 and 5, and "012" as the volume [0, 1, 2];
+        # a fraction was dropped ("id": 1.7 ran as site 1 of dimension 2), and an
+        # infinite dimension (1e400 reads as inf, as Infinity does) overflowed int()
         path = self._refused_input(chain_files, monkeypatch, command, file, change)
         assert capsys.readouterr() == ("", f"cannot load {path}: {refusal}\n")
 

@@ -335,7 +335,14 @@ class TestSeparableContraction:
         horizons = tuple(np.logspace(0.0, 3.0, 16))
         sizes = _kernel_arguments(monkeypatch)
         horizon_reports(vols, horizons, observables=_observables())
-        assert len(sizes) == len(horizons)
+        # one call per row block of 128 and horizon, each over that block's direct pairs
+        row_blocks = sum(-(-s.indices.size // 128) for s in plan.sectors)
+        assert len(sizes) == row_blocks * len(horizons)
+        cut = opalg.SEPARABLE_PHASE_TOL / min(horizons)
+        direct = sum(int(np.count_nonzero(np.triu(
+            np.abs(s.eigenvalues[None, :] - s.eigenvalues[:, None]) < cut, 1)))
+            for s in plan.sectors)
+        assert sum(sizes) == len(horizons) * direct
         half_squares = sum(s.indices.size ** 2 / 2 for s in plan.sectors)
         assert sum(sizes) < 0.05 * len(horizons) * half_squares
 
@@ -343,7 +350,7 @@ class TestSeparableContraction:
         assert horizon_reports(case[2], (), observables=_observables()) == []
 
     def test_peak_is_below_five_volume_matrices(self, monkeypatch):
-        # ROADMAP item 3, with the plan given: measured 3.6 real DxD at
+        # ROADMAP item 3, with the plan given: measured 0.46 real DxD at
         # D = 1024 (6.5 with packed per-pair weights for every operator)
         spec = make_chain(10, {i: 0 if i == 5 else 1 if i < 5 else 2 for i in range(10)},
                           BETAS, anis=0.3)
@@ -371,8 +378,8 @@ def _ten_site_chain(family=None):
 
 
 class TestBlockUpperTriangle:
-    """horizon_reports rotates, holds and contracts only the block upper
-    triangle of each sector, in row blocks of 128."""
+    """horizon_reports rotates and contracts only the block upper triangle of
+    each sector, one row block of 128 at a time."""
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_several_row_blocks_match_the_per_pair_oracle(self, kind):
@@ -436,7 +443,7 @@ class TestBlockUpperTriangle:
         assert [x.shape for x in sector if np.iscomplexobj(x)] == []
 
     def test_peak_is_below_the_triangle_bound(self, monkeypatch):
-        # with the plan given: measured 2.4 real DxD (3.6 with full rotations)
+        # with the plan given: measured 0.46 real DxD (3.6 with full rotations)
         vols, plan, obs = _ten_site_chain()
         monkeypatch.setattr(thermo, "make_plan", lambda vols: plan)
         reports, peak = traced_peak(lambda: horizon_reports(
@@ -446,7 +453,7 @@ class TestBlockUpperTriangle:
 
     def test_all_direct_peak(self, monkeypatch):
         # tau / 1e-3 exceeds every Bohr frequency: no row block has a 1/d block or
-        # a phase product. Measured 4.8 real DxD (6.8 with a zero 1/d block per
+        # a phase product. Measured 0.73 real DxD (6.8 with a zero 1/d block per
         # row block, int64 pair indices and zero imaginary rows for real P)
         vols, plan, obs = _ten_site_chain()
         horizons = (1e-3, 0.05, 1.0, 1e4)
@@ -487,20 +494,22 @@ def test_exact_evolve_on_own_sites_equals_its_embedding_bitwise(chain):
 
 
 class TestPlanFootprint:
-    """The horizon stage holds the state's block upper triangle beyond the plan,
-    and no sector-sized image and no block of the generator: each row block of
-    128 rows is made from one panel image of its own basis columns, zero-padded
-    to D rows, and freed once contracted, and a real chain's currents, i times a
-    real matrix, are applied as that matrix. 10-site chains, 16 horizons unless
-    every pair is direct, tracemalloc in real D x D; the figures in parentheses
-    were measured before, with a dense H_B, a complex image of each current, a
-    D x d_p padded basis and G's accumulator."""
+    """The horizon stage holds nothing across row blocks beyond the plan and its
+    sums: per row block of 128 rows, the state's block, each operator's block in
+    turn and the stacked direct pairs of every operator, each block made from one
+    panel image of its own basis columns, zero-padded to D rows; no sector-sized
+    image and no block of the generator. A real chain's currents, i times a real
+    matrix, are applied as that matrix. 10-site chains, 16 horizons unless every
+    pair is direct, tracemalloc in real D x D; the figures in parentheses were
+    measured before, with a dense H_B, a complex image of each current, a D x d_p
+    padded basis and G's accumulator."""
 
     HORIZONS = tuple(np.logspace(0.0, 3.0, 16))
+    DIRECT = (1e-3, 0.05, 1.0, 1e4)   # tau / 1e-3 exceeds every Bohr frequency
     UNIT = 8 * 1024 ** 2
 
     def test_real_horizon_stage(self, monkeypatch):
-        # measured 0.72 (2.38)
+        # measured 0.46 (2.38)
         vols, plan, obs = _ten_site_chain()
         monkeypatch.setattr(thermo, "make_plan", lambda vols: plan)
         reports, peak = traced_peak(lambda: horizon_reports(
@@ -509,16 +518,16 @@ class TestPlanFootprint:
         assert peak <= 1.25 * self.UNIT
 
     def test_real_horizon_stage_every_pair_direct(self, monkeypatch):
-        # measured 3.32 (4.30): each current's packed weights are one real row
+        # measured 0.73 (4.30): one row block's direct pairs of every operator, real
         vols, plan, obs = _ten_site_chain()
         monkeypatch.setattr(thermo, "make_plan", lambda vols: plan)
         reports, peak = traced_peak(lambda: horizon_reports(
-            vols, (1e-3, 0.05, 1.0, 1e4), observables=obs))
+            vols, self.DIRECT, observables=obs))
         assert len(reports) == 4
         assert peak <= 3.6 * self.UNIT
 
     def test_complex_horizon_stage(self, monkeypatch):
-        # measured 2.47 (5.81): no complex image, no separate accumulator for G
+        # measured 0.91 (5.81): no complex image, no separate accumulator for G
         vols, plan, obs = _complex_ten_site_chain()
         monkeypatch.setattr(thermo, "make_plan", lambda vols: plan)
         reports, peak = traced_peak(lambda: horizon_reports(
@@ -526,17 +535,25 @@ class TestPlanFootprint:
         assert len(reports) == 16
         assert peak <= 5.0 * self.UNIT
 
-    @pytest.mark.parametrize("chain, bound", [(_ten_site_chain, 0.8),
-                                              (_complex_ten_site_chain, 3.0)],
-                             ids=["real", "complex"])
-    def test_horizon_stage_forms_no_image(self, monkeypatch, chain, bound):
-        # measured 0.72 real and 2.47 complex (0.93 and 4.30 with each operator's
-        # whole d_p x d_p image formed before its upper triangle was rotated)
+    @pytest.mark.parametrize("chain, direct, bound", [
+        (_ten_site_chain, False, 0.8), (_complex_ten_site_chain, False, 3.0),
+        (_ten_site_chain, True, 1.0), (_complex_ten_site_chain, True, 3.0),
+        (_complex_ten_site_chain, False, 1.5)],
+        ids=["real", "complex", "real-every-pair-direct", "complex-every-pair-direct",
+             "complex-no-held-triangle"])
+    def test_horizon_stage_forms_no_image(self, monkeypatch, chain, direct, bound):
+        # measured, 16 horizons: 0.46 real and 0.91 complex (0.93 and 4.30 with each
+        # operator's whole d_p x d_p image formed before its upper triangle was
+        # rotated; 0.72 and 2.47 with the state's block upper triangle held while
+        # each operator was contracted). Every pair direct: 0.73 real and 1.98
+        # complex (2.56 and 7.09 with every operator's direct pairs packed and
+        # held until the last operator was done)
         vols, plan, obs = chain()
+        horizons = self.DIRECT if direct else self.HORIZONS
         monkeypatch.setattr(thermo, "make_plan", lambda vols: plan)
         reports, peak = traced_peak(lambda: horizon_reports(
-            vols, self.HORIZONS, observables=obs))
-        assert len(reports) == 16
+            vols, horizons, observables=obs))
+        assert len(reports) == len(horizons)
         assert peak <= bound * self.UNIT
 
     @pytest.fixture(scope="class")
@@ -570,12 +587,12 @@ class TestPlanFootprint:
         assert real_run[1] <= 0.6
 
     def test_build_plan_and_horizon_stage_peak(self, real_run):
-        # measured 1.50 (2.00 with H_B held through the solves and the horizon stage)
+        # measured 0.97 (2.00 with H_B held through the solves and the horizon stage)
         assert real_run[2] <= 1.6
 
     def test_complex_build_and_horizon_stage_peak(self):
         # 9 sites, one sector of 512: the peak is make_plan's complex eigh, beside
-        # no block of H_B other than the one it solves. Measured 7.30 (9.30)
+        # no block of H_B other than the one it solves. Measured 4.21 (9.30)
         spec = make_chain(9, {i: 0 if i == 4 else 1 if i < 4 else 2 for i in range(9)},
                           BETAS, anis=0.3)
         spec = _with_terms(spec, *(InteractionTerm((i,), 0.2 * SY) for i in range(9)))
@@ -587,7 +604,7 @@ class TestPlanFootprint:
 
 
 def test_redraw_check_keeps_only_the_redrawn_currents():
-    # the redrawn build's generator is dropped at once: measured 2.85 real
+    # the redrawn build's generator is dropped at once: measured 1.52 real
     # D x D at D = 512 (5.40 with the second build held through the horizons)
     spec = make_chain(9, {i: 0 if i == 4 else 1 if i < 4 else 2 for i in range(9)},
                       BETAS, anis=0.3)
