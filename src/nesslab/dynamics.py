@@ -42,13 +42,15 @@ class EvolutionPlan:
 
 
 def make_plan(vols: volume_mod.VolumeOperators) -> EvolutionPlan:
-    """One :func:`opalg.spectral` per sector block of the build's generator, uncopied:
-    the blocks that ``vols.H_B_blocks()`` assembles on its ``sectors``, each dropped
-    once solved, so no block is held beside the next one's solve or after the plan
-    is made."""
+    """One in-place eigensolve (:func:`opalg._eigh`) per sector block of the build's
+    generator, uncopied: the blocks that ``vols.H_B_blocks()`` assembles on its
+    ``sectors`` for these solves alone, each checked Hermitian
+    (:func:`opalg.hermitian_matrix`) and overwritten by its eigenvectors, so no block
+    is held beside the next one's solve or after the plan is made but as a basis."""
     blocks = list(vols.H_B_blocks())
     return EvolutionPlan(vols.sites, vols.dims, tuple(
-        Sector(rows, *opalg.spectral(blocks.pop(0))) for rows in vols.sectors))
+        Sector(rows, *opalg._eigh(opalg.hermitian_matrix(blocks.pop(0))))
+        for rows in vols.sectors))
 
 
 def _embedded_blocks(rows: Sequence[np.ndarray], sites: tuple[int, ...], dims: tuple[int, ...],

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -363,6 +364,17 @@ def read_object(doc, keys: Mapping[str, str | tuple[str, object]], where: str = 
     return values
 
 
+def _integer_keys(obj: dict, where: str) -> dict:
+    """``obj``, the object at ``where`` in its file, keyed by the integers its keys
+    write; ValueError naming the first key that is not an integer in canonical decimal
+    form, digits with no leading zero and no sign but '-', as json writes an int."""
+    for key in obj:
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+            raise ValueError(f"key {key!r} in {where} must be an integer in canonical "
+                             "decimal form, as 12 or -3")
+    return {int(key): value for key, value in obj.items()}
+
+
 def term_from_dict(obj, where: str = "term") -> InteractionTerm:
     support, rows = read_object(
         obj, {"support": "array of integer", "matrix": "array of array of array of number"}, where)
@@ -383,9 +395,9 @@ def model_from_dict(doc) -> ModelSpec:
                  for i, x in enumerate(site_docs))
     if len(sites) != len(site_docs):
         raise ValueError("duplicate site ids")
-    return ModelSpec(sites, {int(k): v for k, v in regions.items()},
+    return ModelSpec(sites, _integer_keys(regions, "regions"),
                      tuple(term_from_dict(t, f"terms[{i}]") for i, t in enumerate(terms)),
-                     float(lam), {int(k): float(v) for k, v in betas.items()})
+                     float(lam), _integer_keys(betas, "betas"))
 
 
 def load_model(path) -> ModelSpec:

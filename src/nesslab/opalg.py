@@ -8,15 +8,19 @@ the one in-place sum of embedded operators (:func:`embed_sum`), the
 conserved sectors of a set of operators, commutators, the operator
 norm, the spectral decomposition of Hermitian matrices, and the
 exponentially weighted observable norm in its upper-bound form. Every
-Hermitian eigensolve of the package goes through :func:`spectral` or the
-solver of :func:`eigenvalues`, which :func:`op_norm` shares.
+Hermitian eigensolve of the package goes through the in-place kernel
+:func:`_eigh`, which :func:`spectral` and ``dynamics.make_plan`` share, or
+the solver of :func:`eigenvalues`, which :func:`op_norm` shares.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import operator
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -454,14 +458,85 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mat)
 
 
+@functools.cache
+def _lapack_eigh():
+    """The solver :func:`_eigh` runs on a float64 or complex128 matrix, in place, returning
+    the eigenvalues and LAPACK's INFO; None unless numpy's LAPACK is the ILP64 OpenBLAS
+    of its wheels, found on the first solve, not at import.
+
+    The library is the file of that name next to numpy (``numpy.libs``, or
+    ``numpy/.dylibs``), which ctypes maps as the copy numpy loaded, so one
+    OPENBLAS_NUM_THREADS governs both. The solver calls the divide-and-conquer routine
+    that ``np.linalg.eigh`` calls, dsyevd or zheevd (JOBZ 'V', UPLO 'L'), with the minimal
+    real and integer workspaces and LWORK 64 n above the minimal, n^2 + 66 n (complex)
+    or 1 + 6 n + 2 n^2 + 64 n (real): numpy passes the minimal, with which the complex
+    Householder back-transformation runs unblocked, at about twice the time for n >= 512.
+    """
+    found = [*Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*"),
+             *Path(np.__file__).parent.glob(".dylibs/libscipy_openblas64_*")]
+    try:
+        lib = ctypes.CDLL(str(found[0]))
+        routines = {np.dtype(float): lib.scipy_dsyevd_64_,
+                    np.dtype(complex): lib.scipy_zheevd_64_}
+    except (IndexError, OSError, AttributeError):
+        return None
+    integer, buffer = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    for dtype, routine in routines.items():
+        # JOBZ, UPLO, N, A, LDA, W, each workspace and its length (zheevd's real one
+        # after its complex one), INFO, and the lengths of the two characters
+        routine.argtypes = ([ctypes.c_char_p] * 2 + [integer, buffer, integer, buffer]
+                            + [buffer, integer] * (3 if dtype == complex else 2)
+                            + [integer] + [ctypes.c_size_t] * 2)
+        routine.restype = None
+
+    def solve(mat: np.ndarray) -> tuple[np.ndarray, int]:
+        n = mat.shape[0]
+        if not (mat.dtype in routines and mat.shape == (n, n) and mat.flags.c_contiguous
+                and mat.flags.writeable):
+            raise ValueError("the in-place eigensolve takes a writeable, C-contiguous, "
+                             "square float64 or complex128 matrix")
+        w, info = np.empty(n), ctypes.c_int64(0)
+        work = ([np.empty(n * n + 66 * n or 1, complex), np.empty(1 + 5 * n + 2 * n * n)]
+                if mat.dtype == complex else [np.empty(1 + 6 * n + 2 * n * n + 64 * n)])
+        work.append(np.empty(3 + 5 * n, np.int64))
+        sizes = [ctypes.c_int64(x.size) for x in work]
+        spaces = [arg for x, size in zip(work, sizes) for arg in (x.ctypes, ctypes.byref(size))]
+        routines[mat.dtype](b"V", b"L", ctypes.byref(ctypes.c_int64(n)), mat.ctypes,
+                            ctypes.byref(ctypes.c_int64(max(1, n))), w.ctypes, *spaces,
+                            ctypes.byref(info), 1, 1)
+        return w, info.value
+    return solve
+
+
+def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and unitary eigenvector matrix of a bitwise Hermitian,
+    C-contiguous float64 or complex128 M, which is overwritten by the eigenvectors: no
+    copy in or out. LAPACK reads M's buffer by columns, as M^T = conj(M), whose
+    eigenvectors are the conjugates of M's, so the eigenvector matrix is the transpose of
+    the result, conjugated in place. np.linalg.eigh where :func:`_lapack_eigh` finds no
+    library; LinAlgError for a nonzero INFO."""
+    solve = _lapack_eigh()
+    if solve is None:
+        return np.linalg.eigh(mat)
+    w, info = solve(mat)
+    if info:
+        raise np.linalg.LinAlgError(f"Hermitian eigensolve failed: LAPACK INFO {info}")
+    return w, _conjugate_in_place(mat).T
+
+
 def spectral(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and unitary eigenvector matrix of a Hermitian A.
 
-    ``(w, v)`` with A = v diag(w) v^dagger, as ``np.linalg.eigh`` returns
-    them for the symmetrized matrix. Raises ValueError for non-Hermitian
-    input.
+    ``(w, v)`` with A = v diag(w) v^dagger for the symmetrized matrix
+    (:func:`hermitian_matrix`), solved by :func:`_eigh` on a copy only if that
+    matrix is the caller's own: no array of the caller's is written. Raises
+    ValueError for non-Hermitian input.
     """
-    return np.linalg.eigh(hermitian_matrix(a))
+    mat = hermitian_matrix(a)
+    if (np.may_share_memory(mat, a.matrix if isinstance(a, DenseOperator) else a)
+            or not mat.flags.c_contiguous):
+        mat = np.array(mat, order="C")
+    return _eigh(mat)
 
 
 def eigenvalues(a) -> np.ndarray:

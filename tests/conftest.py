@@ -121,8 +121,11 @@ def chain5():
     return make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0})
 
 
-def _record_solves(monkeypatch, record):
-    """Route every numpy/scipy eigh/eigvalsh call through ``record(name, a)``."""
+def record_solves(monkeypatch, record):
+    """Route every numpy/scipy eigh/eigvalsh call, and each LAPACK call of opalg's
+    in-place kernel (recorded as an eigh of its matrix), through ``record(name, a)``;
+    in ``record``, sys._getframe(2) is the frame that called the solver, which is
+    ``opalg._eigh`` for the kernel's LAPACK call."""
     import numpy.linalg
     import scipy.linalg
 
@@ -135,23 +138,26 @@ def _record_solves(monkeypatch, record):
     for mod in (numpy.linalg, scipy.linalg):
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(mod, name, counted(getattr(mod, name), name))
+    lapack = opalg._lapack_eigh()
+    if lapack is not None:   # else the kernel's solve is numpy's eigh, counted above
+        monkeypatch.setattr(opalg, "_lapack_eigh", lambda: counted(lapack, "eigh"))
 
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Every numpy/scipy eigh/eigvalsh call as (matrix dimension, calling file,
-    matrix dtype)."""
+    """Every Hermitian eigensolve (:func:`record_solves`) as (matrix dimension,
+    calling file, matrix dtype)."""
     calls = []
-    _record_solves(monkeypatch, lambda name, a: calls.append(
+    record_solves(monkeypatch, lambda name, a: calls.append(
         (np.shape(a)[-1], sys._getframe(2).f_code.co_filename, np.asarray(a).dtype)))
     return calls
 
 
 @pytest.fixture
 def named_eigensolves(monkeypatch):
-    """Every numpy/scipy eigh/eigvalsh call as (solver name, matrix
-    dimension, matrix dtype)."""
+    """Every Hermitian eigensolve (:func:`record_solves`) as (solver name,
+    matrix dimension, matrix dtype)."""
     calls = []
-    _record_solves(monkeypatch, lambda name, a: calls.append(
+    record_solves(monkeypatch, lambda name, a: calls.append(
         (name, np.shape(a)[-1], np.asarray(a).dtype)))
     return calls

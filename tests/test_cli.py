@@ -13,7 +13,7 @@ import pytest
 from nesslab import boundary_redraw_check
 from nesslab.cli import config_hash, load_config, main, run_klein_fuzz
 
-from conftest import make_chain, model_to_dict
+from conftest import make_chain, model_to_dict, record_solves
 
 
 def write_model(tmp_path, spec, name="model.json"):
@@ -141,6 +141,23 @@ class TestValidateCommand:
         assert main(["validate", "--model", str(path)]) == 2
         assert capsys.readouterr() == ("", f"cannot load {path}: unknown key 'term'; known "
                                            "keys: sites, regions, lambda, betas, terms\n")
+
+    @pytest.mark.parametrize("part, key, written", [
+        ("regions", "1", " 1"), ("regions", "2", "02"), ("regions", "1", "1.0"),
+        ("regions", "0", "-0"), ("betas", "2", "+2"), ("betas", "1", "\u0661")],
+        ids=["padded", "leading-zero", "fraction", "minus-zero", "plus", "arabic-indic-digit"])
+    def test_site_or_reservoir_key_not_in_canonical_decimal_exits_two(
+            self, chain_files, capsys, part, key, written):
+        # int() read " 1" and "02" as 1 and 2, and the model validated as ok;
+        # "1.0" ended in int()'s own message, naming neither the key nor its place
+        _, model_path, _, tmp_path = chain_files
+        doc = json.loads(model_path.read_text())
+        doc[part][written] = doc[part].pop(key)
+        path = write_config(tmp_path, doc, name="keyed_model.json")
+        assert main(["validate", "--model", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"cannot load {path}: key {written!r} in {part} "
+                                           "must be an integer in canonical decimal form, "
+                                           "as 12 or -3\n")
 
     @pytest.mark.parametrize("invalid", ["nan-model-entry", "nan-lambda", "infinite-beta"])
     def test_non_finite_model_exits_two(self, chain_files, capsys, invalid):
@@ -580,8 +597,6 @@ class TestEigensolveCount:
 
     def _count(self, monkeypatch, config_path):
         """For each volume, the number of solves at D/2 and at D, by dimension."""
-        import numpy.linalg
-        import scipy.linalg
         from nesslab import volume
 
         current = []
@@ -593,18 +608,13 @@ class TestEigensolveCount:
             counts.setdefault(current[0], {})
             return real_build(spec, sites, *args, **kwargs)
 
-        def counted(fn):
-            def solve(a, *args, **kwargs):
-                dim = np.shape(a)[-1]
-                if current and dim in (current[1], current[1] // 2):
-                    counts[current[0]][dim] = counts[current[0]].get(dim, 0) + 1
-                return fn(a, *args, **kwargs)
-            return solve
+        def counted(name, a):
+            dim = np.shape(a)[-1]
+            if current and dim in (current[1], current[1] // 2):
+                counts[current[0]][dim] = counts[current[0]].get(dim, 0) + 1
 
         monkeypatch.setattr(volume, "build", build)
-        for mod in (numpy.linalg, scipy.linalg):
-            for name in ("eigh", "eigvalsh"):
-                monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+        record_solves(monkeypatch, counted)
         assert main(["simulate", "--config", str(config_path)]) == 0
         return counts
 
@@ -863,8 +873,6 @@ class TestRedrawCheckCommand:
         # of reservoir 1: the bound's norm lives on sites {1, 2}, so the
         # only eigensolves at the volume's dimension D or at D/2 are those of
         # H_B, one per parity sector at D/2
-        import numpy.linalg
-        import scipy.linalg
         from nesslab import boundary_redraw_check, build, embed, op_norm, redraw
 
         spec = make_chain(7, {0: 1, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2, 6: 2}, {1: 2.0, 2: 1.0})
@@ -878,16 +886,11 @@ class TestRedrawCheckCommand:
         })
         solves = []
 
-        def counted(fn):
-            def solve(a, *args, **kwargs):
-                if np.shape(a)[-1] in (dim, dim // 2):
-                    solves.append((fn.__name__, np.shape(a)[-1]))
-                return fn(a, *args, **kwargs)
-            return solve
+        def counted(name, a):
+            if np.shape(a)[-1] in (dim, dim // 2):
+                solves.append((name, np.shape(a)[-1]))
 
-        for mod in (numpy.linalg, scipy.linalg):
-            for name in ("eigh", "eigvalsh"):
-                monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+        record_solves(monkeypatch, counted)
         assert main(["redraw-check", "--config", str(config_path)]) == 0
         assert solves == [("eigh", dim // 2)] * 2
         monkeypatch.undo()

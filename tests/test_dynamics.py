@@ -275,11 +275,11 @@ class TestMakePlan:
             assert (checks, tolerance) == (expected, tested)
 
     def test_solves_the_build_blocks_uncopied(self, chain5, monkeypatch):
-        # the blocks H_B_blocks() assembles, each solved as it is and dropped
-        # before the next solve
+        # the blocks H_B_blocks() assembles, each solved in place as it is: a
+        # block outlives its solve as its sector's basis alone
         vols = build(chain5, range(5))
         assembled, seen = [], []
-        blocks_of, spectral = VolumeOperators.H_B_blocks, opalg.spectral
+        blocks_of, eigh = VolumeOperators.H_B_blocks, opalg._eigh
 
         def assemble(self):
             out = blocks_of(self)
@@ -288,16 +288,19 @@ class TestMakePlan:
 
         def solve(a):
             seen.append(([a is ref() for ref in assembled], [ref() is None for ref in assembled]))
-            return spectral(a)
+            return eigh(a)
         monkeypatch.setattr(VolumeOperators, "H_B_blocks", assemble)
-        monkeypatch.setattr(opalg, "spectral", solve)
+        monkeypatch.setattr(opalg, "_eigh", solve)
         plan = make_plan(vols)
         # per solve: which assembled block it is given, and which blocks are freed
-        assert seen == [([True, False], [False, False]), ([False, True], [True, False])]
-        assert [ref() for ref in assembled] == [None, None]
+        assert seen == [([True, False], [False, False]), ([False, True], [False, False])]
+        assert [ref() for ref in assembled] == [s.basis.base for s in plan.sectors]
         for sector, block in zip(plan.sectors, blocks_of(vols)):
-            w, v = spectral(block)
+            w, v = opalg.spectral(block)
             assert np.array_equal(sector.eigenvalues, w) and np.array_equal(sector.basis, v)
+        del plan, sector
+        gc.collect()
+        assert [ref() for ref in assembled] == [None, None]
 
     def test_non_hermitian_generator_refused(self):
         # a build's terms are Hermitian; one put in by hand reaches the solve

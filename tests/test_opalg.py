@@ -344,6 +344,109 @@ class TestSpectral:
             eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+def _bitwise_hermitian(mat):
+    return 0.5 * (mat + mat.conj().T)
+
+
+def _kernel_inputs():
+    """(id, bitwise Hermitian matrix) pairs, real and complex: random at n = 1, 2, 3, 64
+    and 200, the identity, and a spectrum of repeated eigenvalues in a random basis."""
+    rng = np.random.default_rng(39)
+    out = []
+    for dtype in (float, complex):
+        kind = np.dtype(dtype).name
+        for n in (1, 2, 3, 64, 200):
+            mat = rng.standard_normal((n, n)) + (
+                1j * rng.standard_normal((n, n)) if dtype is complex else 0.0)
+            out.append((f"{kind}-{n}", _bitwise_hermitian(mat)))
+        out.append((f"{kind}-identity", np.eye(50, dtype=dtype)))
+        basis = random_unitary(rng, 12) if dtype is complex else np.linalg.qr(
+            rng.standard_normal((12, 12)))[0]
+        spectrum = np.repeat([-1.0, 0.5, 2.0], 4)
+        out.append((f"{kind}-repeated", _bitwise_hermitian((basis * spectrum) @ basis.conj().T)))
+    return out
+
+
+class TestInPlaceEigensolve:
+    """opalg._eigh: LAPACK's dsyevd or zheevd on the matrix's own buffer, with LWORK
+    above the minimal, against numpy's eigh."""
+
+    @staticmethod
+    def assert_decomposes(mat, w, v):
+        # eigenvalues within 1e-13 ||A||; residual and unitarity defect at most 1e-12
+        ref = np.linalg.eigvalsh(mat)
+        norm = max(float(np.max(np.abs(ref))), np.finfo(float).tiny)
+        assert v.shape == mat.shape and v.dtype == mat.dtype
+        assert np.max(np.abs(w - ref)) <= 1e-13 * norm
+        assert np.max(np.abs(mat @ v - v * w)) <= 1e-12 * norm
+        assert np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) <= 1e-12
+
+    @pytest.mark.parametrize("mat", [m for _, m in _kernel_inputs()],
+                             ids=[name for name, _ in _kernel_inputs()])
+    def test_matches_numpy_eigh(self, mat):
+        given = mat.copy()
+        w, v = opalg._eigh(given)
+        self.assert_decomposes(mat, w, v)
+        # in place: the eigenvectors are the given buffer's transpose
+        assert np.shares_memory(v, given) and v.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_symmetrized_input(self, complex_entries):
+        # Hermitian within roundoff, not bitwise: spectral solves its Hermitian part
+        rng = np.random.default_rng(7)
+        mat = rng.standard_normal((40, 40)) + (
+            1j * rng.standard_normal((40, 40)) if complex_entries else 0.0)
+        mat = _bitwise_hermitian(mat) + 1e-14 * rng.standard_normal((40, 40))
+        assert not np.array_equal(mat, mat.conj().T)
+        w, v = spectral(mat)
+        self.assert_decomposes(_bitwise_hermitian(mat), w, v)
+
+    @pytest.mark.parametrize("given", [
+        _bitwise_hermitian(np.random.default_rng(3).standard_normal((6, 6))),
+        random_hermitian(np.random.default_rng(4), 6),
+        np.asfortranarray(random_hermitian(np.random.default_rng(5), 6)),
+        DenseOperator((0, 1), (2, 3), random_hermitian(np.random.default_rng(6), 6)),
+        np.array([[2, 1], [1, 3]], order="F")],
+        ids=["real", "complex", "fortran-order", "operator", "integer-fortran-order"])
+    def test_spectral_writes_no_array_of_the_caller(self, given):
+        mat = given.matrix if isinstance(given, DenseOperator) else given
+        before = mat.copy()
+        w, v = spectral(given)
+        np.testing.assert_array_equal(mat, before)
+        assert not np.shares_memory(v, mat)
+        self.assert_decomposes(opalg.as_matrix(before), w, v)
+
+    def test_fallback_agrees(self, monkeypatch):
+        # where no ILP64 OpenBLAS sits next to numpy, the kernel is numpy's eigh
+        rng = np.random.default_rng(11)
+        mats = [_bitwise_hermitian(rng.standard_normal((30, 30))), random_hermitian(rng, 30)]
+        fast = [spectral(mat)[0] for mat in mats]
+        solves, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(opalg, "_lapack_eigh", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(a.shape) or eigh(a))
+        for mat, w_fast in zip(mats, fast):
+            w, v = spectral(mat)
+            self.assert_decomposes(mat, w, v)
+            assert np.max(np.abs(w - w_fast)) <= 1e-13 * np.max(np.abs(w))
+        assert solves == [(30, 30)] * 2
+
+    def test_refuses_a_buffer_it_cannot_overwrite_as_given(self):
+        solve = opalg._lapack_eigh()
+        if solve is None:
+            pytest.skip("no ILP64 OpenBLAS next to numpy: the kernel is numpy's eigh")
+        mat = random_hermitian(np.random.default_rng(2), 4)
+        read_only = mat.copy()
+        read_only.flags.writeable = False
+        for bad in (np.asfortranarray(mat), mat.astype(np.complex64), read_only, mat[:, :3]):
+            with pytest.raises(ValueError, match="writeable, C-contiguous"):
+                solve(bad)
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        monkeypatch.setattr(opalg, "_lapack_eigh", lambda: lambda mat: (np.zeros(len(mat)), 3))
+        with pytest.raises(np.linalg.LinAlgError, match="INFO 3"):
+            spectral(random_hermitian(np.random.default_rng(1), 4))
+
+
 class TestApplyFunction:
     def test_identity_function(self):
         rng = np.random.default_rng(3)

@@ -117,9 +117,8 @@ class TestMakePlanPerSector:
                           BETAS, anis=0.3)
         vols = build(spec, range(9))
         shapes = []
-        spectral = opalg.spectral
-        monkeypatch.setattr(opalg, "spectral",
-                            lambda a: shapes.append(np.shape(a)) or spectral(a))
+        eigh = opalg._eigh
+        monkeypatch.setattr(opalg, "_eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
         named_eigensolves.clear()
         plan = make_plan(vols)
         assert shapes == [(256, 256)] * 2
@@ -587,12 +586,16 @@ class TestPlanFootprint:
         assert real_run[1] <= 0.6
 
     def test_build_plan_and_horizon_stage_peak(self, real_run):
-        # measured 0.97 (2.00 with H_B held through the solves and the horizon stage)
+        # measured 1.05, LAPACK's workspace included (0.97 with numpy's eigh, whose
+        # workspace tracemalloc did not see; 2.00 with H_B held through the solves
+        # and the horizon stage)
         assert real_run[2] <= 1.6
 
     def test_complex_build_and_horizon_stage_peak(self):
-        # 9 sites, one sector of 512: the peak is make_plan's complex eigh, beside
-        # no block of H_B other than the one it solves. Measured 4.21 (9.30)
+        # 9 sites, one sector of 512: the peak is make_plan's complex solve, in place,
+        # beside no block of H_B other than the one it solves. Measured 6.31 with
+        # LAPACK's workspace in tracemalloc's sight (4.21 with numpy's eigh, whose
+        # copies and workspace it did not see; 9.30 before that)
         spec = make_chain(9, {i: 0 if i == 4 else 1 if i < 4 else 2 for i in range(9)},
                           BETAS, anis=0.3)
         spec = _with_terms(spec, *(InteractionTerm((i,), 0.2 * SY) for i in range(9)))
