@@ -289,6 +289,8 @@ def run_klein_fuzz(trials: int, max_dim: int, seed: int) -> dict:
 def cmd_klein_fuzz(args):
     if args.trials < 1 or args.max_dim < 1:
         raise ValueError("klein-fuzz needs --trials and --max-dim of at least 1")
+    if args.max_dim > DEFAULT_DIM_CAP:
+        raise ValueError(f"klein-fuzz needs --max-dim of at most {DEFAULT_DIM_CAP}")
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         raise ValueError(f"cannot write {args.out}: not a file in an existing directory")
 

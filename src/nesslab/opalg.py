@@ -10,7 +10,10 @@ norm, the spectral decomposition of Hermitian matrices, and the
 exponentially weighted observable norm in its upper-bound form. Every
 Hermitian eigensolve of the package goes through the in-place kernel
 :func:`_eigh`, which :func:`spectral` and ``dynamics.make_plan`` share, or
-the solver of :func:`eigenvalues`, which :func:`op_norm` shares.
+the solver of :func:`eigenvalues`, which :func:`op_norm` shares. The kernel
+runs LAPACK's three stages of dsyevd and zheevd itself, through ctypes on
+numpy's own OpenBLAS (:func:`_lapack_eigh`), so a complex solve holds two
+n x n arrays: the matrix, and one buffer that becomes the result.
 """
 
 from __future__ import annotations
@@ -458,53 +461,123 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mat)
 
 
-@functools.cache
-def _lapack_eigh():
-    """The solver :func:`_eigh` runs on a float64 or complex128 matrix, in place, returning
-    the eigenvalues and LAPACK's INFO; None unless numpy's LAPACK is the ILP64 OpenBLAS
-    of its wheels, found on the first solve, not at import.
+# The eigensolve's LAPACK routines, each with its count of arguments, INFO last, and
+# its count of characters, whose lengths follow INFO as gfortran passes them: the
+# reduction to tridiagonal form, the tridiagonal divide and conquer (real for both
+# dtypes) and the back-transformation of its eigenvectors.
+_EIGH_STAGES = {"dsytrd": (10, 1), "zhetrd": (10, 1), "dstedc": (11, 1),
+                "dormtr": (13, 3), "zunmtr": (13, 3)}
+# the range [RMIN, RMAX] = [sqrt(s), 1 / sqrt(s)], s = tiny / eps, into which dsyevd and
+# zheevd scale a matrix whose largest |entry| lies outside it: 2^-485 and 2^485
+_EIGH_RMIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+_EIGH_RMAX = 1.0 / _EIGH_RMIN
 
-    The library is the file of that name next to numpy (``numpy.libs``, or
+
+def _eigh_workspaces(n: int) -> tuple[int, int, int]:
+    """(LWORK of the reduction and the back-transformation, which share it; the reals
+    of Z and dstedc's minimal workspace after it; LIWORK) for order n. LWORK is n NB
+    + 65 * 64 for ILAENV's block size NB = 32, with which the back-transformation runs
+    blocked and keeps a 65 x 64 triangular factor."""
+    return 32 * n + 65 * 64, 2 * n * n + 4 * n + 1, 3 + 5 * n
+
+
+def _lapack_call(routine, *args) -> int:
+    """LAPACK's INFO from ``routine`` on ``args``: characters as bytes, integers as
+    Python ints (passed by reference as 64-bit), arrays as numpy arrays (their data)."""
+    info = ctypes.c_int64(0)
+    refs = [ctypes.byref(ctypes.c_int64(a)) if isinstance(a, int)
+            else a.ctypes.data if isinstance(a, np.ndarray) else a for a in args]
+    routine(*refs, ctypes.byref(info), *[1] * sum(isinstance(a, bytes) for a in args))
+    return info.value
+
+
+@functools.cache
+def _lapack_stages():
+    """The routines of ``_EIGH_STAGES`` by name, argument types declared; None unless
+    numpy's LAPACK is the ILP64 OpenBLAS of its wheels, found on the first solve, not at
+    import. The library is the file of that name next to numpy (``numpy.libs``, or
     ``numpy/.dylibs``), which ctypes maps as the copy numpy loaded, so one
-    OPENBLAS_NUM_THREADS governs both. The solver calls the divide-and-conquer routine
-    that ``np.linalg.eigh`` calls, dsyevd or zheevd (JOBZ 'V', UPLO 'L'), with the minimal
-    real and integer workspaces and LWORK 64 n above the minimal, n^2 + 66 n (complex)
-    or 1 + 6 n + 2 n^2 + 64 n (real): numpy passes the minimal, with which the complex
-    Householder back-transformation runs unblocked, at about twice the time for n >= 512.
-    """
+    OPENBLAS_NUM_THREADS governs both."""
     found = [*Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*"),
              *Path(np.__file__).parent.glob(".dylibs/libscipy_openblas64_*")]
     try:
         lib = ctypes.CDLL(str(found[0]))
-        routines = {np.dtype(float): lib.scipy_dsyevd_64_,
-                    np.dtype(complex): lib.scipy_zheevd_64_}
+        routines = {name: getattr(lib, f"scipy_{name}_64_") for name in _EIGH_STAGES}
     except (IndexError, OSError, AttributeError):
         return None
-    integer, buffer = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    for dtype, routine in routines.items():
-        # JOBZ, UPLO, N, A, LDA, W, each workspace and its length (zheevd's real one
-        # after its complex one), INFO, and the lengths of the two characters
-        routine.argtypes = ([ctypes.c_char_p] * 2 + [integer, buffer, integer, buffer]
-                            + [buffer, integer] * (3 if dtype == complex else 2)
-                            + [integer] + [ctypes.c_size_t] * 2)
-        routine.restype = None
+    for name, (args, chars) in _EIGH_STAGES.items():
+        routines[name].argtypes = [ctypes.c_void_p] * args + [ctypes.c_size_t] * chars
+        routines[name].restype = None
+    return routines
+
+
+@functools.cache
+def _lapack_eigh():
+    """The solver :func:`_eigh` runs on a float64 or complex128 matrix, in place, returning
+    the eigenvalues and the first nonzero INFO of its stages (else 0); None where
+    :func:`_lapack_stages` finds no library.
+
+    It runs the stages of dsyevd and zheevd (JOBZ 'V', UPLO 'L') and scales a finite
+    matrix as they do, without zheevd's complex copy of the tridiagonal eigenvectors Z.
+    dsytrd or zhetrd reduces the matrix in its own buffer. dstedc ('I') writes Z into
+    the front of one buffer (:func:`_eigh_workspaces`) and works in the rest; for a
+    complex matrix Z is widened there to the complex result in place, back to front in
+    halving chunks, each written past the reals still to be read. dormtr or zunmtr
+    back-transforms it, and it is copied into the matrix's buffer, as zheevd's ZLACPY
+    does. So a complex solve holds two n^2 complex arrays, not three.
+    """
+    stages = _lapack_stages()
+    if stages is None:
+        return None
 
     def solve(mat: np.ndarray) -> tuple[np.ndarray, int]:
         n = mat.shape[0]
-        if not (mat.dtype in routines and mat.shape == (n, n) and mat.flags.c_contiguous
-                and mat.flags.writeable):
+        if not (mat.dtype in (float, complex) and mat.shape == (n, n)
+                and mat.flags.c_contiguous and mat.flags.writeable):
             raise ValueError("the in-place eigensolve takes a writeable, C-contiguous, "
                              "square float64 or complex128 matrix")
-        w, info = np.empty(n), ctypes.c_int64(0)
-        work = ([np.empty(n * n + 66 * n or 1, complex), np.empty(1 + 5 * n + 2 * n * n)]
-                if mat.dtype == complex else [np.empty(1 + 6 * n + 2 * n * n + 64 * n)])
-        work.append(np.empty(3 + 5 * n, np.int64))
-        sizes = [ctypes.c_int64(x.size) for x in work]
-        spaces = [arg for x, size in zip(work, sizes) for arg in (x.ctypes, ctypes.byref(size))]
-        routines[mat.dtype](b"V", b"L", ctypes.byref(ctypes.c_int64(n)), mat.ctypes,
-                            ctypes.byref(ctypes.c_int64(max(1, n))), w.ctypes, *spaces,
-                            ctypes.byref(info), 1, 1)
-        return w, info.value
+        if n == 0:
+            return np.empty(0), 0
+        cplx = mat.dtype == complex
+        reduce, back = ((stages["zhetrd"], stages["zunmtr"]) if cplx
+                        else (stages["dsytrd"], stages["dormtr"]))
+        lwork, reals, liwork = _eigh_workspaces(n)
+        # max |entry|, from the largest |part| with no temporary: for a complex matrix
+        # that lies within a factor sqrt(2) below it, and abs() is taken only where
+        # the factor leaves the scaling open
+        entries = mat.view(np.float64)
+        anrm = float(max(entries.max(), -entries.min()))
+        if cplx and not _EIGH_RMIN <= anrm <= _EIGH_RMAX / math.sqrt(2.0):
+            anrm = float(np.max(np.abs(mat)))
+        sigma = (_EIGH_RMIN / anrm if 0.0 < anrm < _EIGH_RMIN
+                 else _EIGH_RMAX / anrm if _EIGH_RMAX < anrm < math.inf else 1.0)
+        if sigma != 1.0:
+            entries *= sigma
+        w, e, tau = np.empty(n), np.empty(n), np.empty(n, mat.dtype)
+        # Z and dstedc's workspace, then the reduction's and back-transformation's
+        size = (reals + 1) // 2 if cplx else reals
+        out = np.empty(size + lwork, mat.dtype)
+        work = out[size:]
+        info = _lapack_call(reduce, b"L", n, mat, n, w, e, tau, work, lwork)
+        if info:
+            return w, info
+        z = out[:size].view(np.float64)
+        info = _lapack_call(stages["dstedc"], b"I", n, w, e, z, n, z[n * n:],
+                            z.size - n * n, np.empty(liwork, np.int64), liwork)
+        if info:
+            return w, info
+        if cplx:
+            hi = n * n
+            while hi > 1:
+                lo = (hi + 1) // 2
+                out[lo:hi] = z[lo:hi]
+                hi = lo
+            z[1] = 0.0   # Z's first entry is its own real part
+        info = _lapack_call(back, b"L", b"L", b"N", n, n, mat, n, tau, out, n, work, lwork)
+        mat.reshape(-1)[:] = out[:n * n]
+        if sigma != 1.0:
+            w *= 1.0 / sigma
+        return w, info
     return solve
 
 

@@ -721,6 +721,18 @@ class TestKleinFuzzCommand:
         assert "passes: 16/16" in capsys.readouterr().out
         assert json.loads(out.read_text())["trials"] == 16
 
+    @pytest.mark.parametrize("max_dim", ["4097", "1000000000000"])
+    def test_max_dim_above_the_cap_refused_before_any_trial(self, capsys, monkeypatch,
+                                                            max_dim):
+        # a trial of dimension 10^12 once ended in numpy's "array is too big" traceback
+        from nesslab import cli
+
+        trials = []
+        monkeypatch.setattr(cli, "run_klein_fuzz", lambda *args: trials.append(args))
+        assert main(["klein-fuzz", "--trials", "1", "--max-dim", max_dim]) == 2
+        assert capsys.readouterr() == ("", "klein-fuzz needs --max-dim of at most 4096\n")
+        assert trials == []
+
     @pytest.mark.parametrize("out", ["missing/k.json", "."])
     def test_unwritable_out_refused_before_any_trial(self, tmp_path, capsys, monkeypatch, out):
         from nesslab import cli

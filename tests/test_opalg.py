@@ -350,7 +350,8 @@ def _bitwise_hermitian(mat):
 
 def _kernel_inputs():
     """(id, bitwise Hermitian matrix) pairs, real and complex: random at n = 1, 2, 3, 64
-    and 200, the identity, and a spectrum of repeated eigenvalues in a random basis."""
+    and 200, the identity, a spectrum of repeated eigenvalues in a random basis, and a
+    random one at n = 64 of subnormal entries, which the kernel scales as zheevd does."""
     rng = np.random.default_rng(39)
     out = []
     for dtype in (float, complex):
@@ -364,12 +365,18 @@ def _kernel_inputs():
             rng.standard_normal((12, 12)))[0]
         spectrum = np.repeat([-1.0, 0.5, 2.0], 4)
         out.append((f"{kind}-repeated", _bitwise_hermitian((basis * spectrum) @ basis.conj().T)))
+    rng = np.random.default_rng(40)
+    for dtype in (float, complex):
+        mat = rng.standard_normal((64, 64)) + (
+            1j * rng.standard_normal((64, 64)) if dtype is complex else 0.0)
+        out.append((f"{np.dtype(dtype).name}-subnormal", 1e-310 * _bitwise_hermitian(mat)))
     return out
 
 
 class TestInPlaceEigensolve:
-    """opalg._eigh: LAPACK's dsyevd or zheevd on the matrix's own buffer, with LWORK
-    above the minimal, against numpy's eigh."""
+    """opalg._eigh: the stages of LAPACK's dsyevd or zheevd on the matrix's own buffer,
+    with a buffer shared by the tridiagonal eigenvectors and their workspace, against
+    numpy's eigh."""
 
     @staticmethod
     def assert_decomposes(mat, w, v):
@@ -389,6 +396,47 @@ class TestInPlaceEigensolve:
         self.assert_decomposes(mat, w, v)
         # in place: the eigenvectors are the given buffer's transpose
         assert np.shares_memory(v, given) and v.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("mat", [m for name, m in _kernel_inputs() if "subnormal" in name],
+                             ids=["real", "complex"])
+    def test_scales_a_subnormal_matrix(self, mat):
+        # eigenvalues within 1e-14 ||A||: measured 3.2e-15 real and 2.3e-15 complex, and
+        # 5.4e-14 and 4.2e-14 without the scaling into [RMIN, RMAX]
+        w, _ = opalg._eigh(mat.copy())
+        ref = np.linalg.eigvalsh(mat)
+        assert np.max(np.abs(w - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 25, 26, 64, 256, 1024])
+    def test_workspaces_cover_each_routines_query(self, n):
+        stages = opalg._lapack_stages()
+        if stages is None:
+            pytest.skip("no ILP64 OpenBLAS next to numpy: the kernel is numpy's eigh")
+        lwork, reals, liwork = opalg._eigh_workspaces(n)
+        lda, call = max(1, n), opalg._lapack_call
+        for reduce, back, dtype in (("dsytrd", "dormtr", float), ("zhetrd", "zunmtr", complex)):
+            query = np.zeros(1, dtype)
+            assert call(stages[reduce], b"L", n, None, lda, None, None, None, query, -1) == 0
+            assert lwork >= query[0].real
+            assert call(stages[back], b"L", b"L", b"N", n, n, None, lda, None, None, lda,
+                        query, -1) == 0
+            assert lwork >= query[0].real
+        work, iwork = np.zeros(1), np.zeros(1, np.int64)
+        assert call(stages["dstedc"], b"I", n, None, None, None, lda, work, -1, iwork, -1) == 0
+        # Z takes the buffer's first n^2 reals, dstedc's workspace the rest
+        assert reals - n * n >= work[0] and liwork >= iwork[0]
+
+    @pytest.mark.parametrize("dtype, bound", [(complex, 1.4), (float, 2.5)],
+                             ids=["complex", "real"])
+    def test_peak_above_the_matrix(self, dtype, bound):
+        # in n^2 entries of the matrix's dtype, n = 256: measured 1.22 complex and 2.24
+        # real (2.29 with zheevd's complex copy of Z, 2.31 with dsyevd)
+        if opalg._lapack_eigh() is None:
+            pytest.skip("no ILP64 OpenBLAS next to numpy: the kernel is numpy's eigh")
+        n, rng = 256, np.random.default_rng(12)
+        mat = _bitwise_hermitian(rng.standard_normal((n, n)) + (
+            1j * rng.standard_normal((n, n)) if dtype is complex else 0.0))
+        _, peak = traced_peak(lambda: opalg._eigh(mat))
+        assert peak <= bound * n * n * mat.itemsize
 
     @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
     def test_symmetrized_input(self, complex_entries):
