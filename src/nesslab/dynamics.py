@@ -49,7 +49,7 @@ def make_plan(vols: volume_mod.VolumeOperators) -> EvolutionPlan:
     is held beside the next one's solve or after the plan is made but as a basis."""
     blocks = list(vols.H_B_blocks())
     return EvolutionPlan(vols.sites, vols.dims, tuple(
-        Sector(rows, *opalg._eigh(opalg.hermitian_matrix(blocks.pop(0))))
+        Sector(rows, *opalg._eigh(opalg.hermitian_matrix(blocks.pop(0)), True))
         for rows in vols.sectors))
 
 

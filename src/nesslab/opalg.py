@@ -8,12 +8,12 @@ the one in-place sum of embedded operators (:func:`embed_sum`), the
 conserved sectors of a set of operators, commutators, the operator
 norm, the spectral decomposition of Hermitian matrices, and the
 exponentially weighted observable norm in its upper-bound form. Every
-Hermitian eigensolve of the package goes through the in-place kernel
-:func:`_eigh`, which :func:`spectral` and ``dynamics.make_plan`` share, or
-the solver of :func:`eigenvalues`, which :func:`op_norm` shares. The kernel
-runs LAPACK's three stages of dsyevd and zheevd itself, through ctypes on
-numpy's own OpenBLAS (:func:`_lapack_eigh`), so a complex solve holds two
-n x n arrays: the matrix, and one buffer that becomes the result.
+Hermitian eigensolve of the package is the in-place kernel :func:`_eigh`,
+which each caller tells whether it needs eigenvectors. It runs the stages of
+LAPACK's dsyevd and zheevd itself, through ctypes on numpy's own OpenBLAS
+(:func:`_lapack_eigh`): a complex solve holds two n x n arrays, the matrix
+and one buffer that becomes the result, and one without eigenvectors the
+matrix alone.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 # absolute max|U^dagger U - I| of a supplied unitary, whose entries are O(1)
 UNITARITY_TOL = 1e-10
-# op_norm uses eigvalsh of the symmetrized matrix below this defect, which bounds its error
+# op_norm takes the eigenvalues of the symmetrized matrix below this defect, which bounds its error
 OP_NORM_HERMITIAN_TOL = 1e-12
 # absolute entrywise defect of raw user terms: text rounding is ~1e-16
 TERM_HERMITICITY_TOL = 1e-12
@@ -388,16 +388,17 @@ def op_norm(a) -> float:
 
     A Hermitian M, within OP_NORM_HERMITIAN_TOL relative to max|M|, is
     normed by the largest absolute eigenvalue of its Hermitian part, formed
-    from the conjugate transpose the test used. Else it is the root of the
-    largest eigenvalue of the Gram matrix of M / max|M| (no overflow or
-    underflow): :func:`_gram_norm`, real for a real M.
+    in the buffer of the conjugate transpose the test used. Else it is the
+    root of the largest eigenvalue of the Gram matrix of M / max|M| (no
+    overflow or underflow): :func:`_gram_norm`, real for a real M.
     """
     mat = as_matrix(a)
     if mat.size == 0:
         return 0.0
-    adjoint = np.conjugate(mat.T, out=np.empty_like(mat))
+    adjoint = np.conjugate(mat.T, out=np.empty(mat.shape, mat.dtype))
     if is_hermitian_matrix(mat, OP_NORM_HERMITIAN_TOL, adjoint, 0.0):
-        return float(np.max(np.abs(_eigvalsh(0.5 * (mat + adjoint)))))
+        np.multiply(np.add(mat, adjoint, out=adjoint), 0.5, out=adjoint)
+        return float(np.max(np.abs(_eigh(adjoint, False))))
     del adjoint
     return _gram_norm(mat)
 
@@ -440,7 +441,7 @@ def _gram_norm(mat: np.ndarray) -> float:
         del x, y
         gram = gram.astype(complex)
         np.subtract(cross, cross.T, out=gram.imag)
-    largest = float(_eigvalsh(gram)[-1])
+    largest = float(_eigh(gram, False)[-1])
     return scale * math.sqrt(max(largest, 0.0))
 
 
@@ -456,16 +457,11 @@ def hermitian_matrix(a, what: str = "spectral decomposition") -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-def _eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a bitwise Hermitian M."""
-    return np.linalg.eigvalsh(mat)
-
-
 # The eigensolve's LAPACK routines, each with its count of arguments, INFO last, and
 # its count of characters, whose lengths follow INFO as gfortran passes them: the
-# reduction to tridiagonal form, the tridiagonal divide and conquer (real for both
-# dtypes) and the back-transformation of its eigenvectors.
-_EIGH_STAGES = {"dsytrd": (10, 1), "zhetrd": (10, 1), "dstedc": (11, 1),
+# reduction to tridiagonal form, the tridiagonal eigenvalues alone or divide and conquer
+# (real for both dtypes) and the back-transformation of its eigenvectors.
+_EIGH_STAGES = {"dsytrd": (10, 1), "zhetrd": (10, 1), "dsterf": (4, 0), "dstedc": (11, 1),
                 "dormtr": (13, 3), "zunmtr": (13, 3)}
 # the range [RMIN, RMAX] = [sqrt(s), 1 / sqrt(s)], s = tiny / eps, into which dsyevd and
 # zheevd scale a matrix whose largest |entry| lies outside it: 2^-485 and 2^485
@@ -513,24 +509,25 @@ def _lapack_stages():
 
 @functools.cache
 def _lapack_eigh():
-    """The solver :func:`_eigh` runs on a float64 or complex128 matrix, in place, returning
-    the eigenvalues and the first nonzero INFO of its stages (else 0); None where
-    :func:`_lapack_stages` finds no library.
+    """The solver :func:`_eigh` runs on a float64 or complex128 matrix, in place, with or
+    without eigenvectors, returning the eigenvalues and the first nonzero INFO of its
+    stages (else 0); None where :func:`_lapack_stages` finds no library.
 
-    It runs the stages of dsyevd and zheevd (JOBZ 'V', UPLO 'L') and scales a finite
-    matrix as they do, without zheevd's complex copy of the tridiagonal eigenvectors Z.
-    dsytrd or zhetrd reduces the matrix in its own buffer. dstedc ('I') writes Z into
-    the front of one buffer (:func:`_eigh_workspaces`) and works in the rest; for a
-    complex matrix Z is widened there to the complex result in place, back to front in
-    halving chunks, each written past the reals still to be read. dormtr or zunmtr
-    back-transforms it, and it is copied into the matrix's buffer, as zheevd's ZLACPY
-    does. So a complex solve holds two n^2 complex arrays, not three.
+    It runs the stages of dsyevd and zheevd (UPLO 'L') and scales a finite matrix as
+    they do. dsytrd or zhetrd reduces the matrix in its own buffer; for eigenvalues
+    alone (JOBZ 'N') dsterf follows, with no other workspace. With eigenvectors (JOBZ
+    'V'), dstedc ('I') writes the tridiagonal eigenvectors Z into the front of one
+    buffer (:func:`_eigh_workspaces`) and works in the rest; for a complex matrix Z is
+    widened there to the complex result in place, back to front in halving chunks, each
+    written past the reals still to be read. dormtr or zunmtr back-transforms it, and it
+    is copied into the matrix's buffer, as zheevd's ZLACPY does. So a complex solve
+    holds two n^2 complex arrays, not three as with zheevd's complex copy of Z.
     """
     stages = _lapack_stages()
     if stages is None:
         return None
 
-    def solve(mat: np.ndarray) -> tuple[np.ndarray, int]:
+    def solve(mat: np.ndarray, vectors: bool) -> tuple[np.ndarray, int]:
         n = mat.shape[0]
         if not (mat.dtype in (float, complex) and mat.shape == (n, n)
                 and mat.flags.c_contiguous and mat.flags.writeable):
@@ -542,79 +539,82 @@ def _lapack_eigh():
         reduce, back = ((stages["zhetrd"], stages["zunmtr"]) if cplx
                         else (stages["dsytrd"], stages["dormtr"]))
         lwork, reals, liwork = _eigh_workspaces(n)
-        # max |entry|, from the largest |part| with no temporary: for a complex matrix
-        # that lies within a factor sqrt(2) below it, and abs() is taken only where
-        # the factor leaves the scaling open
+        # max |entry|, from the largest |part| with no temporary: for a complex matrix that
+        # lies within a factor sqrt(2) below it, and the moduli are taken, where that leaves
+        # the scaling open, by hypot as zlanhe takes them (numpy's complex abs can differ)
         entries = mat.view(np.float64)
         anrm = float(max(entries.max(), -entries.min()))
         if cplx and not _EIGH_RMIN <= anrm <= _EIGH_RMAX / math.sqrt(2.0):
-            anrm = float(np.max(np.abs(mat)))
+            anrm = float(np.max(np.hypot(mat.real, mat.imag)))
         sigma = (_EIGH_RMIN / anrm if 0.0 < anrm < _EIGH_RMIN
                  else _EIGH_RMAX / anrm if _EIGH_RMAX < anrm < math.inf else 1.0)
         if sigma != 1.0:
             entries *= sigma
         w, e, tau = np.empty(n), np.empty(n), np.empty(n, mat.dtype)
-        # Z and dstedc's workspace, then the reduction's and back-transformation's
-        size = (reals + 1) // 2 if cplx else reals
+        # Z and dstedc's workspace, if wanted, then the reduction's and back-transformation's
+        size = 0 if not vectors else (reals + 1) // 2 if cplx else reals
         out = np.empty(size + lwork, mat.dtype)
         work = out[size:]
         info = _lapack_call(reduce, b"L", n, mat, n, w, e, tau, work, lwork)
-        if info:
-            return w, info
+        if not (info or vectors):
+            info = _lapack_call(stages["dsterf"], n, w, e)
         z = out[:size].view(np.float64)
-        info = _lapack_call(stages["dstedc"], b"I", n, w, e, z, n, z[n * n:],
-                            z.size - n * n, np.empty(liwork, np.int64), liwork)
-        if info:
-            return w, info
-        if cplx:
-            hi = n * n
-            while hi > 1:
-                lo = (hi + 1) // 2
-                out[lo:hi] = z[lo:hi]
-                hi = lo
-            z[1] = 0.0   # Z's first entry is its own real part
-        info = _lapack_call(back, b"L", b"L", b"N", n, n, mat, n, tau, out, n, work, lwork)
-        mat.reshape(-1)[:] = out[:n * n]
+        if vectors and not info:
+            info = _lapack_call(stages["dstedc"], b"I", n, w, e, z, n, z[n * n:],
+                                z.size - n * n, np.empty(liwork, np.int64), liwork)
+        if vectors and not info:
+            if cplx:
+                hi = n * n
+                while hi > 1:
+                    lo = (hi + 1) // 2
+                    out[lo:hi] = z[lo:hi]
+                    hi = lo
+                z[1] = 0.0   # Z's first entry is its own real part
+            info = _lapack_call(back, b"L", b"L", b"N", n, n, mat, n, tau, out, n, work, lwork)
+            mat.reshape(-1)[:] = out[:n * n]
         if sigma != 1.0:
             w *= 1.0 / sigma
         return w, info
     return solve
 
 
-def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and unitary eigenvector matrix of a bitwise Hermitian,
-    C-contiguous float64 or complex128 M, which is overwritten by the eigenvectors: no
-    copy in or out. LAPACK reads M's buffer by columns, as M^T = conj(M), whose
-    eigenvectors are the conjugates of M's, so the eigenvector matrix is the transpose of
-    the result, conjugated in place. np.linalg.eigh where :func:`_lapack_eigh` finds no
-    library; LinAlgError for a nonzero INFO."""
+def _eigh(mat: np.ndarray, vectors: bool):
+    """The ascending eigenvalues of a bitwise Hermitian, C-contiguous float64 or
+    complex128 M and, if ``vectors``, its unitary eigenvector matrix, as ``(w, v)``; M is
+    overwritten, by the eigenvectors if wanted: no copy in or out. LAPACK reads M's
+    buffer by columns, as M^T = conj(M), whose eigenvectors are the conjugates of M's, so
+    the eigenvector matrix is the transpose of the result, conjugated in place.
+    np.linalg.eigh or eigvalsh where :func:`_lapack_eigh` finds no library; LinAlgError
+    for a nonzero INFO."""
     solve = _lapack_eigh()
     if solve is None:
-        return np.linalg.eigh(mat)
-    w, info = solve(mat)
+        return np.linalg.eigh(mat) if vectors else np.linalg.eigvalsh(mat)
+    w, info = solve(mat, vectors)
     if info:
         raise np.linalg.LinAlgError(f"Hermitian eigensolve failed: LAPACK INFO {info}")
-    return w, _conjugate_in_place(mat).T
+    return (w, _conjugate_in_place(mat).T) if vectors else w
 
 
-def spectral(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and unitary eigenvector matrix of a Hermitian A.
-
-    ``(w, v)`` with A = v diag(w) v^dagger for the symmetrized matrix
-    (:func:`hermitian_matrix`), solved by :func:`_eigh` on a copy only if that
-    matrix is the caller's own: no array of the caller's is written. Raises
-    ValueError for non-Hermitian input.
-    """
+def _hermitian_eigh(a, vectors: bool):
+    """:func:`_eigh` of the symmetrized matrix of A (:func:`hermitian_matrix`), on a copy
+    only if that matrix is the caller's own: no array of the caller's is written."""
     mat = hermitian_matrix(a)
     if (np.may_share_memory(mat, a.matrix if isinstance(a, DenseOperator) else a)
             or not mat.flags.c_contiguous):
         mat = np.array(mat, order="C")
-    return _eigh(mat)
+    return _eigh(mat, vectors)
+
+
+def spectral(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and unitary eigenvector matrix ``(w, v)`` of a Hermitian A:
+    A = v diag(w) v^dagger for its symmetrized matrix (:func:`_hermitian_eigh`);
+    ValueError for non-Hermitian input."""
+    return _hermitian_eigh(a, True)
 
 
 def eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian A; see :func:`spectral`."""
-    return _eigvalsh(hermitian_matrix(a))
+    return _hermitian_eigh(a, False)
 
 
 def observable_lambda_norm_upper(

@@ -94,7 +94,7 @@ class VolumeOperators:
 
     @property
     def g_norm(self) -> float:
-        """||G|| from one eigvalsh of each block: G's eigenvalues are nonnegative, so its
+        """||G|| from each block's eigenvalues alone: G's eigenvalues are nonnegative, so its
         norm is its largest eigenvalue, the blocks' largest summed, plus log Z."""
         log_z, top, blocks = 0.0, 0.0, self.blocks
         for block in blocks.values():

@@ -122,10 +122,11 @@ def chain5():
 
 
 def record_solves(monkeypatch, record):
-    """Route every numpy/scipy eigh/eigvalsh call, and each LAPACK call of opalg's
-    in-place kernel (recorded as an eigh of its matrix), through ``record(name, a)``;
-    in ``record``, sys._getframe(2) is the frame that called the solver, which is
-    ``opalg._eigh`` for the kernel's LAPACK call."""
+    """Route every numpy/scipy eigh/eigvalsh call, and each call of opalg's in-place
+    kernel, through ``record(name, a)``: the kernel's call is recorded as an eigh of its
+    matrix with eigenvectors and as an eigvalsh without, the name numpy's fallback takes.
+    In ``record``, sys._getframe(2) is the frame that called the solver, which is
+    ``opalg._eigh`` for the kernel's call."""
     import numpy.linalg
     import scipy.linalg
 
@@ -139,8 +140,11 @@ def record_solves(monkeypatch, record):
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(mod, name, counted(getattr(mod, name), name))
     lapack = opalg._lapack_eigh()
-    if lapack is not None:   # else the kernel's solve is numpy's eigh, counted above
-        monkeypatch.setattr(opalg, "_lapack_eigh", lambda: counted(lapack, "eigh"))
+    if lapack is not None:   # else the kernel's solve is numpy's, counted above
+        def kernel(mat, vectors):
+            record("eigh" if vectors else "eigvalsh", mat)
+            return lapack(mat, vectors)
+        monkeypatch.setattr(opalg, "_lapack_eigh", lambda: kernel)
 
 
 @pytest.fixture

@@ -277,6 +277,8 @@ class TestMakePlan:
     def test_solves_the_build_blocks_uncopied(self, chain5, monkeypatch):
         # the blocks H_B_blocks() assembles, each solved in place as it is: a
         # block outlives its solve as its sector's basis alone
+        if opalg._lapack_eigh() is None:
+            pytest.skip("no ILP64 OpenBLAS next to numpy: numpy's eigh solves a copy")
         vols = build(chain5, range(5))
         assembled, seen = [], []
         blocks_of, eigh = VolumeOperators.H_B_blocks, opalg._eigh
@@ -286,9 +288,9 @@ class TestMakePlan:
             assembled.extend(weakref.ref(h) for h in out)
             return out
 
-        def solve(a):
+        def solve(a, vectors):
             seen.append(([a is ref() for ref in assembled], [ref() is None for ref in assembled]))
-            return eigh(a)
+            return eigh(a, vectors)
         monkeypatch.setattr(VolumeOperators, "H_B_blocks", assemble)
         monkeypatch.setattr(opalg, "_eigh", solve)
         plan = make_plan(vols)
@@ -734,6 +736,52 @@ class TestConvergenceSweep:
         assert max(d for _, d, _ in named_eigensolves) == half
         assert Counter(name for name, d, _ in named_eigensolves if d == half) == {
             "eigh": 2, "eigvalsh": norms}
+
+    def test_order_row_of_a_vanishing_smaller_commutator(self):
+        # sigma_z on the small system's site 2 commutes with the one-site volume's
+        # generator, its Z field: the smaller volume's commutators are all zero, so
+        # each order row of the first pair is the larger volume's norm alone, its
+        # blocks negated with no lifted block to subtract them from. At order 1,
+        # ||i[X_1 X_2 + X_2 X_3, Z_2]|| = ||2 Y_2 (X_1 + X_3)|| = 4.
+        spec = make_chain(5, {0: 1, 1: 1, 2: 0, 3: 2, 4: 2}, {1: 2.0, 2: 1.0}, field=0.4)
+        a = DenseOperator((2,), (2,), SZ)
+        exhaustion = [(2,), (1, 2, 3), tuple(range(5))]
+        report = convergence_sweep(spec, exhaustion, a, [0.1])
+        powers = []
+        for sites in exhaustion:
+            h_b = dense_generator(build(spec, sites))
+            powers.append(oracles.derivation_powers(h_b, embed(a, h_b.sites, h_b.dims),
+                                                    dynamics.SWEEP_ORDERS))
+        assert not any(np.any(x) for x in powers[0])
+        assert [(row.pair_index, row.order) for row in report.order_rows] == [
+            (k, m) for k in range(2) for m in range(1, dynamics.SWEEP_ORDERS + 1)]
+        assert report.order_rows[0].discrepancy == pytest.approx(4.0, rel=1e-14)
+        for row in report.order_rows:
+            small, large = (exhaustion[row.pair_index + k] for k in (0, 1))
+            lifted = embed(DenseOperator(small, spec.dims_for(small),
+                                         powers[row.pair_index][row.order - 1]),
+                           large, spec.dims_for(large)).matrix
+            expected = np.linalg.norm(lifted - powers[row.pair_index + 1][row.order - 1], 2)
+            assert abs(row.discrepancy - expected) <= 1e-13 * max(1.0, expected)
+
+    def test_lifted_gap_negates_the_blocks_only_the_larger_operator_has(self):
+        # S = diag(1, 0) on site 0 lifts to the identity on the larger volume's
+        # sector {0, 1} (site 0 up) and to zero on {2, 3}. L has blocks (0, 1) and
+        # (1, 1) alone, each the identity: S - L is [[1, -1], [-1, -1]] on each
+        # pair of partner states, of norm sqrt(2); L - S's blocks with S's sign
+        # kept would give [[1, 1], [1, 1]], of norm 2.
+        def plan(sites, sectors):
+            dims = (2,) * len(sites)
+            return dynamics.EvolutionPlan(sites, dims, tuple(
+                dynamics.Sector(np.array(rows), np.zeros(len(rows)), np.eye(len(rows)))
+                for rows in sectors))
+
+        small_plan, large_plan = plan((0,), [(0, 1)]), plan((0, 1), [(0, 1), (2, 3)])
+        small = {(0, 0): np.diag([1.0, 0.0])}
+        large = {(0, 1): np.eye(2), (1, 1): np.eye(2)}
+        gap = dynamics._lifted_gap(small_plan, small, large_plan, large, 1.0)
+        assert large == {}
+        assert gap == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_non_nested_exhaustion_rejected(self, chain5):
         a = DenseOperator((2,), (2,), SX)

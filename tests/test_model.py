@@ -250,6 +250,12 @@ class TestModelStructure:
             ModelSpec(sites, {0: 0, 1: 1},
                       (InteractionTerm((0, 1), np.eye(4)),), 0.5, {1: 1.0})
 
+    @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))],
+                             ids=["rectangular", "vector", "three-axes"])
+    def test_non_square_matrix_refused(self, matrix):
+        with pytest.raises(ValueError, match=r"term on \(0,\): matrix must be square"):
+            InteractionTerm((0,), matrix)
+
     def test_unsorted_support_refused(self):
         with pytest.raises(ValueError, match=r"support \(1, 0\) must be sorted ascending"):
             InteractionTerm((1, 0), np.kron(SZ, SZ))

@@ -350,8 +350,9 @@ def _bitwise_hermitian(mat):
 
 def _kernel_inputs():
     """(id, bitwise Hermitian matrix) pairs, real and complex: random at n = 1, 2, 3, 64
-    and 200, the identity, a spectrum of repeated eigenvalues in a random basis, and a
-    random one at n = 64 of subnormal entries, which the kernel scales as zheevd does."""
+    and 200, the identity, a spectrum of repeated eigenvalues in a random basis, and
+    random ones at n = 64 of subnormal entries and of entries above 1e200, which the
+    kernel scales as zheevd does, into [_EIGH_RMIN, _EIGH_RMAX]."""
     rng = np.random.default_rng(39)
     out = []
     for dtype in (float, complex):
@@ -370,13 +371,25 @@ def _kernel_inputs():
         mat = rng.standard_normal((64, 64)) + (
             1j * rng.standard_normal((64, 64)) if dtype is complex else 0.0)
         out.append((f"{np.dtype(dtype).name}-subnormal", 1e-310 * _bitwise_hermitian(mat)))
+        out.append((f"{np.dtype(dtype).name}-huge", 1e200 * _bitwise_hermitian(mat)))
     return out
+
+
+# arrays of a caller, which no solve may write
+_CALLER_ARRAYS = [
+    _bitwise_hermitian(np.random.default_rng(3).standard_normal((6, 6))),
+    random_hermitian(np.random.default_rng(4), 6),
+    np.asfortranarray(random_hermitian(np.random.default_rng(5), 6)),
+    DenseOperator((0, 1), (2, 3), random_hermitian(np.random.default_rng(6), 6)),
+    np.array([[2, 1], [1, 3]], order="F")]
+_CALLER_IDS = ["real", "complex", "fortran-order", "operator", "integer-fortran-order"]
 
 
 class TestInPlaceEigensolve:
     """opalg._eigh: the stages of LAPACK's dsyevd or zheevd on the matrix's own buffer,
     with a buffer shared by the tridiagonal eigenvectors and their workspace, against
-    numpy's eigh."""
+    numpy's eigh; and without eigenvectors, the reduction and dsterf, against numpy's
+    eigvalsh."""
 
     @staticmethod
     def assert_decomposes(mat, w, v):
@@ -392,17 +405,36 @@ class TestInPlaceEigensolve:
                              ids=[name for name, _ in _kernel_inputs()])
     def test_matches_numpy_eigh(self, mat):
         given = mat.copy()
-        w, v = opalg._eigh(given)
+        w, v = opalg._eigh(given, True)
         self.assert_decomposes(mat, w, v)
-        # in place: the eigenvectors are the given buffer's transpose
-        assert np.shares_memory(v, given) and v.T.flags.c_contiguous
+        # in place: the eigenvectors are the given buffer's transpose (numpy's eigh, the
+        # fallback where no library is found, returns a new array)
+        if opalg._lapack_eigh() is not None:
+            assert np.shares_memory(v, given) and v.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("mat", [m for _, m in _kernel_inputs()],
+                             ids=[name for name, _ in _kernel_inputs()])
+    def test_eigenvalues_alone_are_numpys_to_the_bit(self, mat):
+        # the stages of dsyevd and zheevd with JOBZ 'N', their scaling included (the
+        # subnormal inputs lie below _EIGH_RMIN, the huge ones above _EIGH_RMAX)
+        assert np.array_equal(opalg._eigh(mat.copy(), False), np.linalg.eigvalsh(mat))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_scaling_of_a_complex_matrix_is_zheevds(self, scale):
+        # the largest modulus sets the scaling, so it must be zlanhe's to the bit: on an
+        # AVX-512 Xeon, numpy's vectorized complex abs differs from it in the last bit for
+        # 4 and 6 of these random matrices, and the eigenvalues then differ too
+        rng = np.random.default_rng(41 if scale > 1.0 else 42)
+        for _ in range(16):
+            mat = scale * random_hermitian(rng, 32)
+            assert np.array_equal(opalg._eigh(mat.copy(), False), np.linalg.eigvalsh(mat))
 
     @pytest.mark.parametrize("mat", [m for name, m in _kernel_inputs() if "subnormal" in name],
                              ids=["real", "complex"])
     def test_scales_a_subnormal_matrix(self, mat):
         # eigenvalues within 1e-14 ||A||: measured 3.2e-15 real and 2.3e-15 complex, and
         # 5.4e-14 and 4.2e-14 without the scaling into [RMIN, RMAX]
-        w, _ = opalg._eigh(mat.copy())
+        w, _ = opalg._eigh(mat.copy(), True)
         ref = np.linalg.eigvalsh(mat)
         assert np.max(np.abs(w - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -435,8 +467,20 @@ class TestInPlaceEigensolve:
         n, rng = 256, np.random.default_rng(12)
         mat = _bitwise_hermitian(rng.standard_normal((n, n)) + (
             1j * rng.standard_normal((n, n)) if dtype is complex else 0.0))
-        _, peak = traced_peak(lambda: opalg._eigh(mat))
+        _, peak = traced_peak(lambda: opalg._eigh(mat, True))
         assert peak <= bound * n * n * mat.itemsize
+
+    @pytest.mark.parametrize("dtype", [complex, float], ids=["complex", "real"])
+    def test_eigenvalues_alone_allocate_no_matrix(self, dtype):
+        # in n^2 entries of the matrix's dtype, n = 256: measured 0.20 complex and 0.24
+        # real, the reduction's workspace; numpy's eigvalsh copies the matrix first
+        if opalg._lapack_eigh() is None:
+            pytest.skip("no ILP64 OpenBLAS next to numpy: the kernel is numpy's eigvalsh")
+        n, rng = 256, np.random.default_rng(12)
+        mat = _bitwise_hermitian(rng.standard_normal((n, n)) + (
+            1j * rng.standard_normal((n, n)) if dtype is complex else 0.0))
+        _, peak = traced_peak(lambda: opalg._eigh(mat, False))
+        assert peak <= 0.3 * n * n * mat.itemsize
 
     @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
     def test_symmetrized_input(self, complex_entries):
@@ -449,13 +493,7 @@ class TestInPlaceEigensolve:
         w, v = spectral(mat)
         self.assert_decomposes(_bitwise_hermitian(mat), w, v)
 
-    @pytest.mark.parametrize("given", [
-        _bitwise_hermitian(np.random.default_rng(3).standard_normal((6, 6))),
-        random_hermitian(np.random.default_rng(4), 6),
-        np.asfortranarray(random_hermitian(np.random.default_rng(5), 6)),
-        DenseOperator((0, 1), (2, 3), random_hermitian(np.random.default_rng(6), 6)),
-        np.array([[2, 1], [1, 3]], order="F")],
-        ids=["real", "complex", "fortran-order", "operator", "integer-fortran-order"])
+    @pytest.mark.parametrize("given", _CALLER_ARRAYS, ids=_CALLER_IDS)
     def test_spectral_writes_no_array_of_the_caller(self, given):
         mat = given.matrix if isinstance(given, DenseOperator) else given
         before = mat.copy()
@@ -465,18 +503,52 @@ class TestInPlaceEigensolve:
         self.assert_decomposes(opalg.as_matrix(before), w, v)
 
     def test_fallback_agrees(self, monkeypatch):
-        # where no ILP64 OpenBLAS sits next to numpy, the kernel is numpy's eigh
+        # where no ILP64 OpenBLAS sits next to numpy, the kernel is numpy's eigh, and
+        # without eigenvectors numpy's eigvalsh
         rng = np.random.default_rng(11)
         mats = [_bitwise_hermitian(rng.standard_normal((30, 30))), random_hermitian(rng, 30)]
-        fast = [spectral(mat)[0] for mat in mats]
-        solves, eigh = [], np.linalg.eigh
+        fast = [(spectral(mat)[0], eigenvalues(mat)) for mat in mats]
+        solves = []
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda a, solve=getattr(np.linalg, name),
+                                name=name: solves.append((name, a.shape)) or solve(a))
         monkeypatch.setattr(opalg, "_lapack_eigh", lambda: None)
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(a.shape) or eigh(a))
-        for mat, w_fast in zip(mats, fast):
-            w, v = spectral(mat)
+        for mat, (w_fast, alone) in zip(mats, fast):
+            solves.clear()
+            (w, v), w_alone = spectral(mat), eigenvalues(mat)
+            assert solves == [("eigh", (30, 30)), ("eigvalsh", (30, 30))]
             self.assert_decomposes(mat, w, v)
             assert np.max(np.abs(w - w_fast)) <= 1e-13 * np.max(np.abs(w))
-        assert solves == [(30, 30)] * 2
+            assert np.array_equal(w_alone, alone)
+
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "fallback"])
+    def test_order_zero(self, monkeypatch, kernel):
+        if not kernel:
+            monkeypatch.setattr(opalg, "_lapack_eigh", lambda: None)
+        w, v = spectral(np.zeros((0, 0)))
+        assert w.shape == (0,) and v.shape == (0, 0)
+        assert eigenvalues(np.zeros((0, 0), dtype=complex)).shape == (0,)
+        if kernel and opalg._lapack_eigh() is not None:
+            for vectors in (True, False):
+                assert opalg._lapack_eigh()(np.zeros((0, 0)), vectors)[1] == 0
+
+    @pytest.mark.parametrize("given", _CALLER_ARRAYS, ids=_CALLER_IDS)
+    @pytest.mark.parametrize("solve", [eigenvalues, op_norm], ids=["eigenvalues", "op_norm"])
+    def test_eigenvalue_solves_write_no_array_of_the_caller(self, given, solve):
+        mat = given.matrix if isinstance(given, DenseOperator) else given
+        before = mat.copy()
+        out = solve(given)
+        np.testing.assert_array_equal(mat, before)
+        w = np.linalg.eigvalsh(opalg.as_matrix(before))
+        assert np.array_equal(out, w) if solve is eigenvalues else out == np.max(np.abs(w))
+
+    def test_no_library_means_no_kernel(self, monkeypatch, tmp_path):
+        # a numpy with no ILP64 OpenBLAS beside it, as with MKL, Accelerate or a system
+        # LAPACK: no stage routines, so no kernel, and _eigh is numpy's
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert opalg._lapack_stages.__wrapped__() is None
+        monkeypatch.setattr(opalg, "_lapack_stages", lambda: None)
+        assert opalg._lapack_eigh.__wrapped__() is None
 
     def test_refuses_a_buffer_it_cannot_overwrite_as_given(self):
         solve = opalg._lapack_eigh()
@@ -486,13 +558,46 @@ class TestInPlaceEigensolve:
         read_only = mat.copy()
         read_only.flags.writeable = False
         for bad in (np.asfortranarray(mat), mat.astype(np.complex64), read_only, mat[:, :3]):
-            with pytest.raises(ValueError, match="writeable, C-contiguous"):
-                solve(bad)
+            for vectors in (True, False):
+                with pytest.raises(ValueError, match="writeable, C-contiguous"):
+                    solve(bad, vectors)
 
     def test_nonzero_info_raises(self, monkeypatch):
-        monkeypatch.setattr(opalg, "_lapack_eigh", lambda: lambda mat: (np.zeros(len(mat)), 3))
+        monkeypatch.setattr(opalg, "_lapack_eigh",
+                            lambda: lambda mat, vectors: (np.zeros(len(mat)), 3))
         with pytest.raises(np.linalg.LinAlgError, match="INFO 3"):
             spectral(random_hermitian(np.random.default_rng(1), 4))
+        with pytest.raises(np.linalg.LinAlgError, match="INFO 3"):
+            eigenvalues(random_hermitian(np.random.default_rng(1), 4))
+
+    STAGES = {True: ("reduction", "dstedc", "back-transformation"),
+              False: ("reduction", "dsterf")}
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    @pytest.mark.parametrize("vectors, stage", [
+        (vectors, k) for vectors, names in STAGES.items() for k in range(len(names))],
+        ids=[f"{'vectors' if vectors else 'values'}-{name}"
+             for vectors, names in STAGES.items() for name in names])
+    def test_nonzero_info_of_each_stage_raises(self, monkeypatch, dtype, vectors, stage):
+        # the stage's own INFO, after it ran, ends the solve: no later stage runs
+        stages = opalg._lapack_stages()
+        if opalg._lapack_eigh() is None:
+            pytest.skip("no ILP64 OpenBLAS next to numpy: the kernel is numpy's eigh")
+        called, call = [], opalg._lapack_call
+
+        def failing(routine, *args):
+            called.append(routine)
+            return call(routine, *args) or (17 + stage if len(called) == stage + 1 else 0)
+
+        monkeypatch.setattr(opalg, "_lapack_call", failing)
+        mat = _bitwise_hermitian(np.random.default_rng(2).standard_normal((5, 5)) + (
+            1j * np.random.default_rng(3).standard_normal((5, 5)) if dtype is complex else 0.0))
+        with pytest.raises(np.linalg.LinAlgError, match=f"LAPACK INFO {17 + stage}$"):
+            opalg._eigh(mat, vectors)
+        names = (["zhetrd", "dstedc", "zunmtr"] if dtype is complex
+                 else ["dsytrd", "dstedc", "dormtr"]) if vectors else (
+            ["zhetrd" if dtype is complex else "dsytrd", "dsterf"])
+        assert called == [stages[name] for name in names[:stage + 1]]
 
 
 class TestApplyFunction:
@@ -541,6 +646,10 @@ class TestNormTraceConjugation:
 
     def test_norm_of_an_empty_matrix_is_zero(self):
         assert op_norm(np.zeros((0, 0))) == 0.0
+
+    def test_an_empty_matrix_is_hermitian(self):
+        assert opalg.is_hermitian_matrix(np.zeros((0, 0)))
+        assert opalg.is_hermitian_matrix(np.zeros((0, 0), dtype=complex), 0.0, np.zeros((0, 0)))
 
     def test_norm_checks_hermiticity_once(self, monkeypatch):
         calls = []
@@ -597,13 +706,14 @@ class TestNonHermitianNorm:
         # the Gram matrix is made of symmetric rank-k products (X^T X, Y^T Y and
         # C - C^T): bitwise Hermitian as the eigensolver gets it
         grams = []
-        solve = opalg._eigvalsh
+        solve = opalg._eigh
 
-        def recording(mat):
+        def recording(mat, vectors):
+            assert not vectors
             grams.append(mat.copy())
-            return solve(mat)
+            return solve(mat, vectors)
 
-        monkeypatch.setattr(opalg, "_eigvalsh", recording)
+        monkeypatch.setattr(opalg, "_eigh", recording)
         rng = np.random.default_rng(n)
         m = rng.standard_normal((n, n))
         if field == "complex":
@@ -653,13 +763,14 @@ class TestGramNorm:
 
     def test_solves_a_bitwise_hermitian_gram_matrix(self, monkeypatch):
         grams = []
-        solve = opalg._eigvalsh
+        solve = opalg._eigh
 
-        def recording(mat):
+        def recording(mat, vectors):
+            assert not vectors
             grams.append(mat.copy())
-            return solve(mat)
+            return solve(mat, vectors)
 
-        monkeypatch.setattr(opalg, "_eigvalsh", recording)
+        monkeypatch.setattr(opalg, "_eigh", recording)
         rng = np.random.default_rng(45)
         b = rng.standard_normal((9, 6))
         for mat in (b, b + 1j * rng.standard_normal((9, 6))):

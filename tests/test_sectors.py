@@ -118,7 +118,8 @@ class TestMakePlanPerSector:
         vols = build(spec, range(9))
         shapes = []
         eigh = opalg._eigh
-        monkeypatch.setattr(opalg, "_eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
+        monkeypatch.setattr(opalg, "_eigh", lambda a, vectors: shapes.append(np.shape(a))
+                            or eigh(a, vectors))
         named_eigensolves.clear()
         plan = make_plan(vols)
         assert shapes == [(256, 256)] * 2

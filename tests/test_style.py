@@ -59,6 +59,63 @@ def test_every_constant_is_referenced():
     assert constants and unreferenced == [], f"unreferenced library constants: {unreferenced}"
 
 
+# Public functions, methods and properties that nothing in src/ reads, each with
+# what keeps it: its README "What it computes" bullet, or the ROADMAP open item
+# that is to give it a reader.
+UNREAD_PUBLIC = {
+    "exact_evolve": "README: exact Heisenberg evolution",
+    "dyson_evolve": "README: the truncated power-series evolution with its tail bound",
+    "kms_check": "README: the equilibrium (KMS) residual check for Gibbs states",
+    "heat_direction_check": "ROADMAP item 5: simulate's record carries every listed check",
+    "current_bound_check": "ROADMAP item 5: simulate's record carries every listed check",
+    "VolumeOperators.g_norm": "ROADMAP item 6: a backward-error certificate",
+    "derivation_growth_bound": "ROADMAP item 7: a rigorous bound on every sweep row",
+    "tail_norm": "ROADMAP item 7: a rigorous bound on every sweep row",
+}
+
+
+def _public_definitions_and_reads():
+    """Each public module-level function, and each public method or property of a
+    module-level class, of the package as (qualified name, name), and every
+    name the package reads: a bare name, an attribute or an imported name, outside
+    __init__'s imports. A read inside a definition of the same name is not counted,
+    so a recursive or self-referring definition is not its own reader."""
+    public, reads = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                public.append((stmt.name, stmt.name))
+            elif isinstance(stmt, ast.ClassDef):
+                public += [(f"{stmt.name}.{node.name}", node.name) for node in stmt.body
+                           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        owners = {}   # the names of the definitions each node lies in
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for child in ast.walk(node):
+                    owners.setdefault(id(child), set()).add(node.name)
+        for node in ast.walk(tree):
+            if path.name == "__init__.py" and isinstance(node, ast.alias):
+                continue
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name is not None and name not in owners.get(id(node), ()):
+                reads.append(name)
+    return [(qual, name) for qual, name in public if not name.startswith("_")], set(reads)
+
+
+def test_every_public_function_is_read():
+    # a public function, method or property that no code of the package reads is
+    # a feature no command reaches; an export from __init__ is not a reader, so
+    # each such name is listed with what keeps it, and leaves the list once read
+    public, reads = _public_definitions_and_reads()
+    unread = {qual for qual, name in public if name not in reads}
+    assert unread == set(UNREAD_PUBLIC), (
+        f"unread and not listed: {sorted(unread - set(UNREAD_PUBLIC))}; "
+        f"listed but read or gone: {sorted(set(UNREAD_PUBLIC) - unread)}")
+
+
 def _dataclass_fields():
     """Each field of a dataclass the package declares, as (file, class, field)."""
     for path in sorted(SRC.rglob("*.py")):
