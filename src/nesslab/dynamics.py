@@ -319,8 +319,8 @@ def _dyson_error_norm(plan: EvolutionPlan, rotated: dict, t: float) -> float:
     rotated blocks (:func:`_rotated_blocks`) are ``rotated``: in the eigenbasis the
     partial sum applies the degree-SERIES_ORDER Taylor polynomial of the phase that
     the exact evolution applies, so E_pq = R(x) * rotated_pq entrywise with x_jk =
-    t (w_pj - w_qk) (:func:`_series_remainder`). E is Hermitian, and the norm is
-    unitarily invariant, so its blocks are normed as they are."""
+    t (w_pj - w_qk) (:func:`_series_remainder`). The norm is unitarily invariant, so
+    E's blocks, Hermitian to roundoff as the rotated ones are, are normed as they are."""
     w = [s.eigenvalues for s in plan.sectors]
     err = {}
     for (p, q), block in rotated.items():

@@ -382,8 +382,9 @@ def term_from_dict(obj, where: str = "term") -> InteractionTerm:
         raise ValueError(f"{where}.matrix must be square: as many entries in each row as rows")
     if any(len(entry) != 2 for row in rows for entry in row):
         raise ValueError(f"{where}.matrix entries must be [re, im] pairs")
-    return InteractionTerm(tuple(sorted(support)),
-                           np.array([[complex(re, im) for re, im in row] for row in rows]))
+    if support != sorted(support):   # sorting would reorder the sites, not the matrix's factors
+        raise ValueError(f"{where}.support must list its sites in ascending order")
+    return InteractionTerm(support, np.array([[complex(re, im) for re, im in row] for row in rows]))
 
 
 def model_from_dict(doc) -> ModelSpec:

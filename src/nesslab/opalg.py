@@ -7,7 +7,9 @@ The module provides tensor products, embedding into larger volumes and
 the one in-place sum of embedded operators (:func:`embed_sum`), the
 conserved sectors of a set of operators, commutators, the operator
 norm, the spectral decomposition of Hermitian matrices, and the
-exponentially weighted observable norm in its upper-bound form. Every
+exponentially weighted observable norm in its upper-bound form. Whether M
+is Hermitian is decided by one exact comparison with M^dagger: :func:`op_norm`
+solves a bitwise Hermitian M and takes the Gram route for any other. Every
 Hermitian eigensolve of the package is the in-place kernel :func:`_eigh`,
 which each caller tells whether it needs eigenvectors. It runs the stages of
 LAPACK's dsyevd and zheevd itself, through ctypes on numpy's own OpenBLAS
@@ -33,8 +35,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 # absolute max|U^dagger U - I| of a supplied unitary, whose entries are O(1)
 UNITARITY_TOL = 1e-10
-# op_norm takes the eigenvalues of the symmetrized matrix below this defect, which bounds its error
-OP_NORM_HERMITIAN_TOL = 1e-12
 # absolute entrywise defect of raw user terms: text rounding is ~1e-16
 TERM_HERMITICITY_TOL = 1e-12
 # horizon_reports: Bohr frequencies |d| >= tol / min T are separable (rounding eps |P| / tol)
@@ -69,16 +69,13 @@ def exp_or_inf(x: float) -> float:
     return math.exp(x) if x <= LOG_MAX_FLOAT else math.inf
 
 
-def is_hermitian_matrix(mat, tol: float = HERMITICITY_TOL, adjoint=None,
-                        floor: float = 1.0) -> bool:
-    """max|M - M^dagger| <= tol * max(floor, max|M|), relative for floor 0, with
-    ``adjoint`` the M^dagger a caller has formed; an empty matrix passes."""
+def is_hermitian_matrix(mat) -> bool:
+    """max|M - M^dagger| <= HERMITICITY_TOL * max(1, max|M|); an empty matrix passes."""
     mat = np.asarray(mat)
     if mat.size == 0:
         return True
-    scale = max(floor, float(np.max(np.abs(mat))))
-    defect = mat - (mat.conj().T if adjoint is None else adjoint)
-    return bool(np.max(np.abs(defect)) <= tol * scale)
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    return bool(np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL * scale)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -386,20 +383,16 @@ def rotate_back(v: np.ndarray, x: np.ndarray, w: np.ndarray | None = None) -> np
 def op_norm(a) -> float:
     """Operator norm (largest singular value).
 
-    A Hermitian M, within OP_NORM_HERMITIAN_TOL relative to max|M|, is
-    normed by the largest absolute eigenvalue of its Hermitian part, formed
-    in the buffer of the conjugate transpose the test used. Else it is the
-    root of the largest eigenvalue of the Gram matrix of M / max|M| (no
+    A bitwise Hermitian M, after one exact test as :func:`hermitian_matrix`
+    makes, is normed by the largest absolute eigenvalue of a copy. Any other M
+    by the root of the largest eigenvalue of the Gram matrix of M / max|M| (no
     overflow or underflow): :func:`_gram_norm`, real for a real M.
     """
     mat = as_matrix(a)
     if mat.size == 0:
         return 0.0
-    adjoint = np.conjugate(mat.T, out=np.empty(mat.shape, mat.dtype))
-    if is_hermitian_matrix(mat, OP_NORM_HERMITIAN_TOL, adjoint, 0.0):
-        np.multiply(np.add(mat, adjoint, out=adjoint), 0.5, out=adjoint)
-        return float(np.max(np.abs(_eigh(adjoint, False))))
-    del adjoint
+    if np.array_equal(mat, mat.conj().T):
+        return float(np.max(np.abs(_eigh(np.array(mat, order="C"), False))))
     return _gram_norm(mat)
 
 

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,9 @@ INVALID_OBSERVABLES = {
     "observable-not-a-term-list": 5,
 }
 MID_Z = [{"support": [1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}]
+# kron(Z, X), whose first tensor factor is the first site of its support
+Z_X = [[[0, 0], [1, 0], [0, 0], [0, 0]], [[1, 0], [0, 0], [0, 0], [0, 0]],
+       [[0, 0], [0, 0], [0, 0], [-1, 0]], [[0, 0], [0, 0], [-1, 0], [0, 0]]]
 # changes to the chain_files model document that its loader refuses
 INVALID_MODELS = {
     "model-without-sites": lambda doc: doc.pop("sites"),
@@ -102,6 +107,30 @@ def test_config_hash_is_sha256_of_the_canonical_json(chain_files, route):
     assert _fresh_python(code, str(config_path)).split() == [expected, "True"]
 
 
+def test_hashlib_fallback_in_process(chain_files, monkeypatch):
+    # a second copy of the module, loaded where neither built-in module imports
+    path = Path(sys.modules["nesslab.cli"].__file__)
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    spec = importlib.util.spec_from_file_location("nesslab.cli_without_sha2", path)
+    copy = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, copy)
+    spec.loader.exec_module(copy)
+    assert copy.sha256 is hashlib.sha256
+    cfg = load_config(chain_files[2])
+    assert copy.config_hash(cfg) == config_hash(cfg)
+
+
+def test_module_runs_as_a_script(chain_files, monkeypatch, capsys):
+    # python -m nesslab.cli: the __main__ guard exits with main's status
+    monkeypatch.delitem(sys.modules, "nesslab.cli")   # runpy warns of a module imported twice
+    monkeypatch.setattr(sys, "argv", ["nesslab", "validate", "--model", str(chain_files[1])])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("nesslab.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr() == ("ok\n", "")
+
+
 class TestValidateCommand:
     def test_valid_model_exits_zero(self, chain_files, capsys):
         _, model_path, _, _ = chain_files
@@ -158,6 +187,17 @@ class TestValidateCommand:
         assert capsys.readouterr() == ("", f"cannot load {path}: key {written!r} in {part} "
                                            "must be an integer in canonical decimal form, "
                                            "as 12 or -3\n")
+
+    def test_support_out_of_ascending_order_exits_two(self, chain_files, capsys):
+        # sorting [1, 0] would load kron(Z, X) as Z on site 0 and X on site 1, and
+        # validate would print ok: the sites' order is the factors' order
+        _, model_path, _, tmp_path = chain_files
+        doc = json.loads(model_path.read_text())
+        doc["terms"][4] = {"support": [1, 0], "matrix": Z_X}
+        bad = write_config(tmp_path, doc, name="unsorted.json")
+        assert main(["validate", "--model", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"cannot load {bad}: terms[4].support must list "
+                                           "its sites in ascending order\n")
 
     @pytest.mark.parametrize("invalid", ["nan-model-entry", "nan-lambda", "infinite-beta"])
     def test_non_finite_model_exits_two(self, chain_files, capsys, invalid):
@@ -489,6 +529,22 @@ class TestSimulateCommand:
         # infinite dimension (1e400 reads as inf, as Infinity does) overflowed int()
         path = self._refused_input(chain_files, monkeypatch, command, file, change)
         assert capsys.readouterr() == ("", f"cannot load {path}: {refusal}\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
+    @pytest.mark.parametrize("file, change, place", [
+        ("model", lambda doc: doc["terms"].__setitem__(4, {"support": [1, 0], "matrix": Z_X}),
+         "terms[4]"),
+        ("family", lambda doc: doc["volumes"][0]["terms"].__setitem__(
+            0, {"support": [1, 0], "matrix": Z_X}), "volumes[0].terms[0]"),
+        ("config", lambda doc: doc["observables"].__setitem__(
+            "mid_z", [{"support": [2, 1], "matrix": Z_X}]), "observables.mid_z[0]")],
+        ids=["model", "family", "observable"])
+    def test_support_out_of_ascending_order_refused_before_any_build(
+            self, chain_files, capsys, monkeypatch, command, file, change, place):
+        # a sorted copy of the support would put the matrix's factors on the wrong sites
+        path = self._refused_input(chain_files, monkeypatch, command, file, change)
+        assert capsys.readouterr() == ("", f"cannot load {path}: {place}.support must list "
+                                           "its sites in ascending order\n")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-convergence"])
     def test_family_entry_for_no_volume_of_the_exhaustion_refused_before_any_build(

@@ -218,7 +218,7 @@ class TestExactEvolve:
         rng = np.random.default_rng(4)
         a = DenseOperator(vols.sites, vols.dims, random_hermitian(rng, vols.dim))
         out = exact_evolve(plan, a, 2.2)
-        assert opalg.is_hermitian_matrix(out.matrix, 1e-10)
+        assert opalg.is_hermitian_matrix(out.matrix)
         assert op_norm(out) == pytest.approx(op_norm(a), abs=1e-10)
         np.testing.assert_allclose(np.linalg.eigvalsh(out.matrix),
                                    np.linalg.eigvalsh(a.matrix), atol=1e-10)
@@ -692,6 +692,20 @@ class TestConvergenceSweep:
         # evolved block is freed as it is subtracted. Measured: 2.6 real DxD
         # at D = 1024 (4.9 with the series errors summed in the site basis)
         assert ten_site_sweep <= 3.2
+
+    def test_parity_even_observable_norms_hold_one_copy(self):
+        # sigma_z has the two diagonal sector blocks, so each pair, even order and
+        # series error is normed per sector by op_norm, which solves a copy of a
+        # bitwise Hermitian block. Measured: 3.67 real DxD at D = 512 (3.98 with a
+        # tolerance test and the Hermitian part formed in an adjoint buffer)
+        spec = make_chain(9, {i: 0 if i == 4 else 1 if i < 4 else 2 for i in range(9)},
+                          {1: 2.0, 2: 1.0}, anis=0.3)
+        a = DenseOperator((4,), (2,), SZ)
+        exhaustion = [tuple(range(2, 7)), tuple(range(1, 8)), tuple(range(9))]
+        t_grid = [f * series_radius(spec) for f in (0.2, 0.5, 0.8, 2.0, 8.0)]
+        report, peak = traced_peak(lambda: convergence_sweep(spec, exhaustion, a, t_grid))
+        assert len(report.dyson_rows) == 3 * len(exhaustion)
+        assert peak <= 3.70 * 8 * spec.volume_dim(exhaustion[-1]) ** 2
 
     def test_largest_volume_works_at_the_sector_dimension(self, monkeypatch,
                                                           named_eigensolves):

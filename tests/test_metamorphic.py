@@ -16,7 +16,12 @@ each rescaled time unchanged, so each current and its flux scale by 4, as do
 the sum-rule residual and its tolerance 2||W||/T, e and e_telescoped by 2, and
 averages not at all.
 
-Both relations run on the 7-site parity chain (two real sectors) and on its
+Site relabeling: renaming the sites, with each term's and the observable's
+tensor factors permuted to follow their new supports in ascending order,
+describes the same system, so every value, sweep row and redraw line is
+unchanged. A shuffle puts each reservoir on sites that are not contiguous.
+
+The relations run on the 7-site parity chain (two real sectors) and on its
 gauged copy (one complex sector, seed 0).
 """
 
@@ -25,7 +30,8 @@ import functools
 import numpy as np
 import pytest
 
-from nesslab import DenseOperator, InteractionTerm, ModelSpec, build, horizon_reports
+from nesslab import (DenseOperator, InteractionTerm, ModelSpec, boundary_redraw_check, build,
+                     convergence_sweep, horizon_reports, series_radius)
 
 from conftest import SX, make_chain, random_unitary
 
@@ -123,3 +129,52 @@ def test_scaling_by_two(route):
                  flux * r.tol_sum_rule, energy * r.e, energy * r.e_telescoped, x]
                 for r, x in reports]
     _assert_close(values(got, 1.0, 1.0), values(ref, 4.0, 2.0))
+
+
+def _relabeled(spec, observable, label):
+    """``spec`` and ``observable`` with each site s renamed label[s], each matrix's
+    tensor factors permuted into the ascending order of its new support."""
+    def moved(support, mat):
+        new, k = [label[s] for s in support], len(support)
+        order = np.argsort(new)
+        dims = [spec.sites[support[i]] for i in order]
+        tensor = mat.reshape([spec.sites[s] for s in support] * 2)
+        return tuple(sorted(new)), dims, tensor.transpose([*order, *(k + order)]).reshape(mat.shape)
+
+    terms = tuple(InteractionTerm(support, mat) for support, _, mat in
+                  (moved(t.support, t.matrix) for t in spec.terms))
+    return (ModelSpec({label[s]: d for s, d in spec.sites.items()},
+                      {label[s]: r for s, r in spec.regions.items()}, terms, spec.lam,
+                      spec.betas),
+            DenseOperator(*moved(observable.sites, observable.matrix)))
+
+
+def _all_values(spec, observable, label):
+    """Every flux, e, e_telescoped, sum-rule residual, tol and average per horizon; every
+    sweep row over three nested volumes at times inside and outside the series radius; and
+    every redraw line, for the sites renamed by ``label``, flat."""
+    values = [[*(r.fluxes[a] for a in sorted(r.fluxes)), r.e, r.e_telescoped,
+               r.sum_rule_residual, r.tol_sum_rule, x] for r, x in _reports(spec, observable)]
+    exhaustion = [[label[s] for s in v] for v in ((2, 3, 4), (1, 2, 3, 4, 5), range(7))]
+    t_grid = [f * series_radius(spec) for f in (0.2, 0.5, 2.0, 8.0)]
+    sweep = convergence_sweep(spec, exhaustion, observable, t_grid)
+    values += [[r.t, r.discrepancy] for r in sweep.evolution_rows]
+    values += [[r.order, r.discrepancy] for r in sweep.order_rows]
+    values += [[r.t, r.error, r.bound] for r in sweep.dyson_rows]
+    values += [[r.e_original, r.e_redrawn, r.difference, r.bound] for r in
+               boundary_redraw_check(spec, [label[2], label[3]], sorted(spec.sites), HORIZONS)]
+    return np.concatenate([np.ravel(v) for v in values])
+
+
+@pytest.mark.parametrize("relabel", ["reversed", "shuffled", "offset"])
+@pytest.mark.parametrize("route", ["real", "complex"])
+def test_site_relabeling_leaves_every_value_unchanged(route, relabel):
+    # measured within 1.2e-15, bitwise for the offset; the shuffle puts reservoir 1 on
+    # sites {2, 5, 6} and reservoir 2 on {0, 3, 4}, so their operators are embedded and
+    # applied along axes that are not adjacent
+    spec, observable = _chain(route)
+    shuffled = np.random.default_rng(3).permutation(7)
+    label = {s: {"reversed": 6 - s, "shuffled": int(shuffled[s]), "offset": s + 10}[relabel]
+             for s in spec.sites}
+    got = _all_values(*_relabeled(spec, observable, label), label)
+    _assert_close(got, _all_values(spec, observable, {s: s for s in spec.sites}))

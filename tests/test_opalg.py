@@ -649,16 +649,31 @@ class TestNormTraceConjugation:
 
     def test_an_empty_matrix_is_hermitian(self):
         assert opalg.is_hermitian_matrix(np.zeros((0, 0)))
-        assert opalg.is_hermitian_matrix(np.zeros((0, 0), dtype=complex), 0.0, np.zeros((0, 0)))
+        assert opalg.is_hermitian_matrix(np.zeros((0, 0), dtype=complex))
 
     def test_norm_checks_hermiticity_once(self, monkeypatch):
+        # one exact comparison of M with M^dagger, and no tolerance test
         calls = []
-        check = opalg.is_hermitian_matrix
-        monkeypatch.setattr(opalg, "is_hermitian_matrix",
-                            lambda *args: calls.append(args) or check(*args))
+        equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *args: calls.append(args) or equal(*args))
+        monkeypatch.setattr(opalg, "is_hermitian_matrix", None)
         a = random_hermitian(np.random.default_rng(31), 4)
         assert op_norm(a) == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(a))), rel=1e-12)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    def test_hermitian_norm_holds_one_copy(self, dtype):
+        # in n x n matrices of the input's dtype, n = 512: measured 1.09 real and complex,
+        # the copy the eigensolve overwrites and the exact test's mask (3.00 real and 2.50
+        # complex with a tolerance test and the Hermitian part formed in an adjoint buffer)
+        if opalg._lapack_eigh() is None:
+            pytest.skip("no ILP64 OpenBLAS next to numpy: the kernel is numpy's eigvalsh")
+        n, rng = 512, np.random.default_rng(14)
+        mat = _bitwise_hermitian(rng.standard_normal((n, n)) + (
+            1j * rng.standard_normal((n, n)) if dtype is complex else 0.0))
+        norm, peak = traced_peak(lambda: op_norm(mat))
+        assert norm == float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+        assert peak <= 1.2 * mat.nbytes
 
     def test_trace_cyclicity_under_conjugation(self):
         rng = np.random.default_rng(17)
@@ -692,9 +707,9 @@ class TestNonHermitianNorm:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
     def test_matches_the_svd(self, kind, scale):
-        # op_norm's Hermiticity test is relative to max|M| at every scale
+        # op_norm's Hermiticity test is exact, so it holds at every scale
         m = scale * self._sample(kind)
-        assert not opalg.is_hermitian_matrix(m, opalg.OP_NORM_HERMITIAN_TOL, None, 0.0)
+        assert not np.array_equal(m, m.conj().T)
         expected = np.linalg.norm(m, 2)
         assert np.isfinite(expected) and expected > 0.0
         assert abs(op_norm(m) - expected) <= 1e-13 * expected
@@ -729,8 +744,8 @@ class TestNonHermitianNorm:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_tiny_matrices_do_not_underflow(self, kind):
-        # entries ~1e-200 square to 0 without the scaling by max|M|; op_norm
-        # routes them by their own scale, so 1e-200 (g - g^T) is not 0
+        # entries ~1e-200 square to 0 without the scaling by max|M|; op_norm's
+        # exact test has no scale, so 1e-200 (g - g^T) takes the Gram route
         m = 1e-200 * self._sample(kind)
         expected = np.linalg.norm(m, 2)
         assert expected > 0.0
@@ -858,11 +873,12 @@ class TestSectorNorm:
         assert _sector_norm(m, [np.arange(m.shape[0])]) == op_norm(m)
 
     def test_hermitian_route_is_bitwise_unchanged(self):
-        # one conjugate transpose serves the test and the Hermitian part
-        for m in (random_hermitian(np.random.default_rng(10), 9),
-                  self._nearly_hermitian()):
-            herm = 0.5 * (m + m.conj().T)
-            assert op_norm(m) == float(np.max(np.abs(np.linalg.eigvalsh(herm))))
+        # a bitwise Hermitian M is solved as it is; one Hermitian within roundoff
+        # only is normed as the matrix it is, by the Gram route
+        m = random_hermitian(np.random.default_rng(10), 9)
+        assert op_norm(m) == float(np.max(np.abs(np.linalg.eigvalsh(m))))
+        m = self._nearly_hermitian()
+        assert op_norm(m) == opalg._gram_norm(m)
 
     @staticmethod
     def _nearly_hermitian():
